@@ -4,6 +4,11 @@ Small by design: the op set is exactly what the encoder, the task losses and
 the KL regularizers need, plus a stop-gradient barrier.  No broadcasting
 beyond scalar*tensor; every other shape mismatch is an error so that the
 finite-difference oracle has a small, fully checkable surface.
+
+Callers pack many sequences into one matrix, one row per subword, and keep
+a row -> segment id array beside it.  ``segment_mean`` and
+``segment_log_softmax`` reduce within segments by scattering on those ids,
+so one graph of a fixed number of nodes covers a whole batch.
 """
 
 from __future__ import annotations
@@ -55,20 +60,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
-
-    # light sugar; module-level functions are the canonical API
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
 
 
 def constant(values):
@@ -135,38 +126,39 @@ def add_rowvec(m, v):
     return _node(m.data + v.data, "add_rowvec", (m, v), backward)
 
 
+def _indices(op, indices, bound, what):
+    """A 1-d index array whose entries all lie in [0, bound)."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise ShapeError(f"{op}: {what}s must be 1-d, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= bound):
+        bad = idx[(idx < 0) | (idx >= bound)][0]
+        raise IndexError(f"{op}: {what} {bad} out of range for {bound} entries")
+    return idx
+
+
+def _take(op, t, indices):
+    idx = _indices(op, indices, t.data.shape[0], "index")
+    def backward(g):
+        gt = np.zeros_like(t.data)
+        np.add.at(gt, idx, g)
+        return (gt,)
+    return _node(t.data[idx], op, (t,), backward)
+
+
 def embedding_lookup(table, ids):
     """Gather rows of a 2-d table; grads scatter-add back (repeats allowed)."""
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be 2-d, got {table.data.shape}")
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding_lookup: ids must be 1-d, got shape {ids.shape}")
-    n_rows = table.data.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
-        bad = ids[(ids < 0) | (ids >= n_rows)][0]
-        raise IndexError(f"embedding_lookup: id {bad} out of range for table with {n_rows} rows")
-    def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
-    return _node(table.data[ids], "embedding_lookup", (table,), backward)
+    return _take("embedding_lookup", table, ids)
 
 
 def gather(v, indices):
-    """Select entries of a 1-d vector; grads scatter-add back."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"gather: vector must be 1-d, got {v.data.shape}")
-    indices = np.asarray(indices, dtype=np.intp)
-    n = v.data.shape[0]
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        bad = indices[(indices < 0) | (indices >= n)][0]
-        raise IndexError(f"gather: index {bad} out of range for vector of length {n}")
-    def backward(g):
-        gv = np.zeros_like(v.data)
-        np.add.at(gv, indices, g)
-        return (gv,)
-    return _node(v.data[indices], "gather", (v,), backward)
+    """Select entries of a vector, or rows of a matrix; grads scatter-add
+    back (repeats allowed)."""
+    if v.data.ndim not in (1, 2):
+        raise ShapeError(f"gather: needs a 1-d or 2-d operand, got {v.data.shape}")
+    return _take("gather", v, indices)
 
 
 def mean_rows(m):
@@ -177,6 +169,52 @@ def mean_rows(m):
     def backward(g):
         return (np.tile(g / r, (r, 1)),)
     return _node(m.data.mean(axis=0), "mean_rows", (m,), backward)
+
+
+def _segment_ids(op, segment_ids, n_rows, n_segments):
+    ids = _indices(op, segment_ids, n_segments, "segment id")
+    if ids.size != n_rows:
+        raise ShapeError(f"{op}: {ids.size} segment ids for {n_rows} rows")
+    return ids
+
+
+def segment_mean(m, segment_ids, n_segments):
+    """Per-segment column means of an (r, c) matrix, as (n_segments, c).
+
+    Row i belongs to segment ``segment_ids[i]``; every segment needs a row.
+    """
+    if m.data.ndim != 2:
+        raise ShapeError(f"segment_mean: needs a 2-d operand, got {m.data.shape}")
+    ids = _segment_ids("segment_mean", segment_ids, m.data.shape[0], n_segments)
+    counts = np.bincount(ids, minlength=n_segments).astype(np.float64)
+    if not counts.all():
+        raise ValueError(f"segment_mean: segment {int(np.argmin(counts))} has no rows")
+    out = np.zeros((n_segments, m.data.shape[1]))
+    np.add.at(out, ids, m.data)
+    out /= counts[:, None]
+    def backward(g):
+        return ((g / counts[:, None])[ids],)
+    return _node(out, "segment_mean", (m,), backward)
+
+
+def segment_log_softmax(v, segment_ids, n_segments):
+    """Log-softmax of a 1-d vector within each segment of its entries."""
+    if v.data.ndim != 1:
+        raise ShapeError(f"segment_log_softmax: needs a 1-d operand, got {v.data.shape}")
+    if not np.all(np.isfinite(v.data)):
+        raise NumericError("segment_log_softmax: input contains NaN or Inf")
+    ids = _segment_ids("segment_log_softmax", segment_ids, v.data.shape[0], n_segments)
+    top = np.full(n_segments, -np.inf)
+    np.maximum.at(top, ids, v.data)
+    shifted = v.data - top[ids]
+    sums = np.zeros(n_segments)
+    np.add.at(sums, ids, np.exp(shifted))
+    out_data = shifted - np.log(sums[ids])
+    def backward(g):
+        g_sums = np.zeros(n_segments)
+        np.add.at(g_sums, ids, g)
+        return (g - np.exp(out_data) * g_sums[ids],)
+    return _node(out_data, "segment_log_softmax", (v,), backward)
 
 
 def tanh(a):
@@ -280,7 +318,11 @@ def _toposort(root):
 
 
 def backward(root):
-    """Populate .grad on every node reachable from a scalar root."""
+    """Populate .grad on every leaf reachable from a scalar root.
+
+    An op node's gradient is released once passed to its parents, so a
+    packed batch's intermediate buffers hold no gradient copies at once.
+    """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.data.shape}")
     root._accumulate(np.ones_like(root.data))
@@ -289,6 +331,7 @@ def backward(root):
             continue
         for parent, g in zip(node.parents, node._backward(node.grad)):
             parent._accumulate(g)
+        node.grad = None
 
 
 def zero_grads(tensors):
@@ -337,6 +380,8 @@ PRIMITIVES = {
     "embedding_lookup": embedding_lookup,
     "gather": gather,
     "mean_rows": mean_rows,
+    "segment_mean": segment_mean,
+    "segment_log_softmax": segment_log_softmax,
     "tanh": tanh,
     "log": log,
     "exp": exp,

@@ -4,11 +4,19 @@ Pair consistency penalizes disagreement between predictions on an example
 and on its augmented view (symmetric KL with stop-gradient on the reference
 side of each term).  Teacher consistency penalizes KL from a frozen
 teacher's predictions to the student's on the identical input.
+
+Both take packed predictions (see ``model.Packing``).  Each gathers the rows
+it compares from the whole batch at once and sums row-wise KL terms with
+constant per-row weights (1/B per sequence, 1/(n_words B) per labeling word
+row); restricted span positions renormalize within one segment per pair.  So
+a batch's regularizer is a fixed handful of graph nodes.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from . import autodiff as ad
 
@@ -16,34 +24,37 @@ PROB_FLOOR = 1e-12
 LOG_FLOOR = math.log(PROB_FLOOR)
 
 
-def kl(p_log, q_log):
-    """KL(P || Q) in nats from two log-prob vectors of equal length.
+def kl(p_log, q_log, weights):
+    """Weighted KL(P || Q) in nats from two log-prob tensors of equal shape.
 
-    Probabilities are floored at 1e-12 before the logs so the value stays
-    finite for degenerate inputs.
+    Every entry of row i adds ``weights[i] * p * (log p - log q)``;
+    ``weights`` is one number per row (first axis) or one for all, so a
+    weight of 1 over a vector is plain KL(P || Q).  Probabilities are
+    floored at 1e-12 before the logs so the value stays finite for
+    degenerate inputs.
     """
     if p_log.shape != q_log.shape:
         raise ad.ShapeError(f"kl: shapes {p_log.shape} and {q_log.shape} differ")
+    w = np.asarray(weights, dtype=np.float64).reshape((-1,) + (1,) * (len(p_log.shape) - 1))
     lp = ad.clip_min(p_log, LOG_FLOOR)
     lq = ad.clip_min(q_log, LOG_FLOOR)
-    return ad.sum(ad.mul(ad.exp(lp), ad.sub(lp, lq)))
+    terms = ad.mul(ad.exp(lp), ad.sub(lp, lq))
+    return ad.sum(ad.mul(terms, ad.constant(np.broadcast_to(w, p_log.shape))))
 
 
-def symmetric_kl(p_log, q_log, stop_gradient=True):
-    """KL(P||Q) + KL(Q||P); with ``stop_gradient`` each term's reference
-    distribution is detached, so gradients reach P only through the term
-    where P is the prediction being pulled (and likewise Q).
+def symmetric_kl(p_log, q_log, weights, stop_gradient=True):
+    """KL(P||Q) + KL(Q||P), weighted as in ``kl``; with ``stop_gradient``
+    each term's reference distribution is detached, so gradients reach P
+    only through the term where P is the prediction being pulled (and
+    likewise Q).
 
     Disabling the barrier changes gradients but never the value; that switch
     exists for ablation.
     """
     if stop_gradient:
-        return ad.add(kl(ad.detach(p_log), q_log), kl(ad.detach(q_log), p_log))
-    return ad.add(kl(p_log, q_log), kl(q_log, p_log))
-
-
-def _zero():
-    return ad.constant(0.0)
+        return ad.add(kl(ad.detach(p_log), q_log, weights),
+                      kl(ad.detach(q_log), p_log, weights))
+    return ad.add(kl(p_log, q_log, weights), kl(q_log, p_log, weights))
 
 
 def aligned_first_subword_positions(seg_orig, seg_aug, alignment, modified):
@@ -67,90 +78,90 @@ def aligned_first_subword_positions(seg_orig, seg_aug, alignment, modified):
     return pos_orig, pos_aug
 
 
-def _restricted(vec_log, positions):
-    """Restrict a log-prob vector to positions and renormalize."""
-    return ad.log_softmax(ad.gather(vec_log, positions))
+def example_consistency(pred, pairs, stop_gradient=True):
+    """Mean symmetric-KL agreement between examples and their augmented views.
 
-
-def example_consistency(pred, pred_aug, seg=None, seg_aug=None, alignment=None,
-                        modified=None, stop_gradient=True):
-    """Symmetric-KL agreement between an example and its augmented view.
-
-    Classification compares the label distributions directly.  Span
-    extraction compares full position distributions when the two views
-    tokenize identically; otherwise both sides are restricted to aligned
-    unchanged first-subword positions and renormalized (zero when no
-    position survives).  Sequence labeling averages over all words,
+    ``pairs`` lists (original, view, alignment, modified): two sequence
+    indices into ``pred``'s packing, then the view's word alignment and the
+    original's modified-word flags.  Classification compares the label
+    distributions directly.  Span extraction compares full position
+    distributions when the two views tokenize identically; otherwise both
+    sides are restricted to aligned unchanged first-subword positions and
+    renormalized (a pair where no position survives adds zero but still
+    counts in the mean).  Sequence labeling averages over all words,
     including substituted ones, and requires equal word counts.
     """
-    if pred.task != pred_aug.task:
-        raise ValueError(f"task mismatch: {pred.task} vs {pred_aug.task}")
+    if not pairs:
+        raise ValueError("example consistency needs at least one pair")
+    packing = pred.packing
+    share = 1.0 / len(pairs)
 
     if pred.task == "classification":
-        return symmetric_kl(pred.class_log, pred_aug.class_log, stop_gradient)
+        orig = [i for i, _j, _a, _m in pairs]
+        view = [j for _i, j, _a, _m in pairs]
+        return symmetric_kl(ad.gather(pred.class_log, orig), ad.gather(pred.class_log, view),
+                            share, stop_gradient)
 
-    if pred.task == "span":
-        if seg is not None and seg_aug is not None and seg.pieces == seg_aug.pieces:
-            start = symmetric_kl(pred.start_log, pred_aug.start_log, stop_gradient)
-            end = symmetric_kl(pred.end_log, pred_aug.end_log, stop_gradient)
-            return ad.add(start, end)
-        pos, pos_aug = aligned_first_subword_positions(seg, seg_aug, alignment, modified)
-        if not pos:
-            return _zero()
-        start = symmetric_kl(_restricted(pred.start_log, pos),
-                             _restricted(pred_aug.start_log, pos_aug), stop_gradient)
-        end = symmetric_kl(_restricted(pred.end_log, pos),
-                           _restricted(pred_aug.end_log, pos_aug), stop_gradient)
-        return ad.add(start, end)
+    rows, view_rows = [], []
+    if pred.task == "labeling":
+        weights = []
+        for i, j, _alignment, _modified in pairs:
+            n = int(packing.n_words[i])
+            if n != packing.n_words[j]:
+                raise ValueError(f"word counts differ: {n} vs {packing.n_words[j]}")
+            rows.append(packing.word_starts[i] + np.arange(n))
+            view_rows.append(packing.word_starts[j] + np.arange(n))
+            weights.append(np.full(n, share / n))
+        return symmetric_kl(ad.gather(pred.word_log, np.concatenate(rows)),
+                            ad.gather(pred.word_log, np.concatenate(view_rows)),
+                            np.concatenate(weights), stop_gradient)
 
-    n = pred.n_words
-    if n != pred_aug.n_words:
-        raise ValueError(f"word counts differ: {n} vs {pred_aug.n_words}")
-    terms = [
-        symmetric_kl(_row(pred.word_log, w), _row(pred_aug.word_log, w), stop_gradient)
-        for w in range(n)
-    ]
-    return ad.scale(_sum_nodes(terms), 1.0 / n)
+    segment = []
+    for k, (i, j, alignment, modified) in enumerate(pairs):
+        seg, seg_aug = packing.segmentations[i], packing.segmentations[j]
+        if seg.pieces == seg_aug.pieces:
+            pos = pos_aug = np.arange(seg.n_pieces)
+        else:
+            pos, pos_aug = aligned_first_subword_positions(seg, seg_aug, alignment, modified)
+        rows.append(packing.starts[i] + np.asarray(pos, dtype=np.intp))
+        view_rows.append(packing.starts[j] + np.asarray(pos_aug, dtype=np.intp))
+        segment.append(np.full(len(pos), k))
+    segment = np.concatenate(segment)
+    if not segment.size:
+        return ad.constant(0.0)
+
+    def restricted(vec_log, index):
+        return ad.segment_log_softmax(ad.gather(vec_log, index), segment, len(pairs))
+
+    rows, view_rows = np.concatenate(rows), np.concatenate(view_rows)
+    start, end = (symmetric_kl(restricted(vec_log, rows), restricted(vec_log, view_rows),
+                               share, stop_gradient)
+                  for vec_log in (pred.start_log, pred.end_log))
+    return ad.add(start, end)
 
 
 def model_consistency(teacher_pred, student_pred):
-    """KL from the frozen teacher's predictions to the student's.
+    """Mean KL from the frozen teacher's predictions to the student's.
 
     The teacher side is detached, so no gradient ever reaches teacher
-    parameters; both predictions must come from the same input, which keeps
-    the distributions aligned for every task.
+    parameters.  The teacher's sequences must be the first sequences of the
+    student's packing, on the same inputs, which keeps the distributions
+    aligned for every task; the mean runs over the teacher's sequences.
     """
     if teacher_pred.task != student_pred.task:
         raise ValueError(f"task mismatch: {teacher_pred.task} vs {student_pred.task}")
+    tp, sp = teacher_pred.packing, student_pred.packing
+    b = len(tp)
+    if (b > len(sp) or not np.array_equal(tp.lengths, sp.lengths[:b])
+            or not np.array_equal(tp.n_words, sp.n_words[:b])):
+        raise ValueError("teacher and student saw differently tokenized inputs")
+
+    def term(name, weights):
+        teacher, student = getattr(teacher_pred, name), getattr(student_pred, name)
+        return kl(ad.detach(teacher), ad.gather(student, np.arange(teacher.shape[0])), weights)
 
     if teacher_pred.task == "classification":
-        return kl(ad.detach(teacher_pred.class_log), student_pred.class_log)
-
+        return term("class_log", 1.0 / b)
     if teacher_pred.task == "span":
-        if teacher_pred.start_log.shape != student_pred.start_log.shape:
-            raise ValueError("teacher and student saw differently tokenized inputs")
-        return ad.add(
-            kl(ad.detach(teacher_pred.start_log), student_pred.start_log),
-            kl(ad.detach(teacher_pred.end_log), student_pred.end_log),
-        )
-
-    n = teacher_pred.n_words
-    if n != student_pred.n_words:
-        raise ValueError(f"word counts differ: {n} vs {student_pred.n_words}")
-    terms = [
-        kl(ad.detach(_row(teacher_pred.word_log, w)), _row(student_pred.word_log, w))
-        for w in range(n)
-    ]
-    return ad.scale(_sum_nodes(terms), 1.0 / n)
-
-
-def _row(matrix_log, w):
-    n_label = matrix_log.shape[1]
-    return ad.reshape(ad.embedding_lookup(matrix_log, [w]), (n_label,))
-
-
-def _sum_nodes(nodes):
-    acc = nodes[0]
-    for node in nodes[1:]:
-        acc = ad.add(acc, node)
-    return acc
+        return ad.add(term("start_log", 1.0 / b), term("end_log", 1.0 / b))
+    return term("word_log", np.repeat(1.0 / (tp.n_words * b), tp.n_words))

@@ -7,6 +7,9 @@ import numpy as np
 from . import tokenizer as tok
 from .model import predict
 
+# examples per packed eval forward: bounds the size of the forward's buffers
+EVAL_CHUNK = 64
+
 
 def accuracy(predictions, gold):
     """Fraction of exact matches between two equal-length label lists."""
@@ -92,41 +95,45 @@ def transfer_gap(per_language_scores, source_language):
 # Decoding and corpus-level evaluation
 
 
-def decode(prediction, segmentation=None):
-    """Greedy decode of one Prediction.
+def decode(prediction):
+    """Greedy decode of a packed Prediction, one output per sequence.
 
-    Spans are decoded jointly over start <= end in subword space, then
-    mapped back to word indices via the segmentation.
+    Spans are decoded jointly over start <= end in subword space (the first
+    best pair in row-major order), then mapped back to word indices via the
+    sequence's segmentation.
     """
+    packing = prediction.packing
     if prediction.task == "classification":
-        return int(np.argmax(prediction.class_log.data))
+        return [int(c) for c in np.argmax(prediction.class_log.data, axis=1)]
     if prediction.task == "span":
-        start_log = prediction.start_log.data
-        end_log = prediction.end_log.data
-        n = start_log.shape[0]
-        best, best_pair = -np.inf, (0, 0)
-        for s in range(n):
-            e = s + int(np.argmax(end_log[s:]))
-            if start_log[s] + end_log[e] > best:
-                best = start_log[s] + end_log[e]
-                best_pair = (s, e)
-        s, e = best_pair
-        return (segmentation.word_index[s], segmentation.word_index[e])
-    return [int(t) for t in np.argmax(prediction.word_log.data, axis=1)]
+        decoded = []
+        for k, seg in enumerate(packing.segmentations):
+            rows = slice(packing.starts[k], packing.starts[k] + packing.lengths[k])
+            pair_log = np.add.outer(prediction.start_log.data[rows], prediction.end_log.data[rows])
+            ordered = np.where(np.triu(np.ones(pair_log.shape, dtype=bool)), pair_log, -np.inf)
+            s, e = divmod(int(np.argmax(ordered)), seg.n_pieces)
+            decoded.append((seg.word_index[s], seg.word_index[e]))
+        return decoded
+    tags = np.argmax(prediction.word_log.data, axis=1)
+    return [[int(t) for t in tags[start:start + n]]
+            for start, n in zip(packing.word_starts, packing.n_words)]
 
 
 def score_corpus(params, examples, vocab, pooling=None):
     """Viterbi-segment, predict, decode and score one labeled corpus.
 
-    Returns a dict with the task's metrics ('accuracy' for classification;
-    'f1'/'em'/'score' for spans; 'accuracy'/'f1' for labeling).
+    Examples go through the model ``EVAL_CHUNK`` at a time, as one packed
+    forward each.  Returns a dict with the task's metrics ('accuracy' for
+    classification; 'f1'/'em'/'score' for spans; 'accuracy'/'f1' for
+    labeling).
     """
+    pooling = pooling if params.task == "labeling" else None
     decoded, gold = [], []
-    for ex in examples:
-        seg = tok.viterbi_segment_words(vocab, ex.words)
-        pred = predict(params, seg, pooling=pooling if params.task == "labeling" else None)
-        decoded.append(decode(pred, seg))
-        gold.append(ex.gold())
+    for start in range(0, len(examples), EVAL_CHUNK):
+        chunk = examples[start:start + EVAL_CHUNK]
+        segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in chunk]
+        decoded.extend(decode(predict(params, segs, pooling=pooling)))
+        gold.extend(ex.gold() for ex in chunk)
     if params.task == "classification":
         return {"accuracy": accuracy(decoded, gold)}
     if params.task == "span":
@@ -146,7 +153,8 @@ def primary_score(task, scores):
 
 
 def evaluate_languages(params, eval_sets, vocab, pooling=None):
-    """Per-language scores plus the transfer gap against the first language."""
+    """Scores per language, as ``score_corpus`` returns them; ``report``
+    adds the transfer gap."""
     per_language = {}
     for lang, examples in eval_sets.items():
         per_language[lang] = score_corpus(params, examples, vocab, pooling=pooling)

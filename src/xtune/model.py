@@ -3,12 +3,20 @@
 The encoder is one embedding-sum + mixing layer: enough to carry gradients
 through the consistency losses without confounding the mechanism checks with
 backbone capacity.  All heads emit log-probability distributions.
+
+Every forward pass runs over a ``Packing``: the subword rows of a list of
+segmentations concatenated into one matrix, with the sequence and word each
+row belongs to.  The encoder mixes no positions, so a packed forward equals
+the per-sequence forwards row for row; per-sequence work (pooling, span
+softmax) is a segment reduction, and a whole batch is one graph whose node
+count does not grow with the batch.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -82,116 +90,157 @@ class ModelParams:
         )
 
 
+class Packing:
+    """Segmentations with their subword rows concatenated in order.
+
+    Sequence k owns rows ``starts[k]:starts[k] + lengths[k]`` and word rows
+    ``word_starts[k]:word_starts[k] + n_words[k]``.  Per row, ``seq`` is its
+    sequence, ``positions`` its position there, ``ids`` its vocabulary id
+    and ``word_of_row`` its word row; ``first_rows`` holds the row of each
+    word's first subword.
+    """
+
+    def __init__(self, segmentations):
+        self.segmentations = segs = list(segmentations)
+        if not segs:
+            raise ValueError("nothing to pack: no segmentations")
+        self.lengths = np.array([s.n_pieces for s in segs], dtype=np.intp)
+        self.n_words = np.array([s.n_words for s in segs], dtype=np.intp)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.word_starts = np.cumsum(self.n_words) - self.n_words
+        self.seq = np.repeat(np.arange(len(segs)), self.lengths)
+        self.positions = np.arange(self.seq.size) - self.starts[self.seq]
+        self.ids = np.fromiter(chain.from_iterable(s.ids for s in segs), np.intp)
+        word_index = np.fromiter(chain.from_iterable(s.word_index for s in segs), np.intp)
+        self.word_of_row = word_index + self.word_starts[self.seq]
+        first = np.fromiter(chain.from_iterable(s.first_subword for s in segs), bool)
+        self.first_rows = np.flatnonzero(first)
+
+    def __len__(self):
+        return len(self.segmentations)
+
+
 @dataclass
 class Prediction:
-    """Log-probability outputs of one forward pass."""
+    """Log-probability outputs of one packed forward pass."""
 
     task: str
-    class_log: ad.Tensor | None = None  # (n_label,)
-    start_log: ad.Tensor | None = None  # (n_subword,)
-    end_log: ad.Tensor | None = None    # (n_subword,)
-    word_log: ad.Tensor | None = None   # (n_word, n_label)
-
-    @property
-    def n_words(self):
-        return self.word_log.shape[0]
+    packing: Packing
+    class_log: ad.Tensor | None = None  # (n_sequences, n_label)
+    start_log: ad.Tensor | None = None  # (n_rows,), normalized per sequence
+    end_log: ad.Tensor | None = None    # (n_rows,), normalized per sequence
+    word_log: ad.Tensor | None = None   # (n_word_rows, n_label)
 
 
-def encode(params, segmentation, noise_sigma=0.0, rng=None, noise=None):
-    """Hidden states tanh((E[ids] + P[:n] + eps) W + b), one row per subword.
+def encode(params, packing, noises=None):
+    """Hidden states tanh((E[ids] + P[positions] + eps) W + b), one row per
+    packed subword.
 
-    ``noise`` overrides the internal Gaussian draw so that two forward passes
-    can share one realization (teacher/student on the same noisy input).
+    ``noises`` holds, per sequence, None or an (n_pieces, dim) encode-noise
+    draw, so that two forward passes can share one realization
+    (teacher/student on the same noisy input).
     """
-    ids = segmentation.ids
-    n = len(ids)
-    if n > params.max_len:
-        raise ValueError(f"input of {n} subwords exceeds max_len {params.max_len}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    longest = int(packing.lengths.max())
+    if longest > params.max_len:
+        raise ValueError(f"input of {longest} subwords exceeds max_len {params.max_len}")
     x = ad.add(
-        ad.embedding_lookup(params["embeddings"], ids),
-        ad.embedding_lookup(params["positions"], list(range(n))),
+        ad.embedding_lookup(params["embeddings"], packing.ids),
+        ad.embedding_lookup(params["positions"], packing.positions),
     )
-    if noise is None and noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("noise_sigma > 0 requires an rng")
-        noise = rng.normal(0.0, noise_sigma, (n, params.dim))
-    if noise is not None:
-        x = ad.add(x, ad.constant(noise))
+    if noises is not None and any(n is not None for n in noises):
+        # a misfit noise block changes the row count, which ``add`` rejects
+        x = ad.add(x, ad.constant(np.concatenate([
+            np.zeros((n, params.dim)) if noise is None else noise
+            for n, noise in zip(packing.lengths, noises)])))
     return ad.tanh(ad.add_rowvec(ad.matmul(x, params["mix_weight"]), params["mix_bias"]))
 
 
-def _word_representations(params, hidden, segmentation, pooling):
-    if pooling == "first_subword":
-        return ad.embedding_lookup(hidden, segmentation.first_subword_positions())
-    # average: constant pooling matrix, one row per word
-    n_words = segmentation.n_words
-    pool = np.zeros((n_words, segmentation.n_pieces))
-    for pos, w in enumerate(segmentation.word_index):
-        pool[w, pos] = 1.0
-    pool /= pool.sum(axis=1, keepdims=True)
-    return ad.matmul(ad.constant(pool), hidden)
+def predict(params, segmentations, pooling=None, noises=None):
+    """Task-head forward pass over a list of segmentations, packed.
 
-
-def predict(params, segmentation, pooling=None, noise_sigma=0.0, rng=None, noise=None):
-    """Task-head forward pass returning normalized log-prob distributions."""
-    if pooling is not None and params.task != "labeling":
-        raise ValueError(f"pooling is only meaningful for labeling, not {params.task}")
-    hidden = encode(params, segmentation, noise_sigma=noise_sigma, rng=rng, noise=noise)
+    Returns normalized log-prob distributions: one row per sequence
+    (classification), one start and one end distribution per sequence over
+    its rows (span), or one row per word (labeling).
+    """
+    if pooling is not None:
+        if pooling not in POOLINGS:
+            raise ValueError(f"unknown pooling {pooling!r}, expected one of {POOLINGS}")
+        if params.task != "labeling":
+            raise ValueError(f"pooling is only meaningful for labeling, not {params.task}")
+    packing = Packing(segmentations)
+    hidden = encode(params, packing, noises)
 
     if params.task == "classification":
-        pooled = ad.reshape(ad.mean_rows(hidden), (1, params.dim))
+        pooled = ad.segment_mean(hidden, packing.seq, len(packing))
         logits = ad.add_rowvec(ad.matmul(pooled, params["head_weight"]), params["head_bias"])
-        return Prediction("classification",
-                          class_log=ad.log_softmax(ad.reshape(logits, (params.n_label,))))
+        return Prediction("classification", packing, class_log=ad.log_softmax(logits, axis=1))
 
     if params.task == "span":
-        n = segmentation.n_pieces
-        start = ad.log_softmax(ad.reshape(ad.matmul(hidden, params["start_weight"]), (n,)))
-        end = ad.log_softmax(ad.reshape(ad.matmul(hidden, params["end_weight"]), (n,)))
-        return Prediction("span", start_log=start, end_log=end)
+        def head(name):
+            logits = ad.reshape(ad.matmul(hidden, params[name]), (packing.seq.size,))
+            return ad.segment_log_softmax(logits, packing.seq, len(packing))
 
-    reps = _word_representations(params, hidden, segmentation, pooling or "first_subword")
+        return Prediction("span", packing, start_log=head("start_weight"),
+                          end_log=head("end_weight"))
+
+    if pooling == "average":
+        reps = ad.segment_mean(hidden, packing.word_of_row, packing.first_rows.size)
+    else:
+        reps = ad.embedding_lookup(hidden, packing.first_rows)
     logits = ad.add_rowvec(ad.matmul(reps, params["head_weight"]), params["head_bias"])
-    return Prediction("labeling", word_log=ad.log_softmax(logits, axis=1))
+    return Prediction("labeling", packing, word_log=ad.log_softmax(logits, axis=1))
 
 
 def task_loss(prediction, gold):
-    """Negative log-likelihood for the task's gold payload.
+    """Mean negative log-likelihood over the sequences that carry a gold payload.
 
-    gold: label id (classification), (start, end) subword indices (span),
-    or a per-word tag id sequence (labeling).
+    ``gold`` has one entry per packed sequence: a label id (classification),
+    (start, end) subword indices within the sequence (span), a per-word tag
+    id sequence (labeling), or None for a sequence without a label.  Each
+    gold log-probability gets a constant weight, so the loss is one sum.
     """
+    packing = prediction.packing
+    if len(gold) != len(packing):
+        raise ValueError(f"{len(gold)} gold entries for {len(packing)} sequences")
+    labeled = [k for k, g in enumerate(gold) if g is not None]
+    if not labeled:
+        raise ValueError("no sequence carries a gold payload")
+    share = -1.0 / len(labeled)
+
     if prediction.task == "classification":
-        label = int(gold)
-        n = prediction.class_log.shape[0]
-        if not 0 <= label < n:
-            raise ValueError(f"label {label} out of range for {n} classes")
-        return ad.scale(ad.sum(ad.gather(prediction.class_log, [label])), -1.0)
+        weights = np.zeros(prediction.class_log.shape)
+        n = weights.shape[1]
+        for k in labeled:
+            label = int(gold[k])
+            if not 0 <= label < n:
+                raise ValueError(f"label {label} out of range for {n} classes")
+            weights[k, label] = share
+        return ad.sum(ad.mul(prediction.class_log, ad.constant(weights)))
 
     if prediction.task == "span":
-        start, end = int(gold[0]), int(gold[1])
-        n = prediction.start_log.shape[0]
-        if not (0 <= start < n and 0 <= end < n):
-            raise ValueError(f"span ({start}, {end}) out of range for {n} positions")
-        picked = ad.add(
-            ad.sum(ad.gather(prediction.start_log, [start])),
-            ad.sum(ad.gather(prediction.end_log, [end])),
-        )
-        return ad.scale(picked, -1.0)
+        w_start, w_end = np.zeros(packing.seq.size), np.zeros(packing.seq.size)
+        for k in labeled:
+            start, end = int(gold[k][0]), int(gold[k][1])
+            n = int(packing.lengths[k])
+            if not (0 <= start < n and 0 <= end < n):
+                raise ValueError(f"span ({start}, {end}) out of range for {n} positions")
+            w_start[packing.starts[k] + start] = share
+            w_end[packing.starts[k] + end] = share
+        return ad.add(ad.sum(ad.mul(prediction.start_log, ad.constant(w_start))),
+                      ad.sum(ad.mul(prediction.end_log, ad.constant(w_end))))
 
-    tags = [int(t) for t in gold]
-    n_words, n_label = prediction.word_log.shape
-    if len(tags) != n_words:
-        raise ValueError(f"{len(tags)} tags for {n_words} words")
-    onehot = np.zeros((n_words, n_label))
-    for w, t in enumerate(tags):
-        if not 0 <= t < n_label:
-            raise ValueError(f"tag {t} out of range for {n_label} classes")
-        onehot[w, t] = 1.0
-    picked = ad.sum(ad.mul(prediction.word_log, ad.constant(onehot)))
-    return ad.scale(picked, -1.0 / n_words)
+    weights = np.zeros(prediction.word_log.shape)
+    n_label = weights.shape[1]
+    for k in labeled:
+        tags = [int(t) for t in gold[k]]
+        n_words = int(packing.n_words[k])
+        if len(tags) != n_words:
+            raise ValueError(f"{len(tags)} tags for {n_words} words")
+        for w, t in enumerate(tags):
+            if not 0 <= t < n_label:
+                raise ValueError(f"tag {t} out of range for {n_label} classes")
+            weights[packing.word_starts[k] + w, t] = share / n_words
+    return ad.sum(ad.mul(prediction.word_log, ad.constant(weights)))
 
 
 # ---------------------------------------------------------------------------

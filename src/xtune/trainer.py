@@ -20,9 +20,11 @@ import numpy as np
 from . import autodiff as ad
 from . import tokenizer as tok
 from .augment import (
+    STRATEGY_KINDS,
     AugmentationStrategy,
     AugmentedCorpus,
     AugmentedExample,
+    StrategyError,
     base_id,
     build_augmented_corpus,
     code_switch,
@@ -30,8 +32,7 @@ from .augment import (
     validate_strategy,
 )
 from .consistency import example_consistency, model_consistency
-from .data import Example
-from .model import ModelParams, predict, task_loss
+from .model import POOLINGS, TASKS, ModelParams, predict, task_loss
 
 SETTINGS = ("cross-lingual-transfer", "translate-train-all")
 MODES = ("baseline", "r1-only", "r2-only", "xtune")
@@ -107,14 +108,21 @@ class TrainConfig:
     pair_translations: bool = False      # pair items with stored translations for MT pairs
 
     def __post_init__(self):
-        if self.setting not in SETTINGS:
-            raise ValueError(f"unknown setting {self.setting!r}")
+        for name, allowed in (("task", TASKS), ("setting", SETTINGS), ("pooling", POOLINGS),
+                              ("stage1_strategy", STRATEGY_KINDS),
+                              ("corpus_strategy", STRATEGY_KINDS),
+                              ("pair_strategy", STRATEGY_KINDS),
+                              ("stage1_corpus", ("source", "augmented"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}, "
+                                 f"expected one of {allowed}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.example_weight < 0 or self.model_weight < 0:
             raise ValueError("consistency weights must be >= 0")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie in [0, 1)")
-        if self.stage1_corpus not in ("source", "augmented"):
-            raise ValueError(f"unknown stage1_corpus {self.stage1_corpus!r}")
         self.mt_languages = tuple(self.mt_languages)
 
     def strategy(self, kind):
@@ -224,35 +232,26 @@ def _labeled(item):
 def _pair_view(ex, seg, kind, cfg, res, rng):
     """On-the-fly augmented view of one example for pair consistency.
 
-    Returns (view example, view segmentation, view encode-noise, alignment,
-    modified flags) or None when no view exists (e.g. no translation).
+    Returns (view segmentation, view encode-noise, alignment, modified
+    flags) or None when no view exists (e.g. no translation).
     """
     if kind == "SS":
         aug = subword_resample(ex, res.vocab, cfg.ss_alpha, rng)
-        return aug.example, aug.segmentation, None, aug.alignment, aug.modified
+        return aug.segmentation, None, aug.alignment, aug.modified
     if kind == "CS":
         aug = code_switch(ex, res.dictionaries, cfg.cs_word_ratio, rng)
         seg2 = tok.viterbi_segment_words(res.vocab, aug.example.words)
-        return aug.example, seg2, None, aug.alignment, aug.modified
+        return seg2, None, aug.alignment, aug.modified
     if kind == "GN":
         noise = rng.normal(0.0, cfg.noise_sigma, (seg.n_pieces, cfg.dim))
-        return ex, seg, noise, list(range(len(ex.words))), [False] * len(ex.words)
+        return seg, noise, list(range(len(ex.words))), [False] * len(ex.words)
     # MT: render the same underlying example in another language
     langs = [l for l in res.store.languages_for(base_id(ex.id)) if l != ex.language]
     if not langs:
         return None
     lang = langs[int(rng.integers(0, len(langs)))]
     words, _label = res.store.get(base_id(ex.id), lang)
-    view = Example(id=f"{ex.id}/view", language=lang, task=ex.task, words=list(words),
-                   n_label=ex.n_label, question_len=ex.question_len)
-    return view, tok.viterbi_segment_words(res.vocab, words), None, None, None
-
-
-def _mean(nodes):
-    acc = nodes[0]
-    for node in nodes[1:]:
-        acc = ad.add(acc, node)
-    return ad.scale(acc, 1.0 / len(nodes))
+    return tok.viterbi_segment_words(res.vocab, words), None, None, None
 
 
 def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_weight=0.0,
@@ -261,7 +260,9 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
 
     Every per-batch loss is mean task NLL over labeled items, plus
     ``pair_weight`` times the mean pair-consistency over views, plus
-    ``teacher_weight`` times the mean teacher KL over all items.  Returns a
+    ``teacher_weight`` times the mean teacher KL over all items.  A batch's
+    items and then their views go through the student as one packed
+    forward, and its items through the teacher as a second one.  Returns a
     per-step trace of the separate components.
     """
     if teacher is not None and not params.same_architecture(teacher):
@@ -281,6 +282,9 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
         for orig, aug in pairing.pairs:
             partner_of.setdefault(orig, []).append(n_orig + aug)
             partner_of.setdefault(n_orig + aug, []).append(orig)
+    if use_pairs and pair_strategy == "MT" and not partner_of and res.store is None:
+        raise StrategyError(f"{stage_label}: MT pair views need a translation store "
+                            "(translations.jsonl in the data directory)")
 
     n = len(items)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
@@ -300,52 +304,48 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
             lr = lr_at(step, total_steps, cfg.learning_rate, warmup_frac)
             params.zero_grads()
 
-            task_terms, pair_terms, teacher_terms = [], [], []
-            n_labeled = n_unlabeled = 0
-            for i in batch:
+            segs, noises, gold = [], [], []
+            view_segs, view_noises, pairs = [], [], []
+            for k, i in enumerate(batch):
                 item = items[int(i)]
                 ex, seg, noise = _materialize(item, res.vocab, cfg, noise_rng)
-                pred = predict(params, seg, pooling=pooling, noise=noise)
-                if _labeled(item):
-                    task_terms.append(task_loss(pred, _gold_for(ex, seg)))
-                    n_labeled += 1
+                segs.append(seg)
+                noises.append(noise)
+                gold.append(_gold_for(ex, seg) if _labeled(item) else None)
+                if not use_pairs:
+                    continue
+                if partner_of and pair_strategy == "MT":
+                    options = partner_of.get(int(i), [])
+                    view = None
+                    if options:
+                        j = options[int(view_rng.integers(0, len(options)))]
+                        _vex, vseg, vnoise = _materialize(items[j], res.vocab, cfg, noise_rng)
+                        view = (vseg, vnoise, None, None)
                 else:
-                    n_unlabeled += 1
+                    view = _pair_view(ex, seg, pair_strategy, cfg, res, view_rng)
+                if view is not None:
+                    vseg, vnoise, alignment, modified = view
+                    pairs.append((k, len(batch) + len(view_segs), alignment, modified))
+                    view_segs.append(vseg)
+                    view_noises.append(vnoise)
 
-                if use_pairs:
-                    if partner_of and pair_strategy == "MT":
-                        options = partner_of.get(int(i), [])
-                        view = None
-                        if options:
-                            j = options[int(view_rng.integers(0, len(options)))]
-                            vex, vseg, vnoise = _materialize(items[j], res.vocab, cfg, noise_rng)
-                            view = (vex, vseg, vnoise, None, None)
-                    else:
-                        view = _pair_view(ex, seg, pair_strategy, cfg, res, view_rng)
-                    if view is not None:
-                        vex, vseg, vnoise, alignment, modified = view
-                        vpred = predict(params, vseg, pooling=pooling, noise=vnoise)
-                        pair_terms.append(example_consistency(
-                            pred, vpred, seg=seg, seg_aug=vseg,
-                            alignment=alignment, modified=modified))
-
-                if use_teacher:
-                    tpred = predict(teacher, seg, pooling=pooling, noise=noise)
-                    teacher_terms.append(model_consistency(tpred, pred))
+            n_labeled = sum(g is not None for g in gold)
+            pred = predict(params, segs + view_segs, pooling=pooling, noises=noises + view_noises)
 
             parts = {"task": 0.0, "example_consistency": 0.0, "model_consistency": 0.0}
             total = None
-            if task_terms:
-                node = _mean(task_terms)
+            if n_labeled:
+                node = task_loss(pred, gold + [None] * len(view_segs))
                 parts["task"] = node.item()
                 total = node
-            if pair_terms:
-                node = _mean(pair_terms)
+            if pairs:
+                node = example_consistency(pred, pairs)
                 parts["example_consistency"] = node.item()
                 weighted = ad.scale(node, pair_weight)
                 total = weighted if total is None else ad.add(total, weighted)
-            if teacher_terms:
-                node = _mean(teacher_terms)
+            if use_teacher:
+                tpred = predict(teacher, segs, pooling=pooling, noises=noises)
+                node = model_consistency(tpred, pred)
                 parts["model_consistency"] = node.item()
                 weighted = ad.scale(node, teacher_weight)
                 total = weighted if total is None else ad.add(total, weighted)
@@ -371,8 +371,8 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 "example_consistency": parts["example_consistency"],
                 "model_consistency": parts["model_consistency"],
                 "labeled": n_labeled,
-                "unlabeled": n_unlabeled,
-                "pairs": len(pair_terms),
+                "unlabeled": len(batch) - n_labeled,
+                "pairs": len(pairs),
             })
     return trace
 

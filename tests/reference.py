@@ -1,0 +1,148 @@
+"""Per-example reference for the packed forward, task loss and regularizers.
+
+This is the one-graph-per-example path the package used before batches
+were packed: every sequence gets its own encoder graph, and a batch's loss
+components are means of per-example scalar nodes.  Tests compare the packed
+path against it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from xtune import autodiff as ad
+from xtune import consistency as cons
+
+
+@dataclass
+class Prediction:
+    task: str
+    class_log: ad.Tensor | None = None  # (n_label,)
+    start_log: ad.Tensor | None = None  # (n_subword,)
+    end_log: ad.Tensor | None = None    # (n_subword,)
+    word_log: ad.Tensor | None = None   # (n_word, n_label)
+
+
+def encode(params, segmentation, noise=None):
+    n = len(segmentation.ids)
+    x = ad.add(
+        ad.embedding_lookup(params["embeddings"], segmentation.ids),
+        ad.embedding_lookup(params["positions"], list(range(n))),
+    )
+    if noise is not None:
+        x = ad.add(x, ad.constant(noise))
+    return ad.tanh(ad.add_rowvec(ad.matmul(x, params["mix_weight"]), params["mix_bias"]))
+
+
+def predict(params, segmentation, pooling=None, noise=None):
+    hidden = encode(params, segmentation, noise)
+    if params.task == "classification":
+        pooled = ad.reshape(ad.mean_rows(hidden), (1, params.dim))
+        logits = ad.add_rowvec(ad.matmul(pooled, params["head_weight"]), params["head_bias"])
+        return Prediction("classification",
+                          class_log=ad.log_softmax(ad.reshape(logits, (params.n_label,))))
+    if params.task == "span":
+        n = segmentation.n_pieces
+        start = ad.log_softmax(ad.reshape(ad.matmul(hidden, params["start_weight"]), (n,)))
+        end = ad.log_softmax(ad.reshape(ad.matmul(hidden, params["end_weight"]), (n,)))
+        return Prediction("span", start_log=start, end_log=end)
+    if pooling == "average":
+        # constant pooling matrix, one row per word
+        pool = np.zeros((segmentation.n_words, segmentation.n_pieces))
+        for pos, w in enumerate(segmentation.word_index):
+            pool[w, pos] = 1.0
+        pool /= pool.sum(axis=1, keepdims=True)
+        reps = ad.matmul(ad.constant(pool), hidden)
+    else:
+        reps = ad.embedding_lookup(hidden, segmentation.first_subword_positions())
+    logits = ad.add_rowvec(ad.matmul(reps, params["head_weight"]), params["head_bias"])
+    return Prediction("labeling", word_log=ad.log_softmax(logits, axis=1))
+
+
+def task_loss(prediction, gold):
+    if prediction.task == "classification":
+        return ad.scale(ad.sum(ad.gather(prediction.class_log, [int(gold)])), -1.0)
+    if prediction.task == "span":
+        picked = ad.add(ad.sum(ad.gather(prediction.start_log, [int(gold[0])])),
+                        ad.sum(ad.gather(prediction.end_log, [int(gold[1])])))
+        return ad.scale(picked, -1.0)
+    n_words, n_label = prediction.word_log.shape
+    onehot = np.zeros((n_words, n_label))
+    onehot[np.arange(n_words), [int(t) for t in gold]] = 1.0
+    picked = ad.sum(ad.mul(prediction.word_log, ad.constant(onehot)))
+    return ad.scale(picked, -1.0 / n_words)
+
+
+def _row(matrix_log, w):
+    return ad.reshape(ad.embedding_lookup(matrix_log, [w]), (matrix_log.shape[1],))
+
+
+def _mean(nodes):
+    acc = nodes[0]
+    for node in nodes[1:]:
+        acc = ad.add(acc, node)
+    return ad.scale(acc, 1.0 / len(nodes))
+
+
+def _skl(p_log, q_log, stop_gradient=True):
+    return cons.symmetric_kl(p_log, q_log, 1.0, stop_gradient)
+
+
+def example_consistency(pred, pred_aug, seg, seg_aug, alignment, modified,
+                        stop_gradient=True):
+    if pred.task == "classification":
+        return _skl(pred.class_log, pred_aug.class_log, stop_gradient)
+    if pred.task == "span":
+        if seg.pieces == seg_aug.pieces:
+            return ad.add(_skl(pred.start_log, pred_aug.start_log, stop_gradient),
+                          _skl(pred.end_log, pred_aug.end_log, stop_gradient))
+        pos, pos_aug = cons.aligned_first_subword_positions(seg, seg_aug, alignment, modified)
+        if not pos:
+            return ad.constant(0.0)
+
+        def restricted(vec_log, positions):
+            return ad.log_softmax(ad.gather(vec_log, positions))
+
+        return ad.add(
+            _skl(restricted(pred.start_log, pos), restricted(pred_aug.start_log, pos_aug),
+                 stop_gradient),
+            _skl(restricted(pred.end_log, pos), restricted(pred_aug.end_log, pos_aug),
+                 stop_gradient))
+    n = pred.word_log.shape[0]
+    return _mean([_skl(_row(pred.word_log, w), _row(pred_aug.word_log, w), stop_gradient)
+                  for w in range(n)])
+
+
+def model_consistency(teacher_pred, student_pred):
+    if teacher_pred.task == "classification":
+        return cons.kl(ad.detach(teacher_pred.class_log), student_pred.class_log, 1.0)
+    if teacher_pred.task == "span":
+        return ad.add(cons.kl(ad.detach(teacher_pred.start_log), student_pred.start_log, 1.0),
+                      cons.kl(ad.detach(teacher_pred.end_log), student_pred.end_log, 1.0))
+    n = teacher_pred.word_log.shape[0]
+    return _mean([cons.kl(ad.detach(_row(teacher_pred.word_log, w)),
+                          _row(student_pred.word_log, w), 1.0) for w in range(n)])
+
+
+def step_components(params, segs, noises, gold, pairs, pooling=None, teacher=None):
+    """Task, pair and teacher loss nodes of one batch, built per example.
+
+    Arguments are laid out as for the packed path: ``segs``/``noises``/
+    ``gold`` list the batch's items and then their views (gold None for
+    views and unlabeled items), ``pairs`` holds (item, view, alignment,
+    modified) sequence indices, and the teacher sees the items, the
+    sequences that ``pairs`` never names as a view.  A component that
+    does not apply is None.
+    """
+    n_items = len(segs) - len(pairs)
+    preds = [predict(params, seg, pooling, noise) for seg, noise in zip(segs, noises)]
+    task = [task_loss(preds[k], g) for k, g in enumerate(gold) if g is not None]
+    pair = [example_consistency(preds[i], preds[j], segs[i], segs[j], alignment, modified)
+            for i, j, alignment, modified in pairs]
+    teach = None
+    if teacher is not None:
+        teach = _mean([model_consistency(predict(teacher, segs[k], pooling, noises[k]), preds[k])
+                       for k in range(n_items)])
+    return (_mean(task) if task else None, _mean(pair) if pair else None, teach)

@@ -63,6 +63,34 @@ class TestForwardExamples:
         with pytest.raises(IndexError, match="3"):
             ad.embedding_lookup(ad.Tensor(np.eye(3)), [0, 3])
 
+    def test_segment_mean_hand(self):
+        m = ad.Tensor([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]])
+        out = ad.segment_mean(m, [1, 1, 0], 2)
+        assert out.data.tolist() == [[10.0, 20.0], [2.0, 3.0]]
+
+    def test_segment_log_softmax_normalizes_each_segment(self):
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=7)
+        ids = [0, 0, 2, 2, 2, 0, 3]   # segment 1 is empty
+        out = ad.segment_log_softmax(ad.Tensor(v), ids, 4).data
+        for k in (0, 2, 3):
+            members = [i for i, s in enumerate(ids) if s == k]
+            assert np.allclose(out[members], ad.log_softmax(ad.Tensor(v[members])).data,
+                               rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("op,operand", [
+        (ad.segment_mean, np.ones((3, 2))),
+        (ad.segment_log_softmax, np.ones(3)),
+    ])
+    def test_segment_ids_out_of_range(self, op, operand):
+        for ids in ([0, 1, 2], [0, -1, 1]):
+            with pytest.raises(IndexError, match="segment id"):
+                op(ad.Tensor(operand), ids, 2)
+
+    def test_segment_mean_empty_segment_rejected(self):
+        with pytest.raises(ValueError, match="segment 1"):
+            ad.segment_mean(ad.Tensor(np.ones((2, 2))), [0, 2], 3)
+
 
 class TestLogSoftmax:
     def test_symmetry(self):
@@ -199,14 +227,21 @@ def _random_graph_case(rng):
             x = ad.log_softmax(x, axis=1)
         elif choice == 4:
             x = ad.mul(x, ad.sub(x, b))
+        elif choice == 5:
+            # two runs of the row-major entries, as packed sequences lie
+            flat = ad.segment_log_softmax(ad.reshape(x, (d1 * d2,)), rng_entry_segments, 2)
+            x = ad.reshape(flat, (d1, d2))
         x = ad.add_rowvec(x, v)
         rows = ad.embedding_lookup(x, list(rng_rows))
-        pooled = ad.mean_rows(rows)
+        pooled = ad.mean_rows(ad.segment_mean(rows, rng_row_segments, 2))
         picked = ad.gather(ad.reshape(pooled, (d2,)), list(rng_gather))
         return ad.scale(ad.sum(ad.exp(ad.scale(picked, 0.25))), 0.5)
 
-    rng_choice = rng.integers(0, 5)
+    rng_choice = rng.integers(0, 6)
     rng_rows = rng.integers(0, d1, size=3)
+    rng_row_segments = rng.permutation([0, 1, int(rng.integers(0, 2))])
+    cut = int(rng.integers(2, d1 * d2 - 1))   # both runs hold >= 2 entries
+    rng_entry_segments = np.repeat([0, 1], [cut, d1 * d2 - cut])
     rng_gather = rng.integers(0, d2, size=2)
     return loss_fn, params
 
@@ -224,6 +259,6 @@ def test_primitive_registry_lists_all_ops():
     expected = {
         "add", "sub", "mul", "scale", "matmul", "add_rowvec", "embedding_lookup",
         "gather", "mean_rows", "tanh", "log", "exp", "sum", "reshape",
-        "clip_min", "log_softmax",
+        "clip_min", "log_softmax", "segment_mean", "segment_log_softmax",
     }
     assert set(ad.PRIMITIVES) == expected

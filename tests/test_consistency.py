@@ -29,10 +29,10 @@ def logt(p):
 class TestKL:
     def test_self_divergence_zero(self):
         p = logt([0.3, 0.2, 0.5])
-        assert cons.kl(p, logt([0.3, 0.2, 0.5])).item() == 0.0
+        assert cons.kl(p, logt([0.3, 0.2, 0.5]), 1.0).item() == 0.0
 
     def test_reference_value(self):
-        got = cons.kl(logt([0.5, 0.5]), logt([0.25, 0.75])).item()
+        got = cons.kl(logt([0.5, 0.5]), logt([0.25, 0.75]), 1.0).item()
         assert abs(got - 0.14384) < 5e-6
         assert abs(got - direct_kl([0.5, 0.5], [0.25, 0.75])) < 1e-12
 
@@ -44,16 +44,16 @@ class TestKL:
             q = rng.random(n) + 1e-3
             p /= p.sum()
             q /= q.sum()
-            assert cons.kl(logt(p), logt(q)).item() >= -1e-15
+            assert cons.kl(logt(p), logt(q), 1.0).item() >= -1e-15
 
     def test_length_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            cons.kl(logt([0.5, 0.5]), logt([1.0 / 3] * 3))
+            cons.kl(logt([0.5, 0.5]), logt([1.0 / 3] * 3), 1.0)
 
 
 class TestSymmetricKL:
     def test_reference_value_sum_of_both_directions(self):
-        got = cons.symmetric_kl(logt([0.5, 0.5]), logt([0.25, 0.75])).item()
+        got = cons.symmetric_kl(logt([0.5, 0.5]), logt([0.25, 0.75]), 1.0).item()
         assert abs(got - (0.14384 + 0.13081)) < 1e-5
 
     def test_equal_inputs_zero_value_and_zero_logit_grads(self):
@@ -61,7 +61,7 @@ class TestSymmetricKL:
         # gradient w.r.t. both logit vectors vanishes
         za = ad.Tensor([0.3, -0.7])
         zb = ad.Tensor([0.3, -0.7])
-        loss = cons.symmetric_kl(ad.log_softmax(za), ad.log_softmax(zb))
+        loss = cons.symmetric_kl(ad.log_softmax(za), ad.log_softmax(zb), 1.0)
         assert loss.item() == 0.0
         ad.backward(loss)
         assert np.allclose(za.grad, 0.0, atol=1e-12)
@@ -73,14 +73,14 @@ class TestSymmetricKL:
             n = int(rng.integers(2, 7))
             p = rng.dirichlet(np.ones(n))
             q = rng.dirichlet(np.ones(n))
-            skl = cons.symmetric_kl(logt(p), logt(q)).item()
-            two = cons.kl(logt(p), logt(q)).item() + cons.kl(logt(q), logt(p)).item()
+            skl = cons.symmetric_kl(logt(p), logt(q), 1.0).item()
+            two = cons.kl(logt(p), logt(q), 1.0).item() + cons.kl(logt(q), logt(p), 1.0).item()
             assert abs(skl - two) < 1e-12
 
     def test_gradient_through_detached_side_is_zero(self):
         logits = ad.Tensor([0.2, -0.4, 1.0])
         q = ad.log_softmax(ad.Tensor([0.0, 0.1, -0.2]))
-        loss = cons.kl(ad.detach(ad.log_softmax(logits)), q)
+        loss = cons.kl(ad.detach(ad.log_softmax(logits)), q, 1.0)
         ad.backward(loss)
         assert logits.grad is None
 
@@ -91,7 +91,7 @@ class TestSymmetricKL:
             b = ad.Tensor(rng.normal(size=4))
 
             def build(stop):
-                return cons.symmetric_kl(ad.log_softmax(a), ad.log_softmax(b),
+                return cons.symmetric_kl(ad.log_softmax(a), ad.log_softmax(b), 1.0,
                                          stop_gradient=stop)
 
             with_stop = build(True)
@@ -111,9 +111,8 @@ def make_pair(task, words, words_aug, n_label=3, seed=0, pooling=None):
     rescale_params(params, np.random.default_rng(seed + 100))
     seg = tok.viterbi_segment_words(vocab, words)
     seg_aug = tok.viterbi_segment_words(vocab, words_aug)
-    pred = mdl.predict(params, seg, pooling=pooling)
-    pred_aug = mdl.predict(params, seg_aug, pooling=pooling)
-    return params, vocab, seg, seg_aug, pred, pred_aug
+    pred = mdl.predict(params, [seg, seg_aug], pooling=pooling)
+    return params, vocab, seg, seg_aug, pred
 
 
 class TestExampleConsistency:
@@ -122,23 +121,24 @@ class TestExampleConsistency:
                                        ("span", None, None),
                                        ("labeling", 3, "average")):
             words = ["abc", "d", "ab"]
-            _, _, seg, seg2, pred, pred2 = make_pair(task, words, list(words),
-                                                     n_label=n_label, pooling=pooling)
+            _, _, seg, seg2, pred = make_pair(task, words, list(words),
+                                              n_label=n_label, pooling=pooling)
             value = cons.example_consistency(
-                pred, pred2, seg=seg, seg_aug=seg2,
-                alignment=list(range(3)), modified=[False] * 3).item()
+                pred, [(0, 1, list(range(3)), [False] * 3)]).item()
             assert value == 0.0
 
     def test_span_zero_modification_equals_full_positions(self):
         # same tokenization on both sides -> direct symmetric KL on the full
         # start/end distributions (no restriction, no renormalization)
-        params, vocab, seg, seg2, pred, _ = make_pair("span", ["abc", "d"], ["abc", "d"])
-        noisy = mdl.predict(params, seg2, noise=np.full((seg2.n_pieces, params.dim), 0.05))
+        params, vocab, seg, seg2, _ = make_pair("span", ["abc", "d"], ["abc", "d"])
+        noise = np.full((seg2.n_pieces, params.dim), 0.05)
+        both = mdl.predict(params, [seg, seg2], noises=[None, noise])
         restricted = cons.example_consistency(
-            pred, noisy, seg=seg, seg_aug=seg2,
-            alignment=[0, 1], modified=[False, False]).item()
-        full = (cons.symmetric_kl(pred.start_log, noisy.start_log).item()
-                + cons.symmetric_kl(pred.end_log, noisy.end_log).item())
+            both, [(0, 1, [0, 1], [False, False])]).item()
+        pred = mdl.predict(params, [seg])
+        noisy = mdl.predict(params, [seg2], noises=[noise])
+        full = (cons.symmetric_kl(pred.start_log, noisy.start_log, 1.0).item()
+                + cons.symmetric_kl(pred.end_log, noisy.end_log, 1.0).item())
         assert abs(restricted - full) < 1e-12
 
     def test_span_hand_constructed_restriction(self):
@@ -155,11 +155,11 @@ class TestExampleConsistency:
             word_index=[0, 1, 1, 2],
             first_subword=[True, True, False, True],
         )
-        pred = mdl.predict(params, seg)
-        pred_aug = mdl.predict(params, seg_aug)
         got = cons.example_consistency(
-            pred, pred_aug, seg=seg, seg_aug=seg_aug,
-            alignment=[0, 1, 2], modified=[False, True, False]).item()
+            mdl.predict(params, [seg, seg_aug]),
+            [(0, 1, [0, 1, 2], [False, True, False])]).item()
+        pred = mdl.predict(params, [seg])
+        pred_aug = mdl.predict(params, [seg_aug])
 
         def restrict(vec, idx):
             p = np.exp(vec)[idx]
@@ -174,33 +174,29 @@ class TestExampleConsistency:
         assert abs(got - expected) < 1e-9
 
     def test_span_empty_alignment_contributes_zero(self):
-        params, vocab, seg, seg_aug, pred, pred_aug = make_pair(
+        params, vocab, seg, seg_aug, pred = make_pair(
             "span", ["ab", "cd"], ["a", "b", "cd"])
         # word counts differ; nothing aligns
-        value = cons.example_consistency(
-            pred, pred_aug, seg=seg, seg_aug=seg_aug,
-            alignment=[None, None], modified=[True, True])
+        value = cons.example_consistency(pred, [(0, 1, [None, None], [True, True])])
         assert value.item() == 0.0
 
     def test_labeling_mean_over_words_matches_oracle(self):
-        params, vocab, seg, seg_aug, pred, pred_aug = make_pair(
+        params, vocab, seg, seg_aug, pred = make_pair(
             "labeling", ["ab", "cd", "e"], ["ab", "e", "e"], pooling="average")
         got = cons.example_consistency(
-            pred, pred_aug, seg=seg, seg_aug=seg_aug,
-            alignment=[0, 1, 2], modified=[False, True, False]).item()
+            pred, [(0, 1, [0, 1, 2], [False, True, False])]).item()
         expected = 0.0
         for w in range(3):
             pa = np.exp(pred.word_log.data[w])
-            pb = np.exp(pred_aug.word_log.data[w])
+            pb = np.exp(pred.word_log.data[3 + w])
             expected += direct_kl(pa, pb) + direct_kl(pb, pa)
         assert abs(got - expected / 3) < 1e-9
 
     def test_labeling_word_count_mismatch_rejected(self):
-        params, vocab, seg, seg_aug, pred, pred_aug = make_pair(
+        params, vocab, seg, seg_aug, pred = make_pair(
             "labeling", ["ab", "cd"], ["ab", "cd", "e"], pooling="average")
         with pytest.raises(ValueError, match="word counts"):
-            cons.example_consistency(pred, pred_aug, seg=seg, seg_aug=seg_aug,
-                                     alignment=[0, 1], modified=[False, False])
+            cons.example_consistency(pred, [(0, 1, [0, 1], [False, False])])
 
     def test_classification_gradients_match_frozen_reference_fd(self):
         # The stop-gradient loss is, locally, the objective with the detached
@@ -217,15 +213,13 @@ class TestExampleConsistency:
         tensors = params.parameters()
 
         def r1_loss():
-            pred = mdl.predict(params, seg)
-            pred_aug = mdl.predict(params, seg_aug)
-            return cons.example_consistency(pred, pred_aug, seg=seg, seg_aug=seg_aug,
-                                            alignment=[0, 1], modified=[False, True])
+            pred = mdl.predict(params, [seg, seg_aug])
+            return cons.example_consistency(pred, [(0, 1, [0, 1], [False, True])])
 
-        ref_p = ad.constant(mdl.predict(params, seg).class_log.data.copy())
-        ref_q = ad.constant(mdl.predict(params, seg_aug).class_log.data.copy())
-        term_a = lambda: cons.kl(ref_p, mdl.predict(params, seg_aug).class_log)
-        term_b = lambda: cons.kl(ref_q, mdl.predict(params, seg).class_log)
+        ref_p = ad.constant(mdl.predict(params, [seg]).class_log.data.copy())
+        ref_q = ad.constant(mdl.predict(params, [seg_aug]).class_log.data.copy())
+        term_a = lambda: cons.kl(ref_p, mdl.predict(params, [seg_aug]).class_log, 1.0)
+        term_b = lambda: cons.kl(ref_q, mdl.predict(params, [seg]).class_log, 1.0)
 
         ana_a = analytic_grads(term_a, tensors)
         assert max_rel_err(ana_a, finite_difference(term_a, tensors)) < 1e-4
@@ -242,8 +236,8 @@ class TestModelConsistency:
         params, vocab = make_params("classification", n_label=3, seed=1)
         teacher = params.copy()
         seg = tok.viterbi_segment_words(vocab, ["abc", "d"])
-        value = cons.model_consistency(mdl.predict(teacher, seg),
-                                       mdl.predict(params, seg))
+        value = cons.model_consistency(mdl.predict(teacher, [seg]),
+                                       mdl.predict(params, [seg]))
         assert value.item() == 0.0
 
     def test_teacher_gradient_identically_zero(self):
@@ -251,8 +245,8 @@ class TestModelConsistency:
         teacher = params.copy()
         teacher.tensors["embeddings"].data += 0.3
         seg = tok.viterbi_segment_words(vocab, ["ab", "e"])
-        loss = cons.model_consistency(mdl.predict(teacher, seg),
-                                      mdl.predict(params, seg))
+        loss = cons.model_consistency(mdl.predict(teacher, [seg]),
+                                      mdl.predict(params, [seg]))
         ad.backward(loss)
         assert all(t.grad is None for t in teacher.parameters())
         assert any(t.grad is not None and np.abs(t.grad).max() > 0
@@ -265,8 +259,8 @@ class TestModelConsistency:
         rescale_params(params, rng)
         rescale_params(teacher, rng)
         seg = tok.viterbi_segment_words(vocab, ["abc", "ab"])
-        tpred = mdl.predict(teacher, seg)
-        spred = mdl.predict(params, seg)
+        tpred = mdl.predict(teacher, [seg])
+        spred = mdl.predict(params, [seg])
         got = cons.model_consistency(tpred, spred).item()
         expected = direct_kl(np.exp(tpred.class_log.data), np.exp(spred.class_log.data))
         assert abs(got - expected) < 1e-12
@@ -277,8 +271,8 @@ class TestModelConsistency:
             teacher = params.copy()
             teacher.tensors["mix_weight"].data *= -1.0
             seg = tok.viterbi_segment_words(vocab, ["ab", "cd", "e"])
-            tpred = mdl.predict(teacher, seg, pooling=pooling)
-            spred = mdl.predict(params, seg, pooling=pooling)
+            tpred = mdl.predict(teacher, [seg], pooling=pooling)
+            spred = mdl.predict(params, [seg], pooling=pooling)
             got = cons.model_consistency(tpred, spred).item()
             if task == "span":
                 expected = (direct_kl(np.exp(tpred.start_log.data), np.exp(spred.start_log.data))
@@ -286,6 +280,6 @@ class TestModelConsistency:
             else:
                 expected = np.mean([
                     direct_kl(np.exp(tpred.word_log.data[w]), np.exp(spred.word_log.data[w]))
-                    for w in range(tpred.n_words)
+                    for w in range(tpred.word_log.shape[0])
                 ])
             assert abs(got - expected) < 1e-12

@@ -7,6 +7,8 @@ from xtune import evaluate as ev
 from xtune import autodiff as ad
 from xtune.model import Prediction
 
+from test_model import packing_of
+
 
 class TestAccuracy:
     def test_all_correct(self):
@@ -88,27 +90,25 @@ class TestTransferGap:
 
 class TestDecode:
     def test_classification_argmax(self):
-        pred = Prediction("classification", class_log=ad.Tensor([-3.0, -0.1, -2.0]))
-        assert ev.decode(pred) == 1
+        pred = Prediction("classification", packing_of(1),
+                          class_log=ad.Tensor([[-3.0, -0.1, -2.0]]))
+        assert ev.decode(pred) == [1]
 
     def test_span_joint_argmax_restricted_to_ordered_pairs(self):
         # start argmax is position 2, end argmax position 0; the best ordered
         # pair is different from the independent argmaxes
         start = ad.Tensor(np.log([0.1, 0.2, 0.6, 0.1]))
         end = ad.Tensor(np.log([0.5, 0.1, 0.1, 0.3]))
-        pred = Prediction("span", start_log=start, end_log=end)
+        pred = Prediction("span", packing_of(4), start_log=start, end_log=end)
 
-        class Seg:
-            word_index = [0, 1, 2, 3]
-
-        s, e = ev.decode(pred, Seg())
+        [(s, e)] = ev.decode(pred)
         assert s <= e
         assert (s, e) == (2, 3)
 
     def test_labeling_rowwise_argmax(self):
         word_log = ad.Tensor(np.log([[0.8, 0.2], [0.3, 0.7]]))
-        pred = Prediction("labeling", word_log=word_log)
-        assert ev.decode(pred) == [0, 1]
+        pred = Prediction("labeling", packing_of(2), word_log=word_log)
+        assert ev.decode(pred) == [[0, 1]]
 
 
 class TestReport:

@@ -36,20 +36,27 @@ def rescale_params(params, rng, scale=0.5):
     return params
 
 
+def packing_of(n_pieces):
+    """A one-sequence packing of ``n_pieces`` one-piece words."""
+    return mdl.Packing([tok.Segmentation(pieces=["a"] * n_pieces, ids=[0] * n_pieces,
+                                         word_index=list(range(n_pieces)),
+                                         first_subword=[True] * n_pieces)])
+
+
 class TestEncode:
     def test_deterministic_without_noise(self):
         params, vocab = make_params("classification", n_label=3)
         seg = tok.viterbi_segment_words(vocab, ["abc", "de"])
-        h1 = mdl.encode(params, seg).data
-        h2 = mdl.encode(params, seg).data
+        h1 = mdl.encode(params, mdl.Packing([seg])).data
+        h2 = mdl.encode(params, mdl.Packing([seg])).data
         assert np.array_equal(h1, h2)
 
     def test_tiny_noise_is_a_tiny_perturbation(self):
         params, vocab = make_params("classification", n_label=3)
         seg = tok.viterbi_segment_words(vocab, ["abc"])
-        clean = mdl.encode(params, seg).data
-        noisy = mdl.encode(params, seg, noise_sigma=1e-8,
-                           rng=np.random.default_rng(0)).data
+        clean = mdl.encode(params, mdl.Packing([seg])).data
+        noise = np.random.default_rng(0).normal(0.0, 1e-8, (seg.n_pieces, params.dim))
+        noisy = mdl.encode(params, mdl.Packing([seg]), noises=[noise]).data
         assert np.abs(noisy - clean).max() < 1e-6
 
     def test_noise_mean_matches_clean_encoding(self):
@@ -58,11 +65,13 @@ class TestEncode:
         # empirical mean.
         params, vocab = make_params("classification", n_label=3, seed=2)
         seg = tok.viterbi_segment_words(vocab, ["ab"])
-        clean = mdl.encode(params, seg).data
+        packing = mdl.Packing([seg])
+        clean = mdl.encode(params, packing).data
         rng = np.random.default_rng(7)
         sigma = 0.01
         draws = np.stack([
-            mdl.encode(params, seg, noise_sigma=sigma, rng=rng).data
+            mdl.encode(params, packing,
+                       noises=[rng.normal(0.0, sigma, (seg.n_pieces, params.dim))]).data
             for _ in range(10_000)
         ])
         sd_of_mean = draws.std(axis=0) / math.sqrt(draws.shape[0])
@@ -72,7 +81,7 @@ class TestEncode:
         params, vocab = make_params("classification", n_label=2, max_len=2)
         seg = tok.viterbi_segment_words(vocab, ["a", "b", "c"])
         with pytest.raises(ValueError, match="max_len"):
-            mdl.encode(params, seg)
+            mdl.encode(params, mdl.Packing([seg]))
 
 
 class TestPredict:
@@ -81,7 +90,7 @@ class TestPredict:
         for task, n_label in (("classification", 4), ("span", None), ("labeling", 3)):
             params, vocab = make_params(task, n_label=n_label, seed=int(rng.integers(1e6)))
             seg = tok.viterbi_segment_words(vocab, ["abc", "d", "ab"])
-            pred = mdl.predict(params, seg)
+            pred = mdl.predict(params, [seg])
             if task == "classification":
                 assert abs(np.exp(pred.class_log.data).sum() - 1) < 1e-9
             elif task == "span":
@@ -93,13 +102,13 @@ class TestPredict:
     def test_single_label_degenerate_softmax(self):
         params, vocab = make_params("classification", n_label=1)
         seg = tok.viterbi_segment_words(vocab, ["ab"])
-        pred = mdl.predict(params, seg)
-        assert pred.class_log.data.tolist() == [0.0]
+        pred = mdl.predict(params, [seg])
+        assert pred.class_log.data.tolist() == [[0.0]]
 
     def test_span_head_shapes(self):
         params, vocab = make_params("span")
         seg = tok.viterbi_segment_words(vocab, ["a", "b", "c"])
-        pred = mdl.predict(params, seg)
+        pred = mdl.predict(params, [seg])
         assert pred.start_log.shape == (seg.n_pieces,)
         assert pred.end_log.shape == (seg.n_pieces,)
 
@@ -107,15 +116,15 @@ class TestPredict:
         params, vocab = make_params("labeling", n_label=3)
         seg = tok.viterbi_segment_words(vocab, ["a"])
         assert seg.n_pieces == seg.n_words  # marker not in this vocab
-        first = mdl.predict(params, seg, pooling="first_subword").word_log.data
-        avg = mdl.predict(params, seg, pooling="average").word_log.data
+        first = mdl.predict(params, [seg], pooling="first_subword").word_log.data
+        avg = mdl.predict(params, [seg], pooling="average").word_log.data
         assert np.allclose(first, avg, atol=1e-12)
 
     def test_pooling_on_non_labeling_task_rejected(self):
         params, vocab = make_params("classification", n_label=2)
         seg = tok.viterbi_segment_words(vocab, ["ab"])
         with pytest.raises(ValueError, match="pooling"):
-            mdl.predict(params, seg, pooling="average")
+            mdl.predict(params, [seg], pooling="average")
 
     def test_labeling_rows_track_word_count_under_resegmentation(self):
         params, vocab = make_params("labeling", n_label=3)
@@ -123,34 +132,36 @@ class TestPredict:
         rng = np.random.default_rng(0)
         for _ in range(10):
             seg = tok.sample_segment_words(vocab, words, 0.5, rng)
-            pred = mdl.predict(params, seg, pooling="average")
+            pred = mdl.predict(params, [seg], pooling="average")
             assert pred.word_log.shape[0] == len(words)
 
 
 class TestTaskLoss:
     def test_perfect_prediction_zero_loss(self):
-        pred = mdl.Prediction("classification", class_log=ad.Tensor([0.0, -50.0]))
-        assert abs(mdl.task_loss(pred, 0).item()) < 1e-12
+        pred = mdl.Prediction("classification", packing_of(1),
+                              class_log=ad.Tensor([[0.0, -50.0]]))
+        assert abs(mdl.task_loss(pred, [0]).item()) < 1e-12
 
     def test_uniform_two_label(self):
-        pred = mdl.Prediction("classification",
-                              class_log=ad.Tensor([-math.log(2)] * 2))
-        assert abs(mdl.task_loss(pred, 1).item() - math.log(2)) < 1e-12
+        pred = mdl.Prediction("classification", packing_of(1),
+                              class_log=ad.Tensor([[-math.log(2)] * 2]))
+        assert abs(mdl.task_loss(pred, [1]).item() - math.log(2)) < 1e-12
 
     def test_uniform_span_four_positions(self):
         uniform = ad.Tensor([-math.log(4)] * 4)
-        pred = mdl.Prediction("span", start_log=uniform, end_log=uniform)
-        assert abs(mdl.task_loss(pred, (2, 3)).item() - 2 * math.log(4)) < 1e-12
+        pred = mdl.Prediction("span", packing_of(4), start_log=uniform, end_log=uniform)
+        assert abs(mdl.task_loss(pred, [(2, 3)]).item() - 2 * math.log(4)) < 1e-12
 
     def test_labeling_mean_per_word(self):
         word_log = ad.Tensor(np.log(np.full((3, 2), 0.5)))
-        pred = mdl.Prediction("labeling", word_log=word_log)
-        assert abs(mdl.task_loss(pred, [0, 1, 0]).item() - math.log(2)) < 1e-12
+        pred = mdl.Prediction("labeling", packing_of(3), word_log=word_log)
+        assert abs(mdl.task_loss(pred, [[0, 1, 0]]).item() - math.log(2)) < 1e-12
 
     def test_gold_out_of_range(self):
-        pred = mdl.Prediction("classification", class_log=ad.Tensor([0.0, -1.0]))
+        pred = mdl.Prediction("classification", packing_of(1),
+                              class_log=ad.Tensor([[0.0, -1.0]]))
         with pytest.raises(ValueError, match="out of range"):
-            mdl.task_loss(pred, 5)
+            mdl.task_loss(pred, [5])
 
 
 class TestGradients:
@@ -164,9 +175,9 @@ class TestGradients:
         rescale_params(params, np.random.default_rng(17))
         seg = tok.viterbi_segment_words(vocab, ["abc", "d", "ab"])
         if task == "labeling":
-            loss_fn = lambda: mdl.task_loss(mdl.predict(params, seg, pooling="average"), gold)
+            loss_fn = lambda: mdl.task_loss(mdl.predict(params, [seg], pooling="average"), [gold])
         else:
-            loss_fn = lambda: mdl.task_loss(mdl.predict(params, seg), gold)
+            loss_fn = lambda: mdl.task_loss(mdl.predict(params, [seg]), [gold])
         tensors = params.parameters()
         err = max_rel_err(analytic_grads(loss_fn, tensors),
                           finite_difference(loss_fn, tensors))

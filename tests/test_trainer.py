@@ -245,7 +245,38 @@ class TestAbort:
             tr.run_stage(list(bench.train), params, cfg, res, "main")
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("task", "nope"),
+        ("stage1_strategy", "ZZ"),
+        ("corpus_strategy", "ZZ"),
+        ("pair_strategy", "ZZ"),
+        ("pooling", "avg"),
+        ("epochs", 0),
+        ("batch_size", 0),
+    ])
+    def test_bad_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+
+    def test_unknown_pooling_rejected_by_forward(self, small_labeling_bench):
+        bench, res = small_labeling_bench
+        params = tr.init_params(small_config(task="labeling"), res)
+        seg = tok.viterbi_segment_words(res.vocab, bench.train[0].words)
+        with pytest.raises(ValueError, match="pooling 'avg'"):
+            mdl.predict(params, [seg], pooling="avg")
+
+
 class TestMtPairing:
+    def test_mt_views_without_store_rejected_at_stage_start(self, small_classification_bench):
+        bench, res = small_classification_bench
+        cfg = small_config(setting="translate-train-all", pair_strategy="MT")
+        no_store = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=None)
+        from xtune.augment import StrategyError
+        with pytest.raises(StrategyError, match="translations.jsonl"):
+            tr.run_stage(list(bench.train), tr.init_params(cfg, no_store), cfg, no_store,
+                         "main", pair_strategy="MT", pair_weight=1.0)
+
     def test_mt_views_for_classification_pairs(self, small_classification_bench):
         bench, res = small_classification_bench
         cfg = small_config(setting="translate-train-all", corpus_strategy="MT",
