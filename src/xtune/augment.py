@@ -36,7 +36,6 @@ class AugmentationStrategy:
 
     kind: str
     alpha: float = 0.2        # SS: sampling temperature
-    sigma: float = 0.01       # GN: embedding noise scale
     word_ratio: float = 0.3   # CS: per-word replacement probability
     languages: tuple = ()     # MT: target languages
 
@@ -45,8 +44,8 @@ class AugmentationStrategy:
             raise StrategyError(f"unknown strategy kind {self.kind!r}")
         if not 0.0 <= self.word_ratio <= 1.0:
             raise StrategyError(f"word_ratio {self.word_ratio} outside [0, 1]")
-        if self.sigma < 0 or self.alpha < 0:
-            raise StrategyError("sigma and alpha must be >= 0")
+        if self.alpha < 0:
+            raise StrategyError(f"alpha {self.alpha} must be >= 0")
 
 
 @dataclass
@@ -239,8 +238,9 @@ def subword_resample(example, vocab, alpha, rng):
     )
 
 
-def gaussian_view(example, sigma):
-    """Marker-only augmentation: text identical, noise applied at encode time."""
+def gaussian_view(example):
+    """Marker-only augmentation: text identical, noise of scale
+    ``TrainConfig.noise_sigma`` applied at encode time."""
     return AugmentedExample(
         example=replace(example, words=list(example.words)),
         strategy="GN",
@@ -362,8 +362,8 @@ class AugmentedCorpus:
     """Originals plus one augmentation per original (per language for MT).
 
     ``items`` is the flat training corpus (originals first, then
-    augmentations); ``pairs`` lists (original index, augmented index) into
-    it, covering every original exactly once per augmentation.
+    augmentations); ``pairs`` lists (index into ``originals``, index into
+    ``augmented``), covering every original exactly once per augmentation.
     """
 
     originals: list
@@ -379,23 +379,12 @@ class AugmentedCorpus:
     def __len__(self):
         return len(self.originals) + len(self.augmented)
 
-    def partner_index(self, item_index):
-        """Index of the paired item (original <-> augmentation), or None."""
-        n = len(self.originals)
-        for orig, aug in self.pairs:
-            if orig == item_index:
-                return n + aug
-            if n + aug == item_index:
-                return orig
-        return None
-
 
 def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None, store=None):
     """D_A = D plus exactly one augmentation per example (ratio 1.0).
 
     MT produces one augmentation per (example, target language).  The
-    original <-> augmentation pairing is retained for pair-consistency
-    training and for tests.
+    original <-> augmentation pairing is retained in ``pairs``.
     """
     if not corpus:
         raise ValueError("build_augmented_corpus: empty corpus")
@@ -415,7 +404,7 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
                 raise StrategyError("SS corpus augmentation needs a vocabulary")
             views = [subword_resample(example, vocab, strategy.alpha, rng)]
         elif strategy.kind == "GN":
-            views = [gaussian_view(example, strategy.sigma)]
+            views = [gaussian_view(example)]
         else:
             if store is None or not strategy.languages:
                 raise StrategyError("MT corpus augmentation needs a store and target languages")

@@ -119,7 +119,6 @@ def cmd_augment(args):
     strategy = aug.AugmentationStrategy(
         kind=args.strategy,
         alpha=args.alpha,
-        sigma=args.sigma,
         word_ratio=args.ratio,
         languages=tuple(args.languages.split(",")) if args.languages else (),
     )
@@ -159,54 +158,48 @@ CONFIG_KEYS = {f.name: f for f in dataclasses.fields(trainer.TrainConfig)}
 
 
 def _parse_override(key, raw):
-    if key not in CONFIG_KEYS:
-        raise SystemExit(f"unknown config key {key!r}")
-    current = CONFIG_KEYS[key]
-    kind = current.type
+    """Typed value of one ``--set KEY=VALUE``; an empty value means the default."""
+    kind = CONFIG_KEYS[key].type if key in CONFIG_KEYS else "str"
     if raw == "":
         return None
-    if kind in ("int", "int | None"):
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
-        return raw.lower() in ("1", "true", "yes")
+    try:
+        if kind in ("int", "int | None"):
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except ValueError:
+        raise ValueError(f"--set {key}: expected {kind}, got {raw!r}") from None
     if kind == "tuple":
         return tuple(x for x in raw.split(",") if x)
     return raw
 
 
 def load_config(path, overrides=()):
+    """The training config and data directory from a JSON file plus ``--set``
+    overrides; a ``preset`` key starts from the published hyper-parameters."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    data_dir = raw.pop("data_dir", None)
-    preset = raw.pop("preset", None)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     for item in overrides:
         key, _, value = item.partition("=")
-        if key == "data_dir":
-            data_dir = value
-            continue
-        if key == "preset":
-            preset = value
-            continue
-        raw[key] = _parse_override(key, value)
+        raw[key] = value if key in ("data_dir", "preset") else _parse_override(key, value)
+    data_dir = raw.pop("data_dir", None)
+    preset = raw.pop("preset", None)
+    unknown = set(raw) - set(CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)} (in {path} or --set)")
+    if data_dir is None:
+        raise ValueError(f"{path}: config needs a data_dir pointing at a synth output directory")
     raw = {k: v for k, v in raw.items() if v is not None}
     if preset:
-        setting = raw.get("setting", "cross-lingual-transfer")
-        cfg = trainer.TrainConfig.from_preset(preset, setting, **{
-            k: v for k, v in raw.items() if k != "setting"})
-    else:
-        unknown = set(raw) - set(CONFIG_KEYS)
-        if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-        if "mt_languages" in raw:
-            raw["mt_languages"] = tuple(raw["mt_languages"])
-        cfg = trainer.TrainConfig(**raw)
-    if data_dir is None:
-        raise SystemExit("config needs a data_dir pointing at a synth output directory")
-    return cfg, Path(data_dir)
+        setting = raw.pop("setting", "cross-lingual-transfer")
+        return trainer.TrainConfig.from_preset(preset, setting, **raw), Path(data_dir)
+    return trainer.TrainConfig(**raw), Path(data_dir)
 
 
 def load_resources(data_dir, cfg):
+    """Training examples, shared resources and input digests of a synth
+    output directory; fills the config's data-derived defaults."""
     meta = json.loads((data_dir / "meta.json").read_text(encoding="utf-8"))
     languages = meta["languages"]
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
@@ -219,26 +212,18 @@ def load_resources(data_dir, cfg):
     store_path = data_dir / "translations.jsonl"
     store = aug.TranslationStore.load(store_path) if store_path.exists() else None
     train = data.load_jsonl(data_dir / "train.jsonl", cfg.task)
+    if cfg.n_label is None:
+        cfg.n_label = max((ex.n_label or 0 for ex in train), default=0) or None
+    if not cfg.mt_languages:
+        cfg.mt_languages = tuple(languages[1:])
     digests = {p.name: _sha256(p) for p in sorted(data_dir.iterdir()) if p.is_file()}
-    return train, trainer.Resources(vocab=vocab, dictionaries=dictionaries, store=store), digests, meta
+    return train, trainer.Resources(vocab=vocab, dictionaries=dictionaries, store=store), digests
 
 
 def cmd_train(args):
     cfg, data_dir = load_config(args.config, args.set or [])
-    if args.mode:
-        mode = args.mode
-    else:
-        mode = "xtune"
-    meta_spec = json.loads((data_dir / "meta.json").read_text(encoding="utf-8"))["spec"]
-    if cfg.n_label is None and cfg.task == "classification":
-        cfg.n_label = 2
-    if cfg.n_label is None and cfg.task == "labeling":
-        cfg.n_label = meta_spec["n_tag"]
-    if not cfg.mt_languages:
-        cfg.mt_languages = tuple(meta_spec["languages"][1:])
-
-    train, res, digests, _meta = load_resources(data_dir, cfg)
-    result = trainer.train_with_mode(mode, train, cfg, res, input_digests=digests)
+    train, res, digests = load_resources(data_dir, cfg)
+    result = trainer.train_with_mode(args.mode, train, cfg, res, input_digests=digests)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,7 +232,7 @@ def cmd_train(args):
         save_params(result.teacher, out / "teacher.ckpt")
     _write_json(result.manifest, out / "manifest.json")
     last = result.traces["stage2"][-1]
-    print(f"mode={mode} final step {last['step']}: total={last['total']:.6f} "
+    print(f"mode={args.mode} final step {last['step']}: total={last['total']:.6f} "
           f"task={last['task']:.6f}")
     print(f"checkpoints and manifest written to {out}")
     return 0
@@ -373,14 +358,16 @@ def build_parser():
     p.add_argument("--languages", help="MT target languages, comma-separated")
     p.add_argument("--ratio", type=float, default=0.3)
     p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_augment)
 
     p = sub.add_parser("train", help="run two-stage training or an ablation mode")
     p.add_argument("--config", required=True, help="JSON config file")
-    p.add_argument("--mode", choices=trainer.MODES,
-                   help="baseline | r1-only | r2-only | xtune (default xtune)")
+    p.add_argument("--mode", choices=tuple(trainer.MODES), default="xtune",
+                   help="which consistency terms (R1 pair, R2 teacher) train: "
+                        "baseline (neither), r1-only (R1, one stage), r2-only "
+                        "(R2 to a plain stage-1 teacher), xtune (R1 and R2, "
+                        "two stages; default)")
     p.add_argument("--out", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config value (repeatable)")

@@ -1,17 +1,23 @@
 """Two-stage fine-tuning with pair- and teacher-consistency regularization.
 
-Stage 1 minimizes task loss plus pair consistency against the stage-1
-augmentation and freezes the result as the teacher.  Stage 2 trains a fresh
-student on the augmented corpus with task loss (labeled items only), weighted
-pair consistency against on-the-fly views, and weighted KL to the frozen
-teacher.  One master seed feeds named substreams so ablation modes share
-data order.
+A training mode is one (R1, R2) row of ``MODES``; R1 is pair consistency
+against augmented views and R2 is KL to a frozen stage-1 teacher:
+
+- ``baseline`` (off, off): task loss on labeled items only;
+- ``r1-only`` (on, off): task loss plus R1 against ``pair_strategy`` views;
+- ``r2-only`` (off, on): a teacher from task loss alone, then a student with
+  task loss plus R2;
+- ``xtune`` (on, on): a teacher with R1 against ``stage1_strategy`` views,
+  then a student with task loss, R1 and R2.
+
+Stage 1 runs only when R2 needs a teacher.  Stage 2 trains a fresh student
+on the augmented corpus when R2 is on or the setting is translate-train-all.
+One master seed feeds named substreams so the modes share data order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -22,7 +28,6 @@ from . import tokenizer as tok
 from .augment import (
     STRATEGY_KINDS,
     AugmentationStrategy,
-    AugmentedCorpus,
     AugmentedExample,
     StrategyError,
     base_id,
@@ -35,7 +40,9 @@ from .consistency import example_consistency, model_consistency
 from .model import POOLINGS, TASKS, ModelParams, predict, task_loss
 
 SETTINGS = ("cross-lingual-transfer", "translate-train-all")
-MODES = ("baseline", "r1-only", "r2-only", "xtune")
+# (R1 example consistency, R2 model consistency) per training mode
+MODES = {"baseline": (False, False), "r1-only": (True, False),
+         "r2-only": (False, True), "xtune": (True, True)}
 
 # Best published hyper-parameters per benchmark dataset and setting:
 # (stage-1 strategy, corpus strategy, pair strategy, pair weight, teacher weight).
@@ -103,39 +110,43 @@ class TrainConfig:
     cs_word_ratio: float = 0.3
     ss_alpha: float = 0.2
     mt_languages: tuple = ()
-    stage1_corpus: str = "source"        # or "augmented"
-    warm_start_student: bool = False
-    pair_translations: bool = False      # pair items with stored translations for MT pairs
 
     def __post_init__(self):
         for name, allowed in (("task", TASKS), ("setting", SETTINGS), ("pooling", POOLINGS),
                               ("stage1_strategy", STRATEGY_KINDS),
                               ("corpus_strategy", STRATEGY_KINDS),
-                              ("pair_strategy", STRATEGY_KINDS),
-                              ("stage1_corpus", ("source", "augmented"))):
+                              ("pair_strategy", STRATEGY_KINDS)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}, "
                                  f"expected one of {allowed}")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.example_weight < 0 or self.model_weight < 0:
-            raise ValueError("consistency weights must be >= 0")
+        for name in ("stage1_strategy", "pair_strategy"):
+            try:
+                validate_strategy(self.task, "pair", getattr(self, name))
+            except StrategyError as err:
+                raise StrategyError(f"{name}: {err}") from None
+        for name, low in (("epochs", 1), ("batch_size", 1), ("example_weight", 0),
+                          ("model_weight", 0), ("noise_sigma", 0), ("ss_alpha", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie in [0, 1)")
+        if not 0.0 <= self.cs_word_ratio <= 1.0:
+            raise ValueError(f"cs_word_ratio must lie in [0, 1], got {self.cs_word_ratio!r}")
         self.mt_languages = tuple(self.mt_languages)
 
     def strategy(self, kind):
         return AugmentationStrategy(
             kind=kind,
             alpha=self.ss_alpha,
-            sigma=self.noise_sigma,
             word_ratio=self.cs_word_ratio,
             languages=self.mt_languages,
         )
 
     @classmethod
     def from_preset(cls, dataset, setting, **overrides):
+        if (dataset, setting) not in PRESETS:
+            raise ValueError(f"unknown preset {dataset!r} for setting {setting!r}, "
+                             f"expected one of {PRESET_DATASETS}")
         stage1, corpus, pair, w_pair, w_model = PRESETS[(dataset, setting)]
         task, pooling = PRESET_TASKS[dataset]
         base = dict(
@@ -255,7 +266,7 @@ def _pair_view(ex, seg, kind, cfg, res, rng):
 
 
 def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_weight=0.0,
-              teacher=None, teacher_weight=0.0, pairing=None):
+              teacher=None, teacher_weight=0.0):
     """Run one optimization stage over a fixed item list.
 
     Every per-batch loss is mean task NLL over labeled items, plus
@@ -276,13 +287,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     view_rng = substream(cfg.seed, f"{stage_label}/views")
     noise_rng = substream(cfg.seed, f"{stage_label}/noise")
 
-    partner_of = {}
-    if pairing is not None and cfg.pair_translations:
-        n_orig = len(pairing.originals)
-        for orig, aug in pairing.pairs:
-            partner_of.setdefault(orig, []).append(n_orig + aug)
-            partner_of.setdefault(n_orig + aug, []).append(orig)
-    if use_pairs and pair_strategy == "MT" and not partner_of and res.store is None:
+    if use_pairs and pair_strategy == "MT" and res.store is None:
         raise StrategyError(f"{stage_label}: MT pair views need a translation store "
                             "(translations.jsonl in the data directory)")
 
@@ -312,17 +317,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 segs.append(seg)
                 noises.append(noise)
                 gold.append(_gold_for(ex, seg) if _labeled(item) else None)
-                if not use_pairs:
-                    continue
-                if partner_of and pair_strategy == "MT":
-                    options = partner_of.get(int(i), [])
-                    view = None
-                    if options:
-                        j = options[int(view_rng.integers(0, len(options)))]
-                        _vex, vseg, vnoise = _materialize(items[j], res.vocab, cfg, noise_rng)
-                        view = (vseg, vnoise, None, None)
-                else:
-                    view = _pair_view(ex, seg, pair_strategy, cfg, res, view_rng)
+                view = _pair_view(ex, seg, pair_strategy, cfg, res, view_rng) if use_pairs else None
                 if view is not None:
                     vseg, vnoise, alignment, modified = view
                     pairs.append((k, len(batch) + len(view_segs), alignment, modified))
@@ -390,7 +385,7 @@ def _gold_for(ex, seg):
 
 
 # ---------------------------------------------------------------------------
-# Stages and modes
+# Modes
 
 
 def init_params(cfg, res):
@@ -398,41 +393,21 @@ def init_params(cfg, res):
                        n_label=cfg.n_label, rng=substream(cfg.seed, "init"))
 
 
-def _build_corpus(train, cfg, res, stream_label):
+def _build_corpus(train, cfg, res):
     return build_augmented_corpus(
-        train, cfg.strategy(cfg.corpus_strategy), substream(cfg.seed, stream_label),
+        train, cfg.strategy(cfg.corpus_strategy), substream(cfg.seed, "corpus"),
         vocab=res.vocab, dictionaries=res.dictionaries, store=res.store,
     )
 
 
-def stage1_train(train, cfg, res):
-    """First stage: task loss + pair consistency against the stage-1 strategy."""
-    validate_strategy(cfg.task, "pair", cfg.stage1_strategy)
-    items = list(train)
-    if cfg.stage1_corpus == "augmented":
-        items = _build_corpus(train, cfg, res, "stage1-corpus").items
+def _train_stage(items, cfg, res, stage_label, pair_strategy, pair_weight, teacher=None):
+    """A fresh model trained on ``items``; without a consistency term a stage
+    sees the labeled items only."""
+    if pair_strategy is None and teacher is None:
+        items = [it for it in items if _labeled(it)]
     params = init_params(cfg, res)
-    trace = run_stage(items, params, cfg, res, "stage1",
-                      pair_strategy=cfg.stage1_strategy,
-                      pair_weight=cfg.stage1_pair_weight)
-    return params, trace
-
-
-def stage2_train(corpus, teacher, cfg, res):
-    """Second stage: task + weighted pair and teacher consistency over D_A."""
-    validate_strategy(cfg.task, "pair", cfg.pair_strategy)
-    student = teacher.copy() if cfg.warm_start_student else init_params(cfg, res)
-    trace = run_stage(corpus.items, student, cfg, res, "main",
-                      pair_strategy=cfg.pair_strategy, pair_weight=cfg.example_weight,
-                      teacher=teacher, teacher_weight=cfg.model_weight, pairing=corpus)
-    return student, trace
-
-
-def fine_tune(items, cfg, res, stage_label="main"):
-    """Conventional fine-tuning on the labeled portion of an item list."""
-    labeled = [it for it in items if _labeled(it)]
-    params = init_params(cfg, res)
-    trace = run_stage(labeled, params, cfg, res, stage_label)
+    trace = run_stage(items, params, cfg, res, stage_label, pair_strategy=pair_strategy,
+                      pair_weight=pair_weight, teacher=teacher, teacher_weight=cfg.model_weight)
     return params, trace
 
 
@@ -445,64 +420,34 @@ class TrainResult:
     manifest: dict
 
 
-def _manifest(cfg, mode, traces, corpus_sizes, input_digests=None):
-    return {
+def train_with_mode(mode, train, cfg, res, input_digests=None):
+    """Run the ``MODES`` row behind the command-line ``--mode`` flag."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
+    r1, r2 = MODES[mode]
+    traces, teacher, corpus = {}, None, None
+    if r2:
+        teacher, traces["stage1"] = _train_stage(
+            list(train), cfg, res, "stage1", cfg.stage1_strategy if r1 else None,
+            cfg.stage1_pair_weight)
+    items = list(train)
+    if r2 or cfg.setting == "translate-train-all":
+        corpus = _build_corpus(train, cfg, res)
+        items = corpus.items
+    student, traces["stage2"] = _train_stage(
+        items, cfg, res, "main", cfg.pair_strategy if r1 else None, cfg.example_weight, teacher)
+    manifest = {
         "format": "xtune-run v1",
         "mode": mode,
         "seed": cfg.seed,
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in asdict(cfg).items()},
-        "corpus_sizes": corpus_sizes,
+        "corpus_sizes": {
+            "train": len(train),
+            "augmented": len(corpus.augmented) if corpus else 0,
+            "missing_translations": len(corpus.missing) if corpus else 0,
+        },
         "input_digests": input_digests or {},
         "traces": traces,
     }
-
-
-def xtune_train(train, cfg, res, input_digests=None):
-    """Full two-stage run: teacher from stage 1, student from stage 2."""
-    teacher, trace1 = stage1_train(train, cfg, res)
-    corpus = _build_corpus(train, cfg, res, "corpus")
-    student, trace2 = stage2_train(corpus, teacher, cfg, res)
-    traces = {"stage1": trace1, "stage2": trace2}
-    sizes = {"train": len(train), "augmented_corpus": len(corpus)}
-    return TrainResult("xtune", student, teacher, traces,
-                       _manifest(cfg, "xtune", traces, sizes, input_digests))
-
-
-def train_with_mode(mode, train, cfg, res, input_digests=None):
-    """The four training modes behind the command-line ``--mode`` flag."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if mode == "xtune":
-        return xtune_train(train, cfg, res, input_digests)
-
-    translate_all = cfg.setting == "translate-train-all"
-    if mode == "baseline":
-        items = _build_corpus(train, cfg, res, "corpus").items if translate_all else list(train)
-        params, trace = fine_tune(items, cfg, res)
-        traces = {"stage2": trace}
-        sizes = {"train": len(train), "items": len(items)}
-        return TrainResult(mode, params, None, traces,
-                           _manifest(cfg, mode, traces, sizes, input_digests))
-
-    if mode == "r1-only":
-        validate_strategy(cfg.task, "pair", cfg.pair_strategy)
-        items = _build_corpus(train, cfg, res, "corpus").items if translate_all else list(train)
-        params = init_params(cfg, res)
-        trace = run_stage(items, params, cfg, res, "main",
-                          pair_strategy=cfg.pair_strategy, pair_weight=cfg.example_weight)
-        traces = {"stage2": trace}
-        sizes = {"train": len(train), "items": len(items)}
-        return TrainResult(mode, params, None, traces,
-                           _manifest(cfg, mode, traces, sizes, input_digests))
-
-    # r2-only: plain first stage, teacher consistency only in the second
-    teacher, trace1 = fine_tune(list(train), cfg, res, stage_label="stage1")
-    corpus = _build_corpus(train, cfg, res, "corpus")
-    student = init_params(cfg, res)
-    trace2 = run_stage(corpus.items, student, cfg, res, "main",
-                       teacher=teacher, teacher_weight=cfg.model_weight, pairing=corpus)
-    traces = {"stage1": trace1, "stage2": trace2}
-    sizes = {"train": len(train), "augmented_corpus": len(corpus)}
-    return TrainResult(mode, student, teacher, traces,
-                       _manifest(cfg, mode, traces, sizes, input_digests))
+    return TrainResult(mode, student, teacher, traces, manifest)

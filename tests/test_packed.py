@@ -180,7 +180,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
                        pair_strategy=pair_strategy, noise_sigma=0.3, epochs=1,
                        batch_size=12, pooling="average" if task == "labeling" else
                        "first_subword")
-    corpus = tr._build_corpus(bench.train, cfg, res, "corpus")
+    corpus = tr._build_corpus(bench.train, cfg, res)
     student, teacher = models(cfg, res, 8)
     start = student.copy()
     seen = {}
@@ -208,7 +208,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     monkeypatch.setattr(tr, "example_consistency", recording_r1)
     monkeypatch.setattr(tr, "adam_step", recording_adam)
     trace = tr.run_stage(corpus.items, student, cfg, res, "main", pair_strategy=pair_strategy,
-                         pair_weight=2.0, teacher=teacher, teacher_weight=0.5, pairing=corpus)
+                         pair_weight=2.0, teacher=teacher, teacher_weight=0.5)
 
     segs, noises, pooling = seen["inputs"]
     gold, pairs = seen["gold"], seen["pairs"]
@@ -284,3 +284,15 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
     cons.example_consistency(mdl.predict(span, [a, b]),
                              [(0, 1, [None] * a.n_words, [True] * a.n_words)])
     assert calls["aligned"] == 1
+
+    # the training driver reaches each stage and the corpus builder through
+    # the module as well
+    for name in ("run_stage", "build_augmented_corpus"):
+        count(tr, name, f"trainer.{name}")
+    for mode, (stages, corpora) in {"baseline": (1, 0), "r1-only": (1, 0),
+                                    "r2-only": (2, 1), "xtune": (2, 1)}.items():
+        calls.clear()
+        tr.train_with_mode(mode, bench.train[:20], cfg, res)
+        assert calls["trainer.run_stage"] == stages, mode
+        assert calls["trainer.build_augmented_corpus"] == corpora, mode
+        assert calls["zero_grads"] >= stages, mode

@@ -10,7 +10,6 @@ import pytest
 from xtune import trainer as tr
 from xtune import model as mdl
 from xtune import tokenizer as tok
-from xtune.augment import AugmentationStrategy, build_augmented_corpus
 
 
 def checkpoint_bytes(params, tmp_path, name):
@@ -93,54 +92,63 @@ def small_config(task="classification", **kw):
     return tr.TrainConfig(**defaults)
 
 
+def stage1_teacher(train, cfg, res):
+    """xtune's stage 1 on its own: R1 against the stage-1 strategy."""
+    params = tr.init_params(cfg, res)
+    trace = tr.run_stage(list(train), params, cfg, res, "stage1",
+                         pair_strategy=cfg.stage1_strategy, pair_weight=cfg.stage1_pair_weight)
+    return params, trace
+
+
 class TestStageComposition:
     def test_identity_stage1_equals_plain_fine_tuning(self, small_classification_bench):
         bench, res = small_classification_bench
         cfg = small_config(stage1_strategy="CS", cs_word_ratio=0.0)
-        params1, trace1 = tr.stage1_train(bench.train, cfg, res)
-        params2, trace2 = tr.fine_tune(list(bench.train), cfg, res, stage_label="stage1")
+        xtune = tr.train_with_mode("xtune", bench.train, cfg, res)
+        plain = tr.train_with_mode("r2-only", bench.train, cfg, res)
+        trace1, trace2 = xtune.traces["stage1"], plain.traces["stage1"]
+        assert len(trace1) == len(trace2)
         for a, b in zip(trace1, trace2):
             assert abs(a["total"] - b["total"]) < 1e-9
             assert a["example_consistency"] == 0.0
         # parameters agree up to the ~1e-16/step float residue of the
         # identity-view KL gradient (sum of exp(log_softmax) is 1 only to
         # machine precision), so not bitwise
-        for name in params1.tensors:
-            assert np.allclose(params1.tensors[name].data,
-                               params2.tensors[name].data, atol=1e-9)
+        for name in xtune.teacher.tensors:
+            assert np.allclose(xtune.teacher.tensors[name].data,
+                               plain.teacher.tensors[name].data, atol=1e-9)
 
     def test_zero_weights_identity_corpus_reproduces_baseline_bitwise(
             self, small_classification_bench):
         bench, res = small_classification_bench
-        cfg = small_config(corpus_strategy="CS", pair_strategy="CS", cs_word_ratio=0.0,
+        # translate-train-all: the baseline trains on the (identity) corpus too
+        cfg = small_config(setting="translate-train-all", corpus_strategy="CS",
+                           pair_strategy="CS", cs_word_ratio=0.0,
                            example_weight=0.0, model_weight=0.0)
-        corpus = tr._build_corpus(bench.train, cfg, res, "corpus")
-        teacher, _ = tr.fine_tune(list(bench.train), cfg, res, stage_label="stage1")
+        xtune = tr.train_with_mode("xtune", bench.train, cfg, res)
+        baseline = tr.train_with_mode("baseline", bench.train, cfg, res)
 
-        student, trace2 = tr.stage2_train(corpus, teacher, cfg, res)
-        baseline, trace_b = tr.fine_tune(corpus.items, cfg, res)
-
-        assert [t["total"] for t in trace2] == [t["total"] for t in trace_b]
-        for name in student.tensors:
-            assert np.array_equal(student.tensors[name].data,
-                                  baseline.tensors[name].data)
+        assert xtune.traces["stage2"] == baseline.traces["stage2"]
+        for name in xtune.student.tensors:
+            assert np.array_equal(xtune.student.tensors[name].data,
+                                  baseline.student.tensors[name].data)
 
     def test_teacher_bit_identical_through_stage2(self, small_classification_bench,
                                                   tmp_path):
         bench, res = small_classification_bench
         cfg = small_config()
-        result = tr.xtune_train(bench.train, cfg, res)
+        result = tr.train_with_mode("xtune", bench.train, cfg, res)
         before = checkpoint_bytes(result.teacher, tmp_path, "before.ckpt")
         # teacher is produced before stage 2; saving it after the full run
         # must give the same bytes as a fresh stage-1 run
-        teacher_again, _ = tr.stage1_train(bench.train, cfg, res)
+        teacher_again, _ = stage1_teacher(bench.train, cfg, res)
         again = checkpoint_bytes(teacher_again, tmp_path, "again.ckpt")
         assert before == again
 
     def test_loss_decomposition_identity(self, small_classification_bench):
         bench, res = small_classification_bench
         cfg = small_config(example_weight=2.5, model_weight=1.5)
-        result = tr.xtune_train(bench.train, cfg, res)
+        result = tr.train_with_mode("xtune", bench.train, cfg, res)
         for row in result.traces["stage2"]:
             recomposed = (row["task"]
                           + cfg.example_weight * row["example_consistency"]
@@ -151,7 +159,7 @@ class TestStageComposition:
         bench, res = small_classification_bench
         for seed in range(3):
             cfg = small_config(seed=seed, epochs=3)
-            _params, trace = tr.stage1_train(bench.train, cfg, res)
+            _params, trace = stage1_teacher(bench.train, cfg, res)
             totals = [t["total"] for t in trace]
             assert all(math.isfinite(v) for v in totals)
             assert totals[-1] < totals[0]
@@ -161,14 +169,60 @@ class TestStageComposition:
         with pytest.raises(ValueError, match="mode"):
             tr.train_with_mode("both", bench.train, small_config(), res)
 
+    @pytest.mark.parametrize("mode,stages,corpus_built", [
+        ("baseline", ["stage2"], False),
+        ("r1-only", ["stage2"], False),
+        ("r2-only", ["stage1", "stage2"], True),
+        ("xtune", ["stage1", "stage2"], True),
+    ])
+    def test_mode_row_decides_stages_terms_and_corpus(self, mode, stages, corpus_built,
+                                                      small_classification_bench):
+        bench, res = small_classification_bench
+        r1, r2 = tr.MODES[mode]
+        result = tr.train_with_mode(mode, bench.train, small_config(epochs=1), res)
+        assert sorted(result.traces) == stages
+        assert (result.teacher is not None) == r2
+        stage2 = result.traces["stage2"]
+        assert any(row["pairs"] for row in stage2) == r1
+        assert any(row["model_consistency"] for row in stage2) == r2
+        if r2:
+            assert any(row["pairs"] for row in result.traces["stage1"]) == r1
+        sizes = result.manifest["corpus_sizes"]
+        assert sizes["train"] == len(bench.train)
+        assert sizes["augmented"] == (len(bench.train) if corpus_built else 0)
+        assert sizes["missing_translations"] == 0
+        items = sum(row["labeled"] + row["unlabeled"] for row in stage2)
+        assert items == sizes["train"] + sizes["augmented"]
+
+    def test_missing_translations_reach_the_manifest(self, small_classification_bench):
+        bench, res = small_classification_bench
+        cfg = small_config(setting="translate-train-all", corpus_strategy="MT",
+                           mt_languages=("xx", "nope"), epochs=1)
+        result = tr.train_with_mode("baseline", bench.train, cfg, res)
+        sizes = result.manifest["corpus_sizes"]
+        assert sizes["missing_translations"] == len(bench.train)
+        assert sizes["augmented"] == len(bench.train)
+
 
 class TestLabelMasking:
+    def test_stage_without_consistency_terms_sees_labeled_items_only(
+            self, small_labeling_bench):
+        bench, res = small_labeling_bench
+        cfg = small_config(task="labeling", setting="translate-train-all",
+                           corpus_strategy="MT", pair_strategy="SS",
+                           pooling="average", epochs=1)
+        n, n_views = len(bench.train), 2 * len(bench.train)   # MT into xx and yy
+        for mode, labeled, unlabeled in (("baseline", n, 0), ("r1-only", n, n_views)):
+            trace = tr.train_with_mode(mode, bench.train, cfg, res).traces["stage2"]
+            assert sum(row["labeled"] for row in trace) == labeled, mode
+            assert sum(row["unlabeled"] for row in trace) == unlabeled, mode
+
     def test_unlabeled_items_contribute_no_task_loss(self, small_labeling_bench):
         bench, res = small_labeling_bench
         cfg = small_config(task="labeling", setting="translate-train-all",
                            corpus_strategy="MT", pair_strategy="SS",
                            pooling="average", epochs=1)
-        corpus = tr._build_corpus(bench.train, cfg, res, "corpus")
+        corpus = tr._build_corpus(bench.train, cfg, res)
         assert any(not v.label_available for v in corpus.augmented)
         student = tr.init_params(cfg, res)
         trace = tr.run_stage(corpus.items, student, cfg, res, "main",
@@ -186,7 +240,7 @@ class TestLabelMasking:
             bench.train[:4],
             small_config(task="labeling", corpus_strategy="MT",
                          setting="translate-train-all", pooling="average"),
-            res, "corpus")
+            res)
         unlabeled = [v for v in corpus.augmented if not v.label_available][:4]
         params = tr.init_params(cfg, res)
         start = {k: t.data.copy() for k, t in params.tensors.items()}
@@ -203,7 +257,7 @@ class TestDeterminism:
         runs = []
         for tag in ("a", "b"):
             cfg = small_config(seed=11)
-            result = tr.xtune_train(bench.train, cfg, res)
+            result = tr.train_with_mode("xtune", bench.train, cfg, res)
             student = checkpoint_bytes(result.student, tmp_path, f"s-{tag}.ckpt")
             teacher = checkpoint_bytes(result.teacher, tmp_path, f"t-{tag}.ckpt")
             manifest = json.dumps(result.manifest, sort_keys=True)
@@ -212,8 +266,8 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self, small_classification_bench, tmp_path):
         bench, res = small_classification_bench
-        a = tr.xtune_train(bench.train, small_config(seed=1), cfg_res(res))
-        b = tr.xtune_train(bench.train, small_config(seed=2), cfg_res(res))
+        a = tr.train_with_mode("xtune", bench.train, small_config(seed=1), res)
+        b = tr.train_with_mode("xtune", bench.train, small_config(seed=2), res)
         assert not np.array_equal(a.student.tensors["embeddings"].data,
                                   b.student.tensors["embeddings"].data)
 
@@ -223,10 +277,6 @@ class TestDeterminism:
         a2 = tr.substream(7, "alpha").random(4)
         assert np.array_equal(a, a2)
         assert not np.array_equal(a, b)
-
-
-def cfg_res(res):
-    return res
 
 
 class TestAbort:
@@ -254,10 +304,22 @@ class TestConfigValidation:
         ("pooling", "avg"),
         ("epochs", 0),
         ("batch_size", 0),
+        ("model_weight", -1.0),
+        ("noise_sigma", -0.1),
+        ("ss_alpha", -0.1),
+        ("cs_word_ratio", 1.5),
+        ("cs_word_ratio", -0.1),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             tr.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("task", ["labeling", "span"])
+    @pytest.mark.parametrize("field", ["stage1_strategy", "pair_strategy"])
+    def test_mt_pairs_on_token_tasks_rejected_by_name(self, task, field):
+        from xtune.augment import StrategyError
+        with pytest.raises(StrategyError, match=field):
+            tr.TrainConfig(task=task, **{field: "MT"})
 
     def test_unknown_pooling_rejected_by_forward(self, small_labeling_bench):
         bench, res = small_labeling_bench
@@ -286,7 +348,7 @@ class TestMtPairing:
 
     def test_mt_pair_rejected_for_labeling(self, small_labeling_bench):
         bench, res = small_labeling_bench
-        cfg = small_config(task="labeling", pair_strategy="MT", pooling="average")
         from xtune.augment import StrategyError
         with pytest.raises(StrategyError):
+            cfg = small_config(task="labeling", pair_strategy="MT", pooling="average")
             tr.train_with_mode("r1-only", bench.train, cfg, res)
