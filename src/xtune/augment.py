@@ -224,10 +224,7 @@ def subword_resample(example, vocab, alpha, rng):
     """
     seg = tok.sample_segment_words(vocab, example.words, alpha, rng)
     reference = tok.viterbi_segment_words(vocab, example.words)
-    modified = [
-        seg.pieces_of_word(w) != reference.pieces_of_word(w)
-        for w in range(len(example.words))
-    ]
+    modified = [a != b for a, b in zip(seg.word_pieces(), reference.word_pieces())]
     return AugmentedExample(
         example=replace(example, words=list(example.words)),
         strategy="SS",

@@ -174,12 +174,31 @@ def _parse_override(key, raw):
     return raw
 
 
+# JSON types a config file may give for each TrainConfig field type
+FILE_TYPES = {"int": int, "int | None": int, "float": (int, float), "str": str, "tuple": list}
+
+
+def _check_file_types(path, raw):
+    """Reject config-file values whose JSON type does not fit their field;
+    null keeps the default, and unknown keys are reported after ``--set``."""
+    for key, value in raw.items():
+        field = CONFIG_KEYS.get(key)
+        kind = "str" if key in ("data_dir", "preset") else field and field.type
+        if value is None or kind is None:
+            continue
+        if (isinstance(value, bool) or not isinstance(value, FILE_TYPES[kind])
+                or kind == "tuple" and not all(isinstance(x, str) for x in value)):
+            expected = "a list of strings" if kind == "tuple" else kind
+            raise ValueError(f"{path}: {key}: expected {expected}, got {value!r}")
+
+
 def load_config(path, overrides=()):
     """The training config and data directory from a JSON file plus ``--set``
     overrides; a ``preset`` key starts from the published hyper-parameters."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
+    _check_file_types(path, raw)
     for item in overrides:
         key, _, value = item.partition("=")
         raw[key] = value if key in ("data_dir", "preset") else _parse_override(key, value)

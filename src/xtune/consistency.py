@@ -67,11 +67,10 @@ def aligned_first_subword_positions(seg_orig, seg_aug, alignment, modified):
         return [], []
     first_orig = seg_orig.first_subword_positions()
     first_aug = seg_aug.first_subword_positions()
+    pieces_orig, pieces_aug = seg_orig.word_pieces(), seg_aug.word_pieces()
     pos_orig, pos_aug = [], []
     for w, target in enumerate(alignment):
-        if target is None or modified[w]:
-            continue
-        if seg_orig.pieces_of_word(w) != seg_aug.pieces_of_word(target):
+        if target is None or modified[w] or pieces_orig[w] != pieces_aug[target]:
             continue
         pos_orig.append(first_orig[w])
         pos_aug.append(first_aug[target])

@@ -4,7 +4,9 @@ Three ways to segment a string over the same piece inventory:
 
 * ``viterbi_segment``          - best-scoring segmentation (deterministic),
 * ``sample_segment``           - exact sampling proportional to P(s)^alpha via
-                                 forward filtering / backward sampling (FFBS),
+                                 forward filtering / backward sampling (FFBS);
+                                 each backward cut is an inverse-CDF draw that
+                                 matches ``Generator.choice`` draw for draw,
 * ``enumerate_segmentations``  - brute-force enumeration, the test oracle the
                                  other two are checked against.
 
@@ -16,6 +18,7 @@ under resegmentation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,11 +99,12 @@ class Segmentation:
     def first_subword_positions(self):
         return [i for i, f in enumerate(self.first_subword) if f]
 
-    def pieces_of_word(self, w):
-        return [p for p, wi in zip(self.pieces, self.word_index) if wi == w]
-
-    def subword_positions_of_word(self, w):
-        return [i for i, wi in enumerate(self.word_index) if wi == w]
+    def word_pieces(self):
+        """The pieces of each word, in word order (one pass over the pieces)."""
+        out = [[] for _ in range(self.n_words)]
+        for p, w in zip(self.pieces, self.word_index):
+            out[w].append(p)
+        return out
 
     def reconstruct(self, marker=DEFAULT_MARKER):
         """Rebuild the source words (boundary markers stripped)."""
@@ -115,24 +119,24 @@ class Segmentation:
         return words
 
 
-def _single_word(vocab, pieces, word=0):
-    return Segmentation(
-        pieces=list(pieces),
-        ids=[vocab.piece_to_id[p] for p in pieces],
-        word_index=[word] * len(pieces),
-        first_subword=[i == 0 for i in range(len(pieces))],
-    )
+def _word_parts(vocab, pieces):
+    """(pieces, ids, first-subword flags) of one word's segmentation."""
+    return pieces, [vocab.piece_to_id[p] for p in pieces], [i == 0 for i in range(len(pieces))]
 
 
-def _concat(vocab, per_word_pieces):
-    seg = Segmentation(pieces=[], ids=[], word_index=[], first_subword=[])
-    for w, pieces in enumerate(per_word_pieces):
-        for i, p in enumerate(pieces):
-            seg.pieces.append(p)
-            seg.ids.append(vocab.piece_to_id[p])
-            seg.word_index.append(w)
-            seg.first_subword.append(i == 0)
-    return seg
+def _join(parts):
+    """One Segmentation from per-word ``_word_parts``; the parts are copied."""
+    pieces, ids, word_index, first_subword = [], [], [], []
+    for w, (p, i, f) in enumerate(parts):
+        pieces += p
+        ids += i
+        word_index += [w] * len(p)
+        first_subword += f
+    return Segmentation(pieces, ids, word_index, first_subword)
+
+
+def _single_word(vocab, pieces):
+    return _join([_word_parts(vocab, pieces)])
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +197,14 @@ def _viterbi_word(vocab, word):
     if cached is None:
         form = vocab.word_form(word)
         vocab._check_coverage(form)
-        cached = _viterbi_pieces(vocab, form)
+        cached = _word_parts(vocab, _viterbi_pieces(vocab, form))
         vocab._word_viterbi[word] = cached
     return cached
 
 
 def viterbi_segment_words(vocab, words):
     """Segment a word sequence; each word independently, marker-prefixed."""
-    return _concat(vocab, [_viterbi_word(vocab, w) for w in words])
+    return _join([_viterbi_word(vocab, w) for w in words])
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +215,11 @@ class _Lattice:
     """Forward-filtered segmentation lattice for one string at one alpha.
 
     ``logf[j]`` is the log total tempered mass of all segmentations of
-    text[:j]; backward sampling then draws each path with probability
-    P(s)^alpha / Z exactly.
+    text[:j].  ``starts[j]`` holds the starts of the pieces ending at ``j``
+    and ``cdfs[j]`` the normalised CDF over them, built as ``Generator.choice``
+    builds it.  Backward sampling bisects that CDF with one ``rng.random()``
+    per cut: the draw and index ``rng.choice(len(starts[j]), p=p)`` gives,
+    so each path has probability P(s)^alpha / Z exactly.
     """
 
     def __init__(self, vocab, text, alpha):
@@ -237,32 +244,28 @@ class _Lattice:
         if logf[n] == -np.inf:
             raise CoverageError(f"text {text!r} cannot be segmented")
         self.logf = logf
-        # precompute the categorical over predecessors for each end position
-        self.starts = []
-        self.probs = []
-        for j in range(n + 1):
-            starts = np.array([i for i, _ in spans[j]], dtype=np.intp)
-            logw = np.array([logf[i] + w for i, w in spans[j]])
-            if len(starts):
+        self.starts = [[i for i, _ in span] for span in spans]
+        self.cdfs = [[] for _ in spans]
+        for j, span in enumerate(spans):
+            if span:
+                logw = np.array([logf[i] + w for i, w in span])
                 p = np.exp(logw - logw.max())
-                p /= p.sum()
-            else:
-                p = np.empty(0)
-            self.starts.append(starts)
-            self.probs.append(p)
+                cdf = (p / p.sum()).cumsum()
+                self.cdfs[j] = (cdf / cdf[-1]).tolist()
 
     @property
     def log_partition(self):
         return float(self.logf[-1])
 
     def sample_pieces(self, rng):
-        cuts = [len(self.text)]
-        while cuts[-1] > 0:
-            j = cuts[-1]
-            k = int(rng.choice(len(self.starts[j]), p=self.probs[j]))
-            cuts.append(int(self.starts[j][k]))
-        cuts.reverse()
-        return [self.text[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        pieces = []
+        j = len(self.text)
+        while j > 0:
+            i = self.starts[j][bisect_right(self.cdfs[j], rng.random())]
+            pieces.append(self.text[i:j])
+            j = i
+        pieces.reverse()
+        return pieces
 
 
 def sample_segment(vocab, text, alpha, rng):
@@ -283,7 +286,8 @@ def _word_lattice(vocab, word, alpha):
 
 def sample_segment_words(vocab, words, alpha, rng):
     """Per-word FFBS sampling over a word sequence."""
-    return _concat(vocab, [_word_lattice(vocab, w, alpha).sample_pieces(rng) for w in words])
+    return _join([_word_parts(vocab, _word_lattice(vocab, w, alpha).sample_pieces(rng))
+                  for w in words])
 
 
 # ---------------------------------------------------------------------------

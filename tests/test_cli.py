@@ -90,6 +90,9 @@ def test_mode_defaults_to_xtune():
     ({"preset": "nope"}, [], "unknown preset 'nope'"),
     ({"task": "labeling", "pair_strategy": "MT"}, [], "pair_strategy: MT cannot"),
     ({}, ["cs_word_ratio=2"], "cs_word_ratio must lie in [0, 1]"),
+    ({"epochs": "3"}, [], "epochs: expected int, got '3'"),
+    ({"mt_languages": "xx"}, [], "mt_languages: expected a list of strings, got 'xx'"),
+    ({"learning_rate": "0.1"}, [], "learning_rate: expected float, got '0.1'"),
 ])
 def test_bad_config_fails_cleanly(extra, overrides, message, tmp_path, capsys):
     config = write_config(tmp_path / "config.json", tmp_path / "missing-data", **extra)
@@ -120,3 +123,10 @@ def test_empty_override_restores_the_default(tmp_path):
     assert cfg.mt_languages == ("xx", "yy")
     assert cfg.task == "labeling" and cfg.pooling == "average"
     assert str(data_dir) == "elsewhere"
+
+
+def test_file_values_of_fitting_types_load(tmp_path):
+    config = write_config(tmp_path / "config.json", tmp_path, learning_rate=1,
+                          mt_languages=["xx"], n_label=None)
+    cfg, _ = cli.load_config(config)
+    assert cfg.learning_rate == 1 and cfg.mt_languages == ("xx",) and cfg.n_label is None

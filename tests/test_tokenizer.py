@@ -6,7 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from xtune import augment as aug
+from xtune import consistency as cons
 from xtune import tokenizer as tok
+from xtune.data import Example
 
 
 def toy_vocab():
@@ -172,6 +175,34 @@ class TestSampling:
             tv = 0.5 * sum(abs(counts.get(k, 0) / n - q) for k, q in zip(keys, tempered))
             assert tv < 0.02
 
+    def test_draws_match_generator_choice_reference(self):
+        # the categorical over predecessors rebuilt from the vocabulary and
+        # drawn with rng.choice: same pieces, same generator state after
+        def reference(vocab, text, alpha, logf, rng):
+            cuts = [len(text)]
+            while cuts[-1] > 0:
+                j = cuts[-1]
+                starts = [i for i in range(max(0, j - vocab.max_piece_len), j)
+                          if text[i:j] in vocab.pieces]
+                logw = np.array([logf[i] + alpha * vocab.pieces[text[i:j]] for i in starts])
+                p = np.exp(logw - logw.max())
+                p /= p.sum()
+                cuts.append(starts[int(rng.choice(len(starts), p=p))])
+            cuts.reverse()
+            return [text[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+        rng = np.random.default_rng(47)
+        for trial in range(200):
+            vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
+            text = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
+            alpha = float(rng.choice([0.0, 0.2, 0.5, 1.0, 4.0]))
+            lattice = tok._Lattice(vocab, text, alpha)
+            got_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(20):
+                assert (lattice.sample_pieces(got_rng)
+                        == reference(vocab, text, alpha, lattice.logf, ref_rng))
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_deterministic_given_seed(self):
         vocab = toy_vocab()
         a = [tok.sample_segment(vocab, "abab"[:3], 0.5, np.random.default_rng(9)).pieces
@@ -210,6 +241,57 @@ class TestWordLevel:
             seg = tok.sample_segment_words(vocab, words, 0.3, rng)
             assert seg.n_words == 3
             assert sum(seg.first_subword) == 3
+
+
+def scan_pieces_of_word(seg, w):
+    """Per-word reference: one scan over every piece."""
+    return [p for p, wi in zip(seg.pieces, seg.word_index) if wi == w]
+
+
+def random_words(rng, n):
+    return ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 7)))) for _ in range(n)]
+
+
+class TestWordPieces:
+    def test_matches_per_word_scan(self):
+        rng = np.random.default_rng(12)
+        vocab = random_vocab(rng)
+        for _ in range(100):
+            words = random_words(rng, int(rng.integers(1, 9)))
+            for seg in (tok.viterbi_segment_words(vocab, words),
+                        tok.sample_segment_words(vocab, words, 0.3, rng)):
+                assert seg.word_pieces() == [scan_pieces_of_word(seg, w)
+                                             for w in range(len(words))]
+
+    def test_views_match_per_word_scan(self):
+        # SS views' modified flags and the restricted span alignment, with
+        # modified words, None targets and a None alignment, against the scan
+        def reference_positions(seg, seg_aug, alignment, modified):
+            if alignment is None:
+                return [], []
+            first, first_aug = seg.first_subword_positions(), seg_aug.first_subword_positions()
+            pairs = [(first[w], first_aug[t]) for w, t in enumerate(alignment)
+                     if t is not None and not modified[w]
+                     and scan_pieces_of_word(seg, w) == scan_pieces_of_word(seg_aug, t)]
+            return [a for a, _ in pairs], [b for _, b in pairs]
+
+        rng = np.random.default_rng(13)
+        vocab = random_vocab(rng)
+        for trial in range(100):
+            words = random_words(rng, int(rng.integers(1, 9)))
+            example = Example(id=f"e{trial}", language="en", task="span", words=words)
+            view = aug.subword_resample(example, vocab, 0.5, rng)
+            seg = tok.viterbi_segment_words(vocab, words)
+            assert view.modified == [scan_pieces_of_word(view.segmentation, w)
+                                     != scan_pieces_of_word(seg, w) for w in range(len(words))]
+            modified = list(view.modified)
+            modified[int(rng.integers(len(words)))] = True
+            alignment = [None if rng.random() < 0.2 else w for w in range(len(words))]
+            for args in ((seg, view.segmentation, alignment, modified),
+                         (seg, view.segmentation, alignment, [False] * len(words)),
+                         (seg, view.segmentation, view.alignment, view.modified),
+                         (seg, view.segmentation, None, view.modified)):
+                assert cons.aligned_first_subword_positions(*args) == reference_positions(*args)
 
 
 class TestBuildVocab:
