@@ -224,7 +224,7 @@ def subword_resample(example, vocab, alpha, rng):
     """
     seg = tok.sample_segment_words(vocab, example.words, alpha, rng)
     reference = tok.viterbi_segment_words(vocab, example.words)
-    modified = [a != b for a, b in zip(seg.word_pieces(), reference.word_pieces())]
+    modified = [a != b for a, b in zip(seg.words, reference.words)]
     return AugmentedExample(
         example=replace(example, words=list(example.words)),
         strategy="SS",
@@ -297,45 +297,12 @@ def base_id(example_id):
 # Strategy validation (which augmentation may feed which loss)
 
 
-_RECOMMENDED = {
-    ("classification", "pair"): ("MT", "CS", "SS", "GN"),
-    ("classification", "corpus"): ("MT", "CS", "SS", "GN"),
-    ("classification", "model"): ("MT", "CS", "SS", "GN"),
-    ("span", "pair"): ("CS", "SS", "GN"),
-    ("span", "corpus"): ("MT", "SS", "CS", "GN"),
-    ("span", "model"): ("MT", "SS", "CS", "GN"),
-    ("labeling", "pair"): ("SS", "GN", "CS"),
-    ("labeling", "corpus"): ("MT", "SS", "GN", "CS"),
-    ("labeling", "model"): ("MT", "SS", "GN", "CS"),
-}
-
-_NOTES = {
-    ("span", "pair"): (
-        "translation pairs cannot be position-aligned, so MT is rejected for "
-        "pair consistency; prefer CS alone, or SS when the corpus already "
-        "contains translations"
-    ),
-    ("labeling", "pair"): (
-        "translation pairs cannot be position-aligned, so MT is rejected for "
-        "pair consistency; CS is noisier than SS on fine-grained tags"
-    ),
-}
-
-
-@dataclass
-class StrategyAdvice:
-    ok: bool
-    recommended: tuple
-    note: str = ""
-
-
 def validate_strategy(task, use, strategy):
     """Reject impossible (task, use, strategy) combinations.
 
     MT cannot feed the pair-consistency loss for span extraction or sequence
     labeling (the two output distributions cannot be aligned across a
-    translation).  Everything else is allowed; the returned advice carries
-    the recommended strategy ordering for this task.
+    translation).  Everything else is allowed.
     """
     kind = strategy.kind if isinstance(strategy, AugmentationStrategy) else strategy
     if kind not in STRATEGY_KINDS:
@@ -347,7 +314,6 @@ def validate_strategy(task, use, strategy):
             f"MT cannot be used for pair consistency on {task}: predicted "
             "distributions of a translation pair cannot be aligned"
         )
-    return StrategyAdvice(True, _RECOMMENDED[(task, use)], _NOTES.get((task, use), ""))
 
 
 # ---------------------------------------------------------------------------

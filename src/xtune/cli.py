@@ -271,7 +271,8 @@ def cmd_eval(args):
         lang: data.load_jsonl(data_dir / f"eval.{lang}.jsonl", params.task)
         for lang in languages
     }
-    per_language = ev.evaluate_languages(params, eval_sets, vocab, pooling=args.pooling)
+    per_language = ev.evaluate_languages(params, eval_sets, vocab,
+                                         pooling=args.pooling or params.pooling)
     rep = ev.report(per_language, languages[0], params.task)
     print(ev.format_report(rep))
     if args.out:
@@ -395,7 +396,8 @@ def build_parser():
     p = sub.add_parser("eval", help="score a checkpoint on every language")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--pooling", default=None, choices=("first_subword", "average"))
+    p.add_argument("--pooling", default=None, choices=("first_subword", "average"),
+                   help="labeling pooling to score with (default: the checkpoint's)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 

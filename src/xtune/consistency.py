@@ -67,10 +67,9 @@ def aligned_first_subword_positions(seg_orig, seg_aug, alignment, modified):
         return [], []
     first_orig = seg_orig.first_subword_positions()
     first_aug = seg_aug.first_subword_positions()
-    pieces_orig, pieces_aug = seg_orig.word_pieces(), seg_aug.word_pieces()
     pos_orig, pos_aug = [], []
     for w, target in enumerate(alignment):
-        if target is None or modified[w] or pieces_orig[w] != pieces_aug[target]:
+        if target is None or modified[w] or seg_orig.words[w] != seg_aug.words[target]:
             continue
         pos_orig.append(first_orig[w])
         pos_aug.append(first_aug[target])
@@ -118,8 +117,8 @@ def example_consistency(pred, pairs, stop_gradient=True):
     segment = []
     for k, (i, j, alignment, modified) in enumerate(pairs):
         seg, seg_aug = packing.segmentations[i], packing.segmentations[j]
-        if seg.pieces == seg_aug.pieces:
-            pos = pos_aug = np.arange(seg.n_pieces)
+        if seg.words == seg_aug.words:
+            pos = pos_aug = np.arange(packing.lengths[i])
         else:
             pos, pos_aug = aligned_first_subword_positions(seg, seg_aug, alignment, modified)
         rows.append(packing.starts[i] + np.asarray(pos, dtype=np.intp))

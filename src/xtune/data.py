@@ -236,14 +236,6 @@ class CipherBenchmark:
     store: "TranslationStore"      # translations of every training example
     words: list                    # surface inventory for vocab estimation
 
-    @property
-    def source_language(self):
-        return self.spec.languages[0]
-
-    @property
-    def target_languages(self):
-        return tuple(self.spec.languages[1:])
-
 
 def _sample_lemma_sentence(spec, rng):
     lo, hi = spec.sentence_len_range

@@ -99,20 +99,21 @@ def decode(prediction):
     """Greedy decode of a packed Prediction, one output per sequence.
 
     Spans are decoded jointly over start <= end in subword space (the first
-    best pair in row-major order), then mapped back to word indices via the
-    sequence's segmentation.
+    best pair in row-major order), then mapped back to word indices through
+    the packing's word rows.
     """
     packing = prediction.packing
     if prediction.task == "classification":
         return [int(c) for c in np.argmax(prediction.class_log.data, axis=1)]
     if prediction.task == "span":
         decoded = []
-        for k, seg in enumerate(packing.segmentations):
-            rows = slice(packing.starts[k], packing.starts[k] + packing.lengths[k])
+        for start, n, word_start in zip(packing.starts, packing.lengths, packing.word_starts):
+            rows = slice(start, start + n)
             pair_log = np.add.outer(prediction.start_log.data[rows], prediction.end_log.data[rows])
             ordered = np.where(np.triu(np.ones(pair_log.shape, dtype=bool)), pair_log, -np.inf)
-            s, e = divmod(int(np.argmax(ordered)), seg.n_pieces)
-            decoded.append((seg.word_index[s], seg.word_index[e]))
+            s, e = divmod(int(np.argmax(ordered)), int(n))
+            words = packing.word_of_row[rows] - word_start
+            decoded.append((int(words[s]), int(words[e])))
         return decoded
     tags = np.argmax(prediction.word_log.data, axis=1)
     return [[int(t) for t in tags[start:start + n]]

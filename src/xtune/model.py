@@ -15,6 +15,7 @@ count does not grow with the batch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -26,23 +27,33 @@ TASKS = ("classification", "span", "labeling")
 POOLINGS = ("first_subword", "average")
 
 INIT_SCALE = 0.02
-CHECKPOINT_HEADER = "xtune-params v1"
+# v2 records the labeling pooling; a v1 checkpoint predates it and pools by first subword
+CHECKPOINT_HEADER = "xtune-params v2"
+CHECKPOINT_HEADERS = ("xtune-params v1", CHECKPOINT_HEADER)
 
 
 class ModelParams:
-    """Encoder + one task head, all as autodiff leaf tensors."""
+    """Encoder + one task head, all as autodiff leaf tensors.
 
-    def __init__(self, task, vocab_size, dim, max_len, n_label=None, rng=None):
+    ``pooling`` is how a labeling model pools subwords into words (default
+    first_subword); other tasks have none.
+    """
+
+    def __init__(self, task, vocab_size, dim, max_len, n_label=None, rng=None, pooling=None):
         if task not in TASKS:
             raise ValueError(f"unknown task {task!r}")
         if task in ("classification", "labeling") and not n_label:
             raise ValueError(f"{task} model needs n_label")
+        pooling = (pooling or "first_subword") if task == "labeling" else None
+        if pooling not in POOLINGS + (None,):
+            raise ValueError(f"unknown pooling {pooling!r}, expected one of {POOLINGS}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.task = task
         self.vocab_size = vocab_size
         self.dim = dim
         self.max_len = max_len
         self.n_label = n_label
+        self.pooling = pooling
 
         def w(*shape):
             return ad.Tensor(rng.normal(0.0, INIT_SCALE, shape))
@@ -77,6 +88,7 @@ class ModelParams:
         dup.dim = self.dim
         dup.max_len = self.max_len
         dup.n_label = self.n_label
+        dup.pooling = self.pooling
         dup.tensors = {k: ad.Tensor(t.data.copy()) for k, t in self.tensors.items()}
         return dup
 
@@ -93,7 +105,9 @@ class ModelParams:
 class Packing:
     """Segmentations with their subword rows concatenated in order.
 
-    Sequence k owns rows ``starts[k]:starts[k] + lengths[k]`` and word rows
+    The word records of all segmentations, in order, are the word rows;
+    each word's pieces are consecutive subword rows.  Sequence k owns rows
+    ``starts[k]:starts[k] + lengths[k]`` and word rows
     ``word_starts[k]:word_starts[k] + n_words[k]``.  Per row, ``seq`` is its
     sequence, ``positions`` its position there, ``ids`` its vocabulary id
     and ``word_of_row`` its word row; ``first_rows`` holds the row of each
@@ -104,17 +118,19 @@ class Packing:
         self.segmentations = segs = list(segmentations)
         if not segs:
             raise ValueError("nothing to pack: no segmentations")
-        self.lengths = np.array([s.n_pieces for s in segs], dtype=np.intp)
-        self.n_words = np.array([s.n_words for s in segs], dtype=np.intp)
-        self.starts = np.cumsum(self.lengths) - self.lengths
+        records = [r for s in segs for r in s.words]
+        word_lengths = np.array([len(pieces) for pieces, _ in records], dtype=np.intp)
+        self.n_words = np.array([len(s.words) for s in segs], dtype=np.intp)
         self.word_starts = np.cumsum(self.n_words) - self.n_words
+        # first row of each word, then the row count
+        bounds = np.concatenate(([0], np.cumsum(word_lengths)))
+        self.first_rows = bounds[:-1]
+        self.starts = bounds[self.word_starts]
+        self.lengths = bounds[self.word_starts + self.n_words] - self.starts
         self.seq = np.repeat(np.arange(len(segs)), self.lengths)
         self.positions = np.arange(self.seq.size) - self.starts[self.seq]
-        self.ids = np.fromiter(chain.from_iterable(s.ids for s in segs), np.intp)
-        word_index = np.fromiter(chain.from_iterable(s.word_index for s in segs), np.intp)
-        self.word_of_row = word_index + self.word_starts[self.seq]
-        first = np.fromiter(chain.from_iterable(s.first_subword for s in segs), bool)
-        self.first_rows = np.flatnonzero(first)
+        self.ids = np.fromiter(chain.from_iterable(ids for _, ids in records), np.intp)
+        self.word_of_row = np.repeat(np.arange(len(records)), word_lengths)
 
     def __len__(self):
         return len(self.segmentations)
@@ -256,6 +272,7 @@ def save_params(params, path):
             "dim": params.dim,
             "max_len": params.max_len,
             "n_label": params.n_label,
+            "pooling": params.pooling,
         }
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         for name, tensor in params.tensors.items():
@@ -265,20 +282,47 @@ def save_params(params, path):
 
 
 def load_params(path):
+    """Read a checkpoint.  Every tensor record must name a tensor of the
+    model the metadata describes, once, with that tensor's shape and value
+    count, and no tensor may be missing; a bad record raises ValueError
+    naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if header != CHECKPOINT_HEADER:
-            raise ValueError(f"{path}: unknown checkpoint header {header!r}")
-        meta = json.loads(fh.readline())
-        params = ModelParams(
-            meta["task"], meta["vocab_size"], meta["dim"], meta["max_len"],
-            n_label=meta["n_label"],
-        )
-        for line in fh:
-            kind, name, *dims = line.split()
-            if kind != "tensor":
-                raise ValueError(f"{path}: malformed tensor record {line!r}")
-            shape = tuple(int(d) for d in dims)
-            values = np.array([float.fromhex(v) for v in fh.readline().split()])
-            params.tensors[name] = ad.Tensor(values.reshape(shape))
+        if header not in CHECKPOINT_HEADERS:
+            raise ValueError(f"{path}:1: unknown checkpoint header {header!r}")
+        try:
+            meta = json.loads(fh.readline())
+            params = ModelParams(
+                meta["task"], meta["vocab_size"], meta["dim"], meta["max_len"],
+                n_label=meta["n_label"],
+                pooling=meta["pooling"] if header == CHECKPOINT_HEADER else None,
+            )
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{path}:2: bad checkpoint metadata ({err!r})") from None
+        lines = enumerate(fh, start=3)
+        loaded = set()
+        lineno = 2
+        for lineno, line in lines:
+            fields = line.split()
+            if len(fields) < 2 or fields[0] != "tensor":
+                raise ValueError(f"{path}:{lineno}: malformed tensor record {line!r}")
+            name, dims = fields[1], fields[2:]
+            where = f"{path}:{lineno}: tensor {name!r}"
+            if name not in params.tensors or name in loaded:
+                raise ValueError(f"{where} is {'repeated' if name in loaded else 'unknown'}")
+            shape = params.tensors[name].data.shape
+            if dims != [str(d) for d in shape]:
+                raise ValueError(f"{where} has shape ({', '.join(dims)}), expected {shape}")
+            lineno, values = next(lines, (lineno + 1, ""))
+            values = values.split()
+            try:
+                data = np.array([float.fromhex(v) for v in values]).reshape(shape)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: tensor {name!r} needs {math.prod(shape)} "
+                                 f"hex float values, got {len(values)} fields") from None
+            params.tensors[name] = ad.Tensor(data)
+            loaded.add(name)
+    missing = [name for name in params.tensors if name not in loaded]
+    if missing:
+        raise ValueError(f"{path}:{lineno + 1}: missing tensor(s) {missing}")
     return params

@@ -12,14 +12,18 @@ Three ways to segment a string over the same piece inventory:
 
 Words are segmented independently; a boundary marker is prepended to each
 word when the vocabulary covers it, which keeps the word -> subword map exact
-under resegmentation.
+under resegmentation.  A ``Segmentation`` is its words: one ``(pieces, ids)``
+record per word, the same tuples the per-word Viterbi cache holds and an
+FFBS word draw yields.  Callers that need the word -> subword map (changed
+words, aligned first subwords, packed word rows) read it from these records.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from itertools import accumulate
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +70,6 @@ class UnigramVocab:
     def __len__(self):
         return len(self.pieces)
 
-    def covers(self, text):
-        return all(ch in self.alphabet for ch in text)
-
     def _check_coverage(self, text):
         for ch in text:
             if ch not in self.alphabet:
@@ -81,62 +82,51 @@ class UnigramVocab:
 
 @dataclass
 class Segmentation:
-    """Ordered pieces plus the word -> subword bookkeeping."""
+    """A word sequence's segmentation as one record per word.
 
-    pieces: list
-    ids: list
-    word_index: list  # source word index per piece
-    first_subword: list  # True on the first piece of each word
+    ``words[w]`` is word w's ``(pieces, ids)``: two equal-length tuples of
+    its pieces and their vocabulary ids.  Records are shared, not copied: a
+    Viterbi segmentation holds the per-word cache's records, so comparing
+    two segmentations word by word is comparing these tuples.  The flat,
+    per-piece views are derived from the records.
+    """
+
+    words: list
+
+    @property
+    def pieces(self):
+        return [p for pieces, _ in self.words for p in pieces]
+
+    @property
+    def ids(self):
+        return [i for _, ids in self.words for i in ids]
+
+    @property
+    def word_index(self):
+        """Source word index per piece."""
+        return [w for w, (pieces, _) in enumerate(self.words) for _ in pieces]
 
     @property
     def n_pieces(self):
-        return len(self.pieces)
+        return sum(len(pieces) for pieces, _ in self.words)
 
     @property
     def n_words(self):
-        return self.word_index[-1] + 1 if self.word_index else 0
+        return len(self.words)
 
     def first_subword_positions(self):
-        return [i for i, f in enumerate(self.first_subword) if f]
-
-    def word_pieces(self):
-        """The pieces of each word, in word order (one pass over the pieces)."""
-        out = [[] for _ in range(self.n_words)]
-        for p, w in zip(self.pieces, self.word_index):
-            out[w].append(p)
-        return out
+        """The position of each word's first piece."""
+        return list(accumulate([len(pieces) for pieces, _ in self.words], initial=0))[:-1]
 
     def reconstruct(self, marker=DEFAULT_MARKER):
         """Rebuild the source words (boundary markers stripped)."""
-        words = []
-        for i, (piece, first) in enumerate(zip(self.pieces, self.first_subword)):
-            text = piece
-            if first:
-                words.append("")
-                if text.startswith(marker):
-                    text = text[len(marker):]
-            words[-1] += text
-        return words
+        return ["".join(pieces).removeprefix(marker) for pieces, _ in self.words]
 
 
-def _word_parts(vocab, pieces):
-    """(pieces, ids, first-subword flags) of one word's segmentation."""
-    return pieces, [vocab.piece_to_id[p] for p in pieces], [i == 0 for i in range(len(pieces))]
-
-
-def _join(parts):
-    """One Segmentation from per-word ``_word_parts``; the parts are copied."""
-    pieces, ids, word_index, first_subword = [], [], [], []
-    for w, (p, i, f) in enumerate(parts):
-        pieces += p
-        ids += i
-        word_index += [w] * len(p)
-        first_subword += f
-    return Segmentation(pieces, ids, word_index, first_subword)
-
-
-def _single_word(vocab, pieces):
-    return _join([_word_parts(vocab, pieces)])
+def _word_record(vocab, pieces):
+    """One word's ``(pieces, ids)`` record."""
+    pieces = tuple(pieces)
+    return pieces, tuple(vocab.piece_to_id[p] for p in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +179,7 @@ def viterbi_segment(vocab, text):
     if not text:
         raise ValueError("viterbi_segment: empty text")
     vocab._check_coverage(text)
-    return _single_word(vocab, _viterbi_pieces(vocab, text))
+    return Segmentation([_word_record(vocab, _viterbi_pieces(vocab, text))])
 
 
 def _viterbi_word(vocab, word):
@@ -197,14 +187,14 @@ def _viterbi_word(vocab, word):
     if cached is None:
         form = vocab.word_form(word)
         vocab._check_coverage(form)
-        cached = _word_parts(vocab, _viterbi_pieces(vocab, form))
+        cached = _word_record(vocab, _viterbi_pieces(vocab, form))
         vocab._word_viterbi[word] = cached
     return cached
 
 
 def viterbi_segment_words(vocab, words):
     """Segment a word sequence; each word independently, marker-prefixed."""
-    return _join([_viterbi_word(vocab, w) for w in words])
+    return Segmentation([_viterbi_word(vocab, w) for w in words])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +262,7 @@ def sample_segment(vocab, text, alpha, rng):
     """Draw a segmentation with probability P(s)^alpha / sum_s' P(s')^alpha."""
     if not text:
         raise ValueError("sample_segment: empty text")
-    return _single_word(vocab, _Lattice(vocab, text, alpha).sample_pieces(rng))
+    return Segmentation([_word_record(vocab, _Lattice(vocab, text, alpha).sample_pieces(rng))])
 
 
 def _word_lattice(vocab, word, alpha):
@@ -286,8 +276,8 @@ def _word_lattice(vocab, word, alpha):
 
 def sample_segment_words(vocab, words, alpha, rng):
     """Per-word FFBS sampling over a word sequence."""
-    return _join([_word_parts(vocab, _word_lattice(vocab, w, alpha).sample_pieces(rng))
-                  for w in words])
+    return Segmentation([_word_record(vocab, _word_lattice(vocab, w, alpha).sample_pieces(rng))
+                         for w in words])
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +302,7 @@ def enumerate_segmentations(vocab, text):
 
     def walk(i, pieces, logp):
         if i == n:
-            out.append((_single_word(vocab, pieces), math.exp(logp)))
+            out.append((Segmentation([_word_record(vocab, pieces)]), math.exp(logp)))
             return
         for j in range(i + 1, min(i + vocab.max_piece_len, n) + 1):
             lp = vocab.pieces.get(text[i:j])

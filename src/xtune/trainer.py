@@ -297,7 +297,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     # very short runs: keep at least one warmup step
     warmup_frac = max(cfg.warmup_frac, 1.0 / total_steps)
     state = OptimizerState.for_params(params.tensors)
-    pooling = cfg.pooling if cfg.task == "labeling" else None
+    pooling = params.pooling
     trace = []
     step = 0
 
@@ -390,7 +390,8 @@ def _gold_for(ex, seg):
 
 def init_params(cfg, res):
     return ModelParams(cfg.task, len(res.vocab), cfg.dim, cfg.max_len,
-                       n_label=cfg.n_label, rng=substream(cfg.seed, "init"))
+                       n_label=cfg.n_label, rng=substream(cfg.seed, "init"),
+                       pooling=cfg.pooling)
 
 
 def _build_corpus(train, cfg, res):

@@ -130,3 +130,37 @@ def test_file_values_of_fitting_types_load(tmp_path):
                           mt_languages=["xx"], n_label=None)
     cfg, _ = cli.load_config(config)
     assert cfg.learning_rate == 1 and cfg.mt_languages == ("xx",) and cfg.n_label is None
+
+
+def test_eval_scores_with_the_checkpoint_pooling(tmp_path):
+    # a 40-piece vocabulary splits words into several pieces, so the two
+    # poolings score this model differently
+    data_dir, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["synth", "--out", str(data_dir), "--task", "labeling",
+                     "--languages", ",".join(LANGUAGES), "--lemmas", "10",
+                     "--train-examples", "20", "--eval-examples", "20", "--sentence-len", "3,5",
+                     "--vocab-size", "40", "--em-iters", "1", "--seed", "2"]) == 0
+    config = write_config(tmp_path / "config.json", data_dir, preset="pos", epochs=4,
+                          learning_rate=0.05)
+    assert cli.main(["train", "--config", str(config), "--mode", "baseline",
+                     "--out", str(run)]) == 0
+    reports = {}
+    for pooling in (None, "average", "first_subword"):
+        out = tmp_path / f"report-{pooling}.json"
+        assert cli.main(["eval", "--checkpoint", str(run / "student.ckpt"),
+                         "--data-dir", str(data_dir), "--out", str(out)]
+                        + (["--pooling", pooling] if pooling else [])) == 0
+        reports[pooling] = out.read_bytes()
+    assert reports[None] == reports["average"] != reports["first_subword"]
+
+
+def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys):
+    checkpoint = tmp_path / "bad.ckpt"
+    checkpoint.write_text('xtune-params v2\n{"task": "span", "vocab_size": 4, "dim": 2, '
+                          '"max_len": 4, "n_label": null, "pooling": null}\n'
+                          "tensor embedings 4 2\n" + " ".join(["0x0p+0"] * 8) + "\n",
+                          encoding="utf-8")
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}:3: tensor 'embedings' is unknown")
+    assert "Traceback" not in err

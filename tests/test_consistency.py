@@ -149,12 +149,9 @@ class TestExampleConsistency:
         params, vocab = make_params("span", seed=5)
         rescale_params(params, np.random.default_rng(55))
         seg = tok.viterbi_segment_words(vocab, ["ab", "cd", "e"])       # 3 pieces
-        seg_aug = tok.Segmentation(                                      # cd -> c+d
-            pieces=["ab", "c", "d", "e"],
-            ids=[vocab.piece_to_id[p] for p in ["ab", "c", "d", "e"]],
-            word_index=[0, 1, 1, 2],
-            first_subword=[True, True, False, True],
-        )
+        seg_aug = tok.Segmentation([                                     # cd -> c+d
+            (tuple(w), tuple(vocab.piece_to_id[p] for p in w))
+            for w in (["ab"], ["c", "d"], ["e"])])
         got = cons.example_consistency(
             mdl.predict(params, [seg, seg_aug]),
             [(0, 1, [0, 1, 2], [False, True, False])]).item()

@@ -1,0 +1,152 @@
+"""Golden outputs: every file the command line writes, byte for byte.
+
+For each task a tiny synth goes through `xtune tokenize` (viterbi and
+sample), `xtune augment --strategy SS`, `xtune train --mode xtune` and
+`xtune eval`, and the sha256 of each file written must equal the digest in
+``GOLDEN``.  A checkpoint is hashed from its first tensor record on: the
+digest covers every trained number, while the header and metadata lines are
+checked by the checkpoint tests in test_model.py.
+
+The digests pin float bits (numpy 2.4, x86-64).  After a change that moves
+them on purpose (another reduction order, another random draw), re-record
+them with `PYTHONPATH=src python tests/test_golden.py`, which prints the
+dict to paste over ``GOLDEN``, and say in the change why the bits moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from xtune import cli
+
+# task -> (preset, setting, eval flags)
+TASKS = {
+    "classification": ("xnli", "cross-lingual-transfer", []),
+    "labeling": ("pos", "cross-lingual-transfer", ["--pooling", "average"]),
+    "span": ("xquad", "translate-train-all", []),
+}
+
+# recorded at 4d399be
+GOLDEN = {
+    "classification": {
+        "augment.jsonl": "44924f67bd6af843ebeaf0ba397ba5a62ef10b27c094ee0c36292ee4d6066505",
+        "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
+        "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
+        "data/dict.xx-en.txt": "12335e5c09ae92b3e4f61e5b86ea2a4d102c0ba8d00351fd6195291ff6dde97f",
+        "data/dict.yy-en.txt": "77b2069e6c734be2680a1433b38ee7bad7ac178a978ed42ae58713072ec74667",
+        "data/eval.en.jsonl": "5d5c29a7978d3bbf1d98f267179e083f9cac72e54880cfd4bea30d000bb2c0dc",
+        "data/eval.xx.jsonl": "59ccb5da27f8a4333fa4e4c54fd1fed5142b0a6776fca62decddc01d5ce2c198",
+        "data/eval.yy.jsonl": "68f3647589bfe45ab9ba8eff5a9d5da6fe9aacd8fb6782c15291c79daab656dc",
+        "data/meta.json": "330f3470220bcf4b3c3718d08bc9cffb83ac7a107202f5e3bd9f3b4904c5919e",
+        "data/train.jsonl": "c58a2a4e17f63805b4cdfbb8c76d77aa8e932f20d304d9eb4ed37e6f562a1854",
+        "data/translations.jsonl": "be49f4a094caba4399772b8878654459d1e1ccd2dd1fdb99905e9ffea657a557",
+        "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
+        "report.json": "1df9512cb1b3fe7e82c5e652ac9fe34b19804ea895d078f182973876419a72ae",
+        "run/manifest.json": "218a26a5d5a245262a29bcba8141d71b00cbc48a9bd1c90e050b26d08463c405",
+        "run/student.ckpt": "96d890dabedde19fe8e5bc209c9dafe28c6784cb74708c157a3649728ae1e78d",
+        "run/teacher.ckpt": "30f5ccb1cf65292641ab9b14fdb553c2e262d13cd76d8bc1ac701f4f3b01a8ad",
+        "sample.jsonl": "8b21cb7ffe28665af7aced18e3967547e97bc029213ca344b92ef86661d206a7",
+        "viterbi.jsonl": "aafffa9aec0f45a16a8be4db5e37d6b9f17ed930172b278d4665198b3fd22cc8"
+    },
+    "labeling": {
+        "augment.jsonl": "3a25e16c01597172ce1c514382f5a81bc2b394f83bf818c5a9899e474c23dae6",
+        "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
+        "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
+        "data/dict.xx-en.txt": "12335e5c09ae92b3e4f61e5b86ea2a4d102c0ba8d00351fd6195291ff6dde97f",
+        "data/dict.yy-en.txt": "77b2069e6c734be2680a1433b38ee7bad7ac178a978ed42ae58713072ec74667",
+        "data/eval.en.jsonl": "4db7d67130f0f21201b972b919b5f497dc36b6fc1579d19283abae0f7f9c0025",
+        "data/eval.xx.jsonl": "4d6925a0bbf4f631834473940070136a7ec49ead6ffaa67d7882dc754a964678",
+        "data/eval.yy.jsonl": "64c8254d657d577529612b52e66b6a359ca4a4a42a9b74c92833673fa6f25a9b",
+        "data/meta.json": "38e095e7408c34afbbb3f0d2ec09da4c2bf1dca7b00e30fd4c51d89dec08a6b1",
+        "data/train.jsonl": "0a9f0ed8a69ed0f0593381ff53930f457083b54ddeb8381825df21e59a76cba5",
+        "data/translations.jsonl": "444ccad82385b15d2dce604f8cc143191a24ea29ca0077f8da5d8c95fb745dd3",
+        "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
+        "report.json": "2df65876952365755d8b89b413adb5e1e906b516f8eb8f761e50607fa8fdf15d",
+        "run/manifest.json": "1b806910eb5f0b18fadef3bbc781a87b92efab16c46dda85f80773a9a6e99272",
+        "run/student.ckpt": "67d58ad05e784235e0fe9d95637febcbb73edcf39b5f7e921c6ba7d80102ad55",
+        "run/teacher.ckpt": "abbf2501f846310562b6c8527ff53be994722250d9c21a3745cc097173a2189f",
+        "sample.jsonl": "8b21cb7ffe28665af7aced18e3967547e97bc029213ca344b92ef86661d206a7",
+        "viterbi.jsonl": "aafffa9aec0f45a16a8be4db5e37d6b9f17ed930172b278d4665198b3fd22cc8"
+    },
+    "span": {
+        "augment.jsonl": "19f2779dd51040e60c9e84cec54ee174bf2039e0a382eec69e72a6b797c6fc12",
+        "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
+        "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
+        "data/dict.xx-en.txt": "12335e5c09ae92b3e4f61e5b86ea2a4d102c0ba8d00351fd6195291ff6dde97f",
+        "data/dict.yy-en.txt": "77b2069e6c734be2680a1433b38ee7bad7ac178a978ed42ae58713072ec74667",
+        "data/eval.en.jsonl": "a954087f782690827650ec3daf7df4cc2856e2648549462c0a0de27ec141bcf5",
+        "data/eval.xx.jsonl": "f226952772e7eb2ad6dc6ffe69d502cf37b270fca6338bce13a55dfda44bdc2d",
+        "data/eval.yy.jsonl": "fd03afbfebdc14ecd51690af31a309309a7bfdb6c8d3c39ca315250c92e964ae",
+        "data/meta.json": "d28aa06176c145a80250c247ad367a690b89a5ae9e880d0bfd998f691f939e71",
+        "data/train.jsonl": "dfc52e7f0c767b754eff1e785dca11b927eb2d2a8ee2ce6af52b461ae393b9bb",
+        "data/translations.jsonl": "5be7a1e02b50f08093ba582ce6c430f9383637f35da834853df94b50f98284bc",
+        "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
+        "report.json": "1620b97b0efe41a749f5a6fef3d73e07280df17aa01b5c396169fef32b034191",
+        "run/manifest.json": "10eba72508fcea8d8bedf476be8ba1bd36a048bbed5b5f38038dceb8c748aea1",
+        "run/student.ckpt": "9ecfbba7e40b575054a8461de5d82d3d62bef7d0e9ca93e57ef6e2cd5af217da",
+        "run/teacher.ckpt": "11a32af0bfeefb662ae441d1ae46aa9126e9b02b3115bdf8b8d3eadb9df45fcb",
+        "sample.jsonl": "0c792371d37447a255e715c588cc9bfe8bb8b882a962100fd82fc3d7c8f34184",
+        "viterbi.jsonl": "5f9a0adc1a5cb4868be1ebc3852b874b138129a51494180bd15c0d18d1bee306"
+    }
+}
+
+
+def run_pipeline(task, out):
+    """Write every output of the pipeline for ``task`` under ``out``."""
+    preset, setting, eval_flags = TASKS[task]
+    data, run = out / "data", out / "run"
+    train, vocab = str(data / "train.jsonl"), str(data / "vocab.tsv")
+    config = out / "config.json"
+    config.write_text(json.dumps({"data_dir": str(data), "preset": preset, "setting": setting,
+                                  "epochs": 1, "batch_size": 8, "dim": 8, "max_len": 48,
+                                  "seed": 5}), encoding="utf-8")
+    commands = [
+        ["synth", "--out", str(data), "--task", task, "--languages", "en,xx,yy",
+         "--lemmas", "10", "--train-examples", "16", "--eval-examples", "6",
+         "--sentence-len", "3,5", "--vocab-size", "40", "--max-piece-len", "2",
+         "--em-iters", "1", "--seed", "3"],
+        ["tokenize", "--vocab", vocab, "--input", train, "--task", task,
+         "--output", str(out / "viterbi.jsonl")],
+        ["tokenize", "--vocab", vocab, "--input", train, "--task", task, "--mode", "sample",
+         "--alpha", "0.5", "--seed", "1", "--output", str(out / "sample.jsonl")],
+        ["augment", "--vocab", vocab, "--input", train, "--task", task, "--strategy", "SS",
+         "--seed", "1", "--output", str(out / "augment.jsonl")],
+        ["train", "--config", str(config), "--mode", "xtune", "--out", str(run)],
+        ["eval", "--checkpoint", str(run / "student.ckpt"), "--data-dir", str(data),
+         "--out", str(out / "report.json")] + eval_flags,
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+
+
+def digests(out):
+    """sha256 per written file (relative path), checkpoints from their tensors on."""
+    found = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "config.json"):
+        content = path.read_bytes()
+        if path.suffix == ".ckpt":
+            content = content.split(b"\n", 2)[2]
+        found[path.relative_to(out).as_posix()] = hashlib.sha256(content).hexdigest()
+    return found
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_outputs_match_golden_digests(task, tmp_path):
+    run_pipeline(task, tmp_path)
+    assert digests(tmp_path) == GOLDEN[task]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    recorded = {}
+    for task in sorted(TASKS):
+        with tempfile.TemporaryDirectory() as tmp:
+            run_pipeline(task, Path(tmp))
+            recorded[task] = digests(Path(tmp))
+    print("GOLDEN = " + json.dumps(recorded, indent=4, sort_keys=True))

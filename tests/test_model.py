@@ -1,5 +1,6 @@
 """Encoder and task-head tests, including gradient fidelity per task."""
 
+import json
 import math
 
 import numpy as np
@@ -38,9 +39,7 @@ def rescale_params(params, rng, scale=0.5):
 
 def packing_of(n_pieces):
     """A one-sequence packing of ``n_pieces`` one-piece words."""
-    return mdl.Packing([tok.Segmentation(pieces=["a"] * n_pieces, ids=[0] * n_pieces,
-                                         word_index=list(range(n_pieces)),
-                                         first_subword=[True] * n_pieces)])
+    return mdl.Packing([tok.Segmentation([(("a",), (0,))] * n_pieces)])
 
 
 class TestEncode:
@@ -200,6 +199,46 @@ class TestCheckpoints:
         mdl.save_params(params, a)
         mdl.save_params(params.copy(), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pooling_round_trips_and_v1_pools_by_first_subword(self, tmp_path):
+        params, _ = make_params("labeling", n_label=3, seed=9)
+        params.pooling = "average"
+        path = tmp_path / "model.ckpt"
+        mdl.save_params(params, path)
+        assert mdl.load_params(path).pooling == "average"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "xtune-params v2"
+        meta = json.loads(lines[1])
+        del meta["pooling"]
+        lines[:2] = ["xtune-params v1", json.dumps(meta, sort_keys=True)]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert mdl.load_params(path).pooling == "first_subword"
+
+    # checkpoint lines: 1 header, 2 metadata, then a name line and a value
+    # line per tensor: embeddings 3-4, positions 5-6, ..., head_bias 13-14
+    @pytest.mark.parametrize("edit,message", [
+        (lambda ls: ls.__setitem__(2, "tensor embedings 8 6"), ":3: tensor 'embedings' is unknown"),
+        (lambda ls: ls.__setitem__(4, "tensor embeddings 8 6"), ":5: tensor 'embeddings' is repeated"),
+        (lambda ls: ls.__setitem__(2, "tensor embeddings 6 8"),
+         ":3: tensor 'embeddings' has shape (6, 8), expected (8, 6)"),
+        (lambda ls: ls.__setitem__(3, ls[3].rsplit(" ", 1)[0]),
+         ":4: tensor 'embeddings' needs 48 hex float values, got 47 fields"),
+        (lambda ls: ls.__setitem__(3, ls[3].replace("0x", "zz", 1)),
+         ":4: tensor 'embeddings' needs 48 hex float values, got 48 fields"),
+        (lambda ls: ls.__delitem__(slice(12, 14)), ":13: missing tensor(s) ['head_bias']"),
+        (lambda ls: ls.__setitem__(2, "bogus"), ":3: malformed tensor record"),
+        (lambda ls: ls.__setitem__(1, "{}"), ":2: bad checkpoint metadata"),
+    ], ids=["unknown", "repeated", "shape", "count", "value", "missing", "malformed", "meta"])
+    def test_bad_tensor_records_rejected_with_line(self, edit, message, tmp_path):
+        params, _ = make_params("labeling", n_label=3, dim=6, max_len=16)   # embeddings 8 x 6
+        path = tmp_path / "model.ckpt"
+        mdl.save_params(params, path)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            mdl.load_params(path)
+        assert str(err.value).startswith(str(path) + message)
 
     def test_teacher_copy_is_independent(self):
         params, _ = make_params("classification", n_label=2)

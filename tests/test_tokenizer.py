@@ -223,7 +223,7 @@ class TestWordLevel:
         ):
             assert seg.reconstruct(vocab.marker) == words
             assert seg.n_words == len(words)
-            assert sum(seg.first_subword) == len(words)
+            assert len(seg.first_subword_positions()) == len(words)
 
     def test_marker_prepended_when_covered(self):
         pieces = {"a": math.log(0.3), "b": math.log(0.3), tok.DEFAULT_MARKER: math.log(0.2),
@@ -240,7 +240,7 @@ class TestWordLevel:
         for _ in range(50):
             seg = tok.sample_segment_words(vocab, words, 0.3, rng)
             assert seg.n_words == 3
-            assert sum(seg.first_subword) == 3
+            assert len(seg.first_subword_positions()) == 3
 
 
 def scan_pieces_of_word(seg, w):
@@ -260,8 +260,8 @@ class TestWordPieces:
             words = random_words(rng, int(rng.integers(1, 9)))
             for seg in (tok.viterbi_segment_words(vocab, words),
                         tok.sample_segment_words(vocab, words, 0.3, rng)):
-                assert seg.word_pieces() == [scan_pieces_of_word(seg, w)
-                                             for w in range(len(words))]
+                assert [list(pieces) for pieces, _ in seg.words] == [
+                    scan_pieces_of_word(seg, w) for w in range(len(words))]
 
     def test_views_match_per_word_scan(self):
         # SS views' modified flags and the restricted span alignment, with
