@@ -186,26 +186,39 @@ class TranslationStore:
 # The four augmenters
 
 
+def switch_candidates(dictionaries):
+    """Casefolded word -> the translation lists of every dictionary that has
+    the word, in dictionary order: ``code_switch``'s per-word lookup, built
+    once per dictionary list."""
+    if not dictionaries:
+        raise StrategyError("code_switch needs at least one dictionary")
+    candidates = {}
+    for d in dictionaries:
+        for key, options in d.entries.items():
+            candidates.setdefault(key, []).append(options)
+    return candidates
+
+
 def code_switch(example, dictionaries, word_ratio, rng):
     """Replace words with dictionary translations, each independently with
     probability ``word_ratio``; words absent from all dictionaries are kept.
 
-    The replacement language is drawn per word, so outputs can mix several
-    target languages.  Labels carry over unchanged (word-for-word
-    substitution keeps per-word tags and span indices valid).
+    ``dictionaries`` is a list of dictionaries or the ``switch_candidates``
+    built from one.  The replacement language is drawn per word, so outputs
+    can mix several target languages.  Labels carry over unchanged
+    (word-for-word substitution keeps per-word tags and span indices valid).
     """
-    if not dictionaries:
-        raise StrategyError("code_switch needs at least one dictionary")
+    candidates = (dictionaries if isinstance(dictionaries, dict)
+                  else switch_candidates(dictionaries))
     words = list(example.words)
     modified = [False] * len(words)
     for i, word in enumerate(words):
         if rng.random() >= word_ratio:
             continue
-        applicable = [d for d in dictionaries if word in d]
-        if not applicable:
+        applicable = candidates.get(word.casefold())
+        if applicable is None:
             continue
-        d = applicable[int(rng.integers(0, len(applicable)))]
-        options = d.translations(word)
+        options = applicable[int(rng.integers(0, len(applicable)))]
         words[i] = options[int(rng.integers(0, len(options)))]
         modified[i] = True
     return AugmentedExample(
@@ -354,14 +367,16 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
     task = corpus[0].task
     validate_strategy(task, "corpus", strategy)
 
+    if strategy.kind == "CS":
+        if not dictionaries:
+            raise StrategyError("CS corpus augmentation needs dictionaries")
+        candidates = switch_candidates(dictionaries)
     augmented = []
     pairs = []
     missing = []
     for i, example in enumerate(corpus):
         if strategy.kind == "CS":
-            if not dictionaries:
-                raise StrategyError("CS corpus augmentation needs dictionaries")
-            views = [code_switch(example, dictionaries, strategy.word_ratio, rng)]
+            views = [code_switch(example, candidates, strategy.word_ratio, rng)]
         elif strategy.kind == "SS":
             if vocab is None:
                 raise StrategyError("SS corpus augmentation needs a vocabulary")

@@ -137,12 +137,25 @@ def _indices(op, indices, bound, what):
     return idx
 
 
+def _scatter_add(index, values, n_rows):
+    """Entry or row k of ``values`` added into entry or row ``index[k]`` of
+    ``n_rows`` zeros.
+
+    One ``np.bincount``, over flattened (row, column) bins for a matrix; it
+    adds in the order ``np.add.at`` does, so the sums are bitwise the same.
+    """
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n_rows)
+    width = values.shape[1]
+    bins = ((index * width)[:, None] + np.arange(width)).reshape(-1)
+    out = np.bincount(bins, weights=values.reshape(-1), minlength=n_rows * width)
+    return out.reshape(n_rows, width)
+
+
 def _take(op, t, indices):
     idx = _indices(op, indices, t.data.shape[0], "index")
     def backward(g):
-        gt = np.zeros_like(t.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        return (_scatter_add(idx, g, t.data.shape[0]),)
     return _node(t.data[idx], op, (t,), backward)
 
 
@@ -189,8 +202,7 @@ def segment_mean(m, segment_ids, n_segments):
     counts = np.bincount(ids, minlength=n_segments).astype(np.float64)
     if not counts.all():
         raise ValueError(f"segment_mean: segment {int(np.argmin(counts))} has no rows")
-    out = np.zeros((n_segments, m.data.shape[1]))
-    np.add.at(out, ids, m.data)
+    out = _scatter_add(ids, m.data, n_segments)
     out /= counts[:, None]
     def backward(g):
         return ((g / counts[:, None])[ids],)

@@ -263,6 +263,9 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params = load_params(args.checkpoint)
+    if args.pooling and params.task != "labeling":
+        raise ValueError(f"--pooling applies to labeling checkpoints only, "
+                         f"not to this {params.task} checkpoint")
     data_dir = Path(args.data_dir)
     meta = json.loads((data_dir / "meta.json").read_text(encoding="utf-8"))
     languages = meta["languages"]

@@ -3,13 +3,14 @@
 Pair consistency penalizes disagreement between predictions on an example
 and on its augmented view (symmetric KL with stop-gradient on the reference
 side of each term).  Teacher consistency penalizes KL from a frozen
-teacher's predictions to the student's on the identical input.
+teacher's predictions to the student's on the identical input; the teacher
+side is a constant table of its log-probability rows.
 
-Both take packed predictions (see ``model.Packing``).  Each gathers the rows
-it compares from the whole batch at once and sums row-wise KL terms with
-constant per-row weights (1/B per sequence, 1/(n_words B) per labeling word
-row); restricted span positions renormalize within one segment per pair.  So
-a batch's regularizer is a fixed handful of graph nodes.
+Both take packed student predictions (see ``model.Packing``).  Each gathers
+the rows it compares from the whole batch at once and sums row-wise KL terms
+with constant per-row weights (1/B per sequence, 1/(n_words B) per labeling
+word row); restricted span positions renormalize within one segment per
+pair.  So a batch's regularizer is a fixed handful of graph nodes.
 """
 
 from __future__ import annotations
@@ -138,28 +139,28 @@ def example_consistency(pred, pairs, stop_gradient=True):
     return ad.add(start, end)
 
 
-def model_consistency(teacher_pred, student_pred):
-    """Mean KL from the frozen teacher's predictions to the student's.
+def model_consistency(teacher_rows, student_pred):
+    """Mean KL from a frozen teacher's predictions to the student's.
 
-    The teacher side is detached, so no gradient ever reaches teacher
-    parameters.  The teacher's sequences must be the first sequences of the
-    student's packing, on the same inputs, which keeps the distributions
-    aligned for every task; the mean runs over the teacher's sequences.
+    ``teacher_rows`` holds, per item, the teacher's log-probability rows on
+    that item's input, laid out as ``Prediction.sequence_rows`` gives them.
+    They enter the graph as constants, so the teacher is not part of it and
+    no gradient can reach teacher parameters.  The items must be the first
+    sequences of the student's packing, on the same inputs, which keeps the
+    distributions aligned for every task; the mean runs over the items.
     """
-    if teacher_pred.task != student_pred.task:
-        raise ValueError(f"task mismatch: {teacher_pred.task} vs {student_pred.task}")
-    tp, sp = teacher_pred.packing, student_pred.packing
-    b = len(tp)
-    if (b > len(sp) or not np.array_equal(tp.lengths, sp.lengths[:b])
-            or not np.array_equal(tp.n_words, sp.n_words[:b])):
+    _first, counts, outputs = student_pred.row_layout()
+    b = len(teacher_rows)
+    if not b or b > counts.size or any(
+            len(rows) != len(outputs) or rows[0].shape[0] != n
+            for rows, n in zip(teacher_rows, counts.tolist())):
         raise ValueError("teacher and student saw differently tokenized inputs")
-
-    def term(name, weights):
-        teacher, student = getattr(teacher_pred, name), getattr(student_pred, name)
-        return kl(ad.detach(teacher), ad.gather(student, np.arange(teacher.shape[0])), weights)
-
-    if teacher_pred.task == "classification":
-        return term("class_log", 1.0 / b)
-    if teacher_pred.task == "span":
-        return ad.add(term("start_log", 1.0 / b), term("end_log", 1.0 / b))
-    return term("word_log", np.repeat(1.0 / (tp.n_words * b), tp.n_words))
+    weights = (np.repeat(1.0 / (counts[:b] * b), counts[:b])
+               if student_pred.task == "labeling" else 1.0 / b)
+    total = None
+    for k, name in enumerate(outputs):
+        teacher = np.concatenate([rows[k] for rows in teacher_rows])
+        student = ad.gather(getattr(student_pred, name), np.arange(teacher.shape[0]))
+        term = kl(ad.constant(teacher), student, weights)
+        total = term if total is None else ad.add(total, term)
+    return total

@@ -128,7 +128,6 @@ def score_corpus(params, examples, vocab, pooling=None):
     classification; 'f1'/'em'/'score' for spans; 'accuracy'/'f1' for
     labeling).
     """
-    pooling = pooling if params.task == "labeling" else None
     decoded, gold = [], []
     for start in range(0, len(examples), EVAL_CHUNK):
         chunk = examples[start:start + EVAL_CHUNK]

@@ -147,6 +147,24 @@ class Prediction:
     end_log: ad.Tensor | None = None    # (n_rows,), normalized per sequence
     word_log: ad.Tensor | None = None   # (n_word_rows, n_label)
 
+    def row_layout(self):
+        """(first rows, row counts, outputs): sequence k owns rows
+        ``first[k]:first[k] + counts[k]`` of each output named in ``outputs``
+        (one class row, its subword rows, or its word rows)."""
+        p = self.packing
+        if self.task == "classification":
+            return np.arange(len(p)), np.ones(len(p), dtype=np.intp), ("class_log",)
+        if self.task == "span":
+            return p.starts, p.lengths, ("start_log", "end_log")
+        return p.word_starts, p.n_words, ("word_log",)
+
+    def sequence_rows(self):
+        """Per sequence, the values of its rows: one array per output."""
+        first, counts, outputs = self.row_layout()
+        data = [getattr(self, name).data for name in outputs]
+        return [tuple(d[s:s + c] for d in data)
+                for s, c in zip(first.tolist(), counts.tolist())]
+
 
 def encode(params, packing, noises=None):
     """Hidden states tanh((E[ids] + P[positions] + eps) W + b), one row per

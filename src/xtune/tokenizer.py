@@ -205,11 +205,12 @@ class _Lattice:
     """Forward-filtered segmentation lattice for one string at one alpha.
 
     ``logf[j]`` is the log total tempered mass of all segmentations of
-    text[:j].  ``starts[j]`` holds the starts of the pieces ending at ``j``
-    and ``cdfs[j]`` the normalised CDF over them, built as ``Generator.choice``
-    builds it.  Backward sampling bisects that CDF with one ``rng.random()``
-    per cut: the draw and index ``rng.choice(len(starts[j]), p=p)`` gives,
-    so each path has probability P(s)^alpha / Z exactly.
+    text[:j].  ``spans[j]`` holds the (start, vocabulary id) of each piece
+    ending at ``j`` and ``cdfs[j]`` the normalised CDF over them, built as
+    ``Generator.choice`` builds it.  Backward sampling bisects that CDF with
+    one ``rng.random()`` per cut: the draw and index
+    ``rng.choice(len(spans[j]), p=p)`` gives, so each path has probability
+    P(s)^alpha / Z exactly.
     """
 
     def __init__(self, vocab, text, alpha):
@@ -234,7 +235,8 @@ class _Lattice:
         if logf[n] == -np.inf:
             raise CoverageError(f"text {text!r} cannot be segmented")
         self.logf = logf
-        self.starts = [[i for i, _ in span] for span in spans]
+        ids = vocab.piece_to_id
+        self.spans = [[(i, ids[text[i:j]]) for i, _ in span] for j, span in enumerate(spans)]
         self.cdfs = [[] for _ in spans]
         for j, span in enumerate(spans):
             if span:
@@ -247,22 +249,29 @@ class _Lattice:
     def log_partition(self):
         return float(self.logf[-1])
 
-    def sample_pieces(self, rng):
-        pieces = []
+    def sample(self, rng):
+        """One draw, as the word's ``(pieces, ids)`` record."""
+        pieces, ids = [], []
         j = len(self.text)
         while j > 0:
-            i = self.starts[j][bisect_right(self.cdfs[j], rng.random())]
+            i, piece_id = self.spans[j][bisect_right(self.cdfs[j], rng.random())]
             pieces.append(self.text[i:j])
+            ids.append(piece_id)
             j = i
         pieces.reverse()
-        return pieces
+        ids.reverse()
+        return tuple(pieces), tuple(ids)
+
+    def sample_pieces(self, rng):
+        """One draw's pieces alone."""
+        return list(self.sample(rng)[0])
 
 
 def sample_segment(vocab, text, alpha, rng):
     """Draw a segmentation with probability P(s)^alpha / sum_s' P(s')^alpha."""
     if not text:
         raise ValueError("sample_segment: empty text")
-    return Segmentation([_word_record(vocab, _Lattice(vocab, text, alpha).sample_pieces(rng))])
+    return Segmentation([_Lattice(vocab, text, alpha).sample(rng)])
 
 
 def _word_lattice(vocab, word, alpha):
@@ -276,8 +285,7 @@ def _word_lattice(vocab, word, alpha):
 
 def sample_segment_words(vocab, words, alpha, rng):
     """Per-word FFBS sampling over a word sequence."""
-    return Segmentation([_word_record(vocab, _word_lattice(vocab, w, alpha).sample_pieces(rng))
-                         for w in words])
+    return Segmentation([_word_lattice(vocab, w, alpha).sample(rng) for w in words])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ against augmented views and R2 is KL to a frozen stage-1 teacher:
 Stage 1 runs only when R2 needs a teacher.  Stage 2 trains a fresh student
 on the augmented corpus when R2 is on or the setting is translate-train-all.
 One master seed feeds named substreams so the modes share data order.
+
+A stage computes what is fixed per item once, at its start: the item's
+segmentation, its gold in loss coordinates and, when R2 is on, the frozen
+teacher's log-probability rows, in ``evaluate.EVAL_CHUNK``-sized forwards
+(cached distillation targets).  A step then only shuffles, draws views and
+encode noise, packs and runs the student graph.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +41,11 @@ from .augment import (
     build_augmented_corpus,
     code_switch,
     subword_resample,
+    switch_candidates,
     validate_strategy,
 )
 from .consistency import example_consistency, model_consistency
+from .evaluate import EVAL_CHUNK
 from .model import POOLINGS, TASKS, ModelParams, predict, task_loss
 
 SETTINGS = ("cross-lingual-transfer", "translate-train-all")
@@ -171,6 +180,11 @@ class Resources:
     dictionaries: list = field(default_factory=list)
     store: object = None
 
+    @cached_property
+    def switch_candidates(self):
+        """The dictionaries' per-word code-switch candidates, built on first use."""
+        return switch_candidates(self.dictionaries)
+
 
 @dataclass
 class OptimizerState:
@@ -217,27 +231,40 @@ def lr_at(step, total, base, warmup_frac):
 # Batch items
 
 
-def _materialize(item, vocab, cfg, noise_rng):
-    """(example, segmentation, encode-noise) for a corpus item.
-
-    A subword-resampled item carries its pinned segmentation; a noise-marked
-    item draws a fresh Gaussian perturbation, shared by the teacher forward
-    so that both models see the identical input.
-    """
-    if isinstance(item, AugmentedExample):
-        ex = item.example
-        seg = item.segmentation or tok.viterbi_segment_words(vocab, ex.words)
-        noise = None
-        if item.strategy == "GN" and cfg.noise_sigma > 0:
-            noise = noise_rng.normal(0.0, cfg.noise_sigma, (seg.n_pieces, cfg.dim))
-        return ex, seg, noise
-    return item, tok.viterbi_segment_words(vocab, item.words), None
-
-
 def _labeled(item):
     ex = item.example if isinstance(item, AugmentedExample) else item
     available = item.label_available if isinstance(item, AugmentedExample) else True
     return available and ex.labeled
+
+
+def _stage_table(items, vocab, cfg):
+    """What stays fixed per item through a stage: (example, segmentation,
+    gold in loss coordinates or None when unlabeled, whether it draws
+    encode noise).
+
+    A subword-resampled item keeps its pinned segmentation; any other item
+    is Viterbi-segmented.  A GN item draws fresh encode noise every step.
+    """
+    table = []
+    for item in items:
+        ex, seg, noised = item, None, False
+        if isinstance(item, AugmentedExample):
+            ex, seg = item.example, item.segmentation
+            noised = item.strategy == "GN" and cfg.noise_sigma > 0
+        seg = seg or tok.viterbi_segment_words(vocab, ex.words)
+        table.append((ex, seg, _gold_for(ex, seg) if _labeled(item) else None, noised))
+    return table
+
+
+def _teacher_rows(teacher, segs, pooling, noises=None):
+    """The teacher's log-probability rows per sequence (laid out as
+    ``Prediction.sequence_rows``), ``EVAL_CHUNK`` sequences per forward."""
+    rows = []
+    for start in range(0, len(segs), EVAL_CHUNK):
+        chunk = slice(start, start + EVAL_CHUNK)
+        rows += predict(teacher, segs[chunk], pooling=pooling,
+                        noises=None if noises is None else noises[chunk]).sequence_rows()
+    return rows
 
 
 def _pair_view(ex, seg, kind, cfg, res, rng):
@@ -250,7 +277,7 @@ def _pair_view(ex, seg, kind, cfg, res, rng):
         aug = subword_resample(ex, res.vocab, cfg.ss_alpha, rng)
         return aug.segmentation, None, aug.alignment, aug.modified
     if kind == "CS":
-        aug = code_switch(ex, res.dictionaries, cfg.cs_word_ratio, rng)
+        aug = code_switch(ex, res.switch_candidates, cfg.cs_word_ratio, rng)
         seg2 = tok.viterbi_segment_words(res.vocab, aug.example.words)
         return seg2, None, aug.alignment, aug.modified
     if kind == "GN":
@@ -271,10 +298,13 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
 
     Every per-batch loss is mean task NLL over labeled items, plus
     ``pair_weight`` times the mean pair-consistency over views, plus
-    ``teacher_weight`` times the mean teacher KL over all items.  A batch's
-    items and then their views go through the student as one packed
-    forward, and its items through the teacher as a second one.  Returns a
-    per-step trace of the separate components.
+    ``teacher_weight`` times the mean teacher KL over all items.  Each
+    item's segmentation and gold, and with a teacher its rows, are computed
+    once at the stage start (``_stage_table``, ``_teacher_rows``).  A
+    batch's items and then their views go through the student as one packed
+    forward.  A stage holding GN items, whose input gets fresh encode noise
+    every step, runs the batch's items through the teacher in every step
+    instead.  Returns a per-step trace of the separate components.
     """
     if teacher is not None and not params.same_architecture(teacher):
         raise ValueError("teacher and student architectures differ")
@@ -298,6 +328,10 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     warmup_frac = max(cfg.warmup_frac, 1.0 / total_steps)
     state = OptimizerState.for_params(params.tensors)
     pooling = params.pooling
+    table = _stage_table(items, res.vocab, cfg)
+    teacher_table = None
+    if use_teacher and not any(noised for *_, noised in table):
+        teacher_table = _teacher_rows(teacher, [seg for _, seg, _, _ in table], pooling)
     trace = []
     step = 0
 
@@ -312,11 +346,11 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
             segs, noises, gold = [], [], []
             view_segs, view_noises, pairs = [], [], []
             for k, i in enumerate(batch):
-                item = items[int(i)]
-                ex, seg, noise = _materialize(item, res.vocab, cfg, noise_rng)
+                ex, seg, item_gold, noised = table[i]
                 segs.append(seg)
-                noises.append(noise)
-                gold.append(_gold_for(ex, seg) if _labeled(item) else None)
+                noises.append(noise_rng.normal(0.0, cfg.noise_sigma, (seg.n_pieces, cfg.dim))
+                              if noised else None)
+                gold.append(item_gold)
                 view = _pair_view(ex, seg, pair_strategy, cfg, res, view_rng) if use_pairs else None
                 if view is not None:
                     vseg, vnoise, alignment, modified = view
@@ -339,8 +373,9 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 weighted = ad.scale(node, pair_weight)
                 total = weighted if total is None else ad.add(total, weighted)
             if use_teacher:
-                tpred = predict(teacher, segs, pooling=pooling, noises=noises)
-                node = model_consistency(tpred, pred)
+                rows = ([teacher_table[i] for i in batch] if teacher_table is not None
+                        else _teacher_rows(teacher, segs, pooling, noises))
+                node = model_consistency(rows, pred)
                 parts["model_consistency"] = node.item()
                 weighted = ad.scale(node, teacher_weight)
                 total = weighted if total is None else ad.add(total, weighted)

@@ -262,3 +262,35 @@ def test_primitive_registry_lists_all_ops():
         "clip_min", "log_softmax", "segment_mean", "segment_log_softmax",
     }
     assert set(ad.PRIMITIVES) == expected
+
+
+@pytest.mark.parametrize("width", [None, 1, 16])
+@pytest.mark.parametrize("n_index", [0, 1, 420])
+def test_scatter_add_is_bitwise_np_add_at(width, n_index):
+    # repeated indices add in index order, as np.add.at adds them
+    rng = np.random.default_rng(n_index + (width or 0))
+    n_rows = 220
+    index = rng.integers(0, 30 if n_index > 1 else n_rows, n_index).astype(np.intp)
+    shape = (n_index,) if width is None else (n_index, width)
+    values = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.integers(-8, 8, shape)
+    want = np.zeros((n_rows,) + shape[1:])
+    np.add.at(want, index, values)
+    got = ad._scatter_add(index, values, n_rows)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_gather_backward_and_segment_mean_scatter_like_np_add_at():
+    rng = np.random.default_rng(5)
+    m = ad.Tensor(rng.normal(size=(50, 7)))
+    index = rng.integers(0, 6, 40)
+    g = rng.normal(size=(40, 7))
+    want = np.zeros_like(m.data)
+    np.add.at(want, index, g)
+    (got,) = ad.gather(m, index)._backward(g)
+    assert got.tobytes() == want.tobytes()
+
+    ids = np.repeat(np.arange(6), [3, 1, 20, 9, 7, 10])
+    sums = np.zeros((6, 7))
+    np.add.at(sums, ids, m.data)
+    sums /= np.bincount(ids)[:, None].astype(np.float64)
+    assert ad.segment_mean(m, ids, 6).data.tobytes() == sums.tobytes()

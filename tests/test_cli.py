@@ -75,6 +75,25 @@ def test_synth_train_eval_gap(mode, synth_dir, tmp_path, capsys):
     assert "transfer gap:" in capsys.readouterr().out
 
 
+def test_eval_pooling_applies_to_labeling_only(synth_dir, tmp_path, capsys):
+    task, data_dir = synth_dir
+    preset, setting, _pooling = TASKS[task]
+    config = write_config(tmp_path / "config.json", data_dir, preset=preset, setting=setting)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--mode", "baseline",
+                     "--out", str(run)]) == 0
+    capsys.readouterr()
+    code = cli.main(["eval", "--checkpoint", str(run / "student.ckpt"),
+                     "--data-dir", str(data_dir), "--pooling", "average"])
+    if task == "labeling":
+        assert code == 0
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --pooling applies to labeling checkpoints only, "
+                          f"not to this {task} checkpoint")
+
+
 def test_mode_defaults_to_xtune():
     args = cli.build_parser().parse_args(["train", "--config", "c.json", "--out", "o"])
     assert args.mode == "xtune"

@@ -44,7 +44,8 @@ def packed_components(params, segs, noises, gold, pairs, pooling=None, teacher=N
     if teacher is not None:
         n = len(segs) - len(pairs)
         teach = cons.model_consistency(
-            mdl.predict(teacher, segs[:n], pooling=pooling, noises=noises[:n]), pred)
+            mdl.predict(teacher, segs[:n], pooling=pooling, noises=noises[:n]).sequence_rows(),
+            pred)
     return task, pair, teach
 
 
@@ -228,6 +229,87 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
 
+def count_teacher_forwards(monkeypatch, teacher):
+    """Sequence counts of the forwards the trainer runs through the teacher."""
+    sizes = []
+    predict = tr.predict
+
+    def counting_predict(params, segs, pooling=None, noises=None):
+        if params is teacher:
+            sizes.append(len(segs))
+        return predict(params, segs, pooling=pooling, noises=noises)
+
+    monkeypatch.setattr(tr, "predict", counting_predict)
+    return sizes
+
+
+@pytest.mark.parametrize("task,corpus_strategy,pair_strategy", [
+    ("classification", "CS", "CS"),
+    ("labeling", "SS", "SS"),
+    ("span", "MT", "SS"),
+])
+def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair_strategy,
+                                                     small_classification_bench,
+                                                     tight_labeling_bench, small_span_bench,
+                                                     monkeypatch):
+    """With R2 on, a stage runs its items through the teacher once, in
+    ``EVAL_CHUNK``-sized forwards, and each item's rows equal a
+    one-sequence teacher forward on its input (the pinned segmentation of
+    an SS item)."""
+    bench, res = {"classification": small_classification_bench,
+                  "labeling": tight_labeling_bench, "span": small_span_bench}[task]
+    pooling = "average" if task == "labeling" else "first_subword"
+    cfg = small_config(task=task, n_label=None if task == "span" else 3,
+                       setting="translate-train-all", corpus_strategy=corpus_strategy,
+                       pair_strategy=pair_strategy, ss_alpha=0.5, pooling=pooling)
+    items = tr._build_corpus(bench.train, cfg, res).items
+    assert len(items) > 2 * ev.EVAL_CHUNK
+    student, teacher = models(cfg, res, 10)
+    sizes = count_teacher_forwards(monkeypatch, teacher)
+    trace = tr.run_stage(items, student, cfg, res, "main", pair_strategy=pair_strategy,
+                         pair_weight=1.0, teacher=teacher, teacher_weight=1.0)
+    assert len(trace) > len(sizes) == -(-len(items) // ev.EVAL_CHUNK)
+    assert sum(sizes) == len(items) and max(sizes) == ev.EVAL_CHUNK
+    assert all(row["model_consistency"] > 0 for row in trace)
+
+    table = tr._stage_table(items, res.vocab, cfg)
+    pinned = [(it.segmentation, seg) for it, (_ex, seg, _gold, _noised) in zip(items, table)
+              if getattr(it, "segmentation", None) is not None]
+    assert all(a is b for a, b in pinned) and bool(pinned) == (task == "labeling")
+    segs = [seg for _ex, seg, _gold, _noised in table]
+    rows = tr._teacher_rows(teacher, segs, student.pooling)
+    for seg, item_rows in zip(segs, rows):
+        want = ref.predict(teacher, seg, student.pooling)
+        if task == "classification":
+            expected = [want.class_log.data[None, :]]
+        elif task == "span":
+            expected = [want.start_log.data, want.end_log.data]
+        else:
+            expected = [want.word_log.data]
+        assert len(item_rows) == len(expected)
+        for got, value in zip(item_rows, expected):
+            np.testing.assert_allclose(got, value, rtol=RTOL, atol=ATOL)
+
+
+def test_gn_stage_keeps_the_teacher_forward_per_step(small_classification_bench,
+                                                      monkeypatch):
+    """GN items draw fresh encode noise every step, so the teacher sees each
+    step's noisy batch; with no noise the stage uses the table."""
+    bench, res = small_classification_bench
+    for sigma, per_step in ((0.3, True), (0.0, False)):
+        cfg = small_config(setting="translate-train-all", corpus_strategy="GN",
+                           noise_sigma=sigma)
+        items = tr._build_corpus(bench.train, cfg, res).items
+        student, teacher = models(cfg, res, 11)
+        sizes = count_teacher_forwards(monkeypatch, teacher)
+        trace = tr.run_stage(items, student, cfg, res, "main", teacher=teacher,
+                             teacher_weight=1.0)
+        if per_step:
+            assert sizes == [row["labeled"] + row["unlabeled"] for row in trace]
+        else:
+            assert len(sizes) == -(-len(items) // ev.EVAL_CHUNK)
+
+
 def test_step_graph_size_does_not_grow_with_the_batch(small_classification_bench):
     bench, res = small_classification_bench
     cfg = small_config(cs_word_ratio=0.5)
@@ -258,7 +340,7 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
         monkeypatch.setattr(owner, name, counted)
 
     for name in ("predict", "task_loss", "example_consistency", "model_consistency",
-                 "adam_step"):
+                 "adam_step", "code_switch", "subword_resample"):
         count(tr, name, f"trainer.{name}")
     for name in ("predict", "decode"):
         count(ev, name, f"evaluate.{name}")
@@ -271,8 +353,12 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
                          pair_weight=1.0, teacher=student.copy(), teacher_weight=1.0)
     assert calls["zero_grads"] == len(trace)
     for name in ("predict", "task_loss", "example_consistency", "model_consistency",
-                 "adam_step"):
+                 "adam_step", "code_switch"):
         assert calls[f"trainer.{name}"] >= 1, name
+    # SS pair views are resampled through the module as well
+    tr.run_stage(list(bench.train[:20]), tr.init_params(cfg, res), cfg, res, "main",
+                 pair_strategy="SS", pair_weight=1.0)
+    assert calls["trainer.subword_resample"] >= 1
     ev.evaluate_languages(student, {lang: examples[:5]
                                     for lang, examples in bench.eval_sets.items()}, res.vocab)
     assert calls["evaluate.predict"] >= 1 and calls["evaluate.decode"] >= 1

@@ -203,6 +203,21 @@ class TestSampling:
                         == reference(vocab, text, alpha, lattice.logf, ref_rng))
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
+    def test_draw_records_carry_the_vocabulary_ids(self):
+        # a draw's ids are the vocabulary's ids of its pieces, and drawing the
+        # record or the pieces alone consumes the generator alike
+        rng = np.random.default_rng(48)
+        for trial in range(100):
+            vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
+            text = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
+            lattice = tok._Lattice(vocab, text, float(rng.choice([0.0, 0.5, 1.0])))
+            rec_rng, pieces_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(10):
+                pieces, ids = lattice.sample(rec_rng)
+                assert ids == tuple(vocab.piece_to_id[p] for p in pieces)
+                assert list(pieces) == lattice.sample_pieces(pieces_rng)
+            assert rec_rng.bit_generator.state == pieces_rng.bit_generator.state
+
     def test_deterministic_given_seed(self):
         vocab = toy_vocab()
         a = [tok.sample_segment(vocab, "abab"[:3], 0.5, np.random.default_rng(9)).pieces
