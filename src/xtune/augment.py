@@ -14,16 +14,15 @@ import logging
 from dataclasses import dataclass, field, replace
 
 from . import tokenizer as tok
-from .data import Example
+from .data import CIPHER_ID_SEP, Example
 
 log = logging.getLogger(__name__)
 
 STRATEGY_KINDS = ("SS", "GN", "CS", "MT")
-STRATEGY_USES = ("pair", "model", "corpus")  # pair consistency / teacher KL / dataset growth
 
 
 class StrategyError(ValueError):
-    """Strategy is not applicable to this task/use combination."""
+    """Strategy is not applicable to this task or loss."""
 
 
 class DictionaryFormatError(ValueError):
@@ -93,9 +92,6 @@ class BilingualDictionary:
                 if t not in merged:
                     merged.append(t)
         self.entries = normalized
-
-    def __contains__(self, word):
-        return word.casefold() in self.entries
 
     def translations(self, word):
         return self.entries[word.casefold()]
@@ -199,17 +195,15 @@ def switch_candidates(dictionaries):
     return candidates
 
 
-def code_switch(example, dictionaries, word_ratio, rng):
+def code_switch(example, candidates, word_ratio, rng):
     """Replace words with dictionary translations, each independently with
     probability ``word_ratio``; words absent from all dictionaries are kept.
 
-    ``dictionaries`` is a list of dictionaries or the ``switch_candidates``
-    built from one.  The replacement language is drawn per word, so outputs
-    can mix several target languages.  Labels carry over unchanged
-    (word-for-word substitution keeps per-word tags and span indices valid).
+    ``candidates`` is the ``switch_candidates`` table of the dictionaries.
+    The replacement language is drawn per word, so outputs can mix several
+    target languages.  Labels carry over unchanged (word-for-word
+    substitution keeps per-word tags and span indices valid).
     """
-    candidates = (dictionaries if isinstance(dictionaries, dict)
-                  else switch_candidates(dictionaries))
     words = list(example.words)
     modified = [False] * len(words)
     for i, word in enumerate(words):
@@ -298,31 +292,25 @@ def translate(example, store, target_languages, task, missing=None):
     return views
 
 
-CIPHER_ID_SEP = "@"
-
-
 def base_id(example_id):
     """Original example id for a translated view id."""
     return example_id.split(CIPHER_ID_SEP, 1)[0]
 
 
 # ---------------------------------------------------------------------------
-# Strategy validation (which augmentation may feed which loss)
+# Strategy validation (which augmentation may feed the pair loss)
 
 
-def validate_strategy(task, use, strategy):
-    """Reject impossible (task, use, strategy) combinations.
+def validate_strategy(task, kind):
+    """Reject a strategy kind that cannot feed the pair-consistency loss.
 
-    MT cannot feed the pair-consistency loss for span extraction or sequence
-    labeling (the two output distributions cannot be aligned across a
-    translation).  Everything else is allowed.
+    MT cannot feed it for span extraction or sequence labeling (the two
+    output distributions cannot be aligned across a translation).
+    Everything else is allowed.
     """
-    kind = strategy.kind if isinstance(strategy, AugmentationStrategy) else strategy
     if kind not in STRATEGY_KINDS:
         raise StrategyError(f"unknown strategy kind {kind!r}")
-    if use not in STRATEGY_USES:
-        raise StrategyError(f"unknown use {use!r}, expected one of {STRATEGY_USES}")
-    if use == "pair" and kind == "MT" and task in ("span", "labeling"):
+    if kind == "MT" and task in ("span", "labeling"):
         raise StrategyError(
             f"MT cannot be used for pair consistency on {task}: predicted "
             "distributions of a translation pair cannot be aligned"
@@ -365,7 +353,6 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
     if not corpus:
         raise ValueError("build_augmented_corpus: empty corpus")
     task = corpus[0].task
-    validate_strategy(task, "corpus", strategy)
 
     if strategy.kind == "CS":
         if not dictionaries:

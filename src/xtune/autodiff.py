@@ -3,7 +3,8 @@
 Small by design: the op set is exactly what the encoder, the task losses and
 the KL regularizers need, plus a stop-gradient barrier.  No broadcasting
 beyond scalar*tensor; every other shape mismatch is an error so that the
-finite-difference oracle has a small, fully checkable surface.
+finite-difference oracle has a small, fully checkable surface: the tests
+list every op and check each one's gradients on random graphs.
 
 Callers pack many sequences into one matrix, one row per subword, and keep
 a row -> segment id array beside it.  ``segment_mean`` and
@@ -174,16 +175,6 @@ def gather(v, indices):
     return _take("gather", v, indices)
 
 
-def mean_rows(m):
-    """Column means of an (r, c) matrix, returned as a length-c vector."""
-    if m.data.ndim != 2:
-        raise ShapeError(f"mean_rows: needs a 2-d operand, got {m.data.shape}")
-    r = m.data.shape[0]
-    def backward(g):
-        return (np.tile(g / r, (r, 1)),)
-    return _node(m.data.mean(axis=0), "mean_rows", (m,), backward)
-
-
 def _segment_ids(op, segment_ids, n_rows, n_segments):
     ids = _indices(op, segment_ids, n_segments, "segment id")
     if ids.size != n_rows:
@@ -234,14 +225,6 @@ def tanh(a):
     def backward(g):
         return (g * (1.0 - out_data * out_data),)
     return _node(out_data, "tanh", (a,), backward)
-
-
-def log(a):
-    if np.any(a.data <= 0.0):
-        raise NumericError("log: non-positive input")
-    def backward(g):
-        return (g / a.data,)
-    return _node(np.log(a.data), "log", (a,), backward)
 
 
 def exp(a):
@@ -349,56 +332,3 @@ def backward(root):
 def zero_grads(tensors):
     for t in tensors:
         t.zero_grad()
-
-
-def grad_check(loss_fn, params, step=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must be deterministic in the current values of ``params``
-    (a list of leaf tensors).  Relative error for each entry is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    """
-    zero_grads(params)
-    loss = loss_fn()
-    backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = float(loss_fn().data)
-            flat[i] = orig - step
-            down = float(loss_fn().data)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            a = float(ga.reshape(-1)[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
-
-
-# Registered primitives, keyed by name; used by the gradient property tests
-# to make sure nothing escapes finite-difference coverage.
-PRIMITIVES = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "scale": scale,
-    "matmul": matmul,
-    "add_rowvec": add_rowvec,
-    "embedding_lookup": embedding_lookup,
-    "gather": gather,
-    "mean_rows": mean_rows,
-    "segment_mean": segment_mean,
-    "segment_log_softmax": segment_log_softmax,
-    "tanh": tanh,
-    "log": log,
-    "exp": exp,
-    "sum": sum,
-    "reshape": reshape,
-    "clip_min": clip_min,
-    "log_softmax": log_softmax,
-}

@@ -15,8 +15,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import augment as aug
 from . import data
 from . import evaluate as ev
@@ -263,9 +261,11 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params = load_params(args.checkpoint)
-    if args.pooling and params.task != "labeling":
-        raise ValueError(f"--pooling applies to labeling checkpoints only, "
-                         f"not to this {params.task} checkpoint")
+    if args.pooling:
+        if params.task != "labeling":
+            raise ValueError(f"--pooling applies to labeling checkpoints only, "
+                             f"not to this {params.task} checkpoint")
+        params.pooling = args.pooling
     data_dir = Path(args.data_dir)
     meta = json.loads((data_dir / "meta.json").read_text(encoding="utf-8"))
     languages = meta["languages"]
@@ -274,8 +274,7 @@ def cmd_eval(args):
         lang: data.load_jsonl(data_dir / f"eval.{lang}.jsonl", params.task)
         for lang in languages
     }
-    per_language = ev.evaluate_languages(params, eval_sets, vocab,
-                                         pooling=args.pooling or params.pooling)
+    per_language = ev.evaluate_languages(params, eval_sets, vocab)
     rep = ev.report(per_language, languages[0], params.task)
     print(ev.format_report(rep))
     if args.out:

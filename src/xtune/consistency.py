@@ -43,19 +43,13 @@ def kl(p_log, q_log, weights):
     return ad.sum(ad.mul(terms, ad.constant(np.broadcast_to(w, p_log.shape))))
 
 
-def symmetric_kl(p_log, q_log, weights, stop_gradient=True):
-    """KL(P||Q) + KL(Q||P), weighted as in ``kl``; with ``stop_gradient``
-    each term's reference distribution is detached, so gradients reach P
-    only through the term where P is the prediction being pulled (and
-    likewise Q).
-
-    Disabling the barrier changes gradients but never the value; that switch
-    exists for ablation.
+def symmetric_kl(p_log, q_log, weights):
+    """KL(P||Q) + KL(Q||P), weighted as in ``kl``.  Each term's reference
+    distribution is detached, so gradients reach P only through the term
+    where P is the prediction being pulled (and likewise Q).
     """
-    if stop_gradient:
-        return ad.add(kl(ad.detach(p_log), q_log, weights),
-                      kl(ad.detach(q_log), p_log, weights))
-    return ad.add(kl(p_log, q_log, weights), kl(q_log, p_log, weights))
+    return ad.add(kl(ad.detach(p_log), q_log, weights),
+                  kl(ad.detach(q_log), p_log, weights))
 
 
 def aligned_first_subword_positions(seg_orig, seg_aug, alignment, modified):
@@ -77,7 +71,7 @@ def aligned_first_subword_positions(seg_orig, seg_aug, alignment, modified):
     return pos_orig, pos_aug
 
 
-def example_consistency(pred, pairs, stop_gradient=True):
+def example_consistency(pred, pairs):
     """Mean symmetric-KL agreement between examples and their augmented views.
 
     ``pairs`` lists (original, view, alignment, modified): two sequence
@@ -99,7 +93,7 @@ def example_consistency(pred, pairs, stop_gradient=True):
         orig = [i for i, _j, _a, _m in pairs]
         view = [j for _i, j, _a, _m in pairs]
         return symmetric_kl(ad.gather(pred.class_log, orig), ad.gather(pred.class_log, view),
-                            share, stop_gradient)
+                            share)
 
     rows, view_rows = [], []
     if pred.task == "labeling":
@@ -113,7 +107,7 @@ def example_consistency(pred, pairs, stop_gradient=True):
             weights.append(np.full(n, share / n))
         return symmetric_kl(ad.gather(pred.word_log, np.concatenate(rows)),
                             ad.gather(pred.word_log, np.concatenate(view_rows)),
-                            np.concatenate(weights), stop_gradient)
+                            np.concatenate(weights))
 
     segment = []
     for k, (i, j, alignment, modified) in enumerate(pairs):
@@ -133,8 +127,7 @@ def example_consistency(pred, pairs, stop_gradient=True):
         return ad.segment_log_softmax(ad.gather(vec_log, index), segment, len(pairs))
 
     rows, view_rows = np.concatenate(rows), np.concatenate(view_rows)
-    start, end = (symmetric_kl(restricted(vec_log, rows), restricted(vec_log, view_rows),
-                               share, stop_gradient)
+    start, end = (symmetric_kl(restricted(vec_log, rows), restricted(vec_log, view_rows), share)
                   for vec_log in (pred.start_log, pred.end_log))
     return ad.add(start, end)
 

@@ -9,12 +9,12 @@ without any real multilingual data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 TASKS = ("classification", "span", "labeling")
 CIPHER_SEP = "§"  # "§"
+# joins an example id and a language into a translated view's id
+CIPHER_ID_SEP = "@"
 
 CLASSIFICATION_RULES = ("lemma_majority", "even_lemma_parity")
 
@@ -62,6 +62,9 @@ class Example:
     def validate(self):
         if self.task not in TASKS:
             raise SchemaError(f"example {self.id}: unknown task {self.task!r}")
+        if CIPHER_ID_SEP in self.id:
+            raise SchemaError(f"example {self.id}: {CIPHER_ID_SEP!r} in an id is reserved "
+                              "for translated views")
         if not self.words or any(not w for w in self.words):
             raise SchemaError(f"example {self.id}: empty word list or empty word")
         if self.task == "classification" and self.labeled:

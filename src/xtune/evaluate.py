@@ -120,7 +120,7 @@ def decode(prediction):
             for start, n in zip(packing.word_starts, packing.n_words)]
 
 
-def score_corpus(params, examples, vocab, pooling=None):
+def score_corpus(params, examples, vocab):
     """Viterbi-segment, predict, decode and score one labeled corpus.
 
     Examples go through the model ``EVAL_CHUNK`` at a time, as one packed
@@ -132,7 +132,7 @@ def score_corpus(params, examples, vocab, pooling=None):
     for start in range(0, len(examples), EVAL_CHUNK):
         chunk = examples[start:start + EVAL_CHUNK]
         segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in chunk]
-        decoded.extend(decode(predict(params, segs, pooling=pooling)))
+        decoded.extend(decode(predict(params, segs)))
         gold.extend(ex.gold() for ex in chunk)
     if params.task == "classification":
         return {"accuracy": accuracy(decoded, gold)}
@@ -152,12 +152,12 @@ def primary_score(task, scores):
     return scores["accuracy"]
 
 
-def evaluate_languages(params, eval_sets, vocab, pooling=None):
+def evaluate_languages(params, eval_sets, vocab):
     """Scores per language, as ``score_corpus`` returns them; ``report``
     adds the transfer gap."""
     per_language = {}
     for lang, examples in eval_sets.items():
-        per_language[lang] = score_corpus(params, examples, vocab, pooling=pooling)
+        per_language[lang] = score_corpus(params, examples, vocab)
     return per_language
 
 

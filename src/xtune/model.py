@@ -189,18 +189,14 @@ def encode(params, packing, noises=None):
     return ad.tanh(ad.add_rowvec(ad.matmul(x, params["mix_weight"]), params["mix_bias"]))
 
 
-def predict(params, segmentations, pooling=None, noises=None):
+def predict(params, segmentations, noises=None):
     """Task-head forward pass over a list of segmentations, packed.
 
     Returns normalized log-prob distributions: one row per sequence
     (classification), one start and one end distribution per sequence over
-    its rows (span), or one row per word (labeling).
+    its rows (span), or one row per word (labeling, pooled by
+    ``params.pooling``).
     """
-    if pooling is not None:
-        if pooling not in POOLINGS:
-            raise ValueError(f"unknown pooling {pooling!r}, expected one of {POOLINGS}")
-        if params.task != "labeling":
-            raise ValueError(f"pooling is only meaningful for labeling, not {params.task}")
     packing = Packing(segmentations)
     hidden = encode(params, packing, noises)
 
@@ -217,7 +213,7 @@ def predict(params, segmentations, pooling=None, noises=None):
         return Prediction("span", packing, start_log=head("start_weight"),
                           end_log=head("end_weight"))
 
-    if pooling == "average":
+    if params.pooling == "average":
         reps = ad.segment_mean(hidden, packing.word_of_row, packing.first_rows.size)
     else:
         reps = ad.embedding_lookup(hidden, packing.first_rows)

@@ -1,14 +1,14 @@
 """Unigram-LM subword vocabulary with exact lattice segmentation.
 
-Three ways to segment a string over the same piece inventory:
+Two ways to segment a word sequence over the same piece inventory:
 
-* ``viterbi_segment``          - best-scoring segmentation (deterministic),
-* ``sample_segment``           - exact sampling proportional to P(s)^alpha via
-                                 forward filtering / backward sampling (FFBS);
-                                 each backward cut is an inverse-CDF draw that
-                                 matches ``Generator.choice`` draw for draw,
-* ``enumerate_segmentations``  - brute-force enumeration, the test oracle the
-                                 other two are checked against.
+* ``viterbi_segment_words`` - each word's best-scoring segmentation
+                              (deterministic, cached per word),
+* ``sample_segment_words``  - exact sampling of each word's segmentation
+                              proportional to P(s)^alpha via forward
+                              filtering / backward sampling (FFBS); each
+                              backward cut is an inverse-CDF draw that
+                              matches ``Generator.choice`` draw for draw.
 
 Words are segmented independently; a boundary marker is prepended to each
 word when the vocabulary covers it, which keeps the word -> subword map exact
@@ -16,6 +16,7 @@ under resegmentation.  A ``Segmentation`` is its words: one ``(pieces, ids)``
 record per word, the same tuples the per-word Viterbi cache holds and an
 FFBS word draw yields.  Callers that need the word -> subword map (changed
 words, aligned first subwords, packed word rows) read it from these records.
+The tests check both paths against brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_MARKER = "▁"  # "▁"
-
-_ENUM_MAX_CHARS = 12
 
 
 class VocabFormatError(ValueError):
@@ -118,10 +117,6 @@ class Segmentation:
         """The position of each word's first piece."""
         return list(accumulate([len(pieces) for pieces, _ in self.words], initial=0))[:-1]
 
-    def reconstruct(self, marker=DEFAULT_MARKER):
-        """Rebuild the source words (boundary markers stripped)."""
-        return ["".join(pieces).removeprefix(marker) for pieces, _ in self.words]
-
 
 def _word_record(vocab, pieces):
     """One word's ``(pieces, ids)`` record."""
@@ -174,14 +169,6 @@ def _viterbi_pieces(vocab, text):
     return pieces
 
 
-def viterbi_segment(vocab, text):
-    """Best segmentation of a raw string, treated as a single word."""
-    if not text:
-        raise ValueError("viterbi_segment: empty text")
-    vocab._check_coverage(text)
-    return Segmentation([_word_record(vocab, _viterbi_pieces(vocab, text))])
-
-
 def _viterbi_word(vocab, word):
     cached = vocab._word_viterbi.get(word)
     if cached is None:
@@ -215,7 +202,7 @@ class _Lattice:
 
     def __init__(self, vocab, text, alpha):
         if alpha < 0:
-            raise ValueError("sample_segment: alpha must be >= 0")
+            raise ValueError("sample_segment_words: alpha must be >= 0")
         vocab._check_coverage(text)
         self.text = text
         n = len(text)
@@ -245,10 +232,6 @@ class _Lattice:
                 cdf = (p / p.sum()).cumsum()
                 self.cdfs[j] = (cdf / cdf[-1]).tolist()
 
-    @property
-    def log_partition(self):
-        return float(self.logf[-1])
-
     def sample(self, rng):
         """One draw, as the word's ``(pieces, ids)`` record."""
         pieces, ids = [], []
@@ -261,17 +244,6 @@ class _Lattice:
         pieces.reverse()
         ids.reverse()
         return tuple(pieces), tuple(ids)
-
-    def sample_pieces(self, rng):
-        """One draw's pieces alone."""
-        return list(self.sample(rng)[0])
-
-
-def sample_segment(vocab, text, alpha, rng):
-    """Draw a segmentation with probability P(s)^alpha / sum_s' P(s')^alpha."""
-    if not text:
-        raise ValueError("sample_segment: empty text")
-    return Segmentation([_Lattice(vocab, text, alpha).sample(rng)])
 
 
 def _word_lattice(vocab, word, alpha):
@@ -286,44 +258,6 @@ def _word_lattice(vocab, word, alpha):
 def sample_segment_words(vocab, words, alpha, rng):
     """Per-word FFBS sampling over a word sequence."""
     return Segmentation([_word_lattice(vocab, w, alpha).sample(rng) for w in words])
-
-
-# ---------------------------------------------------------------------------
-# Enumeration oracle
-
-
-def enumerate_segmentations(vocab, text):
-    """All segmentations with their raw path probabilities.
-
-    Probabilities are unnormalized products of piece probabilities; their sum
-    is the lattice partition function.  Guarded to short strings because the
-    count grows exponentially.
-    """
-    if len(text) > _ENUM_MAX_CHARS:
-        raise ValueError(
-            f"enumerate_segmentations: text of {len(text)} chars exceeds the "
-            f"{_ENUM_MAX_CHARS}-char guard"
-        )
-    vocab._check_coverage(text)
-    n = len(text)
-    out = []
-
-    def walk(i, pieces, logp):
-        if i == n:
-            out.append((Segmentation([_word_record(vocab, pieces)]), math.exp(logp)))
-            return
-        for j in range(i + 1, min(i + vocab.max_piece_len, n) + 1):
-            lp = vocab.pieces.get(text[i:j])
-            if lp is not None:
-                walk(j, pieces + [text[i:j]], logp + lp)
-
-    walk(0, [], 0.0)
-    return out
-
-
-def log_partition(vocab, text, alpha=1.0):
-    """Log of the total tempered lattice mass (forward filter total)."""
-    return _Lattice(vocab, text, alpha).log_partition
 
 
 # ---------------------------------------------------------------------------

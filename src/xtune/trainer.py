@@ -130,7 +130,7 @@ class TrainConfig:
                                  f"expected one of {allowed}")
         for name in ("stage1_strategy", "pair_strategy"):
             try:
-                validate_strategy(self.task, "pair", getattr(self, name))
+                validate_strategy(self.task, getattr(self, name))
             except StrategyError as err:
                 raise StrategyError(f"{name}: {err}") from None
         for name, low in (("epochs", 1), ("batch_size", 1), ("example_weight", 0),
@@ -256,13 +256,13 @@ def _stage_table(items, vocab, cfg):
     return table
 
 
-def _teacher_rows(teacher, segs, pooling, noises=None):
+def _teacher_rows(teacher, segs, noises=None):
     """The teacher's log-probability rows per sequence (laid out as
     ``Prediction.sequence_rows``), ``EVAL_CHUNK`` sequences per forward."""
     rows = []
     for start in range(0, len(segs), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        rows += predict(teacher, segs[chunk], pooling=pooling,
+        rows += predict(teacher, segs[chunk],
                         noises=None if noises is None else noises[chunk]).sequence_rows()
     return rows
 
@@ -311,7 +311,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     use_pairs = pair_strategy is not None and pair_weight != 0.0
     use_teacher = teacher is not None and teacher_weight != 0.0
     if use_pairs:
-        validate_strategy(cfg.task, "pair", pair_strategy)
+        validate_strategy(cfg.task, pair_strategy)
 
     batch_rng = substream(cfg.seed, f"{stage_label}/batching")
     view_rng = substream(cfg.seed, f"{stage_label}/views")
@@ -327,11 +327,10 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     # very short runs: keep at least one warmup step
     warmup_frac = max(cfg.warmup_frac, 1.0 / total_steps)
     state = OptimizerState.for_params(params.tensors)
-    pooling = params.pooling
     table = _stage_table(items, res.vocab, cfg)
     teacher_table = None
     if use_teacher and not any(noised for *_, noised in table):
-        teacher_table = _teacher_rows(teacher, [seg for _, seg, _, _ in table], pooling)
+        teacher_table = _teacher_rows(teacher, [seg for _, seg, _, _ in table])
     trace = []
     step = 0
 
@@ -359,7 +358,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                     view_noises.append(vnoise)
 
             n_labeled = sum(g is not None for g in gold)
-            pred = predict(params, segs + view_segs, pooling=pooling, noises=noises + view_noises)
+            pred = predict(params, segs + view_segs, noises=noises + view_noises)
 
             parts = {"task": 0.0, "example_consistency": 0.0, "model_consistency": 0.0}
             total = None
@@ -374,7 +373,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 total = weighted if total is None else ad.add(total, weighted)
             if use_teacher:
                 rows = ([teacher_table[i] for i in batch] if teacher_table is not None
-                        else _teacher_rows(teacher, segs, pooling, noises))
+                        else _teacher_rows(teacher, segs, noises))
                 node = model_consistency(rows, pred)
                 parts["model_consistency"] = node.item()
                 weighted = ad.scale(node, teacher_weight)

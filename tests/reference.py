@@ -1,19 +1,56 @@
-"""Per-example reference for the packed forward, task loss and regularizers.
+"""Reference implementations the tests check the package against.
 
-This is the one-graph-per-example path the package used before batches
-were packed: every sequence gets its own encoder graph, and a batch's loss
-components are means of per-example scalar nodes.  Tests compare the packed
-path against it.
+``enumerate_segmentations`` lists every segmentation of a short string, the
+oracle for Viterbi, FFBS sampling and the lattice partition function.
+
+The rest is the per-example reference for the packed forward, task loss and
+regularizers: the one-graph-per-example path the package used before
+batches were packed.  Every sequence gets its own encoder graph, and a
+batch's loss components are means of per-example scalar nodes.  Tests
+compare the packed path against it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from xtune import autodiff as ad
 from xtune import consistency as cons
+from xtune import tokenizer as tok
+
+_ENUM_MAX_CHARS = 12
+
+
+def enumerate_segmentations(vocab, text):
+    """All segmentations with their raw path probabilities.
+
+    Probabilities are unnormalized products of piece probabilities; their sum
+    is the lattice partition function.  Guarded to short strings because the
+    count grows exponentially.
+    """
+    if len(text) > _ENUM_MAX_CHARS:
+        raise ValueError(
+            f"enumerate_segmentations: text of {len(text)} chars exceeds the "
+            f"{_ENUM_MAX_CHARS}-char guard"
+        )
+    vocab._check_coverage(text)
+    n = len(text)
+    out = []
+
+    def walk(i, pieces, logp):
+        if i == n:
+            out.append((tok.Segmentation([tok._word_record(vocab, pieces)]), math.exp(logp)))
+            return
+        for j in range(i + 1, min(i + vocab.max_piece_len, n) + 1):
+            lp = vocab.pieces.get(text[i:j])
+            if lp is not None:
+                walk(j, pieces + [text[i:j]], logp + lp)
+
+    walk(0, [], 0.0)
+    return out
 
 
 @dataclass
@@ -36,10 +73,12 @@ def encode(params, segmentation, noise=None):
     return ad.tanh(ad.add_rowvec(ad.matmul(x, params["mix_weight"]), params["mix_bias"]))
 
 
-def predict(params, segmentation, pooling=None, noise=None):
+def predict(params, segmentation, noise=None):
     hidden = encode(params, segmentation, noise)
     if params.task == "classification":
-        pooled = ad.reshape(ad.mean_rows(hidden), (1, params.dim))
+        # constant pooling row, 1/n per piece
+        n = segmentation.n_pieces
+        pooled = ad.matmul(ad.constant(np.full((1, n), 1.0 / n)), hidden)
         logits = ad.add_rowvec(ad.matmul(pooled, params["head_weight"]), params["head_bias"])
         return Prediction("classification",
                           class_log=ad.log_softmax(ad.reshape(logits, (params.n_label,))))
@@ -48,7 +87,7 @@ def predict(params, segmentation, pooling=None, noise=None):
         start = ad.log_softmax(ad.reshape(ad.matmul(hidden, params["start_weight"]), (n,)))
         end = ad.log_softmax(ad.reshape(ad.matmul(hidden, params["end_weight"]), (n,)))
         return Prediction("span", start_log=start, end_log=end)
-    if pooling == "average":
+    if params.pooling == "average":
         # constant pooling matrix, one row per word
         pool = np.zeros((segmentation.n_words, segmentation.n_pieces))
         for pos, w in enumerate(segmentation.word_index):
@@ -86,18 +125,17 @@ def _mean(nodes):
     return ad.scale(acc, 1.0 / len(nodes))
 
 
-def _skl(p_log, q_log, stop_gradient=True):
-    return cons.symmetric_kl(p_log, q_log, 1.0, stop_gradient)
+def _skl(p_log, q_log):
+    return cons.symmetric_kl(p_log, q_log, 1.0)
 
 
-def example_consistency(pred, pred_aug, seg, seg_aug, alignment, modified,
-                        stop_gradient=True):
+def example_consistency(pred, pred_aug, seg, seg_aug, alignment, modified):
     if pred.task == "classification":
-        return _skl(pred.class_log, pred_aug.class_log, stop_gradient)
+        return _skl(pred.class_log, pred_aug.class_log)
     if pred.task == "span":
         if seg.pieces == seg_aug.pieces:
-            return ad.add(_skl(pred.start_log, pred_aug.start_log, stop_gradient),
-                          _skl(pred.end_log, pred_aug.end_log, stop_gradient))
+            return ad.add(_skl(pred.start_log, pred_aug.start_log),
+                          _skl(pred.end_log, pred_aug.end_log))
         pos, pos_aug = cons.aligned_first_subword_positions(seg, seg_aug, alignment, modified)
         if not pos:
             return ad.constant(0.0)
@@ -106,13 +144,10 @@ def example_consistency(pred, pred_aug, seg, seg_aug, alignment, modified,
             return ad.log_softmax(ad.gather(vec_log, positions))
 
         return ad.add(
-            _skl(restricted(pred.start_log, pos), restricted(pred_aug.start_log, pos_aug),
-                 stop_gradient),
-            _skl(restricted(pred.end_log, pos), restricted(pred_aug.end_log, pos_aug),
-                 stop_gradient))
+            _skl(restricted(pred.start_log, pos), restricted(pred_aug.start_log, pos_aug)),
+            _skl(restricted(pred.end_log, pos), restricted(pred_aug.end_log, pos_aug)))
     n = pred.word_log.shape[0]
-    return _mean([_skl(_row(pred.word_log, w), _row(pred_aug.word_log, w), stop_gradient)
-                  for w in range(n)])
+    return _mean([_skl(_row(pred.word_log, w), _row(pred_aug.word_log, w)) for w in range(n)])
 
 
 def model_consistency(teacher_pred, student_pred):
@@ -126,7 +161,7 @@ def model_consistency(teacher_pred, student_pred):
                           _row(student_pred.word_log, w), 1.0) for w in range(n)])
 
 
-def step_components(params, segs, noises, gold, pairs, pooling=None, teacher=None):
+def step_components(params, segs, noises, gold, pairs, teacher=None):
     """Task, pair and teacher loss nodes of one batch, built per example.
 
     Arguments are laid out as for the packed path: ``segs``/``noises``/
@@ -137,12 +172,12 @@ def step_components(params, segs, noises, gold, pairs, pooling=None, teacher=Non
     does not apply is None.
     """
     n_items = len(segs) - len(pairs)
-    preds = [predict(params, seg, pooling, noise) for seg, noise in zip(segs, noises)]
+    preds = [predict(params, seg, noise) for seg, noise in zip(segs, noises)]
     task = [task_loss(preds[k], g) for k, g in enumerate(gold) if g is not None]
     pair = [example_consistency(preds[i], preds[j], segs[i], segs[j], alignment, modified)
             for i, j, alignment, modified in pairs]
     teach = None
     if teacher is not None:
-        teach = _mean([model_consistency(predict(teacher, segs[k], pooling, noises[k]), preds[k])
+        teach = _mean([model_consistency(predict(teacher, segs[k], noises[k]), preds[k])
                        for k in range(n_items)])
     return (_mean(task) if task else None, _mean(pair) if pair else None, teach)

@@ -21,17 +21,21 @@ def dictionary(entries, src="en", tgt="fr"):
     return aug.BilingualDictionary(src, tgt, {k: list(v) for k, v in entries.items()})
 
 
+def code_switch(example, dictionaries, word_ratio, rng):
+    return aug.code_switch(example, aug.switch_candidates(dictionaries), word_ratio, rng)
+
+
 class TestCodeSwitch:
     def test_ratio_zero_is_identity(self):
         d = dictionary({"cat": ["chat"]})
-        out = aug.code_switch(example(), [d], 0.0, np.random.default_rng(0))
+        out = code_switch(example(), [d], 0.0, np.random.default_rng(0))
         assert out.example.words == ["the", "cat"]
         assert out.modified == [False, False]
         assert out.alignment == [0, 1]
 
     def test_ratio_one_replaces_covered_words(self):
         d = dictionary({"cat": ["chat"]})
-        out = aug.code_switch(example(), [d], 1.0, np.random.default_rng(0))
+        out = code_switch(example(), [d], 1.0, np.random.default_rng(0))
         assert out.example.words == ["the", "chat"]
         assert out.modified == [False, True]
         assert out.label_available and out.example.label == 1
@@ -42,7 +46,7 @@ class TestCodeSwitch:
         n = 10_000
         hits = 0
         for _ in range(n):
-            out = aug.code_switch(example(words=["cat"]), [d], 0.5, rng)
+            out = code_switch(example(words=["cat"]), [d], 0.5, rng)
             hits += out.modified[0]
         assert abs(hits / n - 0.5) < 0.02
 
@@ -51,7 +55,7 @@ class TestCodeSwitch:
         rng = np.random.default_rng(2)
         ex = example(words=["the", "cat", "sat", "on", "mats"])
         for _ in range(50):
-            out = aug.code_switch(ex, [d], 0.6, rng)
+            out = code_switch(ex, [d], 0.6, rng)
             for i, flag in enumerate(out.modified):
                 if not flag:
                     assert out.example.words[i] == ex.words[i]
@@ -61,7 +65,7 @@ class TestCodeSwitch:
         d = dictionary({"cat": ["chat"]})
         ex = example(words=["the", "cat"], task="labeling", label=None, n_label=3,
                      tags=[0, 2])
-        out = aug.code_switch(ex, [d], 1.0, np.random.default_rng(0))
+        out = code_switch(ex, [d], 1.0, np.random.default_rng(0))
         assert out.example.tags == [0, 2]
 
     def test_mixed_languages_per_word(self):
@@ -70,7 +74,7 @@ class TestCodeSwitch:
         rng = np.random.default_rng(3)
         seen = set()
         for _ in range(50):
-            out = aug.code_switch(example(words=["cat", "cat"]), [d1, d2], 1.0, rng)
+            out = code_switch(example(words=["cat", "cat"]), [d1, d2], 1.0, rng)
             seen.update(out.example.words)
         assert seen == {"chat", "gato"}
 
@@ -146,25 +150,36 @@ class TestTranslate:
 class TestValidateStrategy:
     def test_mt_rejected_for_span_pairs(self):
         with pytest.raises(aug.StrategyError, match="aligned"):
-            aug.validate_strategy("span", "pair", "MT")
+            aug.validate_strategy("span", "MT")
 
     def test_mt_rejected_for_labeling_pairs(self):
         with pytest.raises(aug.StrategyError):
-            aug.validate_strategy("labeling", "pair", "MT")
+            aug.validate_strategy("labeling", "MT")
 
     def test_mt_ok_for_classification_pairs(self):
-        aug.validate_strategy("classification", "pair", "MT")
+        aug.validate_strategy("classification", "MT")
 
     def test_mt_ok_for_labeling_model_use(self):
-        aug.validate_strategy("labeling", "model", "MT")
+        # MT views may grow a labeling corpus, whose items feed the teacher KL
+        ex = example(task="labeling", label=None, n_label=3, tags=[0, 2])
+        store = aug.TranslationStore()
+        store.add("x0", "fr", ["le", "chat"])
+        out = aug.build_augmented_corpus(
+            [ex], aug.AugmentationStrategy("MT", languages=("fr",)),
+            np.random.default_rng(0), store=store)
+        assert [v.example.words for v in out.augmented] == [["le", "chat"]]
+        assert not out.augmented[0].label_available
 
     def test_all_four_ok_for_classification_everywhere(self):
-        for use in aug.STRATEGY_USES:
-            for kind in aug.STRATEGY_KINDS:
-                aug.validate_strategy("classification", use, kind)
+        for kind in aug.STRATEGY_KINDS:
+            aug.validate_strategy("classification", kind)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(aug.StrategyError, match="unknown strategy kind 'ZZ'"):
+            aug.validate_strategy("classification", "ZZ")
 
     def test_labeling_pair_recommends_subword_sampling(self):
-        aug.validate_strategy("labeling", "pair", "SS")
+        aug.validate_strategy("labeling", "SS")
 
 
 class TestLoadDictionary:
@@ -179,7 +194,7 @@ class TestLoadDictionary:
         path = tmp_path / "d.txt"
         path.write_text("cat\tchat\ndog  chien\n", encoding="utf-8")
         d = aug.load_dictionary(path, "en", "fr")
-        assert "cat" in d and "dog" in d
+        assert d.translations("cat") == ["chat"] and d.translations("dog") == ["chien"]
 
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "d.txt"
@@ -199,7 +214,7 @@ class TestLoadDictionary:
         path = tmp_path / "d.txt"
         path.write_text("Cat chat\n", encoding="utf-8")
         d = aug.load_dictionary(path, "en", "fr")
-        assert "cat" in d and "CAT" in d
+        assert d.translations("cat") == d.translations("CAT") == ["chat"]
 
 
 class TestBuildAugmentedCorpus:
@@ -246,9 +261,14 @@ class TestBuildAugmentedCorpus:
                                words=["q", "a", "b"], question_len=1,
                                answer_start=1, answer_end=2)]
         # corpus use of MT on span is fine; the error appears for pair use
-        aug.validate_strategy("span", "corpus", "MT")
+        store = aug.TranslationStore()
+        store.add("s", "fr", ["q", "a", "b"])
+        out = aug.build_augmented_corpus(
+            corpus, aug.AugmentationStrategy("MT", languages=("fr",)),
+            np.random.default_rng(0), store=store)
+        assert len(out.augmented) == 1
         with pytest.raises(aug.StrategyError):
-            aug.validate_strategy("span", "pair", aug.AugmentationStrategy("MT"))
+            aug.validate_strategy("span", "MT")
 
     def test_deterministic_given_seed(self):
         d = dictionary({"cat": ["chat", "minou"], "sat": ["assis"]})

@@ -7,7 +7,11 @@ import math
 import pytest
 
 from xtune import cli
+from xtune import data
+from xtune import evaluate as ev
+from xtune import tokenizer as tok
 from xtune import trainer as tr
+from xtune.model import load_params
 
 LANGUAGES = ("en", "xx", "yy")
 
@@ -151,9 +155,13 @@ def test_file_values_of_fitting_types_load(tmp_path):
     assert cfg.learning_rate == 1 and cfg.mt_languages == ("xx",) and cfg.n_label is None
 
 
-def test_eval_scores_with_the_checkpoint_pooling(tmp_path):
-    # a 40-piece vocabulary splits words into several pieces, so the two
-    # poolings score this model differently
+@pytest.fixture(scope="module")
+def average_pooled_run(tmp_path_factory):
+    """A synth directory and a trained ``pos`` (average-pooling) checkpoint.
+
+    A 40-piece vocabulary splits words into several pieces, so the two
+    poolings score this model differently."""
+    tmp_path = tmp_path_factory.mktemp("average-pooled")
     data_dir, run = tmp_path / "data", tmp_path / "run"
     assert cli.main(["synth", "--out", str(data_dir), "--task", "labeling",
                      "--languages", ",".join(LANGUAGES), "--lemmas", "10",
@@ -163,6 +171,11 @@ def test_eval_scores_with_the_checkpoint_pooling(tmp_path):
                           learning_rate=0.05)
     assert cli.main(["train", "--config", str(config), "--mode", "baseline",
                      "--out", str(run)]) == 0
+    return data_dir, run
+
+
+def test_eval_scores_with_the_checkpoint_pooling(average_pooled_run, tmp_path):
+    data_dir, run = average_pooled_run
     reports = {}
     for pooling in (None, "average", "first_subword"):
         out = tmp_path / f"report-{pooling}.json"
@@ -171,6 +184,19 @@ def test_eval_scores_with_the_checkpoint_pooling(tmp_path):
                         + (["--pooling", pooling] if pooling else [])) == 0
         reports[pooling] = out.read_bytes()
     assert reports[None] == reports["average"] != reports["first_subword"]
+
+
+def test_library_eval_pools_as_the_checkpoint(average_pooled_run, tmp_path):
+    data_dir, run = average_pooled_run
+    report = tmp_path / "report.json"
+    assert cli.main(["eval", "--checkpoint", str(run / "student.ckpt"),
+                     "--data-dir", str(data_dir), "--out", str(report)]) == 0
+    params = load_params(run / "student.ckpt")
+    assert params.pooling == "average"
+    eval_sets = {lang: data.load_jsonl(data_dir / f"eval.{lang}.jsonl", "labeling")
+                 for lang in LANGUAGES}
+    scores = ev.evaluate_languages(params, eval_sets, tok.load_vocab(data_dir / "vocab.tsv"))
+    assert scores == json.loads(report.read_text(encoding="utf-8"))["per_language"]
 
 
 def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys):
@@ -182,4 +208,25 @@ def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {checkpoint}:3: tensor 'embedings' is unknown")
+    assert "Traceback" not in err
+
+
+def test_train_rejects_an_id_with_the_translated_view_marker(tmp_path, capsys):
+    # "@" joins an id and a language in translated-view ids; a training id
+    # holding it would miss its translations and drop every MT pair view
+    data_dir = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data_dir), "--task", "classification",
+                     "--languages", ",".join(LANGUAGES), "--lemmas", "10",
+                     "--train-examples", "8", "--eval-examples", "2", "--sentence-len", "3,5",
+                     "--vocab-size", "80", "--em-iters", "1", "--seed", "2"]) == 0
+    train = data_dir / "train.jsonl"
+    train.write_text(train.read_text(encoding="utf-8").replace('"train-', '"train@'),
+                     encoding="utf-8")
+    config = write_config(tmp_path / "config.json", data_dir, preset="xnli",
+                          setting="translate-train-all")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), "--mode", "r1-only",
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {train}:1: example train@00000: '@' in an id is reserved")
     assert "Traceback" not in err

@@ -19,10 +19,11 @@ def small_vocab():
     return tok.UnigramVocab(pieces)
 
 
-def make_params(task, n_label=None, seed=0, dim=6, max_len=16):
+def make_params(task, n_label=None, seed=0, dim=6, max_len=16, pooling=None):
     vocab = small_vocab()
     rng = np.random.default_rng(seed)
-    return mdl.ModelParams(task, len(vocab), dim, max_len, n_label=n_label, rng=rng), vocab
+    return mdl.ModelParams(task, len(vocab), dim, max_len, n_label=n_label, rng=rng,
+                           pooling=pooling), vocab
 
 
 def rescale_params(params, rng, scale=0.5):
@@ -115,23 +116,18 @@ class TestPredict:
         params, vocab = make_params("labeling", n_label=3)
         seg = tok.viterbi_segment_words(vocab, ["a"])
         assert seg.n_pieces == seg.n_words  # marker not in this vocab
-        first = mdl.predict(params, [seg], pooling="first_subword").word_log.data
-        avg = mdl.predict(params, [seg], pooling="average").word_log.data
+        first = mdl.predict(params, [seg]).word_log.data
+        params.pooling = "average"
+        avg = mdl.predict(params, [seg]).word_log.data
         assert np.allclose(first, avg, atol=1e-12)
 
-    def test_pooling_on_non_labeling_task_rejected(self):
-        params, vocab = make_params("classification", n_label=2)
-        seg = tok.viterbi_segment_words(vocab, ["ab"])
-        with pytest.raises(ValueError, match="pooling"):
-            mdl.predict(params, [seg], pooling="average")
-
     def test_labeling_rows_track_word_count_under_resegmentation(self):
-        params, vocab = make_params("labeling", n_label=3)
+        params, vocab = make_params("labeling", n_label=3, pooling="average")
         words = ["abc", "ab", "cde"]
         rng = np.random.default_rng(0)
         for _ in range(10):
             seg = tok.sample_segment_words(vocab, words, 0.5, rng)
-            pred = mdl.predict(params, [seg], pooling="average")
+            pred = mdl.predict(params, [seg])
             assert pred.word_log.shape[0] == len(words)
 
 
@@ -170,13 +166,10 @@ class TestGradients:
         ("labeling", 3, [0, 2, 1]),
     ])
     def test_task_loss_gradients_match_fd(self, task, n_label, gold):
-        params, vocab = make_params(task, n_label=n_label, seed=3)
+        params, vocab = make_params(task, n_label=n_label, seed=3, pooling="average")
         rescale_params(params, np.random.default_rng(17))
         seg = tok.viterbi_segment_words(vocab, ["abc", "d", "ab"])
-        if task == "labeling":
-            loss_fn = lambda: mdl.task_loss(mdl.predict(params, [seg], pooling="average"), [gold])
-        else:
-            loss_fn = lambda: mdl.task_loss(mdl.predict(params, [seg]), [gold])
+        loss_fn = lambda: mdl.task_loss(mdl.predict(params, [seg]), [gold])
         tensors = params.parameters()
         err = max_rel_err(analytic_grads(loss_fn, tensors),
                           finite_difference(loss_fn, tensors))

@@ -34,17 +34,17 @@ def tight_labeling_bench():
     return build_benchmark(task="labeling", vocab_size=40)
 
 
-def packed_components(params, segs, noises, gold, pairs, pooling=None, teacher=None):
+def packed_components(params, segs, noises, gold, pairs, teacher=None):
     """Task, pair and teacher loss nodes of one batch, packed, laid out as
     ``reference.step_components`` takes them."""
-    pred = mdl.predict(params, segs, pooling=pooling, noises=noises)
+    pred = mdl.predict(params, segs, noises=noises)
     task = mdl.task_loss(pred, gold) if any(g is not None for g in gold) else None
     pair = cons.example_consistency(pred, pairs) if pairs else None
     teach = None
     if teacher is not None:
         n = len(segs) - len(pairs)
         teach = cons.model_consistency(
-            mdl.predict(teacher, segs[:n], pooling=pooling, noises=noises[:n]).sequence_rows(),
+            mdl.predict(teacher, segs[:n], noises=noises[:n]).sequence_rows(),
             pred)
     return task, pair, teach
 
@@ -56,11 +56,11 @@ def gradients(params, node):
             for t in params.parameters()]
 
 
-def assert_matches_reference(params, teacher, segs, noises, gold, pairs, pooling=None):
+def assert_matches_reference(params, teacher, segs, noises, gold, pairs):
     """Each component's value and parameter gradients agree with the
     per-example reference; every component is rebuilt before its backward
     pass, so no two passes share intermediate nodes."""
-    args = (segs, noises, gold, pairs, pooling, teacher)
+    args = (segs, noises, gold, pairs, teacher)
     for c in range(3):
         got = packed_components(params, *args)[c]
         want = ref.step_components(params, *args)[c]
@@ -126,7 +126,7 @@ class TestAgainstReference:
         assert_mixed(batch[0], batch[2])
         assert any(len(s.ids) > s.n_words for s in batch[0])   # multi-piece words
         student, teacher = models(cfg, res, 4)
-        assert_matches_reference(student, teacher, *batch, pooling=pooling)
+        assert_matches_reference(student, teacher, *batch)
 
     def test_span_full_restricted_and_empty_alignments(self, small_span_bench):
         bench, res = small_span_bench
@@ -187,10 +187,10 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     seen = {}
     predict, task_loss, r1, adam = tr.predict, tr.task_loss, tr.example_consistency, tr.adam_step
 
-    def recording_predict(params, segs, pooling=None, noises=None):
+    def recording_predict(params, segs, noises=None):
         if params is student:
-            seen.setdefault("inputs", (list(segs), list(noises), pooling))
-        return predict(params, segs, pooling=pooling, noises=noises)
+            seen.setdefault("inputs", (list(segs), list(noises)))
+        return predict(params, segs, noises=noises)
 
     def recording_task_loss(pred, gold):
         seen.setdefault("gold", list(gold))
@@ -211,7 +211,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     trace = tr.run_stage(corpus.items, student, cfg, res, "main", pair_strategy=pair_strategy,
                          pair_weight=2.0, teacher=teacher, teacher_weight=0.5)
 
-    segs, noises, pooling = seen["inputs"]
+    segs, noises = seen["inputs"]
     gold, pairs = seen["gold"], seen["pairs"]
     n_items = len(segs) - len(pairs)
     if task != "classification":   # translations of token-level items carry no label
@@ -219,7 +219,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     assert trace[0]["labeled"] + trace[0]["unlabeled"] == n_items == cfg.batch_size
     assert trace[0]["pairs"] == len(pairs) > 0
     task_node, pair_node, teacher_node = ref.step_components(
-        start, segs, noises, gold, pairs, pooling, teacher)
+        start, segs, noises, gold, pairs, teacher)
     for key, node in (("task", task_node), ("example_consistency", pair_node),
                       ("model_consistency", teacher_node)):
         np.testing.assert_allclose(trace[0][key], node.item(), rtol=RTOL, atol=ATOL)
@@ -234,10 +234,10 @@ def count_teacher_forwards(monkeypatch, teacher):
     sizes = []
     predict = tr.predict
 
-    def counting_predict(params, segs, pooling=None, noises=None):
+    def counting_predict(params, segs, noises=None):
         if params is teacher:
             sizes.append(len(segs))
-        return predict(params, segs, pooling=pooling, noises=noises)
+        return predict(params, segs, noises=noises)
 
     monkeypatch.setattr(tr, "predict", counting_predict)
     return sizes
@@ -277,9 +277,9 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
               if getattr(it, "segmentation", None) is not None]
     assert all(a is b for a, b in pinned) and bool(pinned) == (task == "labeling")
     segs = [seg for _ex, seg, _gold, _noised in table]
-    rows = tr._teacher_rows(teacher, segs, student.pooling)
+    rows = tr._teacher_rows(teacher, segs)
     for seg, item_rows in zip(segs, rows):
-        want = ref.predict(teacher, seg, student.pooling)
+        want = ref.predict(teacher, seg)
         if task == "classification":
             expected = [want.class_log.data[None, :]]
         elif task == "span":

@@ -11,6 +11,8 @@ from xtune import consistency as cons
 from xtune import tokenizer as tok
 from xtune.data import Example
 
+from reference import enumerate_segmentations
+
 
 def toy_vocab():
     return tok.UnigramVocab({"a": math.log(0.4), "b": math.log(0.4), "ab": math.log(0.2)})
@@ -26,6 +28,24 @@ def random_vocab(rng, n_pieces=20, alphabet="abc"):
     weights = rng.random(len(pieces)) + 0.05
     weights /= weights.sum()
     return tok.UnigramVocab({p: math.log(w) for p, w in zip(pieces, weights)})
+
+
+def with_marker(vocab):
+    """The vocabulary plus the word-boundary marker, alone and in front of
+    each piece (at that piece's log-prob)."""
+    pieces = dict(vocab.pieces)
+    pieces[tok.DEFAULT_MARKER] = math.log(0.1)
+    pieces.update({tok.DEFAULT_MARKER + p: lp for p, lp in vocab.pieces.items()})
+    return tok.UnigramVocab(pieces)
+
+
+def source_words(seg, marker):
+    """The words a segmentation spells, boundary markers stripped."""
+    return ["".join(pieces).removeprefix(marker) for pieces, _ in seg.words]
+
+
+def viterbi_pieces(vocab, word):
+    return tok.viterbi_segment_words(vocab, [word]).pieces
 
 
 class TestLoadVocab:
@@ -74,22 +94,22 @@ class TestLoadVocab:
 class TestViterbi:
     def test_ab_prefers_single_piece(self):
         # 0.2 beats 0.4 * 0.4 = 0.16
-        assert tok.viterbi_segment(toy_vocab(), "ab").pieces == ["ab"]
+        assert viterbi_pieces(toy_vocab(), "ab") == ["ab"]
 
     def test_single_char(self):
-        assert tok.viterbi_segment(toy_vocab(), "a").pieces == ["a"]
+        assert viterbi_pieces(toy_vocab(), "a") == ["a"]
 
     def test_aa_splits(self):
-        assert tok.viterbi_segment(toy_vocab(), "aa").pieces == ["a", "a"]
+        assert viterbi_pieces(toy_vocab(), "aa") == ["a", "a"]
 
     def test_uncoverable_char(self):
         with pytest.raises(tok.CoverageError, match="'z'"):
-            tok.viterbi_segment(toy_vocab(), "az")
+            viterbi_pieces(toy_vocab(), "az")
 
     def test_tie_breaks_to_fewer_pieces(self):
         # p(ab) == p(a)p(b): prefer the single piece
         v = tok.UnigramVocab({"a": math.log(0.5), "b": math.log(0.5), "ab": math.log(0.25)})
-        assert tok.viterbi_segment(v, "ab").pieces == ["ab"]
+        assert viterbi_pieces(v, "ab") == ["ab"]
 
     def test_tie_breaks_leftmost_longest(self):
         # "abc" as ab+c or a+bc with identical scores and counts
@@ -97,42 +117,46 @@ class TestViterbi:
             "a": math.log(0.2), "b": math.log(0.2), "c": math.log(0.2),
             "ab": math.log(0.2), "bc": math.log(0.2),
         })
-        assert tok.viterbi_segment(v, "abc").pieces == ["ab", "c"]
+        assert viterbi_pieces(v, "abc") == ["ab", "c"]
 
     def test_matches_enumeration_argmax_up_to_len8(self):
-        rng = np.random.default_rng(11)
-        vocab = random_vocab(rng)
-        for trial in range(60):
-            length = int(rng.integers(1, 9))
-            text = "".join(rng.choice(list("abc"), size=length))
-            segs = tok.enumerate_segmentations(vocab, text)
-            best = max(p for _, p in segs)
-            got = tok.viterbi_segment(vocab, text)
-            got_p = math.exp(sum(vocab.pieces[p] for p in got.pieces))
-            assert abs(got_p - best) <= 1e-12 * max(1.0, best)
+        # with the boundary marker in the vocabulary, a word is segmented
+        # as its marker-prefixed form
+        for marked in (False, True):
+            rng = np.random.default_rng(11)
+            vocab = random_vocab(rng)
+            vocab = with_marker(vocab) if marked else vocab
+            for trial in range(60):
+                length = int(rng.integers(1, 9))
+                word = "".join(rng.choice(list("abc"), size=length))
+                segs = enumerate_segmentations(vocab, vocab.word_form(word))
+                best = max(p for _, p in segs)
+                got = tok.viterbi_segment_words(vocab, [word])
+                got_p = math.exp(sum(vocab.pieces[p] for p in got.pieces))
+                assert abs(got_p - best) <= 1e-12 * max(1.0, best)
 
 
 class TestEnumeration:
     def test_ab_has_two_segmentations(self):
-        segs = tok.enumerate_segmentations(toy_vocab(), "ab")
+        segs = enumerate_segmentations(toy_vocab(), "ab")
         assert len(segs) == 2
         assert sorted(tuple(s.pieces) for s, _ in segs) == [("a", "b"), ("ab",)]
 
     def test_single_char_one_segmentation(self):
-        assert len(tok.enumerate_segmentations(toy_vocab(), "a")) == 1
+        assert len(enumerate_segmentations(toy_vocab(), "a")) == 1
 
     def test_partition_function_matches_forward_filter(self):
         rng = np.random.default_rng(5)
         vocab = random_vocab(rng)
         for _ in range(20):
             text = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 9))))
-            z_enum = sum(p for _, p in tok.enumerate_segmentations(vocab, text))
-            z_ffbs = math.exp(tok.log_partition(vocab, text, alpha=1.0))
+            z_enum = sum(p for _, p in enumerate_segmentations(vocab, text))
+            z_ffbs = math.exp(tok._Lattice(vocab, text, 1.0).logf[-1])
             assert abs(z_enum - z_ffbs) < 1e-12 * max(1.0, z_enum)
 
     def test_length_guard(self):
         with pytest.raises(ValueError, match="guard"):
-            tok.enumerate_segmentations(toy_vocab(), "ab" * 7)
+            enumerate_segmentations(toy_vocab(), "ab" * 7)
 
 
 class TestSampling:
@@ -141,7 +165,7 @@ class TestSampling:
         rng = np.random.default_rng(42)
         lattice = tok._Lattice(vocab, "ab", 1.0)
         n = 100_000
-        hits = sum(lattice.sample_pieces(rng) == ["ab"] for _ in range(n))
+        hits = sum(lattice.sample(rng)[0] == ("ab",) for _ in range(n))
         assert abs(hits / n - 0.2 / 0.36) < 0.01
 
     def test_alpha_zero_is_uniform(self):
@@ -149,31 +173,34 @@ class TestSampling:
         rng = np.random.default_rng(43)
         lattice = tok._Lattice(vocab, "ab", 0.0)
         n = 100_000
-        hits = sum(lattice.sample_pieces(rng) == ["ab"] for _ in range(n))
+        hits = sum(lattice.sample(rng)[0] == ("ab",) for _ in range(n))
         assert abs(hits / n - 0.5) < 0.01
 
     def test_large_alpha_recovers_viterbi(self):
         vocab = toy_vocab()
         rng = np.random.default_rng(44)
-        viterbi = tok.viterbi_segment(vocab, "ab").pieces
+        viterbi = viterbi_pieces(vocab, "ab")
         for _ in range(100):
-            assert tok.sample_segment(vocab, "ab", 50.0, rng).pieces == viterbi
+            assert tok.sample_segment_words(vocab, ["ab"], 50.0, rng).pieces == viterbi
 
     def test_sampling_law_total_variation(self):
-        # empirical law vs enumeration-normalized tempered probabilities
-        rng = np.random.default_rng(46)
-        vocab = random_vocab(rng, n_pieces=12)
-        text = "abcab"
+        # empirical law vs enumeration-normalized tempered probabilities, with
+        # and without the boundary marker in the vocabulary
+        word = "abcab"
         n = 50_000
-        for alpha in (0.0, 0.5, 1.0):
-            segs = tok.enumerate_segmentations(vocab, text)
-            tempered = np.array([p ** alpha for _, p in segs])
-            tempered /= tempered.sum()
-            keys = [tuple(s.pieces) for s, _ in segs]
-            lattice = tok._Lattice(vocab, text, alpha)
-            counts = Counter(tuple(lattice.sample_pieces(rng)) for _ in range(n))
-            tv = 0.5 * sum(abs(counts.get(k, 0) / n - q) for k, q in zip(keys, tempered))
-            assert tv < 0.02
+        for marked in (False, True):
+            rng = np.random.default_rng(46)
+            vocab = random_vocab(rng, n_pieces=12)
+            vocab = with_marker(vocab) if marked else vocab
+            for alpha in (0.0, 0.5, 1.0):
+                segs = enumerate_segmentations(vocab, vocab.word_form(word))
+                tempered = np.array([p ** alpha for _, p in segs])
+                tempered /= tempered.sum()
+                keys = [tuple(s.pieces) for s, _ in segs]
+                counts = Counter(tuple(tok.sample_segment_words(vocab, [word], alpha, rng).pieces)
+                                 for _ in range(n))
+                tv = 0.5 * sum(abs(counts.get(k, 0) / n - q) for k, q in zip(keys, tempered))
+                assert tv < 0.02
 
     def test_draws_match_generator_choice_reference(self):
         # the categorical over predecessors rebuilt from the vocabulary and
@@ -199,30 +226,27 @@ class TestSampling:
             lattice = tok._Lattice(vocab, text, alpha)
             got_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             for _ in range(20):
-                assert (lattice.sample_pieces(got_rng)
+                assert (list(lattice.sample(got_rng)[0])
                         == reference(vocab, text, alpha, lattice.logf, ref_rng))
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_draw_records_carry_the_vocabulary_ids(self):
-        # a draw's ids are the vocabulary's ids of its pieces, and drawing the
-        # record or the pieces alone consumes the generator alike
+        # a draw's ids are the vocabulary's ids of its pieces
         rng = np.random.default_rng(48)
         for trial in range(100):
             vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
             text = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
             lattice = tok._Lattice(vocab, text, float(rng.choice([0.0, 0.5, 1.0])))
-            rec_rng, pieces_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            rec_rng = np.random.default_rng(trial)
             for _ in range(10):
                 pieces, ids = lattice.sample(rec_rng)
                 assert ids == tuple(vocab.piece_to_id[p] for p in pieces)
-                assert list(pieces) == lattice.sample_pieces(pieces_rng)
-            assert rec_rng.bit_generator.state == pieces_rng.bit_generator.state
 
     def test_deterministic_given_seed(self):
         vocab = toy_vocab()
-        a = [tok.sample_segment(vocab, "abab"[:3], 0.5, np.random.default_rng(9)).pieces
+        a = [tok.sample_segment_words(vocab, ["aba"], 0.5, np.random.default_rng(9)).pieces
              for _ in range(5)]
-        b = [tok.sample_segment(vocab, "abab"[:3], 0.5, np.random.default_rng(9)).pieces
+        b = [tok.sample_segment_words(vocab, ["aba"], 0.5, np.random.default_rng(9)).pieces
              for _ in range(5)]
         assert a == b
 
@@ -236,7 +260,7 @@ class TestWordLevel:
             tok.viterbi_segment_words(vocab, words),
             tok.sample_segment_words(vocab, words, 0.5, rng),
         ):
-            assert seg.reconstruct(vocab.marker) == words
+            assert source_words(seg, vocab.marker) == words
             assert seg.n_words == len(words)
             assert len(seg.first_subword_positions()) == len(words)
 
@@ -246,7 +270,7 @@ class TestWordLevel:
         vocab = tok.UnigramVocab(pieces)
         seg = tok.viterbi_segment_words(vocab, ["ab"])
         assert seg.pieces == [tok.DEFAULT_MARKER + "ab"]
-        assert seg.reconstruct(vocab.marker) == ["ab"]
+        assert source_words(seg, vocab.marker) == ["ab"]
 
     def test_resegmentation_keeps_word_count(self):
         rng = np.random.default_rng(8)
@@ -337,4 +361,4 @@ class TestBuildVocab:
         vocab = tok.build_vocab_for_words(words, target_size=12, max_piece_len=4, em_iters=3)
         for w in set(words):
             seg = tok.viterbi_segment_words(vocab, [w])
-            assert seg.reconstruct(vocab.marker) == [w]
+            assert source_words(seg, vocab.marker) == [w]

@@ -9,7 +9,6 @@ import pytest
 
 from xtune import trainer as tr
 from xtune import model as mdl
-from xtune import tokenizer as tok
 
 
 def checkpoint_bytes(params, tmp_path, name):
@@ -321,12 +320,9 @@ class TestConfigValidation:
         with pytest.raises(StrategyError, match=field):
             tr.TrainConfig(task=task, **{field: "MT"})
 
-    def test_unknown_pooling_rejected_by_forward(self, small_labeling_bench):
-        bench, res = small_labeling_bench
-        params = tr.init_params(small_config(task="labeling"), res)
-        seg = tok.viterbi_segment_words(res.vocab, bench.train[0].words)
+    def test_unknown_pooling_rejected_by_model(self):
         with pytest.raises(ValueError, match="pooling 'avg'"):
-            mdl.predict(params, [seg], pooling="avg")
+            mdl.ModelParams("labeling", 10, 8, 48, n_label=3, pooling="avg")
 
 
 class TestMtPairing:
