@@ -3,7 +3,8 @@
 Four strategies share one interface: subword resampling (SS), Gaussian
 embedding noise (GN, applied at encode time), code-switch substitution from
 bilingual dictionaries (CS), and translation from a prebuilt store (MT).
-Every augmentation records word alignment and modified-word flags so the
+Every view is word-for-word except a translation: word w of the view stands
+for word w of its original.  A view records which words it modified, so the
 pair-consistency loss can restrict itself to unchanged positions.
 """
 
@@ -51,26 +52,15 @@ class AugmentationStrategy:
 class AugmentedExample:
     """An augmented view plus the metadata the regularizers need.
 
-    ``alignment`` maps original word index -> augmented word index (None for
-    translations, where no word alignment exists).  ``modified`` flags the
-    original words whose surface or segmentation changed.  ``segmentation``
-    pins the sampled tokenization for SS views.
+    ``modified`` flags the words whose surface or segmentation changed (every
+    word of a translation).  ``segmentation`` pins the sampled tokenization
+    for SS views.
     """
 
     example: Example
     strategy: str
-    alignment: list | None
     modified: list
-    label_available: bool
     segmentation: tok.Segmentation | None = None
-
-    @property
-    def words(self):
-        return self.example.words
-
-    @property
-    def language(self):
-        return self.example.language
 
 
 @dataclass
@@ -151,9 +141,6 @@ class TranslationStore:
     def languages_for(self, example_id):
         return list(self._languages.get(example_id, ()))
 
-    def __len__(self):
-        return len(self._entries)
-
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for (eid, lang), (words, label) in sorted(self._entries.items()):
@@ -218,9 +205,7 @@ def code_switch(example, candidates, word_ratio, rng):
     return AugmentedExample(
         example=replace(example, words=words),
         strategy="CS",
-        alignment=list(range(len(words))),
         modified=modified,
-        label_available=example.labeled,
     )
 
 
@@ -235,9 +220,7 @@ def subword_resample(example, vocab, alpha, rng):
     return AugmentedExample(
         example=replace(example, words=list(example.words)),
         strategy="SS",
-        alignment=list(range(len(example.words))),
         modified=modified,
-        label_available=example.labeled,
         segmentation=seg,
     )
 
@@ -248,9 +231,7 @@ def gaussian_view(example):
     return AugmentedExample(
         example=replace(example, words=list(example.words)),
         strategy="GN",
-        alignment=list(range(len(example.words))),
         modified=[False] * len(example.words),
-        label_available=example.labeled,
     )
 
 
@@ -270,25 +251,17 @@ def translate(example, store, target_languages, task, missing=None):
                 missing.append((example.id, lang))
             continue
         words, label = entry
-        keep_label = task == "classification"
         translated = Example(
             id=f"{example.id}{CIPHER_ID_SEP}{lang}",
             language=lang,
             task=task,
             words=list(words),
-            label=label if keep_label else None,
+            label=label if task == "classification" else None,
             n_label=example.n_label,
             question_len=example.question_len,
         )
-        views.append(
-            AugmentedExample(
-                example=translated,
-                strategy="MT",
-                alignment=None,
-                modified=[True] * len(words),
-                label_available=keep_label and label is not None,
-            )
-        )
+        views.append(AugmentedExample(example=translated, strategy="MT",
+                                      modified=[True] * len(words)))
     return views
 
 
@@ -326,14 +299,12 @@ class AugmentedCorpus:
     """Originals plus one augmentation per original (per language for MT).
 
     ``items`` is the flat training corpus (originals first, then
-    augmentations); ``pairs`` lists (index into ``originals``, index into
-    ``augmented``), covering every original exactly once per augmentation.
+    augmentations).  A view's original is the one whose id is
+    ``base_id(view id)``.
     """
 
     originals: list
     augmented: list
-    pairs: list
-    strategy: AugmentationStrategy
     missing: list = field(default_factory=list)
 
     @property
@@ -347,8 +318,7 @@ class AugmentedCorpus:
 def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None, store=None):
     """D_A = D plus exactly one augmentation per example (ratio 1.0).
 
-    MT produces one augmentation per (example, target language).  The
-    original <-> augmentation pairing is retained in ``pairs``.
+    MT produces one augmentation per (example, target language).
     """
     if not corpus:
         raise ValueError("build_augmented_corpus: empty corpus")
@@ -359,9 +329,8 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
             raise StrategyError("CS corpus augmentation needs dictionaries")
         candidates = switch_candidates(dictionaries)
     augmented = []
-    pairs = []
     missing = []
-    for i, example in enumerate(corpus):
+    for example in corpus:
         if strategy.kind == "CS":
             views = [code_switch(example, candidates, strategy.word_ratio, rng)]
         elif strategy.kind == "SS":
@@ -374,8 +343,5 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
             if store is None or not strategy.languages:
                 raise StrategyError("MT corpus augmentation needs a store and target languages")
             views = translate(example, store, strategy.languages, task, missing=missing)
-        for view in views:
-            pairs.append((i, len(augmented)))
-            augmented.append(view)
-    return AugmentedCorpus(originals=list(corpus), augmented=augmented, pairs=pairs,
-                           strategy=strategy, missing=missing)
+        augmented += views
+    return AugmentedCorpus(originals=list(corpus), augmented=augmented, missing=missing)

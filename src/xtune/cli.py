@@ -131,12 +131,12 @@ def cmd_augment(args):
         for ex in corpus_aug.originals:
             rec = {"kind": "original", "record": data.example_to_record(ex)}
             fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
-        for (orig_idx, _aug_idx), view in zip(corpus_aug.pairs, corpus_aug.augmented):
+        for view in corpus_aug.augmented:
             rec = {
                 "kind": "augmented",
                 "strategy": view.strategy,
-                "pair_of": corpus_aug.originals[orig_idx].id,
-                "label_available": view.label_available,
+                "pair_of": aug.base_id(view.example.id),
+                "label_available": view.example.labeled,
                 "modified": view.modified,
                 "record": data.example_to_record(view.example),
             }
@@ -422,7 +422,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, trainer.TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -52,37 +52,37 @@ def symmetric_kl(p_log, q_log, weights):
                   kl(ad.detach(q_log), p_log, weights))
 
 
-def aligned_first_subword_positions(seg_orig, seg_aug, alignment, modified):
+def aligned_first_subword_positions(seg_orig, seg_aug, modified):
     """Positions usable for restricted span consistency.
 
-    A word contributes its first-subword position on both sides when it is
-    aligned, unmodified, and identically segmented in both views.
+    The view is word-for-word: word w of one side stands for word w of the
+    other.  Word w contributes its first-subword position on both sides when
+    it is unmodified and identically segmented in both views.
     """
-    if alignment is None:
-        return [], []
     first_orig = seg_orig.first_subword_positions()
     first_aug = seg_aug.first_subword_positions()
     pos_orig, pos_aug = [], []
-    for w, target in enumerate(alignment):
-        if target is None or modified[w] or seg_orig.words[w] != seg_aug.words[target]:
+    for w, changed in enumerate(modified):
+        if changed or seg_orig.words[w] != seg_aug.words[w]:
             continue
         pos_orig.append(first_orig[w])
-        pos_aug.append(first_aug[target])
+        pos_aug.append(first_aug[w])
     return pos_orig, pos_aug
 
 
 def example_consistency(pred, pairs):
     """Mean symmetric-KL agreement between examples and their augmented views.
 
-    ``pairs`` lists (original, view, alignment, modified): two sequence
-    indices into ``pred``'s packing, then the view's word alignment and the
-    original's modified-word flags.  Classification compares the label
-    distributions directly.  Span extraction compares full position
-    distributions when the two views tokenize identically; otherwise both
-    sides are restricted to aligned unchanged first-subword positions and
-    renormalized (a pair where no position survives adds zero but still
-    counts in the mean).  Sequence labeling averages over all words,
-    including substituted ones, and requires equal word counts.
+    ``pairs`` lists (original, view, modified): two sequence indices into
+    ``pred``'s packing, then the view's modified-word flags.  Classification
+    compares the label distributions directly; only there may the view be a
+    translation.  Every other view is word-for-word.  Span extraction
+    compares full position distributions when the two views tokenize
+    identically; otherwise both sides are restricted to the first-subword
+    positions of unchanged words and renormalized (a pair where no position
+    survives adds zero but still counts in the mean).  Sequence labeling
+    averages over all words, including substituted ones, and requires equal
+    word counts.
     """
     if not pairs:
         raise ValueError("example consistency needs at least one pair")
@@ -90,15 +90,15 @@ def example_consistency(pred, pairs):
     share = 1.0 / len(pairs)
 
     if pred.task == "classification":
-        orig = [i for i, _j, _a, _m in pairs]
-        view = [j for _i, j, _a, _m in pairs]
+        orig = [i for i, _j, _m in pairs]
+        view = [j for _i, j, _m in pairs]
         return symmetric_kl(ad.gather(pred.class_log, orig), ad.gather(pred.class_log, view),
                             share)
 
     rows, view_rows = [], []
     if pred.task == "labeling":
         weights = []
-        for i, j, _alignment, _modified in pairs:
+        for i, j, _modified in pairs:
             n = int(packing.n_words[i])
             if n != packing.n_words[j]:
                 raise ValueError(f"word counts differ: {n} vs {packing.n_words[j]}")
@@ -110,12 +110,12 @@ def example_consistency(pred, pairs):
                             np.concatenate(weights))
 
     segment = []
-    for k, (i, j, alignment, modified) in enumerate(pairs):
+    for k, (i, j, modified) in enumerate(pairs):
         seg, seg_aug = packing.segmentations[i], packing.segmentations[j]
         if seg.words == seg_aug.words:
             pos = pos_aug = np.arange(packing.lengths[i])
         else:
-            pos, pos_aug = aligned_first_subword_positions(seg, seg_aug, alignment, modified)
+            pos, pos_aug = aligned_first_subword_positions(seg, seg_aug, modified)
         rows.append(packing.starts[i] + np.asarray(pos, dtype=np.intp))
         view_rows.append(packing.starts[j] + np.asarray(pos_aug, dtype=np.intp))
         segment.append(np.full(len(pos), k))

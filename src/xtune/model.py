@@ -80,18 +80,6 @@ class ModelParams:
     def zero_grads(self):
         ad.zero_grads(self.parameters())
 
-    def copy(self):
-        """Deep copy of all buffers (used to freeze a teacher snapshot)."""
-        dup = ModelParams.__new__(ModelParams)
-        dup.task = self.task
-        dup.vocab_size = self.vocab_size
-        dup.dim = self.dim
-        dup.max_len = self.max_len
-        dup.n_label = self.n_label
-        dup.pooling = self.pooling
-        dup.tensors = {k: ad.Tensor(t.data.copy()) for k, t in self.tensors.items()}
-        return dup
-
     def same_architecture(self, other):
         return (
             self.task == other.task

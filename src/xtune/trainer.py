@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
 
 import numpy as np
@@ -121,6 +121,9 @@ class TrainConfig:
     mt_languages: tuple = ()
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         for name, allowed in (("task", TASKS), ("setting", SETTINGS), ("pooling", POOLINGS),
                               ("stage1_strategy", STRATEGY_KINDS),
                               ("corpus_strategy", STRATEGY_KINDS),
@@ -133,10 +136,13 @@ class TrainConfig:
                 validate_strategy(self.task, getattr(self, name))
             except StrategyError as err:
                 raise StrategyError(f"{name}: {err}") from None
-        for name, low in (("epochs", 1), ("batch_size", 1), ("example_weight", 0),
-                          ("model_weight", 0), ("noise_sigma", 0), ("ss_alpha", 0)):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("dim", 1), ("max_len", 1),
+                          ("example_weight", 0), ("model_weight", 0), ("stage1_pair_weight", 0),
+                          ("noise_sigma", 0), ("ss_alpha", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ValueError("warmup_frac must lie in [0, 1)")
         if not 0.0 <= self.cs_word_ratio <= 1.0:
@@ -232,9 +238,7 @@ def lr_at(step, total, base, warmup_frac):
 
 
 def _labeled(item):
-    ex = item.example if isinstance(item, AugmentedExample) else item
-    available = item.label_available if isinstance(item, AugmentedExample) else True
-    return available and ex.labeled
+    return (item.example if isinstance(item, AugmentedExample) else item).labeled
 
 
 def _stage_table(items, vocab, cfg):
@@ -270,26 +274,27 @@ def _teacher_rows(teacher, segs, noises=None):
 def _pair_view(ex, seg, kind, cfg, res, rng):
     """On-the-fly augmented view of one example for pair consistency.
 
-    Returns (view segmentation, view encode-noise, alignment, modified
-    flags) or None when no view exists (e.g. no translation).
+    Returns (view segmentation, view encode-noise, modified flags) or None
+    when no view exists (e.g. no translation).  A translation flags every
+    word as modified, as ``translate`` does.
     """
     if kind == "SS":
         aug = subword_resample(ex, res.vocab, cfg.ss_alpha, rng)
-        return aug.segmentation, None, aug.alignment, aug.modified
+        return aug.segmentation, None, aug.modified
     if kind == "CS":
         aug = code_switch(ex, res.switch_candidates, cfg.cs_word_ratio, rng)
         seg2 = tok.viterbi_segment_words(res.vocab, aug.example.words)
-        return seg2, None, aug.alignment, aug.modified
+        return seg2, None, aug.modified
     if kind == "GN":
         noise = rng.normal(0.0, cfg.noise_sigma, (seg.n_pieces, cfg.dim))
-        return seg, noise, list(range(len(ex.words))), [False] * len(ex.words)
+        return seg, noise, [False] * len(ex.words)
     # MT: render the same underlying example in another language
     langs = [l for l in res.store.languages_for(base_id(ex.id)) if l != ex.language]
     if not langs:
         return None
     lang = langs[int(rng.integers(0, len(langs)))]
     words, _label = res.store.get(base_id(ex.id), lang)
-    return tok.viterbi_segment_words(res.vocab, words), None, None, None
+    return tok.viterbi_segment_words(res.vocab, words), None, [True] * len(words)
 
 
 def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_weight=0.0,
@@ -352,8 +357,8 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 gold.append(item_gold)
                 view = _pair_view(ex, seg, pair_strategy, cfg, res, view_rng) if use_pairs else None
                 if view is not None:
-                    vseg, vnoise, alignment, modified = view
-                    pairs.append((k, len(batch) + len(view_segs), alignment, modified))
+                    vseg, vnoise, modified = view
+                    pairs.append((k, len(batch) + len(view_segs), modified))
                     view_segs.append(vseg)
                     view_noises.append(vnoise)
 

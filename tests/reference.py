@@ -129,14 +129,14 @@ def _skl(p_log, q_log):
     return cons.symmetric_kl(p_log, q_log, 1.0)
 
 
-def example_consistency(pred, pred_aug, seg, seg_aug, alignment, modified):
+def example_consistency(pred, pred_aug, seg, seg_aug, modified):
     if pred.task == "classification":
         return _skl(pred.class_log, pred_aug.class_log)
     if pred.task == "span":
         if seg.pieces == seg_aug.pieces:
             return ad.add(_skl(pred.start_log, pred_aug.start_log),
                           _skl(pred.end_log, pred_aug.end_log))
-        pos, pos_aug = cons.aligned_first_subword_positions(seg, seg_aug, alignment, modified)
+        pos, pos_aug = cons.aligned_first_subword_positions(seg, seg_aug, modified)
         if not pos:
             return ad.constant(0.0)
 
@@ -166,16 +166,16 @@ def step_components(params, segs, noises, gold, pairs, teacher=None):
 
     Arguments are laid out as for the packed path: ``segs``/``noises``/
     ``gold`` list the batch's items and then their views (gold None for
-    views and unlabeled items), ``pairs`` holds (item, view, alignment,
-    modified) sequence indices, and the teacher sees the items, the
-    sequences that ``pairs`` never names as a view.  A component that
+    views and unlabeled items), ``pairs`` holds (item, view, modified):
+    two sequence indices and the view's modified-word flags.  The teacher
+    sees the items, the sequences that ``pairs`` never names as a view.  A component that
     does not apply is None.
     """
     n_items = len(segs) - len(pairs)
     preds = [predict(params, seg, noise) for seg, noise in zip(segs, noises)]
     task = [task_loss(preds[k], g) for k, g in enumerate(gold) if g is not None]
-    pair = [example_consistency(preds[i], preds[j], segs[i], segs[j], alignment, modified)
-            for i, j, alignment, modified in pairs]
+    pair = [example_consistency(preds[i], preds[j], segs[i], segs[j], modified)
+            for i, j, modified in pairs]
     teach = None
     if teacher is not None:
         teach = _mean([model_consistency(predict(teacher, segs[k], noises[k]), preds[k])

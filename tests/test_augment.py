@@ -1,5 +1,5 @@
-"""Augmentation strategies: alignment bookkeeping, label projection, corpus
-construction counts, and the strategy validation rules."""
+"""Augmentation strategies: modified-word flags, label projection, corpus
+construction counts and pairing, and the strategy validation rules."""
 
 import math
 
@@ -31,14 +31,13 @@ class TestCodeSwitch:
         out = code_switch(example(), [d], 0.0, np.random.default_rng(0))
         assert out.example.words == ["the", "cat"]
         assert out.modified == [False, False]
-        assert out.alignment == [0, 1]
 
     def test_ratio_one_replaces_covered_words(self):
         d = dictionary({"cat": ["chat"]})
         out = code_switch(example(), [d], 1.0, np.random.default_rng(0))
         assert out.example.words == ["the", "chat"]
         assert out.modified == [False, True]
-        assert out.label_available and out.example.label == 1
+        assert out.example.labeled and out.example.label == 1
 
     def test_replacement_frequency(self):
         d = dictionary({"cat": ["chat"]})
@@ -88,7 +87,6 @@ class TestSubwordResample:
         ex = example(words=["ab", "a"])
         out = aug.subword_resample(ex, self._vocab(), 0.5, np.random.default_rng(0))
         assert out.example.words == ["ab", "a"]
-        assert out.alignment == [0, 1]
         assert out.segmentation.n_words == 2
 
     def test_high_alpha_matches_viterbi_with_zero_flags(self):
@@ -126,14 +124,14 @@ class TestTranslate:
     def test_classification_keeps_labels(self):
         views = aug.translate(example(), self._store(), ["fr", "es"], "classification")
         assert len(views) == 2
-        assert all(v.label_available and v.example.label == 1 for v in views)
-        assert views[0].alignment is None
+        assert all(v.example.labeled and v.example.label == 1 for v in views)
+        assert views[0].modified == [True, True]
 
     def test_token_tasks_lose_labels(self):
         ex = example(task="labeling", label=None, n_label=3, tags=[0, 1])
         views = aug.translate(ex, self._store(), ["fr"], "labeling")
         assert len(views) == 1
-        assert not views[0].label_available
+        assert not views[0].example.labeled
         assert views[0].example.tags is None
 
     def test_empty_target_set(self):
@@ -168,7 +166,7 @@ class TestValidateStrategy:
             [ex], aug.AugmentationStrategy("MT", languages=("fr",)),
             np.random.default_rng(0), store=store)
         assert [v.example.words for v in out.augmented] == [["le", "chat"]]
-        assert not out.augmented[0].label_available
+        assert not out.augmented[0].example.labeled
 
     def test_all_four_ok_for_classification_everywhere(self):
         for kind in aug.STRATEGY_KINDS:
@@ -231,8 +229,7 @@ class TestBuildAugmentedCorpus:
             corpus, aug.AugmentationStrategy("SS", alpha=0.5),
             np.random.default_rng(0), vocab=vocab)
         assert len(out) == 200
-        assert len(out.pairs) == 100
-        assert sorted(o for o, _ in out.pairs) == list(range(100))
+        assert [aug.base_id(v.example.id) for v in out.augmented] == [ex.id for ex in corpus]
 
     def test_mt_three_languages_quadruples(self):
         corpus = self._corpus(100)
@@ -244,7 +241,8 @@ class TestBuildAugmentedCorpus:
             corpus, aug.AugmentationStrategy("MT", languages=("fr", "es", "de")),
             np.random.default_rng(0), store=store)
         assert len(out) == 100 + 300
-        assert len(out.pairs) == 300
+        assert [aug.base_id(v.example.id) for v in out.augmented] == [
+            ex.id for ex in corpus for _ in range(3)]
 
     def test_gn_marks_without_changing_text(self):
         corpus = self._corpus(10)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from xtune import autodiff as ad
 from xtune import cli
 from xtune import data
 from xtune import evaluate as ev
@@ -116,6 +117,7 @@ def test_mode_defaults_to_xtune():
     ({"epochs": "3"}, [], "epochs: expected int, got '3'"),
     ({"mt_languages": "xx"}, [], "mt_languages: expected a list of strings, got 'xx'"),
     ({"learning_rate": "0.1"}, [], "learning_rate: expected float, got '0.1'"),
+    ({"preset": "xnli"}, ["learning_rate=nan"], "learning_rate must be finite, got nan"),
 ])
 def test_bad_config_fails_cleanly(extra, overrides, message, tmp_path, capsys):
     config = write_config(tmp_path / "config.json", tmp_path / "missing-data", **extra)
@@ -211,14 +213,18 @@ def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_train_rejects_an_id_with_the_translated_view_marker(tmp_path, capsys):
-    # "@" joins an id and a language in translated-view ids; a training id
-    # holding it would miss its translations and drop every MT pair view
-    data_dir = tmp_path / "data"
+def synth_tiny_classification(data_dir):
     assert cli.main(["synth", "--out", str(data_dir), "--task", "classification",
                      "--languages", ",".join(LANGUAGES), "--lemmas", "10",
                      "--train-examples", "8", "--eval-examples", "2", "--sentence-len", "3,5",
                      "--vocab-size", "80", "--em-iters", "1", "--seed", "2"]) == 0
+
+
+def test_train_rejects_an_id_with_the_translated_view_marker(tmp_path, capsys):
+    # "@" joins an id and a language in translated-view ids; a training id
+    # holding it would miss its translations and drop every MT pair view
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
     train = data_dir / "train.jsonl"
     train.write_text(train.read_text(encoding="utf-8").replace('"train-', '"train@'),
                      encoding="utf-8")
@@ -229,4 +235,17 @@ def test_train_rejects_an_id_with_the_translated_view_marker(tmp_path, capsys):
                      "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {train}:1: example train@00000: '@' in an id is reserved")
+    assert "Traceback" not in err
+
+
+def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    monkeypatch.setattr(tr, "task_loss", lambda prediction, gold: ad.constant(float("nan")))
+    config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), "--mode", "baseline",
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: main: non-finite loss nan at step 1")
     assert "Traceback" not in err

@@ -1,8 +1,8 @@
 """Golden outputs: every file the command line writes, byte for byte.
 
 For each task a tiny synth goes through `xtune tokenize` (viterbi and
-sample), `xtune augment --strategy SS`, `xtune train --mode xtune` and
-`xtune eval`, and the sha256 of each file written must equal the digest in
+sample), `xtune augment` with each strategy (SS, CS, GN and MT),
+`xtune train --mode xtune` and `xtune eval`, and the sha256 of each file written must equal the digest in
 ``GOLDEN``.  A checkpoint is hashed from its first tensor record on: the
 digest covers every trained number, while the header and metadata lines are
 checked by the checkpoint tests in test_model.py.
@@ -30,9 +30,12 @@ TASKS = {
     "span": ("xquad", "translate-train-all", []),
 }
 
-# recorded at 4d399be
+# recorded at 4d399be; the CS, GN and MT augment digests at f76af2e
 GOLDEN = {
     "classification": {
+        "augment.CS.jsonl": "2d9cd10fb31351b0909a88192e48affe416fc324a801adeaf6cbbe2695762557",
+        "augment.GN.jsonl": "731a9fad6b673debc19437e03691cd3d0b63d8e56230cb52edd0d6a906ffaf5f",
+        "augment.MT.jsonl": "9a9fc6422b7e109db407c5b8f9217f9c5807e26b52c6e849203f21226c63cbb0",
         "augment.jsonl": "44924f67bd6af843ebeaf0ba397ba5a62ef10b27c094ee0c36292ee4d6066505",
         "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
         "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
@@ -53,6 +56,9 @@ GOLDEN = {
         "viterbi.jsonl": "aafffa9aec0f45a16a8be4db5e37d6b9f17ed930172b278d4665198b3fd22cc8"
     },
     "labeling": {
+        "augment.CS.jsonl": "1f013042a7557ac2fda797e4b7d9c8f9d2985057fab441983ac8b15f5a226f77",
+        "augment.GN.jsonl": "980702c127fcdd5e5e56f8139d50f474ba46d835d6695a3f99d6791ab1f3e3e6",
+        "augment.MT.jsonl": "e171baf83de7f688a4a4da1365f57e3ef920d58eb64f515815daa837302b6659",
         "augment.jsonl": "3a25e16c01597172ce1c514382f5a81bc2b394f83bf818c5a9899e474c23dae6",
         "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
         "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
@@ -73,6 +79,9 @@ GOLDEN = {
         "viterbi.jsonl": "aafffa9aec0f45a16a8be4db5e37d6b9f17ed930172b278d4665198b3fd22cc8"
     },
     "span": {
+        "augment.CS.jsonl": "196537686bc136bb1379d52b1c2917faf8444d56e134113c5fe120709ab68ecf",
+        "augment.GN.jsonl": "358f3db1ce7fb236625791089227a4e3273d0db0e5747fbaa4912edc004b86b7",
+        "augment.MT.jsonl": "b5b45cb1a0492d70baa6689a8bf07cd9b95c5c80c5e5972526b25111dd4b7120",
         "augment.jsonl": "19f2779dd51040e60c9e84cec54ee174bf2039e0a382eec69e72a6b797c6fc12",
         "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
         "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
@@ -115,6 +124,14 @@ def run_pipeline(task, out):
          "--alpha", "0.5", "--seed", "1", "--output", str(out / "sample.jsonl")],
         ["augment", "--vocab", vocab, "--input", train, "--task", task, "--strategy", "SS",
          "--seed", "1", "--output", str(out / "augment.jsonl")],
+        ["augment", "--input", train, "--task", task, "--strategy", "CS",
+         "--dict", str(data / "dict.en-xx.txt"), "--dict", str(data / "dict.en-yy.txt"),
+         "--ratio", "0.5", "--seed", "1", "--output", str(out / "augment.CS.jsonl")],
+        ["augment", "--input", train, "--task", task, "--strategy", "GN",
+         "--output", str(out / "augment.GN.jsonl")],
+        ["augment", "--input", train, "--task", task, "--strategy", "MT",
+         "--store", str(data / "translations.jsonl"), "--languages", "xx,yy",
+         "--output", str(out / "augment.MT.jsonl")],
         ["train", "--config", str(config), "--mode", "xtune", "--out", str(run)],
         ["eval", "--checkpoint", str(run / "student.ckpt"), "--data-dir", str(data),
          "--out", str(out / "report.json")] + eval_flags,

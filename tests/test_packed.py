@@ -16,7 +16,7 @@ from xtune import trainer as tr
 
 import reference as ref
 from conftest import build_benchmark
-from test_model import rescale_params
+from test_model import copy_params, rescale_params
 from test_trainer import small_config
 
 # float64; fixed before the packed path was written
@@ -88,8 +88,8 @@ def mixed_batch(bench, res, cfg, kinds, rng, n_items=9):
         if view is not None:
             views.append((k,) + view)
     pairs = []
-    for k, vseg, vnoise, alignment, modified in views:
-        pairs.append((k, len(segs), alignment, modified))
+    for k, vseg, vnoise, modified in views:
+        pairs.append((k, len(segs), modified))
         segs.append(vseg)
         noises.append(vnoise)
         gold.append(None)
@@ -104,7 +104,7 @@ def assert_mixed(segs, gold, n_items=9):
 def models(cfg, res, seed):
     rng = np.random.default_rng(seed)
     student = rescale_params(tr.init_params(cfg, res), rng)
-    teacher = rescale_params(student.copy(), rng)
+    teacher = rescale_params(copy_params(student), rng)
     return student, teacher
 
 
@@ -138,16 +138,15 @@ class TestAgainstReference:
         # one more view, of another example, with nothing aligned
         first = segs[0]
         other = next(s for s in segs if s.pieces != first.pieces)
-        pairs.append((0, len(segs), [None] * first.n_words, [True] * first.n_words))
+        pairs.append((0, len(segs), [True] * first.n_words))
         segs, noises, gold = segs + [other], noises + [None], gold + [None]
 
         kinds = Counter()
-        for i, j, alignment, modified in pairs:
+        for i, j, modified in pairs:
             if segs[i].pieces == segs[j].pieces:
                 kinds["full"] += 1
             else:
-                pos, _ = cons.aligned_first_subword_positions(segs[i], segs[j],
-                                                              alignment, modified)
+                pos, _ = cons.aligned_first_subword_positions(segs[i], segs[j], modified)
                 kinds["restricted" if pos else "empty"] += 1
         assert kinds["full"] and kinds["restricted"] and kinds["empty"]
         student, teacher = models(cfg, res, 6)
@@ -159,7 +158,7 @@ class TestAgainstReference:
         student, _ = models(cfg, res, 7)
         a, b = (tok.viterbi_segment_words(res.vocab, ex.words) for ex in bench.train[:2])
         pred = mdl.predict(student, [a, b])
-        value = cons.example_consistency(pred, [(0, 1, [None] * a.n_words, [True] * a.n_words)])
+        value = cons.example_consistency(pred, [(0, 1, [True] * a.n_words)])
         assert value.item() == 0.0
 
 
@@ -183,7 +182,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
                        "first_subword")
     corpus = tr._build_corpus(bench.train, cfg, res)
     student, teacher = models(cfg, res, 8)
-    start = student.copy()
+    start = copy_params(student)
     seen = {}
     predict, task_loss, r1, adam = tr.predict, tr.task_loss, tr.example_consistency, tr.adam_step
 
@@ -350,7 +349,7 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
     cfg = small_config(epochs=1)
     student = tr.init_params(cfg, res)
     trace = tr.run_stage(list(bench.train), student, cfg, res, "main", pair_strategy="CS",
-                         pair_weight=1.0, teacher=student.copy(), teacher_weight=1.0)
+                         pair_weight=1.0, teacher=copy_params(student), teacher_weight=1.0)
     assert calls["zero_grads"] == len(trace)
     for name in ("predict", "task_loss", "example_consistency", "model_consistency",
                  "adam_step", "code_switch"):
@@ -368,7 +367,7 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
     a, b = (tok.viterbi_segment_words(res.vocab, ex.words) for ex in bench.train[:2])
     assert a.pieces != b.pieces
     cons.example_consistency(mdl.predict(span, [a, b]),
-                             [(0, 1, [None] * a.n_words, [True] * a.n_words)])
+                             [(0, 1, [True] * a.n_words)])
     assert calls["aligned"] == 1
 
     # the training driver reaches each stage and the corpus builder through

@@ -185,8 +185,9 @@ class TestSampling:
 
     def test_sampling_law_total_variation(self):
         # empirical law vs enumeration-normalized tempered probabilities, with
-        # and without the boundary marker in the vocabulary
-        word = "abcab"
+        # and without the boundary marker in the vocabulary; the word has
+        # several segmentations under both (6 unmarked, 12 marked)
+        word = "ccaab"
         n = 50_000
         for marked in (False, True):
             rng = np.random.default_rng(46)
@@ -194,6 +195,7 @@ class TestSampling:
             vocab = with_marker(vocab) if marked else vocab
             for alpha in (0.0, 0.5, 1.0):
                 segs = enumerate_segmentations(vocab, vocab.word_form(word))
+                assert len(segs) >= 2
                 tempered = np.array([p ** alpha for _, p in segs])
                 tempered /= tempered.sum()
                 keys = [tuple(s.pieces) for s, _ in segs]
@@ -303,15 +305,13 @@ class TestWordPieces:
                     scan_pieces_of_word(seg, w) for w in range(len(words))]
 
     def test_views_match_per_word_scan(self):
-        # SS views' modified flags and the restricted span alignment, with
-        # modified words, None targets and a None alignment, against the scan
-        def reference_positions(seg, seg_aug, alignment, modified):
-            if alignment is None:
-                return [], []
+        # SS views' modified flags and the restricted span positions, with
+        # extra modified words and an all-modified view, against the scan
+        def reference_positions(seg, seg_aug, modified):
             first, first_aug = seg.first_subword_positions(), seg_aug.first_subword_positions()
-            pairs = [(first[w], first_aug[t]) for w, t in enumerate(alignment)
-                     if t is not None and not modified[w]
-                     and scan_pieces_of_word(seg, w) == scan_pieces_of_word(seg_aug, t)]
+            pairs = [(first[w], first_aug[w]) for w, changed in enumerate(modified)
+                     if not changed
+                     and scan_pieces_of_word(seg, w) == scan_pieces_of_word(seg_aug, w)]
             return [a for a, _ in pairs], [b for _, b in pairs]
 
         rng = np.random.default_rng(13)
@@ -325,11 +325,11 @@ class TestWordPieces:
                                      != scan_pieces_of_word(seg, w) for w in range(len(words))]
             modified = list(view.modified)
             modified[int(rng.integers(len(words)))] = True
-            alignment = [None if rng.random() < 0.2 else w for w in range(len(words))]
-            for args in ((seg, view.segmentation, alignment, modified),
-                         (seg, view.segmentation, alignment, [False] * len(words)),
-                         (seg, view.segmentation, view.alignment, view.modified),
-                         (seg, view.segmentation, None, view.modified)):
+            dropped = [rng.random() < 0.2 for _ in range(len(words))]
+            for args in ((seg, view.segmentation, [m or d for m, d in zip(modified, dropped)]),
+                         (seg, view.segmentation, dropped),
+                         (seg, view.segmentation, view.modified),
+                         (seg, view.segmentation, [True] * len(words))):
                 assert cons.aligned_first_subword_positions(*args) == reference_positions(*args)
 
 

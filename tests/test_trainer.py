@@ -222,7 +222,7 @@ class TestLabelMasking:
                            corpus_strategy="MT", pair_strategy="SS",
                            pooling="average", epochs=1)
         corpus = tr._build_corpus(bench.train, cfg, res)
-        assert any(not v.label_available for v in corpus.augmented)
+        assert any(not v.example.labeled for v in corpus.augmented)
         student = tr.init_params(cfg, res)
         trace = tr.run_stage(corpus.items, student, cfg, res, "main",
                              teacher=tr.init_params(cfg, res), teacher_weight=0.5)
@@ -240,7 +240,7 @@ class TestLabelMasking:
             small_config(task="labeling", corpus_strategy="MT",
                          setting="translate-train-all", pooling="average"),
             res)
-        unlabeled = [v for v in corpus.augmented if not v.label_available][:4]
+        unlabeled = [v for v in corpus.augmented if not v.example.labeled][:4]
         params = tr.init_params(cfg, res)
         start = {k: t.data.copy() for k, t in params.tensors.items()}
         trace = tr.run_stage(unlabeled, params, cfg, res, "main")
@@ -308,6 +308,16 @@ class TestConfigValidation:
         ("ss_alpha", -0.1),
         ("cs_word_ratio", 1.5),
         ("cs_word_ratio", -0.1),
+        ("learning_rate", float("nan")),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1.0),
+        ("example_weight", float("nan")),
+        ("model_weight", float("inf")),
+        ("noise_sigma", float("nan")),
+        ("ss_alpha", float("nan")),
+        ("stage1_pair_weight", -1.0),
+        ("dim", 0),
+        ("max_len", 0),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
