@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import tokenizer as tok
 from .data import CIPHER_ID_SEP, Example
@@ -182,6 +182,13 @@ def switch_candidates(dictionaries):
     return candidates
 
 
+def _pick(rng, n):
+    """A uniform index below ``n``.  With one choice there is nothing to
+    draw: ``rng.integers(0, 1)`` returns 0 without advancing the generator,
+    so skipping it keeps every later draw."""
+    return int(rng.integers(0, n)) if n > 1 else 0
+
+
 def code_switch(example, candidates, word_ratio, rng):
     """Replace words with dictionary translations, each independently with
     probability ``word_ratio``; words absent from all dictionaries are kept.
@@ -199,11 +206,11 @@ def code_switch(example, candidates, word_ratio, rng):
         applicable = candidates.get(word.casefold())
         if applicable is None:
             continue
-        options = applicable[int(rng.integers(0, len(applicable)))]
-        words[i] = options[int(rng.integers(0, len(options)))]
+        options = applicable[_pick(rng, len(applicable))]
+        words[i] = options[_pick(rng, len(options))]
         modified[i] = True
     return AugmentedExample(
-        example=replace(example, words=words),
+        example=example.with_words(words),
         strategy="CS",
         modified=modified,
     )
@@ -218,7 +225,7 @@ def subword_resample(example, vocab, alpha, rng):
     reference = tok.viterbi_segment_words(vocab, example.words)
     modified = [a != b for a, b in zip(seg.words, reference.words)]
     return AugmentedExample(
-        example=replace(example, words=list(example.words)),
+        example=example.with_words(list(example.words)),
         strategy="SS",
         modified=modified,
         segmentation=seg,
@@ -229,7 +236,7 @@ def gaussian_view(example):
     """Marker-only augmentation: text identical, noise of scale
     ``TrainConfig.noise_sigma`` applied at encode time."""
     return AugmentedExample(
-        example=replace(example, words=list(example.words)),
+        example=example.with_words(list(example.words)),
         strategy="GN",
         modified=[False] * len(example.words),
     )

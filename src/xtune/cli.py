@@ -41,19 +41,28 @@ def _write_json(payload, path):
 
 
 def cmd_synth(args):
+    try:
+        sentence_len = tuple(int(x) for x in args.sentence_len.split(","))
+    except ValueError:
+        raise ValueError(f"--sentence-len: expected 'lo,hi' integers, "
+                         f"got {args.sentence_len!r}") from None
     spec = data.SyntheticSpec(
         task=args.task,
         languages=tuple(args.languages.split(",")),
         lemma_count=args.lemmas,
         train_examples=args.train_examples,
         eval_examples_per_language=args.eval_examples,
-        sentence_len_range=tuple(int(x) for x in args.sentence_len.split(",")),
+        sentence_len_range=sentence_len,
         n_tag=args.n_tag,
         classification_rule=args.rule,
         seed=args.seed,
     )
     rng = trainer.substream(spec.seed, "synth")
     bench = data.generate_cipher_corpus(spec, rng)
+    vocab = tok.build_vocab_for_words(
+        bench.words, args.vocab_size, max_piece_len=args.max_piece_len,
+        em_iters=args.em_iters,
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -66,11 +75,6 @@ def cmd_synth(args):
                 for t in dictionary.translations(word):
                     fh.write(f"{word}\t{t}\n")
     bench.store.save(out / "translations.jsonl")
-
-    vocab = tok.build_vocab_for_words(
-        bench.words, args.vocab_size, max_piece_len=args.max_piece_len,
-        em_iters=args.em_iters,
-    )
     tok.save_vocab(vocab, out / "vocab.tsv")
 
     meta = {

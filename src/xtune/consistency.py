@@ -135,24 +135,22 @@ def example_consistency(pred, pairs):
 def model_consistency(teacher_rows, student_pred):
     """Mean KL from a frozen teacher's predictions to the student's.
 
-    ``teacher_rows`` holds, per item, the teacher's log-probability rows on
-    that item's input, laid out as ``Prediction.sequence_rows`` gives them.
-    They enter the graph as constants, so the teacher is not part of it and
-    no gradient can reach teacher parameters.  The items must be the first
-    sequences of the student's packing, on the same inputs, which keeps the
-    distributions aligned for every task; the mean runs over the items.
+    ``teacher_rows`` is a ``model.RowTable`` of the teacher's
+    log-probability rows on the items' inputs.  They enter the graph as
+    constants, so the teacher is not part of it and no gradient can reach
+    teacher parameters.  The items must be the first sequences of the
+    student's packing, on the same inputs, which keeps the distributions
+    aligned for every task; the mean runs over the items.
     """
     _first, counts, outputs = student_pred.row_layout()
-    b = len(teacher_rows)
-    if not b or b > counts.size or any(
-            len(rows) != len(outputs) or rows[0].shape[0] != n
-            for rows, n in zip(teacher_rows, counts.tolist())):
+    b = teacher_rows.counts.size
+    if (not b or b > counts.size or len(teacher_rows.outputs) != len(outputs)
+            or not np.array_equal(teacher_rows.counts, counts[:b])):
         raise ValueError("teacher and student saw differently tokenized inputs")
     weights = (np.repeat(1.0 / (counts[:b] * b), counts[:b])
                if student_pred.task == "labeling" else 1.0 / b)
     total = None
-    for k, name in enumerate(outputs):
-        teacher = np.concatenate([rows[k] for rows in teacher_rows])
+    for name, teacher in zip(outputs, teacher_rows.outputs):
         student = ad.gather(getattr(student_pred, name), np.arange(teacher.shape[0]))
         term = kl(ad.constant(teacher), student, weights)
         total = term if total is None else ad.add(total, term)

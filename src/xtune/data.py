@@ -52,6 +52,14 @@ class Example:
             return self.answer_start is not None and self.answer_end is not None
         return self.tags is not None
 
+    def with_words(self, words):
+        """This example with ``words`` in place of its words: a shallow copy
+        made without ``__init__``, for views that keep the word count."""
+        view = object.__new__(type(self))
+        view.__dict__.update(self.__dict__)
+        view.words = words
+        return view
+
     def gold(self):
         if self.task == "classification":
             return self.label
@@ -203,8 +211,25 @@ class SyntheticSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if len(self.languages) < 2:
             raise ValueError("need a source language plus at least one target")
+        if len(set(self.languages)) != len(self.languages) or not all(self.languages):
+            raise ValueError(f"languages must be distinct and non-empty, "
+                             f"got {list(self.languages)}")
         if self.classification_rule not in CLASSIFICATION_RULES:
             raise ValueError(f"unknown classification rule {self.classification_rule!r}")
+        # span sentences reserve lemma 0 as the question trigger
+        least = 2 if self.task == "span" else 1
+        if self.lemma_count < least:
+            raise ValueError(f"lemma_count must be >= {least} for {self.task}, "
+                             f"got {self.lemma_count}")
+        for name in ("train_examples", "eval_examples_per_language", "n_tag"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        span = self.sentence_len_range
+        if len(span) != 2 or not 1 <= span[0] <= span[1]:
+            raise ValueError(f"sentence_len_range must be (lo, hi) with 1 <= lo <= hi, "
+                             f"got {tuple(span)}")
 
 
 def surface(lemma_id, language, source_language):

@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,12 +147,37 @@ class Prediction:
             return p.starts, p.lengths, ("start_log", "end_log")
         return p.word_starts, p.n_words, ("word_log",)
 
-    def sequence_rows(self):
-        """Per sequence, the values of its rows: one array per output."""
+    def row_table(self):
+        """The values of every sequence's rows, as a ``RowTable``."""
         first, counts, outputs = self.row_layout()
-        data = [getattr(self, name).data for name in outputs]
-        return [tuple(d[s:s + c] for d in data)
-                for s, c in zip(first.tolist(), counts.tolist())]
+        return RowTable(first, counts, tuple(getattr(self, name).data for name in outputs))
+
+
+class RowTable(NamedTuple):
+    """Constant log-probability rows of a list of sequences.
+
+    ``outputs`` holds one array per output that ``Prediction.row_layout``
+    names; sequence k owns the ``counts[k]`` rows from ``first[k]`` of each.
+    """
+
+    first: np.ndarray
+    counts: np.ndarray
+    outputs: tuple
+
+    @classmethod
+    def join(cls, tables):
+        """One table of the tables' sequences, in order."""
+        counts = np.concatenate([t.counts for t in tables])
+        return cls(np.cumsum(counts) - counts, counts,
+                   tuple(np.concatenate(parts) for parts in zip(*(t.outputs for t in tables))))
+
+    def take(self, index):
+        """The table of the sequences that ``index`` lists, in its order:
+        one gather per output."""
+        counts = self.counts[index]
+        first = np.cumsum(counts) - counts
+        rows = np.repeat(self.first[index] - first, counts) + np.arange(counts.sum())
+        return RowTable(first, counts, tuple(out[rows] for out in self.outputs))
 
 
 def encode(params, packing, noises=None):

@@ -17,6 +17,14 @@ record per word, the same tuples the per-word Viterbi cache holds and an
 FFBS word draw yields.  Callers that need the word -> subword map (changed
 words, aligned first subwords, packed word rows) read it from these records.
 The tests check both paths against brute-force enumeration.
+
+The vocabulary is fitted by unigram EM (``build_vocab``): phases of EM sweeps
+over a fixed inventory (``em_fit``), each followed by pruning.  Within a
+phase the inventory's pieces do not change, so each string's span table
+(which pieces occur where) is built once per phase and every sweep runs
+forward-backward over it.  Log-masses are summed with ``_logaddexp``, which
+matches ``np.logaddexp`` bit for bit, in a fixed span order, so a vocabulary
+depends only on its corpus and settings.
 """
 
 from __future__ import annotations
@@ -29,6 +37,22 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_MARKER = "▁"  # "▁"
+
+_NEG_INF = -math.inf
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x, y):
+    """log(exp(x) + exp(y)) of two floats, bit for bit as ``np.logaddexp``
+    computes it, NaN passed through, without numpy's per-call overhead."""
+    if x == y:
+        return x + _LOG2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d
 
 
 class VocabFormatError(ValueError):
@@ -208,18 +232,18 @@ class _Lattice:
         n = len(text)
         table = vocab.pieces
         max_len = vocab.max_piece_len
-        logf = np.full(n + 1, -np.inf)
+        logf = [_NEG_INF] * (n + 1)
         logf[0] = 0.0
         spans = [[] for _ in range(n + 1)]  # per end pos: (start, alpha*logp)
         for j in range(1, n + 1):
             for i in range(max(0, j - max_len), j):
                 lp = table.get(text[i:j])
-                if lp is None or logf[i] == -np.inf:
+                if lp is None or logf[i] == _NEG_INF:
                     continue
                 w = alpha * lp
                 spans[j].append((i, w))
-                logf[j] = np.logaddexp(logf[j], logf[i] + w)
-        if logf[n] == -np.inf:
+                logf[j] = _logaddexp(logf[j], logf[i] + w)
+        if logf[n] == _NEG_INF:
             raise CoverageError(f"text {text!r} cannot be segmented")
         self.logf = logf
         ids = vocab.piece_to_id
@@ -298,34 +322,61 @@ def save_vocab(vocab, path):
 # Vocabulary estimation (simplified unigram EM)
 
 
-def _forward_backward_counts(pieces, text, counts):
-    """Accumulate expected piece counts for one string; returns its log Z."""
+def _span_table(pieces, text, max_len):
+    """The inventory pieces that occur in ``text``, one ``(start, end,
+    piece)`` record each, indexed both ways: ``ends[j]`` holds the records
+    ending at j, starts ascending, and ``starts[i]`` those starting at i,
+    ends ascending.  ``pieces`` maps each piece to itself, so records share
+    the inventory's strings."""
     n = len(text)
-    max_len = max(len(p) for p in pieces)
-    spans = []  # (i, j, piece, logp)
-    loga = np.full(n + 1, -np.inf)
-    loga[0] = 0.0
+    ends = [[] for _ in range(n + 1)]
+    starts = [[] for _ in range(n + 1)]
     for j in range(1, n + 1):
         for i in range(max(0, j - max_len), j):
-            lp = pieces.get(text[i:j])
-            if lp is not None:
-                spans.append((i, j, text[i:j], lp))
-                if loga[i] != -np.inf:
-                    loga[j] = np.logaddexp(loga[j], loga[i] + lp)
-    if loga[n] == -np.inf:
+            piece = pieces.get(text[i:j])
+            if piece is not None:
+                ends[j].append(span := (i, j, piece))
+                starts[i].append(span)
+    return [tuple(x) for x in ends], [tuple(x) for x in starts]
+
+
+def _forward_backward_counts(pieces, table, counts):
+    """Accumulate expected piece counts for one string, given its
+    ``_span_table``; returns its log Z, or None when it cannot be segmented.
+
+    Log-masses are summed span by span in the table's order (forward by end
+    position, backward by start position, both over ascending partners),
+    which fixes every rounding step.
+    """
+    ends, starts = table
+    n = len(ends) - 1
+    loga = [_NEG_INF] * (n + 1)
+    loga[0] = 0.0
+    for j in range(1, n + 1):
+        acc = _NEG_INF
+        for i, _, piece in ends[j]:
+            if loga[i] != _NEG_INF:
+                acc = _logaddexp(acc, loga[i] + pieces[piece])
+        loga[j] = acc
+    logz = loga[n]
+    if logz == _NEG_INF:
         return None
-    logb = np.full(n + 1, -np.inf)
+    logb = [_NEG_INF] * (n + 1)
     logb[n] = 0.0
     for i in range(n - 1, -1, -1):
-        for j in range(i + 1, min(i + max_len, n) + 1):
-            lp = pieces.get(text[i:j])
-            if lp is not None and logb[j] != -np.inf:
-                logb[i] = np.logaddexp(logb[i], lp + logb[j])
-    logz = loga[n]
-    for i, j, piece, lp in spans:
-        if loga[i] != -np.inf and logb[j] != -np.inf:
-            counts[piece] = counts.get(piece, 0.0) + math.exp(loga[i] + lp + logb[j] - logz)
-    return float(logz)
+        acc = _NEG_INF
+        for _, j, piece in starts[i]:
+            if logb[j] != _NEG_INF:
+                acc = _logaddexp(acc, pieces[piece] + logb[j])
+        logb[i] = acc
+    for j in range(1, n + 1):
+        if logb[j] == _NEG_INF:
+            continue
+        for i, _, piece in ends[j]:
+            if loga[i] != _NEG_INF:
+                counts[piece] = counts.get(piece, 0.0) + math.exp(
+                    loga[i] + pieces[piece] + logb[j] - logz)
+    return logz
 
 
 def em_fit(pieces, corpus_counts, iters):
@@ -333,16 +384,21 @@ def em_fit(pieces, corpus_counts, iters):
 
     Returns (new log-probs, expected counts from the last E-step, per-sweep
     corpus log-likelihood).  The likelihood trace is non-decreasing up to
-    float rounding; that is asserted by the tests.
+    float rounding; that is asserted by the tests.  The inventory's keys do
+    not change within a call, so each string's span table is built once per
+    call and every sweep reuses it.
     """
     pieces = dict(pieces)
+    max_len = max(map(len, pieces), default=0)
+    keys = {p: p for p in pieces}
+    tables = [(_span_table(keys, text, max_len), freq) for text, freq in corpus_counts.items()]
     ll_trace = []
     last_counts = {}
     for _ in range(iters):
         counts = {}
         ll = 0.0
-        for text, freq in corpus_counts.items():
-            logz = _forward_backward_counts(pieces, text, scratch := {})
+        for table, freq in tables:
+            logz = _forward_backward_counts(pieces, table, scratch := {})
             if logz is None:
                 continue
             ll += freq * logz
@@ -365,6 +421,10 @@ def build_vocab(corpus, target_size, max_piece_len=8, em_iters=4, marker=DEFAULT
     inventory reaches ``target_size``.  Single characters are never pruned,
     so every training string stays segmentable.
     """
+    if max_piece_len < 1:
+        raise ValueError(f"build_vocab: max_piece_len must be >= 1, got {max_piece_len}")
+    if em_iters < 1:
+        raise ValueError(f"build_vocab: em_iters must be >= 1, got {em_iters}")
     corpus_counts = {}
     for text in corpus:
         if text:

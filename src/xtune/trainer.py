@@ -46,7 +46,7 @@ from .augment import (
 )
 from .consistency import example_consistency, model_consistency
 from .evaluate import EVAL_CHUNK
-from .model import POOLINGS, TASKS, ModelParams, predict, task_loss
+from .model import POOLINGS, TASKS, ModelParams, RowTable, predict, task_loss
 
 SETTINGS = ("cross-lingual-transfer", "translate-train-all")
 # (R1 example consistency, R2 model consistency) per training mode
@@ -261,14 +261,12 @@ def _stage_table(items, vocab, cfg):
 
 
 def _teacher_rows(teacher, segs, noises=None):
-    """The teacher's log-probability rows per sequence (laid out as
-    ``Prediction.sequence_rows``), ``EVAL_CHUNK`` sequences per forward."""
-    rows = []
-    for start in range(0, len(segs), EVAL_CHUNK):
-        chunk = slice(start, start + EVAL_CHUNK)
-        rows += predict(teacher, segs[chunk],
-                        noises=None if noises is None else noises[chunk]).sequence_rows()
-    return rows
+    """The teacher's log-probability rows of ``segs`` as one ``RowTable``,
+    ``EVAL_CHUNK`` sequences per forward."""
+    chunks = [slice(start, start + EVAL_CHUNK) for start in range(0, len(segs), EVAL_CHUNK)]
+    return RowTable.join([predict(teacher, segs[chunk],
+                                  noises=None if noises is None else noises[chunk]).row_table()
+                          for chunk in chunks])
 
 
 def _pair_view(ex, seg, kind, cfg, res, rng):
@@ -377,7 +375,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 weighted = ad.scale(node, pair_weight)
                 total = weighted if total is None else ad.add(total, weighted)
             if use_teacher:
-                rows = ([teacher_table[i] for i in batch] if teacher_table is not None
+                rows = (teacher_table.take(batch) if teacher_table is not None
                         else _teacher_rows(teacher, segs, noises))
                 node = model_consistency(rows, pred)
                 parts["model_consistency"] = node.item()

@@ -3,6 +3,14 @@
 ``enumerate_segmentations`` lists every segmentation of a short string, the
 oracle for Viterbi, FFBS sampling and the lattice partition function.
 
+``em_fit`` is the vocabulary EM as the package ran it before the E-step
+moved onto a per-phase span table: every sweep rescans every substring of
+every string and adds log-masses with scalar ``np.logaddexp``.
+``lattice_logf`` is the FFBS forward filter as a numpy array, and
+``code_switch`` draws a dictionary and an option for every switched word,
+even where there is only one to choose.  The package must match each of
+them bit for bit and draw for draw.
+
 The rest is the per-example reference for the packed forward, task loss and
 regularizers: the one-graph-per-example path the package used before
 batches were packed.  Every sequence gets its own encoder graph, and a
@@ -13,13 +21,14 @@ compare the packed path against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from xtune import autodiff as ad
 from xtune import consistency as cons
 from xtune import tokenizer as tok
+from xtune.augment import AugmentedExample
 
 _ENUM_MAX_CHARS = 12
 
@@ -51,6 +60,100 @@ def enumerate_segmentations(vocab, text):
 
     walk(0, [], 0.0)
     return out
+
+
+def _forward_backward_counts(pieces, text, counts):
+    """Accumulate expected piece counts for one string; returns its log Z."""
+    n = len(text)
+    max_len = max(len(p) for p in pieces)
+    spans = []  # (i, j, piece, logp)
+    loga = np.full(n + 1, -np.inf)
+    loga[0] = 0.0
+    for j in range(1, n + 1):
+        for i in range(max(0, j - max_len), j):
+            lp = pieces.get(text[i:j])
+            if lp is not None:
+                spans.append((i, j, text[i:j], lp))
+                if loga[i] != -np.inf:
+                    loga[j] = np.logaddexp(loga[j], loga[i] + lp)
+    if loga[n] == -np.inf:
+        return None
+    logb = np.full(n + 1, -np.inf)
+    logb[n] = 0.0
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, min(i + max_len, n) + 1):
+            lp = pieces.get(text[i:j])
+            if lp is not None and logb[j] != -np.inf:
+                logb[i] = np.logaddexp(logb[i], lp + logb[j])
+    logz = loga[n]
+    for i, j, piece, lp in spans:
+        if loga[i] != -np.inf and logb[j] != -np.inf:
+            counts[piece] = counts.get(piece, 0.0) + math.exp(loga[i] + lp + logb[j] - logz)
+    return float(logz)
+
+
+def em_fit(pieces, corpus_counts, iters):
+    """Run EM sweeps on a fixed piece inventory.
+
+    Returns (new log-probs, expected counts from the last E-step, per-sweep
+    corpus log-likelihood).
+    """
+    pieces = dict(pieces)
+    ll_trace = []
+    last_counts = {}
+    for _ in range(iters):
+        counts = {}
+        ll = 0.0
+        for text, freq in corpus_counts.items():
+            logz = _forward_backward_counts(pieces, text, scratch := {})
+            if logz is None:
+                continue
+            ll += freq * logz
+            for piece, c in scratch.items():
+                counts[piece] = counts.get(piece, 0.0) + freq * c
+        total = math.fsum(counts.values())
+        floor = 1e-12 * max(total, 1.0)
+        for piece in pieces:
+            pieces[piece] = math.log(max(counts.get(piece, 0.0), floor) / total)
+        ll_trace.append(ll)
+        last_counts = counts
+    return pieces, last_counts, ll_trace
+
+
+def lattice_logf(vocab, text, alpha):
+    """``logf[j]``, the log total tempered mass of all segmentations of
+    text[:j], as a numpy array filled with scalar ``np.logaddexp``."""
+    n = len(text)
+    logf = np.full(n + 1, -np.inf)
+    logf[0] = 0.0
+    for j in range(1, n + 1):
+        for i in range(max(0, j - vocab.max_piece_len), j):
+            lp = vocab.pieces.get(text[i:j])
+            if lp is None or logf[i] == -np.inf:
+                continue
+            logf[j] = np.logaddexp(logf[j], logf[i] + alpha * lp)
+    return logf
+
+
+def code_switch(example, candidates, word_ratio, rng):
+    """Replace words with dictionary translations, drawing the dictionary
+    and the option for every switched word."""
+    words = list(example.words)
+    modified = [False] * len(words)
+    for i, word in enumerate(words):
+        if rng.random() >= word_ratio:
+            continue
+        applicable = candidates.get(word.casefold())
+        if applicable is None:
+            continue
+        options = applicable[int(rng.integers(0, len(applicable)))]
+        words[i] = options[int(rng.integers(0, len(options)))]
+        modified[i] = True
+    return AugmentedExample(
+        example=replace(example, words=words),
+        strategy="CS",
+        modified=modified,
+    )
 
 
 @dataclass

@@ -10,6 +10,8 @@ from xtune import augment as aug
 from xtune import data
 from xtune import tokenizer as tok
 
+import reference as ref
+
 
 def example(words=("the", "cat"), task="classification", **kw):
     defaults = dict(label=1, n_label=2)
@@ -76,6 +78,29 @@ class TestCodeSwitch:
             out = code_switch(example(words=["cat", "cat"]), [d1, d2], 1.0, rng)
             seen.update(out.example.words)
         assert seen == {"chat", "gato"}
+
+
+    def test_draws_only_what_changes_the_view(self):
+        # one-option words skip their draws: same views and generator state
+        # as the reference that draws the dictionary and the option always
+        rng = np.random.default_rng(5)
+        vocab = [f"w{k}" for k in range(12)]
+        for trial in range(40):
+            dictionaries = [
+                dictionary({w: [f"{w}-{lang}{k}" for k in range(int(rng.integers(1, 4)))]
+                            for w in vocab if rng.random() < 0.7}, tgt=lang)
+                for lang in ("xx", "yy", "zz")[:int(rng.integers(1, 4))]]
+            candidates = aug.switch_candidates(dictionaries)
+            got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(10):
+                words = [str(w) for w in rng.choice(vocab + ["oov"], int(rng.integers(1, 9)))]
+                ex = example(words=words, task="labeling", label=None, n_label=3,
+                             tags=[0] * len(words))
+                ratio = float(rng.choice([0.0, 0.3, 1.0]))
+                got = aug.code_switch(ex, candidates, ratio, got_rng)
+                assert got == ref.code_switch(ex, candidates, ratio, want_rng)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                assert got.example is not ex and ex.words == words
 
 
 class TestSubwordResample:

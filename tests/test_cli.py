@@ -130,6 +130,28 @@ def test_bad_config_fails_cleanly(extra, overrides, message, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--task", "labeling", "--n-tag", "0"], "n_tag must be >= 1, got 0"),
+    (["--em-iters", "0"], "em_iters must be >= 1, got 0"),
+    (["--em-iters", "-1"], "em_iters must be >= 1, got -1"),
+    (["--max-piece-len", "0"], "max_piece_len must be >= 1, got 0"),
+    (["--max-piece-len", "-3"], "max_piece_len must be >= 1, got -3"),
+    (["--languages", "en,en"], "languages must be distinct and non-empty"),
+    (["--lemmas", "0"], "lemma_count must be >= 1 for classification, got 0"),
+    (["--sentence-len", "5,2"], "sentence_len_range must be (lo, hi) with 1 <= lo <= hi"),
+    (["--sentence-len", "4-8"], "--sentence-len: expected 'lo,hi' integers, got '4-8'"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
+])
+def test_bad_synth_input_fails_at_entry(flags, message, tmp_path, capsys):
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(out), "--train-examples", "5",
+                     "--eval-examples", "2"] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content,message", [
     ({"epochs": 1}, "config needs a data_dir"),
     ([1, 2], "expected a JSON object"),

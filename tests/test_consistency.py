@@ -230,7 +230,7 @@ class TestModelConsistency:
         params, vocab = make_params("classification", n_label=3, seed=1)
         teacher = copy_params(params)
         seg = tok.viterbi_segment_words(vocab, ["abc", "d"])
-        value = cons.model_consistency(mdl.predict(teacher, [seg]).sequence_rows(),
+        value = cons.model_consistency(mdl.predict(teacher, [seg]).row_table(),
                                        mdl.predict(params, [seg]))
         assert value.item() == 0.0
 
@@ -239,7 +239,7 @@ class TestModelConsistency:
         teacher = copy_params(params)
         teacher.tensors["embeddings"].data += 0.3
         seg = tok.viterbi_segment_words(vocab, ["ab", "e"])
-        loss = cons.model_consistency(mdl.predict(teacher, [seg]).sequence_rows(),
+        loss = cons.model_consistency(mdl.predict(teacher, [seg]).row_table(),
                                       mdl.predict(params, [seg]))
         ad.backward(loss)
         assert all(t.grad is None for t in teacher.parameters())
@@ -255,7 +255,7 @@ class TestModelConsistency:
         seg = tok.viterbi_segment_words(vocab, ["abc", "ab"])
         tpred = mdl.predict(teacher, [seg])
         spred = mdl.predict(params, [seg])
-        got = cons.model_consistency(tpred.sequence_rows(), spred).item()
+        got = cons.model_consistency(tpred.row_table(), spred).item()
         expected = direct_kl(np.exp(tpred.class_log.data), np.exp(spred.class_log.data))
         assert abs(got - expected) < 1e-12
 
@@ -267,7 +267,7 @@ class TestModelConsistency:
             seg = tok.viterbi_segment_words(vocab, ["ab", "cd", "e"])
             tpred = mdl.predict(teacher, [seg])
             spred = mdl.predict(params, [seg])
-            got = cons.model_consistency(tpred.sequence_rows(), spred).item()
+            got = cons.model_consistency(tpred.row_table(), spred).item()
             if task == "span":
                 expected = (direct_kl(np.exp(tpred.start_log.data), np.exp(spred.start_log.data))
                             + direct_kl(np.exp(tpred.end_log.data), np.exp(spred.end_log.data)))

@@ -126,3 +126,27 @@ class TestCipherBenchmark:
         bench = data.generate_cipher_corpus(self._spec(), np.random.default_rng(6))
         spec = bench.spec
         assert len(bench.words) == spec.lemma_count * len(spec.languages)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("field,value", [
+        ("languages", ("en", "en")),
+        ("languages", ("en", "")),
+        ("lemma_count", 0),
+        ("lemma_count", -2),
+        ("train_examples", 0),
+        ("eval_examples_per_language", 0),
+        ("n_tag", 0),
+        ("seed", -1),
+        ("sentence_len_range", (5, 2)),
+        ("sentence_len_range", (0, 3)),
+        ("sentence_len_range", (4,)),
+    ])
+    def test_bad_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            data.SyntheticSpec(task="labeling", **{field: value})
+
+    def test_span_needs_a_lemma_besides_the_trigger(self):
+        data.SyntheticSpec(task="classification", lemma_count=1)
+        with pytest.raises(ValueError, match="lemma_count must be >= 2 for span"):
+            data.SyntheticSpec(task="span", lemma_count=1)

@@ -139,6 +139,29 @@ class TestPredict:
             assert pred.word_log.shape[0] == len(words)
 
 
+    def test_row_table_take_gathers_each_sequence_rows(self):
+        # the rows of listed sequences, in list order, repeats included,
+        # equal to slicing each sequence's rows out of every output
+        rng = np.random.default_rng(6)
+        words = ["abc", "d", "ab", "cde", "e"]
+        for task, n_label in (("classification", 4), ("span", None), ("labeling", 3)):
+            params, vocab = make_params(task, n_label=n_label)
+            segs = [tok.sample_segment_words(
+                vocab, [str(w) for w in rng.choice(words, int(rng.integers(1, 5)))], 0.5, rng)
+                for _ in range(7)]
+            table = mdl.RowTable.join([mdl.predict(params, segs[:3]).row_table(),
+                                       mdl.predict(params, segs[3:]).row_table()])
+            first, counts, names = mdl.predict(params, segs).row_layout()
+            assert np.array_equal(table.first, first) and np.array_equal(table.counts, counts)
+            index = [4, 0, 4, 6, 2]
+            got = table.take(index)
+            assert got.counts.tolist() == [counts[k] for k in index]
+            for out, whole in zip(got.outputs, table.outputs):
+                want = np.concatenate([whole[first[k]:first[k] + counts[k]] for k in index])
+                assert out.tobytes() == want.tobytes()
+            assert len(got.outputs) == len(names)
+
+
 class TestTaskLoss:
     def test_perfect_prediction_zero_loss(self):
         pred = mdl.Prediction("classification", packing_of(1),

@@ -44,7 +44,7 @@ def packed_components(params, segs, noises, gold, pairs, teacher=None):
     if teacher is not None:
         n = len(segs) - len(pairs)
         teach = cons.model_consistency(
-            mdl.predict(teacher, segs[:n], noises=noises[:n]).sequence_rows(),
+            mdl.predict(teacher, segs[:n], noises=noises[:n]).row_table(),
             pred)
     return task, pair, teach
 
@@ -277,7 +277,9 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
     assert all(a is b for a, b in pinned) and bool(pinned) == (task == "labeling")
     segs = [seg for _ex, seg, _gold, _noised in table]
     rows = tr._teacher_rows(teacher, segs)
-    for seg, item_rows in zip(segs, rows):
+    assert rows.counts.size == len(segs)
+    for k, seg in enumerate(segs):
+        item_rows = rows.take([k]).outputs
         want = ref.predict(teacher, seg)
         if task == "classification":
             expected = [want.class_log.data[None, :]]

@@ -1,6 +1,7 @@
 """Tokenizer tests: every segmentation path is checked against enumeration."""
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from xtune import consistency as cons
 from xtune import tokenizer as tok
 from xtune.data import Example
 
+import reference as ref
 from reference import enumerate_segmentations
 
 
@@ -352,6 +354,12 @@ class TestBuildVocab:
         for earlier, later in zip(trace, trace[1:]):
             assert later >= earlier - 1e-9
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_piece_len", 0), ("max_piece_len", -3), ("em_iters", 0), ("em_iters", -1)])
+    def test_bad_setting_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got {value}"):
+            tok.build_vocab(["abc"], target_size=5, **{field: value})
+
     def test_target_below_alphabet_rejected(self):
         with pytest.raises(ValueError, match="alphabet"):
             tok.build_vocab(["abc"], target_size=2)
@@ -362,3 +370,95 @@ class TestBuildVocab:
         for w in set(words):
             seg = tok.viterbi_segment_words(vocab, [w])
             assert source_words(seg, vocab.marker) == [w]
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def random_corpus(rng, alphabet, n_texts):
+    """Distinct random strings with frequencies, one of them holding a
+    character ("z") that no inventory below covers."""
+    corpus = {"".join(rng.choice(list(alphabet), size=int(rng.integers(1, 11)))):
+              int(rng.integers(1, 6)) for _ in range(n_texts)}
+    corpus[alphabet[0] + "z" + alphabet[-1]] = 2
+    return corpus
+
+
+def random_inventory(rng, corpus, max_len):
+    """Every character of the corpus but "z", plus a random share of its
+    substrings, at random log-probs."""
+    subs = sorted({t[i:j] for t in corpus for i in range(len(t))
+                   for j in range(i + 1, min(i + max_len, len(t)) + 1) if "z" not in t[i:j]})
+    keep = [p for p in subs if len(p) == 1 or rng.random() < 0.5]
+    weights = rng.random(len(keep)) + 0.01
+    return {p: math.log(w / weights.sum()) for p, w in zip(keep, weights)}
+
+
+class TestEmOracle:
+    """The per-phase span-table E-step against the per-string rescan it
+    replaced (``reference.em_fit``): bitwise equal, in insertion order."""
+
+    @pytest.mark.parametrize("marker", ["", tok.DEFAULT_MARKER])
+    def test_em_fit_is_bitwise_the_reference(self, marker):
+        rng = np.random.default_rng(11 + len(marker))
+        for trial in range(12):
+            corpus = {marker + t: f for t, f in random_corpus(rng, "abc", 8).items()}
+            pieces = random_inventory(rng, corpus, int(rng.integers(1, 6)))
+            iters = int(rng.integers(1, 5))
+            want = ref.em_fit(pieces, corpus, iters)
+            got = tok.em_fit(pieces, corpus, iters)
+            for got_map, want_map in zip(got[:2], want[:2]):
+                assert list(got_map) == list(want_map), trial
+                assert [bits(v) for v in got_map.values()] == [bits(v) for v in
+                                                               want_map.values()], trial
+            assert [bits(v) for v in got[2]] == [bits(v) for v in want[2]], trial
+
+    def test_unsegmentable_string_adds_nothing(self):
+        pieces = {"a": math.log(0.5), "b": math.log(0.5)}
+        counts = {"ab": 3, "azb": 5}
+        got = tok.em_fit(pieces, counts, 2)
+        assert got[2] == ref.em_fit(pieces, counts, 2)[2]
+        assert got[2][0] == 3 * 2 * math.log(0.5)
+
+    def test_span_table_built_once_per_string_per_call(self, monkeypatch):
+        # the table is per phase: more sweeps must not rebuild it
+        built = Counter()
+        original = tok._span_table
+
+        def counted(pieces, text, max_len):
+            built[text] += 1
+            return original(pieces, text, max_len)
+
+        monkeypatch.setattr(tok, "_span_table", counted)
+        corpus = {"abab": 5, "ab": 9, "ba": 4, "aab": 2}
+        pieces = {"a": math.log(0.3), "b": math.log(0.3), "ab": math.log(0.2),
+                  "ba": math.log(0.2)}
+        for iters in (1, 3, 8):
+            built.clear()
+            tok.em_fit(pieces, corpus, iters)
+            assert built == Counter(corpus.keys()), iters
+
+
+def test_logaddexp_is_bitwise_np_logaddexp():
+    gaps = [0.0, 5e-324, 1e-300, 1e-16, 1e-8, 0.5, 1.0, 36.0, 37.0, 745.0, 1e10, 1e300]
+    anchors = [0.0, -0.0, 1.0, -1.0, -37.5, 700.0, -1e300, 1e300, 1e308, -1e308]
+    grid = [math.inf, -math.inf, math.nan] + [a + sign * g for a in anchors
+                                              for g in gaps for sign in (1.0, -1.0)]
+    for x in grid:
+        for y in grid:
+            with np.errstate(all="ignore"):
+                want = np.logaddexp(np.float64(x), np.float64(y))
+            assert bits(tok._logaddexp(x, y)) == want.tobytes(), (x, y)
+
+
+def test_lattice_forward_filter_is_bitwise_the_reference():
+    rng = np.random.default_rng(48)
+    for _ in range(100):
+        vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
+        if rng.random() < 0.5:
+            vocab = with_marker(vocab)
+        text = "".join(rng.choice(sorted(vocab.alphabet), size=int(rng.integers(1, 16))))
+        for alpha in (0.0, 0.2, 1.0, 4.0):
+            got = tok._Lattice(vocab, text, alpha).logf
+            assert np.array(got).tobytes() == ref.lattice_logf(vocab, text, alpha).tobytes()
