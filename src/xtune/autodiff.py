@@ -210,12 +210,10 @@ def segment_log_softmax(v, segment_ids, n_segments):
     top = np.full(n_segments, -np.inf)
     np.maximum.at(top, ids, v.data)
     shifted = v.data - top[ids]
-    sums = np.zeros(n_segments)
-    np.add.at(sums, ids, np.exp(shifted))
+    sums = _scatter_add(ids, np.exp(shifted), n_segments)
     out_data = shifted - np.log(sums[ids])
     def backward(g):
-        g_sums = np.zeros(n_segments)
-        np.add.at(g_sums, ids, g)
+        g_sums = _scatter_add(ids, g, n_segments)
         return (g - np.exp(out_data) * g_sums[ids],)
     return _node(out_data, "segment_log_softmax", (v,), backward)
 

@@ -98,26 +98,28 @@ def transfer_gap(per_language_scores, source_language):
 def decode(prediction):
     """Greedy decode of a packed Prediction, one output per sequence.
 
-    Spans are decoded jointly over start <= end in subword space (the first
-    best pair in row-major order), then mapped back to word indices through
-    the packing's word rows.
+    Classes and tags are row argmaxes.  A span is the first best pair
+    ``start_log[s] + end_log[e]``, s <= e, in row-major order, as word
+    indices.  On ``(k, width)`` tables padded with -inf, s is the first argmax
+    of ``start + best_end`` (the largest end at or after s) and e that of
+    ``start[s] + end[e]``, e >= s.  Exact, ties included: rounding is
+    monotone, so ``start[s] + best_end[s]`` rounds to row s's best pair sum.
     """
     packing = prediction.packing
     if prediction.task == "classification":
-        return [int(c) for c in np.argmax(prediction.class_log.data, axis=1)]
+        return np.argmax(prediction.class_log.data, axis=1).tolist()
     if prediction.task == "span":
-        decoded = []
-        for start, n, word_start in zip(packing.starts, packing.lengths, packing.word_starts):
-            rows = slice(start, start + n)
-            pair_log = np.add.outer(prediction.start_log.data[rows], prediction.end_log.data[rows])
-            ordered = np.where(np.triu(np.ones(pair_log.shape, dtype=bool)), pair_log, -np.inf)
-            s, e = divmod(int(np.argmax(ordered)), int(n))
-            words = packing.word_of_row[rows] - word_start
-            decoded.append((int(words[s]), int(words[e])))
-        return decoded
-    tags = np.argmax(prediction.word_log.data, axis=1)
-    return [[int(t) for t in tags[start:start + n]]
-            for start, n in zip(packing.word_starts, packing.n_words)]
+        start, end = np.full((2, len(packing), int(packing.lengths.max())), -np.inf)
+        start[packing.seq, packing.positions] = prediction.start_log.data
+        end[packing.seq, packing.positions] = prediction.end_log.data
+        best_end = np.maximum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
+        s = np.argmax(start + best_end, axis=1)
+        pair_log = start[np.arange(len(packing)), s][:, None] + end
+        e = np.argmax(np.where(np.arange(end.shape[1]) >= s[:, None], pair_log, -np.inf), axis=1)
+        words = packing.word_of_row[packing.starts + np.stack([s, e])] - packing.word_starts
+        return list(zip(*words.tolist()))
+    tags = np.argmax(prediction.word_log.data, axis=1).tolist()
+    return [tags[a:a + n] for a, n in zip(packing.word_starts.tolist(), packing.n_words.tolist())]
 
 
 def score_corpus(params, examples, vocab):

@@ -8,8 +8,10 @@ moved onto a per-phase span table: every sweep rescans every substring of
 every string and adds log-masses with scalar ``np.logaddexp``.
 ``lattice_logf`` is the FFBS forward filter as a numpy array, and
 ``code_switch`` draws a dictionary and an option for every switched word,
-even where there is only one to choose.  The package must match each of
-them bit for bit and draw for draw.
+even where there is only one to choose.  ``decode_span`` decodes each
+sequence of a packed span prediction on its own, over the full matrix of
+pair sums.  The package must match each of them bit for bit and draw for
+draw.
 
 The rest is the per-example reference for the packed forward, task loss and
 regularizers: the one-graph-per-example path the package used before
@@ -284,3 +286,19 @@ def step_components(params, segs, noises, gold, pairs, teacher=None):
         teach = _mean([model_consistency(predict(teacher, segs[k], noises[k]), preds[k])
                        for k in range(n_items)])
     return (_mean(task) if task else None, _mean(pair) if pair else None, teach)
+
+
+def decode_span(prediction):
+    """(start word, end word) per sequence of a packed span ``Prediction``:
+    the first best ``start_log[s] + end_log[e]`` with s <= e in row-major
+    order, from an ``np.add.outer`` matrix masked by ``np.triu``."""
+    packing = prediction.packing
+    decoded = []
+    for start, n, word_start in zip(packing.starts, packing.lengths, packing.word_starts):
+        rows = slice(start, start + n)
+        pair_log = np.add.outer(prediction.start_log.data[rows], prediction.end_log.data[rows])
+        ordered = np.where(np.triu(np.ones(pair_log.shape, dtype=bool)), pair_log, -np.inf)
+        s, e = divmod(int(np.argmax(ordered)), int(n))
+        words = packing.word_of_row[rows] - word_start
+        decoded.append((int(words[s]), int(words[e])))
+    return decoded

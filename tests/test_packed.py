@@ -2,7 +2,9 @@
 reference in ``reference.py``, and the module attributes the benchmark's
 tracer and host-speed probe hook."""
 
+import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -160,6 +162,72 @@ class TestAgainstReference:
         pred = mdl.predict(student, [a, b])
         value = cons.example_consistency(pred, [(0, 1, [True] * a.n_words)])
         assert value.item() == 0.0
+
+
+# Span decode against ``reference.decode_span``.  Drawn from this alphabet,
+# equal values tie exactly, and -1 - 2**-52 ties -1.0 once an end is added:
+# -2 - 2**-52 rounds to -2.0.
+TIE_ALPHABET = np.array([-1.0, -1.0 - 2.0 ** -52, -0.5, -2.0, -3.0])
+
+
+def span_prediction(word_pieces, draw):
+    """A packed span Prediction: sequence k has one word of n pieces per n
+    in ``word_pieces[k]``; ``draw(size=...)`` gives the start and end values."""
+    packing = mdl.Packing([tok.Segmentation([(("a",) * n, (0,) * n) for n in words])
+                           for words in word_pieces])
+    start_log, end_log = draw(size=(2, packing.seq.size))
+    return mdl.Prediction("span", packing, start_log=ad.Tensor(start_log),
+                          end_log=ad.Tensor(end_log))
+
+
+def test_span_decode_matches_reference_on_every_eval_chunk(small_span_bench):
+    bench, res = small_span_bench
+    cfg = tr.TrainConfig(task="span", dim=8, max_len=48)
+    chunks = 0
+    for params in (tr.init_params(cfg, res), *models(cfg, res, 12)):
+        for examples in bench.eval_sets.values():
+            for start in range(0, len(examples), ev.EVAL_CHUNK):
+                segs = [tok.viterbi_segment_words(res.vocab, ex.words)
+                        for ex in examples[start:start + ev.EVAL_CHUNK]]
+                pred = mdl.predict(params, segs)
+                assert ev.decode(pred) == ref.decode_span(pred)
+                chunks += 1
+    assert chunks >= 9
+
+
+def test_span_decode_matches_reference_under_ties():
+    rng = np.random.default_rng(13)
+    chunks = [[[1]] * 5,                                  # every sequence one row
+              [[1], [2, 3, 1, 4, 2, 3, 1], [1, 1], [2]]]  # one sequence sets the width
+    chunks += [[rng.integers(1, 4, rng.integers(1, 5)).tolist()
+                for _ in range(rng.integers(1, 12))] for _ in range(1000)]
+    ties = rounding_ties = 0
+    for word_pieces in chunks:
+        pred = span_prediction(word_pieces, partial(rng.choice, TIE_ALPHABET))
+        assert ev.decode(pred) == ref.decode_span(pred)
+        p = pred.packing
+        for first, n in zip(p.starts, p.lengths):
+            start = pred.start_log.data[first:first + n]
+            pair = np.add.outer(start, pred.end_log.data[first:first + n])
+            pair[np.tril_indices(n, -1)] = -np.inf
+            best = np.argwhere(pair == pair.max())
+            ties += len(best) > 1
+            rounding_ties += len(set(start[best[:, 0]])) > 1
+    # the draws hold both kinds of tie, so a decode that breaks them another
+    # way fails above
+    assert ties > 100 and rounding_ties > 100
+
+
+def test_span_decode_buffers_stay_linear_in_the_chunk():
+    # 64 sequences of 48 rows: a (k, width, width) pair cube would be ~1.2 MB
+    pred = span_prediction([[1] * 48] * 64, np.random.default_rng(14).normal)
+    tracemalloc.start()
+    try:
+        ev.decode(pred)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
 
 
 @pytest.mark.parametrize("task,corpus_strategy,pair_strategy", [
