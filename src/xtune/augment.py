@@ -6,13 +6,21 @@ bilingual dictionaries (CS), and translation from a prebuilt store (MT).
 Every view is word-for-word except a translation: word w of the view stands
 for word w of its original.  A view records which words it modified, so the
 pair-consistency loss can restrict itself to unchanged positions.
+
+``subword_resample`` and ``code_switch`` take a list of examples and draw
+the views of all its words in one batched call: one lockstep FFBS draw, or
+one uniform block for the switch, dictionary and option picks.  The corpus
+builder and the trainer's per-epoch pair views both go through them.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import tokenizer as tok
 from .data import CIPHER_ID_SEP, Example
@@ -44,8 +52,8 @@ class AugmentationStrategy:
             raise StrategyError(f"unknown strategy kind {self.kind!r}")
         if not 0.0 <= self.word_ratio <= 1.0:
             raise StrategyError(f"word_ratio {self.word_ratio} outside [0, 1]")
-        if self.alpha < 0:
-            raise StrategyError(f"alpha {self.alpha} must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise StrategyError(f"alpha {self.alpha} must be a finite number >= 0")
 
 
 @dataclass
@@ -169,67 +177,96 @@ class TranslationStore:
 # The four augmenters
 
 
-def switch_candidates(dictionaries):
-    """Casefolded word -> the translation lists of every dictionary that has
-    the word, in dictionary order: ``code_switch``'s per-word lookup, built
-    once per dictionary list."""
-    if not dictionaries:
-        raise StrategyError("code_switch needs at least one dictionary")
-    candidates = {}
-    for d in dictionaries:
-        for key, options in d.entries.items():
-            candidates.setdefault(key, []).append(options)
-    return candidates
+class SwitchCandidates:
+    """The code-switch candidates of a dictionary list, as flat arrays.
+
+    Casefolded word k is listed by ``n_dicts[k]`` dictionaries, in
+    dictionary order; their option lists are rows ``first_dict[k]`` on, and
+    row r holds ``n_options[r]`` translations from
+    ``options[first_option[r]]`` on.  A word no dictionary lists has the last
+    type, which has no dictionary.
+    """
+
+    def __init__(self, dictionaries):
+        if not dictionaries:
+            raise StrategyError("code_switch needs at least one dictionary")
+        lists = {}
+        for d in dictionaries:
+            for key, options in d.entries.items():
+                lists.setdefault(key, []).append(options)
+        self.index = {key: k for k, key in enumerate(lists)}
+        self.n_dicts = np.array([len(v) for v in lists.values()] + [0], dtype=np.intp)
+        self.first_dict = np.cumsum(self.n_dicts) - self.n_dicts
+        rows = [options for v in lists.values() for options in v]
+        self.n_options = np.array([len(options) for options in rows], dtype=np.intp)
+        self.first_option = np.cumsum(self.n_options) - self.n_options
+        self.options = [t for options in rows for t in options]
+        self._types = {}   # surface word -> type, on first sight
+
+    def types(self, words):
+        """The type of each word."""
+        types = self._types
+        for w in dict.fromkeys(w for w in words if w not in types):
+            types[w] = self.index.get(w.casefold(), len(self.index))
+        return np.fromiter(map(types.__getitem__, words), dtype=np.intp, count=len(words))
 
 
-def _pick(rng, n):
-    """A uniform index below ``n``.  With one choice there is nothing to
-    draw: ``rng.integers(0, 1)`` returns 0 without advancing the generator,
-    so skipping it keeps every later draw."""
-    return int(rng.integers(0, n)) if n > 1 else 0
+def _split(examples, flat):
+    """``flat`` (one entry per word of ``examples``, in order) cut into one
+    list per example."""
+    out, start = [], 0
+    for ex in examples:
+        out.append(flat[start:start + len(ex.words)])
+        start += len(ex.words)
+    return out
 
 
-def code_switch(example, candidates, word_ratio, rng):
-    """Replace words with dictionary translations, each independently with
-    probability ``word_ratio``; words absent from all dictionaries are kept.
+def code_switch(examples, candidates, word_ratio, rng):
+    """One code-switched view per example: each word is replaced by a
+    dictionary translation independently with probability ``word_ratio``;
+    words absent from all dictionaries are kept.
 
-    ``candidates`` is the ``switch_candidates`` table of the dictionaries.
-    The replacement language is drawn per word, so outputs can mix several
-    target languages.  Labels carry over unchanged (word-for-word
+    ``candidates`` is the dictionaries' ``SwitchCandidates``.  The draws
+    for all words of ``examples`` are one ``rng.random((words, 3))`` block:
+    word t switches when ``u[t, 0] < word_ratio`` and some dictionary lists
+    it, and then takes dictionary ``floor(u[t, 1] * n)`` of the n that list
+    it and option ``floor(u[t, 2] * m)`` of that dictionary's m (uniform up
+    to 2**-53).  The replacement language is drawn per word, so a view can
+    mix several target languages.  Labels carry over unchanged (word-for-word
     substitution keeps per-word tags and span indices valid).
     """
-    words = list(example.words)
-    modified = [False] * len(words)
-    for i, word in enumerate(words):
-        if rng.random() >= word_ratio:
-            continue
-        applicable = candidates.get(word.casefold())
-        if applicable is None:
-            continue
-        options = applicable[_pick(rng, len(applicable))]
-        words[i] = options[_pick(rng, len(options))]
-        modified[i] = True
-    return AugmentedExample(
-        example=example.with_words(words),
-        strategy="CS",
-        modified=modified,
-    )
+    words = [w for ex in examples for w in ex.words]
+    types = candidates.types(words)
+    u = rng.random((len(words), 3))
+    switched = np.flatnonzero((u[:, 0] < word_ratio) & (candidates.n_dicts[types] > 0))
+    covered = types[switched]
+    row = candidates.first_dict[covered] + (
+        u[switched, 1] * candidates.n_dicts[covered]).astype(np.intp)
+    option = candidates.first_option[row] + (
+        u[switched, 2] * candidates.n_options[row]).astype(np.intp)
+    for t, o in zip(switched.tolist(), option.tolist()):
+        words[t] = candidates.options[o]
+    modified = np.zeros(len(words), dtype=bool)
+    modified[switched] = True
+    return [AugmentedExample(example=ex.with_words(view), strategy="CS", modified=flags)
+            for ex, view, flags in zip(examples, _split(examples, words),
+                                       _split(examples, modified.tolist()))]
 
 
-def subword_resample(example, vocab, alpha, rng):
-    """Same words, freshly sampled per-word segmentation.
+def subword_resample(examples, vocab, alpha, rng):
+    """One view per example with the same words, freshly segmented: one
+    ``sample_segment_words`` call over all words of ``examples``, in order.
 
     Modified flags mark words whose sampled pieces differ from Viterbi.
     """
-    seg = tok.sample_segment_words(vocab, example.words, alpha, rng)
-    reference = tok.viterbi_segment_words(vocab, example.words)
-    modified = [a != b for a, b in zip(seg.words, reference.words)]
-    return AugmentedExample(
-        example=example.with_words(list(example.words)),
-        strategy="SS",
-        modified=modified,
-        segmentation=seg,
-    )
+    words = [w for ex in examples for w in ex.words]
+    drawn = tok.sample_segment_words(vocab, words, alpha, rng).words
+    reference = tok.viterbi_segment_words(vocab, words).words
+    modified = [a != b for a, b in zip(drawn, reference)]
+    return [AugmentedExample(example=ex.with_words(list(ex.words)), strategy="SS",
+                             modified=flags, segmentation=tok.Segmentation(records))
+            for ex, records, flags in zip(examples, _split(examples, drawn),
+                                          _split(examples, modified))]
 
 
 def gaussian_view(example):
@@ -330,25 +367,20 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
     if not corpus:
         raise ValueError("build_augmented_corpus: empty corpus")
     task = corpus[0].task
-
+    missing = []
     if strategy.kind == "CS":
         if not dictionaries:
             raise StrategyError("CS corpus augmentation needs dictionaries")
-        candidates = switch_candidates(dictionaries)
-    augmented = []
-    missing = []
-    for example in corpus:
-        if strategy.kind == "CS":
-            views = [code_switch(example, candidates, strategy.word_ratio, rng)]
-        elif strategy.kind == "SS":
-            if vocab is None:
-                raise StrategyError("SS corpus augmentation needs a vocabulary")
-            views = [subword_resample(example, vocab, strategy.alpha, rng)]
-        elif strategy.kind == "GN":
-            views = [gaussian_view(example)]
-        else:
-            if store is None or not strategy.languages:
-                raise StrategyError("MT corpus augmentation needs a store and target languages")
-            views = translate(example, store, strategy.languages, task, missing=missing)
-        augmented += views
+        augmented = code_switch(corpus, SwitchCandidates(dictionaries), strategy.word_ratio, rng)
+    elif strategy.kind == "SS":
+        if vocab is None:
+            raise StrategyError("SS corpus augmentation needs a vocabulary")
+        augmented = subword_resample(corpus, vocab, strategy.alpha, rng)
+    elif strategy.kind == "GN":
+        augmented = [gaussian_view(example) for example in corpus]
+    else:
+        if store is None or not strategy.languages:
+            raise StrategyError("MT corpus augmentation needs a store and target languages")
+        augmented = [view for example in corpus for view in
+                     translate(example, store, strategy.languages, task, missing=missing)]
     return AugmentedCorpus(originals=list(corpus), augmented=augmented, missing=missing)

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import augment as aug
@@ -98,13 +99,16 @@ def cmd_synth(args):
 def cmd_tokenize(args):
     vocab = tok.load_vocab(args.vocab)
     corpus = data.load_jsonl(args.input, args.task)
-    rng = trainer.substream(args.seed, "tokenize")
+    if args.mode == "viterbi":
+        segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in corpus]
+    else:
+        # one draw over the whole corpus, cut back into examples
+        words = [w for ex in corpus for w in ex.words]
+        drawn = iter(tok.sample_segment_words(vocab, words, args.alpha,
+                                              trainer.substream(args.seed, "tokenize")).words)
+        segs = [tok.Segmentation(list(islice(drawn, len(ex.words)))) for ex in corpus]
     with open(args.output, "w", encoding="utf-8") as fh:
-        for ex in corpus:
-            if args.mode == "viterbi":
-                seg = tok.viterbi_segment_words(vocab, ex.words)
-            else:
-                seg = tok.sample_segment_words(vocab, ex.words, args.alpha, rng)
+        for ex, seg in zip(corpus, segs):
             fh.write(json.dumps({"id": ex.id, "pieces": seg.pieces,
                                  "word_index": seg.word_index},
                                 ensure_ascii=False, sort_keys=True) + "\n")

@@ -52,22 +52,23 @@ def symmetric_kl(p_log, q_log, weights):
                   kl(ad.detach(q_log), p_log, weights))
 
 
-def aligned_first_subword_positions(seg_orig, seg_aug, modified):
-    """Positions usable for restricted span consistency.
+def aligned_words(seg_orig, seg_aug, modified):
+    """The words restricted span consistency compares.
 
     The view is word-for-word: word w of one side stands for word w of the
-    other.  Word w contributes its first-subword position on both sides when
-    it is unmodified and identically segmented in both views.
+    other.  Word w is aligned when it is unmodified and identically
+    segmented in both views.
     """
+    return [w for w, changed in enumerate(modified)
+            if not changed and seg_orig.words[w] == seg_aug.words[w]]
+
+
+def aligned_first_subword_positions(seg_orig, seg_aug, modified):
+    """The first-subword positions of the ``aligned_words`` on both sides."""
     first_orig = seg_orig.first_subword_positions()
     first_aug = seg_aug.first_subword_positions()
-    pos_orig, pos_aug = [], []
-    for w, changed in enumerate(modified):
-        if changed or seg_orig.words[w] != seg_aug.words[w]:
-            continue
-        pos_orig.append(first_orig[w])
-        pos_aug.append(first_aug[w])
-    return pos_orig, pos_aug
+    words = aligned_words(seg_orig, seg_aug, modified)
+    return [first_orig[w] for w in words], [first_aug[w] for w in words]
 
 
 def example_consistency(pred, pairs):

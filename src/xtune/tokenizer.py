@@ -6,16 +6,19 @@ Two ways to segment a word sequence over the same piece inventory:
                               (deterministic, cached per word),
 * ``sample_segment_words``  - exact sampling of each word's segmentation
                               proportional to P(s)^alpha via forward
-                              filtering / backward sampling (FFBS); each
-                              backward cut is an inverse-CDF draw that
-                              matches ``Generator.choice`` draw for draw.
+                              filtering / backward sampling (FFBS), all
+                              tokens of a call in lockstep: one
+                              ``rng.random((tokens, longest form))`` draw,
+                              token t's k-th backward cut an inverse-CDF
+                              draw with column k.
 
 Words are segmented independently; a boundary marker is prepended to each
 word when the vocabulary covers it, which keeps the word -> subword map exact
 under resegmentation.  A ``Segmentation`` is its words: one ``(pieces, ids)``
-record per word, the same tuples the per-word Viterbi cache holds and an
-FFBS word draw yields.  Callers that need the word -> subword map (changed
-words, aligned first subwords, packed word rows) read it from these records.
+record per word, the same tuples the per-word Viterbi cache holds and the
+FFBS sampler interns per word and cut set.  Callers that need the word ->
+subword map (changed words, aligned first subwords, packed word rows) read
+it from these records.
 The tests check both paths against brute-force enumeration.
 
 The vocabulary is fitted by unigram EM (``build_vocab``): phases of EM sweeps
@@ -30,8 +33,7 @@ depends only on its corpus and settings.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +90,7 @@ class UnigramVocab:
         self.piece_to_id = {p: i for i, p in enumerate(self.pieces)}
         self.alphabet = alphabet
         self._word_viterbi = {}
-        self._word_lattice = {}
+        self._samplers = {}             # alpha -> _LockstepTable
 
     def __len__(self):
         return len(self.pieces)
@@ -121,10 +123,6 @@ class Segmentation:
         return [p for pieces, _ in self.words for p in pieces]
 
     @property
-    def ids(self):
-        return [i for _, ids in self.words for i in ids]
-
-    @property
     def word_index(self):
         """Source word index per piece."""
         return [w for w, (pieces, _) in enumerate(self.words) for _ in pieces]
@@ -132,10 +130,6 @@ class Segmentation:
     @property
     def n_pieces(self):
         return sum(len(pieces) for pieces, _ in self.words)
-
-    @property
-    def n_words(self):
-        return len(self.words)
 
     def first_subword_positions(self):
         """The position of each word's first piece."""
@@ -216,19 +210,14 @@ class _Lattice:
     """Forward-filtered segmentation lattice for one string at one alpha.
 
     ``logf[j]`` is the log total tempered mass of all segmentations of
-    text[:j].  ``spans[j]`` holds the (start, vocabulary id) of each piece
-    ending at ``j`` and ``cdfs[j]`` the normalised CDF over them, built as
-    ``Generator.choice`` builds it.  Backward sampling bisects that CDF with
-    one ``rng.random()`` per cut: the draw and index
-    ``rng.choice(len(spans[j]), p=p)`` gives, so each path has probability
-    P(s)^alpha / Z exactly.
+    text[:j].  ``starts[j]`` holds the start of each piece that ends at
+    ``j`` after a reachable position, and ``cdfs[j]`` the normalised CDF
+    over them, built as ``Generator.choice`` builds it.  An inverse-CDF draw
+    at each backward cut gives each path probability P(s)^alpha / Z.
     """
 
     def __init__(self, vocab, text, alpha):
-        if alpha < 0:
-            raise ValueError("sample_segment_words: alpha must be >= 0")
         vocab._check_coverage(text)
-        self.text = text
         n = len(text)
         table = vocab.pieces
         max_len = vocab.max_piece_len
@@ -246,42 +235,122 @@ class _Lattice:
         if logf[n] == _NEG_INF:
             raise CoverageError(f"text {text!r} cannot be segmented")
         self.logf = logf
-        ids = vocab.piece_to_id
-        self.spans = [[(i, ids[text[i:j]]) for i, _ in span] for j, span in enumerate(spans)]
+        self.starts = [[i for i, _ in span] for span in spans]
         self.cdfs = [[] for _ in spans]
         for j, span in enumerate(spans):
             if span:
                 logw = np.array([logf[i] + w for i, w in span])
                 p = np.exp(logw - logw.max())
                 cdf = (p / p.sum()).cumsum()
-                self.cdfs[j] = (cdf / cdf[-1]).tolist()
-
-    def sample(self, rng):
-        """One draw, as the word's ``(pieces, ids)`` record."""
-        pieces, ids = [], []
-        j = len(self.text)
-        while j > 0:
-            i, piece_id = self.spans[j][bisect_right(self.cdfs[j], rng.random())]
-            pieces.append(self.text[i:j])
-            ids.append(piece_id)
-            j = i
-        pieces.reverse()
-        ids.reverse()
-        return tuple(pieces), tuple(ids)
+                self.cdfs[j] = cdf / cdf[-1]
 
 
-def _word_lattice(vocab, word, alpha):
-    key = (word, alpha)
-    lat = vocab._word_lattice.get(key)
-    if lat is None:
-        lat = _Lattice(vocab, vocab.word_form(word), alpha)
-        vocab._word_lattice[key] = lat
-    return lat
+class _LockstepTable:
+    """The FFBS lattices of every word seen at one alpha, stacked so that
+    all tokens of a call take their backward cuts together.
+
+    Row r of ``cdf`` is one end position of one word type's lattice: the
+    CDF over the pieces ending there, padded with inf (which no uniform
+    reaches).  ``after[r]`` holds, per piece, the row of the position it
+    starts at.  Word type k (numbered in order of first sight) has a form
+    of ``length[k]`` characters, whose position j > 0 is row
+    ``offset[k] + j``.  Position 0 of every word is row 0, which is all
+    padding, so a finished path stays there.  ``records`` interns each
+    drawn ``(pieces, ids)`` record by word type and path; a draw equal to
+    the word's Viterbi segmentation is the Viterbi cache's record.
+    """
+
+    def __init__(self, vocab, alpha):
+        self.vocab, self.alpha = vocab, alpha
+        self.type_of = {}                   # word -> type
+        self.words = []                     # type -> word
+        self.offset = np.zeros(0, dtype=np.intp)
+        self.length = np.zeros(0, dtype=np.intp)
+        self.cdf = np.full((1, 1), np.inf)
+        self.after = np.zeros((1, 1), dtype=np.uint32)
+        self.records = {}
+
+    def type_ids(self, words):
+        """Each word's type, adding the lattices of words not seen before."""
+        new = list(dict.fromkeys(w for w in words if w not in self.type_of))
+        if new:
+            self._add(new)
+        return np.fromiter(map(self.type_of.__getitem__, words), dtype=np.intp, count=len(words))
+
+    def _add(self, words):
+        lattices = [_Lattice(self.vocab, self.vocab.word_form(w), self.alpha) for w in words]
+        lengths = [len(lat.logf) - 1 for lat in lattices]
+        offset = len(self.cdf) - 1 + np.cumsum(lengths) - lengths
+        rows = [(lat.cdfs[j], [base + i if i else 0 for i in lat.starts[j]])
+                for lat, base in zip(lattices, offset.tolist()) for j in range(1, len(lat.logf))]
+        width = max(self.cdf.shape[1], *(len(after) for _, after in rows))
+        cdf = np.full((len(rows), width), np.inf)
+        after = np.zeros((len(rows), width), dtype=np.uint32)
+        for r, (row_cdf, row_after) in enumerate(rows):
+            cdf[r, :len(row_after)] = row_cdf
+            after[r, :len(row_after)] = row_after
+        pad = ((0, 0), (0, width - self.cdf.shape[1]))
+        self.cdf = np.concatenate((np.pad(self.cdf, pad, constant_values=np.inf), cdf))
+        self.after = np.concatenate((np.pad(self.after, pad), after))
+        self.offset = np.concatenate((self.offset, offset))
+        self.length = np.concatenate((self.length, lengths))
+        self.type_of.update((w, len(self.words) + k) for k, w in enumerate(words))
+        self.words += words
+
+    def paths(self, types, rng):
+        """Backward sampling of one path per token, all tokens in lockstep.
+
+        Draws ``rng.random((tokens, longest form))``; token t's k-th cut
+        reads column k and bisects its current CDF row (the rows are sorted,
+        so the first entry above the uniform is the first False of the
+        comparison).  Returns a ``(tokens, 1 + longest form)`` matrix: each
+        token's type, then the rows its cuts reach, right to left, then
+        zeros.
+        """
+        length = self.length[types]
+        u = rng.random((types.size, int(length.max(initial=0))))
+        path = np.zeros((types.size, 1 + u.shape[1]), dtype=np.uint32)
+        path[:, 0] = types
+        rows = self.offset[types] + length
+        for k in range(u.shape[1]):
+            pick = (self.cdf.take(rows, axis=0) <= u[:, k, None]).argmin(axis=1)
+            rows = path[:, 1 + k] = self.after[rows, pick]
+            if not np.count_nonzero(rows):
+                break
+        return path
+
+    def record(self, path):
+        """The ``(pieces, ids)`` record of a ``paths`` row."""
+        k, rows = path[0], path[1:]
+        word = self.words[k]
+        text = self.vocab.word_form(word)
+        bounds = [0, *(rows[rows > 0][::-1] - self.offset[k]).tolist(), len(text)]
+        drawn = _word_record(self.vocab, [text[a:b] for a, b in zip(bounds, bounds[1:])])
+        viterbi = _viterbi_word(self.vocab, word)
+        return viterbi if drawn == viterbi else drawn
 
 
 def sample_segment_words(vocab, words, alpha, rng):
-    """Per-word FFBS sampling over a word sequence."""
-    return Segmentation([_word_lattice(vocab, w, alpha).sample(rng) for w in words])
+    """FFBS sampling of every word of a flat token list, each word
+    independently, all of them in lockstep (``_LockstepTable.paths``)."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"sample_segment_words: alpha must be a finite number >= 0, "
+                         f"got {alpha!r}")
+    table = vocab._samplers.get(alpha)
+    if table is None:
+        table = vocab._samplers[alpha] = _LockstepTable(vocab, alpha)
+    path = table.paths(table.type_ids(words), rng)
+    # one number per token from its path row's bytes, little-endian: a row
+    # ends in zeros, so the number does not depend on the call
+    keys = path.view(np.dtype((np.void, path.shape[1] * 4))).ravel().tolist()
+    records = table.records
+    drawn = []
+    for t, key in enumerate(map(int.from_bytes, keys, repeat("little"))):
+        record = records.get(key)
+        if record is None:
+            record = records[key] = table.record(path[t])
+        drawn.append(record)
+    return Segmentation(drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,11 @@ One master seed feeds named substreams so the modes share data order.
 A stage computes what is fixed per item once, at its start: the item's
 segmentation, its gold in loss coordinates and, when R2 is on, the frozen
 teacher's log-probability rows, in ``evaluate.EVAL_CHUNK``-sized forwards
-(cached distillation targets).  A step then only shuffles, draws views and
-encode noise, packs and runs the student graph.
+(cached distillation targets).  Each epoch shuffles the items and draws
+every pair view of the epoch in one batched call, in shuffled order.  A step
+then only draws encode noise, packs and runs the student graph.  The run
+manifest records, per stage, the views drawn and missing and what they
+changed (``_ViewStats``).
 """
 
 from __future__ import annotations
@@ -37,14 +40,14 @@ from .augment import (
     AugmentationStrategy,
     AugmentedExample,
     StrategyError,
+    SwitchCandidates,
     base_id,
     build_augmented_corpus,
     code_switch,
     subword_resample,
-    switch_candidates,
     validate_strategy,
 )
-from .consistency import example_consistency, model_consistency
+from .consistency import aligned_words, example_consistency, model_consistency
 from .evaluate import EVAL_CHUNK
 from .model import POOLINGS, TASKS, ModelParams, RowTable, predict, task_loss
 
@@ -188,8 +191,8 @@ class Resources:
 
     @cached_property
     def switch_candidates(self):
-        """The dictionaries' per-word code-switch candidates, built on first use."""
-        return switch_candidates(self.dictionaries)
+        """The dictionaries' code-switch candidates, built on first use."""
+        return SwitchCandidates(self.dictionaries)
 
 
 @dataclass
@@ -269,30 +272,66 @@ def _teacher_rows(teacher, segs, noises=None):
                           for chunk in chunks])
 
 
-def _pair_view(ex, seg, kind, cfg, res, rng):
-    """On-the-fly augmented view of one example for pair consistency.
-
-    Returns (view segmentation, view encode-noise, modified flags) or None
-    when no view exists (e.g. no translation).  A translation flags every
-    word as modified, as ``translate`` does.
+def _epoch_views(table, order, kind, cfg, res, rng):
+    """The pair view of every item of an epoch, in ``order``, drawn in one
+    batched call per kind: (view segmentation, view encode noise, modified
+    flags) per item, or None when no view exists (an MT item with no other
+    language).  A translation flags every word as modified, as
+    ``translate`` does.
     """
+    examples = [table[i][0] for i in order]
     if kind == "SS":
-        aug = subword_resample(ex, res.vocab, cfg.ss_alpha, rng)
-        return aug.segmentation, None, aug.modified
+        return [(view.segmentation, None, view.modified)
+                for view in subword_resample(examples, res.vocab, cfg.ss_alpha, rng)]
     if kind == "CS":
-        aug = code_switch(ex, res.switch_candidates, cfg.cs_word_ratio, rng)
-        seg2 = tok.viterbi_segment_words(res.vocab, aug.example.words)
-        return seg2, None, aug.modified
+        views = code_switch(examples, res.switch_candidates, cfg.cs_word_ratio, rng)
+        return [(tok.viterbi_segment_words(res.vocab, view.example.words), None, view.modified)
+                for view in views]
     if kind == "GN":
-        noise = rng.normal(0.0, cfg.noise_sigma, (seg.n_pieces, cfg.dim))
-        return seg, noise, [False] * len(ex.words)
+        segs = [table[i][1] for i in order]
+        sizes = [seg.n_pieces for seg in segs]
+        noise = rng.normal(0.0, cfg.noise_sigma, (sum(sizes), cfg.dim))
+        return [(seg, rows, [False] * len(seg.words))
+                for seg, rows in zip(segs, np.split(noise, np.cumsum(sizes)[:-1]))]
     # MT: render the same underlying example in another language
-    langs = [l for l in res.store.languages_for(base_id(ex.id)) if l != ex.language]
-    if not langs:
-        return None
-    lang = langs[int(rng.integers(0, len(langs)))]
-    words, _label = res.store.get(base_id(ex.id), lang)
-    return tok.viterbi_segment_words(res.vocab, words), None, [True] * len(words)
+    views = []
+    for ex, u in zip(examples, rng.random(len(examples)).tolist()):
+        langs = [l for l in res.store.languages_for(base_id(ex.id)) if l != ex.language]
+        if not langs:
+            views.append(None)
+            continue
+        words, _label = res.store.get(base_id(ex.id), langs[int(u * len(langs))])
+        views.append((tok.viterbi_segment_words(res.vocab, words), None, [True] * len(words)))
+    return views
+
+
+class _ViewStats:
+    """Per-stage counts of the pair views drawn: the ``views`` record of the
+    run manifest."""
+
+    def __init__(self):
+        self.drawn = self.missing = self.words = self.modified = self.empty = 0
+        self.missing_ids = set()
+
+    def count(self, table, order, views, task):
+        for i, view in zip(order.tolist(), views):
+            ex, seg = table[i][:2]
+            if view is None:
+                self.missing += 1
+                self.missing_ids.add(ex.id)
+                continue
+            vseg, _noise, modified = view
+            self.drawn += 1
+            self.words += len(modified)
+            self.modified += sum(modified)
+            if task == "span" and seg.words != vseg.words:
+                self.empty += not aligned_words(seg, vseg, modified)
+
+    def summary(self, steps):
+        return {"steps": steps, "views_drawn": self.drawn, "views_missing": self.missing,
+                "missing_ids": sorted(self.missing_ids),
+                "modified_word_share": self.modified / self.words if self.words else None,
+                "empty_alignments": self.empty}
 
 
 def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_weight=0.0,
@@ -303,11 +342,13 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     ``pair_weight`` times the mean pair-consistency over views, plus
     ``teacher_weight`` times the mean teacher KL over all items.  Each
     item's segmentation and gold, and with a teacher its rows, are computed
-    once at the stage start (``_stage_table``, ``_teacher_rows``).  A
-    batch's items and then their views go through the student as one packed
+    once at the stage start (``_stage_table``, ``_teacher_rows``), and every
+    pair view of an epoch at the epoch start (``_epoch_views``).  A batch's
+    items and then their views go through the student as one packed
     forward.  A stage holding GN items, whose input gets fresh encode noise
     every step, runs the batch's items through the teacher in every step
-    instead.  Returns a per-step trace of the separate components.
+    instead.  Returns a per-step trace of the separate components and the
+    stage's view statistics (``_ViewStats.summary``).
     """
     if teacher is not None and not params.same_architecture(teacher):
         raise ValueError("teacher and student architectures differ")
@@ -335,25 +376,30 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     if use_teacher and not any(noised for *_, noised in table):
         teacher_table = _teacher_rows(teacher, [seg for _, seg, _, _ in table])
     trace = []
+    stats = _ViewStats()
     step = 0
 
     for _epoch in range(cfg.epochs):
         order = batch_rng.permutation(n)
+        views = [None] * n
+        if use_pairs:
+            views = _epoch_views(table, order, pair_strategy, cfg, res, view_rng)
+            stats.count(table, order, views, cfg.task)
         for b in range(steps_per_epoch):
-            batch = order[b * cfg.batch_size: (b + 1) * cfg.batch_size]
+            chunk = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+            batch = order[chunk]
             step += 1
             lr = lr_at(step, total_steps, cfg.learning_rate, warmup_frac)
             params.zero_grads()
 
             segs, noises, gold = [], [], []
             view_segs, view_noises, pairs = [], [], []
-            for k, i in enumerate(batch):
-                ex, seg, item_gold, noised = table[i]
+            for k, (i, view) in enumerate(zip(batch, views[chunk])):
+                _ex, seg, item_gold, noised = table[i]
                 segs.append(seg)
                 noises.append(noise_rng.normal(0.0, cfg.noise_sigma, (seg.n_pieces, cfg.dim))
                               if noised else None)
                 gold.append(item_gold)
-                view = _pair_view(ex, seg, pair_strategy, cfg, res, view_rng) if use_pairs else None
                 if view is not None:
                     vseg, vnoise, modified = view
                     pairs.append((k, len(batch) + len(view_segs), modified))
@@ -406,7 +452,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 "unlabeled": len(batch) - n_labeled,
                 "pairs": len(pairs),
             })
-    return trace
+    return trace, stats.summary(len(trace))
 
 
 def _gold_for(ex, seg):
@@ -444,9 +490,10 @@ def _train_stage(items, cfg, res, stage_label, pair_strategy, pair_weight, teach
     if pair_strategy is None and teacher is None:
         items = [it for it in items if _labeled(it)]
     params = init_params(cfg, res)
-    trace = run_stage(items, params, cfg, res, stage_label, pair_strategy=pair_strategy,
-                      pair_weight=pair_weight, teacher=teacher, teacher_weight=cfg.model_weight)
-    return params, trace
+    trace, views = run_stage(items, params, cfg, res, stage_label, pair_strategy=pair_strategy,
+                             pair_weight=pair_weight, teacher=teacher,
+                             teacher_weight=cfg.model_weight)
+    return params, trace, views
 
 
 @dataclass
@@ -463,16 +510,16 @@ def train_with_mode(mode, train, cfg, res, input_digests=None):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
     r1, r2 = MODES[mode]
-    traces, teacher, corpus = {}, None, None
+    traces, views, teacher, corpus = {}, {}, None, None
     if r2:
-        teacher, traces["stage1"] = _train_stage(
+        teacher, traces["stage1"], views["stage1"] = _train_stage(
             list(train), cfg, res, "stage1", cfg.stage1_strategy if r1 else None,
             cfg.stage1_pair_weight)
     items = list(train)
     if r2 or cfg.setting == "translate-train-all":
         corpus = _build_corpus(train, cfg, res)
         items = corpus.items
-    student, traces["stage2"] = _train_stage(
+    student, traces["stage2"], views["stage2"] = _train_stage(
         items, cfg, res, "main", cfg.pair_strategy if r1 else None, cfg.example_weight, teacher)
     manifest = {
         "format": "xtune-run v1",
@@ -487,5 +534,6 @@ def train_with_mode(mode, train, cfg, res, input_digests=None):
         },
         "input_digests": input_digests or {},
         "traces": traces,
+        "views": views,
     }
     return TrainResult(mode, student, teacher, traces, manifest)

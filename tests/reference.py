@@ -6,12 +6,12 @@ oracle for Viterbi, FFBS sampling and the lattice partition function.
 ``em_fit`` is the vocabulary EM as the package ran it before the E-step
 moved onto a per-phase span table: every sweep rescans every substring of
 every string and adds log-masses with scalar ``np.logaddexp``.
-``lattice_logf`` is the FFBS forward filter as a numpy array, and
-``code_switch`` draws a dictionary and an option for every switched word,
-even where there is only one to choose.  ``decode_span`` decodes each
-sequence of a packed span prediction on its own, over the full matrix of
-pair sums.  The package must match each of them bit for bit and draw for
-draw.
+``lattice_logf`` is the FFBS forward filter as a numpy array.
+``sample_segment_words`` and ``code_switch`` draw a whole call's views one
+token at a time with scalar lookups, reading the same uniform block as the
+package's lockstep and array code.  ``decode_span`` decodes each sequence of
+a packed span prediction on its own, over the full matrix of pair sums.  The
+package must match each of them bit for bit and draw for draw.
 
 The rest is the per-example reference for the packed forward, task loss and
 regularizers: the one-graph-per-example path the package used before
@@ -137,25 +137,55 @@ def lattice_logf(vocab, text, alpha):
     return logf
 
 
-def code_switch(example, candidates, word_ratio, rng):
-    """Replace words with dictionary translations, drawing the dictionary
-    and the option for every switched word."""
-    words = list(example.words)
-    modified = [False] * len(words)
-    for i, word in enumerate(words):
-        if rng.random() >= word_ratio:
-            continue
-        applicable = candidates.get(word.casefold())
-        if applicable is None:
-            continue
-        options = applicable[int(rng.integers(0, len(applicable)))]
-        words[i] = options[int(rng.integers(0, len(options)))]
-        modified[i] = True
-    return AugmentedExample(
-        example=replace(example, words=words),
-        strategy="CS",
-        modified=modified,
-    )
+def sample_segment_words(vocab, words, alpha, rng):
+    """FFBS over a flat token list one token and one cut at a time, from the
+    same ``(tokens, longest form)`` uniform block the package draws: token
+    t's k-th backward cut bisects, with ``u[t, k]``, the categorical over the
+    pieces ending at the cut, rebuilt from the vocabulary as
+    ``Generator.choice`` builds it.  Returns each token's pieces."""
+    forms = [vocab.word_form(w) for w in words]
+    u = rng.random((len(forms), max(map(len, forms), default=0)))
+    drawn = []
+    for t, text in enumerate(forms):
+        logf = lattice_logf(vocab, text, alpha)
+        cuts = [len(text)]
+        while cuts[-1] > 0:
+            j = cuts[-1]
+            starts = [i for i in range(max(0, j - vocab.max_piece_len), j)
+                      if text[i:j] in vocab.pieces and logf[i] != -np.inf]
+            logw = np.array([logf[i] + alpha * vocab.pieces[text[i:j]] for i in starts])
+            p = np.exp(logw - logw.max())
+            cdf = (p / p.sum()).cumsum()
+            k = len(cuts) - 1
+            cuts.append(starts[int(np.searchsorted(cdf / cdf[-1], u[t, k], side="right"))])
+        cuts.reverse()
+        drawn.append([text[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+    return drawn
+
+
+def code_switch(examples, dictionaries, word_ratio, rng):
+    """Code-switched views word by word, from the same ``(words, 3)``
+    uniform block the package draws: word t switches when
+    ``u[t, 0] < word_ratio`` and a dictionary lists it, then takes
+    dictionary ``int(u[t, 1] * n)`` of the n listing it and option
+    ``int(u[t, 2] * m)`` of that one's m."""
+    u = rng.random((sum(len(ex.words) for ex in examples), 3))
+    views, t = [], 0
+    for ex in examples:
+        words, modified = [], []
+        for word in ex.words:
+            applicable = [d.entries[word.casefold()] for d in dictionaries
+                          if word.casefold() in d.entries]
+            switched = bool(applicable and u[t, 0] < word_ratio)
+            if switched:
+                options = applicable[int(u[t, 1] * len(applicable))]
+                word = options[int(u[t, 2] * len(options))]
+            words.append(word)
+            modified.append(switched)
+            t += 1
+        views.append(AugmentedExample(example=replace(ex, words=words), strategy="CS",
+                                      modified=modified))
+    return views
 
 
 @dataclass
@@ -168,9 +198,10 @@ class Prediction:
 
 
 def encode(params, segmentation, noise=None):
-    n = len(segmentation.ids)
+    ids = [i for _, word_ids in segmentation.words for i in word_ids]
+    n = len(ids)
     x = ad.add(
-        ad.embedding_lookup(params["embeddings"], segmentation.ids),
+        ad.embedding_lookup(params["embeddings"], ids),
         ad.embedding_lookup(params["positions"], list(range(n))),
     )
     if noise is not None:
@@ -194,7 +225,7 @@ def predict(params, segmentation, noise=None):
         return Prediction("span", start_log=start, end_log=end)
     if params.pooling == "average":
         # constant pooling matrix, one row per word
-        pool = np.zeros((segmentation.n_words, segmentation.n_pieces))
+        pool = np.zeros((len(segmentation.words), segmentation.n_pieces))
         for pos, w in enumerate(segmentation.word_index):
             pool[w, pos] = 1.0
         pool /= pool.sum(axis=1, keepdims=True)

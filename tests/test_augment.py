@@ -24,7 +24,13 @@ def dictionary(entries, src="en", tgt="fr"):
 
 
 def code_switch(example, dictionaries, word_ratio, rng):
-    return aug.code_switch(example, aug.switch_candidates(dictionaries), word_ratio, rng)
+    view, = aug.code_switch([example], aug.SwitchCandidates(dictionaries), word_ratio, rng)
+    return view
+
+
+def subword_resample(example, vocab, alpha, rng):
+    view, = aug.subword_resample([example], vocab, alpha, rng)
+    return view
 
 
 class TestCodeSwitch:
@@ -80,9 +86,10 @@ class TestCodeSwitch:
         assert seen == {"chat", "gato"}
 
 
-    def test_draws_only_what_changes_the_view(self):
-        # one-option words skip their draws: same views and generator state
-        # as the reference that draws the dictionary and the option always
+    def test_array_draws_match_the_per_word_reference(self):
+        # the reference switches one word at a time from the same uniform
+        # block: same views and generator state after, over several
+        # dictionary lists, option counts, ratios and out-of-vocabulary words
         rng = np.random.default_rng(5)
         vocab = [f"w{k}" for k in range(12)]
         for trial in range(40):
@@ -90,17 +97,22 @@ class TestCodeSwitch:
                 dictionary({w: [f"{w}-{lang}{k}" for k in range(int(rng.integers(1, 4)))]
                             for w in vocab if rng.random() < 0.7}, tgt=lang)
                 for lang in ("xx", "yy", "zz")[:int(rng.integers(1, 4))]]
-            candidates = aug.switch_candidates(dictionaries)
+            candidates = aug.SwitchCandidates(dictionaries)
             got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            for _ in range(10):
-                words = [str(w) for w in rng.choice(vocab + ["oov"], int(rng.integers(1, 9)))]
-                ex = example(words=words, task="labeling", label=None, n_label=3,
-                             tags=[0] * len(words))
+            for _ in range(4):
+                examples = []
+                for k in range(int(rng.integers(0, 6))):
+                    words = [str(w).upper() if rng.random() < 0.2 else str(w)
+                             for w in rng.choice(vocab + ["oov"], int(rng.integers(1, 9)))]
+                    examples.append(example(words=words, task="labeling", label=None,
+                                            n_label=3, tags=[0] * len(words)))
+                before = [list(ex.words) for ex in examples]
                 ratio = float(rng.choice([0.0, 0.3, 1.0]))
-                got = aug.code_switch(ex, candidates, ratio, got_rng)
-                assert got == ref.code_switch(ex, candidates, ratio, want_rng)
+                got = aug.code_switch(examples, candidates, ratio, got_rng)
+                assert got == ref.code_switch(examples, dictionaries, ratio, want_rng)
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
-                assert got.example is not ex and ex.words == words
+                assert [ex.words for ex in examples] == before
+                assert all(view.example is not ex for view, ex in zip(got, examples))
 
 
 class TestSubwordResample:
@@ -110,16 +122,16 @@ class TestSubwordResample:
 
     def test_words_unchanged_and_aligned(self):
         ex = example(words=["ab", "a"])
-        out = aug.subword_resample(ex, self._vocab(), 0.5, np.random.default_rng(0))
+        out = subword_resample(ex, self._vocab(), 0.5, np.random.default_rng(0))
         assert out.example.words == ["ab", "a"]
-        assert out.segmentation.n_words == 2
+        assert len(out.segmentation.words) == 2
 
     def test_high_alpha_matches_viterbi_with_zero_flags(self):
         vocab = self._vocab()
         ex = example(words=["ab", "ab"])
         rng = np.random.default_rng(1)
         for _ in range(100):
-            out = aug.subword_resample(ex, vocab, 50.0, rng)
+            out = subword_resample(ex, vocab, 50.0, rng)
             assert out.modified == [False, False]
             assert out.segmentation.pieces == ["ab", "ab"]
 
@@ -129,7 +141,7 @@ class TestSubwordResample:
         rng = np.random.default_rng(2)
         flagged = unflagged = 0
         for _ in range(200):
-            out = aug.subword_resample(ex, vocab, 0.5, rng)
+            out = subword_resample(ex, vocab, 0.5, rng)
             if out.modified[0]:
                 assert out.segmentation.pieces == ["a", "b"]
                 flagged += 1
@@ -203,6 +215,11 @@ class TestValidateStrategy:
 
     def test_labeling_pair_recommends_subword_sampling(self):
         aug.validate_strategy("labeling", "SS")
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+    def test_bad_alpha_rejected_by_name(self, alpha):
+        with pytest.raises(aug.StrategyError, match=f"alpha {alpha} must be a finite number"):
+            aug.AugmentationStrategy("SS", alpha=alpha)
 
 
 class TestLoadDictionary:

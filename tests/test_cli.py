@@ -152,6 +152,26 @@ def test_bad_synth_input_fails_at_entry(flags, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["tokenize", "--mode", "sample"],
+    ["augment", "--strategy", "SS"],
+])
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_alpha_fails_at_entry(command, alpha, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data_dir), "--lemmas", "4", "--train-examples", "4",
+                     "--eval-examples", "1", "--vocab-size", "40", "--em-iters", "1"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.jsonl"
+    assert cli.main(command + ["--vocab", str(data_dir / "vocab.tsv"),
+                               "--input", str(data_dir / "train.jsonl"), "--alpha", alpha,
+                               "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha" in err and alpha in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content,message", [
     ({"epochs": 1}, "config needs a data_dir"),
     ([1, 2], "expected a JSON object"),

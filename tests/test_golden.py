@@ -30,13 +30,14 @@ TASKS = {
     "span": ("xquad", "translate-train-all", []),
 }
 
-# recorded at 4d399be; the CS, GN and MT augment digests at f76af2e
+# recorded at 4d399be; the GN and MT augment digests at f76af2e; sample.jsonl, the
+# SS and CS augment files and run/* after the views moved to batched draws
 GOLDEN = {
     "classification": {
-        "augment.CS.jsonl": "2d9cd10fb31351b0909a88192e48affe416fc324a801adeaf6cbbe2695762557",
+        "augment.CS.jsonl": "3180952a734dba208685ac57ec1dbba32c9bcd04dcccfdd10a5affaf16e68d1b",
         "augment.GN.jsonl": "731a9fad6b673debc19437e03691cd3d0b63d8e56230cb52edd0d6a906ffaf5f",
         "augment.MT.jsonl": "9a9fc6422b7e109db407c5b8f9217f9c5807e26b52c6e849203f21226c63cbb0",
-        "augment.jsonl": "44924f67bd6af843ebeaf0ba397ba5a62ef10b27c094ee0c36292ee4d6066505",
+        "augment.jsonl": "2844bb9827804720407e9bd07398193cdc33c328d4b6f9ae56687c7fff638941",
         "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
         "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
         "data/dict.xx-en.txt": "12335e5c09ae92b3e4f61e5b86ea2a4d102c0ba8d00351fd6195291ff6dde97f",
@@ -49,17 +50,17 @@ GOLDEN = {
         "data/translations.jsonl": "be49f4a094caba4399772b8878654459d1e1ccd2dd1fdb99905e9ffea657a557",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "1df9512cb1b3fe7e82c5e652ac9fe34b19804ea895d078f182973876419a72ae",
-        "run/manifest.json": "218a26a5d5a245262a29bcba8141d71b00cbc48a9bd1c90e050b26d08463c405",
-        "run/student.ckpt": "96d890dabedde19fe8e5bc209c9dafe28c6784cb74708c157a3649728ae1e78d",
-        "run/teacher.ckpt": "30f5ccb1cf65292641ab9b14fdb553c2e262d13cd76d8bc1ac701f4f3b01a8ad",
-        "sample.jsonl": "8b21cb7ffe28665af7aced18e3967547e97bc029213ca344b92ef86661d206a7",
+        "run/manifest.json": "59f7b1b04938516fdcc479b392c6b4cf2179b62f48f0fa913c6983aba1372631",
+        "run/student.ckpt": "a934366e561f2e05aae94e443a237f1085d8a7f4bb5e44756c327c56c1ac34f1",
+        "run/teacher.ckpt": "b84796b4e6f930b55b1d2884a9dc7c661bbabc49405fd5eae99970cf71672032",
+        "sample.jsonl": "254cdfbbb96670da47ac512fb651aa5a1344f57f4d78c52fc85b482e92f72ae5",
         "viterbi.jsonl": "aafffa9aec0f45a16a8be4db5e37d6b9f17ed930172b278d4665198b3fd22cc8"
     },
     "labeling": {
-        "augment.CS.jsonl": "1f013042a7557ac2fda797e4b7d9c8f9d2985057fab441983ac8b15f5a226f77",
+        "augment.CS.jsonl": "bbcd3f16877c3362f7c3a9884e8e76726acd977bd544e7f050a1bdb7559522b9",
         "augment.GN.jsonl": "980702c127fcdd5e5e56f8139d50f474ba46d835d6695a3f99d6791ab1f3e3e6",
         "augment.MT.jsonl": "e171baf83de7f688a4a4da1365f57e3ef920d58eb64f515815daa837302b6659",
-        "augment.jsonl": "3a25e16c01597172ce1c514382f5a81bc2b394f83bf818c5a9899e474c23dae6",
+        "augment.jsonl": "8287a605d8415f800c9017e09021d078760e3775ed00c770b982b27b11ffbeac",
         "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
         "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
         "data/dict.xx-en.txt": "12335e5c09ae92b3e4f61e5b86ea2a4d102c0ba8d00351fd6195291ff6dde97f",
@@ -72,17 +73,17 @@ GOLDEN = {
         "data/translations.jsonl": "444ccad82385b15d2dce604f8cc143191a24ea29ca0077f8da5d8c95fb745dd3",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "2df65876952365755d8b89b413adb5e1e906b516f8eb8f761e50607fa8fdf15d",
-        "run/manifest.json": "1b806910eb5f0b18fadef3bbc781a87b92efab16c46dda85f80773a9a6e99272",
-        "run/student.ckpt": "67d58ad05e784235e0fe9d95637febcbb73edcf39b5f7e921c6ba7d80102ad55",
-        "run/teacher.ckpt": "abbf2501f846310562b6c8527ff53be994722250d9c21a3745cc097173a2189f",
-        "sample.jsonl": "8b21cb7ffe28665af7aced18e3967547e97bc029213ca344b92ef86661d206a7",
+        "run/manifest.json": "1154f42d32e50813e114a5afdc26c23eca1b2e650117d77d4aa2ccc60e565024",
+        "run/student.ckpt": "58f770c5dcc487e099200ee16a7cc8b290c8b015b163796789f5ff5b4ce1c9cd",
+        "run/teacher.ckpt": "42177999c672040f4fac4324b25acae3028ad1f71004dd8cf17476183cd1644a",
+        "sample.jsonl": "254cdfbbb96670da47ac512fb651aa5a1344f57f4d78c52fc85b482e92f72ae5",
         "viterbi.jsonl": "aafffa9aec0f45a16a8be4db5e37d6b9f17ed930172b278d4665198b3fd22cc8"
     },
     "span": {
-        "augment.CS.jsonl": "196537686bc136bb1379d52b1c2917faf8444d56e134113c5fe120709ab68ecf",
+        "augment.CS.jsonl": "365776137f389c1912b3123dfed20c461b7c7c389e6e75e6cbc8f085a59f1748",
         "augment.GN.jsonl": "358f3db1ce7fb236625791089227a4e3273d0db0e5747fbaa4912edc004b86b7",
         "augment.MT.jsonl": "b5b45cb1a0492d70baa6689a8bf07cd9b95c5c80c5e5972526b25111dd4b7120",
-        "augment.jsonl": "19f2779dd51040e60c9e84cec54ee174bf2039e0a382eec69e72a6b797c6fc12",
+        "augment.jsonl": "ca550f6c07d871f9e837a86310bee2cd999d9f19ce6f2f3560d90424bd7b3ffd",
         "data/dict.en-xx.txt": "11a799fe97359a995466bedb7b535b5a5bc42cbb749733150507ab52a8b626d7",
         "data/dict.en-yy.txt": "7f6cda0cfa078b15c3248807252bd3d091c68036aacf7cedfcc7fed5b699d428",
         "data/dict.xx-en.txt": "12335e5c09ae92b3e4f61e5b86ea2a4d102c0ba8d00351fd6195291ff6dde97f",
@@ -95,10 +96,10 @@ GOLDEN = {
         "data/translations.jsonl": "5be7a1e02b50f08093ba582ce6c430f9383637f35da834853df94b50f98284bc",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "1620b97b0efe41a749f5a6fef3d73e07280df17aa01b5c396169fef32b034191",
-        "run/manifest.json": "10eba72508fcea8d8bedf476be8ba1bd36a048bbed5b5f38038dceb8c748aea1",
-        "run/student.ckpt": "9ecfbba7e40b575054a8461de5d82d3d62bef7d0e9ca93e57ef6e2cd5af217da",
-        "run/teacher.ckpt": "11a32af0bfeefb662ae441d1ae46aa9126e9b02b3115bdf8b8d3eadb9df45fcb",
-        "sample.jsonl": "0c792371d37447a255e715c588cc9bfe8bb8b882a962100fd82fc3d7c8f34184",
+        "run/manifest.json": "4eba0fbcf63dc905646e9e2463c59d7ccab4de70b7ec4b0590e256ef452a6c02",
+        "run/student.ckpt": "28210343c1fd1c09c0967af9c4051c9e4fce4da30104094ea85975c808ee8e29",
+        "run/teacher.ckpt": "35a82922e94e14eab19d0fe7a534f3fc7795714b1ad8d4735b06497fab775aa2",
+        "sample.jsonl": "170253634cc5ed7915ef6a73adc92c096b5a2c1ef01de2551bf78e8f3d4608b2",
         "viterbi.jsonl": "5f9a0adc1a5cb4868be1ebc3852b874b138129a51494180bd15c0d18d1bee306"
     }
 }

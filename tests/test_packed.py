@@ -80,17 +80,19 @@ def mixed_batch(bench, res, cfg, kinds, rng, n_items=9):
     """Items of several lengths, every fourth unlabeled and every third with
     encode noise, each followed in the packing by a view of a kind that
     cycles through ``kinds``."""
+    table = tr._stage_table(bench.train[:n_items], res.vocab, cfg)
     segs, noises, gold, views = [], [], [], []
-    for k, ex in enumerate(bench.train[:n_items]):
-        seg = tok.viterbi_segment_words(res.vocab, ex.words)
+    for k, (ex, seg, _gold, _noised) in enumerate(table):
         segs.append(seg)
         noises.append(rng.normal(0.0, 0.3, (seg.n_pieces, cfg.dim)) if k % 3 == 0 else None)
         gold.append(None if k % 4 == 1 else tr._gold_for(ex, seg))
-        view = tr._pair_view(ex, seg, kinds[k % len(kinds)], cfg, res, rng)
-        if view is not None:
-            views.append((k,) + view)
+    for kind in kinds:
+        order = np.flatnonzero([kinds[k % len(kinds)] == kind for k in range(len(table))])
+        for k, view in zip(order.tolist(), tr._epoch_views(table, order, kind, cfg, res, rng)):
+            if view is not None:
+                views.append((k,) + view)
     pairs = []
-    for k, vseg, vnoise, modified in views:
+    for k, vseg, vnoise, modified in sorted(views, key=lambda view: view[0]):
         pairs.append((k, len(segs), modified))
         segs.append(vseg)
         noises.append(vnoise)
@@ -99,7 +101,7 @@ def mixed_batch(bench, res, cfg, kinds, rng, n_items=9):
 
 
 def assert_mixed(segs, gold, n_items=9):
-    assert len(set(len(s.ids) for s in segs)) > 2
+    assert len(set(s.n_pieces for s in segs)) > 2
     assert None in gold[:n_items] and any(g is not None for g in gold)
 
 
@@ -126,7 +128,7 @@ class TestAgainstReference:
                            cs_word_ratio=0.5, ss_alpha=0.5)
         batch = mixed_batch(bench, res, cfg, ("SS", "GN", "CS"), np.random.default_rng(3))
         assert_mixed(batch[0], batch[2])
-        assert any(len(s.ids) > s.n_words for s in batch[0])   # multi-piece words
+        assert any(s.n_pieces > len(s.words) for s in batch[0])   # multi-piece words
         student, teacher = models(cfg, res, 4)
         assert_matches_reference(student, teacher, *batch)
 
@@ -140,7 +142,7 @@ class TestAgainstReference:
         # one more view, of another example, with nothing aligned
         first = segs[0]
         other = next(s for s in segs if s.pieces != first.pieces)
-        pairs.append((0, len(segs), [True] * first.n_words))
+        pairs.append((0, len(segs), [True] * len(first.words)))
         segs, noises, gold = segs + [other], noises + [None], gold + [None]
 
         kinds = Counter()
@@ -160,7 +162,7 @@ class TestAgainstReference:
         student, _ = models(cfg, res, 7)
         a, b = (tok.viterbi_segment_words(res.vocab, ex.words) for ex in bench.train[:2])
         pred = mdl.predict(student, [a, b])
-        value = cons.example_consistency(pred, [(0, 1, [True] * a.n_words)])
+        value = cons.example_consistency(pred, [(0, 1, [True] * len(a.words))])
         assert value.item() == 0.0
 
 
@@ -275,8 +277,9 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     monkeypatch.setattr(tr, "task_loss", recording_task_loss)
     monkeypatch.setattr(tr, "example_consistency", recording_r1)
     monkeypatch.setattr(tr, "adam_step", recording_adam)
-    trace = tr.run_stage(corpus.items, student, cfg, res, "main", pair_strategy=pair_strategy,
-                         pair_weight=2.0, teacher=teacher, teacher_weight=0.5)
+    trace, _views = tr.run_stage(corpus.items, student, cfg, res, "main",
+                                 pair_strategy=pair_strategy, pair_weight=2.0, teacher=teacher,
+                                 teacher_weight=0.5)
 
     segs, noises = seen["inputs"]
     gold, pairs = seen["gold"], seen["pairs"]
@@ -333,8 +336,8 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
     assert len(items) > 2 * ev.EVAL_CHUNK
     student, teacher = models(cfg, res, 10)
     sizes = count_teacher_forwards(monkeypatch, teacher)
-    trace = tr.run_stage(items, student, cfg, res, "main", pair_strategy=pair_strategy,
-                         pair_weight=1.0, teacher=teacher, teacher_weight=1.0)
+    trace, _views = tr.run_stage(items, student, cfg, res, "main", pair_strategy=pair_strategy,
+                                 pair_weight=1.0, teacher=teacher, teacher_weight=1.0)
     assert len(trace) > len(sizes) == -(-len(items) // ev.EVAL_CHUNK)
     assert sum(sizes) == len(items) and max(sizes) == ev.EVAL_CHUNK
     assert all(row["model_consistency"] > 0 for row in trace)
@@ -371,8 +374,8 @@ def test_gn_stage_keeps_the_teacher_forward_per_step(small_classification_bench,
         items = tr._build_corpus(bench.train, cfg, res).items
         student, teacher = models(cfg, res, 11)
         sizes = count_teacher_forwards(monkeypatch, teacher)
-        trace = tr.run_stage(items, student, cfg, res, "main", teacher=teacher,
-                             teacher_weight=1.0)
+        trace, _views = tr.run_stage(items, student, cfg, res, "main", teacher=teacher,
+                                     teacher_weight=1.0)
         if per_step:
             assert sizes == [row["labeled"] + row["unlabeled"] for row in trace]
         else:
@@ -418,8 +421,9 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
 
     cfg = small_config(epochs=1)
     student = tr.init_params(cfg, res)
-    trace = tr.run_stage(list(bench.train), student, cfg, res, "main", pair_strategy="CS",
-                         pair_weight=1.0, teacher=copy_params(student), teacher_weight=1.0)
+    trace, _views = tr.run_stage(list(bench.train), student, cfg, res, "main",
+                                 pair_strategy="CS", pair_weight=1.0,
+                                 teacher=copy_params(student), teacher_weight=1.0)
     assert calls["zero_grads"] == len(trace)
     for name in ("predict", "task_loss", "example_consistency", "model_consistency",
                  "adam_step", "code_switch"):
@@ -437,7 +441,7 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
     a, b = (tok.viterbi_segment_words(res.vocab, ex.words) for ex in bench.train[:2])
     assert a.pieces != b.pieces
     cons.example_consistency(mdl.predict(span, [a, b]),
-                             [(0, 1, [True] * a.n_words)])
+                             [(0, 1, [True] * len(a.words))])
     assert calls["aligned"] == 1
 
     # the training driver reaches each stage and the corpus builder through

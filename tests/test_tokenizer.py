@@ -165,17 +165,17 @@ class TestSampling:
     def test_ab_frequency_matches_enumeration(self):
         vocab = toy_vocab()
         rng = np.random.default_rng(42)
-        lattice = tok._Lattice(vocab, "ab", 1.0)
         n = 100_000
-        hits = sum(lattice.sample(rng)[0] == ("ab",) for _ in range(n))
+        hits = sum(pieces == ("ab",)
+                   for pieces, _ in tok.sample_segment_words(vocab, ["ab"] * n, 1.0, rng).words)
         assert abs(hits / n - 0.2 / 0.36) < 0.01
 
     def test_alpha_zero_is_uniform(self):
         vocab = toy_vocab()
         rng = np.random.default_rng(43)
-        lattice = tok._Lattice(vocab, "ab", 0.0)
         n = 100_000
-        hits = sum(lattice.sample(rng)[0] == ("ab",) for _ in range(n))
+        hits = sum(pieces == ("ab",)
+                   for pieces, _ in tok.sample_segment_words(vocab, ["ab"] * n, 0.0, rng).words)
         assert abs(hits / n - 0.5) < 0.01
 
     def test_large_alpha_recovers_viterbi(self):
@@ -206,45 +206,46 @@ class TestSampling:
                 tv = 0.5 * sum(abs(counts.get(k, 0) / n - q) for k, q in zip(keys, tempered))
                 assert tv < 0.02
 
-    def test_draws_match_generator_choice_reference(self):
-        # the categorical over predecessors rebuilt from the vocabulary and
-        # drawn with rng.choice: same pieces, same generator state after
-        def reference(vocab, text, alpha, logf, rng):
-            cuts = [len(text)]
-            while cuts[-1] > 0:
-                j = cuts[-1]
-                starts = [i for i in range(max(0, j - vocab.max_piece_len), j)
-                          if text[i:j] in vocab.pieces]
-                logw = np.array([logf[i] + alpha * vocab.pieces[text[i:j]] for i in starts])
-                p = np.exp(logw - logw.max())
-                p /= p.sum()
-                cuts.append(starts[int(rng.choice(len(starts), p=p))])
-            cuts.reverse()
-            return [text[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-
+    def test_lockstep_draws_match_the_per_token_reference(self):
+        # the reference cuts one token at a time from the same uniform
+        # block: same pieces and ids, same generator state after; several
+        # calls per vocabulary, so later calls meet known and new words
         rng = np.random.default_rng(47)
-        for trial in range(200):
+        for trial in range(60):
             vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
-            text = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
+            if rng.random() < 0.5:
+                vocab = with_marker(vocab)
             alpha = float(rng.choice([0.0, 0.2, 0.5, 1.0, 4.0]))
-            lattice = tok._Lattice(vocab, text, alpha)
             got_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            for _ in range(20):
-                assert (list(lattice.sample(got_rng)[0])
-                        == reference(vocab, text, alpha, lattice.logf, ref_rng))
-            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            for _ in range(4):
+                words = ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
+                         for _ in range(int(rng.integers(0, 12)))]
+                got = tok.sample_segment_words(vocab, words, alpha, got_rng)
+                assert ([list(pieces) for pieces, _ in got.words]
+                        == ref.sample_segment_words(vocab, words, alpha, ref_rng)), trial
+                assert all(ids == tuple(vocab.piece_to_id[p] for p in pieces)
+                           for pieces, ids in got.words)
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state, trial
 
-    def test_draw_records_carry_the_vocabulary_ids(self):
-        # a draw's ids are the vocabulary's ids of its pieces
+    def test_equal_draws_share_one_record(self):
+        # records are interned per word and cut set, across calls, and a
+        # draw equal to the word's Viterbi segmentation is its Viterbi record
         rng = np.random.default_rng(48)
-        for trial in range(100):
-            vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
-            text = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
-            lattice = tok._Lattice(vocab, text, float(rng.choice([0.0, 0.5, 1.0])))
-            rec_rng = np.random.default_rng(trial)
-            for _ in range(10):
-                pieces, ids = lattice.sample(rec_rng)
-                assert ids == tuple(vocab.piece_to_id[p] for p in pieces)
+        vocab = with_marker(random_vocab(rng))
+        words = ["abcab", "ca", "abcab", "bbb"] * 50
+        viterbi = dict(zip(words, tok.viterbi_segment_words(vocab, words).words))
+        first = {}
+        for _ in range(3):
+            for word, record in zip(words, tok.sample_segment_words(vocab, words, 0.3,
+                                                                    rng).words):
+                assert first.setdefault((word, record), record) is record
+                assert record != viterbi[word] or record is viterbi[word]
+        assert any(record is viterbi[word] for word, record in first)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_alpha_rejected_by_name(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            tok.sample_segment_words(toy_vocab(), ["ab"], alpha, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         vocab = toy_vocab()
@@ -265,7 +266,7 @@ class TestWordLevel:
             tok.sample_segment_words(vocab, words, 0.5, rng),
         ):
             assert source_words(seg, vocab.marker) == words
-            assert seg.n_words == len(words)
+            assert len(seg.words) == len(words)
             assert len(seg.first_subword_positions()) == len(words)
 
     def test_marker_prepended_when_covered(self):
@@ -282,7 +283,7 @@ class TestWordLevel:
         words = ["abcab", "cc", "bab"]
         for _ in range(50):
             seg = tok.sample_segment_words(vocab, words, 0.3, rng)
-            assert seg.n_words == 3
+            assert len(seg.words) == 3
             assert len(seg.first_subword_positions()) == 3
 
 
@@ -321,7 +322,7 @@ class TestWordPieces:
         for trial in range(100):
             words = random_words(rng, int(rng.integers(1, 9)))
             example = Example(id=f"e{trial}", language="en", task="span", words=words)
-            view = aug.subword_resample(example, vocab, 0.5, rng)
+            view, = aug.subword_resample([example], vocab, 0.5, rng)
             seg = tok.viterbi_segment_words(vocab, words)
             assert view.modified == [scan_pieces_of_word(view.segmentation, w)
                                      != scan_pieces_of_word(seg, w) for w in range(len(words))]

@@ -7,8 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from xtune import augment as aug
+from xtune import consistency as cons
 from xtune import trainer as tr
 from xtune import model as mdl
+
+from conftest import build_benchmark
 
 
 def checkpoint_bytes(params, tmp_path, name):
@@ -94,8 +98,9 @@ def small_config(task="classification", **kw):
 def stage1_teacher(train, cfg, res):
     """xtune's stage 1 on its own: R1 against the stage-1 strategy."""
     params = tr.init_params(cfg, res)
-    trace = tr.run_stage(list(train), params, cfg, res, "stage1",
-                         pair_strategy=cfg.stage1_strategy, pair_weight=cfg.stage1_pair_weight)
+    trace, _views = tr.run_stage(list(train), params, cfg, res, "stage1",
+                                 pair_strategy=cfg.stage1_strategy,
+                                 pair_weight=cfg.stage1_pair_weight)
     return params, trace
 
 
@@ -224,8 +229,8 @@ class TestLabelMasking:
         corpus = tr._build_corpus(bench.train, cfg, res)
         assert any(not v.example.labeled for v in corpus.augmented)
         student = tr.init_params(cfg, res)
-        trace = tr.run_stage(corpus.items, student, cfg, res, "main",
-                             teacher=tr.init_params(cfg, res), teacher_weight=0.5)
+        trace, _views = tr.run_stage(corpus.items, student, cfg, res, "main",
+                                     teacher=tr.init_params(cfg, res), teacher_weight=0.5)
         for row in trace:
             assert row["labeled"] + row["unlabeled"] == \
                 min(cfg.batch_size, len(corpus.items)) or row["step"] == len(trace)
@@ -243,7 +248,7 @@ class TestLabelMasking:
         unlabeled = [v for v in corpus.augmented if not v.example.labeled][:4]
         params = tr.init_params(cfg, res)
         start = {k: t.data.copy() for k, t in params.tensors.items()}
-        trace = tr.run_stage(unlabeled, params, cfg, res, "main")
+        trace, _views = tr.run_stage(unlabeled, params, cfg, res, "main")
         assert all(row["total"] == 0.0 and row["labeled"] == 0 for row in trace)
         for name, t in params.tensors.items():
             assert np.array_equal(t.data, start[name])
@@ -358,3 +363,83 @@ class TestMtPairing:
         with pytest.raises(StrategyError):
             cfg = small_config(task="labeling", pair_strategy="MT", pooling="average")
             tr.train_with_mode("r1-only", bench.train, cfg, res)
+
+
+class TestViewStatistics:
+    """The manifest's per-stage ``views`` record, each value recomputed from
+    what the run drew and scored."""
+
+    @staticmethod
+    def record_stages(monkeypatch):
+        """Per stage, the views each batched draw returned and the restricted
+        span alignments R1 found empty."""
+        stages = []
+        run_stage = tr.run_stage
+        aligned = cons.aligned_first_subword_positions
+
+        def recording_stage(*args, **kwargs):
+            stages.append({"views": [], "empty": 0})
+            return run_stage(*args, **kwargs)
+
+        def recording_draw(draw):
+            def recorded(*args):
+                views = draw(*args)
+                stages[-1]["views"] += views
+                return views
+            return recorded
+
+        def recording_aligned(*args):
+            positions = aligned(*args)
+            stages[-1]["empty"] += not positions[0]
+            return positions
+
+        monkeypatch.setattr(tr, "run_stage", recording_stage)
+        monkeypatch.setattr(tr, "code_switch", recording_draw(tr.code_switch))
+        monkeypatch.setattr(tr, "subword_resample", recording_draw(tr.subword_resample))
+        monkeypatch.setattr(cons, "aligned_first_subword_positions", recording_aligned)
+        return stages
+
+    def test_span_cs_and_ss_views(self, monkeypatch):
+        bench, res = build_benchmark(task="span", train_examples=24, vocab_size=40)
+        cfg = tr.TrainConfig.from_preset("xquad", "translate-train-all", epochs=3,
+                                         batch_size=8, dim=8, max_len=48, seed=3,
+                                         mt_languages=("xx", "yy"), ss_alpha=0.0,
+                                         cs_word_ratio=0.9)
+        stages = self.record_stages(monkeypatch)
+        result = tr.train_with_mode("xtune", bench.train, cfg, res)
+        views = result.manifest["views"]
+        assert list(views) == list(result.traces) == ["stage1", "stage2"]
+        for (name, trace), seen in zip(result.traces.items(), stages):
+            flags = [flag for view in seen["views"] for flag in view.modified]
+            drawn = sum(row["pairs"] for row in trace)
+            assert drawn == len(seen["views"])
+            assert views[name] == {"steps": len(trace), "views_drawn": drawn,
+                                   "views_missing": 0, "missing_ids": [],
+                                   "modified_word_share": sum(flags) / len(flags),
+                                   "empty_alignments": seen["empty"]}
+        assert views["stage1"]["views_drawn"] == 3 * len(bench.train)
+        assert views["stage2"]["views_drawn"] == 3 * 3 * len(bench.train)
+        for name in views:
+            assert views[name]["empty_alignments"] > 0, name
+            assert 0 < views[name]["modified_word_share"] < 1, name
+
+    def test_mt_items_without_another_language(self, small_classification_bench):
+        bench, res = small_classification_bench
+        dropped = sorted(ex.id for ex in bench.train[::5])
+        store = aug.TranslationStore()
+        for ex in bench.train:
+            for lang in ("xx", "yy") if ex.id not in dropped else ():
+                store.add(ex.id, lang, *bench.store.get(ex.id, lang))
+        res = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=store)
+        cfg = small_config(pair_strategy="MT", epochs=2)
+        result = tr.train_with_mode("r1-only", bench.train, cfg, res)
+        trace, views = result.traces["stage2"], result.manifest["views"]["stage2"]
+        assert views == {"steps": len(trace), "views_drawn": sum(row["pairs"] for row in trace),
+                         "views_missing": 2 * len(dropped), "missing_ids": dropped,
+                         "modified_word_share": 1.0, "empty_alignments": 0}
+        assert views["views_drawn"] == 2 * (len(bench.train) - len(dropped))
+
+        baseline = tr.train_with_mode("baseline", bench.train, cfg, res)
+        assert baseline.manifest["views"]["stage2"] == {
+            "steps": len(baseline.traces["stage2"]), "views_drawn": 0, "views_missing": 0,
+            "missing_ids": [], "modified_word_share": None, "empty_alignments": 0}
