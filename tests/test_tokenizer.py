@@ -227,6 +227,59 @@ class TestSampling:
                            for pieces, ids in got.words)
                 assert got_rng.bit_generator.state == ref_rng.bit_generator.state, trial
 
+    def test_draws_match_generator_choice_reference(self):
+        # the categorical over predecessors rebuilt from the vocabulary and
+        # drawn with rng.choice, one uniform per cut; the call's block has
+        # one row per word as long as the call's longest form, so the
+        # reference skips the rest of each row: same pieces, same state after
+        def reference(vocab, words, alpha, rng):
+            forms = [vocab.word_form(w) for w in words]
+            width = max(map(len, forms), default=0)
+            drawn = []
+            for text in forms:
+                logf = ref.lattice_logf(vocab, text, alpha)
+                cuts = [len(text)]
+                while cuts[-1] > 0:
+                    j = cuts[-1]
+                    starts = [i for i in range(max(0, j - vocab.max_piece_len), j)
+                              if text[i:j] in vocab.pieces]
+                    logw = np.array([logf[i] + alpha * vocab.pieces[text[i:j]] for i in starts])
+                    p = np.exp(logw - logw.max())
+                    p /= p.sum()
+                    cuts.append(starts[int(rng.choice(len(starts), p=p))])
+                rng.random(width - (len(cuts) - 1))
+                cuts.reverse()
+                drawn.append([text[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+            return drawn
+
+        rng = np.random.default_rng(47)
+        for trial in range(100):
+            vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
+            alpha = float(rng.choice([0.0, 0.2, 0.5, 1.0, 4.0]))
+            got_rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(5):
+                words = ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
+                         for _ in range(int(rng.integers(1, 6)))]
+                got = tok.sample_segment_words(vocab, words, alpha, got_rng)
+                assert ([list(pieces) for pieces, _ in got.words]
+                        == reference(vocab, words, alpha, ref_rng)), trial
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state, trial
+
+    def test_draw_records_carry_the_vocabulary_ids(self):
+        # a draw's ids are the vocabulary's ids of its pieces
+        rng = np.random.default_rng(48)
+        for trial in range(100):
+            vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
+            if rng.random() < 0.5:
+                vocab = with_marker(vocab)
+            words = ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
+                     for _ in range(int(rng.integers(1, 6)))]
+            alpha = float(rng.choice([0.0, 0.5, 1.0]))
+            rec_rng = np.random.default_rng(trial)
+            for _ in range(10):
+                for pieces, ids in tok.sample_segment_words(vocab, words, alpha, rec_rng).words:
+                    assert ids == tuple(vocab.piece_to_id[p] for p in pieces)
+
     def test_equal_draws_share_one_record(self):
         # records are interned per word and cut set, across calls, and a
         # draw equal to the word's Viterbi segmentation is its Viterbi record
