@@ -8,9 +8,11 @@ side is a constant table of its log-probability rows.
 
 Both take packed student predictions (see ``model.Packing``).  Each gathers
 the rows it compares from the whole batch at once and sums row-wise KL terms
-with constant per-row weights (1/B per sequence, 1/(n_words B) per labeling
-word row); restricted span positions renormalize within one segment per
-pair.  So a batch's regularizer is a fixed handful of graph nodes.
+with constant per-row weights.  One rule weighs every label distribution: a
+sequence's share 1/B is split evenly over its ``row_layout`` rows (one class
+row, or one row per word); a span start or end distribution weighs 1/B, and
+restricted span positions renormalize within one segment per pair.  So a
+batch's regularizer is a fixed handful of graph nodes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
+from .model import layout_rows
 
 PROB_FLOOR = 1e-12
 LOG_FLOOR = math.log(PROB_FLOOR)
@@ -75,42 +78,34 @@ def example_consistency(pred, pairs):
     """Mean symmetric-KL agreement between examples and their augmented views.
 
     ``pairs`` lists (original, view, modified): two sequence indices into
-    ``pred``'s packing, then the view's modified-word flags.  Classification
-    compares the label distributions directly; only there may the view be a
-    translation.  Every other view is word-for-word.  Span extraction
+    ``pred``'s packing, then the view's modified-word flags.  Label
+    distributions compare row for row over the two sides' ``row_layout``
+    rows, which must be equally many: one class row (only there may the view
+    be a translation) or one row per word, substituted words included.  Every
+    view other than a translation is word-for-word.  Span extraction
     compares full position distributions when the two views tokenize
     identically; otherwise both sides are restricted to the first-subword
     positions of unchanged words and renormalized (a pair where no position
-    survives adds zero but still counts in the mean).  Sequence labeling
-    averages over all words, including substituted ones, and requires equal
-    word counts.
+    survives adds zero but still counts in the mean).
     """
     if not pairs:
         raise ValueError("example consistency needs at least one pair")
-    packing = pred.packing
     share = 1.0 / len(pairs)
 
-    if pred.task == "classification":
-        orig = [i for i, _j, _m in pairs]
-        view = [j for _i, j, _m in pairs]
-        return symmetric_kl(ad.gather(pred.class_log, orig), ad.gather(pred.class_log, view),
-                            share)
+    if pred.task != "span":
+        first, counts, (output,) = pred.row_layout()
+        orig, view, _modified = zip(*pairs)
+        orig, view = np.array(orig), np.array(view)
+        n = counts[orig]
+        if (n != counts[view]).any():
+            k = np.flatnonzero(n != counts[view])[0]
+            raise ValueError(f"word counts differ: {n[k]} vs {counts[view[k]]}")
+        log = getattr(pred, output)
+        return symmetric_kl(ad.gather(log, layout_rows(first[orig], n)),
+                            ad.gather(log, layout_rows(first[view], n)), np.repeat(share / n, n))
 
-    rows, view_rows = [], []
-    if pred.task == "labeling":
-        weights = []
-        for i, j, _modified in pairs:
-            n = int(packing.n_words[i])
-            if n != packing.n_words[j]:
-                raise ValueError(f"word counts differ: {n} vs {packing.n_words[j]}")
-            rows.append(packing.word_starts[i] + np.arange(n))
-            view_rows.append(packing.word_starts[j] + np.arange(n))
-            weights.append(np.full(n, share / n))
-        return symmetric_kl(ad.gather(pred.word_log, np.concatenate(rows)),
-                            ad.gather(pred.word_log, np.concatenate(view_rows)),
-                            np.concatenate(weights))
-
-    segment = []
+    packing = pred.packing
+    rows, view_rows, segment = [], [], []
     for k, (i, j, modified) in enumerate(pairs):
         seg, seg_aug = packing.segmentations[i], packing.segmentations[j]
         if seg.words == seg_aug.words:
@@ -148,11 +143,12 @@ def model_consistency(teacher_rows, student_pred):
     if (not b or b > counts.size or len(teacher_rows.outputs) != len(outputs)
             or not np.array_equal(teacher_rows.counts, counts[:b])):
         raise ValueError("teacher and student saw differently tokenized inputs")
-    weights = (np.repeat(1.0 / (counts[:b] * b), counts[:b])
-               if student_pred.task == "labeling" else 1.0 / b)
+    # a 2-d output holds rows of label distributions; a 1-d one is one
+    # distribution per sequence
+    row_weights = np.repeat(1.0 / (counts[:b] * b), counts[:b])
     total = None
     for name, teacher in zip(outputs, teacher_rows.outputs):
         student = ad.gather(getattr(student_pred, name), np.arange(teacher.shape[0]))
-        term = kl(ad.constant(teacher), student, weights)
+        term = kl(ad.constant(teacher), student, row_weights if teacher.ndim == 2 else 1.0 / b)
         total = term if total is None else ad.add(total, term)
     return total

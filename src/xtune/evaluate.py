@@ -74,21 +74,14 @@ def _check_lengths(predictions, gold):
 def transfer_gap(per_language_scores, source_language):
     """Source score minus the mean score over all other languages.
 
-    Scores may be floats or (F1, EM) pairs; pairs are averaged first.
     Positive gap means the model performs worse off-source.
     """
-    def as_scalar(v):
-        if isinstance(v, (tuple, list)):
-            return sum(v) / len(v)
-        return float(v)
-
     if source_language not in per_language_scores:
         raise ValueError(f"source language {source_language!r} missing from scores")
-    others = [as_scalar(v) for lang, v in per_language_scores.items()
-              if lang != source_language]
+    others = [float(v) for lang, v in per_language_scores.items() if lang != source_language]
     if not others:
         raise ValueError("need at least one non-source language")
-    return as_scalar(per_language_scores[source_language]) - sum(others) / len(others)
+    return float(per_language_scores[source_language]) - sum(others) / len(others)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +140,7 @@ def score_corpus(params, examples, vocab):
 
 def primary_score(task, scores):
     """The scalar used for mode comparisons and the transfer gap."""
-    if task == "classification":
-        return scores["accuracy"]
-    if task == "span":
-        return scores["score"]
-    return scores["accuracy"]
+    return scores["score" if task == "span" else "accuracy"]
 
 
 def evaluate_languages(params, eval_sets, vocab):

@@ -23,8 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
+from .data import TASKS
 
-TASKS = ("classification", "span", "labeling")
 POOLINGS = ("first_subword", "average")
 
 INIT_SCALE = 0.02
@@ -138,8 +138,9 @@ class Prediction:
 
     def row_layout(self):
         """(first rows, row counts, outputs): sequence k owns rows
-        ``first[k]:first[k] + counts[k]`` of each output named in ``outputs``
-        (one class row, its subword rows, or its word rows)."""
+        ``first[k]:first[k] + counts[k]`` of each output named in ``outputs``:
+        one label row per unit the task labels (the sequence for
+        classification, each word for labeling), or its subword rows (span)."""
         p = self.packing
         if self.task == "classification":
             return np.arange(len(p)), np.ones(len(p), dtype=np.intp), ("class_log",)
@@ -176,8 +177,15 @@ class RowTable(NamedTuple):
         one gather per output."""
         counts = self.counts[index]
         first = np.cumsum(counts) - counts
-        rows = np.repeat(self.first[index] - first, counts) + np.arange(counts.sum())
+        rows = layout_rows(self.first[index], counts)
         return RowTable(first, counts, tuple(out[rows] for out in self.outputs))
+
+
+def layout_rows(first, counts):
+    """The rows ``first[k]:first[k] + counts[k]`` of every k, concatenated
+    in order."""
+    shift = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return shift + np.arange(shift.size)
 
 
 def encode(params, packing, noises=None):
@@ -214,11 +222,6 @@ def predict(params, segmentations, noises=None):
     packing = Packing(segmentations)
     hidden = encode(params, packing, noises)
 
-    if params.task == "classification":
-        pooled = ad.segment_mean(hidden, packing.seq, len(packing))
-        logits = ad.add_rowvec(ad.matmul(pooled, params["head_weight"]), params["head_bias"])
-        return Prediction("classification", packing, class_log=ad.log_softmax(logits, axis=1))
-
     if params.task == "span":
         def head(name):
             logits = ad.reshape(ad.matmul(hidden, params[name]), (packing.seq.size,))
@@ -227,12 +230,15 @@ def predict(params, segmentations, noises=None):
         return Prediction("span", packing, start_log=head("start_weight"),
                           end_log=head("end_weight"))
 
-    if params.pooling == "average":
+    if params.task == "classification":
+        reps = ad.segment_mean(hidden, packing.seq, len(packing))
+    elif params.pooling == "average":
         reps = ad.segment_mean(hidden, packing.word_of_row, packing.first_rows.size)
     else:
         reps = ad.embedding_lookup(hidden, packing.first_rows)
     logits = ad.add_rowvec(ad.matmul(reps, params["head_weight"]), params["head_bias"])
-    return Prediction("labeling", packing, word_log=ad.log_softmax(logits, axis=1))
+    output = "class_log" if params.task == "classification" else "word_log"
+    return Prediction(params.task, packing, **{output: ad.log_softmax(logits, axis=1)})
 
 
 def task_loss(prediction, gold):
@@ -241,7 +247,9 @@ def task_loss(prediction, gold):
     ``gold`` has one entry per packed sequence: a label id (classification),
     (start, end) subword indices within the sequence (span), a per-word tag
     id sequence (labeling), or None for a sequence without a label.  Each
-    gold log-probability gets a constant weight, so the loss is one sum.
+    gold log-probability gets a constant weight, so the loss is one sum.  A
+    label id counts as a one-tag list: a labeled sequence's share is split
+    evenly over its ``row_layout`` rows.
     """
     packing = prediction.packing
     if len(gold) != len(packing):
@@ -250,16 +258,6 @@ def task_loss(prediction, gold):
     if not labeled:
         raise ValueError("no sequence carries a gold payload")
     share = -1.0 / len(labeled)
-
-    if prediction.task == "classification":
-        weights = np.zeros(prediction.class_log.shape)
-        n = weights.shape[1]
-        for k in labeled:
-            label = int(gold[k])
-            if not 0 <= label < n:
-                raise ValueError(f"label {label} out of range for {n} classes")
-            weights[k, label] = share
-        return ad.sum(ad.mul(prediction.class_log, ad.constant(weights)))
 
     if prediction.task == "span":
         w_start, w_end = np.zeros(packing.seq.size), np.zeros(packing.seq.size)
@@ -273,18 +271,21 @@ def task_loss(prediction, gold):
         return ad.add(ad.sum(ad.mul(prediction.start_log, ad.constant(w_start))),
                       ad.sum(ad.mul(prediction.end_log, ad.constant(w_end))))
 
-    weights = np.zeros(prediction.word_log.shape)
-    n_label = weights.shape[1]
-    for k in labeled:
-        tags = [int(t) for t in gold[k]]
-        n_words = int(packing.n_words[k])
-        if len(tags) != n_words:
-            raise ValueError(f"{len(tags)} tags for {n_words} words")
-        for w, t in enumerate(tags):
-            if not 0 <= t < n_label:
-                raise ValueError(f"tag {t} out of range for {n_label} classes")
-            weights[packing.word_starts[k] + w, t] = share / n_words
-    return ad.sum(ad.mul(prediction.word_log, ad.constant(weights)))
+    first, counts, (output,) = prediction.row_layout()
+    tags = [[gold[k]] if prediction.task == "classification" else gold[k] for k in labeled]
+    n = counts[labeled]
+    sizes = np.fromiter(map(len, tags), np.intp, len(tags))
+    if (sizes != n).any():
+        k = np.flatnonzero(sizes != n)[0]
+        raise ValueError(f"sequence {labeled[k]}: {sizes[k]} tags for {n[k]} words")
+    tags = np.fromiter(chain.from_iterable(tags), np.intp)
+    log = getattr(prediction, output)
+    if tags.min() < 0 or tags.max() >= log.shape[1]:
+        bad = tags[(tags < 0) | (tags >= log.shape[1])][0]
+        raise ValueError(f"label {bad} out of range for {log.shape[1]} classes")
+    weights = np.zeros(log.shape)
+    weights[layout_rows(first[labeled], n), tags] = np.repeat(share / n, n)
+    return ad.sum(ad.mul(log, ad.constant(weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,9 @@ from .augment import (
     validate_strategy,
 )
 from .consistency import aligned_words, example_consistency, model_consistency
+from .data import TASKS
 from .evaluate import EVAL_CHUNK
-from .model import POOLINGS, TASKS, ModelParams, RowTable, predict, task_loss
+from .model import POOLINGS, ModelParams, RowTable, predict, task_loss
 
 SETTINGS = ("cross-lingual-transfer", "translate-train-all")
 # (R1 example consistency, R2 model consistency) per training mode
@@ -75,8 +76,6 @@ PRESETS = {
     ("tydiqa", "translate-train-all"): ("SS", "MT", "SS", 5.0, 0.3),
 }
 
-PRESET_DATASETS = ("xnli", "pawsx", "pos", "ner", "xquad", "mlqa", "tydiqa")
-
 # task kind and labeling pooling per benchmark dataset
 PRESET_TASKS = {
     "xnli": ("classification", None),
@@ -87,6 +86,8 @@ PRESET_TASKS = {
     "mlqa": ("span", None),
     "tydiqa": ("span", None),
 }
+
+PRESET_DATASETS = tuple(PRESET_TASKS)
 
 
 class TrainingError(RuntimeError):

@@ -76,10 +76,6 @@ class TestTransferGap:
     def test_all_equal_zero_gap(self):
         assert ev.transfer_gap({"en": 70.0, "de": 70.0}, "en") == 0.0
 
-    def test_span_pairs_use_mean_of_f1_em(self):
-        gap = ev.transfer_gap({"en": (80.0, 60.0), "xx": (70.0, 50.0)}, "en")
-        assert abs(gap - 10.0) < 1e-12
-
     def test_gap_may_be_negative(self):
         assert ev.transfer_gap({"en": 50.0, "xx": 60.0}, "en") == -10.0
 

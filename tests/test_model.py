@@ -189,6 +189,22 @@ class TestTaskLoss:
         with pytest.raises(ValueError, match="out of range"):
             mdl.task_loss(pred, [5])
 
+    @pytest.mark.parametrize("tags", [[0, 1], [0, 1, 0, 1]], ids=["short", "long"])
+    def test_labeling_tag_count_must_match_word_count(self, tags):
+        # the second sequence has 3 words; the first carries no gold
+        packing = mdl.Packing([tok.Segmentation([(("a",), (0,))] * n) for n in (2, 3)])
+        pred = mdl.Prediction("labeling", packing,
+                              word_log=ad.Tensor(np.log(np.full((5, 2), 0.5))))
+        with pytest.raises(ValueError, match=f"sequence 1: {len(tags)} tags for 3 words"):
+            mdl.task_loss(pred, [None, tags])
+
+    @pytest.mark.parametrize("tag", [2, -1])
+    def test_labeling_tag_out_of_range(self, tag):
+        pred = mdl.Prediction("labeling", packing_of(3),
+                              word_log=ad.Tensor(np.log(np.full((3, 2), 0.5))))
+        with pytest.raises(ValueError, match=f"label {tag} out of range for 2 classes"):
+            mdl.task_loss(pred, [[0, tag, 1]])
+
 
 class TestGradients:
     @pytest.mark.parametrize("task,n_label,gold", [

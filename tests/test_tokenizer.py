@@ -188,7 +188,8 @@ class TestSampling:
     def test_sampling_law_total_variation(self):
         # empirical law vs enumeration-normalized tempered probabilities, with
         # and without the boundary marker in the vocabulary; the word has
-        # several segmentations under both (6 unmarked, 12 marked)
+        # several segmentations under both (6 unmarked, 12 marked); each law's n
+        # draws are one call over n copies of the word
         word = "ccaab"
         n = 50_000
         for marked in (False, True):
@@ -201,8 +202,8 @@ class TestSampling:
                 tempered = np.array([p ** alpha for _, p in segs])
                 tempered /= tempered.sum()
                 keys = [tuple(s.pieces) for s, _ in segs]
-                counts = Counter(tuple(tok.sample_segment_words(vocab, [word], alpha, rng).pieces)
-                                 for _ in range(n))
+                counts = Counter(tuple(pieces) for pieces, _ in
+                                 tok.sample_segment_words(vocab, [word] * n, alpha, rng).words)
                 tv = 0.5 * sum(abs(counts.get(k, 0) / n - q) for k, q in zip(keys, tempered))
                 assert tv < 0.02
 
