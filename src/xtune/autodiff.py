@@ -1,15 +1,18 @@
 """Minimal reverse-mode autodiff over dense float64 numpy buffers.
 
-Small by design: the op set is exactly what the encoder, the task losses and
-the KL regularizers need, plus a stop-gradient barrier.  No broadcasting
-beyond scalar*tensor; every other shape mismatch is an error so that the
-finite-difference oracle has a small, fully checkable surface: the tests
-list every op and check each one's gradients on random graphs.
+Small by design: the op set is exactly what the encoder and the task losses
+need, a fused ``kl_div`` for the KL regularizers, plus a stop-gradient
+barrier.  No broadcasting beyond scalar*tensor and ``kl_div``'s per-row
+weights; any other shape mismatch is an error so that the finite-difference
+oracle has a small, fully checkable surface: the tests list every op and
+check each one's gradients on random graphs.
 
 Callers pack many sequences into one matrix, one row per subword, and keep
 a row -> segment id array beside it.  ``segment_mean`` and
 ``segment_log_softmax`` reduce within segments by scattering on those ids,
-so one graph of a fixed number of nodes covers a whole batch.
+so one graph of a fixed number of nodes covers a whole batch.  Step time is
+per-node Python overhead, so a KL term is one node, not the eight-op chain
+whose numpy expressions it evaluates in the same order, to the same bits.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class NumericError(ValueError):
 class Tensor:
     """A node in the computation graph.
 
-    Holds a float64 value buffer, an (initially empty) gradient buffer, a
+    Holds a float64 value buffer, a gradient (None until one arrives), a
     record of the producing op and its parents, and a stop-gradient flag.
     A node with ``stop_gradient`` set forwards its value unchanged but
     propagates zero gradient to its parents.
@@ -48,13 +51,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # never in place: ``add`` hands one gradient array to both parents
+        self.grad = g if self.grad is None else self.grad + g
 
     def item(self):
         return float(self.data)
@@ -249,13 +248,21 @@ def reshape(a, shape):
     return _node(a.data.reshape(shape), "reshape", (a,), backward)
 
 
-def clip_min(a, floor):
-    """Elementwise max(a, floor); subgradient passes only where a > floor."""
+def kl_div(p_log, q_log, weights, floor):
+    """Weighted KL(P || Q) as one scalar node: the sum over entries of
+    ``weights * exp(lp) * (lp - lq)``, ``lp``/``lq`` the log-probability
+    operands clipped below at ``floor``.  ``weights`` is one constant per row
+    (first axis) or one for all; an operand gets gradient only above the floor.
+    """
+    _check_same_shape("kl_div", p_log, q_log)
     floor = float(floor)
-    mask = a.data > floor
+    lp, lq = np.maximum(p_log.data, floor), np.maximum(q_log.data, floor)
+    w = np.broadcast_to(np.reshape(weights, (-1,) + (1,) * (lp.ndim - 1)), lp.shape)
+    p, diff = np.exp(lp), lp - lq
     def backward(g):
-        return (g * mask,)
-    return _node(np.maximum(a.data, floor), "clip_min", (a,), backward)
+        gw = float(g) * w
+        return ((gw * diff) * p + gw * p) * (lp > floor), -(gw * p) * (lq > floor)
+    return _node((p * diff * w).sum(), "kl_div", (p_log, q_log), backward)
 
 
 def log_softmax(a, axis=0):
@@ -278,35 +285,24 @@ def detach(a):
     frozen against later in-place edits of its source; backward never
     crosses this node into its parents.
     """
-    out = Tensor.__new__(Tensor)
-    out.data = a.data.copy()
-    out.grad = None
-    out.op = "detach"
-    out.parents = (a,)
-    out.stop_gradient = True
-    out._backward = None
-    return out
+    return Tensor(a.data.copy(), op="detach", parents=(a,), stop_gradient=True)
 
 
 def _toposort(root):
     """Reverse-topological order; does not descend past stop-gradient nodes."""
-    order = []
-    state = {}  # id -> 0 visiting, 1 done
+    order, seen = [], set()
     stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
-            state[id(node)] = 1
             order.append(node)
             continue
-        if id(node) in state:
+        if node in seen:
             continue
-        state[id(node)] = 0
+        seen.add(node)
         stack.append((node, True))
         if not node.stop_gradient:
-            for p in node.parents:
-                if id(p) not in state:
-                    stack.append((p, False))
+            stack.extend((p, False) for p in node.parents if p not in seen)
     return order
 
 
@@ -315,6 +311,8 @@ def backward(root):
 
     An op node's gradient is released once passed to its parents, so a
     packed batch's intermediate buffers hold no gradient copies at once.
+    Leaves may share one ``.grad`` array (``add`` passes its gradient to
+    both parents), so never change a ``.grad`` in place.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.data.shape}")
@@ -329,4 +327,4 @@ def backward(root):
 
 def zero_grads(tensors):
     for t in tensors:
-        t.zero_grad()
+        t.grad = None

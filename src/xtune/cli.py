@@ -295,13 +295,23 @@ def cmd_eval(args):
 # gap
 
 
+def _report_value(path, obj, key, where="report"):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{path}: {where} is not a JSON object with a {key!r} key")
+    return obj[key]
+
+
 def cmd_gap(args):
-    rep = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    scalar = {lang: ev.primary_score(rep["task"], scores)
-              for lang, scores in rep["per_language"].items()}
-    gap = ev.transfer_gap(scalar, args.source or rep["source_language"])
-    payload = {"source_language": args.source or rep["source_language"],
-               "per_language": scalar, "transfer_gap": gap}
+    path = args.report
+    rep = json.loads(Path(path).read_text(encoding="utf-8"))
+    metric = ev.primary_metric(_report_value(path, rep, "task"))
+    source = args.source or _report_value(path, rep, "source_language")
+    per_language = _report_value(path, rep, "per_language")
+    _report_value(path, per_language, source, "per_language")
+    scalar = {lang: _report_value(path, scores, metric, f"per_language[{lang!r}]")
+              for lang, scores in per_language.items()}
+    gap = ev.transfer_gap(scalar, source)
+    payload = {"source_language": source, "per_language": scalar, "transfer_gap": gap}
     print(f"transfer gap: {gap:+.4f}")
     if args.out:
         _write_json(payload, args.out)

@@ -24,8 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import layout_rows
 
-PROB_FLOOR = 1e-12
-LOG_FLOOR = math.log(PROB_FLOOR)
+LOG_FLOOR = math.log(1e-12)   # probabilities are floored at 1e-12
 
 
 def kl(p_log, q_log, weights):
@@ -33,17 +32,11 @@ def kl(p_log, q_log, weights):
 
     Every entry of row i adds ``weights[i] * p * (log p - log q)``;
     ``weights`` is one number per row (first axis) or one for all, so a
-    weight of 1 over a vector is plain KL(P || Q).  Probabilities are
-    floored at 1e-12 before the logs so the value stays finite for
-    degenerate inputs.
+    weight of 1 over a vector is plain KL(P || Q).  The term is one
+    ``autodiff.kl_div`` node, with log-probabilities clipped at log 1e-12 so it
+    stays finite; callers keep gradient off a side with ``detach`` or constants.
     """
-    if p_log.shape != q_log.shape:
-        raise ad.ShapeError(f"kl: shapes {p_log.shape} and {q_log.shape} differ")
-    w = np.asarray(weights, dtype=np.float64).reshape((-1,) + (1,) * (len(p_log.shape) - 1))
-    lp = ad.clip_min(p_log, LOG_FLOOR)
-    lq = ad.clip_min(q_log, LOG_FLOOR)
-    terms = ad.mul(ad.exp(lp), ad.sub(lp, lq))
-    return ad.sum(ad.mul(terms, ad.constant(np.broadcast_to(w, p_log.shape))))
+    return ad.kl_div(p_log, q_log, weights, LOG_FLOOR)
 
 
 def symmetric_kl(p_log, q_log, weights):

@@ -106,6 +106,8 @@ class Example:
 
 def _example_from_record(record, task, lineno, path):
     try:
+        if not isinstance(record, dict):
+            raise SchemaError("a record must be a JSON object")
         if task == "classification":
             return Example(
                 id=str(record["id"]),
@@ -141,6 +143,8 @@ def _example_from_record(record, task, lineno, path):
         raise SchemaError(f"{path}:{lineno}: missing field {missing}") from None
     except SchemaError as err:
         raise SchemaError(f"{path}:{lineno}: {err}") from None
+    except (TypeError, ValueError) as err:
+        raise SchemaError(f"{path}:{lineno}: a field has the wrong JSON type ({err})") from None
 
 
 def load_jsonl(path, task):

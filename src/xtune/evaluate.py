@@ -138,9 +138,14 @@ def score_corpus(params, examples, vocab):
     return {"accuracy": acc, "f1": f1}
 
 
+def primary_metric(task):
+    """The name of the score used for mode comparisons and the transfer gap."""
+    return "score" if task == "span" else "accuracy"
+
+
 def primary_score(task, scores):
     """The scalar used for mode comparisons and the transfer gap."""
-    return scores["score" if task == "span" else "accuracy"]
+    return scores[primary_metric(task)]
 
 
 def evaluate_languages(params, eval_sets, vocab):

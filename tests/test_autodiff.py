@@ -202,7 +202,7 @@ class TestGradCheck:
 
 OPS = {
     "add", "sub", "mul", "scale", "matmul", "add_rowvec", "embedding_lookup",
-    "gather", "tanh", "exp", "sum", "reshape", "clip_min", "log_softmax",
+    "gather", "tanh", "exp", "sum", "reshape", "kl_div", "log_softmax",
     "segment_mean", "segment_log_softmax",
 }
 
@@ -220,12 +220,15 @@ def _random_graph_case(rng):
         x = ad.add(a, b)
         x = ad.matmul(x, w)
         choice = int(rng_choice)
+        divergence = None
         if choice == 0:
             x = ad.tanh(x)
         elif choice == 1:
             x = ad.exp(ad.scale(x, 0.25))
         elif choice == 2:
-            x = ad.clip_min(x, -0.25)
+            # both operands carry gradient, and the floor clips some entries
+            # of each, so both sides' masks are checked
+            divergence = ad.kl_div(x, b, rng_kl_weights, -0.5)
         elif choice == 3:
             x = ad.log_softmax(x, axis=1)
         elif choice == 4:
@@ -238,7 +241,8 @@ def _random_graph_case(rng):
         rows = ad.embedding_lookup(x, list(rng_rows))
         pooled = ad.segment_mean(ad.segment_mean(rows, rng_row_segments, 2), [0, 0], 1)
         picked = ad.gather(ad.reshape(pooled, (d2,)), list(rng_gather))
-        return ad.scale(ad.sum(ad.exp(ad.scale(picked, 0.25))), 0.5)
+        loss = ad.scale(ad.sum(ad.exp(ad.scale(picked, 0.25))), 0.5)
+        return loss if divergence is None else ad.add(loss, divergence)
 
     rng_choice = rng.integers(0, 6)
     rng_rows = rng.integers(0, d1, size=3)
@@ -246,6 +250,8 @@ def _random_graph_case(rng):
     cut = int(rng.integers(2, d1 * d2 - 1))   # both runs hold >= 2 entries
     rng_entry_segments = np.repeat([0, 1], [cut, d1 * d2 - cut])
     rng_gather = rng.integers(0, d2, size=2)
+    # one weight per row, or one for all
+    rng_kl_weights = rng.random(d1) + 0.5 if rng.random() < 0.5 else float(rng.random()) + 0.5
     return loss_fn, params
 
 
@@ -256,6 +262,29 @@ def test_primitive_gradients_on_100_random_graphs():
         ana = analytic_grads(loss_fn, params)
         num = finite_difference(loss_fn, params)
         assert max_rel_err(ana, num) < 1e-4
+
+
+def test_leaf_grads_have_their_tensors_shape_and_dtype():
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        loss_fn, params = _random_graph_case(rng)
+        ad.zero_grads(params)
+        ad.backward(loss_fn())
+        for p in params:
+            assert isinstance(p.grad, np.ndarray)
+            assert p.grad.shape == p.data.shape and p.grad.dtype == np.float64
+
+
+def test_shared_gradient_array_is_never_added_into():
+    # z = (a + b) + a: the outer add hands one array to a and to the inner
+    # add, whose backward hands that same array on to a and b; a's second
+    # contribution must not change b's gradient
+    a = ad.Tensor([1.0, 2.0])
+    b = ad.Tensor([3.0, 4.0])
+    scale = ad.constant([0.5, -3.0])
+    ad.backward(ad.sum(ad.mul(ad.add(ad.add(a, b), a), scale)))
+    assert b.grad.tolist() == [0.5, -3.0]
+    assert a.grad.tolist() == [1.0, -6.0]
 
 
 def graph_ops(root):
@@ -299,6 +328,31 @@ def test_scatter_add_is_bitwise_np_add_at(width, n_index):
     np.add.at(want, index, values)
     got = ad._scatter_add(index, values, n_rows)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape,weights", [((6, 5), "rows"), ((7,), "one")])
+def test_kl_div_is_bitwise_the_composed_chain(shape, weights):
+    # the expressions of the eight-node chain kl_div replaces: a floor on
+    # each operand, exp, sub, mul, a constant weight tensor, mul and sum,
+    # with each gradient accumulated into zeros as the chain's nodes did
+    rng = np.random.default_rng(11)
+    floor = math.log(1e-12)
+    p, q = (rng.normal(0.0, 20.0, shape) for _ in range(2))   # some below the floor
+    w = rng.random(shape[0]) if weights == "rows" else 0.37
+    W = np.broadcast_to(np.reshape(w, (-1,) + (1,) * (len(shape) - 1)), shape)
+    lp, lq = np.maximum(p, floor), np.maximum(q, floor)
+    e, d = np.exp(lp), lp - lq
+    value = (e * d * W).sum()
+    g_terms = np.full_like(lp, 0.3) * W
+    g_lp = np.zeros_like(lp) + (g_terms * d) * e + g_terms * e
+    g_lq = np.zeros_like(lq) + -(g_terms * e)
+
+    p_t, q_t = ad.Tensor(p), ad.Tensor(q)
+    node = ad.kl_div(p_t, q_t, w, floor)
+    ad.backward(ad.scale(node, 0.3))
+    assert node.data.tobytes() == value.tobytes()
+    assert p_t.grad.tobytes() == (g_lp * (p > floor)).tobytes()
+    assert q_t.grad.tobytes() == (g_lq * (q > floor)).tobytes()
 
 
 def test_gather_backward_and_segment_mean_scatter_like_np_add_at():

@@ -172,6 +172,33 @@ def test_non_finite_alpha_fails_at_entry(command, alpha, tmp_path, capsys):
     assert not out.exists()
 
 
+SPAN_SCORES = {"en": {"f1": 0.5, "exact_match": 0.4}, "xx": {"f1": 0.3, "exact_match": 0.2}}
+
+
+@pytest.mark.parametrize("content,message", [
+    ({}, "report is not a JSON object with a 'task' key"),
+    ([1], "report is not a JSON object with a 'task' key"),
+    ({"task": "classification", "per_language": {"en": {"accuracy": 1.0}}},
+     "report is not a JSON object with a 'source_language' key"),
+    ({"task": "classification", "source_language": "en"},
+     "report is not a JSON object with a 'per_language' key"),
+    ({"task": "classification", "source_language": "en", "per_language": [1]},
+     "per_language is not a JSON object with a 'en' key"),
+    ({"task": "classification", "source_language": "en",
+      "per_language": {"en": {"accuracy": 0.9}, "xx": 0.5}},
+     "per_language['xx'] is not a JSON object with a 'accuracy' key"),
+    ({"task": "span", "source_language": "en", "per_language": SPAN_SCORES},
+     "per_language['en'] is not a JSON object with a 'score' key"),
+])
+def test_gap_on_a_malformed_report_names_file_and_key(content, message, tmp_path, capsys):
+    report, out = tmp_path / "report.json", tmp_path / "gap.json"
+    report.write_text(json.dumps(content), encoding="utf-8")
+    assert cli.main(["gap", "--report", str(report), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("content,message", [
     ({"epochs": 1}, "config needs a data_dir"),
     ([1, 2], "expected a JSON object"),

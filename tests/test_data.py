@@ -1,5 +1,7 @@
 """Dataset schema and cipher benchmark tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,28 @@ class TestJsonl:
         path.write_text('{"id": "a"\nnot json\n', encoding="utf-8")
         with pytest.raises(data.SchemaError, match=":1:"):
             data.load_jsonl(path, "classification")
+
+    @pytest.mark.parametrize("task,line,message", [
+        ("classification", '[1]', "a record must be a JSON object"),
+        ("classification", '"words"', "a record must be a JSON object"),
+        ("classification", '{"id":"b","lang":"en","words":5,"label":1,"n_label":2}',
+         "wrong JSON type"),
+        ("classification", '{"id":"b","lang":"en","words":["x"],"label":"1","n_label":2}',
+         "wrong JSON type"),
+        ("labeling", '{"id":"b","lang":"en","words":["x"],"tags":["0"],"n_label":2}',
+         "wrong JSON type"),
+        ("span", '{"id":"b","lang":"en","question":5,"context":["a"]}', "wrong JSON type"),
+        ("span", '{"id":"b","lang":"en","question":["q"],"context":["a"],"answer_start":"x",'
+                 '"answer_end":0}', "wrong JSON type"),
+    ])
+    def test_wrong_json_type_names_line(self, task, line, message, tmp_path):
+        good = data.example_to_record(data.Example(
+            id="a", language="en", task=task, words=["q", "w"], label=0, n_label=2,
+            tags=[0, 1], question_len=1, answer_start=1, answer_end=1))
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(data.SchemaError, match=f"t.jsonl:2: .*{message}"):
+            data.load_jsonl(path, task)
 
     def test_empty_file_empty_corpus(self, tmp_path):
         path = tmp_path / "e.jsonl"
