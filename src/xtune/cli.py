@@ -32,6 +32,14 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _read_json(path):
+    """A JSON file's value; a file that is not JSON raises a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: invalid JSON ({err})") from None
+
+
 def _write_json(payload, path):
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
                                      ensure_ascii=False) + "\n", encoding="utf-8")
@@ -201,7 +209,7 @@ def _check_file_types(path, raw):
 def load_config(path, overrides=()):
     """The training config and data directory from a JSON file plus ``--set``
     overrides; a ``preset`` key starts from the published hyper-parameters."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: expected a JSON object")
     _check_file_types(path, raw)
@@ -225,7 +233,7 @@ def load_config(path, overrides=()):
 def load_resources(data_dir, cfg):
     """Training examples, shared resources and input digests of a synth
     output directory; fills the config's data-derived defaults."""
-    meta = json.loads((data_dir / "meta.json").read_text(encoding="utf-8"))
+    meta = _read_json(data_dir / "meta.json")
     languages = meta["languages"]
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
     dictionaries = []
@@ -275,7 +283,7 @@ def cmd_eval(args):
                              f"not to this {params.task} checkpoint")
         params.pooling = args.pooling
     data_dir = Path(args.data_dir)
-    meta = json.loads((data_dir / "meta.json").read_text(encoding="utf-8"))
+    meta = _read_json(data_dir / "meta.json")
     languages = meta["languages"]
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
     eval_sets = {
@@ -303,7 +311,7 @@ def _report_value(path, obj, key, where="report"):
 
 def cmd_gap(args):
     path = args.report
-    rep = json.loads(Path(path).read_text(encoding="utf-8"))
+    rep = _read_json(path)
     metric = ev.primary_metric(_report_value(path, rep, "task"))
     source = args.source or _report_value(path, rep, "source_language")
     per_language = _report_value(path, rep, "per_language")

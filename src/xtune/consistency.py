@@ -67,7 +67,7 @@ def aligned_first_subword_positions(seg_orig, seg_aug, modified):
     return [first_orig[w] for w in words], [first_aug[w] for w in words]
 
 
-def example_consistency(pred, pairs):
+def example_consistency(pred, pairs, drawn=None):
     """Mean symmetric-KL agreement between examples and their augmented views.
 
     ``pairs`` lists (original, view, modified): two sequence indices into
@@ -79,11 +79,15 @@ def example_consistency(pred, pairs):
     compares full position distributions when the two views tokenize
     identically; otherwise both sides are restricted to the first-subword
     positions of unchanged words and renormalized (a pair where no position
-    survives adds zero but still counts in the mean).
+    survives adds zero but still counts in the mean).  The mean runs over
+    ``drawn`` views (default: the pairs); the trainer leaves out a view whose
+    input is its item's, as a deterministic forward gives it the term
+    KL(p || p) = 0 with zero gradient.
     """
-    if not pairs:
-        raise ValueError("example consistency needs at least one pair")
-    share = 1.0 / len(pairs)
+    drawn = len(pairs) if drawn is None else drawn
+    if not 0 < len(pairs) <= drawn:
+        raise ValueError(f"example consistency needs 1 to {drawn} pairs, got {len(pairs)}")
+    share = 1.0 / drawn
 
     if pred.task != "span":
         first, counts, (output,) = pred.row_layout()

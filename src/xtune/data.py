@@ -73,13 +73,17 @@ class Example:
         if CIPHER_ID_SEP in self.id:
             raise SchemaError(f"example {self.id}: {CIPHER_ID_SEP!r} in an id is reserved "
                               "for translated views")
-        if not self.words or any(not w for w in self.words):
-            raise SchemaError(f"example {self.id}: empty word list or empty word")
+        words = self.words
+        if type(words) is not list or not words or any(type(w) is not str or not w
+                                                        for w in words):
+            raise SchemaError(f"example {self.id}: empty word list, empty word or "
+                              "words of the wrong JSON type")
         if self.task == "classification" and self.labeled:
-            if self.n_label is None or not 0 <= self.label < self.n_label:
+            if (type(self.label) is not int or type(self.n_label) is not int
+                    or not 0 <= self.label < self.n_label):
                 raise SchemaError(
-                    f"example {self.id}: label {self.label} out of range for "
-                    f"n_label {self.n_label}"
+                    f"example {self.id}: label {self.label!r} out of range for "
+                    f"n_label {self.n_label!r}, or of the wrong JSON type"
                 )
         if self.task == "span" and self.labeled:
             lo, hi = self.question_len, len(self.words) - 1
@@ -93,10 +97,10 @@ class Example:
                 raise SchemaError(
                     f"example {self.id}: {len(self.tags)} tags for {len(self.words)} words"
                 )
-            if self.n_label is None or any(not 0 <= t < self.n_label for t in self.tags):
-                raise SchemaError(
-                    f"example {self.id}: tag out of range for n_label {self.n_label}"
-                )
+            if type(self.n_label) is not int or any(type(t) is not int or not 0 <= t < self.n_label
+                                                    for t in self.tags):
+                raise SchemaError(f"example {self.id}: tag out of range for n_label "
+                                  f"{self.n_label!r}, or of the wrong JSON type")
         return self
 
 
@@ -113,14 +117,15 @@ def _example_from_record(record, task, lineno, path):
                 id=str(record["id"]),
                 language=record["lang"],
                 task=task,
-                words=list(record["words"]),
+                words=record["words"],
                 label=record.get("label"),
                 n_label=record.get("n_label"),
             ).validate()
         if task == "span":
-            question = list(record["question"])
-            context = list(record["context"])
+            question, context = record["question"], record["context"]
             start, end = record.get("answer_start"), record.get("answer_end")
+            if type(start) not in (int, type(None)) or type(end) not in (int, type(None)):
+                raise TypeError(f"answer indices {start!r}, {end!r} must be integers")
             offset = len(question)
             return Example(
                 id=str(record["id"]),
@@ -128,14 +133,14 @@ def _example_from_record(record, task, lineno, path):
                 task=task,
                 words=question + context,
                 question_len=offset,
-                answer_start=None if start is None else offset + int(start),
-                answer_end=None if end is None else offset + int(end),
+                answer_start=None if start is None else offset + start,
+                answer_end=None if end is None else offset + end,
             ).validate()
         return Example(
             id=str(record["id"]),
             language=record["lang"],
             task=task,
-            words=list(record["words"]),
+            words=record["words"],
             tags=record.get("tags"),
             n_label=record.get("n_label"),
         ).validate()
@@ -147,10 +152,24 @@ def _example_from_record(record, task, lineno, path):
         raise SchemaError(f"{path}:{lineno}: a field has the wrong JSON type ({err})") from None
 
 
+def _loads_error(line):
+    """The message ``json.loads`` rejects ``line`` with."""
+    try:
+        json.loads(line)
+    except json.JSONDecodeError as err:
+        return err.msg
+
+
 def load_jsonl(path, task):
-    """Read and validate one example per line; line numbers on every error."""
+    """Read and validate one example per line; line numbers on every error.
+
+    A stripped line has no surrounding whitespace for ``json.loads`` to skip,
+    so ``raw_decode`` ending at the line's end accepts exactly the lines
+    ``json.loads`` accepts; a rejected line gets ``json.loads``'s message.
+    """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    decode = json.JSONDecoder().raw_decode
     corpus = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -158,9 +177,11 @@ def load_jsonl(path, task):
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
+                record, end = decode(line)
+            except json.JSONDecodeError:
+                end = None
+            if end != len(line):   # not JSON, or trailing data
+                raise SchemaError(f"{path}:{lineno}: invalid JSON ({_loads_error(line)})")
             corpus.append(_example_from_record(record, task, lineno, path))
     return corpus
 

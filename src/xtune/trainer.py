@@ -18,10 +18,15 @@ A stage computes what is fixed per item once, at its start: the item's
 segmentation, its gold in loss coordinates and, when R2 is on, the frozen
 teacher's log-probability rows, in ``evaluate.EVAL_CHUNK``-sized forwards
 (cached distillation targets).  Each epoch shuffles the items and draws
-every pair view of the epoch in one batched call, in shuffled order.  A step
-then only draws encode noise, packs and runs the student graph.  The run
-manifest records, per stage, the views drawn and missing and what they
-changed (``_ViewStats``).
+every pair view of the epoch in one batched call, in shuffled order, and
+marks the views that are unchanged: the same word records as the item's
+segmentation, with no encode noise on either side (``_unchanged``).  The
+forward is deterministic, so such a view's R1 term is KL(p || p) = 0 with a
+zero gradient; it counts in R1's mean but is never packed, forwarded or
+back-propagated.  A stochastic op added to the forward must join that
+condition.  A step then only draws encode noise, packs and runs the student
+graph.  The run manifest records, per stage, the views drawn, missing and
+unchanged and what they changed (``_ViewStats``).
 """
 
 from __future__ import annotations
@@ -306,15 +311,23 @@ def _epoch_views(table, order, kind, cfg, res, rng):
     return views
 
 
+def _unchanged(row, view):
+    """Whether a drawn view is its ``_stage_table`` row's input: the same word
+    records (not ``modified`` flags: a pinned-SS item's view flags are
+    relative to Viterbi) and encode noise on neither side."""
+    return view is not None and view[1] is None and not row[3] and view[0].words == row[1].words
+
+
 class _ViewStats:
     """Per-stage counts of the pair views drawn: the ``views`` record of the
     run manifest."""
 
     def __init__(self):
-        self.drawn = self.missing = self.words = self.modified = self.empty = 0
+        self.drawn = self.missing = self.unchanged = self.words = self.modified = self.empty = 0
         self.missing_ids = set()
 
-    def count(self, table, order, views, task):
+    def count(self, table, order, views, unchanged, task):
+        self.unchanged += sum(unchanged)
         for i, view in zip(order.tolist(), views):
             ex, seg = table[i][:2]
             if view is None:
@@ -330,7 +343,7 @@ class _ViewStats:
 
     def summary(self, steps):
         return {"steps": steps, "views_drawn": self.drawn, "views_missing": self.missing,
-                "missing_ids": sorted(self.missing_ids),
+                "missing_ids": sorted(self.missing_ids), "unchanged_views": self.unchanged,
                 "modified_word_share": self.modified / self.words if self.words else None,
                 "empty_alignments": self.empty}
 
@@ -345,11 +358,14 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     item's segmentation and gold, and with a teacher its rows, are computed
     once at the stage start (``_stage_table``, ``_teacher_rows``), and every
     pair view of an epoch at the epoch start (``_epoch_views``).  A batch's
-    items and then their views go through the student as one packed
-    forward.  A stage holding GN items, whose input gets fresh encode noise
-    every step, runs the batch's items through the teacher in every step
-    instead.  Returns a per-step trace of the separate components and the
-    stage's view statistics (``_ViewStats.summary``).
+    items and then their changed views go through the student as one packed
+    forward.  An unchanged view (``_unchanged``) gives a deterministic forward
+    its item's input, so its R1 term is exactly zero with zero gradient: it
+    counts in the pair mean and the trace's ``pairs`` but is never packed.  A
+    stage holding GN items, whose input gets fresh encode noise every step,
+    runs the batch's items through the teacher in every step instead.
+    Returns a per-step trace of the separate components and the stage's view
+    statistics (``_ViewStats.summary``).
     """
     if teacher is not None and not params.same_architecture(teacher):
         raise ValueError("teacher and student architectures differ")
@@ -382,10 +398,11 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
 
     for _epoch in range(cfg.epochs):
         order = batch_rng.permutation(n)
-        views = [None] * n
+        views, unchanged = [None] * n, [False] * n
         if use_pairs:
             views = _epoch_views(table, order, pair_strategy, cfg, res, view_rng)
-            stats.count(table, order, views, cfg.task)
+            unchanged = [_unchanged(table[i], view) for i, view in zip(order.tolist(), views)]
+            stats.count(table, order, views, unchanged, cfg.task)
         for b in range(steps_per_epoch):
             chunk = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             batch = order[chunk]
@@ -395,17 +412,18 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
 
             segs, noises, gold = [], [], []
             view_segs, view_noises, pairs = [], [], []
-            for k, (i, view) in enumerate(zip(batch, views[chunk])):
+            for k, (i, view, same) in enumerate(zip(batch, views[chunk], unchanged[chunk])):
                 _ex, seg, item_gold, noised = table[i]
                 segs.append(seg)
                 noises.append(noise_rng.normal(0.0, cfg.noise_sigma, (seg.n_pieces, cfg.dim))
                               if noised else None)
                 gold.append(item_gold)
-                if view is not None:
+                if view is not None and not same:
                     vseg, vnoise, modified = view
                     pairs.append((k, len(batch) + len(view_segs), modified))
                     view_segs.append(vseg)
                     view_noises.append(vnoise)
+            drawn = len(batch) - views[chunk].count(None)
 
             n_labeled = sum(g is not None for g in gold)
             pred = predict(params, segs + view_segs, noises=noises + view_noises)
@@ -417,7 +435,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 parts["task"] = node.item()
                 total = node
             if pairs:
-                node = example_consistency(pred, pairs)
+                node = example_consistency(pred, pairs, drawn)
                 parts["example_consistency"] = node.item()
                 weighted = ad.scale(node, pair_weight)
                 total = weighted if total is None else ad.add(total, weighted)
@@ -428,6 +446,8 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 parts["model_consistency"] = node.item()
                 weighted = ad.scale(node, teacher_weight)
                 total = weighted if total is None else ad.add(total, weighted)
+            if total is None and drawn:   # only unchanged views: Adam steps on zero gradients
+                total = ad.constant(0.0)
 
             total_value = 0.0
             if total is not None:
@@ -451,7 +471,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 "model_consistency": parts["model_consistency"],
                 "labeled": n_labeled,
                 "unlabeled": len(batch) - n_labeled,
-                "pairs": len(pairs),
+                "pairs": drawn,
             })
     return trace, stats.summary(len(trace))
 

@@ -189,10 +189,13 @@ SPAN_SCORES = {"en": {"f1": 0.5, "exact_match": 0.4}, "xx": {"f1": 0.3, "exact_m
      "per_language['xx'] is not a JSON object with a 'accuracy' key"),
     ({"task": "span", "source_language": "en", "per_language": SPAN_SCORES},
      "per_language['en'] is not a JSON object with a 'score' key"),
+    ("not json", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
 ])
 def test_gap_on_a_malformed_report_names_file_and_key(content, message, tmp_path, capsys):
+    """A string is written as the file's text, any other value as JSON."""
     report, out = tmp_path / "report.json", tmp_path / "gap.json"
-    report.write_text(json.dumps(content), encoding="utf-8")
+    report.write_text(content if isinstance(content, str) else json.dumps(content),
+                      encoding="utf-8")
     assert cli.main(["gap", "--report", str(report), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {report}: {message}")
@@ -202,10 +205,12 @@ def test_gap_on_a_malformed_report_names_file_and_key(content, message, tmp_path
 @pytest.mark.parametrize("content,message", [
     ({"epochs": 1}, "config needs a data_dir"),
     ([1, 2], "expected a JSON object"),
+    ('{"epochs": 1', "invalid JSON (Expecting ',' delimiter"),
 ])
 def test_config_file_errors_name_the_file(content, message, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(content), encoding="utf-8")
+    config.write_text(content if isinstance(content, str) else json.dumps(content),
+                      encoding="utf-8")
     assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
     assert f"{config}: {message}" in capsys.readouterr().err
 

@@ -53,6 +53,14 @@ class TestJsonl:
         ("span", '{"id":"b","lang":"en","question":5,"context":["a"]}', "wrong JSON type"),
         ("span", '{"id":"b","lang":"en","question":["q"],"context":["a"],"answer_start":"x",'
                  '"answer_end":0}', "wrong JSON type"),
+        ("classification", '{"id":"b","lang":"en","words":"abc","label":1,"n_label":2}',
+         "wrong JSON type"),
+        ("classification", '{"id":"b","lang":"en","words":["x"],"label":1.5,"n_label":2}',
+         "wrong JSON type"),
+        ("span", '{"id":"b","lang":"en","question":["q"],"context":["a"],"answer_start":"1",'
+                 '"answer_end":1}', "wrong JSON type"),
+        ("labeling", '{"id":"b","lang":"en","words":["x","y"],"tags":[0,1.0],"n_label":2}',
+         "wrong JSON type"),
     ])
     def test_wrong_json_type_names_line(self, task, line, message, tmp_path):
         good = data.example_to_record(data.Example(
@@ -62,6 +70,27 @@ class TestJsonl:
         path.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
         with pytest.raises(data.SchemaError, match=f"t.jsonl:2: .*{message}"):
             data.load_jsonl(path, task)
+
+    @pytest.mark.parametrize("line", [
+        '{"id":"a"} {"id":"b"}', '{"id":"a"}{"id":"b"}', '{"id":"a"} x', '{"id":"a"},',
+        '[1] 2', '"a" "b"', '{"id": "a"', 'not json', '\ufeff{"id":"a"}', '{"id":"a"}\x00',
+    ])
+    def test_rejected_lines_keep_the_json_loads_message(self, line, tmp_path):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(line)
+        path = tmp_path / "t.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(data.SchemaError) as got:
+            data.load_jsonl(path, "classification")
+        assert str(got.value) == f"{path}:1: invalid JSON ({want.value.msg})"
+
+    def test_blank_lines_and_surrounding_whitespace_are_skipped(self, tmp_path):
+        ex = data.Example(id="a", language="en", task="classification",
+                          words=["w1", "w2"], label=1, n_label=2)
+        line = json.dumps(data.example_to_record(ex))
+        path = tmp_path / "c.jsonl"
+        path.write_text(f"\n  \t\n {line} \r\n\n\t{line}\n\n", encoding="utf-8")
+        assert data.load_jsonl(path, "classification") == [ex, ex]
 
     def test_empty_file_empty_corpus(self, tmp_path):
         path = tmp_path / "e.jsonl"

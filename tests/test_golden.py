@@ -31,7 +31,9 @@ TASKS = {
 }
 
 # recorded at 4d399be; the GN and MT augment digests at f76af2e; sample.jsonl, the
-# SS and CS augment files and run/* after the views moved to batched draws
+# SS and CS augment files and run/* after the views moved to batched draws; the
+# manifests, teacher checkpoints and the classification student after R1 stopped
+# forwarding pair views identical to their item (unchanged_views, rounding only)
 GOLDEN = {
     "classification": {
         "augment.CS.jsonl": "3180952a734dba208685ac57ec1dbba32c9bcd04dcccfdd10a5affaf16e68d1b",
@@ -50,9 +52,9 @@ GOLDEN = {
         "data/translations.jsonl": "be49f4a094caba4399772b8878654459d1e1ccd2dd1fdb99905e9ffea657a557",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "1df9512cb1b3fe7e82c5e652ac9fe34b19804ea895d078f182973876419a72ae",
-        "run/manifest.json": "59f7b1b04938516fdcc479b392c6b4cf2179b62f48f0fa913c6983aba1372631",
-        "run/student.ckpt": "a934366e561f2e05aae94e443a237f1085d8a7f4bb5e44756c327c56c1ac34f1",
-        "run/teacher.ckpt": "b84796b4e6f930b55b1d2884a9dc7c661bbabc49405fd5eae99970cf71672032",
+        "run/manifest.json": "edf0cb1e5ce143eddc4e5374f62cf98712ef2cbe941e2ec1b08a682b56dd0960",
+        "run/student.ckpt": "cf700481bdd5c671ed3c0d19a014f97ddf51afc84d33d27e02de337843dddcc0",
+        "run/teacher.ckpt": "cc73a8d56f1f9c0bb14de28cfec2ed2139c4e5334a6e9c675c0adde6f62fe31d",
         "sample.jsonl": "254cdfbbb96670da47ac512fb651aa5a1344f57f4d78c52fc85b482e92f72ae5",
         "viterbi.jsonl": "aafffa9aec0f45a16a8be4db5e37d6b9f17ed930172b278d4665198b3fd22cc8"
     },
@@ -73,9 +75,9 @@ GOLDEN = {
         "data/translations.jsonl": "444ccad82385b15d2dce604f8cc143191a24ea29ca0077f8da5d8c95fb745dd3",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "2df65876952365755d8b89b413adb5e1e906b516f8eb8f761e50607fa8fdf15d",
-        "run/manifest.json": "1154f42d32e50813e114a5afdc26c23eca1b2e650117d77d4aa2ccc60e565024",
+        "run/manifest.json": "f8e971575bab510c14c5f02832847c385c695637b933902b5ab40b217134bb83",
         "run/student.ckpt": "58f770c5dcc487e099200ee16a7cc8b290c8b015b163796789f5ff5b4ce1c9cd",
-        "run/teacher.ckpt": "42177999c672040f4fac4324b25acae3028ad1f71004dd8cf17476183cd1644a",
+        "run/teacher.ckpt": "8efc02345290243fa27a133be0eb72ee2a387ca7219b1b0ea9b4480bf1b7a71b",
         "sample.jsonl": "254cdfbbb96670da47ac512fb651aa5a1344f57f4d78c52fc85b482e92f72ae5",
         "viterbi.jsonl": "aafffa9aec0f45a16a8be4db5e37d6b9f17ed930172b278d4665198b3fd22cc8"
     },
@@ -96,9 +98,9 @@ GOLDEN = {
         "data/translations.jsonl": "5be7a1e02b50f08093ba582ce6c430f9383637f35da834853df94b50f98284bc",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "1620b97b0efe41a749f5a6fef3d73e07280df17aa01b5c396169fef32b034191",
-        "run/manifest.json": "4eba0fbcf63dc905646e9e2463c59d7ccab4de70b7ec4b0590e256ef452a6c02",
+        "run/manifest.json": "e2891a52e9b58f5e1971c8cc79b308ef7de891b5c211fcd1e0474b0f381a87d8",
         "run/student.ckpt": "28210343c1fd1c09c0967af9c4051c9e4fce4da30104094ea85975c808ee8e29",
-        "run/teacher.ckpt": "35a82922e94e14eab19d0fe7a534f3fc7795714b1ad8d4735b06497fab775aa2",
+        "run/teacher.ckpt": "4e72a32709c64e3440a19f90b418ccb7b065cde38be3cc05be3604c51ca5fb00",
         "sample.jsonl": "170253634cc5ed7915ef6a73adc92c096b5a2c1ef01de2551bf78e8f3d4608b2",
         "viterbi.jsonl": "5f9a0adc1a5cb4868be1ebc3852b874b138129a51494180bd15c0d18d1bee306"
     }

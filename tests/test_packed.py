@@ -241,52 +241,71 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
                                                 small_classification_bench,
                                                 small_labeling_bench, small_span_bench,
                                                 monkeypatch):
-    """The trainer's first step, rebuilt per example from the inputs it
-    packed: trace components and the gradients Adam receives."""
+    """The trainer's first step, rebuilt per example from its items and every
+    view drawn for them, unchanged views included: trace components and the
+    gradients Adam receives.  The packing holds the items and exactly the
+    views whose input differs from their item's."""
     bench, res = {"classification": small_classification_bench,
                   "labeling": small_labeling_bench, "span": small_span_bench}[task]
     cfg = small_config(task=task, n_label=None if task == "span" else 3,
                        setting="translate-train-all", corpus_strategy=corpus_strategy,
                        pair_strategy=pair_strategy, noise_sigma=0.3, epochs=1,
-                       batch_size=12, pooling="average" if task == "labeling" else
+                       batch_size=16, pooling="average" if task == "labeling" else
                        "first_subword")
     corpus = tr._build_corpus(bench.train, cfg, res)
     student, teacher = models(cfg, res, 8)
     start = copy_params(student)
     seen = {}
-    predict, task_loss, r1, adam = tr.predict, tr.task_loss, tr.example_consistency, tr.adam_step
+    predict, adam, epoch_views = tr.predict, tr.adam_step, tr._epoch_views
+
+    def recording_views(table, order, *args):
+        views = epoch_views(table, order, *args)
+        seen.setdefault("views", (table, order[:cfg.batch_size].tolist(),
+                                  views[:cfg.batch_size]))
+        return views
 
     def recording_predict(params, segs, noises=None):
         if params is student:
             seen.setdefault("inputs", (list(segs), list(noises)))
         return predict(params, segs, noises=noises)
 
-    def recording_task_loss(pred, gold):
-        seen.setdefault("gold", list(gold))
-        return task_loss(pred, gold)
-
-    def recording_r1(pred, pairs):
-        seen.setdefault("pairs", list(pairs))
-        return r1(pred, pairs)
-
     def recording_adam(values, grads, state, lr):
         seen.setdefault("grads", [grads[k].copy() for k in student.tensors])
         return adam(values, grads, state, lr)
 
+    monkeypatch.setattr(tr, "_epoch_views", recording_views)
     monkeypatch.setattr(tr, "predict", recording_predict)
-    monkeypatch.setattr(tr, "task_loss", recording_task_loss)
-    monkeypatch.setattr(tr, "example_consistency", recording_r1)
     monkeypatch.setattr(tr, "adam_step", recording_adam)
     trace, _views = tr.run_stage(corpus.items, student, cfg, res, "main",
                                  pair_strategy=pair_strategy, pair_weight=2.0, teacher=teacher,
                                  teacher_weight=0.5)
 
-    segs, noises = seen["inputs"]
-    gold, pairs = seen["gold"], seen["pairs"]
-    n_items = len(segs) - len(pairs)
+    packed_segs, packed_noises = seen["inputs"]
+    table, batch, views = seen["views"]
+    n_items = cfg.batch_size
+    segs, noises = packed_segs[:n_items], packed_noises[:n_items]
+    assert segs == [table[i][1] for i in batch]
+    changed, pairs = [], []
+    for k, view in enumerate(views):
+        if view is None:
+            continue
+        vseg, vnoise, modified = view
+        if vseg.words != segs[k].words or vnoise is not None or noises[k] is not None:
+            changed.append(len(segs))
+        pairs.append((k, len(segs), modified))
+        segs.append(vseg)
+        noises.append(vnoise)
+    assert packed_segs == segs[:n_items] + [segs[j] for j in changed]
+    assert all(a is b for a, b in zip(packed_noises, noises[:n_items]
+                                      + [noises[j] for j in changed]))
+    # an MT view is another language; at whole-word pieces most SS views,
+    # and CS views that switch no word, are their item's input
+    assert 0 < len(changed) <= len(pairs)
+    assert (len(changed) < len(pairs)) == (pair_strategy != "MT")
+    gold = [table[i][2] for i in batch] + [None] * len(pairs)
     if task != "classification":   # translations of token-level items carry no label
         assert None in gold[:n_items] and any(g is not None for g in gold)
-    assert trace[0]["labeled"] + trace[0]["unlabeled"] == n_items == cfg.batch_size
+    assert trace[0]["labeled"] + trace[0]["unlabeled"] == n_items
     assert trace[0]["pairs"] == len(pairs) > 0
     task_node, pair_node, teacher_node = ref.step_components(
         start, segs, noises, gold, pairs, teacher)

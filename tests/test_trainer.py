@@ -1,6 +1,7 @@
 """Trainer tests: schedule, optimizer, presets, stage composition, masking,
 and the determinism contracts."""
 
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from xtune import augment as aug
 from xtune import consistency as cons
 from xtune import trainer as tr
 from xtune import model as mdl
+from xtune import tokenizer as tok
 
 from conftest import build_benchmark
 
@@ -112,15 +114,16 @@ class TestStageComposition:
         plain = tr.train_with_mode("r2-only", bench.train, cfg, res)
         trace1, trace2 = xtune.traces["stage1"], plain.traces["stage1"]
         assert len(trace1) == len(trace2)
+        # every view is its item's input, so R1 never enters a graph: the
+        # two stages run the same graphs on the same batches, bit for bit
         for a, b in zip(trace1, trace2):
-            assert abs(a["total"] - b["total"]) < 1e-9
-            assert a["example_consistency"] == 0.0
-        # parameters agree up to the ~1e-16/step float residue of the
-        # identity-view KL gradient (sum of exp(log_softmax) is 1 only to
-        # machine precision), so not bitwise
+            assert a["total"] == b["total"]
+            assert a["example_consistency"] == 0.0 and a["pairs"] == a["labeled"]
+        assert xtune.manifest["views"]["stage1"]["unchanged_views"] == \
+            xtune.manifest["views"]["stage1"]["views_drawn"] > 0
         for name in xtune.teacher.tensors:
-            assert np.allclose(xtune.teacher.tensors[name].data,
-                               plain.teacher.tensors[name].data, atol=1e-9)
+            assert np.array_equal(xtune.teacher.tensors[name].data,
+                                  plain.teacher.tensors[name].data)
 
     def test_zero_weights_identity_corpus_reproduces_baseline_bitwise(
             self, small_classification_bench):
@@ -413,8 +416,12 @@ class TestViewStatistics:
             flags = [flag for view in seen["views"] for flag in view.modified]
             drawn = sum(row["pairs"] for row in trace)
             assert drawn == len(seen["views"])
+            # every item of both stages is Viterbi-segmented and SS flags are
+            # relative to Viterbi, so a view is unchanged when it flags no word
+            unchanged = sum(not any(view.modified) for view in seen["views"])
             assert views[name] == {"steps": len(trace), "views_drawn": drawn,
                                    "views_missing": 0, "missing_ids": [],
+                                   "unchanged_views": unchanged,
                                    "modified_word_share": sum(flags) / len(flags),
                                    "empty_alignments": seen["empty"]}
         assert views["stage1"]["views_drawn"] == 3 * len(bench.train)
@@ -422,6 +429,7 @@ class TestViewStatistics:
         for name in views:
             assert views[name]["empty_alignments"] > 0, name
             assert 0 < views[name]["modified_word_share"] < 1, name
+        assert 0 < views["stage2"]["unchanged_views"] < views["stage2"]["views_drawn"]
 
     def test_mt_items_without_another_language(self, small_classification_bench):
         bench, res = small_classification_bench
@@ -436,10 +444,93 @@ class TestViewStatistics:
         trace, views = result.traces["stage2"], result.manifest["views"]["stage2"]
         assert views == {"steps": len(trace), "views_drawn": sum(row["pairs"] for row in trace),
                          "views_missing": 2 * len(dropped), "missing_ids": dropped,
-                         "modified_word_share": 1.0, "empty_alignments": 0}
+                         "unchanged_views": 0, "modified_word_share": 1.0,
+                         "empty_alignments": 0}
         assert views["views_drawn"] == 2 * (len(bench.train) - len(dropped))
 
         baseline = tr.train_with_mode("baseline", bench.train, cfg, res)
         assert baseline.manifest["views"]["stage2"] == {
             "steps": len(baseline.traces["stage2"]), "views_drawn": 0, "views_missing": 0,
-            "missing_ids": [], "modified_word_share": None, "empty_alignments": 0}
+            "missing_ids": [], "unchanged_views": 0, "modified_word_share": None,
+            "empty_alignments": 0}
+
+
+class TestUnchangedViews:
+    """Which drawn pair views stay out of R1's packing and graph: exactly
+    those whose input is their item's, with encode noise on neither side."""
+
+    @staticmethod
+    def draw(items, kind, cfg, res):
+        table = tr._stage_table(items, res.vocab, cfg)
+        views = tr._epoch_views(table, np.arange(len(table)), kind, cfg, res,
+                                np.random.default_rng(0))
+        return table, views, [tr._unchanged(row, view) for row, view in zip(table, views)]
+
+    def test_a_noised_item_is_changed(self, small_classification_bench, monkeypatch):
+        bench, res = small_classification_bench
+        cfg = small_config(corpus_strategy="GN", cs_word_ratio=0.0, noise_sigma=0.1)
+        items = tr._build_corpus(bench.train[:24], cfg, res).items
+        table, views, unchanged = self.draw(items, "CS", cfg, res)
+        noised = [row[3] for row in table]
+        assert noised == [i >= 24 for i in range(48)]
+        assert all(view[0].words == row[1].words for row, view in zip(table, views))
+        assert unchanged == [not flag for flag in noised]
+
+        # in training, each step's R1 packs exactly its GN items' views
+        sizes = []
+        r1 = tr.example_consistency
+
+        def recording_r1(pred, pairs, drawn):
+            sizes.append((len(pairs), drawn))
+            return r1(pred, pairs, drawn)
+
+        monkeypatch.setattr(tr, "example_consistency", recording_r1)
+        trace, views = tr.run_stage(items, tr.init_params(cfg, res), cfg, res, "main",
+                                    pair_strategy="CS", pair_weight=1.0)
+        steps = [row for row in trace if row["example_consistency"] != 0.0]
+        assert sizes and len(sizes) == len(steps)
+        assert sum(n for n, _drawn in sizes) == views["views_drawn"] - views["unchanged_views"]
+        assert views["unchanged_views"] == 2 * 24
+        assert [drawn for _n, drawn in sizes] == [row["pairs"] for row in steps]
+
+    def test_a_noised_view_is_changed(self, small_classification_bench):
+        bench, res = small_classification_bench
+        table, views, unchanged = self.draw(bench.train[:16], "GN", small_config(noise_sigma=0.1),
+                                            res)
+        assert all(view[0].words == row[1].words and view[1] is not None and not row[3]
+                   for row, view in zip(table, views))
+        assert not any(unchanged)
+
+    def test_a_pinned_ss_item_against_its_viterbi_view(self):
+        bench, res = build_benchmark(task="labeling", vocab_size=40)
+        cfg = small_config(task="labeling", corpus_strategy="SS", ss_alpha=0.0,
+                           cs_word_ratio=0.0, pooling="average")
+        items = tr._build_corpus(bench.train[:24], cfg, res).augmented
+        table, views, unchanged = self.draw(items, "CS", cfg, res)
+        pinned = []
+        for row, view in zip(table, views):
+            viterbi = tok.viterbi_segment_words(res.vocab, row[0].words)
+            # the view is the Viterbi segmentation and flags no word
+            assert view[0].words == viterbi.words and not any(view[2])
+            pinned.append(row[1].words != viterbi.words)
+        assert any(pinned) and not all(pinned)
+        assert unchanged == [not differs for differs in pinned]
+
+    def test_adam_steps_on_a_batch_of_unchanged_views_alone(self, small_classification_bench,
+                                                           monkeypatch):
+        """An unlabeled item whose view is unchanged makes a step with no
+        graph term; Adam still takes that step, on zero gradients, so the
+        optimizer's step count does not depend on the skip."""
+        bench, res = small_classification_bench
+        items = [ex if k % 2 else dataclasses.replace(ex, label=None)
+                 for k, ex in enumerate(bench.train[:16])]
+        cfg = small_config(cs_word_ratio=0.0, batch_size=1)
+        steps = []
+        adam = tr.adam_step
+        monkeypatch.setattr(tr, "adam_step", lambda *args: steps.append(adam(*args)))
+        trace, views = tr.run_stage(items, tr.init_params(cfg, res), cfg, res, "main",
+                                    pair_strategy="CS", pair_weight=1.0)
+        assert views["unchanged_views"] == views["views_drawn"] == len(trace) == 2 * 16
+        assert sum(row["labeled"] == 0 and row["total"] == 0.0 for row in trace) == 16
+        assert len(steps) == len(trace)
+
