@@ -85,13 +85,6 @@ def add(a, b):
     return _node(a.data + b.data, "add", (a, b), backward)
 
 
-def sub(a, b):
-    _check_same_shape("sub", a, b)
-    def backward(g):
-        return g, -g
-    return _node(a.data - b.data, "sub", (a, b), backward)
-
-
 def mul(a, b):
     _check_same_shape("mul", a, b)
     def backward(g):
@@ -222,13 +215,6 @@ def tanh(a):
     def backward(g):
         return (g * (1.0 - out_data * out_data),)
     return _node(out_data, "tanh", (a,), backward)
-
-
-def exp(a):
-    out_data = np.exp(a.data)
-    def backward(g):
-        return (g * out_data,)
-    return _node(out_data, "exp", (a,), backward)
 
 
 def sum(a):  # noqa: A001 - deliberate, mirrors numpy.sum naming

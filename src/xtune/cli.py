@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from itertools import islice
 from pathlib import Path
 
 from . import augment as aug
@@ -38,6 +37,20 @@ def _read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON ({err})") from None
+
+
+def _read_languages(data_dir):
+    """The languages of a synth output directory, source first, from its
+    ``meta.json``: at least two distinct non-empty strings."""
+    path = data_dir / "meta.json"
+    meta = _read_json(path)
+    languages = meta.get("languages") if isinstance(meta, dict) else None
+    if not (isinstance(languages, list) and len(languages) >= 2
+            and all(isinstance(lang, str) and lang for lang in languages)
+            and len(set(languages)) == len(languages)):
+        raise ValueError(f"{path}: 'languages' must be a list of at least two distinct "
+                         f"non-empty strings, got {languages!r}")
+    return languages
 
 
 def _write_json(payload, path):
@@ -110,11 +123,8 @@ def cmd_tokenize(args):
     if args.mode == "viterbi":
         segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in corpus]
     else:
-        # one draw over the whole corpus, cut back into examples
-        words = [w for ex in corpus for w in ex.words]
-        drawn = iter(tok.sample_segment_words(vocab, words, args.alpha,
-                                              trainer.substream(args.seed, "tokenize")).words)
-        segs = [tok.Segmentation(list(islice(drawn, len(ex.words)))) for ex in corpus]
+        rng = trainer.substream(args.seed, "tokenize")
+        segs = [view.segmentation for view in aug.subword_resample(corpus, vocab, args.alpha, rng)]
     with open(args.output, "w", encoding="utf-8") as fh:
         for ex, seg in zip(corpus, segs):
             fh.write(json.dumps({"id": ex.id, "pieces": seg.pieces,
@@ -233,8 +243,7 @@ def load_config(path, overrides=()):
 def load_resources(data_dir, cfg):
     """Training examples, shared resources and input digests of a synth
     output directory; fills the config's data-derived defaults."""
-    meta = _read_json(data_dir / "meta.json")
-    languages = meta["languages"]
+    languages = _read_languages(data_dir)
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
     dictionaries = []
     src = languages[0]
@@ -283,8 +292,7 @@ def cmd_eval(args):
                              f"not to this {params.task} checkpoint")
         params.pooling = args.pooling
     data_dir = Path(args.data_dir)
-    meta = _read_json(data_dir / "meta.json")
-    languages = meta["languages"]
+    languages = _read_languages(data_dir)
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
     eval_sets = {
         lang: data.load_jsonl(data_dir / f"eval.{lang}.jsonl", params.task)

@@ -1,33 +1,34 @@
 """Unigram-LM subword vocabulary with exact lattice segmentation.
 
-Two ways to segment a word sequence over the same piece inventory:
+A string meets the piece inventory in one place, its span table
+(``_span_table``: the pieces that occur in it, by end and by start
+position), and its lattice is summed by one forward recurrence
+(``_forward``).  Everything else walks the table:
 
-* ``viterbi_segment_words`` - each word's best-scoring segmentation
-                              (deterministic, cached per word),
+* ``viterbi_segment_words`` - each word's best-scoring segmentation, a DP
+                              over the table's starts (cached per word),
 * ``sample_segment_words``  - exact sampling of each word's segmentation
-                              proportional to P(s)^alpha via forward
-                              filtering / backward sampling (FFBS), all
-                              tokens of a call in lockstep: one
-                              ``rng.random((tokens, longest form))`` draw,
-                              token t's k-th backward cut an inverse-CDF
-                              draw with column k.
+                              proportional to P(s)^alpha: ``_forward`` with
+                              weights alpha * log p, then backward sampling
+                              (FFBS) of all tokens of a call in lockstep:
+                              one ``rng.random((tokens, longest form))``
+                              draw, token t's k-th cut an inverse-CDF draw
+                              with column k,
+* ``build_vocab``           - unigram EM: phases of sweeps (``em_fit``) over
+                              a fixed inventory, each followed by pruning; a
+                              phase builds each string's table once, and
+                              every sweep runs ``_forward`` and a backward
+                              pass over it.
 
-Words are segmented independently; a boundary marker is prepended to each
-word when the vocabulary covers it, which keeps the word -> subword map exact
-under resegmentation.  A ``Segmentation`` is its words: one ``(pieces, ids)``
-record per word, the same tuples the per-word Viterbi cache holds and the
-FFBS sampler interns per word and cut set.  Callers that need the word ->
-subword map (changed words, aligned first subwords, packed word rows) read
-it from these records.
-The tests check both paths against brute-force enumeration.
-
-The vocabulary is fitted by unigram EM (``build_vocab``): phases of EM sweeps
-over a fixed inventory (``em_fit``), each followed by pruning.  Within a
-phase the inventory's pieces do not change, so each string's span table
-(which pieces occur where) is built once per phase and every sweep runs
-forward-backward over it.  Log-masses are summed with ``_logaddexp``, which
-matches ``np.logaddexp`` bit for bit, in a fixed span order, so a vocabulary
-depends only on its corpus and settings.
+Log-masses are summed with ``_logaddexp`` (``np.logaddexp`` bit for bit) in
+the table's fixed span order, so draws and vocabularies depend only on their
+inputs.  Words are segmented independently; a boundary marker is prepended to
+each word when the vocabulary covers it, which keeps the word -> subword map
+exact under resegmentation.  A ``Segmentation`` is one ``(pieces, ids)``
+record per word, the tuples the per-word Viterbi cache holds and the FFBS
+sampler interns per word and cut set; callers read the word -> subword map
+(changed words, aligned first subwords, packed word rows) from them.  The
+tests check both paths against brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ class UnigramVocab:
         self.marker = marker
         self.max_piece_len = max(len(p) for p in pieces)
         self.piece_to_id = {p: i for i, p in enumerate(self.pieces)}
+        self._keys = {p: p for p in self.pieces}   # the ``_span_table`` inventory
         self.alphabet = alphabet
         self._word_viterbi = {}
         self._samplers = {}             # alpha -> _LockstepTable
@@ -143,47 +145,71 @@ def _word_record(vocab, pieces):
 
 
 # ---------------------------------------------------------------------------
+# The span table and the forward recurrence
+
+
+def _span_table(pieces, text, max_len):
+    """The inventory pieces that occur in ``text``, one ``(start, end,
+    piece)`` record each, indexed both ways: ``ends[j]`` holds the records
+    ending at j, starts ascending, and ``starts[i]`` those starting at i,
+    ends ascending.  ``pieces`` maps each piece to itself, so records share
+    the inventory's strings."""
+    n = len(text)
+    ends = [[] for _ in range(n + 1)]
+    starts = [[] for _ in range(n + 1)]
+    for j in range(1, n + 1):
+        for i in range(max(0, j - max_len), j):
+            piece = pieces.get(text[i:j])
+            if piece is not None:
+                ends[j].append(span := (i, j, piece))
+                starts[i].append(span)
+    return [tuple(x) for x in ends], [tuple(x) for x in starts]
+
+
+def _forward(weights, ends):
+    """``logf[j]``, the log total mass of the segmentations of text[:j],
+    given its table's ``ends`` and each piece's log weight.  Spans add in
+    the table's order; an unreachable position holds -inf."""
+    logf = [_NEG_INF] * len(ends)
+    logf[0] = 0.0
+    for j in range(1, len(ends)):
+        acc = _NEG_INF
+        for i, _, piece in ends[j]:
+            if logf[i] != _NEG_INF:
+                acc = _logaddexp(acc, logf[i] + weights[piece])
+        logf[j] = acc
+    return logf
+
+
+# ---------------------------------------------------------------------------
 # Viterbi
 
 
 def _viterbi_pieces(vocab, text):
-    """Highest log-prob segmentation of one string.
+    """Highest log-prob segmentation of one covered string.
 
-    Ties break toward fewer pieces, then toward the longest leftmost piece
-    (enforced by the right-to-left DP: at each start position the longer
-    piece wins among otherwise equal continuations).
+    Ties break toward fewer pieces, then toward the longest leftmost piece:
+    the right-to-left DP meets each start's pieces shortest first, and a
+    later piece equal in score and count wins.
     """
-    n = len(text)
-    # per position: (score, piece_count, split_point); filled right to left
-    best = [None] * (n + 1)
-    best[n] = (0.0, 0, -1)
-    table = vocab.pieces
-    max_len = vocab.max_piece_len
-    for i in range(n - 1, -1, -1):
+    _, starts = _span_table(vocab._keys, text, vocab.max_piece_len)
+    logp = vocab.pieces
+    # per position: (score, piece count, first span); filled right to left
+    best = [None] * len(starts)
+    best[-1] = (0.0, 0, None)
+    for i in range(len(starts) - 2, -1, -1):
         choice = None
-        for j in range(i + 1, min(i + max_len, n) + 1):
-            lp = table.get(text[i:j])
-            if lp is None or best[j] is None:
-                continue
-            tail_score, tail_count, _ = best[j]
-            cand = (lp + tail_score, tail_count + 1, j)
-            if choice is None:
-                choice = cand
-                continue
-            if cand[0] > choice[0]:
-                choice = cand
-            elif cand[0] == choice[0]:
-                if cand[1] < choice[1] or (cand[1] == choice[1] and cand[2] > choice[2]):
-                    choice = cand
+        for span in starts[i]:
+            tail = best[span[1]]
+            score, count = logp[span[2]] + tail[0], tail[1] + 1
+            if choice is None or score > choice[0] or (score == choice[0] and count <= choice[1]):
+                choice = (score, count, span)
         best[i] = choice
-    if best[0] is None:
-        raise CoverageError(f"text {text!r} cannot be segmented")
     pieces = []
-    i = 0
-    while i < n:
-        j = best[i][2]
-        pieces.append(text[i:j])
-        i = j
+    span = best[0][2]
+    while span is not None:
+        pieces.append(span[2])
+        span = best[span[1]][2]
     return pieces
 
 
@@ -206,62 +232,28 @@ def viterbi_segment_words(vocab, words):
 # FFBS sampling
 
 
-class _Lattice:
-    """Forward-filtered segmentation lattice for one string at one alpha.
-
-    ``logf[j]`` is the log total tempered mass of all segmentations of
-    text[:j].  ``starts[j]`` holds the start of each piece that ends at
-    ``j`` after a reachable position, and ``cdfs[j]`` the normalised CDF
-    over them, built as ``Generator.choice`` builds it.  An inverse-CDF draw
-    at each backward cut gives each path probability P(s)^alpha / Z.
-    """
-
-    def __init__(self, vocab, text, alpha):
-        vocab._check_coverage(text)
-        n = len(text)
-        table = vocab.pieces
-        max_len = vocab.max_piece_len
-        logf = [_NEG_INF] * (n + 1)
-        logf[0] = 0.0
-        spans = [[] for _ in range(n + 1)]  # per end pos: (start, alpha*logp)
-        for j in range(1, n + 1):
-            for i in range(max(0, j - max_len), j):
-                lp = table.get(text[i:j])
-                if lp is None or logf[i] == _NEG_INF:
-                    continue
-                w = alpha * lp
-                spans[j].append((i, w))
-                logf[j] = _logaddexp(logf[j], logf[i] + w)
-        if logf[n] == _NEG_INF:
-            raise CoverageError(f"text {text!r} cannot be segmented")
-        self.logf = logf
-        self.starts = [[i for i, _ in span] for span in spans]
-        self.cdfs = [[] for _ in spans]
-        for j, span in enumerate(spans):
-            if span:
-                logw = np.array([logf[i] + w for i, w in span])
-                p = np.exp(logw - logw.max())
-                cdf = (p / p.sum()).cumsum()
-                self.cdfs[j] = cdf / cdf[-1]
-
-
 class _LockstepTable:
     """The FFBS lattices of every word seen at one alpha, stacked so that
     all tokens of a call take their backward cuts together.
 
     Row r of ``cdf`` is one end position of one word type's lattice: the
-    CDF over the pieces ending there, padded with inf (which no uniform
-    reaches).  ``after[r]`` holds, per piece, the row of the position it
-    starts at.  Word type k (numbered in order of first sight) has a form
-    of ``length[k]`` characters, whose position j > 0 is row
-    ``offset[k] + j``.  Position 0 of every word is row 0, which is all
-    padding, so a finished path stays there.  ``records`` interns each
-    drawn ``(pieces, ids)`` record by word type and path; a draw equal to
-    the word's Viterbi segmentation is the Viterbi cache's record.
+    normalised CDF over the pieces ending there after a reachable position,
+    each weighted by its start's forward mass times P(piece)^alpha and
+    built as ``Generator.choice`` builds it, padded with inf (which no
+    uniform reaches).  An inverse-CDF draw at each backward cut gives each
+    path probability P(s)^alpha / Z.  ``after[r]`` holds, per piece, the
+    row of the position it starts at.  Word type k (numbered in order of
+    first sight) has a form of ``length[k]`` characters, whose position
+    j > 0 is row ``offset[k] + j``.  Position 0 of every word is row 0,
+    which is all padding, so a finished path stays there.  ``records``
+    interns each drawn ``(pieces, ids)`` record by word type and path; a
+    draw equal to the word's Viterbi segmentation is the Viterbi cache's
+    record.
     """
 
     def __init__(self, vocab, alpha):
-        self.vocab, self.alpha = vocab, alpha
+        self.vocab = vocab
+        self.weights = {p: alpha * lp for p, lp in vocab.pieces.items()}
         self.type_of = {}                   # word -> type
         self.words = []                     # type -> word
         self.offset = np.zeros(0, dtype=np.intp)
@@ -278,11 +270,27 @@ class _LockstepTable:
         return np.fromiter(map(self.type_of.__getitem__, words), dtype=np.intp, count=len(words))
 
     def _add(self, words):
-        lattices = [_Lattice(self.vocab, self.vocab.word_form(w), self.alpha) for w in words]
-        lengths = [len(lat.logf) - 1 for lat in lattices]
+        vocab, weights = self.vocab, self.weights
+        forms = [vocab.word_form(w) for w in words]
+        lengths = list(map(len, forms))
         offset = len(self.cdf) - 1 + np.cumsum(lengths) - lengths
-        rows = [(lat.cdfs[j], [base + i if i else 0 for i in lat.starts[j]])
-                for lat, base in zip(lattices, offset.tolist()) for j in range(1, len(lat.logf))]
+        rows = []
+        for text, base in zip(forms, offset.tolist()):
+            vocab._check_coverage(text)
+            ends, _ = _span_table(vocab._keys, text, vocab.max_piece_len)
+            logf = _forward(weights, ends)
+            if logf[-1] == _NEG_INF:
+                raise CoverageError(f"text {text!r} cannot be segmented")
+            for span in ends[1:]:
+                reach = [(i, logf[i] + weights[piece]) for i, _, piece in span
+                         if logf[i] != _NEG_INF]
+                cdf = []
+                if reach:
+                    logw = np.array([w for _, w in reach])
+                    p = np.exp(logw - logw.max())
+                    cdf = (p / p.sum()).cumsum()
+                    cdf = cdf / cdf[-1]
+                rows.append((cdf, [base + i if i else 0 for i, _ in reach]))
         width = max(self.cdf.shape[1], *(len(after) for _, after in rows))
         cdf = np.full((len(rows), width), np.inf)
         after = np.zeros((len(rows), width), dtype=np.uint32)
@@ -391,24 +399,6 @@ def save_vocab(vocab, path):
 # Vocabulary estimation (simplified unigram EM)
 
 
-def _span_table(pieces, text, max_len):
-    """The inventory pieces that occur in ``text``, one ``(start, end,
-    piece)`` record each, indexed both ways: ``ends[j]`` holds the records
-    ending at j, starts ascending, and ``starts[i]`` those starting at i,
-    ends ascending.  ``pieces`` maps each piece to itself, so records share
-    the inventory's strings."""
-    n = len(text)
-    ends = [[] for _ in range(n + 1)]
-    starts = [[] for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        for i in range(max(0, j - max_len), j):
-            piece = pieces.get(text[i:j])
-            if piece is not None:
-                ends[j].append(span := (i, j, piece))
-                starts[i].append(span)
-    return [tuple(x) for x in ends], [tuple(x) for x in starts]
-
-
 def _forward_backward_counts(pieces, table, counts):
     """Accumulate expected piece counts for one string, given its
     ``_span_table``; returns its log Z, or None when it cannot be segmented.
@@ -419,14 +409,7 @@ def _forward_backward_counts(pieces, table, counts):
     """
     ends, starts = table
     n = len(ends) - 1
-    loga = [_NEG_INF] * (n + 1)
-    loga[0] = 0.0
-    for j in range(1, n + 1):
-        acc = _NEG_INF
-        for i, _, piece in ends[j]:
-            if loga[i] != _NEG_INF:
-                acc = _logaddexp(acc, loga[i] + pieces[piece])
-        loga[j] = acc
+    loga = _forward(pieces, ends)
     logz = loga[n]
     if logz == _NEG_INF:
         return None

@@ -2,6 +2,8 @@
 
 ``enumerate_segmentations`` lists every segmentation of a short string, the
 oracle for Viterbi, FFBS sampling and the lattice partition function.
+``viterbi_pieces`` is the Viterbi DP as the package ran it before it walked
+a span table: it matches every substring against the inventory itself.
 
 ``em_fit`` is the vocabulary EM as the package ran it before the E-step
 moved onto a per-phase span table: every sweep rescans every substring of
@@ -62,6 +64,47 @@ def enumerate_segmentations(vocab, text):
 
     walk(0, [], 0.0)
     return out
+
+
+def viterbi_pieces(vocab, text):
+    """Highest log-prob segmentation of one string.
+
+    Ties break toward fewer pieces, then toward the longest leftmost piece
+    (enforced by the right-to-left DP: at each start position the longer
+    piece wins among otherwise equal continuations).
+    """
+    n = len(text)
+    # per position: (score, piece_count, split_point); filled right to left
+    best = [None] * (n + 1)
+    best[n] = (0.0, 0, -1)
+    table = vocab.pieces
+    max_len = vocab.max_piece_len
+    for i in range(n - 1, -1, -1):
+        choice = None
+        for j in range(i + 1, min(i + max_len, n) + 1):
+            lp = table.get(text[i:j])
+            if lp is None or best[j] is None:
+                continue
+            tail_score, tail_count, _ = best[j]
+            cand = (lp + tail_score, tail_count + 1, j)
+            if choice is None:
+                choice = cand
+                continue
+            if cand[0] > choice[0]:
+                choice = cand
+            elif cand[0] == choice[0]:
+                if cand[1] < choice[1] or (cand[1] == choice[1] and cand[2] > choice[2]):
+                    choice = cand
+        best[i] = choice
+    if best[0] is None:
+        raise tok.CoverageError(f"text {text!r} cannot be segmented")
+    pieces = []
+    i = 0
+    while i < n:
+        j = best[i][2]
+        pieces.append(text[i:j])
+        i = j
+    return pieces
 
 
 def _forward_backward_counts(pieces, text, counts):

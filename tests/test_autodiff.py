@@ -140,7 +140,7 @@ class TestDetach:
     def test_ancestor_grads_untouched(self):
         x = ad.Tensor([1.0, 2.0])
         y = ad.tanh(x)
-        loss = ad.sum(ad.detach(ad.exp(y)))
+        loss = ad.sum(ad.detach(ad.mul(y, y)))
         ad.backward(loss)
         assert x.grad is None and y.grad is None
 
@@ -191,7 +191,7 @@ class TestGradCheck:
     def test_all_detached_inputs_give_zero_everywhere(self):
         x = ad.Tensor([0.4, 0.6])
         frozen = ad.detach(x)
-        loss_fn = lambda: ad.sum(ad.exp(frozen))
+        loss_fn = lambda: ad.sum(ad.tanh(frozen))
         ana = analytic_grads(loss_fn, [x])
         num = finite_difference(loss_fn, [x])
         assert np.all(ana[0] == 0.0) and np.allclose(num[0], 0.0, atol=1e-9)
@@ -201,9 +201,9 @@ class TestGradCheck:
 # Random-graph property: every op against finite differences.
 
 OPS = {
-    "add", "sub", "mul", "scale", "matmul", "add_rowvec", "embedding_lookup",
-    "gather", "tanh", "exp", "sum", "reshape", "kl_div", "log_softmax",
-    "segment_mean", "segment_log_softmax",
+    "add", "mul", "scale", "matmul", "add_rowvec", "embedding_lookup", "gather",
+    "tanh", "sum", "reshape", "kl_div", "log_softmax", "segment_mean",
+    "segment_log_softmax",
 }
 
 
@@ -224,7 +224,7 @@ def _random_graph_case(rng):
         if choice == 0:
             x = ad.tanh(x)
         elif choice == 1:
-            x = ad.exp(ad.scale(x, 0.25))
+            x = ad.tanh(ad.scale(x, 0.25))
         elif choice == 2:
             # both operands carry gradient, and the floor clips some entries
             # of each, so both sides' masks are checked
@@ -232,7 +232,7 @@ def _random_graph_case(rng):
         elif choice == 3:
             x = ad.log_softmax(x, axis=1)
         elif choice == 4:
-            x = ad.mul(x, ad.sub(x, b))
+            x = ad.mul(x, ad.add(x, ad.scale(b, -1.0)))
         elif choice == 5:
             # two runs of the row-major entries, as packed sequences lie
             flat = ad.segment_log_softmax(ad.reshape(x, (d1 * d2,)), rng_entry_segments, 2)
@@ -241,7 +241,7 @@ def _random_graph_case(rng):
         rows = ad.embedding_lookup(x, list(rng_rows))
         pooled = ad.segment_mean(ad.segment_mean(rows, rng_row_segments, 2), [0, 0], 1)
         picked = ad.gather(ad.reshape(pooled, (d2,)), list(rng_gather))
-        loss = ad.scale(ad.sum(ad.exp(ad.scale(picked, 0.25))), 0.5)
+        loss = ad.scale(ad.sum(ad.mul(picked, ad.tanh(picked))), 0.5)
         return loss if divergence is None else ad.add(loss, divergence)
 
     rng_choice = rng.integers(0, 6)

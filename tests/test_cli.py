@@ -12,7 +12,7 @@ from xtune import data
 from xtune import evaluate as ev
 from xtune import tokenizer as tok
 from xtune import trainer as tr
-from xtune.model import load_params
+from xtune.model import ModelParams, load_params, save_params
 
 LANGUAGES = ("en", "xx", "yy")
 
@@ -284,6 +284,28 @@ def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {checkpoint}:3: tensor 'embedings' is unknown")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("meta", [
+    {}, [], {"languages": "en"}, {"languages": ["en"]}, {"languages": ["en", "en"]},
+    {"languages": ["en", ""]}, {"languages": ["en", 1]},
+])
+def test_bad_meta_languages_fail_naming_the_file(command, meta, tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    if command == "train":
+        config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "run")]
+    else:
+        checkpoint = tmp_path / "student.ckpt"
+        save_params(ModelParams("span", 4, 2, 4), checkpoint)
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data_dir / 'meta.json'}: 'languages' must be a list")
     assert "Traceback" not in err
 
 

@@ -1,17 +1,23 @@
 """Every name the package defines is used by the package itself.
 
-Parses ``src/xtune/*.py`` and checks that each module-level function,
-class and assigned name, and each method or property that is not a dunder,
-is loaded somewhere in ``src/xtune`` (as a name or an attribute).  Code
-that only the tests call belongs in ``tests/``.
+Parses ``src/xtune/*.py`` and checks that everything it defines is used
+somewhere in ``src/xtune``.  Code that only the tests call belongs in
+``tests/``.
 
-A load matches by name only, so a method or property whose name another
-class also defines or assigns (``Segmentation.pieces`` and
-``UnigramVocab.pieces``) would pass on the other class's uses.  Each such
-member needs an entry in ``SHARED`` naming its owning class and the
-function in ``src/xtune`` that uses it; the guard checks that the function
-loads the name, and that every entry still names a shared member.  Dynamic
-lookups (``getattr`` with a string) do not count as uses.
+A module-level function, class or assigned name counts as used when it is
+loaded in its own module, imported by name from it (``from .m import
+name``), or loaded as ``<alias>.<name>`` where the alias is bound to its
+module (``from . import m as alias``).  So ``np.exp`` is no use of a
+package ``exp``, nor is one module's local ``sub`` a use of another's.
+
+A method or property that is not a dunder counts as used when its name is
+loaded anywhere as an attribute, so one whose name another class also
+defines or assigns (``Segmentation.pieces`` and ``UnigramVocab.pieces``)
+would pass on the other class's uses.  Each such member needs an entry in
+``SHARED`` naming its owning class and the function in ``src/xtune`` that
+uses it; the guard checks that the function loads the name, and that every
+entry still names a shared member.  Dynamic lookups (``getattr`` with a
+string) do not count as uses.
 
 The benchmark replaces the module attributes listed in
 ``perfbench/tracer.py``'s ``TARGETS``; each must resolve on the package.
@@ -40,20 +46,20 @@ def _is_dunder(name):
 
 
 def definitions(tree):
-    """(name, line) of the module's functions, classes, assigned names and
-    non-dunder methods and properties."""
+    """(name, line, member) of the module's functions, classes and assigned
+    names (member False) and its non-dunder methods and properties (True)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
-                    yield member.name, member.lineno
+                    yield member.name, member.lineno, True
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
         for target in targets:
             if isinstance(target, ast.Name) and not _is_dunder(target.id):
-                yield target.id, node.lineno
+                yield target.id, node.lineno, False
 
 
 def loaded_names(tree):
@@ -64,6 +70,28 @@ def loaded_names(tree):
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
     return names
+
+
+def module_uses(trees):
+    """Module name -> its module-level names that the package uses: those
+    loaded in the module, imported by name from it, or loaded as
+    ``<alias>.<name>`` with the alias bound to it."""
+    used = {path.stem: {node.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for path, tree in trees.items()}
+    for tree in trees.values():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    aliases.update((a.asname or a.name, a.name) for a in node.names)
+                else:
+                    used[node.module].update(a.name for a in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                used[aliases[node.value.id]].add(node.attr)
+    return used
 
 
 def class_members(tree):
@@ -103,9 +131,11 @@ def parsed_sources():
 
 def test_every_definition_is_used_in_the_package():
     trees = parsed_sources()
-    used = set().union(*(loaded_names(tree) for tree in trees.values()))
+    attributes = set().union(*(loaded_names(tree) for tree in trees.values()))
+    used = module_uses(trees)
     unused = [f"{path.name}:{line}: {name}" for path, tree in trees.items()
-              for name, line in definitions(tree) if name not in used]
+              for name, line, member in definitions(tree)
+              if name not in (attributes if member else used[path.stem])]
     assert not unused, "defined in src/xtune but used only outside it:\n" + "\n".join(unused)
 
 

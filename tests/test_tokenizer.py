@@ -50,6 +50,13 @@ def viterbi_pieces(vocab, word):
     return tok.viterbi_segment_words(vocab, [word]).pieces
 
 
+def forward_logf(vocab, text, alpha):
+    """The FFBS forward filter of one string: ``_forward`` over its span
+    table with the sampler's tempered weights."""
+    ends, _ = tok._span_table(vocab._keys, text, vocab.max_piece_len)
+    return tok._forward(tok._LockstepTable(vocab, alpha).weights, ends)
+
+
 class TestLoadVocab:
     def test_three_piece_file(self, tmp_path):
         path = tmp_path / "v.tsv"
@@ -121,6 +128,30 @@ class TestViterbi:
         })
         assert viterbi_pieces(v, "abc") == ["ab", "c"]
 
+    def test_dp_is_bitwise_the_reference_under_ties(self):
+        # log-probs of -1 or -2 add exactly, so many words have best
+        # segmentations of different piece counts, and many have several of
+        # the same count; the span-table DP must pick the reference's under
+        # both tie rules
+        rng = np.random.default_rng(12)
+        ties = Counter()
+        for trial in range(300):
+            vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
+            vocab = with_marker(vocab) if rng.random() < 0.5 else vocab
+            vocab = tok.UnigramVocab({p: float(rng.choice([-1.0, -2.0]))
+                                      for p in vocab.pieces})
+            word = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 12))))
+            form = vocab.word_form(word)
+            want = ref.viterbi_pieces(vocab, form)
+            assert tok._viterbi_pieces(vocab, form) == want, trial
+            assert viterbi_pieces(vocab, word) == want, trial
+            scored = [(sum(vocab.pieces[p] for p in s.pieces), -len(s.pieces))
+                      for s, _ in enumerate_segmentations(vocab, form)]
+            top = max(scored)
+            ties["score"] += len({n for score, n in scored if score == top[0]}) > 1
+            ties["count"] += scored.count(top) > 1
+        assert ties["score"] >= 50 and ties["count"] >= 20, ties
+
     def test_matches_enumeration_argmax_up_to_len8(self):
         # with the boundary marker in the vocabulary, a word is segmented
         # as its marker-prefixed form
@@ -153,7 +184,7 @@ class TestEnumeration:
         for _ in range(20):
             text = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 9))))
             z_enum = sum(p for _, p in enumerate_segmentations(vocab, text))
-            z_ffbs = math.exp(tok._Lattice(vocab, text, 1.0).logf[-1])
+            z_ffbs = math.exp(forward_logf(vocab, text, 1.0)[-1])
             assert abs(z_enum - z_ffbs) < 1e-12 * max(1.0, z_enum)
 
     def test_length_guard(self):
@@ -477,22 +508,32 @@ class TestEmOracle:
         assert got[2][0] == 3 * 2 * math.log(0.5)
 
     def test_span_table_built_once_per_string_per_call(self, monkeypatch):
-        # the table is per phase: more sweeps must not rebuild it
-        built = Counter()
-        original = tok._span_table
+        # the table is per phase: more sweeps must not rebuild it, and every
+        # sweep runs the forward recurrence over each string's table
+        built, forwards, text_of = Counter(), Counter(), {}
+        original, forward = tok._span_table, tok._forward
 
         def counted(pieces, text, max_len):
             built[text] += 1
-            return original(pieces, text, max_len)
+            table = original(pieces, text, max_len)
+            text_of[id(table[0])] = text
+            return table
+
+        def counted_forward(weights, ends):
+            forwards[text_of[id(ends)]] += 1
+            return forward(weights, ends)
 
         monkeypatch.setattr(tok, "_span_table", counted)
+        monkeypatch.setattr(tok, "_forward", counted_forward)
         corpus = {"abab": 5, "ab": 9, "ba": 4, "aab": 2}
         pieces = {"a": math.log(0.3), "b": math.log(0.3), "ab": math.log(0.2),
                   "ba": math.log(0.2)}
         for iters in (1, 3, 8):
             built.clear()
+            forwards.clear()
             tok.em_fit(pieces, corpus, iters)
             assert built == Counter(corpus.keys()), iters
+            assert forwards == Counter({t: iters for t in corpus}), iters
 
 
 def test_logaddexp_is_bitwise_np_logaddexp():
@@ -515,5 +556,5 @@ def test_lattice_forward_filter_is_bitwise_the_reference():
             vocab = with_marker(vocab)
         text = "".join(rng.choice(sorted(vocab.alphabet), size=int(rng.integers(1, 16))))
         for alpha in (0.0, 0.2, 1.0, 4.0):
-            got = tok._Lattice(vocab, text, alpha).logf
+            got = forward_logf(vocab, text, alpha)
             assert np.array(got).tobytes() == ref.lattice_logf(vocab, text, alpha).tobytes()
