@@ -167,8 +167,17 @@ class TranslationStore:
                     continue
                 try:
                     rec = json.loads(line)
-                    store.add(rec["example_id"], rec["lang"], rec["words"], rec.get("label"))
-                except (json.JSONDecodeError, KeyError) as err:
+                    if not isinstance(rec, dict):
+                        raise TypeError("not a JSON object")
+                    eid, lang, words, label = (rec["example_id"], rec["lang"], rec["words"],
+                                               rec.get("label"))
+                    texts = [eid, lang] + (words if type(words) is list and words else [None])
+                    if type(label) not in (int, type(None)) or not all(
+                            type(t) is str and t for t in texts):
+                        raise TypeError("example_id and lang must be non-empty strings, words a "
+                                        "non-empty list of them and label an integer or null")
+                    store.add(eid, lang, words, label)
+                except (json.JSONDecodeError, KeyError, TypeError) as err:
                     raise DictionaryFormatError(f"{path}:{lineno}: bad store record ({err})") from None
         return store
 

@@ -58,9 +58,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.data.shape})"
-
 
 def constant(values):
     """A leaf node that is not a trainable parameter (no grad is read back)."""
@@ -150,13 +147,6 @@ def _take(op, t, indices):
     def backward(g):
         return (_scatter_add(idx, g, t.data.shape[0]),)
     return _node(t.data[idx], op, (t,), backward)
-
-
-def embedding_lookup(table, ids):
-    """Gather rows of a 2-d table; grads scatter-add back (repeats allowed)."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding_lookup: table must be 2-d, got {table.data.shape}")
-    return _take("embedding_lookup", table, ids)
 
 
 def gather(v, indices):

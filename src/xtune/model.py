@@ -200,8 +200,8 @@ def encode(params, packing, noises=None):
     if longest > params.max_len:
         raise ValueError(f"input of {longest} subwords exceeds max_len {params.max_len}")
     x = ad.add(
-        ad.embedding_lookup(params["embeddings"], packing.ids),
-        ad.embedding_lookup(params["positions"], packing.positions),
+        ad.gather(params["embeddings"], packing.ids),
+        ad.gather(params["positions"], packing.positions),
     )
     if noises is not None and any(n is not None for n in noises):
         # a misfit noise block changes the row count, which ``add`` rejects
@@ -235,7 +235,7 @@ def predict(params, segmentations, noises=None):
     elif params.pooling == "average":
         reps = ad.segment_mean(hidden, packing.word_of_row, packing.first_rows.size)
     else:
-        reps = ad.embedding_lookup(hidden, packing.first_rows)
+        reps = ad.gather(hidden, packing.first_rows)
     logits = ad.add_rowvec(ad.matmul(reps, params["head_weight"]), params["head_bias"])
     output = "class_log" if params.task == "classification" else "word_log"
     return Prediction(params.task, packing, **{output: ad.log_softmax(logits, axis=1)})

@@ -252,7 +252,7 @@ class _LockstepTable:
     """
 
     def __init__(self, vocab, alpha):
-        self.vocab = vocab
+        self.vocab, self.alpha = vocab, alpha
         self.weights = {p: alpha * lp for p, lp in vocab.pieces.items()}
         self.type_of = {}                   # word -> type
         self.words = []                     # type -> word
@@ -275,12 +275,13 @@ class _LockstepTable:
         lengths = list(map(len, forms))
         offset = len(self.cdf) - 1 + np.cumsum(lengths) - lengths
         rows = []
-        for text, base in zip(forms, offset.tolist()):
+        for word, text, base in zip(words, forms, offset.tolist()):
             vocab._check_coverage(text)
             ends, _ = _span_table(vocab._keys, text, vocab.max_piece_len)
             logf = _forward(weights, ends)
-            if logf[-1] == _NEG_INF:
-                raise CoverageError(f"text {text!r} cannot be segmented")
+            if logf[-1] == _NEG_INF:   # covered, so only the alpha * log p sums can fail
+                raise ValueError(f"sample_segment_words: alpha {self.alpha!r} overflows "
+                                 f"the path scores of word {word!r}")
             for span in ends[1:]:
                 reach = [(i, logf[i] + weights[piece]) for i, _, piece in span
                          if logf[i] != _NEG_INF]

@@ -14,19 +14,20 @@ Stage 1 runs only when R2 needs a teacher.  Stage 2 trains a fresh student
 on the augmented corpus when R2 is on or the setting is translate-train-all.
 One master seed feeds named substreams so the modes share data order.
 
-A stage computes what is fixed per item once, at its start: the item's
-segmentation, its gold in loss coordinates and, when R2 is on, the frozen
-teacher's log-probability rows, in ``evaluate.EVAL_CHUNK``-sized forwards
-(cached distillation targets).  Each epoch shuffles the items and draws
-every pair view of the epoch in one batched call, in shuffled order, and
-marks the views that are unchanged: the same word records as the item's
-segmentation, with no encode noise on either side (``_unchanged``).  The
-forward is deterministic, so such a view's R1 term is KL(p || p) = 0 with a
-zero gradient; it counts in R1's mean but is never packed, forwarded or
-back-propagated.  A stochastic op added to the forward must join that
-condition.  A step then only draws encode noise, packs and runs the student
-graph.  The run manifest records, per stage, the views drawn, missing and
-unchanged and what they changed (``_ViewStats``).
+A stage segments each item and puts its gold in loss coordinates once, at
+its start.  Every random draw of a stage happens at an epoch start: the
+shuffle, then the encode noise of every GN item and every pair view, each in
+one batched call in shuffled order.  A view is unchanged when it has its
+item's word records and neither side draws noise (``_unchanged``): under the
+deterministic forward its R1 term is KL(p || p) = 0 with a zero gradient, so
+it counts in R1's mean but is never packed.  A stochastic op added to the
+forward must join that condition.  With R2 on, the teacher's rows of every
+item are one table (cached distillation targets) of
+``evaluate.EVAL_CHUNK``-sized forwards, built once per stage, or per epoch
+on the epoch's noise when the stage holds GN items.  A step then only slices
+its epoch's inputs, packs them and runs the student graph.  The run manifest
+records, per stage, the views drawn, missing and unchanged and what they
+changed (``_ViewStats``).
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def _stage_table(items, vocab, cfg):
     encode noise).
 
     A subword-resampled item keeps its pinned segmentation; any other item
-    is Viterbi-segmented.  A GN item draws fresh encode noise every step.
+    is Viterbi-segmented.  A GN item draws fresh encode noise every epoch.
     """
     table = []
     for item in items:
@@ -269,13 +270,19 @@ def _stage_table(items, vocab, cfg):
     return table
 
 
-def _teacher_rows(teacher, segs, noises=None):
-    """The teacher's log-probability rows of ``segs`` as one ``RowTable``,
-    ``EVAL_CHUNK`` sequences per forward."""
+def _teacher_rows(teacher, segs, noises):
+    """The teacher's log-probability rows of ``segs`` under ``noises`` as one
+    ``RowTable``, ``EVAL_CHUNK`` sequences per forward."""
     chunks = [slice(start, start + EVAL_CHUNK) for start in range(0, len(segs), EVAL_CHUNK)]
-    return RowTable.join([predict(teacher, segs[chunk],
-                                  noises=None if noises is None else noises[chunk]).row_table()
+    return RowTable.join([predict(teacher, segs[chunk], noises=noises[chunk]).row_table()
                           for chunk in chunks])
+
+
+def _encode_noise(segs, cfg, rng):
+    """Per segmentation, in order, an (n_pieces, dim) encode-noise block of one draw."""
+    sizes = [seg.n_pieces for seg in segs]
+    noise = rng.normal(0.0, cfg.noise_sigma, (sum(sizes), cfg.dim))
+    return np.split(noise, np.cumsum(sizes)[:-1])
 
 
 def _epoch_views(table, order, kind, cfg, res, rng):
@@ -295,10 +302,8 @@ def _epoch_views(table, order, kind, cfg, res, rng):
                 for view in views]
     if kind == "GN":
         segs = [table[i][1] for i in order]
-        sizes = [seg.n_pieces for seg in segs]
-        noise = rng.normal(0.0, cfg.noise_sigma, (sum(sizes), cfg.dim))
         return [(seg, rows, [False] * len(seg.words))
-                for seg, rows in zip(segs, np.split(noise, np.cumsum(sizes)[:-1]))]
+                for seg, rows in zip(segs, _encode_noise(segs, cfg, rng))]
     # MT: render the same underlying example in another language
     views = []
     for ex, u in zip(examples, rng.random(len(examples)).tolist()):
@@ -355,17 +360,17 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     Every per-batch loss is mean task NLL over labeled items, plus
     ``pair_weight`` times the mean pair-consistency over views, plus
     ``teacher_weight`` times the mean teacher KL over all items.  Each
-    item's segmentation and gold, and with a teacher its rows, are computed
-    once at the stage start (``_stage_table``, ``_teacher_rows``), and every
-    pair view of an epoch at the epoch start (``_epoch_views``).  A batch's
-    items and then their changed views go through the student as one packed
-    forward.  An unchanged view (``_unchanged``) gives a deterministic forward
-    its item's input, so its R1 term is exactly zero with zero gradient: it
-    counts in the pair mean and the trace's ``pairs`` but is never packed.  A
-    stage holding GN items, whose input gets fresh encode noise every step,
-    runs the batch's items through the teacher in every step instead.
-    Returns a per-step trace of the separate components and the stage's view
-    statistics (``_ViewStats.summary``).
+    item's segmentation and gold are computed once at the stage start
+    (``_stage_table``).  Every random draw happens at an epoch start: the
+    shuffle, the GN items' encode noise (``_encode_noise``) and the pair views
+    (``_epoch_views``).  With a teacher, every item's rows (``_teacher_rows``)
+    are computed once per stage, or at each epoch start when the stage holds
+    GN items.  A batch's items and then their changed views go through the
+    student as one packed forward.  An unchanged view (``_unchanged``) gives a
+    deterministic forward its item's input, so its R1 term is exactly zero
+    with zero gradient: it counts in the pair mean and the trace's ``pairs``
+    but is never packed.  Returns a per-step trace of the separate components
+    and the stage's view statistics (``_ViewStats.summary``).
     """
     if teacher is not None and not params.same_architecture(teacher):
         raise ValueError("teacher and student architectures differ")
@@ -389,15 +394,20 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     warmup_frac = max(cfg.warmup_frac, 1.0 / total_steps)
     state = OptimizerState.for_params(params.tensors)
     table = _stage_table(items, res.vocab, cfg)
+    item_segs = [seg for _, seg, _, _ in table]
+    item_noises = [None] * n
     teacher_table = None
-    if use_teacher and not any(noised for *_, noised in table):
-        teacher_table = _teacher_rows(teacher, [seg for _, seg, _, _ in table])
     trace = []
     stats = _ViewStats()
     step = 0
 
     for _epoch in range(cfg.epochs):
         order = batch_rng.permutation(n)
+        noised = [i for i in order.tolist() if table[i][3]]
+        for i, rows in zip(noised, _encode_noise([item_segs[i] for i in noised], cfg, noise_rng)):
+            item_noises[i] = rows
+        if use_teacher and (noised or teacher_table is None):
+            teacher_table = _teacher_rows(teacher, item_segs, item_noises)
         views, unchanged = [None] * n, [False] * n
         if use_pairs:
             views = _epoch_views(table, order, pair_strategy, cfg, res, view_rng)
@@ -410,14 +420,11 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
             lr = lr_at(step, total_steps, cfg.learning_rate, warmup_frac)
             params.zero_grads()
 
-            segs, noises, gold = [], [], []
+            segs = [item_segs[i] for i in batch]
+            noises = [item_noises[i] for i in batch]
+            gold = [table[i][2] for i in batch]
             view_segs, view_noises, pairs = [], [], []
-            for k, (i, view, same) in enumerate(zip(batch, views[chunk], unchanged[chunk])):
-                _ex, seg, item_gold, noised = table[i]
-                segs.append(seg)
-                noises.append(noise_rng.normal(0.0, cfg.noise_sigma, (seg.n_pieces, cfg.dim))
-                              if noised else None)
-                gold.append(item_gold)
+            for k, (view, same) in enumerate(zip(views[chunk], unchanged[chunk])):
                 if view is not None and not same:
                     vseg, vnoise, modified = view
                     pairs.append((k, len(batch) + len(view_segs), modified))
@@ -440,9 +447,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 weighted = ad.scale(node, pair_weight)
                 total = weighted if total is None else ad.add(total, weighted)
             if use_teacher:
-                rows = (teacher_table.take(batch) if teacher_table is not None
-                        else _teacher_rows(teacher, segs, noises))
-                node = model_consistency(rows, pred)
+                node = model_consistency(teacher_table.take(batch), pred)
                 parts["model_consistency"] = node.item()
                 weighted = ad.scale(node, teacher_weight)
                 total = weighted if total is None else ad.add(total, weighted)
@@ -462,17 +467,9 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                           {k: t.grad for k, t in params.tensors.items()},
                           state, lr)
 
-            trace.append({
-                "step": step,
-                "lr": lr,
-                "total": total_value,
-                "task": parts["task"],
-                "example_consistency": parts["example_consistency"],
-                "model_consistency": parts["model_consistency"],
-                "labeled": n_labeled,
-                "unlabeled": len(batch) - n_labeled,
-                "pairs": drawn,
-            })
+            trace.append({"step": step, "lr": lr, "total": total_value, **parts,
+                          "labeled": n_labeled, "unlabeled": len(batch) - n_labeled,
+                          "pairs": drawn})
     return trace, stats.summary(len(trace))
 
 

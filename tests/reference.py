@@ -244,8 +244,8 @@ def encode(params, segmentation, noise=None):
     ids = [i for _, word_ids in segmentation.words for i in word_ids]
     n = len(ids)
     x = ad.add(
-        ad.embedding_lookup(params["embeddings"], ids),
-        ad.embedding_lookup(params["positions"], list(range(n))),
+        ad.gather(params["embeddings"], ids),
+        ad.gather(params["positions"], list(range(n))),
     )
     if noise is not None:
         x = ad.add(x, ad.constant(noise))
@@ -274,7 +274,7 @@ def predict(params, segmentation, noise=None):
         pool /= pool.sum(axis=1, keepdims=True)
         reps = ad.matmul(ad.constant(pool), hidden)
     else:
-        reps = ad.embedding_lookup(hidden, segmentation.first_subword_positions())
+        reps = ad.gather(hidden, segmentation.first_subword_positions())
     logits = ad.add_rowvec(ad.matmul(reps, params["head_weight"]), params["head_bias"])
     return Prediction("labeling", word_log=ad.log_softmax(logits, axis=1))
 
@@ -294,7 +294,7 @@ def task_loss(prediction, gold):
 
 
 def _row(matrix_log, w):
-    return ad.reshape(ad.embedding_lookup(matrix_log, [w]), (matrix_log.shape[1],))
+    return ad.reshape(ad.gather(matrix_log, [w]), (matrix_log.shape[1],))
 
 
 def _mean(nodes):

@@ -1,6 +1,7 @@
 """Augmentation strategies: modified-word flags, label projection, corpus
 construction counts and pairing, and the strategy validation rules."""
 
+import json
 import math
 
 import numpy as np
@@ -180,6 +181,34 @@ class TestTranslate:
                               missing=missing)
         assert len(views) == 1
         assert missing == [("x0", "de")]
+
+
+class TestLoadTranslationStore:
+    GOOD = {"example_id": "x0", "lang": "fr", "words": ["le", "chat"], "label": 1}
+
+    def test_round_trip(self, tmp_path):
+        store = aug.TranslationStore()
+        store.add("x0", "fr", ["le", "chat"], label=1)
+        store.add("x1", "es", ["el"])
+        store.save(tmp_path / "t.jsonl")
+        loaded = aug.TranslationStore.load(tmp_path / "t.jsonl")
+        assert loaded.get("x0", "fr") == (["le", "chat"], 1)
+        assert loaded.get("x1", "es") == (["el"], None)
+
+    @pytest.mark.parametrize("record", [
+        [1, 2], "x0", None,
+        {**GOOD, "example_id": 7}, {**GOOD, "example_id": ""},
+        {**GOOD, "lang": ["fr"]}, {**GOOD, "lang": ""},
+        {**GOOD, "words": "abc"}, {**GOOD, "words": []}, {**GOOD, "words": ["le", ""]},
+        {**GOOD, "words": ["le", 3]},
+        {**GOOD, "label": 1.5}, {**GOOD, "label": "1"}, {**GOOD, "label": True},
+    ])
+    def test_bad_record_named_by_line(self, tmp_path, record):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(self.GOOD) + "\n" + json.dumps(record) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(aug.DictionaryFormatError, match=f"{path}:2: bad store record"):
+            aug.TranslationStore.load(path)
 
 
 class TestValidateStrategy:

@@ -47,18 +47,18 @@ class TestForwardExamples:
         out = ad.matmul(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[3.0], [4.0]]))
         assert out.data.tolist() == [[11.0]]
 
-    def test_embedding_lookup_row_read(self):
+    def test_gather_matrix_row_read(self):
         table = ad.Tensor([[0.5, -1.0], [2.0, 3.0]])
-        out = ad.embedding_lookup(table, [0])
+        out = ad.gather(table, [0])
         assert out.data.tolist() == [[0.5, -1.0]]
 
     def test_matmul_shape_error_names_op_and_shapes(self):
         with pytest.raises(ad.ShapeError, match=r"matmul.*\(1, 2\).*\(1, 2\)"):
             ad.matmul(ad.Tensor([[1.0, 2.0]]), ad.Tensor([[1.0, 2.0]]))
 
-    def test_embedding_lookup_out_of_range(self):
-        with pytest.raises(IndexError, match="3"):
-            ad.embedding_lookup(ad.Tensor(np.eye(3)), [0, 3])
+    def test_gather_matrix_row_out_of_range(self):
+        with pytest.raises(IndexError, match="gather: index 3 out of range for 3 entries"):
+            ad.gather(ad.Tensor(np.eye(3)), [0, 3])
 
     def test_segment_mean_hand(self):
         m = ad.Tensor([[1.0, 2.0], [3.0, 4.0], [10.0, 20.0]])
@@ -201,7 +201,7 @@ class TestGradCheck:
 # Random-graph property: every op against finite differences.
 
 OPS = {
-    "add", "mul", "scale", "matmul", "add_rowvec", "embedding_lookup", "gather",
+    "add", "mul", "scale", "matmul", "add_rowvec", "gather",
     "tanh", "sum", "reshape", "kl_div", "log_softmax", "segment_mean",
     "segment_log_softmax",
 }
@@ -238,7 +238,7 @@ def _random_graph_case(rng):
             flat = ad.segment_log_softmax(ad.reshape(x, (d1 * d2,)), rng_entry_segments, 2)
             x = ad.reshape(flat, (d1, d2))
         x = ad.add_rowvec(x, v)
-        rows = ad.embedding_lookup(x, list(rng_rows))
+        rows = ad.gather(x, list(rng_rows))
         pooled = ad.segment_mean(ad.segment_mean(rows, rng_row_segments, 2), [0, 0], 1)
         picked = ad.gather(ad.reshape(pooled, (d2,)), list(rng_gather))
         loss = ad.scale(ad.sum(ad.mul(picked, ad.tanh(picked))), 0.5)

@@ -334,6 +334,20 @@ def test_train_rejects_an_id_with_the_translated_view_marker(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_rejects_a_store_record_that_is_not_an_object(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    store = data_dir / "translations.jsonl"
+    store.write_text("[1, 2]\n" + store.read_text(encoding="utf-8"), encoding="utf-8")
+    config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), "--mode", "baseline",
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {store}:1: bad store record (not a JSON object)")
+    assert "Traceback" not in err
+
+
 def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "data"
     synth_tiny_classification(data_dir)

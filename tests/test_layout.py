@@ -19,6 +19,14 @@ uses it; the guard checks that the function loads the name, and that every
 entry still names a shared member.  Dynamic lookups (``getattr`` with a
 string) do not count as uses.
 
+A dunder method runs through Python's protocols, never by name.  The
+constructors (``__init__``, ``__post_init__``) are exempt; every other
+dunder needs an entry in ``DUNDERS`` naming its owning class and a function
+in ``src/xtune`` that relies on it, and the guard checks that the function
+makes the protocol's call (``len(...)`` for ``__len__``, a subscript for
+``__getitem__``, ``repr`` or ``!r`` for ``__repr__``).  Module-level dunder
+names (``__all__``, ``__version__``) are package metadata and not checked.
+
 The benchmark replaces the module attributes listed in
 ``perfbench/tracer.py``'s ``TARGETS``; each must resolve on the package.
 """
@@ -38,6 +46,27 @@ SHARED = {
     "BilingualDictionary.n_words": "augment.load_dictionary",
     "Segmentation.pieces": "cli.cmd_tokenize",
     "TrainConfig.strategy": "trainer._build_corpus",
+}
+
+# "<class>.<dunder>" -> "<module>.<function>" that relies on it, for every
+# dunder method but the constructors
+DUNDERS = {
+    "AugmentedCorpus.__len__": "cli.cmd_augment",
+    "ModelParams.__getitem__": "model.encode",
+    "Packing.__len__": "model.predict",
+    "UnigramVocab.__len__": "trainer.init_params",
+}
+CONSTRUCTORS = {"__init__", "__post_init__"}
+# dunder -> whether an AST node is a use of it
+PROTOCOLS = {
+    "__len__": lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                             and node.func.id == "len"),
+    "__getitem__": lambda node: (isinstance(node, ast.Subscript)
+                                 and isinstance(node.ctx, ast.Load)),
+    "__repr__": lambda node: ((isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                               and node.func.id == "repr")
+                              or (isinstance(node, ast.FormattedValue)
+                                  and node.conversion == ord("r"))),
 }
 
 
@@ -152,6 +181,20 @@ def test_members_sharing_a_name_are_used_through_their_own_class():
     for member, user in SHARED.items():
         name = member.split(".")[1]
         assert name in loaded_names(function_node(trees, user)), (member, user)
+
+
+def test_dunders_are_relied_on_through_their_protocol():
+    trees = parsed_sources()
+    classes = {}
+    for tree in trees.values():
+        classes.update(class_members(tree))
+    defined = {f"{cls}.{name}" for cls, (methods, _) in classes.items() for name in methods
+               if _is_dunder(name) and name not in CONSTRUCTORS}
+    assert sorted(defined - set(DUNDERS)) == [], "dunders need a DUNDERS entry"
+    assert sorted(set(DUNDERS) - defined) == [], "DUNDERS entries no longer defined"
+    for member, user in DUNDERS.items():
+        uses = PROTOCOLS[member.split(".")[1]]
+        assert any(map(uses, ast.walk(function_node(trees, user)))), (member, user)
 
 
 def test_benchmark_targets_resolve_on_the_package():

@@ -366,7 +366,7 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
               if getattr(it, "segmentation", None) is not None]
     assert all(a is b for a, b in pinned) and bool(pinned) == (task == "labeling")
     segs = [seg for _ex, seg, _gold, _noised in table]
-    rows = tr._teacher_rows(teacher, segs)
+    rows = tr._teacher_rows(teacher, segs, [None] * len(segs))
     assert rows.counts.size == len(segs)
     for k, seg in enumerate(segs):
         item_rows = rows.take([k]).outputs
@@ -382,23 +382,58 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
             np.testing.assert_allclose(got, value, rtol=RTOL, atol=ATOL)
 
 
-def test_gn_stage_keeps_the_teacher_forward_per_step(small_classification_bench,
-                                                      monkeypatch):
-    """GN items draw fresh encode noise every step, so the teacher sees each
-    step's noisy batch; with no noise the stage uses the table."""
+def test_gn_stage_runs_the_teacher_once_per_epoch(small_classification_bench, monkeypatch):
+    """GN items draw their encode noise at each epoch start, so the teacher
+    table is rebuilt there on the epoch's noise, in ``EVAL_CHUNK``-sized
+    forwards; with no noise the stage builds it once."""
     bench, res = small_classification_bench
-    for sigma, per_step in ((0.3, True), (0.0, False)):
+    for sigma, tables in ((0.3, 3), (0.0, 1)):
         cfg = small_config(setting="translate-train-all", corpus_strategy="GN",
-                           noise_sigma=sigma)
+                           noise_sigma=sigma, epochs=3)
         items = tr._build_corpus(bench.train, cfg, res).items
         student, teacher = models(cfg, res, 11)
         sizes = count_teacher_forwards(monkeypatch, teacher)
         trace, _views = tr.run_stage(items, student, cfg, res, "main", teacher=teacher,
                                      teacher_weight=1.0)
-        if per_step:
-            assert sizes == [row["labeled"] + row["unlabeled"] for row in trace]
-        else:
-            assert len(sizes) == -(-len(items) // ev.EVAL_CHUNK)
+        chunks = [min(ev.EVAL_CHUNK, len(items) - start)
+                  for start in range(0, len(items), ev.EVAL_CHUNK)]
+        assert len(chunks) > 1 and len(trace) > 3 * len(chunks)
+        assert sizes == chunks * tables
+
+
+def test_gn_teacher_rows_follow_the_epoch_noise(small_classification_bench, monkeypatch):
+    """In the second epoch of a noised R2 stage, a step's teacher rows are the
+    teacher's forward on the very noise the student saw in that step."""
+    bench, res = small_classification_bench
+    cfg = small_config(setting="translate-train-all", corpus_strategy="GN", noise_sigma=0.3)
+    items = tr._build_corpus(bench.train, cfg, res).items
+    student, teacher = models(cfg, res, 12)
+    inputs, targets = [], []
+    predict, r2 = tr.predict, tr.model_consistency
+
+    def recording_predict(params, segs, noises=None):
+        if params is student:
+            inputs.append((list(segs), list(noises)))
+        return predict(params, segs, noises=noises)
+
+    def recording_r2(rows, pred):
+        targets.append(rows)
+        return r2(rows, pred)
+
+    monkeypatch.setattr(tr, "predict", recording_predict)
+    monkeypatch.setattr(tr, "model_consistency", recording_r2)
+    trace, _views = tr.run_stage(items, student, cfg, res, "main", teacher=teacher,
+                                 teacher_weight=1.0)
+    steps_per_epoch = len(trace) // cfg.epochs
+    assert len(inputs) == len(targets) == len(trace) == 2 * steps_per_epoch
+    for step in (steps_per_epoch, steps_per_epoch + 1):   # the second epoch's first steps
+        segs, noises = inputs[step]
+        assert any(noise is not None for noise in noises)
+        want = mdl.predict(teacher, segs, noises=noises).row_table()
+        got = targets[step]
+        assert np.array_equal(got.counts, want.counts)
+        for a, b in zip(got.outputs, want.outputs, strict=True):
+            np.testing.assert_allclose(a, b, rtol=RTOL, atol=ATOL)
 
 
 def test_step_graph_size_does_not_grow_with_the_batch(small_classification_bench):

@@ -332,6 +332,15 @@ class TestSampling:
         with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
             tok.sample_segment_words(toy_vocab(), ["ab"], alpha, np.random.default_rng(0))
 
+    def test_overflowing_alpha_named_not_a_coverage_error(self):
+        # alpha * log p path sums of 'aab' overflow to -inf at 1e308, not at 1e306
+        words = ["ab", "aab"]
+        drawn = tok.sample_segment_words(toy_vocab(), words, 1e306, np.random.default_rng(0))
+        assert [list(pieces) for pieces, _ids in drawn.words] == [["ab"], ["a", "ab"]]
+        with pytest.raises(ValueError, match=r"alpha 1e\+308 overflows .* word 'aab'") as err:
+            tok.sample_segment_words(toy_vocab(), words, 1e308, np.random.default_rng(0))
+        assert not isinstance(err.value, tok.CoverageError)
+
     def test_deterministic_given_seed(self):
         vocab = toy_vocab()
         a = [tok.sample_segment_words(vocab, ["aba"], 0.5, np.random.default_rng(9)).pieces

@@ -2,6 +2,7 @@
 and the determinism contracts."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -270,6 +271,21 @@ class TestDeterminism:
             manifest = json.dumps(result.manifest, sort_keys=True)
             runs.append((student, teacher, manifest))
         assert runs[0] == runs[1]
+
+    def test_teacher_free_gn_stage_keeps_its_noise_stream(self, small_classification_bench):
+        """Every GN item of the main stage draws encode noise from the stage's
+        noise stream, in the epoch's shuffled order.  The digest of the trace
+        pins that stream bit for bit (numpy 2.4, x86-64, as ``GOLDEN`` does).
+        It was recorded while each step drew its own batch's noise, so it also
+        checks that one draw per epoch gives the same values."""
+        bench, res = small_classification_bench
+        cfg = small_config(setting="translate-train-all", corpus_strategy="GN",
+                           noise_sigma=0.2, epochs=3)
+        result = tr.train_with_mode("r1-only", bench.train, cfg, res)
+        trace = result.traces["stage2"]
+        assert len(trace) == 3 * math.ceil(2 * len(bench.train) / cfg.batch_size)
+        digest = hashlib.sha256(json.dumps(trace, sort_keys=True).encode()).hexdigest()
+        assert digest == "c6ca0f14f8b70771e1857e6795f972368ccbb08bbd87e695654ec0ab8dcce6aa"
 
     def test_different_seeds_differ(self, small_classification_bench, tmp_path):
         bench, res = small_classification_bench
