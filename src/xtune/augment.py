@@ -159,7 +159,8 @@ class TranslationStore:
 
     @classmethod
     def load(cls, path):
-        store = cls()
+        """Read a store; a bad or repeated (example id, lang) record names ``path:line``."""
+        store, first_line = cls(), {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -176,9 +177,13 @@ class TranslationStore:
                             type(t) is str and t for t in texts):
                         raise TypeError("example_id and lang must be non-empty strings, words a "
                                         "non-empty list of them and label an integer or null")
-                    store.add(eid, lang, words, label)
                 except (json.JSONDecodeError, KeyError, TypeError) as err:
                     raise DictionaryFormatError(f"{path}:{lineno}: bad store record ({err})") from None
+                if first_line.setdefault((eid, lang), lineno) != lineno:
+                    raise DictionaryFormatError(
+                        f"{path}:{lineno}: repeats the record of example {eid!r} in {lang!r} "
+                        f"from line {first_line[eid, lang]}")
+                store.add(eid, lang, words, label)
         return store
 
 

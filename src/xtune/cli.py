@@ -293,7 +293,11 @@ def cmd_eval(args):
         params.pooling = args.pooling
     data_dir = Path(args.data_dir)
     languages = _read_languages(data_dir)
-    vocab = tok.load_vocab(data_dir / "vocab.tsv")
+    vocab_path = data_dir / "vocab.tsv"
+    vocab = tok.load_vocab(vocab_path)
+    if len(vocab) != params.vocab_size:   # a same-sized vocabulary cannot be told apart
+        raise ValueError(f"{args.checkpoint}: checkpoint of {params.vocab_size} pieces does not "
+                         f"fit the {len(vocab)}-piece vocabulary {vocab_path}")
     eval_sets = {
         lang: data.load_jsonl(data_dir / f"eval.{lang}.jsonl", params.task)
         for lang in languages

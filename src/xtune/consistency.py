@@ -6,13 +6,14 @@ side of each term).  Teacher consistency penalizes KL from a frozen
 teacher's predictions to the student's on the identical input; the teacher
 side is a constant table of its log-probability rows.
 
-Both take packed student predictions (see ``model.Packing``).  Each gathers
-the rows it compares from the whole batch at once and sums row-wise KL terms
+Both take packed student predictions and compare them row for row on the
+rows ``model.predict`` lays out in ``Prediction.rows``.  Each gathers the
+rows it compares from the whole batch at once and sums row-wise KL terms
 with constant per-row weights.  One rule weighs every label distribution: a
-sequence's share 1/B is split evenly over its ``row_layout`` rows (one class
-row, or one row per word); a span start or end distribution weighs 1/B, and
-restricted span positions renormalize within one segment per pair.  So a
-batch's regularizer is a fixed handful of graph nodes.
+sequence's share 1/B is split evenly over its label rows (one row per
+sequence, or one per word); a span start or end distribution weighs 1/B,
+and restricted span positions renormalize within one segment per pair.  So
+a batch's regularizer is a fixed handful of graph nodes.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ def example_consistency(pred, pairs, drawn=None):
 
     ``pairs`` lists (original, view, modified): two sequence indices into
     ``pred``'s packing, then the view's modified-word flags.  Label
-    distributions compare row for row over the two sides' ``row_layout``
-    rows, which must be equally many: one class row (only there may the view
-    be a translation) or one row per word, substituted words included.  Every
-    view other than a translation is word-for-word.  Span extraction
+    distributions compare row for row over the two sides' label rows in
+    ``pred.rows``, which must be equally many: one class row (only there may
+    the view be a translation) or one row per word, substituted words
+    included.  Every view other than a translation is word-for-word.  Span extraction
     compares full position distributions when the two views tokenize
     identically; otherwise both sides are restricted to the first-subword
     positions of unchanged words and renormalized (a pair where no position
@@ -89,28 +90,27 @@ def example_consistency(pred, pairs, drawn=None):
         raise ValueError(f"example consistency needs 1 to {drawn} pairs, got {len(pairs)}")
     share = 1.0 / drawn
 
+    first, counts, outputs = pred.rows
     if pred.task != "span":
-        first, counts, (output,) = pred.row_layout()
+        (log,) = outputs
         orig, view, _modified = zip(*pairs)
         orig, view = np.array(orig), np.array(view)
         n = counts[orig]
         if (n != counts[view]).any():
             k = np.flatnonzero(n != counts[view])[0]
             raise ValueError(f"word counts differ: {n[k]} vs {counts[view[k]]}")
-        log = getattr(pred, output)
         return symmetric_kl(ad.gather(log, layout_rows(first[orig], n)),
                             ad.gather(log, layout_rows(first[view], n)), np.repeat(share / n, n))
 
-    packing = pred.packing
+    segs = pred.packing.segmentations
     rows, view_rows, segment = [], [], []
     for k, (i, j, modified) in enumerate(pairs):
-        seg, seg_aug = packing.segmentations[i], packing.segmentations[j]
-        if seg.words == seg_aug.words:
-            pos = pos_aug = np.arange(packing.lengths[i])
+        if segs[i].words == segs[j].words:
+            pos = pos_aug = np.arange(counts[i])
         else:
-            pos, pos_aug = aligned_first_subword_positions(seg, seg_aug, modified)
-        rows.append(packing.starts[i] + np.asarray(pos, dtype=np.intp))
-        view_rows.append(packing.starts[j] + np.asarray(pos_aug, dtype=np.intp))
+            pos, pos_aug = aligned_first_subword_positions(segs[i], segs[j], modified)
+        rows.append(first[i] + np.asarray(pos, dtype=np.intp))
+        view_rows.append(first[j] + np.asarray(pos_aug, dtype=np.intp))
         segment.append(np.full(len(pos), k))
     segment = np.concatenate(segment)
     if not segment.size:
@@ -121,7 +121,7 @@ def example_consistency(pred, pairs, drawn=None):
 
     rows, view_rows = np.concatenate(rows), np.concatenate(view_rows)
     start, end = (symmetric_kl(restricted(vec_log, rows), restricted(vec_log, view_rows), share)
-                  for vec_log in (pred.start_log, pred.end_log))
+                  for vec_log in outputs)
     return ad.add(start, end)
 
 
@@ -135,7 +135,7 @@ def model_consistency(teacher_rows, student_pred):
     student's packing, on the same inputs, which keeps the distributions
     aligned for every task; the mean runs over the items.
     """
-    _first, counts, outputs = student_pred.row_layout()
+    _first, counts, outputs = student_pred.rows
     b = teacher_rows.counts.size
     if (not b or b > counts.size or len(teacher_rows.outputs) != len(outputs)
             or not np.array_equal(teacher_rows.counts, counts[:b])):
@@ -144,8 +144,8 @@ def model_consistency(teacher_rows, student_pred):
     # distribution per sequence
     row_weights = np.repeat(1.0 / (counts[:b] * b), counts[:b])
     total = None
-    for name, teacher in zip(outputs, teacher_rows.outputs):
-        student = ad.gather(getattr(student_pred, name), np.arange(teacher.shape[0]))
-        term = kl(ad.constant(teacher), student, row_weights if teacher.ndim == 2 else 1.0 / b)
+    for student, teacher in zip(outputs, teacher_rows.outputs):
+        rows = ad.gather(student, np.arange(teacher.shape[0]))
+        term = kl(ad.constant(teacher), rows, row_weights if teacher.ndim == 2 else 1.0 / b)
         total = term if total is None else ad.add(total, term)
     return total

@@ -170,7 +170,7 @@ def load_jsonl(path, task):
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     decode = json.JSONDecoder().raw_decode
-    corpus = []
+    corpus, first_line = [], {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -182,7 +182,11 @@ def load_jsonl(path, task):
                 end = None
             if end != len(line):   # not JSON, or trailing data
                 raise SchemaError(f"{path}:{lineno}: invalid JSON ({_loads_error(line)})")
-            corpus.append(_example_from_record(record, task, lineno, path))
+            ex = _example_from_record(record, task, lineno, path)
+            if first_line.setdefault(ex.id, lineno) != lineno:
+                raise SchemaError(f"{path}:{lineno}: repeats example id {ex.id!r} "
+                                  f"from line {first_line[ex.id]}")
+            corpus.append(ex)
     return corpus
 
 

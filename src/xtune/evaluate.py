@@ -91,7 +91,8 @@ def transfer_gap(per_language_scores, source_language):
 def decode(prediction):
     """Greedy decode of a packed Prediction, one output per sequence.
 
-    Classes and tags are row argmaxes.  A span is the first best pair
+    Classes and tags are the argmaxes of the label rows: a class per
+    sequence, a tag list per sequence.  A span is the first best pair
     ``start_log[s] + end_log[e]``, s <= e, in row-major order, as word
     indices.  On ``(k, width)`` tables padded with -inf, s is the first argmax
     of ``start + best_end`` (the largest end at or after s) and e that of
@@ -99,20 +100,21 @@ def decode(prediction):
     monotone, so ``start[s] + best_end[s]`` rounds to row s's best pair sum.
     """
     packing = prediction.packing
-    if prediction.task == "classification":
-        return np.argmax(prediction.class_log.data, axis=1).tolist()
+    first, counts, outputs = prediction.rows
     if prediction.task == "span":
-        start, end = np.full((2, len(packing), int(packing.lengths.max())), -np.inf)
-        start[packing.seq, packing.positions] = prediction.start_log.data
-        end[packing.seq, packing.positions] = prediction.end_log.data
+        start, end = np.full((2, len(packing), int(counts.max())), -np.inf)
+        start[packing.seq, packing.positions] = outputs[0].data
+        end[packing.seq, packing.positions] = outputs[1].data
         best_end = np.maximum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
         s = np.argmax(start + best_end, axis=1)
         pair_log = start[np.arange(len(packing)), s][:, None] + end
         e = np.argmax(np.where(np.arange(end.shape[1]) >= s[:, None], pair_log, -np.inf), axis=1)
-        words = packing.word_of_row[packing.starts + np.stack([s, e])] - packing.word_starts
+        words = packing.word_of_row[first + np.stack([s, e])] - packing.word_starts
         return list(zip(*words.tolist()))
-    tags = np.argmax(prediction.word_log.data, axis=1).tolist()
-    return [tags[a:a + n] for a, n in zip(packing.word_starts.tolist(), packing.n_words.tolist())]
+    tags = np.argmax(outputs[0].data, axis=1).tolist()
+    if prediction.task == "classification":   # one row per sequence
+        return tags
+    return [tags[a:a + n] for a, n in zip(first.tolist(), counts.tolist())]
 
 
 def score_corpus(params, examples, vocab):
@@ -151,10 +153,7 @@ def primary_score(task, scores):
 def evaluate_languages(params, eval_sets, vocab):
     """Scores per language, as ``score_corpus`` returns them; ``report``
     adds the transfer gap."""
-    per_language = {}
-    for lang, examples in eval_sets.items():
-        per_language[lang] = score_corpus(params, examples, vocab)
-    return per_language
+    return {lang: score_corpus(params, examples, vocab) for lang, examples in eval_sets.items()}
 
 
 def report(per_language, source_language, task):

@@ -10,6 +10,10 @@ row belongs to.  The encoder mixes no positions, so a packed forward equals
 the per-sequence forwards row for row; per-sequence work (pooling, span
 softmax) is a segment reduction, and a whole batch is one graph whose node
 count does not grow with the batch.
+
+``predict`` decides which rows each task's distributions lie on and returns
+them as ``Prediction.rows``, which the task loss, both regularizers and the
+decoder read.
 """
 
 from __future__ import annotations
@@ -81,14 +85,13 @@ class ModelParams:
     def zero_grads(self):
         ad.zero_grads(self.parameters())
 
+    def meta(self):
+        """The checkpoint metadata: the architecture and the pooling."""
+        return {"task": self.task, "vocab_size": self.vocab_size, "dim": self.dim,
+                "max_len": self.max_len, "n_label": self.n_label, "pooling": self.pooling}
+
     def same_architecture(self, other):
-        return (
-            self.task == other.task
-            and self.vocab_size == other.vocab_size
-            and self.dim == other.dim
-            and self.max_len == other.max_len
-            and self.n_label == other.n_label
-        )
+        return {**self.meta(), "pooling": None} == {**other.meta(), "pooling": None}
 
 
 class Packing:
@@ -125,40 +128,14 @@ class Packing:
         return len(self.segmentations)
 
 
-@dataclass
-class Prediction:
-    """Log-probability outputs of one packed forward pass."""
-
-    task: str
-    packing: Packing
-    class_log: ad.Tensor | None = None  # (n_sequences, n_label)
-    start_log: ad.Tensor | None = None  # (n_rows,), normalized per sequence
-    end_log: ad.Tensor | None = None    # (n_rows,), normalized per sequence
-    word_log: ad.Tensor | None = None   # (n_word_rows, n_label)
-
-    def row_layout(self):
-        """(first rows, row counts, outputs): sequence k owns rows
-        ``first[k]:first[k] + counts[k]`` of each output named in ``outputs``:
-        one label row per unit the task labels (the sequence for
-        classification, each word for labeling), or its subword rows (span)."""
-        p = self.packing
-        if self.task == "classification":
-            return np.arange(len(p)), np.ones(len(p), dtype=np.intp), ("class_log",)
-        if self.task == "span":
-            return p.starts, p.lengths, ("start_log", "end_log")
-        return p.word_starts, p.n_words, ("word_log",)
-
-    def row_table(self):
-        """The values of every sequence's rows, as a ``RowTable``."""
-        first, counts, outputs = self.row_layout()
-        return RowTable(first, counts, tuple(getattr(self, name).data for name in outputs))
-
-
 class RowTable(NamedTuple):
-    """Constant log-probability rows of a list of sequences.
+    """Log-probability rows of a list of sequences: tensors in a
+    ``Prediction``, arrays in a ``Prediction.row_table``.
 
-    ``outputs`` holds one array per output that ``Prediction.row_layout``
-    names; sequence k owns the ``counts[k]`` rows from ``first[k]`` of each.
+    Sequence k owns the ``counts[k]`` rows from ``first[k]`` of each of
+    ``outputs``: one ``(rows, n_label)`` label output with a row per
+    sequence (classification) or word (labeling), or a span's start and end
+    outputs over its subword rows.
     """
 
     first: np.ndarray
@@ -179,6 +156,19 @@ class RowTable(NamedTuple):
         first = np.cumsum(counts) - counts
         rows = layout_rows(self.first[index], counts)
         return RowTable(first, counts, tuple(out[rows] for out in self.outputs))
+
+
+@dataclass
+class Prediction:
+    """One packed forward pass: its packing and its rows, a ``RowTable``."""
+
+    task: str
+    packing: Packing
+    rows: RowTable
+
+    def row_table(self):
+        """The values of every sequence's rows, as constant arrays."""
+        return self.rows._replace(outputs=tuple(out.data for out in self.rows.outputs))
 
 
 def layout_rows(first, counts):
@@ -214,10 +204,10 @@ def encode(params, packing, noises=None):
 def predict(params, segmentations, noises=None):
     """Task-head forward pass over a list of segmentations, packed.
 
-    Returns normalized log-prob distributions: one row per sequence
-    (classification), one start and one end distribution per sequence over
-    its rows (span), or one row per word (labeling, pooled by
-    ``params.pooling``).
+    The rows of the returned ``Prediction`` are normalized log-prob
+    distributions: one label row per sequence (classification) or per word
+    (labeling, pooled by ``params.pooling``), or one start and one end
+    distribution per sequence over its subword rows (span).
     """
     packing = Packing(segmentations)
     hidden = encode(params, packing, noises)
@@ -227,18 +217,21 @@ def predict(params, segmentations, noises=None):
             logits = ad.reshape(ad.matmul(hidden, params[name]), (packing.seq.size,))
             return ad.segment_log_softmax(logits, packing.seq, len(packing))
 
-        return Prediction("span", packing, start_log=head("start_weight"),
-                          end_log=head("end_weight"))
+        return Prediction("span", packing, RowTable(
+            packing.starts, packing.lengths, (head("start_weight"), head("end_weight"))))
 
     if params.task == "classification":
+        first, counts = np.arange(len(packing)), np.ones(len(packing), dtype=np.intp)
         reps = ad.segment_mean(hidden, packing.seq, len(packing))
-    elif params.pooling == "average":
-        reps = ad.segment_mean(hidden, packing.word_of_row, packing.first_rows.size)
     else:
-        reps = ad.gather(hidden, packing.first_rows)
+        first, counts = packing.word_starts, packing.n_words
+        if params.pooling == "average":
+            reps = ad.segment_mean(hidden, packing.word_of_row, packing.first_rows.size)
+        else:
+            reps = ad.gather(hidden, packing.first_rows)
     logits = ad.add_rowvec(ad.matmul(reps, params["head_weight"]), params["head_bias"])
-    output = "class_log" if params.task == "classification" else "word_log"
-    return Prediction(params.task, packing, **{output: ad.log_softmax(logits, axis=1)})
+    return Prediction(params.task, packing,
+                      RowTable(first, counts, (ad.log_softmax(logits, axis=1),)))
 
 
 def task_loss(prediction, gold):
@@ -249,29 +242,30 @@ def task_loss(prediction, gold):
     id sequence (labeling), or None for a sequence without a label.  Each
     gold log-probability gets a constant weight, so the loss is one sum.  A
     label id counts as a one-tag list: a labeled sequence's share is split
-    evenly over its ``row_layout`` rows.
+    evenly over its label rows in ``prediction.rows``.
     """
-    packing = prediction.packing
-    if len(gold) != len(packing):
-        raise ValueError(f"{len(gold)} gold entries for {len(packing)} sequences")
+    first, counts, outputs = prediction.rows
+    if len(gold) != counts.size:
+        raise ValueError(f"{len(gold)} gold entries for {counts.size} sequences")
     labeled = [k for k, g in enumerate(gold) if g is not None]
     if not labeled:
         raise ValueError("no sequence carries a gold payload")
     share = -1.0 / len(labeled)
 
     if prediction.task == "span":
-        w_start, w_end = np.zeros(packing.seq.size), np.zeros(packing.seq.size)
+        start_log, end_log = outputs
+        w_start, w_end = np.zeros(start_log.shape), np.zeros(end_log.shape)
         for k in labeled:
             start, end = int(gold[k][0]), int(gold[k][1])
-            n = int(packing.lengths[k])
+            n = int(counts[k])
             if not (0 <= start < n and 0 <= end < n):
                 raise ValueError(f"span ({start}, {end}) out of range for {n} positions")
-            w_start[packing.starts[k] + start] = share
-            w_end[packing.starts[k] + end] = share
-        return ad.add(ad.sum(ad.mul(prediction.start_log, ad.constant(w_start))),
-                      ad.sum(ad.mul(prediction.end_log, ad.constant(w_end))))
+            w_start[first[k] + start] = share
+            w_end[first[k] + end] = share
+        return ad.add(ad.sum(ad.mul(start_log, ad.constant(w_start))),
+                      ad.sum(ad.mul(end_log, ad.constant(w_end))))
 
-    first, counts, (output,) = prediction.row_layout()
+    (log,) = outputs
     tags = [[gold[k]] if prediction.task == "classification" else gold[k] for k in labeled]
     n = counts[labeled]
     sizes = np.fromiter(map(len, tags), np.intp, len(tags))
@@ -279,7 +273,6 @@ def task_loss(prediction, gold):
         k = np.flatnonzero(sizes != n)[0]
         raise ValueError(f"sequence {labeled[k]}: {sizes[k]} tags for {n[k]} words")
     tags = np.fromiter(chain.from_iterable(tags), np.intp)
-    log = getattr(prediction, output)
     if tags.min() < 0 or tags.max() >= log.shape[1]:
         bad = tags[(tags < 0) | (tags >= log.shape[1])][0]
         raise ValueError(f"label {bad} out of range for {log.shape[1]} classes")
@@ -295,15 +288,7 @@ def task_loss(prediction, gold):
 def save_params(params, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CHECKPOINT_HEADER + "\n")
-        meta = {
-            "task": params.task,
-            "vocab_size": params.vocab_size,
-            "dim": params.dim,
-            "max_len": params.max_len,
-            "n_label": params.n_label,
-            "pooling": params.pooling,
-        }
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(json.dumps(params.meta(), sort_keys=True) + "\n")
         for name, tensor in params.tensors.items():
             dims = " ".join(str(d) for d in tensor.data.shape)
             fh.write(f"tensor {name} {dims}\n")

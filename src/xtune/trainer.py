@@ -62,6 +62,8 @@ SETTINGS = ("cross-lingual-transfer", "translate-train-all")
 # (R1 example consistency, R2 model consistency) per training mode
 MODES = {"baseline": (False, False), "r1-only": (True, False),
          "r2-only": (False, True), "xtune": (True, True)}
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Best published hyper-parameters per benchmark dataset and setting:
 # (stage-1 strategy, corpus strategy, pair strategy, pair weight, teacher weight).
@@ -216,21 +218,21 @@ class OptimizerState:
         )
 
 
-def adam_step(values, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(values, grads, state, lr):
     """One Adam update (with bias correction) applied in place."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, value in values.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(value)
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def lr_at(step, total, base, warmup_frac):

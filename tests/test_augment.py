@@ -210,6 +210,16 @@ class TestLoadTranslationStore:
         with pytest.raises(aug.DictionaryFormatError, match=f"{path}:2: bad store record"):
             aug.TranslationStore.load(path)
 
+    def test_repeated_record_names_both_lines(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(self.GOOD) + "\n"
+                        + json.dumps({**self.GOOD, "words": ["un", "chat"]}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(aug.DictionaryFormatError) as err:
+            aug.TranslationStore.load(path)
+        assert str(err.value) == (f"{path}:2: repeats the record of example 'x0' in 'fr' "
+                                  "from line 1")
+
 
 class TestValidateStrategy:
     def test_mt_rejected_for_span_pairs(self):

@@ -348,6 +348,39 @@ def test_train_rejects_a_store_record_that_is_not_an_object(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_rejects_a_repeated_training_id(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    train = data_dir / "train.jsonl"
+    lines = train.read_text(encoding="utf-8").splitlines(keepends=True)
+    train.write_text("".join(lines + lines[:1]), encoding="utf-8")
+    config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), "--mode", "baseline",
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {train}:{len(lines) + 1}: repeats example id 'train-00000' "
+                          "from line 1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("vocab_size", [60, 200])
+def test_eval_rejects_a_checkpoint_of_another_vocabulary_size(vocab_size, tmp_path, capsys):
+    # a larger vocabulary would end in an out-of-range gather, a smaller one
+    # would score garbage; one of equal size cannot be told apart
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    vocab = data_dir / "vocab.tsv"
+    assert len(tok.load_vocab(vocab)) not in (60, 200)
+    checkpoint = tmp_path / "student.ckpt"
+    save_params(ModelParams("classification", vocab_size, 4, 48, n_label=2), checkpoint)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}: checkpoint of {vocab_size} pieces does not fit")
+    assert str(vocab) in err and "Traceback" not in err
+
+
 def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "data"
     synth_tiny_classification(data_dir)

@@ -134,8 +134,8 @@ class TestExampleConsistency:
             both, [(0, 1, [False, False])]).item()
         pred = mdl.predict(params, [seg])
         noisy = mdl.predict(params, [seg2], noises=[noise])
-        full = (cons.symmetric_kl(pred.start_log, noisy.start_log, 1.0).item()
-                + cons.symmetric_kl(pred.end_log, noisy.end_log, 1.0).item())
+        full = (cons.symmetric_kl(pred.rows.outputs[0], noisy.rows.outputs[0], 1.0).item()
+                + cons.symmetric_kl(pred.rows.outputs[1], noisy.rows.outputs[1], 1.0).item())
         assert abs(restricted - full) < 1e-12
 
     def test_span_hand_constructed_restriction(self):
@@ -160,8 +160,8 @@ class TestExampleConsistency:
             return p / p.sum()
 
         expected = 0.0
-        for a_vec, b_vec in ((pred.start_log.data, pred_aug.start_log.data),
-                             (pred.end_log.data, pred_aug.end_log.data)):
+        for a_vec, b_vec in ((pred.rows.outputs[0].data, pred_aug.rows.outputs[0].data),
+                             (pred.rows.outputs[1].data, pred_aug.rows.outputs[1].data)):
             pa = restrict(a_vec, [0, 2])   # first subwords of words 0, 2
             pb = restrict(b_vec, [0, 3])
             expected += direct_kl(pa, pb) + direct_kl(pb, pa)
@@ -181,8 +181,8 @@ class TestExampleConsistency:
             pred, [(0, 1, [False, True, False])]).item()
         expected = 0.0
         for w in range(3):
-            pa = np.exp(pred.word_log.data[w])
-            pb = np.exp(pred.word_log.data[3 + w])
+            pa = np.exp(pred.rows.outputs[0].data[w])
+            pb = np.exp(pred.rows.outputs[0].data[3 + w])
             expected += direct_kl(pa, pb) + direct_kl(pb, pa)
         assert abs(got - expected / 3) < 1e-9
 
@@ -210,10 +210,10 @@ class TestExampleConsistency:
             pred = mdl.predict(params, [seg, seg_aug])
             return cons.example_consistency(pred, [(0, 1, [False, True])])
 
-        ref_p = ad.constant(mdl.predict(params, [seg]).class_log.data.copy())
-        ref_q = ad.constant(mdl.predict(params, [seg_aug]).class_log.data.copy())
-        term_a = lambda: cons.kl(ref_p, mdl.predict(params, [seg_aug]).class_log, 1.0)
-        term_b = lambda: cons.kl(ref_q, mdl.predict(params, [seg]).class_log, 1.0)
+        ref_p = ad.constant(mdl.predict(params, [seg]).rows.outputs[0].data.copy())
+        ref_q = ad.constant(mdl.predict(params, [seg_aug]).rows.outputs[0].data.copy())
+        term_a = lambda: cons.kl(ref_p, mdl.predict(params, [seg_aug]).rows.outputs[0], 1.0)
+        term_b = lambda: cons.kl(ref_q, mdl.predict(params, [seg]).rows.outputs[0], 1.0)
 
         ana_a = analytic_grads(term_a, tensors)
         assert max_rel_err(ana_a, finite_difference(term_a, tensors)) < 1e-4
@@ -256,7 +256,8 @@ class TestModelConsistency:
         tpred = mdl.predict(teacher, [seg])
         spred = mdl.predict(params, [seg])
         got = cons.model_consistency(tpred.row_table(), spred).item()
-        expected = direct_kl(np.exp(tpred.class_log.data), np.exp(spred.class_log.data))
+        [t_log], [s_log] = tpred.rows.outputs, spred.rows.outputs
+        expected = direct_kl(np.exp(t_log.data), np.exp(s_log.data))
         assert abs(got - expected) < 1e-12
 
     def test_span_and_labeling_composition(self):
@@ -268,12 +269,13 @@ class TestModelConsistency:
             tpred = mdl.predict(teacher, [seg])
             spred = mdl.predict(params, [seg])
             got = cons.model_consistency(tpred.row_table(), spred).item()
+            t_out, s_out = tpred.rows.outputs, spred.rows.outputs
             if task == "span":
-                expected = (direct_kl(np.exp(tpred.start_log.data), np.exp(spred.start_log.data))
-                            + direct_kl(np.exp(tpred.end_log.data), np.exp(spred.end_log.data)))
+                expected = (direct_kl(np.exp(t_out[0].data), np.exp(s_out[0].data))
+                            + direct_kl(np.exp(t_out[1].data), np.exp(s_out[1].data)))
             else:
                 expected = np.mean([
-                    direct_kl(np.exp(tpred.word_log.data[w]), np.exp(spred.word_log.data[w]))
-                    for w in range(tpred.word_log.shape[0])
+                    direct_kl(np.exp(t_out[0].data[w]), np.exp(s_out[0].data[w]))
+                    for w in range(t_out[0].shape[0])
                 ])
             assert abs(got - expected) < 1e-12

@@ -1,5 +1,6 @@
 """Dataset schema and cipher benchmark tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -87,10 +88,21 @@ class TestJsonl:
     def test_blank_lines_and_surrounding_whitespace_are_skipped(self, tmp_path):
         ex = data.Example(id="a", language="en", task="classification",
                           words=["w1", "w2"], label=1, n_label=2)
+        ex2 = dataclasses.replace(ex, id="b")
+        line, line2 = (json.dumps(data.example_to_record(e)) for e in (ex, ex2))
+        path = tmp_path / "c.jsonl"
+        path.write_text(f"\n  \t\n {line} \r\n\n\t{line2}\n\n", encoding="utf-8")
+        assert data.load_jsonl(path, "classification") == [ex, ex2]
+
+    def test_repeated_id_names_both_lines(self, tmp_path):
+        ex = data.Example(id="a", language="en", task="classification",
+                          words=["w1", "w2"], label=1, n_label=2)
         line = json.dumps(data.example_to_record(ex))
         path = tmp_path / "c.jsonl"
-        path.write_text(f"\n  \t\n {line} \r\n\n\t{line}\n\n", encoding="utf-8")
-        assert data.load_jsonl(path, "classification") == [ex, ex]
+        path.write_text(f"{line}\n{line}\n", encoding="utf-8")
+        with pytest.raises(data.SchemaError) as err:
+            data.load_jsonl(path, "classification")
+        assert str(err.value) == f"{path}:2: repeats example id 'a' from line 1"
 
     def test_empty_file_empty_corpus(self, tmp_path):
         path = tmp_path / "e.jsonl"

@@ -5,9 +5,8 @@ import pytest
 
 from xtune import evaluate as ev
 from xtune import autodiff as ad
-from xtune.model import Prediction
 
-from test_model import packing_of
+from test_model import packing_of, prediction
 
 
 class TestAccuracy:
@@ -86,8 +85,7 @@ class TestTransferGap:
 
 class TestDecode:
     def test_classification_argmax(self):
-        pred = Prediction("classification", packing_of(1),
-                          class_log=ad.Tensor([[-3.0, -0.1, -2.0]]))
+        pred = prediction("classification", packing_of(1), ad.Tensor([[-3.0, -0.1, -2.0]]))
         assert ev.decode(pred) == [1]
 
     def test_span_joint_argmax_restricted_to_ordered_pairs(self):
@@ -95,7 +93,7 @@ class TestDecode:
         # pair is different from the independent argmaxes
         start = ad.Tensor(np.log([0.1, 0.2, 0.6, 0.1]))
         end = ad.Tensor(np.log([0.5, 0.1, 0.1, 0.3]))
-        pred = Prediction("span", packing_of(4), start_log=start, end_log=end)
+        pred = prediction("span", packing_of(4), start, end)
 
         [(s, e)] = ev.decode(pred)
         assert s <= e
@@ -103,7 +101,7 @@ class TestDecode:
 
     def test_labeling_rowwise_argmax(self):
         word_log = ad.Tensor(np.log([[0.8, 0.2], [0.3, 0.7]]))
-        pred = Prediction("labeling", packing_of(2), word_log=word_log)
+        pred = prediction("labeling", packing_of(2), word_log)
         assert ev.decode(pred) == [[0, 1]]
 
 

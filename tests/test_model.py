@@ -51,6 +51,19 @@ def packing_of(n_pieces):
     return mdl.Packing([tok.Segmentation([(("a",), (0,))] * n_pieces)])
 
 
+def prediction(task, packing, *outputs):
+    """A ``Prediction`` of ``packing`` with the given output tensors on the
+    task's rows: one label row per sequence (classification) or word
+    (labeling), or the subword rows (span)."""
+    if task == "classification":
+        first, counts = np.arange(len(packing)), np.ones(len(packing), dtype=np.intp)
+    elif task == "span":
+        first, counts = packing.starts, packing.lengths
+    else:
+        first, counts = packing.word_starts, packing.n_words
+    return mdl.Prediction(task, packing, mdl.RowTable(first, counts, outputs))
+
+
 class TestEncode:
     def test_deterministic_without_noise(self):
         params, vocab = make_params("classification", n_label=3)
@@ -100,33 +113,32 @@ class TestPredict:
             seg = tok.viterbi_segment_words(vocab, ["abc", "d", "ab"])
             pred = mdl.predict(params, [seg])
             if task == "classification":
-                assert abs(np.exp(pred.class_log.data).sum() - 1) < 1e-9
+                assert abs(np.exp(pred.rows.outputs[0].data).sum() - 1) < 1e-9
             elif task == "span":
-                assert abs(np.exp(pred.start_log.data).sum() - 1) < 1e-9
-                assert abs(np.exp(pred.end_log.data).sum() - 1) < 1e-9
+                for out in pred.rows.outputs:
+                    assert abs(np.exp(out.data).sum() - 1) < 1e-9
             else:
-                assert np.allclose(np.exp(pred.word_log.data).sum(axis=1), 1.0, atol=1e-9)
+                assert np.allclose(np.exp(pred.rows.outputs[0].data).sum(axis=1), 1.0, atol=1e-9)
 
     def test_single_label_degenerate_softmax(self):
         params, vocab = make_params("classification", n_label=1)
         seg = tok.viterbi_segment_words(vocab, ["ab"])
         pred = mdl.predict(params, [seg])
-        assert pred.class_log.data.tolist() == [[0.0]]
+        assert pred.rows.outputs[0].data.tolist() == [[0.0]]
 
     def test_span_head_shapes(self):
         params, vocab = make_params("span")
         seg = tok.viterbi_segment_words(vocab, ["a", "b", "c"])
         pred = mdl.predict(params, [seg])
-        assert pred.start_log.shape == (seg.n_pieces,)
-        assert pred.end_log.shape == (seg.n_pieces,)
+        assert [out.shape for out in pred.rows.outputs] == [(seg.n_pieces,)] * 2
 
     def test_poolings_coincide_for_single_subword_words(self):
         params, vocab = make_params("labeling", n_label=3)
         seg = tok.viterbi_segment_words(vocab, ["a"])
         assert seg.n_pieces == len(seg.words)  # marker not in this vocab
-        first = mdl.predict(params, [seg]).word_log.data
+        first = mdl.predict(params, [seg]).rows.outputs[0].data
         params.pooling = "average"
-        avg = mdl.predict(params, [seg]).word_log.data
+        avg = mdl.predict(params, [seg]).rows.outputs[0].data
         assert np.allclose(first, avg, atol=1e-12)
 
     def test_labeling_rows_track_word_count_under_resegmentation(self):
@@ -136,7 +148,7 @@ class TestPredict:
         for _ in range(10):
             seg = tok.sample_segment_words(vocab, words, 0.5, rng)
             pred = mdl.predict(params, [seg])
-            assert pred.word_log.shape[0] == len(words)
+            assert pred.rows.outputs[0].shape[0] == len(words)
 
 
     def test_row_table_take_gathers_each_sequence_rows(self):
@@ -151,7 +163,7 @@ class TestPredict:
                 for _ in range(7)]
             table = mdl.RowTable.join([mdl.predict(params, segs[:3]).row_table(),
                                        mdl.predict(params, segs[3:]).row_table()])
-            first, counts, names = mdl.predict(params, segs).row_layout()
+            first, counts, outputs = mdl.predict(params, segs).rows
             assert np.array_equal(table.first, first) and np.array_equal(table.counts, counts)
             index = [4, 0, 4, 6, 2]
             got = table.take(index)
@@ -159,33 +171,30 @@ class TestPredict:
             for out, whole in zip(got.outputs, table.outputs):
                 want = np.concatenate([whole[first[k]:first[k] + counts[k]] for k in index])
                 assert out.tobytes() == want.tobytes()
-            assert len(got.outputs) == len(names)
+            assert len(got.outputs) == len(outputs)
 
 
 class TestTaskLoss:
     def test_perfect_prediction_zero_loss(self):
-        pred = mdl.Prediction("classification", packing_of(1),
-                              class_log=ad.Tensor([[0.0, -50.0]]))
+        pred = prediction("classification", packing_of(1), ad.Tensor([[0.0, -50.0]]))
         assert abs(mdl.task_loss(pred, [0]).item()) < 1e-12
 
     def test_uniform_two_label(self):
-        pred = mdl.Prediction("classification", packing_of(1),
-                              class_log=ad.Tensor([[-math.log(2)] * 2]))
+        pred = prediction("classification", packing_of(1), ad.Tensor([[-math.log(2)] * 2]))
         assert abs(mdl.task_loss(pred, [1]).item() - math.log(2)) < 1e-12
 
     def test_uniform_span_four_positions(self):
         uniform = ad.Tensor([-math.log(4)] * 4)
-        pred = mdl.Prediction("span", packing_of(4), start_log=uniform, end_log=uniform)
+        pred = prediction("span", packing_of(4), uniform, uniform)
         assert abs(mdl.task_loss(pred, [(2, 3)]).item() - 2 * math.log(4)) < 1e-12
 
     def test_labeling_mean_per_word(self):
         word_log = ad.Tensor(np.log(np.full((3, 2), 0.5)))
-        pred = mdl.Prediction("labeling", packing_of(3), word_log=word_log)
+        pred = prediction("labeling", packing_of(3), word_log)
         assert abs(mdl.task_loss(pred, [[0, 1, 0]]).item() - math.log(2)) < 1e-12
 
     def test_gold_out_of_range(self):
-        pred = mdl.Prediction("classification", packing_of(1),
-                              class_log=ad.Tensor([[0.0, -1.0]]))
+        pred = prediction("classification", packing_of(1), ad.Tensor([[0.0, -1.0]]))
         with pytest.raises(ValueError, match="out of range"):
             mdl.task_loss(pred, [5])
 
@@ -193,15 +202,13 @@ class TestTaskLoss:
     def test_labeling_tag_count_must_match_word_count(self, tags):
         # the second sequence has 3 words; the first carries no gold
         packing = mdl.Packing([tok.Segmentation([(("a",), (0,))] * n) for n in (2, 3)])
-        pred = mdl.Prediction("labeling", packing,
-                              word_log=ad.Tensor(np.log(np.full((5, 2), 0.5))))
+        pred = prediction("labeling", packing, ad.Tensor(np.log(np.full((5, 2), 0.5))))
         with pytest.raises(ValueError, match=f"sequence 1: {len(tags)} tags for 3 words"):
             mdl.task_loss(pred, [None, tags])
 
     @pytest.mark.parametrize("tag", [2, -1])
     def test_labeling_tag_out_of_range(self, tag):
-        pred = mdl.Prediction("labeling", packing_of(3),
-                              word_log=ad.Tensor(np.log(np.full((3, 2), 0.5))))
+        pred = prediction("labeling", packing_of(3), ad.Tensor(np.log(np.full((3, 2), 0.5))))
         with pytest.raises(ValueError, match=f"label {tag} out of range for 2 classes"):
             mdl.task_loss(pred, [[0, tag, 1]])
 

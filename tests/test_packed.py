@@ -5,6 +5,7 @@ tracer and host-speed probe hook."""
 import tracemalloc
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from xtune import trainer as tr
 
 import reference as ref
 from conftest import build_benchmark
-from test_model import copy_params, rescale_params
+from test_model import copy_params, prediction, rescale_params
 from test_trainer import small_config
 
 # float64; fixed before the packed path was written
@@ -178,8 +179,14 @@ def span_prediction(word_pieces, draw):
     packing = mdl.Packing([tok.Segmentation([(("a",) * n, (0,) * n) for n in words])
                            for words in word_pieces])
     start_log, end_log = draw(size=(2, packing.seq.size))
-    return mdl.Prediction("span", packing, start_log=ad.Tensor(start_log),
-                          end_log=ad.Tensor(end_log))
+    return prediction("span", packing, ad.Tensor(start_log), ad.Tensor(end_log))
+
+
+def reference_span(pred):
+    """A packed span ``Prediction`` with its outputs named as
+    ``reference.decode_span`` reads them."""
+    start_log, end_log = pred.rows.outputs
+    return SimpleNamespace(packing=pred.packing, start_log=start_log, end_log=end_log)
 
 
 def test_span_decode_matches_reference_on_every_eval_chunk(small_span_bench):
@@ -192,7 +199,7 @@ def test_span_decode_matches_reference_on_every_eval_chunk(small_span_bench):
                 segs = [tok.viterbi_segment_words(res.vocab, ex.words)
                         for ex in examples[start:start + ev.EVAL_CHUNK]]
                 pred = mdl.predict(params, segs)
-                assert ev.decode(pred) == ref.decode_span(pred)
+                assert ev.decode(pred) == ref.decode_span(reference_span(pred))
                 chunks += 1
     assert chunks >= 9
 
@@ -206,11 +213,12 @@ def test_span_decode_matches_reference_under_ties():
     ties = rounding_ties = 0
     for word_pieces in chunks:
         pred = span_prediction(word_pieces, partial(rng.choice, TIE_ALPHABET))
-        assert ev.decode(pred) == ref.decode_span(pred)
+        assert ev.decode(pred) == ref.decode_span(reference_span(pred))
         p = pred.packing
+        start_log, end_log = pred.rows.outputs
         for first, n in zip(p.starts, p.lengths):
-            start = pred.start_log.data[first:first + n]
-            pair = np.add.outer(start, pred.end_log.data[first:first + n])
+            start = start_log.data[first:first + n]
+            pair = np.add.outer(start, end_log.data[first:first + n])
             pair[np.tril_indices(n, -1)] = -np.inf
             best = np.argwhere(pair == pair.max())
             ties += len(best) > 1
