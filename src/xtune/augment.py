@@ -150,12 +150,13 @@ class TranslationStore:
         return list(self._languages.get(example_id, ()))
 
     def save(self, path):
+        encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
         with open(path, "w", encoding="utf-8") as fh:
             for (eid, lang), (words, label) in sorted(self._entries.items()):
                 rec = {"example_id": eid, "lang": lang, "words": words}
                 if label is not None:
                     rec["label"] = label
-                fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+                fh.write(encode(rec) + "\n")
 
     @classmethod
     def load(cls, path):

@@ -41,7 +41,7 @@ def _read_json(path):
 
 def _read_languages(data_dir):
     """The languages of a synth output directory, source first, from its
-    ``meta.json``: at least two distinct non-empty strings."""
+    ``meta.json``: at least two distinct names ``data.check_language`` accepts."""
     path = data_dir / "meta.json"
     meta = _read_json(path)
     languages = meta.get("languages") if isinstance(meta, dict) else None
@@ -50,7 +50,10 @@ def _read_languages(data_dir):
             and len(set(languages)) == len(languages)):
         raise ValueError(f"{path}: 'languages' must be a list of at least two distinct "
                          f"non-empty strings, got {languages!r}")
-    return languages
+    try:
+        return [data.check_language(language) for language in languages]
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _write_json(payload, path):

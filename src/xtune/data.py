@@ -9,6 +9,7 @@ without any real multilingual data.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 TASKS = ("classification", "span", "labeling")
@@ -207,10 +208,9 @@ def example_to_record(ex):
 
 
 def save_jsonl(examples, path):
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(example_to_record(ex), sort_keys=True,
-                                ensure_ascii=False) + "\n")
+        fh.writelines(encode(example_to_record(ex)) + "\n" for ex in examples)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,8 @@ class SyntheticSpec:
         if len(set(self.languages)) != len(self.languages) or not all(self.languages):
             raise ValueError(f"languages must be distinct and non-empty, "
                              f"got {list(self.languages)}")
+        for language in self.languages:
+            check_language(language)
         if self.classification_rule not in CLASSIFICATION_RULES:
             raise ValueError(f"unknown classification rule {self.classification_rule!r}")
         # span sentences reserve lemma 0 as the question trigger
@@ -259,6 +261,19 @@ class SyntheticSpec:
         if len(span) != 2 or not 1 <= span[0] <= span[1]:
             raise ValueError(f"sentence_len_range must be (lo, hi) with 1 <= lo <= hi, "
                              f"got {tuple(span)}")
+
+
+def check_language(name):
+    """``name``, if the written files round-trip it: no whitespace or
+    non-printable character (one token of a dictionary or vocabulary line),
+    no path separator (a file name) and no ``CIPHER_ID_SEP`` (a translated
+    view's id); else a ValueError naming it."""
+    bad = [ch for ch in name
+           if ch.isspace() or not ch.isprintable() or ch in ("/", os.sep, CIPHER_ID_SEP)]
+    if bad:
+        raise ValueError(f"language {name!r} holds {bad[0]!r}, which written file names, "
+                         "ids and lines cannot carry")
+    return name
 
 
 def surface(lemma_id, language, source_language):
@@ -307,28 +322,19 @@ def _sample_lemma_sentence(spec, rng):
     return [int(k) for k in rng.integers(0, lemma_pool, length)]
 
 
-def _render(spec, lemmas, language, example_id):
-    src = spec.languages[0]
-    if spec.task == "span":
-        trigger_pos = lemmas.index(0)
-        question = [surface(0, language, src)]
-        context = [surface(k, language, src) for k in lemmas]
-        return Example(
-            id=example_id,
-            language=language,
-            task="span",
-            words=question + context,
-            question_len=1,
-            answer_start=1 + trigger_pos + 1,
-            answer_end=1 + trigger_pos + 1,
-        ).validate()
-    words = [surface(k, language, src) for k in lemmas]
-    if spec.task == "classification":
-        label = classification_label(lemmas, spec.classification_rule, spec.lemma_count)
-        return Example(id=example_id, language=language, task="classification",
-                       words=words, label=label, n_label=2).validate()
-    return Example(id=example_id, language=language, task="labeling", words=words,
-                   tags=labeling_tags(lemmas, spec.n_tag), n_label=spec.n_tag).validate()
+def _render(spec, lemmas, language, example_id, surfaces):
+    """One sentence in ``language``, whose lemma -> surface list is ``surfaces``."""
+    words = [surfaces[k] for k in lemmas]
+    if spec.task == "span":   # the question is the trigger; the answer follows it
+        answer = 1 + lemmas.index(0) + 1
+        fields = dict(words=[surfaces[0]] + words, question_len=1, answer_start=answer,
+                      answer_end=answer)
+    elif spec.task == "classification":
+        fields = dict(words=words, n_label=2, label=classification_label(
+            lemmas, spec.classification_rule, spec.lemma_count))
+    else:
+        fields = dict(words=words, tags=labeling_tags(lemmas, spec.n_tag), n_label=spec.n_tag)
+    return Example(id=example_id, language=language, task=spec.task, **fields).validate()
 
 
 def generate_cipher_corpus(spec, rng):
@@ -343,15 +349,17 @@ def generate_cipher_corpus(spec, rng):
 
     src = spec.languages[0]
     targets = list(spec.languages[1:])
+    all_lemmas = range(spec.lemma_count)
+    surfaces = {lang: [surface(k, lang, src) for k in all_lemmas] for lang in spec.languages}
 
     train = []
     store = TranslationStore()
     for i in range(spec.train_examples):
         lemmas = _sample_lemma_sentence(spec, rng)
-        ex = _render(spec, lemmas, src, f"train-{i:05d}")
+        ex = _render(spec, lemmas, src, f"train-{i:05d}", surfaces[src])
         train.append(ex)
         for lang in targets:
-            translated = _render(spec, lemmas, lang, ex.id)
+            translated = _render(spec, lemmas, lang, ex.id, surfaces[lang])
             store.add(
                 ex.id,
                 lang,
@@ -363,16 +371,16 @@ def generate_cipher_corpus(spec, rng):
     for i in range(spec.eval_examples_per_language):
         lemmas = _sample_lemma_sentence(spec, rng)
         for lang in spec.languages:
-            eval_sets[lang].append(_render(spec, lemmas, lang, f"eval-{i:05d}-{lang}"))
+            example_id = f"eval-{i:05d}-{lang}"
+            eval_sets[lang].append(_render(spec, lemmas, lang, example_id, surfaces[lang]))
 
     dictionaries = {}
-    all_lemmas = range(spec.lemma_count)
     for lang in targets:
-        fwd = {surface(k, src, src): [surface(k, lang, src)] for k in all_lemmas}
-        rev = {surface(k, lang, src): [surface(k, src, src)] for k in all_lemmas}
+        fwd = {surfaces[src][k]: [surfaces[lang][k]] for k in all_lemmas}
+        rev = {surfaces[lang][k]: [surfaces[src][k]] for k in all_lemmas}
         dictionaries[(src, lang)] = BilingualDictionary(src, lang, fwd)
         dictionaries[(lang, src)] = BilingualDictionary(lang, src, rev)
 
-    words = [surface(k, lang, src) for k in all_lemmas for lang in spec.languages]
+    words = [surfaces[lang][k] for k in all_lemmas for lang in spec.languages]
     return CipherBenchmark(spec=spec, train=train, eval_sets=eval_sets,
                            dictionaries=dictionaries, store=store, words=words)

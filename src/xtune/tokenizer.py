@@ -1,9 +1,8 @@
 """Unigram-LM subword vocabulary with exact lattice segmentation.
 
-A string meets the piece inventory in one place, its span table
+Segmentation meets the piece inventory in one place, a string's span table
 (``_span_table``: the pieces that occur in it, by end and by start
-position), and its lattice is summed by one forward recurrence
-(``_forward``).  Everything else walks the table:
+position), and sums its lattice by one forward recurrence (``_forward``):
 
 * ``viterbi_segment_words`` - each word's best-scoring segmentation, a DP
                               over the table's starts (cached per word),
@@ -13,15 +12,15 @@ position), and its lattice is summed by one forward recurrence
                               (FFBS) of all tokens of a call in lockstep:
                               one ``rng.random((tokens, longest form))``
                               draw, token t's k-th cut an inverse-CDF draw
-                              with column k,
-* ``build_vocab``           - unigram EM: phases of sweeps (``em_fit``) over
-                              a fixed inventory, each followed by pruning; a
-                              phase builds each string's table once, and
-                              every sweep runs ``_forward`` and a backward
-                              pass over it.
+                              with column k.
 
-Log-masses are summed with ``_logaddexp`` (``np.logaddexp`` bit for bit) in
-the table's fixed span order, so draws and vocabularies depend only on their
+``build_vocab`` is unigram EM: phases of sweeps (``em_fit``) over a fixed
+inventory, each followed by pruning.  A phase stacks every string's spans as
+one grid (``_em_grid``), and each sweep runs the forward and the backward
+over all strings at once, one ``np.logaddexp`` per span.
+
+Log-masses are summed with ``np.logaddexp`` (``_logaddexp`` on scalars) in
+each lattice's fixed span order, so draws and vocabularies depend only on their
 inputs.  Words are segmented independently; a boundary marker is prepended to
 each word when the vocabulary covers it, which keeps the word -> subword map
 exact under resegmentation.  A ``Segmentation`` is one ``(pieces, ids)``
@@ -34,6 +33,7 @@ tests check both paths against brute-force enumeration.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate, repeat
 from dataclasses import dataclass
 
@@ -400,36 +400,28 @@ def save_vocab(vocab, path):
 # Vocabulary estimation (simplified unigram EM)
 
 
-def _forward_backward_counts(pieces, table, counts):
-    """Accumulate expected piece counts for one string, given its
-    ``_span_table``; returns its log Z, or None when it cannot be segmented.
+@lru_cache(maxsize=1)
+def _em_grid(texts, max_len):
+    """Every span of an EM phase's strings as one grid, substrings interned
+    (cached: the phases of a ``build_vocab`` share their strings).  Column c
+    is the span ``cols[c] = (i, j)``, over every ``j - i <= max_len``, by
+    end, then start; ``sub[c, s]`` numbers string s's substring there in
+    ``subs``, or is -1 past the string's end."""
+    width = max(map(len, texts), default=0)
+    cols = [(i, j) for j in range(1, width + 1) for i in range(max(0, j - max_len), j)]
+    subs = {}
+    sub = [[subs.setdefault(text[i:j], len(subs)) if j <= len(text) else -1 for text in texts]
+           for i, j in cols]
+    return cols, list(subs), np.array(sub, dtype=np.intp).reshape(len(cols), len(texts))
 
-    Log-masses are summed span by span in the table's order (forward by end
-    position, backward by start position, both over ascending partners),
-    which fixes every rounding step.
-    """
-    ends, starts = table
-    n = len(ends) - 1
-    loga = _forward(pieces, ends)
-    logz = loga[n]
-    if logz == _NEG_INF:
-        return None
-    logb = [_NEG_INF] * (n + 1)
-    logb[n] = 0.0
-    for i in range(n - 1, -1, -1):
-        acc = _NEG_INF
-        for _, j, piece in starts[i]:
-            if logb[j] != _NEG_INF:
-                acc = _logaddexp(acc, pieces[piece] + logb[j])
-        logb[i] = acc
-    for j in range(1, n + 1):
-        if logb[j] == _NEG_INF:
-            continue
-        for i, _, piece in ends[j]:
-            if loga[i] != _NEG_INF:
-                counts[piece] = counts.get(piece, 0.0) + math.exp(
-                    loga[i] + pieces[piece] + logb[j] - logz)
-    return logz
+
+def _grid_sums(mass, spans, weights):
+    """For each span ``(to, frm)`` in order, log-add ``mass[frm]`` times the
+    span's weight into ``mass[to]``: one ``np.logaddexp`` per span over the
+    ``(positions, strings)`` masses of all strings at once."""
+    for (to, frm), w in zip(spans, weights):
+        np.logaddexp(mass[to], mass[frm] + w, out=mass[to])
+    return mass
 
 
 def em_fit(pieces, corpus_counts, iters):
@@ -437,33 +429,55 @@ def em_fit(pieces, corpus_counts, iters):
 
     Returns (new log-probs, expected counts from the last E-step, per-sweep
     corpus log-likelihood).  The likelihood trace is non-decreasing up to
-    float rounding; that is asserted by the tests.  The inventory's keys do
-    not change within a call, so each string's span table is built once per
-    call and every sweep reuses it.
+    float rounding; that is asserted by the tests.  A -inf term leaves a
+    log-mass bit for bit as it was, so each string's sums over the grid are
+    those of its own lattice; its expected counts add by end, then start,
+    then times its frequency across strings in corpus order.
     """
-    pieces = dict(pieces)
-    max_len = max(map(len, pieces), default=0)
-    keys = {p: p for p in pieces}
-    tables = [(_span_table(keys, text, max_len), freq) for text, freq in corpus_counts.items()]
-    ll_trace = []
-    last_counts = {}
+    names, texts, freqs = list(pieces), list(corpus_counts), list(corpus_counts.values())
+    n = len(names)
+    cols, subs, sub = _em_grid(tuple(texts), max(map(len, names), default=0))
+    index = {p: k for k, p in enumerate(names)}
+    # each span's inventory index; n, a -inf weight, where it is no piece or past the end
+    pid = np.array([index.get(piece, n) for piece in subs] + [n], dtype=np.intp)[sub]
+    back = sorted(range(len(cols)), key=lambda c: (-cols[c][0], cols[c][1]))
+    forward, backward = [(j, i) for i, j in cols], [cols[c] for c in back]
+    ends = (np.array(list(map(len, texts)), dtype=np.intp), np.arange(len(texts)))
+    # each (string, column) holding a piece, string by string, and its
+    # (string, piece) slot, numbered as first seen, so in string order (a
+    # dict: np.unique's sort would page in ~0.6 MB more of numpy's code)
+    s_of, c_of = np.nonzero(pid.T < n)
+    p_of, (i_of, j_of) = pid[c_of, s_of], np.array(cols, dtype=np.intp).reshape(-1, 2)[c_of].T
+    seen = {}
+    slot_of = np.array([seen.setdefault(k, len(seen)) for k in (s_of * n + p_of).tolist()],
+                       dtype=np.intp)
+    slots = np.array(list(seen), dtype=np.intp)
+    slot_freq = np.array(freqs, dtype=float)[slots // n]
+    lps, ll_trace, live, c = list(pieces.values()), [], np.zeros(0, dtype=np.intp), np.zeros(n)
     for _ in range(iters):
-        counts = {}
+        w = np.append(lps, _NEG_INF)
+        weights = w[pid]
+        loga, logb = np.full((2, 1 + ends[0].max(initial=0), len(texts)), _NEG_INF)
+        loga[0] = 0.0
+        logb[ends] = 0.0
+        loga, logb = _grid_sums(loga, forward, weights), _grid_sums(logb, backward, weights[back])
+        logz = loga[ends]
+        a, b, z = loga[i_of, s_of], logb[j_of, s_of], logz[s_of]
+        live = np.flatnonzero((a > _NEG_INF) & (b > _NEG_INF) & (z > _NEG_INF))
+        # math.exp, not np.exp, whose vector loop need not match libm
+        mass = list(map(math.exp, (((a[live] + w[p_of[live]]) + b[live]) - z[live]).tolist()))
+        by_slot = np.bincount(slot_of[live], weights=mass, minlength=slots.size)
+        c = np.bincount(slots % n, weights=slot_freq * by_slot, minlength=n)
         ll = 0.0
-        for table, freq in tables:
-            logz = _forward_backward_counts(pieces, table, scratch := {})
-            if logz is None:
-                continue
-            ll += freq * logz
-            for piece, c in scratch.items():
-                counts[piece] = counts.get(piece, 0.0) + freq * c
-        total = math.fsum(counts.values())
-        floor = 1e-12 * max(total, 1.0)
-        for piece in pieces:
-            pieces[piece] = math.log(max(counts.get(piece, 0.0), floor) / total)
+        for freq, logz_s in zip(freqs, logz.tolist()):
+            if logz_s != _NEG_INF:
+                ll += freq * logz_s
         ll_trace.append(ll)
-        last_counts = counts
-    return pieces, last_counts, ll_trace
+        total = math.fsum(c.tolist())
+        lps = [math.log(x / total) for x in np.maximum(c, 1e-12 * max(total, 1.0)).tolist()]
+    c = c.tolist()
+    counts = {names[k]: c[k] for k in dict.fromkeys(p_of[live].tolist())}
+    return dict(zip(names, lps)), counts, ll_trace
 
 
 def build_vocab(corpus, target_size, max_piece_len=8, em_iters=4, marker=DEFAULT_MARKER):

@@ -3,6 +3,7 @@ for every mode and task) and its clean failures on bad configs."""
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -141,6 +142,10 @@ def test_bad_config_fails_cleanly(extra, overrides, message, tmp_path, capsys):
     (["--sentence-len", "5,2"], "sentence_len_range must be (lo, hi) with 1 <= lo <= hi"),
     (["--sentence-len", "4-8"], "--sentence-len: expected 'lo,hi' integers, got '4-8'"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--languages", "en,x/y"], "language 'x/y' holds '/'"),
+    (["--languages", "en,x@y"], "language 'x@y' holds '@'"),
+    (["--languages", "en,x\ty"], "language 'x\\ty' holds '\\t'"),
+    (["--languages", "en,x y"], "language 'x y' holds ' '"),
 ])
 def test_bad_synth_input_fails_at_entry(flags, message, tmp_path, capsys):
     out = tmp_path / "data"
@@ -307,6 +312,40 @@ def test_bad_meta_languages_fail_naming_the_file(command, meta, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {data_dir / 'meta.json'}: 'languages' must be a list")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["x/y", "x@y", "x\ty", "x y"])
+def test_meta_language_the_files_cannot_carry_fails_naming_the_file(name, tmp_path, capsys):
+    (tmp_path / "meta.json").write_text(json.dumps({"languages": ["en", name]}),
+                                        encoding="utf-8")
+    checkpoint = tmp_path / "student.ckpt"
+    save_params(ModelParams("span", 4, 2, 4), checkpoint)
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'meta.json'}: language {name!r} holds")
+    assert "Traceback" not in err
+
+
+def test_cipher_separator_in_a_language_works_end_to_end(tmp_path):
+    data_dir = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data_dir), "--task", "classification",
+                     "--languages", f"en,x{data.CIPHER_SEP}y", "--lemmas", "6",
+                     "--train-examples", "8", "--eval-examples", "2", "--sentence-len", "3,4",
+                     "--vocab-size", "40", "--em-iters", "1", "--seed", "2"]) == 0
+    config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "student.ckpt"),
+                     "--data-dir", str(data_dir), "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_synth_raises_no_float_warning(tmp_path):
+    # the benchmark's vocabulary shape: 24 lemmas in 4 languages, pieces of up
+    # to 12 characters, 3 sweeps per pruning phase
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["synth", "--out", str(tmp_path / "data"), "--task", "span",
+                         "--languages", "en,xx,yy,zz", "--train-examples", "5",
+                         "--eval-examples", "2", "--vocab-size", "60"]) == 0
 
 
 def synth_tiny_classification(data_dir):

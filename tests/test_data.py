@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,13 @@ class TestSpecValidation:
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             data.SyntheticSpec(task="labeling", **{field: value})
+
+    # each name reaches a file name (eval.<lang>.jsonl), a translated view's id
+    # (<id>@<lang>) and whitespace-split dictionary and vocabulary lines
+    @pytest.mark.parametrize("name", ["x/y", "x@y", "x\ty", "x y", "x\ny", "x\x00y", "x\u00a0y"])
+    def test_language_the_files_cannot_carry_rejected_by_name(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"language {name!r} holds")):
+            data.SyntheticSpec(task="labeling", languages=("en", name))
 
     def test_span_needs_a_lemma_besides_the_trigger(self):
         data.SyntheticSpec(task="classification", lemma_count=1)

@@ -1,7 +1,9 @@
 """Tokenizer tests: every segmentation path is checked against enumeration."""
 
+import hashlib
 import math
 import struct
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from xtune import augment as aug
 from xtune import consistency as cons
+from xtune import data
 from xtune import tokenizer as tok
 from xtune.data import Example
 
@@ -459,6 +462,20 @@ class TestBuildVocab:
         with pytest.raises(ValueError, match="alphabet"):
             tok.build_vocab(["abc"], target_size=2)
 
+    # recorded at e6fb88c: the vocabularies `xtune synth` builds for the
+    # benchmark (24 lemmas in 4 languages, pieces of up to 12 characters, 3
+    # sweeps per phase), at its two sizes: 6 and 12 pruning phases
+    @pytest.mark.parametrize("size,digest", [
+        (60, "b5d3228d5000d545ffa867f18d069806c6e6fc17467f57d169ef1ae45c19ea5c"),
+        (220, "3b32ee59acc68de3c0a7e661b474e64151a181694b8a12fdb52949e4ac24420f"),
+    ])
+    def test_synth_shaped_vocab_is_pinned(self, size, digest, tmp_path):
+        languages = ("en", "xx", "yy", "zz")
+        words = [data.surface(k, lang, languages[0]) for k in range(24) for lang in languages]
+        vocab = tok.build_vocab_for_words(words, size, max_piece_len=12, em_iters=3)
+        tok.save_vocab(vocab, tmp_path / "vocab.tsv")
+        assert hashlib.sha256((tmp_path / "vocab.tsv").read_bytes()).hexdigest() == digest
+
     def test_built_vocab_segments_training_corpus(self):
         words = ["cat", "cats", "act", "tact"] * 5
         vocab = tok.build_vocab_for_words(words, target_size=12, max_piece_len=4, em_iters=3)
@@ -516,33 +533,42 @@ class TestEmOracle:
         assert got[2] == ref.em_fit(pieces, counts, 2)[2]
         assert got[2][0] == 3 * 2 * math.log(0.5)
 
-    def test_span_table_built_once_per_string_per_call(self, monkeypatch):
-        # the table is per phase: more sweeps must not rebuild it, and every
-        # sweep runs the forward recurrence over each string's table
-        built, forwards, text_of = Counter(), Counter(), {}
-        original, forward = tok._span_table, tok._forward
+    def test_no_float_warnings(self):
+        # the oracle's corpora hold an unsegmentable string, whose entries
+        # every count must leave out before any arithmetic
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(6):
+                corpus = random_corpus(rng, "abc", 8)
+                tok.em_fit(random_inventory(rng, corpus, int(rng.integers(1, 6))), corpus, 3)
 
-        def counted(pieces, text, max_len):
-            built[text] += 1
-            table = original(pieces, text, max_len)
-            text_of[id(table[0])] = text
-            return table
+    def test_grid_built_once_per_call_and_swept_over_all_strings(self, monkeypatch):
+        # a call builds (or reuses) one grid, however many sweeps it runs,
+        # and every sweep runs the forward and the backward once, over
+        # every string at once
+        built, sums = [], []
+        grid, grid_sums = tok._em_grid, tok._grid_sums
 
-        def counted_forward(weights, ends):
-            forwards[text_of[id(ends)]] += 1
-            return forward(weights, ends)
+        def counted_grid(texts, max_len):
+            built.append(texts)
+            return grid(texts, max_len)
 
-        monkeypatch.setattr(tok, "_span_table", counted)
-        monkeypatch.setattr(tok, "_forward", counted_forward)
+        def counted_sums(mass, spans, weights):
+            sums.append(mass.shape[1])
+            return grid_sums(mass, spans, weights)
+
+        monkeypatch.setattr(tok, "_em_grid", counted_grid)
+        monkeypatch.setattr(tok, "_grid_sums", counted_sums)
         corpus = {"abab": 5, "ab": 9, "ba": 4, "aab": 2}
         pieces = {"a": math.log(0.3), "b": math.log(0.3), "ab": math.log(0.2),
                   "ba": math.log(0.2)}
         for iters in (1, 3, 8):
             built.clear()
-            forwards.clear()
+            sums.clear()
             tok.em_fit(pieces, corpus, iters)
-            assert built == Counter(corpus.keys()), iters
-            assert forwards == Counter({t: iters for t in corpus}), iters
+            assert built == [tuple(corpus)], iters
+            assert sums == [len(corpus)] * (2 * iters), iters
 
 
 def test_logaddexp_is_bitwise_np_logaddexp():
