@@ -301,11 +301,9 @@ def cmd_eval(args):
     if len(vocab) != params.vocab_size:   # a same-sized vocabulary cannot be told apart
         raise ValueError(f"{args.checkpoint}: checkpoint of {params.vocab_size} pieces does not "
                          f"fit the {len(vocab)}-piece vocabulary {vocab_path}")
-    eval_sets = {
-        lang: data.load_jsonl(data_dir / f"eval.{lang}.jsonl", params.task)
-        for lang in languages
-    }
-    per_language = ev.evaluate_languages(params, eval_sets, vocab)
+    paths = {lang: data_dir / f"eval.{lang}.jsonl" for lang in languages}
+    eval_sets = {lang: data.load_jsonl(path, params.task) for lang, path in paths.items()}
+    per_language = ev.evaluate_languages(params, eval_sets, vocab, sources=paths)
     rep = ev.report(per_language, languages[0], params.task)
     print(ev.format_report(rep))
     if args.out:

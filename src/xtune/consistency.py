@@ -68,15 +68,16 @@ def aligned_first_subword_positions(seg_orig, seg_aug, modified):
     return [first_orig[w] for w in words], [first_aug[w] for w in words]
 
 
-def example_consistency(pred, pairs, drawn=None):
+def example_consistency(pred, segs, pairs, drawn=None):
     """Mean symmetric-KL agreement between examples and their augmented views.
 
-    ``pairs`` lists (original, view, modified): two sequence indices into
-    ``pred``'s packing, then the view's modified-word flags.  Label
-    distributions compare row for row over the two sides' label rows in
-    ``pred.rows``, which must be equally many: one class row (only there may
-    the view be a translation) or one row per word, substituted words
-    included.  Every view other than a translation is word-for-word.  Span extraction
+    ``segs`` are the segmentations ``pred`` packs, in order.  ``pairs``
+    lists (original, view, modified): two sequence indices into ``segs``,
+    then the view's modified-word flags.  Label distributions compare row
+    for row over the two sides' label rows in ``pred.rows``, which must be
+    equally many: one class row (only there may the view be a translation)
+    or one row per word, substituted words included.  Every view other than
+    a translation is word-for-word.  Span extraction
     compares full position distributions when the two views tokenize
     identically; otherwise both sides are restricted to the first-subword
     positions of unchanged words and renormalized (a pair where no position
@@ -102,7 +103,6 @@ def example_consistency(pred, pairs, drawn=None):
         return symmetric_kl(ad.gather(log, layout_rows(first[orig], n)),
                             ad.gather(log, layout_rows(first[view], n)), np.repeat(share / n, n))
 
-    segs = pred.packing.segmentations
     rows, view_rows, segment = [], [], []
     for k, (i, j, modified) in enumerate(pairs):
         if segs[i].words == segs[j].words:

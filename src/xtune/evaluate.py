@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tokenizer as tok
-from .model import predict
+from .model import Packing, layout_rows, predict
 
 # examples per packed eval forward: bounds the size of the forward's buffers
 EVAL_CHUNK = 64
@@ -120,17 +120,40 @@ def decode(prediction):
 def score_corpus(params, examples, vocab):
     """Viterbi-segment, predict, decode and score one labeled corpus.
 
-    Examples go through the model ``EVAL_CHUNK`` at a time, as one packed
-    forward each.  Returns a dict with the task's metrics ('accuracy' for
-    classification; 'f1'/'em'/'score' for spans; 'accuracy'/'f1' for
-    labeling).
+    Words are interned to type ids, first seen first, and each type is
+    segmented once, as a word of one type-table ``Packing``.  Before the
+    first forward, an empty corpus, an uncovered word or an example over
+    ``max_len`` raises a ValueError, the last two naming the example.  Each
+    ``EVAL_CHUNK`` examples are then one forward over a packing gathered
+    from the type table, so no array spans the corpus's subword rows.
+    Returns a dict with the task's metrics ('accuracy' for classification;
+    'f1'/'em'/'score' for spans; 'accuracy'/'f1' for labeling).
     """
-    decoded, gold = [], []
+    if not examples:
+        raise ValueError("no examples to score")
+    types = {}
+    word_types = np.fromiter((types.setdefault(w, len(types))
+                              for ex in examples for w in ex.words), np.intp)
+    try:   # one sequence, a word per type
+        table = Packing.of([tok.viterbi_segment_words(vocab, list(types))])
+    except tok.CoverageError as err:
+        ex = next(ex for ex in examples if not vocab.alphabet.issuperset("".join(ex.words)))
+        raise ValueError(f"example {ex.id!r}: {err}") from None
+    n_words = np.array([len(ex.words) for ex in examples], dtype=np.intp)
+    bounds = np.concatenate(([0], np.cumsum(n_words)))   # each example's words
+    lengths = np.add.reduceat(table.word_lengths[word_types], bounds[:-1])
+    if (over := np.flatnonzero(lengths > params.max_len)).size:
+        raise ValueError(f"example {examples[over[0]].id!r}: input of {lengths[over[0]]} "
+                         f"subwords exceeds max_len {params.max_len}")
+    decoded = []
     for start in range(0, len(examples), EVAL_CHUNK):
-        chunk = examples[start:start + EVAL_CHUNK]
-        segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in chunk]
-        decoded.extend(decode(predict(params, segs)))
-        gold.extend(ex.gold() for ex in chunk)
+        end = min(start + EVAL_CHUNK, len(examples))
+        words = word_types[bounds[start]:bounds[end]]
+        pieces = table.word_lengths[words]
+        chunk = Packing(n_words[start:end], pieces,
+                        table.ids[layout_rows(table.first_rows[words], pieces)])
+        decoded.extend(decode(predict(params, chunk)))
+    gold = [ex.gold() for ex in examples]
     if params.task == "classification":
         return {"accuracy": accuracy(decoded, gold)}
     if params.task == "span":
@@ -150,10 +173,16 @@ def primary_score(task, scores):
     return scores[primary_metric(task)]
 
 
-def evaluate_languages(params, eval_sets, vocab):
-    """Scores per language, as ``score_corpus`` returns them; ``report``
-    adds the transfer gap."""
-    return {lang: score_corpus(params, examples, vocab) for lang, examples in eval_sets.items()}
+def evaluate_languages(params, eval_sets, vocab, sources=None):
+    """Scores per language, as ``score_corpus`` returns them; a corpus's
+    ValueError names its ``sources`` entry (default: its language)."""
+    scores = {}
+    for lang, examples in eval_sets.items():
+        try:
+            scores[lang] = score_corpus(params, examples, vocab)
+        except ValueError as err:
+            raise ValueError(f"{(sources or {}).get(lang, lang)}: {err}") from None
+    return scores
 
 
 def report(per_language, source_language, task):

@@ -4,12 +4,12 @@ The encoder is one embedding-sum + mixing layer: enough to carry gradients
 through the consistency losses without confounding the mechanism checks with
 backbone capacity.  All heads emit log-probability distributions.
 
-Every forward pass runs over a ``Packing``: the subword rows of a list of
-segmentations concatenated into one matrix, with the sequence and word each
-row belongs to.  The encoder mixes no positions, so a packed forward equals
-the per-sequence forwards row for row; per-sequence work (pooling, span
-softmax) is a segment reduction, and a whole batch is one graph whose node
-count does not grow with the batch.
+Every forward pass runs over a ``Packing``, built from arrays: the subword
+rows of its sequences in one matrix, with the sequence and word of each.
+The encoder mixes no positions, so a packed forward equals the per-sequence
+forwards row for row; per-sequence work (pooling, span softmax) is a
+segment reduction, and a whole batch is one graph whose node count does
+not grow with the batch.
 
 ``predict`` decides which rows each task's distributions lie on and returns
 them as ``Prediction.rows``, which the task loss, both regularizers and the
@@ -95,10 +95,10 @@ class ModelParams:
 
 
 class Packing:
-    """Segmentations with their subword rows concatenated in order.
+    """Sequences of words, built from ``n_words`` per sequence, pieces per
+    word (``word_lengths``) and the piece ``ids``, all in order.
 
-    The word records of all segmentations, in order, are the word rows;
-    each word's pieces are consecutive subword rows.  Sequence k owns rows
+    Each word's pieces are consecutive subword rows.  Sequence k owns rows
     ``starts[k]:starts[k] + lengths[k]`` and word rows
     ``word_starts[k]:word_starts[k] + n_words[k]``.  Per row, ``seq`` is its
     sequence, ``positions`` its position there, ``ids`` its vocabulary id
@@ -106,26 +106,36 @@ class Packing:
     word's first subword.
     """
 
-    def __init__(self, segmentations):
-        self.segmentations = segs = list(segmentations)
-        if not segs:
-            raise ValueError("nothing to pack: no segmentations")
-        records = [r for s in segs for r in s.words]
-        word_lengths = np.array([len(pieces) for pieces, _ in records], dtype=np.intp)
-        self.n_words = np.array([len(s.words) for s in segs], dtype=np.intp)
-        self.word_starts = np.cumsum(self.n_words) - self.n_words
+    def __init__(self, n_words, word_lengths, ids):
+        if not n_words.size:
+            raise ValueError("nothing to pack: no sequences")
+        self.n_words, self.word_lengths, self.ids = n_words, word_lengths, ids
+        self.word_starts = np.cumsum(n_words) - n_words
         # first row of each word, then the row count
         bounds = np.concatenate(([0], np.cumsum(word_lengths)))
         self.first_rows = bounds[:-1]
         self.starts = bounds[self.word_starts]
-        self.lengths = bounds[self.word_starts + self.n_words] - self.starts
-        self.seq = np.repeat(np.arange(len(segs)), self.lengths)
+        self.lengths = bounds[self.word_starts + n_words] - self.starts
+        self.seq = np.repeat(np.arange(n_words.size), self.lengths)
         self.positions = np.arange(self.seq.size) - self.starts[self.seq]
-        self.ids = np.fromiter(chain.from_iterable(ids for _, ids in records), np.intp)
-        self.word_of_row = np.repeat(np.arange(len(records)), word_lengths)
+        self.word_of_row = np.repeat(np.arange(word_lengths.size), word_lengths)
+
+    @classmethod
+    def of(cls, segmentations):
+        """The packing of a list of segmentations' word records."""
+        records = [r for s in segmentations for r in s.words]
+        return cls(np.array([len(s.words) for s in segmentations], dtype=np.intp),
+                   np.array([len(ids) for _, ids in records], dtype=np.intp),
+                   np.fromiter(chain.from_iterable(ids for _, ids in records), np.intp))
+
+    def take(self, index):
+        """The sequences ``index`` (an index array or a slice) selects, in order."""
+        n_words = self.n_words[index]
+        return Packing(n_words, self.word_lengths[layout_rows(self.word_starts[index], n_words)],
+                       self.ids[layout_rows(self.starts[index], self.lengths[index])])
 
     def __len__(self):
-        return len(self.segmentations)
+        return self.n_words.size
 
 
 class RowTable(NamedTuple):
@@ -201,15 +211,14 @@ def encode(params, packing, noises=None):
     return ad.tanh(ad.add_rowvec(ad.matmul(x, params["mix_weight"]), params["mix_bias"]))
 
 
-def predict(params, segmentations, noises=None):
-    """Task-head forward pass over a list of segmentations, packed.
+def predict(params, packing, noises=None):
+    """Task-head forward pass over a ``Packing``.
 
     The rows of the returned ``Prediction`` are normalized log-prob
     distributions: one label row per sequence (classification) or per word
     (labeling, pooled by ``params.pooling``), or one start and one end
     distribution per sequence over its subword rows (span).
     """
-    packing = Packing(segmentations)
     hidden = encode(params, packing, noises)
 
     if params.task == "span":

@@ -56,7 +56,7 @@ from .augment import (
 from .consistency import aligned_words, example_consistency, model_consistency
 from .data import TASKS
 from .evaluate import EVAL_CHUNK
-from .model import POOLINGS, ModelParams, RowTable, predict, task_loss
+from .model import POOLINGS, ModelParams, Packing, RowTable, predict, task_loss
 
 SETTINGS = ("cross-lingual-transfer", "translate-train-all")
 # (R1 example consistency, R2 model consistency) per training mode
@@ -272,11 +272,12 @@ def _stage_table(items, vocab, cfg):
     return table
 
 
-def _teacher_rows(teacher, segs, noises):
-    """The teacher's log-probability rows of ``segs`` under ``noises`` as one
-    ``RowTable``, ``EVAL_CHUNK`` sequences per forward."""
-    chunks = [slice(start, start + EVAL_CHUNK) for start in range(0, len(segs), EVAL_CHUNK)]
-    return RowTable.join([predict(teacher, segs[chunk], noises=noises[chunk]).row_table()
+def _teacher_rows(teacher, packing, noises):
+    """The teacher's log-probability rows of a stage's ``packing`` under
+    ``noises`` as one ``RowTable``: ``EVAL_CHUNK`` sequences per forward,
+    each taken from the packing."""
+    chunks = [slice(start, start + EVAL_CHUNK) for start in range(0, len(packing), EVAL_CHUNK)]
+    return RowTable.join([predict(teacher, packing.take(chunk), noises=noises[chunk]).row_table()
                           for chunk in chunks])
 
 
@@ -397,6 +398,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     state = OptimizerState.for_params(params.tensors)
     table = _stage_table(items, res.vocab, cfg)
     item_segs = [seg for _, seg, _, _ in table]
+    item_packing = Packing.of(item_segs) if use_teacher else None
     item_noises = [None] * n
     teacher_table = None
     trace = []
@@ -409,7 +411,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
         for i, rows in zip(noised, _encode_noise([item_segs[i] for i in noised], cfg, noise_rng)):
             item_noises[i] = rows
         if use_teacher and (noised or teacher_table is None):
-            teacher_table = _teacher_rows(teacher, item_segs, item_noises)
+            teacher_table = _teacher_rows(teacher, item_packing, item_noises)
         views, unchanged = [None] * n, [False] * n
         if use_pairs:
             views = _epoch_views(table, order, pair_strategy, cfg, res, view_rng)
@@ -425,26 +427,26 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
             segs = [item_segs[i] for i in batch]
             noises = [item_noises[i] for i in batch]
             gold = [table[i][2] for i in batch]
-            view_segs, view_noises, pairs = [], [], []
+            pairs = []
             for k, (view, same) in enumerate(zip(views[chunk], unchanged[chunk])):
                 if view is not None and not same:
                     vseg, vnoise, modified = view
-                    pairs.append((k, len(batch) + len(view_segs), modified))
-                    view_segs.append(vseg)
-                    view_noises.append(vnoise)
+                    pairs.append((k, len(segs), modified))
+                    segs.append(vseg)
+                    noises.append(vnoise)
             drawn = len(batch) - views[chunk].count(None)
 
             n_labeled = sum(g is not None for g in gold)
-            pred = predict(params, segs + view_segs, noises=noises + view_noises)
+            pred = predict(params, Packing.of(segs), noises=noises)
 
             parts = {"task": 0.0, "example_consistency": 0.0, "model_consistency": 0.0}
             total = None
             if n_labeled:
-                node = task_loss(pred, gold + [None] * len(view_segs))
+                node = task_loss(pred, gold + [None] * len(pairs))
                 parts["task"] = node.item()
                 total = node
             if pairs:
-                node = example_consistency(pred, pairs, drawn)
+                node = example_consistency(pred, segs, pairs, drawn)
                 parts["example_consistency"] = node.item()
                 weighted = ad.scale(node, pair_weight)
                 total = weighted if total is None else ad.add(total, weighted)

@@ -431,3 +431,33 @@ def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: main: non-finite loss nan at step 1")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", ["empty", "uncovered", "overlong"])
+def test_eval_input_faults_name_the_file_and_example(fault, tmp_path, capsys):
+    # the second example of one language's eval file carries the fault;
+    # each is found before the first forward
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    vocab = tok.load_vocab(data_dir / "vocab.tsv")
+    path = data_dir / "eval.xx.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    bad = records[1]
+    if fault == "empty":
+        records, message = [], "no examples to score"
+    elif fault == "uncovered":   # a later example repeats the fault; the first is named
+        assert "Q" not in vocab.alphabet
+        bad["words"][1] += "Q"
+        records.append({**bad, "id": bad["id"] + "-again"})
+        message = f"example {bad['id']!r}: character 'Q' is not covered by the vocabulary"
+    else:
+        bad["words"] *= 20
+        pieces = tok.viterbi_segment_words(vocab, bad["words"]).n_pieces
+        message = f"example {bad['id']!r}: input of {pieces} subwords exceeds max_len 48"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    checkpoint = tmp_path / "student.ckpt"
+    save_params(ModelParams("classification", len(vocab), 4, 48, n_label=2), checkpoint)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"

@@ -108,7 +108,7 @@ def make_pair(task, words, words_aug, n_label=3, seed=0, pooling=None):
     rescale_params(params, np.random.default_rng(seed + 100))
     seg = tok.viterbi_segment_words(vocab, words)
     seg_aug = tok.viterbi_segment_words(vocab, words_aug)
-    pred = mdl.predict(params, [seg, seg_aug])
+    pred = mdl.predict(params, mdl.Packing.of([seg, seg_aug]))
     return params, vocab, seg, seg_aug, pred
 
 
@@ -121,7 +121,7 @@ class TestExampleConsistency:
             _, _, seg, seg2, pred = make_pair(task, words, list(words),
                                               n_label=n_label, pooling=pooling)
             value = cons.example_consistency(
-                pred, [(0, 1, [False] * 3)]).item()
+                pred, [seg, seg2], [(0, 1, [False] * 3)]).item()
             assert value == 0.0
 
     def test_span_zero_modification_equals_full_positions(self):
@@ -129,11 +129,11 @@ class TestExampleConsistency:
         # start/end distributions (no restriction, no renormalization)
         params, vocab, seg, seg2, _ = make_pair("span", ["abc", "d"], ["abc", "d"])
         noise = np.full((seg2.n_pieces, params.dim), 0.05)
-        both = mdl.predict(params, [seg, seg2], noises=[None, noise])
+        both = mdl.predict(params, mdl.Packing.of([seg, seg2]), noises=[None, noise])
         restricted = cons.example_consistency(
-            both, [(0, 1, [False, False])]).item()
-        pred = mdl.predict(params, [seg])
-        noisy = mdl.predict(params, [seg2], noises=[noise])
+            both, [seg, seg2], [(0, 1, [False, False])]).item()
+        pred = mdl.predict(params, mdl.Packing.of([seg]))
+        noisy = mdl.predict(params, mdl.Packing.of([seg2]), noises=[noise])
         full = (cons.symmetric_kl(pred.rows.outputs[0], noisy.rows.outputs[0], 1.0).item()
                 + cons.symmetric_kl(pred.rows.outputs[1], noisy.rows.outputs[1], 1.0).item())
         assert abs(restricted - full) < 1e-12
@@ -150,10 +150,10 @@ class TestExampleConsistency:
             (tuple(w), tuple(vocab.piece_to_id[p] for p in w))
             for w in (["ab"], ["c", "d"], ["e"])])
         got = cons.example_consistency(
-            mdl.predict(params, [seg, seg_aug]),
+            mdl.predict(params, mdl.Packing.of([seg, seg_aug])), [seg, seg_aug],
             [(0, 1, [False, True, False])]).item()
-        pred = mdl.predict(params, [seg])
-        pred_aug = mdl.predict(params, [seg_aug])
+        pred = mdl.predict(params, mdl.Packing.of([seg]))
+        pred_aug = mdl.predict(params, mdl.Packing.of([seg_aug]))
 
         def restrict(vec, idx):
             p = np.exp(vec)[idx]
@@ -171,14 +171,14 @@ class TestExampleConsistency:
         params, vocab, seg, seg_aug, pred = make_pair(
             "span", ["ab", "cd"], ["a", "b", "cd"])
         # word counts differ; nothing aligns
-        value = cons.example_consistency(pred, [(0, 1, [True, True])])
+        value = cons.example_consistency(pred, [seg, seg_aug], [(0, 1, [True, True])])
         assert value.item() == 0.0
 
     def test_labeling_mean_over_words_matches_oracle(self):
         params, vocab, seg, seg_aug, pred = make_pair(
             "labeling", ["ab", "cd", "e"], ["ab", "e", "e"], pooling="average")
         got = cons.example_consistency(
-            pred, [(0, 1, [False, True, False])]).item()
+            pred, [seg, seg_aug], [(0, 1, [False, True, False])]).item()
         expected = 0.0
         for w in range(3):
             pa = np.exp(pred.rows.outputs[0].data[w])
@@ -190,7 +190,7 @@ class TestExampleConsistency:
         params, vocab, seg, seg_aug, pred = make_pair(
             "labeling", ["ab", "cd"], ["ab", "cd", "e"], pooling="average")
         with pytest.raises(ValueError, match="word counts"):
-            cons.example_consistency(pred, [(0, 1, [False, False])])
+            cons.example_consistency(pred, [seg, seg_aug], [(0, 1, [False, False])])
 
     def test_classification_gradients_match_frozen_reference_fd(self):
         # The stop-gradient loss is, locally, the objective with the detached
@@ -207,13 +207,16 @@ class TestExampleConsistency:
         tensors = params.parameters()
 
         def r1_loss():
-            pred = mdl.predict(params, [seg, seg_aug])
-            return cons.example_consistency(pred, [(0, 1, [False, True])])
+            pred = mdl.predict(params, mdl.Packing.of([seg, seg_aug]))
+            return cons.example_consistency(pred, [seg, seg_aug], [(0, 1, [False, True])])
 
-        ref_p = ad.constant(mdl.predict(params, [seg]).rows.outputs[0].data.copy())
-        ref_q = ad.constant(mdl.predict(params, [seg_aug]).rows.outputs[0].data.copy())
-        term_a = lambda: cons.kl(ref_p, mdl.predict(params, [seg_aug]).rows.outputs[0], 1.0)
-        term_b = lambda: cons.kl(ref_q, mdl.predict(params, [seg]).rows.outputs[0], 1.0)
+        def log_rows(seg):
+            return mdl.predict(params, mdl.Packing.of([seg])).rows.outputs[0]
+
+        ref_p = ad.constant(log_rows(seg).data.copy())
+        ref_q = ad.constant(log_rows(seg_aug).data.copy())
+        term_a = lambda: cons.kl(ref_p, log_rows(seg_aug), 1.0)
+        term_b = lambda: cons.kl(ref_q, log_rows(seg), 1.0)
 
         ana_a = analytic_grads(term_a, tensors)
         assert max_rel_err(ana_a, finite_difference(term_a, tensors)) < 1e-4
@@ -230,8 +233,8 @@ class TestModelConsistency:
         params, vocab = make_params("classification", n_label=3, seed=1)
         teacher = copy_params(params)
         seg = tok.viterbi_segment_words(vocab, ["abc", "d"])
-        value = cons.model_consistency(mdl.predict(teacher, [seg]).row_table(),
-                                       mdl.predict(params, [seg]))
+        value = cons.model_consistency(mdl.predict(teacher, mdl.Packing.of([seg])).row_table(),
+                                       mdl.predict(params, mdl.Packing.of([seg])))
         assert value.item() == 0.0
 
     def test_teacher_gradient_identically_zero(self):
@@ -239,8 +242,8 @@ class TestModelConsistency:
         teacher = copy_params(params)
         teacher.tensors["embeddings"].data += 0.3
         seg = tok.viterbi_segment_words(vocab, ["ab", "e"])
-        loss = cons.model_consistency(mdl.predict(teacher, [seg]).row_table(),
-                                      mdl.predict(params, [seg]))
+        loss = cons.model_consistency(mdl.predict(teacher, mdl.Packing.of([seg])).row_table(),
+                                      mdl.predict(params, mdl.Packing.of([seg])))
         ad.backward(loss)
         assert all(t.grad is None for t in teacher.parameters())
         assert any(t.grad is not None and np.abs(t.grad).max() > 0
@@ -253,8 +256,8 @@ class TestModelConsistency:
         rescale_params(params, rng)
         rescale_params(teacher, rng)
         seg = tok.viterbi_segment_words(vocab, ["abc", "ab"])
-        tpred = mdl.predict(teacher, [seg])
-        spred = mdl.predict(params, [seg])
+        tpred = mdl.predict(teacher, mdl.Packing.of([seg]))
+        spred = mdl.predict(params, mdl.Packing.of([seg]))
         got = cons.model_consistency(tpred.row_table(), spred).item()
         [t_log], [s_log] = tpred.rows.outputs, spred.rows.outputs
         expected = direct_kl(np.exp(t_log.data), np.exp(s_log.data))
@@ -266,8 +269,8 @@ class TestModelConsistency:
             teacher = copy_params(params)
             teacher.tensors["mix_weight"].data *= -1.0
             seg = tok.viterbi_segment_words(vocab, ["ab", "cd", "e"])
-            tpred = mdl.predict(teacher, [seg])
-            spred = mdl.predict(params, [seg])
+            tpred = mdl.predict(teacher, mdl.Packing.of([seg]))
+            spred = mdl.predict(params, mdl.Packing.of([seg]))
             got = cons.model_consistency(tpred.row_table(), spred).item()
             t_out, s_out = tpred.rows.outputs, spred.rows.outputs
             if task == "span":

@@ -44,6 +44,8 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # name another class also defines or assigns
 SHARED = {
     "BilingualDictionary.n_words": "augment.load_dictionary",
+    "Packing.take": "trainer._teacher_rows",
+    "RowTable.take": "trainer.run_stage",
     "Segmentation.pieces": "cli.cmd_tokenize",
     "TrainConfig.strategy": "trainer._build_corpus",
 }

@@ -48,7 +48,15 @@ def copy_params(params):
 
 def packing_of(n_pieces):
     """A one-sequence packing of ``n_pieces`` one-piece words."""
-    return mdl.Packing([tok.Segmentation([(("a",), (0,))] * n_pieces)])
+    return mdl.Packing.of([tok.Segmentation([(("a",), (0,))] * n_pieces)])
+
+
+def assert_same_packing(got, want):
+    """Two packings hold the same arrays, field for field."""
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        assert vars(got)[name].dtype == value.dtype, name
+        assert np.array_equal(vars(got)[name], value), name
 
 
 def prediction(task, packing, *outputs):
@@ -68,16 +76,16 @@ class TestEncode:
     def test_deterministic_without_noise(self):
         params, vocab = make_params("classification", n_label=3)
         seg = tok.viterbi_segment_words(vocab, ["abc", "de"])
-        h1 = mdl.encode(params, mdl.Packing([seg])).data
-        h2 = mdl.encode(params, mdl.Packing([seg])).data
+        h1 = mdl.encode(params, mdl.Packing.of([seg])).data
+        h2 = mdl.encode(params, mdl.Packing.of([seg])).data
         assert np.array_equal(h1, h2)
 
     def test_tiny_noise_is_a_tiny_perturbation(self):
         params, vocab = make_params("classification", n_label=3)
         seg = tok.viterbi_segment_words(vocab, ["abc"])
-        clean = mdl.encode(params, mdl.Packing([seg])).data
+        clean = mdl.encode(params, mdl.Packing.of([seg])).data
         noise = np.random.default_rng(0).normal(0.0, 1e-8, (seg.n_pieces, params.dim))
-        noisy = mdl.encode(params, mdl.Packing([seg]), noises=[noise]).data
+        noisy = mdl.encode(params, mdl.Packing.of([seg]), noises=[noise]).data
         assert np.abs(noisy - clean).max() < 1e-6
 
     def test_noise_mean_matches_clean_encoding(self):
@@ -86,7 +94,7 @@ class TestEncode:
         # empirical mean.
         params, vocab = make_params("classification", n_label=3, seed=2)
         seg = tok.viterbi_segment_words(vocab, ["ab"])
-        packing = mdl.Packing([seg])
+        packing = mdl.Packing.of([seg])
         clean = mdl.encode(params, packing).data
         rng = np.random.default_rng(7)
         sigma = 0.01
@@ -102,7 +110,7 @@ class TestEncode:
         params, vocab = make_params("classification", n_label=2, max_len=2)
         seg = tok.viterbi_segment_words(vocab, ["a", "b", "c"])
         with pytest.raises(ValueError, match="max_len"):
-            mdl.encode(params, mdl.Packing([seg]))
+            mdl.encode(params, mdl.Packing.of([seg]))
 
 
 class TestPredict:
@@ -111,7 +119,7 @@ class TestPredict:
         for task, n_label in (("classification", 4), ("span", None), ("labeling", 3)):
             params, vocab = make_params(task, n_label=n_label, seed=int(rng.integers(1e6)))
             seg = tok.viterbi_segment_words(vocab, ["abc", "d", "ab"])
-            pred = mdl.predict(params, [seg])
+            pred = mdl.predict(params, mdl.Packing.of([seg]))
             if task == "classification":
                 assert abs(np.exp(pred.rows.outputs[0].data).sum() - 1) < 1e-9
             elif task == "span":
@@ -123,22 +131,22 @@ class TestPredict:
     def test_single_label_degenerate_softmax(self):
         params, vocab = make_params("classification", n_label=1)
         seg = tok.viterbi_segment_words(vocab, ["ab"])
-        pred = mdl.predict(params, [seg])
+        pred = mdl.predict(params, mdl.Packing.of([seg]))
         assert pred.rows.outputs[0].data.tolist() == [[0.0]]
 
     def test_span_head_shapes(self):
         params, vocab = make_params("span")
         seg = tok.viterbi_segment_words(vocab, ["a", "b", "c"])
-        pred = mdl.predict(params, [seg])
+        pred = mdl.predict(params, mdl.Packing.of([seg]))
         assert [out.shape for out in pred.rows.outputs] == [(seg.n_pieces,)] * 2
 
     def test_poolings_coincide_for_single_subword_words(self):
         params, vocab = make_params("labeling", n_label=3)
         seg = tok.viterbi_segment_words(vocab, ["a"])
         assert seg.n_pieces == len(seg.words)  # marker not in this vocab
-        first = mdl.predict(params, [seg]).rows.outputs[0].data
+        first = mdl.predict(params, mdl.Packing.of([seg])).rows.outputs[0].data
         params.pooling = "average"
-        avg = mdl.predict(params, [seg]).rows.outputs[0].data
+        avg = mdl.predict(params, mdl.Packing.of([seg])).rows.outputs[0].data
         assert np.allclose(first, avg, atol=1e-12)
 
     def test_labeling_rows_track_word_count_under_resegmentation(self):
@@ -147,7 +155,7 @@ class TestPredict:
         rng = np.random.default_rng(0)
         for _ in range(10):
             seg = tok.sample_segment_words(vocab, words, 0.5, rng)
-            pred = mdl.predict(params, [seg])
+            pred = mdl.predict(params, mdl.Packing.of([seg]))
             assert pred.rows.outputs[0].shape[0] == len(words)
 
 
@@ -161,9 +169,10 @@ class TestPredict:
             segs = [tok.sample_segment_words(
                 vocab, [str(w) for w in rng.choice(words, int(rng.integers(1, 5)))], 0.5, rng)
                 for _ in range(7)]
-            table = mdl.RowTable.join([mdl.predict(params, segs[:3]).row_table(),
-                                       mdl.predict(params, segs[3:]).row_table()])
-            first, counts, outputs = mdl.predict(params, segs).rows
+            table = mdl.RowTable.join([
+                mdl.predict(params, mdl.Packing.of(part)).row_table()
+                for part in (segs[:3], segs[3:])])
+            first, counts, outputs = mdl.predict(params, mdl.Packing.of(segs)).rows
             assert np.array_equal(table.first, first) and np.array_equal(table.counts, counts)
             index = [4, 0, 4, 6, 2]
             got = table.take(index)
@@ -201,7 +210,7 @@ class TestTaskLoss:
     @pytest.mark.parametrize("tags", [[0, 1], [0, 1, 0, 1]], ids=["short", "long"])
     def test_labeling_tag_count_must_match_word_count(self, tags):
         # the second sequence has 3 words; the first carries no gold
-        packing = mdl.Packing([tok.Segmentation([(("a",), (0,))] * n) for n in (2, 3)])
+        packing = mdl.Packing.of([tok.Segmentation([(("a",), (0,))] * n) for n in (2, 3)])
         pred = prediction("labeling", packing, ad.Tensor(np.log(np.full((5, 2), 0.5))))
         with pytest.raises(ValueError, match=f"sequence 1: {len(tags)} tags for 3 words"):
             mdl.task_loss(pred, [None, tags])
@@ -223,7 +232,7 @@ class TestGradients:
         params, vocab = make_params(task, n_label=n_label, seed=3, pooling="average")
         rescale_params(params, np.random.default_rng(17))
         seg = tok.viterbi_segment_words(vocab, ["abc", "d", "ab"])
-        loss_fn = lambda: mdl.task_loss(mdl.predict(params, [seg]), [gold])
+        loss_fn = lambda: mdl.task_loss(mdl.predict(params, mdl.Packing.of([seg])), [gold])
         tensors = params.parameters()
         err = max_rel_err(analytic_grads(loss_fn, tensors),
                           finite_difference(loss_fn, tensors))

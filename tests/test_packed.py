@@ -19,7 +19,7 @@ from xtune import trainer as tr
 
 import reference as ref
 from conftest import build_benchmark
-from test_model import copy_params, prediction, rescale_params
+from test_model import assert_same_packing, copy_params, prediction, rescale_params
 from test_trainer import small_config
 
 # float64; fixed before the packed path was written
@@ -40,14 +40,14 @@ def tight_labeling_bench():
 def packed_components(params, segs, noises, gold, pairs, teacher=None):
     """Task, pair and teacher loss nodes of one batch, packed, laid out as
     ``reference.step_components`` takes them."""
-    pred = mdl.predict(params, segs, noises=noises)
+    pred = mdl.predict(params, mdl.Packing.of(segs), noises=noises)
     task = mdl.task_loss(pred, gold) if any(g is not None for g in gold) else None
-    pair = cons.example_consistency(pred, pairs) if pairs else None
+    pair = cons.example_consistency(pred, segs, pairs) if pairs else None
     teach = None
     if teacher is not None:
         n = len(segs) - len(pairs)
         teach = cons.model_consistency(
-            mdl.predict(teacher, segs[:n], noises=noises[:n]).row_table(),
+            mdl.predict(teacher, mdl.Packing.of(segs[:n]), noises=noises[:n]).row_table(),
             pred)
     return task, pair, teach
 
@@ -162,8 +162,8 @@ class TestAgainstReference:
         cfg = tr.TrainConfig(task="span", dim=8, max_len=48)
         student, _ = models(cfg, res, 7)
         a, b = (tok.viterbi_segment_words(res.vocab, ex.words) for ex in bench.train[:2])
-        pred = mdl.predict(student, [a, b])
-        value = cons.example_consistency(pred, [(0, 1, [True] * len(a.words))])
+        pred = mdl.predict(student, mdl.Packing.of([a, b]))
+        value = cons.example_consistency(pred, [a, b], [(0, 1, [True] * len(a.words))])
         assert value.item() == 0.0
 
 
@@ -176,7 +176,7 @@ TIE_ALPHABET = np.array([-1.0, -1.0 - 2.0 ** -52, -0.5, -2.0, -3.0])
 def span_prediction(word_pieces, draw):
     """A packed span Prediction: sequence k has one word of n pieces per n
     in ``word_pieces[k]``; ``draw(size=...)`` gives the start and end values."""
-    packing = mdl.Packing([tok.Segmentation([(("a",) * n, (0,) * n) for n in words])
+    packing = mdl.Packing.of([tok.Segmentation([(("a",) * n, (0,) * n) for n in words])
                            for words in word_pieces])
     start_log, end_log = draw(size=(2, packing.seq.size))
     return prediction("span", packing, ad.Tensor(start_log), ad.Tensor(end_log))
@@ -198,7 +198,7 @@ def test_span_decode_matches_reference_on_every_eval_chunk(small_span_bench):
             for start in range(0, len(examples), ev.EVAL_CHUNK):
                 segs = [tok.viterbi_segment_words(res.vocab, ex.words)
                         for ex in examples[start:start + ev.EVAL_CHUNK]]
-                pred = mdl.predict(params, segs)
+                pred = mdl.predict(params, mdl.Packing.of(segs))
                 assert ev.decode(pred) == ref.decode_span(reference_span(pred))
                 chunks += 1
     assert chunks >= 9
@@ -240,6 +240,129 @@ def test_span_decode_buffers_stay_linear_in_the_chunk():
     assert peak < 400_000
 
 
+def eval_corpus(bench):
+    """Every language's eval examples as one corpus: more than two chunks,
+    the last one short, with word types shared across languages."""
+    examples = [ex for exs in bench.eval_sets.values() for ex in exs]
+    assert len(examples) > 2 * ev.EVAL_CHUNK and len(examples) % ev.EVAL_CHUNK
+    return examples
+
+
+def test_packing_take_equals_packing_of_the_taken_segmentations(tight_labeling_bench):
+    """``take`` selects sequences by array arithmetic alone; every field
+    equals a packing of the selected segmentations, for repeated, reversed
+    and scattered index lists and for slices, one running past the end."""
+    bench, res = tight_labeling_bench
+    rng = np.random.default_rng(16)
+    segs = [tok.sample_segment_words(res.vocab, ex.words, 0.5, rng) if k % 2 else
+            tok.viterbi_segment_words(res.vocab, ex.words)
+            for k, ex in enumerate(eval_corpus(bench))]
+    assert any(s.n_pieces > len(s.words) for s in segs)
+    packing = mdl.Packing.of(segs)
+    n = len(segs)
+    indexes = [list(range(n))[::-1], [3, 3, 0, 7, 3, 3], [5], list(range(1, n, 3))]
+    indexes += [rng.integers(0, n, int(rng.integers(1, 3 * n))).tolist() for _ in range(20)]
+    indexes += [rng.permutation(n)[:int(rng.integers(1, n))].tolist() for _ in range(20)]
+    for index in indexes:
+        assert_same_packing(packing.take(index), mdl.Packing.of([segs[i] for i in index]))
+    for chunk in (slice(0, n), slice(5, 20), slice(n - 10, n + ev.EVAL_CHUNK)):
+        assert_same_packing(packing.take(chunk), mdl.Packing.of(segs[chunk]))
+
+
+@pytest.fixture
+def eval_benches(small_classification_bench, tight_labeling_bench, small_span_bench):
+    return {"classification": small_classification_bench, "labeling": tight_labeling_bench,
+            "span": small_span_bench}
+
+
+def eval_model(task, pooling, benches):
+    """A bench of the task and a model at unit-ish scale on its vocabulary."""
+    bench, res = benches[task]
+    cfg = small_config(task=task, n_label=None if task == "span" else 3, pooling=pooling)
+    return bench, res, models(cfg, res, 17)[0]
+
+
+@pytest.mark.parametrize("task", ["classification", "labeling", "span"])
+def test_a_corpus_of_interned_word_types_packs_as_its_viterbi_segmentations(
+        task, eval_benches, monkeypatch):
+    """With the whole corpus in one chunk, the packing gathered from the
+    interned word types equals a packing of every example's Viterbi
+    segmentation."""
+    bench, res, params = eval_model(task, "first_subword", eval_benches)
+    examples = eval_corpus(bench)
+    seen, predict = [], ev.predict
+
+    def recording_predict(params, packing):
+        seen.append(packing)
+        return predict(params, packing)
+
+    monkeypatch.setattr(ev, "EVAL_CHUNK", len(examples))
+    monkeypatch.setattr(ev, "predict", recording_predict)
+    ev.score_corpus(params, examples, res.vocab)
+    (packing,) = seen
+    assert_same_packing(packing, mdl.Packing.of(
+        [tok.viterbi_segment_words(res.vocab, ex.words) for ex in examples]))
+
+
+def per_chunk_eval(params, examples, vocab):
+    """The decoded outputs and scores of the per-chunk eval path: Viterbi
+    per example, then a packing, ``predict`` and ``decode`` per chunk."""
+    decoded = []
+    for start in range(0, len(examples), ev.EVAL_CHUNK):
+        segs = [tok.viterbi_segment_words(vocab, ex.words)
+                for ex in examples[start:start + ev.EVAL_CHUNK]]
+        decoded.extend(ev.decode(mdl.predict(params, mdl.Packing.of(segs))))
+    gold = [ex.gold() for ex in examples]
+    if params.task == "classification":
+        return decoded, {"accuracy": ev.accuracy(decoded, gold)}
+    if params.task == "span":
+        f1, em = ev.span_f1_em(decoded, gold)
+        return decoded, {"f1": f1, "em": em, "score": (f1 + em) / 2}
+    acc, f1 = ev.tag_scores(decoded, gold)
+    return decoded, {"accuracy": acc, "f1": f1}
+
+
+@pytest.mark.parametrize("task,pooling", [("classification", "first_subword"),
+                                          ("labeling", "first_subword"),
+                                          ("labeling", "average"), ("span", "first_subword")])
+def test_score_corpus_equals_the_per_chunk_path(task, pooling, eval_benches, monkeypatch):
+    """Scoring from interned word types packs, decodes and scores as the
+    per-chunk path does, with one ``evaluate.predict`` per ``EVAL_CHUNK``
+    examples of each language."""
+    bench, res, params = eval_model(task, pooling, eval_benches)
+    examples = eval_corpus(bench)
+    want_decoded, want_scores = per_chunk_eval(params, examples, res.vocab)
+
+    packings, decoded = [], []
+    predict, decode = ev.predict, ev.decode
+
+    def recording_predict(params, packing):
+        packings.append(packing)
+        return predict(params, packing)
+
+    def recording_decode(prediction):
+        decoded.extend(out := decode(prediction))
+        return out
+
+    monkeypatch.setattr(ev, "predict", recording_predict)
+    monkeypatch.setattr(ev, "decode", recording_decode)
+    assert ev.score_corpus(params, examples, res.vocab) == want_scores
+    assert decoded == want_decoded
+    starts = range(0, len(examples), ev.EVAL_CHUNK)
+    assert len(packings) == len(starts)
+    for packing, start in zip(packings, starts):
+        assert_same_packing(packing, mdl.Packing.of(
+            [tok.viterbi_segment_words(res.vocab, ex.words)
+             for ex in examples[start:start + ev.EVAL_CHUNK]]))
+
+    packings.clear()
+    eval_sets = {"all": examples, **bench.eval_sets, "one": examples[:1]}
+    ev.evaluate_languages(params, eval_sets, res.vocab)
+    assert [len(p) for p in packings] == [
+        min(ev.EVAL_CHUNK, len(exs) - start) for exs in eval_sets.values()
+        for start in range(0, len(exs), ev.EVAL_CHUNK)]
+
+
 @pytest.mark.parametrize("task,corpus_strategy,pair_strategy", [
     ("classification", "GN", "MT"),
     ("labeling", "MT", "SS"),
@@ -272,10 +395,10 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
                                   views[:cfg.batch_size]))
         return views
 
-    def recording_predict(params, segs, noises=None):
+    def recording_predict(params, packing, noises=None):
         if params is student:
-            seen.setdefault("inputs", (list(segs), list(noises)))
-        return predict(params, segs, noises=noises)
+            seen.setdefault("inputs", (packing, list(noises)))
+        return predict(params, packing, noises=noises)
 
     def recording_adam(values, grads, state, lr):
         seen.setdefault("grads", [grads[k].copy() for k in student.tensors])
@@ -288,11 +411,10 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
                                  pair_strategy=pair_strategy, pair_weight=2.0, teacher=teacher,
                                  teacher_weight=0.5)
 
-    packed_segs, packed_noises = seen["inputs"]
+    packing, packed_noises = seen["inputs"]
     table, batch, views = seen["views"]
     n_items = cfg.batch_size
-    segs, noises = packed_segs[:n_items], packed_noises[:n_items]
-    assert segs == [table[i][1] for i in batch]
+    segs, noises = [table[i][1] for i in batch], packed_noises[:n_items]
     changed, pairs = [], []
     for k, view in enumerate(views):
         if view is None:
@@ -303,7 +425,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
         pairs.append((k, len(segs), modified))
         segs.append(vseg)
         noises.append(vnoise)
-    assert packed_segs == segs[:n_items] + [segs[j] for j in changed]
+    assert_same_packing(packing, mdl.Packing.of(segs[:n_items] + [segs[j] for j in changed]))
     assert all(a is b for a, b in zip(packed_noises, noises[:n_items]
                                       + [noises[j] for j in changed]))
     # an MT view is another language; at whole-word pieces most SS views,
@@ -331,10 +453,10 @@ def count_teacher_forwards(monkeypatch, teacher):
     sizes = []
     predict = tr.predict
 
-    def counting_predict(params, segs, noises=None):
+    def counting_predict(params, packing, noises=None):
         if params is teacher:
-            sizes.append(len(segs))
-        return predict(params, segs, noises=noises)
+            sizes.append(len(packing))
+        return predict(params, packing, noises=noises)
 
     monkeypatch.setattr(tr, "predict", counting_predict)
     return sizes
@@ -374,7 +496,7 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
               if getattr(it, "segmentation", None) is not None]
     assert all(a is b for a, b in pinned) and bool(pinned) == (task == "labeling")
     segs = [seg for _ex, seg, _gold, _noised in table]
-    rows = tr._teacher_rows(teacher, segs, [None] * len(segs))
+    rows = tr._teacher_rows(teacher, mdl.Packing.of(segs), [None] * len(segs))
     assert rows.counts.size == len(segs)
     for k, seg in enumerate(segs):
         item_rows = rows.take([k]).outputs
@@ -419,10 +541,10 @@ def test_gn_teacher_rows_follow_the_epoch_noise(small_classification_bench, monk
     inputs, targets = [], []
     predict, r2 = tr.predict, tr.model_consistency
 
-    def recording_predict(params, segs, noises=None):
+    def recording_predict(params, packing, noises=None):
         if params is student:
-            inputs.append((list(segs), list(noises)))
-        return predict(params, segs, noises=noises)
+            inputs.append((packing, list(noises)))
+        return predict(params, packing, noises=noises)
 
     def recording_r2(rows, pred):
         targets.append(rows)
@@ -435,9 +557,9 @@ def test_gn_teacher_rows_follow_the_epoch_noise(small_classification_bench, monk
     steps_per_epoch = len(trace) // cfg.epochs
     assert len(inputs) == len(targets) == len(trace) == 2 * steps_per_epoch
     for step in (steps_per_epoch, steps_per_epoch + 1):   # the second epoch's first steps
-        segs, noises = inputs[step]
+        packing, noises = inputs[step]
         assert any(noise is not None for noise in noises)
-        want = mdl.predict(teacher, segs, noises=noises).row_table()
+        want = mdl.predict(teacher, packing, noises=noises).row_table()
         got = targets[step]
         assert np.array_equal(got.counts, want.counts)
         for a, b in zip(got.outputs, want.outputs, strict=True):
@@ -502,7 +624,7 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
     span = mdl.ModelParams("span", len(res.vocab), 8, 48)
     a, b = (tok.viterbi_segment_words(res.vocab, ex.words) for ex in bench.train[:2])
     assert a.pieces != b.pieces
-    cons.example_consistency(mdl.predict(span, [a, b]),
+    cons.example_consistency(mdl.predict(span, mdl.Packing.of([a, b])), [a, b],
                              [(0, 1, [True] * len(a.words))])
     assert calls["aligned"] == 1
 

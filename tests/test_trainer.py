@@ -496,9 +496,9 @@ class TestUnchangedViews:
         sizes = []
         r1 = tr.example_consistency
 
-        def recording_r1(pred, pairs, drawn):
+        def recording_r1(pred, segs, pairs, drawn):
             sizes.append((len(pairs), drawn))
-            return r1(pred, pairs, drawn)
+            return r1(pred, segs, pairs, drawn)
 
         monkeypatch.setattr(tr, "example_consistency", recording_r1)
         trace, views = tr.run_stage(items, tr.init_params(cfg, res), cfg, res, "main",
