@@ -7,10 +7,12 @@ Every view is word-for-word except a translation: word w of the view stands
 for word w of its original.  A view records which words it modified, so the
 pair-consistency loss can restrict itself to unchanged positions.
 
-``subword_resample`` and ``code_switch`` take a list of examples and draw
+``subword_resample`` and ``code_switch`` take a flat word list and draw
 the views of all its words in one batched call: one lockstep FFBS draw, or
-one uniform block for the switch, dictionary and option picks.  The corpus
-builder and the trainer's per-epoch pair views both go through them.
+one uniform block for the switch, dictionary and option picks.  They return
+flat arrays (drawn records or words, and modified flags); the trainer's
+per-epoch pair views use them as they are, and only the corpus builder cuts
+them into one ``AugmentedExample`` per example.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import ne
 
 import numpy as np
 
@@ -236,21 +239,21 @@ def _split(examples, flat):
     return out
 
 
-def code_switch(examples, candidates, word_ratio, rng):
-    """One code-switched view per example: each word is replaced by a
+def code_switch(words, candidates, word_ratio, rng):
+    """A code-switched view of a flat word list: each word is replaced by a
     dictionary translation independently with probability ``word_ratio``;
-    words absent from all dictionaries are kept.
+    words absent from all dictionaries are kept.  Returns the view's words
+    (a new list) and its modified flags (a bool array).
 
     ``candidates`` is the dictionaries' ``SwitchCandidates``.  The draws
-    for all words of ``examples`` are one ``rng.random((words, 3))`` block:
-    word t switches when ``u[t, 0] < word_ratio`` and some dictionary lists
-    it, and then takes dictionary ``floor(u[t, 1] * n)`` of the n that list
-    it and option ``floor(u[t, 2] * m)`` of that dictionary's m (uniform up
-    to 2**-53).  The replacement language is drawn per word, so a view can
-    mix several target languages.  Labels carry over unchanged (word-for-word
+    for all words are one ``rng.random((words, 3))`` block: word t switches
+    when ``u[t, 0] < word_ratio`` and some dictionary lists it, and then
+    takes dictionary ``floor(u[t, 1] * n)`` of the n that list it and option
+    ``floor(u[t, 2] * m)`` of that dictionary's m (uniform up to 2**-53).
+    The replacement language is drawn per word, so a view can mix several
+    target languages.  Labels carry over unchanged (word-for-word
     substitution keeps per-word tags and span indices valid).
     """
-    words = [w for ex in examples for w in ex.words]
     types = candidates.types(words)
     u = rng.random((len(words), 3))
     switched = np.flatnonzero((u[:, 0] < word_ratio) & (candidates.n_dicts[types] > 0))
@@ -259,29 +262,23 @@ def code_switch(examples, candidates, word_ratio, rng):
         u[switched, 1] * candidates.n_dicts[covered]).astype(np.intp)
     option = candidates.first_option[row] + (
         u[switched, 2] * candidates.n_options[row]).astype(np.intp)
+    view = list(words)
     for t, o in zip(switched.tolist(), option.tolist()):
-        words[t] = candidates.options[o]
+        view[t] = candidates.options[o]
     modified = np.zeros(len(words), dtype=bool)
     modified[switched] = True
-    return [AugmentedExample(example=ex.with_words(view), strategy="CS", modified=flags)
-            for ex, view, flags in zip(examples, _split(examples, words),
-                                       _split(examples, modified.tolist()))]
+    return view, modified
 
 
-def subword_resample(examples, vocab, alpha, rng):
-    """One view per example with the same words, freshly segmented: one
-    ``sample_segment_words`` call over all words of ``examples``, in order.
-
-    Modified flags mark words whose sampled pieces differ from Viterbi.
+def subword_resample(words, vocab, alpha, rng):
+    """A fresh segmentation of a flat word list: one ``sample_segment_words``
+    call over all its words, in order.  Returns the drawn word records and
+    the modified flags (a bool array) of the words whose sampled pieces
+    differ from Viterbi.
     """
-    words = [w for ex in examples for w in ex.words]
     drawn = tok.sample_segment_words(vocab, words, alpha, rng).words
     reference = tok.viterbi_segment_words(vocab, words).words
-    modified = [a != b for a, b in zip(drawn, reference)]
-    return [AugmentedExample(example=ex.with_words(list(ex.words)), strategy="SS",
-                             modified=flags, segmentation=tok.Segmentation(records))
-            for ex, records, flags in zip(examples, _split(examples, drawn),
-                                          _split(examples, modified))]
+    return drawn, np.fromiter(map(ne, drawn, reference), bool, len(drawn))
 
 
 def gaussian_view(example):
@@ -383,14 +380,21 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
         raise ValueError("build_augmented_corpus: empty corpus")
     task = corpus[0].task
     missing = []
+    words = [w for ex in corpus for w in ex.words]
     if strategy.kind == "CS":
         if not dictionaries:
             raise StrategyError("CS corpus augmentation needs dictionaries")
-        augmented = code_switch(corpus, SwitchCandidates(dictionaries), strategy.word_ratio, rng)
+        view, modified = code_switch(words, SwitchCandidates(dictionaries), strategy.word_ratio,
+                                     rng)
+        augmented = [AugmentedExample(ex.with_words(part), "CS", flags) for ex, part, flags
+                     in zip(corpus, _split(corpus, view), _split(corpus, modified.tolist()))]
     elif strategy.kind == "SS":
         if vocab is None:
             raise StrategyError("SS corpus augmentation needs a vocabulary")
-        augmented = subword_resample(corpus, vocab, strategy.alpha, rng)
+        drawn, modified = subword_resample(words, vocab, strategy.alpha, rng)
+        augmented = [AugmentedExample(ex.with_words(list(ex.words)), "SS", flags,
+                                      tok.Segmentation(records)) for ex, records, flags
+                     in zip(corpus, _split(corpus, drawn), _split(corpus, modified.tolist()))]
     elif strategy.kind == "GN":
         augmented = [gaussian_view(example) for example in corpus]
     else:

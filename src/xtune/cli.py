@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import augment as aug
@@ -127,13 +128,17 @@ def cmd_tokenize(args):
         segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in corpus]
     else:
         rng = trainer.substream(args.seed, "tokenize")
-        segs = [view.segmentation for view in aug.subword_resample(corpus, vocab, args.alpha, rng)]
+        drawn, _modified = aug.subword_resample([w for ex in corpus for w in ex.words], vocab,
+                                                args.alpha, rng)
+        drawn = iter(drawn)
+        segs = [tok.Segmentation(list(islice(drawn, len(ex.words)))) for ex in corpus]
     with open(args.output, "w", encoding="utf-8") as fh:
         for ex, seg in zip(corpus, segs):
             fh.write(json.dumps({"id": ex.id, "pieces": seg.pieces,
                                  "word_index": seg.word_index},
                                 ensure_ascii=False, sort_keys=True) + "\n")
-    print(f"segmented {len(corpus)} examples into {args.output}")
+    print(f"segmented {len(corpus)} examples into {sum(seg.n_pieces for seg in segs)} pieces "
+          f"in {args.output}")
     return 0
 
 

@@ -49,22 +49,15 @@ def symmetric_kl(p_log, q_log, weights):
                   kl(ad.detach(q_log), p_log, weights))
 
 
-def aligned_words(seg_orig, seg_aug, modified):
-    """The words restricted span consistency compares.
-
-    The view is word-for-word: word w of one side stands for word w of the
-    other.  Word w is aligned when it is unmodified and identically
-    segmented in both views.
-    """
-    return [w for w, changed in enumerate(modified)
-            if not changed and seg_orig.words[w] == seg_aug.words[w]]
-
-
 def aligned_first_subword_positions(seg_orig, seg_aug, modified):
-    """The first-subword positions of the ``aligned_words`` on both sides."""
+    """The first-subword positions, on both sides, of the words restricted
+    span consistency compares.  The view is word-for-word: word w of one
+    side stands for word w of the other.  Word w is aligned when it is
+    unmodified and identically segmented in both views."""
     first_orig = seg_orig.first_subword_positions()
     first_aug = seg_aug.first_subword_positions()
-    words = aligned_words(seg_orig, seg_aug, modified)
+    words = [w for w, changed in enumerate(modified)
+             if not changed and seg_orig.words[w] == seg_aug.words[w]]
     return [first_orig[w] for w in words], [first_aug[w] for w in words]
 
 
@@ -73,7 +66,9 @@ def example_consistency(pred, segs, pairs, drawn=None):
 
     ``segs`` are the segmentations ``pred`` packs, in order.  ``pairs``
     lists (original, view, modified): two sequence indices into ``segs``,
-    then the view's modified-word flags.  Label distributions compare row
+    then the view's modified-word flags.  Only span extraction reads
+    segmentations and flags (the trainer passes None for them otherwise).
+    Label distributions compare row
     for row over the two sides' label rows in ``pred.rows``, which must be
     equally many: one class row (only there may the view be a translation)
     or one row per word, substituted words included.  Every view other than

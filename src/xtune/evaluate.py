@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tokenizer as tok
-from .model import Packing, layout_rows, predict
+from .model import Packing, predict
 
 # examples per packed eval forward: bounds the size of the forward's buffers
 EVAL_CHUNK = 64
@@ -125,7 +125,8 @@ def score_corpus(params, examples, vocab):
     first forward, an empty corpus, an uncovered word or an example over
     ``max_len`` raises a ValueError, the last two naming the example.  Each
     ``EVAL_CHUNK`` examples are then one forward over a packing gathered
-    from the type table, so no array spans the corpus's subword rows.
+    from the type table (``Packing.gather``), so no array spans the corpus's
+    subword rows.
     Returns a dict with the task's metrics ('accuracy' for classification;
     'f1'/'em'/'score' for spans; 'accuracy'/'f1' for labeling).
     """
@@ -148,10 +149,7 @@ def score_corpus(params, examples, vocab):
     decoded = []
     for start in range(0, len(examples), EVAL_CHUNK):
         end = min(start + EVAL_CHUNK, len(examples))
-        words = word_types[bounds[start]:bounds[end]]
-        pieces = table.word_lengths[words]
-        chunk = Packing(n_words[start:end], pieces,
-                        table.ids[layout_rows(table.first_rows[words], pieces)])
+        chunk = table.gather(n_words[start:end], word_types[bounds[start]:bounds[end]])
         decoded.extend(decode(predict(params, chunk)))
     gold = [ex.gold() for ex in examples]
     if params.task == "classification":

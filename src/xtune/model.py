@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -85,6 +86,14 @@ class ModelParams:
     def zero_grads(self):
         ad.zero_grads(self.parameters())
 
+    def flatten(self):
+        """Make the tensors' values views of one new flat vector, in order, and return it."""
+        parts = [t.data.ravel() for t in self.parameters()]
+        flat = np.concatenate(parts)
+        for t, a in zip(self.parameters(), np.cumsum([0] + [part.size for part in parts])):
+            t.data = flat[a:a + t.data.size].reshape(t.data.shape)
+        return flat
+
     def meta(self):
         """The checkpoint metadata: the architecture and the pooling."""
         return {"task": self.task, "vocab_size": self.vocab_size, "dim": self.dim,
@@ -103,7 +112,9 @@ class Packing:
     ``word_starts[k]:word_starts[k] + n_words[k]``.  Per row, ``seq`` is its
     sequence, ``positions`` its position there, ``ids`` its vocabulary id
     and ``word_of_row`` its word row; ``first_rows`` holds the row of each
-    word's first subword.
+    word's first subword.  The per-row arrays but ``ids`` are computed on
+    first use, so a packing read only by ``gather`` or ``take`` pays for no
+    row it does not read.
     """
 
     def __init__(self, n_words, word_lengths, ids):
@@ -116,9 +127,18 @@ class Packing:
         self.first_rows = bounds[:-1]
         self.starts = bounds[self.word_starts]
         self.lengths = bounds[self.word_starts + n_words] - self.starts
-        self.seq = np.repeat(np.arange(n_words.size), self.lengths)
-        self.positions = np.arange(self.seq.size) - self.starts[self.seq]
-        self.word_of_row = np.repeat(np.arange(word_lengths.size), word_lengths)
+
+    @cached_property
+    def seq(self):
+        return np.repeat(np.arange(self.n_words.size), self.lengths)
+
+    @cached_property
+    def positions(self):
+        return np.arange(self.seq.size) - self.starts[self.seq]
+
+    @cached_property
+    def word_of_row(self):
+        return np.repeat(np.arange(self.word_lengths.size), self.word_lengths)
 
     @classmethod
     def of(cls, segmentations):
@@ -128,11 +148,16 @@ class Packing:
                    np.array([len(ids) for _, ids in records], dtype=np.intp),
                    np.fromiter(chain.from_iterable(ids for _, ids in records), np.intp))
 
+    def gather(self, n_words, words):
+        """The packing of sequences of this packing's word rows ``words``, in
+        order: sequence k holds the next ``n_words[k]`` of them."""
+        pieces = self.word_lengths[words]
+        return Packing(n_words, pieces, self.ids[layout_rows(self.first_rows[words], pieces)])
+
     def take(self, index):
         """The sequences ``index`` (an index array or a slice) selects, in order."""
         n_words = self.n_words[index]
-        return Packing(n_words, self.word_lengths[layout_rows(self.word_starts[index], n_words)],
-                       self.ids[layout_rows(self.starts[index], self.lengths[index])])
+        return self.gather(n_words, layout_rows(self.word_starts[index], n_words))
 
     def __len__(self):
         return self.n_words.size

@@ -15,19 +15,22 @@ on the augmented corpus when R2 is on or the setting is translate-train-all.
 One master seed feeds named substreams so the modes share data order.
 
 A stage segments each item and puts its gold in loss coordinates once, at
-its start.  Every random draw of a stage happens at an epoch start: the
-shuffle, then the encode noise of every GN item and every pair view, each in
-one batched call in shuffled order.  A view is unchanged when it has its
-item's word records and neither side draws noise (``_unchanged``): under the
-deterministic forward its R1 term is KL(p || p) = 0 with a zero gradient, so
-it counts in R1's mean but is never packed.  A stochastic op added to the
-forward must join that condition.  With R2 on, the teacher's rows of every
-item are one table (cached distillation targets) of
+its start, and interns every word record into one stage record table: an
+item, and later a view, is a run of record ids.  Every random draw of a
+stage happens at an epoch start: the shuffle, then the encode noise of every
+GN item and every pair view, each in one batched call in shuffled order, the
+views as flat arrays over the epoch's words.  A view is unchanged when it
+has its item's record ids and neither side draws noise (``_unchanged``):
+under the deterministic forward its R1 term is KL(p || p) = 0 with a zero
+gradient, so it counts in R1's mean but is never packed.  A stochastic op
+added to the forward must join that condition.  With R2 on, the teacher's
+rows of every item are one table (cached distillation targets) of
 ``evaluate.EVAL_CHUNK``-sized forwards, built once per stage, or per epoch
-on the epoch's noise when the stage holds GN items.  A step then only slices
-its epoch's inputs, packs them and runs the student graph.  The run manifest
-records, per stage, the views drawn, missing and unchanged and what they
-changed (``_ViewStats``).
+on the epoch's noise when the stage holds GN items.  A step then gathers
+the packing of its items and changed views from the record table by their
+record ids, so no step walks a word record, and Adam updates the model's
+tensors as views of one flat vector.  The run manifest records, per stage,
+the views drawn, missing and unchanged and what they changed.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,10 +58,10 @@ from .augment import (
     subword_resample,
     validate_strategy,
 )
-from .consistency import aligned_words, example_consistency, model_consistency
+from .consistency import example_consistency, model_consistency
 from .data import TASKS
 from .evaluate import EVAL_CHUNK
-from .model import POOLINGS, ModelParams, Packing, RowTable, predict, task_loss
+from .model import POOLINGS, ModelParams, Packing, RowTable, layout_rows, predict, task_loss
 
 SETTINGS = ("cross-lingual-transfer", "translate-train-all")
 # (R1 example consistency, R2 model consistency) per training mode
@@ -149,8 +154,8 @@ class TrainConfig:
             except StrategyError as err:
                 raise StrategyError(f"{name}: {err}") from None
         for name, low in (("epochs", 1), ("batch_size", 1), ("dim", 1), ("max_len", 1),
-                          ("example_weight", 0), ("model_weight", 0), ("stage1_pair_weight", 0),
-                          ("noise_sigma", 0), ("ss_alpha", 0)):
+                          ("seed", 0), ("example_weight", 0), ("model_weight", 0),
+                          ("stage1_pair_weight", 0), ("noise_sigma", 0), ("ss_alpha", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.learning_rate <= 0:
@@ -206,33 +211,24 @@ class Resources:
 
 @dataclass
 class OptimizerState:
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
-    @classmethod
-    def for_params(cls, tensors):
-        return cls(
-            m={k: np.zeros_like(t.data) for k, t in tensors.items()},
-            v={k: np.zeros_like(t.data) for k, t in tensors.items()},
-        )
 
-
-def adam_step(values, grads, state, lr):
-    """One Adam update (with bias correction) applied in place."""
+def adam_step(values, tensors, state, lr):
+    """One Adam update (with bias correction), in place, of the flat vector
+    ``values`` that ``tensors`` view in order, from their gradients (zero
+    where none arrived)."""
+    grad = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                           for t in tensors])
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for name, value in values.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(value)
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    values -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 def lr_at(step, total, base, warmup_frac):
@@ -253,23 +249,59 @@ def _labeled(item):
     return (item.example if isinstance(item, AugmentedExample) else item).labeled
 
 
-def _stage_table(items, vocab, cfg):
-    """What stays fixed per item through a stage: (example, segmentation,
-    gold in loss coordinates or None when unlabeled, whether it draws
-    encode noise).
+class _StageTable:
+    """What stays fixed per item through a stage, and the stage's records.
 
-    A subword-resampled item keeps its pinned segmentation; any other item
-    is Viterbi-segmented.  A GN item draws fresh encode noise every epoch.
+    Item k is ``examples[k]`` with segmentation ``segs[k]`` (the pinned draw
+    of a subword-resampled item, else Viterbi), gold in loss coordinates
+    ``golds[k]`` (None when unlabeled) and ``noised[k]`` set when it draws
+    fresh encode noise every epoch (a GN item).  Each distinct word record of
+    the items and their views gets an id, first seen first: record r is
+    ``records[r]`` and word r of ``table``, a one-sequence ``Packing``, so
+    sequences given as record ids pack by ``table.gather``.  ``packing``
+    packs the items in order, so item k's words are the records
+    ``rids[packing.word_starts[k]:][:packing.n_words[k]]``.
     """
-    table = []
-    for item in items:
-        ex, seg, noised = item, None, False
-        if isinstance(item, AugmentedExample):
-            ex, seg = item.example, item.segmentation
-            noised = item.strategy == "GN" and cfg.noise_sigma > 0
-        seg = seg or tok.viterbi_segment_words(vocab, ex.words)
-        table.append((ex, seg, _gold_for(ex, seg) if _labeled(item) else None, noised))
-    return table
+
+    def __init__(self, items, vocab, cfg):
+        self.vocab, self.examples, self.segs, self.golds, noised = vocab, [], [], [], []
+        for item in items:
+            ex, seg, flag = item, None, False
+            if isinstance(item, AugmentedExample):
+                ex, seg = item.example, item.segmentation
+                flag = item.strategy == "GN" and cfg.noise_sigma > 0
+            seg = seg or tok.viterbi_segment_words(vocab, ex.words)
+            self.examples.append(ex)
+            self.segs.append(seg)
+            self.golds.append(_gold_for(ex, seg) if _labeled(item) else None)
+            noised.append(flag)
+        self.noised = np.array(noised, dtype=bool)
+        self.records, self._ids, self._viterbi, self._table = [], {}, {}, None
+        self.rids = self.intern([r for seg in self.segs for r in seg.words])
+        self.words = np.array([w for ex in self.examples for w in ex.words], dtype=object)
+        self.packing = self.table.gather(np.array([len(seg.words) for seg in self.segs],
+                                                  dtype=np.intp), self.rids)
+
+    def intern(self, records):
+        """Each record's id, numbering the records not seen before."""
+        ids = self._ids
+        rids = np.fromiter((ids.setdefault(r, len(ids)) for r in records), np.intp, len(records))
+        self.records += islice(ids, len(self.records), None)
+        return rids
+
+    def viterbi(self, words):
+        """The id of each word's Viterbi record: one ``viterbi_segment_words``
+        call segments the words not seen before."""
+        known = self._viterbi
+        if new := list(dict.fromkeys(w for w in words if w not in known)):
+            known.update(zip(new, self.intern(tok.viterbi_segment_words(self.vocab, new).words)))
+        return np.fromiter(map(known.__getitem__, words), np.intp, len(words))
+
+    @property
+    def table(self):
+        if self._table is None or self._table.word_lengths.size < len(self.records):
+            self._table = Packing.of([tok.Segmentation(self.records)])
+        return self._table
 
 
 def _teacher_rows(teacher, packing, noises):
@@ -281,79 +313,65 @@ def _teacher_rows(teacher, packing, noises):
                           for chunk in chunks])
 
 
-def _encode_noise(segs, cfg, rng):
-    """Per segmentation, in order, an (n_pieces, dim) encode-noise block of one draw."""
-    sizes = [seg.n_pieces for seg in segs]
-    noise = rng.normal(0.0, cfg.noise_sigma, (sum(sizes), cfg.dim))
+def _encode_noise(sizes, cfg, rng):
+    """Per size, in order, a (size, dim) encode-noise block of one draw."""
+    noise = rng.normal(0.0, cfg.noise_sigma, (int(sizes.sum()), cfg.dim))
     return np.split(noise, np.cumsum(sizes)[:-1])
 
 
-def _epoch_views(table, order, kind, cfg, res, rng):
+class _Views(NamedTuple):
+    """An epoch's pair views in the epoch's order: view p has ``n_words[p]``
+    words (none when no view exists), whose record ids and modified flags
+    follow the earlier views' in ``rids`` and ``modified``, and encode noise
+    ``noises[p]`` (``noises`` is None when no view draws any)."""
+
+    n_words: np.ndarray
+    rids: np.ndarray
+    modified: np.ndarray
+    noises: list | None
+
+
+def _epoch_views(stage, order, kind, cfg, res, rng):
     """The pair view of every item of an epoch, in ``order``, drawn in one
-    batched call per kind: (view segmentation, view encode noise, modified
-    flags) per item, or None when no view exists (an MT item with no other
-    language).  A translation flags every word as modified, as
-    ``translate`` does.
-    """
-    examples = [table[i][0] for i in order]
-    if kind == "SS":
-        return [(view.segmentation, None, view.modified)
-                for view in subword_resample(examples, res.vocab, cfg.ss_alpha, rng)]
-    if kind == "CS":
-        views = code_switch(examples, res.switch_candidates, cfg.cs_word_ratio, rng)
-        return [(tok.viterbi_segment_words(res.vocab, view.example.words), None, view.modified)
-                for view in views]
+    batched call over the epoch's words, as ``_Views``.  An MT item with no
+    other language has no view, and a translation flags every word as
+    modified, as ``translate`` does."""
+    n_words = stage.packing.n_words[order]
+    rows = layout_rows(stage.packing.word_starts[order], n_words)   # the items' words
     if kind == "GN":
-        segs = [table[i][1] for i in order]
-        return [(seg, rows, [False] * len(seg.words))
-                for seg, rows in zip(segs, _encode_noise(segs, cfg, rng))]
+        return _Views(n_words, stage.rids[rows], np.zeros(rows.size, dtype=bool),
+                      _encode_noise(stage.packing.lengths[order], cfg, rng))
+    words = stage.words[rows].tolist()
+    if kind == "SS":
+        drawn, modified = subword_resample(words, res.vocab, cfg.ss_alpha, rng)
+        return _Views(n_words, stage.intern(drawn), modified, None)
+    if kind == "CS":
+        view, modified = code_switch(words, res.switch_candidates, cfg.cs_word_ratio, rng)
+        return _Views(n_words, stage.viterbi(view), modified, None)
     # MT: render the same underlying example in another language
-    views = []
-    for ex, u in zip(examples, rng.random(len(examples)).tolist()):
-        langs = [l for l in res.store.languages_for(base_id(ex.id)) if l != ex.language]
-        if not langs:
-            views.append(None)
-            continue
-        words, _label = res.store.get(base_id(ex.id), langs[int(u * len(langs))])
-        views.append((tok.viterbi_segment_words(res.vocab, words), None, [True] * len(words)))
-    return views
+    n_words, words = np.zeros(len(order), dtype=np.intp), []
+    for p, u in enumerate(rng.random(len(order)).tolist()):
+        ex = stage.examples[order[p]]
+        if langs := [l for l in res.store.languages_for(base_id(ex.id)) if l != ex.language]:
+            view, _label = res.store.get(base_id(ex.id), langs[int(u * len(langs))])
+            n_words[p] = len(view)
+            words += view
+    return _Views(n_words, stage.viterbi(words), np.ones(len(words), dtype=bool), None)
 
 
-def _unchanged(row, view):
-    """Whether a drawn view is its ``_stage_table`` row's input: the same word
-    records (not ``modified`` flags: a pinned-SS item's view flags are
-    relative to Viterbi) and encode noise on neither side."""
-    return view is not None and view[1] is None and not row[3] and view[0].words == row[1].words
-
-
-class _ViewStats:
-    """Per-stage counts of the pair views drawn: the ``views`` record of the
-    run manifest."""
-
-    def __init__(self):
-        self.drawn = self.missing = self.unchanged = self.words = self.modified = self.empty = 0
-        self.missing_ids = set()
-
-    def count(self, table, order, views, unchanged, task):
-        self.unchanged += sum(unchanged)
-        for i, view in zip(order.tolist(), views):
-            ex, seg = table[i][:2]
-            if view is None:
-                self.missing += 1
-                self.missing_ids.add(ex.id)
-                continue
-            vseg, _noise, modified = view
-            self.drawn += 1
-            self.words += len(modified)
-            self.modified += sum(modified)
-            if task == "span" and seg.words != vseg.words:
-                self.empty += not aligned_words(seg, vseg, modified)
-
-    def summary(self, steps):
-        return {"steps": steps, "views_drawn": self.drawn, "views_missing": self.missing,
-                "missing_ids": sorted(self.missing_ids), "unchanged_views": self.unchanged,
-                "modified_word_share": self.modified / self.words if self.words else None,
-                "empty_alignments": self.empty}
+def _unchanged(stage, order, views):
+    """Per view, by comparing record ids: whether it is its item's input
+    (has the item's records, not ``modified`` flags: a pinned-SS item's view
+    flags are relative to Viterbi, and no encode noise on either side),
+    whether it has its item's records, and how many of its words are aligned
+    (unmodified, with the item's record; none for another word count)."""
+    n = views.n_words * (views.n_words == stage.packing.n_words[order])
+    owner = np.repeat(np.arange(n.size), n)
+    view_rows = layout_rows(np.cumsum(views.n_words) - views.n_words, n)
+    equal = stage.rids[layout_rows(stage.packing.word_starts[order], n)] == views.rids[view_rows]
+    same = (n > 0) & (np.bincount(owner, ~equal, n.size) == 0)
+    aligned = np.bincount(owner, equal & ~views.modified[view_rows], n.size)
+    return same & ~stage.noised[order] & (views.noises is None), same, aligned
 
 
 def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_weight=0.0,
@@ -363,17 +381,19 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     Every per-batch loss is mean task NLL over labeled items, plus
     ``pair_weight`` times the mean pair-consistency over views, plus
     ``teacher_weight`` times the mean teacher KL over all items.  Each
-    item's segmentation and gold are computed once at the stage start
-    (``_stage_table``).  Every random draw happens at an epoch start: the
-    shuffle, the GN items' encode noise (``_encode_noise``) and the pair views
-    (``_epoch_views``).  With a teacher, every item's rows (``_teacher_rows``)
-    are computed once per stage, or at each epoch start when the stage holds
-    GN items.  A batch's items and then their changed views go through the
-    student as one packed forward.  An unchanged view (``_unchanged``) gives a
+    item's segmentation, gold and record ids are computed once at the stage
+    start (``_StageTable``).  Every random draw happens at an epoch start:
+    the shuffle, the GN items' encode noise (``_encode_noise``) and the pair
+    views (``_epoch_views``).  An item or drawn view over ``max_len`` raises
+    there, naming its item.  With a teacher, every item's rows
+    (``_teacher_rows``) are computed once per stage, or at each epoch start
+    when the stage holds GN items.  A batch's items and then their changed
+    views go through the student as one packed forward, gathered from the
+    record table.  An unchanged view (``_unchanged``) gives a
     deterministic forward its item's input, so its R1 term is exactly zero
     with zero gradient: it counts in the pair mean and the trace's ``pairs``
     but is never packed.  Returns a per-step trace of the separate components
-    and the stage's view statistics (``_ViewStats.summary``).
+    and the stage's view statistics (the manifest's ``views`` record).
     """
     if teacher is not None and not params.same_architecture(teacher):
         raise ValueError("teacher and student architectures differ")
@@ -395,28 +415,56 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
     total_steps = cfg.epochs * steps_per_epoch
     # very short runs: keep at least one warmup step
     warmup_frac = max(cfg.warmup_frac, 1.0 / total_steps)
-    state = OptimizerState.for_params(params.tensors)
-    table = _stage_table(items, res.vocab, cfg)
-    item_segs = [seg for _, seg, _, _ in table]
-    item_packing = Packing.of(item_segs) if use_teacher else None
+    values = params.flatten()
+    state = OptimizerState(np.zeros(values.size), np.zeros(values.size))
+    stage = _StageTable(items, res.vocab, cfg)
     item_noises = [None] * n
     teacher_table = None
     trace = []
-    stats = _ViewStats()
+    counts = dict.fromkeys(("views_drawn", "views_missing", "unchanged_views", "empty_alignments",
+                            "words", "modified"), 0)   # the manifest's ``views`` record
+    missing_ids = set()
     step = 0
 
     for _epoch in range(cfg.epochs):
         order = batch_rng.permutation(n)
-        noised = [i for i in order.tolist() if table[i][3]]
-        for i, rows in zip(noised, _encode_noise([item_segs[i] for i in noised], cfg, noise_rng)):
+        noised = order[stage.noised[order]]
+        for i, rows in zip(noised.tolist(), _encode_noise(stage.packing.lengths[noised], cfg,
+                                                          noise_rng)):
             item_noises[i] = rows
-        if use_teacher and (noised or teacher_table is None):
-            teacher_table = _teacher_rows(teacher, item_packing, item_noises)
-        views, unchanged = [None] * n, [False] * n
+        views = _Views(np.zeros(n, dtype=np.intp), stage.rids[:0], np.zeros(0, dtype=bool), None)
         if use_pairs:
-            views = _epoch_views(table, order, pair_strategy, cfg, res, view_rng)
-            unchanged = [_unchanged(table[i], view) for i, view in zip(order.tolist(), views)]
-            stats.count(table, order, views, unchanged, cfg.task)
+            views = _epoch_views(stage, order, pair_strategy, cfg, res, view_rng)
+        # the epoch's sequences as record ids: the items, then their views in the epoch's order
+        seq_words = np.concatenate((stage.packing.n_words, views.n_words))
+        seq_rids = np.concatenate((stage.rids, views.rids))
+        seq_first = np.cumsum(seq_words) - seq_words
+        pieces = np.concatenate(([0], np.cumsum(stage.table.word_lengths[seq_rids])))
+        lengths = pieces[seq_first + seq_words] - pieces[seq_first]
+        if (over := np.flatnonzero(lengths > params.max_len)).size:
+            k = over[0]
+            ex = stage.examples[k if k < n else order[k - n]]
+            raise ValueError(f"example {ex.id!r}: {'input' if k < n else f'{pair_strategy} view'} "
+                             f"of {lengths[k]} subwords exceeds max_len {params.max_len}")
+        if use_teacher and (noised.size or teacher_table is None):
+            teacher_table = _teacher_rows(teacher, stage.packing, item_noises)
+        unchanged, same, aligned = _unchanged(stage, order, views)
+        drawn = views.n_words > 0
+        changed = drawn & ~unchanged
+        if use_pairs:
+            missing_ids.update(stage.examples[i].id for i in order[~drawn].tolist())
+            empty = (cfg.task == "span") & drawn & ~same & (aligned == 0)
+            for key, value in zip(counts, (drawn, ~drawn, unchanged, empty, views.n_words,
+                                           views.modified)):
+                counts[key] += int(value.sum())
+        view_noises = views.noises or [None] * n
+        view_segs = view_flags = [None] * n
+        if cfg.task == "span":   # only span R1 reads a pair's segmentations and flags
+            ends = np.cumsum(views.n_words).tolist()
+            bounds = list(zip([0] + ends, ends))
+            view_segs = [tok.Segmentation([stage.records[r] for r in views.rids[a:b].tolist()])
+                         for a, b in bounds]
+            view_flags = [views.modified[a:b].tolist() for a, b in bounds]
         for b in range(steps_per_epoch):
             chunk = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             batch = order[chunk]
@@ -424,20 +472,20 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
             lr = lr_at(step, total_steps, cfg.learning_rate, warmup_frac)
             params.zero_grads()
 
-            segs = [item_segs[i] for i in batch]
-            noises = [item_noises[i] for i in batch]
-            gold = [table[i][2] for i in batch]
-            pairs = []
-            for k, (view, same) in enumerate(zip(views[chunk], unchanged[chunk])):
-                if view is not None and not same:
-                    vseg, vnoise, modified = view
-                    pairs.append((k, len(segs), modified))
-                    segs.append(vseg)
-                    noises.append(vnoise)
-            drawn = len(batch) - views[chunk].count(None)
+            ks = np.flatnonzero(changed[chunk])
+            index = np.concatenate((batch, n + chunk.start + ks))
+            n_words = seq_words[index]
+            packing = stage.table.gather(n_words, seq_rids[layout_rows(seq_first[index], n_words)])
+            batch_items, paired = batch.tolist(), (chunk.start + ks).tolist()
+            pairs = [(k, len(batch_items) + j, view_flags[p])
+                     for j, (k, p) in enumerate(zip(ks.tolist(), paired))]
+            noises = [item_noises[i] for i in batch_items] + [view_noises[p] for p in paired]
+            segs = [stage.segs[i] for i in batch_items] + [view_segs[p] for p in paired]
+            gold = [stage.golds[i] for i in batch_items]
+            n_drawn = int(np.count_nonzero(drawn[chunk]))
 
             n_labeled = sum(g is not None for g in gold)
-            pred = predict(params, Packing.of(segs), noises=noises)
+            pred = predict(params, packing, noises=noises)
 
             parts = {"task": 0.0, "example_consistency": 0.0, "model_consistency": 0.0}
             total = None
@@ -446,7 +494,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 parts["task"] = node.item()
                 total = node
             if pairs:
-                node = example_consistency(pred, segs, pairs, drawn)
+                node = example_consistency(pred, segs, pairs, n_drawn)
                 parts["example_consistency"] = node.item()
                 weighted = ad.scale(node, pair_weight)
                 total = weighted if total is None else ad.add(total, weighted)
@@ -455,7 +503,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 parts["model_consistency"] = node.item()
                 weighted = ad.scale(node, teacher_weight)
                 total = weighted if total is None else ad.add(total, weighted)
-            if total is None and drawn:   # only unchanged views: Adam steps on zero gradients
+            if total is None and n_drawn:   # only unchanged views: Adam steps on zero gradients
                 total = ad.constant(0.0)
 
             total_value = 0.0
@@ -467,14 +515,14 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                         f"(components {parts})"
                     )
                 ad.backward(total)
-                adam_step({k: t.data for k, t in params.tensors.items()},
-                          {k: t.grad for k, t in params.tensors.items()},
-                          state, lr)
+                adam_step(values, params.parameters(), state, lr)
 
             trace.append({"step": step, "lr": lr, "total": total_value, **parts,
                           "labeled": n_labeled, "unlabeled": len(batch) - n_labeled,
-                          "pairs": drawn})
-    return trace, stats.summary(len(trace))
+                          "pairs": n_drawn})
+    words, modified = counts.pop("words"), counts.pop("modified")
+    return trace, {"steps": len(trace), **counts, "missing_ids": sorted(missing_ids),
+                   "modified_word_share": modified / words if words else None}
 
 
 def _gold_for(ex, seg):

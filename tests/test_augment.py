@@ -25,12 +25,17 @@ def dictionary(entries, src="en", tgt="fr"):
 
 
 def code_switch(example, dictionaries, word_ratio, rng):
-    view, = aug.code_switch([example], aug.SwitchCandidates(dictionaries), word_ratio, rng)
+    """The corpus builder's code-switched view of one example."""
+    strategy = aug.AugmentationStrategy("CS", word_ratio=word_ratio)
+    view, = aug.build_augmented_corpus([example], strategy, rng,
+                                       dictionaries=dictionaries).augmented
     return view
 
 
 def subword_resample(example, vocab, alpha, rng):
-    view, = aug.subword_resample([example], vocab, alpha, rng)
+    """The corpus builder's subword-resampled view of one example."""
+    strategy = aug.AugmentationStrategy("SS", alpha=alpha)
+    view, = aug.build_augmented_corpus([example], strategy, rng, vocab=vocab).augmented
     return view
 
 
@@ -107,13 +112,23 @@ class TestCodeSwitch:
                              for w in rng.choice(vocab + ["oov"], int(rng.integers(1, 9)))]
                     examples.append(example(words=words, task="labeling", label=None,
                                             n_label=3, tags=[0] * len(words)))
-                before = [list(ex.words) for ex in examples]
+                words = [w for ex in examples for w in ex.words]
+                before = list(words)
                 ratio = float(rng.choice([0.0, 0.3, 1.0]))
-                got = aug.code_switch(examples, candidates, ratio, got_rng)
-                assert got == ref.code_switch(examples, dictionaries, ratio, want_rng)
+                got, modified = aug.code_switch(words, candidates, ratio, got_rng)
+                want = ref.code_switch(examples, dictionaries, ratio, want_rng)
+                assert got == [w for view in want for w in view.example.words]
+                assert modified.tolist() == [flag for view in want for flag in view.modified]
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
-                assert [ex.words for ex in examples] == before
-                assert all(view.example is not ex for view, ex in zip(got, examples))
+                assert words == before and got is not words
+                if examples:   # the corpus builder cuts the same draws into copied examples
+                    strategy = aug.AugmentationStrategy("CS", word_ratio=ratio)
+                    views = aug.build_augmented_corpus(examples, strategy,
+                                                       np.random.default_rng(trial),
+                                                       dictionaries=dictionaries).augmented
+                    assert views == ref.code_switch(examples, dictionaries, ratio,
+                                                    np.random.default_rng(trial))
+                    assert all(view.example is not ex for view, ex in zip(views, examples))
 
 
 class TestSubwordResample:

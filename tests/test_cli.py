@@ -119,6 +119,7 @@ def test_mode_defaults_to_xtune():
     ({"mt_languages": "xx"}, [], "mt_languages: expected a list of strings, got 'xx'"),
     ({"learning_rate": "0.1"}, [], "learning_rate: expected float, got '0.1'"),
     ({"preset": "xnli"}, ["learning_rate=nan"], "learning_rate must be finite, got nan"),
+    ({"preset": "xnli", "seed": -1}, [], "seed must be >= 0, got -1"),
 ])
 def test_bad_config_fails_cleanly(extra, overrides, message, tmp_path, capsys):
     config = write_config(tmp_path / "config.json", tmp_path / "missing-data", **extra)
@@ -418,6 +419,22 @@ def test_eval_rejects_a_checkpoint_of_another_vocabulary_size(vocab_size, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(f"error: {checkpoint}: checkpoint of {vocab_size} pieces does not fit")
     assert str(vocab) in err and "Traceback" not in err
+
+
+def test_train_names_the_first_example_over_max_len(tmp_path, capsys):
+    # found at the stage start, before the first forward
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    vocab = tok.load_vocab(data_dir / "vocab.tsv")
+    first = data.load_jsonl(data_dir / "train.jsonl", "classification")[0]
+    pieces = tok.viterbi_segment_words(vocab, first.words).n_pieces
+    assert pieces > 3
+    config = write_config(tmp_path / "config.json", data_dir, preset="xnli", max_len=3)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(config), "--mode", "xtune",
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: example {first.id!r}: input of {pieces} subwords exceeds max_len 3\n"
 
 
 def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):

@@ -51,12 +51,19 @@ def packing_of(n_pieces):
     return mdl.Packing.of([tok.Segmentation([(("a",), (0,))] * n_pieces)])
 
 
+# every array of a Packing: built in __init__, then computed on first use
+PACKING_FIELDS = ("n_words", "word_lengths", "ids", "word_starts", "first_rows", "starts",
+                  "lengths", "seq", "positions", "word_of_row")
+
+
 def assert_same_packing(got, want):
-    """Two packings hold the same arrays, field for field."""
-    assert vars(got).keys() == vars(want).keys()
-    for name, value in vars(want).items():
-        assert vars(got)[name].dtype == value.dtype, name
-        assert np.array_equal(vars(got)[name], value), name
+    """Two packings hold the same arrays, field for field, the ones computed
+    on first use included."""
+    for name in PACKING_FIELDS:
+        value = getattr(want, name)
+        assert getattr(got, name).dtype == value.dtype, name
+        assert np.array_equal(getattr(got, name), value), name
+    assert vars(got).keys() == vars(want).keys() == set(PACKING_FIELDS)
 
 
 def prediction(task, packing, *outputs):

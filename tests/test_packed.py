@@ -2,6 +2,7 @@
 reference in ``reference.py``, and the module attributes the benchmark's
 tracer and host-speed probe hook."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 from functools import partial
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from xtune import augment as aug
 from xtune import autodiff as ad
 from xtune import consistency as cons
 from xtune import evaluate as ev
@@ -20,7 +22,7 @@ from xtune import trainer as tr
 import reference as ref
 from conftest import build_benchmark
 from test_model import assert_same_packing, copy_params, prediction, rescale_params
-from test_trainer import small_config
+from test_trainer import small_config, stage_rows, view_tuples
 
 # float64; fixed before the packed path was written
 RTOL, ATOL = 1e-10, 1e-12
@@ -81,7 +83,8 @@ def mixed_batch(bench, res, cfg, kinds, rng, n_items=9):
     """Items of several lengths, every fourth unlabeled and every third with
     encode noise, each followed in the packing by a view of a kind that
     cycles through ``kinds``."""
-    table = tr._stage_table(bench.train[:n_items], res.vocab, cfg)
+    stage = tr._StageTable(bench.train[:n_items], res.vocab, cfg)
+    table = stage_rows(stage)
     segs, noises, gold, views = [], [], [], []
     for k, (ex, seg, _gold, _noised) in enumerate(table):
         segs.append(seg)
@@ -89,7 +92,8 @@ def mixed_batch(bench, res, cfg, kinds, rng, n_items=9):
         gold.append(None if k % 4 == 1 else tr._gold_for(ex, seg))
     for kind in kinds:
         order = np.flatnonzero([kinds[k % len(kinds)] == kind for k in range(len(table))])
-        for k, view in zip(order.tolist(), tr._epoch_views(table, order, kind, cfg, res, rng)):
+        drawn = tr._epoch_views(stage, order, kind, cfg, res, rng)
+        for k, view in zip(order.tolist(), view_tuples(stage, drawn)):
             if view is not None:
                 views.append((k,) + view)
     pairs = []
@@ -389,10 +393,10 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     seen = {}
     predict, adam, epoch_views = tr.predict, tr.adam_step, tr._epoch_views
 
-    def recording_views(table, order, *args):
-        views = epoch_views(table, order, *args)
-        seen.setdefault("views", (table, order[:cfg.batch_size].tolist(),
-                                  views[:cfg.batch_size]))
+    def recording_views(stage, order, *args):
+        views = epoch_views(stage, order, *args)
+        seen.setdefault("views", (stage_rows(stage), order[:cfg.batch_size].tolist(),
+                                  view_tuples(stage, views)[:cfg.batch_size]))
         return views
 
     def recording_predict(params, packing, noises=None):
@@ -400,9 +404,10 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
             seen.setdefault("inputs", (packing, list(noises)))
         return predict(params, packing, noises=noises)
 
-    def recording_adam(values, grads, state, lr):
-        seen.setdefault("grads", [grads[k].copy() for k in student.tensors])
-        return adam(values, grads, state, lr)
+    def recording_adam(values, tensors, state, lr):
+        assert tensors == student.parameters()
+        seen.setdefault("grads", [t.grad.copy() for t in tensors])
+        return adam(values, tensors, state, lr)
 
     monkeypatch.setattr(tr, "_epoch_views", recording_views)
     monkeypatch.setattr(tr, "predict", recording_predict)
@@ -444,7 +449,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
         np.testing.assert_allclose(trace[0][key], node.item(), rtol=RTOL, atol=ATOL)
     total = ad.add(task_node, ad.add(ad.scale(pair_node, 2.0), ad.scale(teacher_node, 0.5)))
     np.testing.assert_allclose(trace[0]["total"], total.item(), rtol=RTOL, atol=ATOL)
-    for got, want in zip(seen["grads"], gradients(start, total)):
+    for got, want in zip(seen["grads"], gradients(start, total), strict=True):
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
 
@@ -491,12 +496,13 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
     assert sum(sizes) == len(items) and max(sizes) == ev.EVAL_CHUNK
     assert all(row["model_consistency"] > 0 for row in trace)
 
-    table = tr._stage_table(items, res.vocab, cfg)
-    pinned = [(it.segmentation, seg) for it, (_ex, seg, _gold, _noised) in zip(items, table)
+    stage = tr._StageTable(items, res.vocab, cfg)
+    pinned = [(it.segmentation, seg) for it, seg in zip(items, stage.segs)
               if getattr(it, "segmentation", None) is not None]
     assert all(a is b for a, b in pinned) and bool(pinned) == (task == "labeling")
-    segs = [seg for _ex, seg, _gold, _noised in table]
-    rows = tr._teacher_rows(teacher, mdl.Packing.of(segs), [None] * len(segs))
+    segs = stage.segs
+    assert_same_packing(stage.packing, mdl.Packing.of(segs))
+    rows = tr._teacher_rows(teacher, stage.packing, [None] * len(segs))
     assert rows.counts.size == len(segs)
     for k, seg in enumerate(segs):
         item_rows = rows.take([k]).outputs
@@ -639,3 +645,108 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
         assert calls["trainer.run_stage"] == stages, mode
         assert calls["trainer.build_augmented_corpus"] == corpora, mode
         assert calls["zero_grads"] >= stages, mode
+
+
+class RecordingStore:
+    """A translation store that keeps every translation it hands out, in order."""
+
+    def __init__(self, store):
+        self.store, self.handed = store, []
+
+    def languages_for(self, example_id):
+        return self.store.languages_for(example_id)
+
+    def get(self, example_id, language):
+        entry = self.store.get(example_id, language)
+        self.handed.append(entry[0])
+        return entry
+
+
+def split_by(flat, counts):
+    """``flat`` cut into consecutive runs of ``counts[k]`` entries."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+PAIR_KINDS = [(task, kind) for task in ("classification", "labeling", "span")
+              for kind in ("SS", "GN", "CS", "MT") if kind != "MT" or task == "classification"]
+
+
+@pytest.mark.parametrize("task,kind", PAIR_KINDS)
+def test_every_step_packing_is_the_packing_of_its_segmentations(task, kind, eval_benches,
+                                                                 monkeypatch):
+    """Over one epoch of items (originals, noised GN items and pinned SS
+    items), every step's packing, gathered from the stage record table, is
+    ``Packing.of`` of the step's items and changed views, rebuilt from the
+    draws themselves; and the unchanged mask, from record ids, is the
+    record-list comparison: the view's word records are its item's and
+    neither side draws encode noise."""
+    bench, res = eval_benches[task]
+    cfg = small_config(task=task, n_label=None if task == "span" else 3, epochs=1,
+                       pooling="average" if task == "labeling" else "first_subword",
+                       noise_sigma=0.3, ss_alpha=0.5, cs_word_ratio=0.15)
+    corpora = {strategy: tr._build_corpus(bench.train[:12], dataclasses.replace(
+        cfg, corpus_strategy=strategy), res).augmented for strategy in ("GN", "SS")}
+    items = list(bench.train[12:36]) + corpora["GN"] + corpora["SS"]
+    store = RecordingStore(res.store)
+    res = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=store)
+    draws, seen, student = [], {}, tr.init_params(cfg, res)
+    epoch_views, predict = tr._epoch_views, tr.predict
+
+    def recording(draw):
+        def recorded(*args):
+            draws.append(out := draw(*args))
+            return out
+        return recorded
+
+    def recording_views(stage, order, *args):
+        seen["stage"], seen["order"] = stage, order
+        seen["views"] = views = epoch_views(stage, order, *args)
+        return views
+
+    def recording_predict(params, packing, noises=None):
+        if params is student:
+            seen.setdefault("steps", []).append((packing, list(noises)))
+        return predict(params, packing, noises=noises)
+
+    monkeypatch.setattr(tr, "code_switch", recording(tr.code_switch))
+    monkeypatch.setattr(tr, "subword_resample", recording(tr.subword_resample))
+    monkeypatch.setattr(tr, "_epoch_views", recording_views)
+    monkeypatch.setattr(tr, "predict", recording_predict)
+    trace, _views = tr.run_stage(items, student, cfg, res, "main", pair_strategy=kind,
+                                 pair_weight=1.0)
+
+    order, views = seen["order"].tolist(), seen["views"]
+    segs = [it.segmentation or tok.viterbi_segment_words(res.vocab, it.example.words)
+            if isinstance(it, aug.AugmentedExample) else
+            tok.viterbi_segment_words(res.vocab, it.words) for it in items]
+    noised = [getattr(it, "strategy", None) == "GN" for it in items]
+    counts = [len(segs[i].words) for i in order]
+    if kind == "CS":
+        ((words, _modified),) = draws
+        view_segs = [tok.viterbi_segment_words(res.vocab, w) for w in split_by(words, counts)]
+    elif kind == "SS":
+        ((drawn, _modified),) = draws
+        view_segs = [tok.Segmentation(r) for r in split_by(drawn, counts)]
+    elif kind == "GN":
+        view_segs = [segs[i] for i in order]
+    else:
+        handed = iter(store.handed)
+        view_segs = [tok.viterbi_segment_words(res.vocab, next(handed)) for _ in order]
+    unchanged = [kind != "GN" and not noised[i] and view.words == segs[i].words
+                 for i, view in zip(order, view_segs)]
+    assert tr._unchanged(seen["stage"], seen["order"], views)[0].tolist() == unchanged
+    if kind in ("CS", "SS"):
+        assert 0 < sum(unchanged) < len(unchanged)
+
+    steps = seen["steps"]
+    assert len(steps) == len(trace) == -(-len(items) // cfg.batch_size)
+    for b, (packing, noises) in enumerate(steps):
+        chunk = range(b * cfg.batch_size, min((b + 1) * cfg.batch_size, len(items)))
+        batch = [order[p] for p in chunk]
+        changed = [p for p in chunk if not unchanged[p]]
+        assert_same_packing(packing, mdl.Packing.of([segs[i] for i in batch]
+                                                    + [view_segs[p] for p in changed]))
+        assert [noise is not None for noise in noises] == (
+            [noised[i] for i in batch] + [kind == "GN"] * len(changed))
+        assert trace[b]["pairs"] == len(chunk)

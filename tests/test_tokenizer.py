@@ -419,7 +419,8 @@ class TestWordPieces:
         for trial in range(100):
             words = random_words(rng, int(rng.integers(1, 9)))
             example = Example(id=f"e{trial}", language="en", task="span", words=words)
-            view, = aug.subword_resample([example], vocab, 0.5, rng)
+            drawn, flags = aug.subword_resample(words, vocab, 0.5, rng)
+            view = aug.AugmentedExample(example, "SS", flags.tolist(), tok.Segmentation(drawn))
             seg = tok.viterbi_segment_words(vocab, words)
             assert view.modified == [scan_pieces_of_word(view.segmentation, w)
                                      != scan_pieces_of_word(seg, w) for w in range(len(words))]

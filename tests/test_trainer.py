@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from xtune import augment as aug
+from xtune import autodiff as ad
 from xtune import consistency as cons
 from xtune import trainer as tr
 from xtune import model as mdl
@@ -41,19 +42,50 @@ class TestSchedule:
 
 class TestAdam:
     def test_first_step_moves_against_gradient(self):
-        values = {"w": np.array([1.0, 2.0])}
-        grads = {"w": np.array([0.5, -0.5])}
-        state = tr.OptimizerState.for_params(
-            {"w": type("T", (), {"data": values["w"]})()})
-        tr.adam_step(values, grads, state, lr=0.1)
+        values = np.array([1.0, 2.0])
+        w = ad.Tensor(values)
+        w.grad = np.array([0.5, -0.5])
+        state = tr.OptimizerState(m=np.zeros(2), v=np.zeros(2))
+        tr.adam_step(values, [w], state, lr=0.1)
         assert state.step == 1
-        assert values["w"][0] < 1.0 and values["w"][1] > 2.0
+        assert values[0] < 1.0 and values[1] > 2.0
 
     def test_missing_grad_treated_as_zero(self):
-        values = {"w": np.array([1.0])}
-        state = tr.OptimizerState(m={"w": np.zeros(1)}, v={"w": np.zeros(1)})
-        tr.adam_step(values, {"w": None}, state, lr=0.1)
-        assert values["w"][0] == 1.0
+        values = np.array([1.0])
+        state = tr.OptimizerState(m=np.zeros(1), v=np.zeros(1))
+        tr.adam_step(values, [ad.Tensor(values)], state, lr=0.1)
+        assert values[0] == 1.0
+
+    def test_flat_update_equals_the_per_tensor_update_bit_for_bit(self):
+        """Over several steps on random tensors, one of them without a
+        gradient, the one flat update moves every value, moment and tensor
+        view as the former per-tensor update did, bit for bit."""
+        rng = np.random.default_rng(4)
+        params = mdl.ModelParams("span", 7, 3, 5, rng=rng)
+        for t in params.parameters():
+            t.data = rng.normal(0.0, 1.0, t.data.shape)
+        want = {k: t.data.copy() for k, t in params.tensors.items()}
+        m = {k: np.zeros_like(v) for k, v in want.items()}
+        v = {k: np.zeros_like(value) for k, value in want.items()}
+        values = params.flatten()
+        state = tr.OptimizerState(np.zeros(values.size), np.zeros(values.size))
+        for step in range(1, 8):
+            lr = 0.05 * step
+            for name, t in params.tensors.items():
+                t.grad = None if name == "mix_bias" else rng.normal(0.0, 1.0, t.data.shape)
+            grads = {k: t.grad for k, t in params.tensors.items()}
+            tr.adam_step(values, params.parameters(), state, lr)
+            c1, c2 = 1.0 - tr.ADAM_BETA1 ** step, 1.0 - tr.ADAM_BETA2 ** step
+            for name, value in want.items():   # the per-tensor update
+                g = np.zeros_like(value) if grads[name] is None else grads[name]
+                m[name] = tr.ADAM_BETA1 * m[name] + (1.0 - tr.ADAM_BETA1) * g
+                v[name] = tr.ADAM_BETA2 * v[name] + (1.0 - tr.ADAM_BETA2) * g * g
+                value -= lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + tr.ADAM_EPS)
+            assert state.step == step
+            for got, moments in ((values, want), (state.m, m), (state.v, v)):
+                assert np.array_equal(got, np.concatenate([x.ravel() for x in moments.values()]))
+            for name, t in params.tensors.items():
+                assert np.array_equal(t.data, want[name]) and np.shares_memory(t.data, values)
 
 
 class TestPresets:
@@ -96,6 +128,23 @@ def small_config(task="classification", **kw):
     )
     defaults.update(kw)
     return tr.TrainConfig(**defaults)
+
+
+def stage_rows(stage):
+    """A ``_StageTable``'s items as (example, segmentation, gold, noised) rows."""
+    return list(zip(stage.examples, stage.segs, stage.golds, stage.noised.tolist()))
+
+
+def view_tuples(stage, views):
+    """An epoch's ``_Views`` as (segmentation, encode noise, modified flags)
+    per view, or None where no view exists."""
+    out = []
+    first = np.cumsum(views.n_words) - views.n_words
+    for p, (a, n) in enumerate(zip(first.tolist(), views.n_words.tolist())):
+        out.append((tok.Segmentation([stage.records[r] for r in views.rids[a:a + n]]),
+                    None if views.noises is None else views.noises[p],
+                    views.modified[a:a + n].tolist()) if n else None)
+    return out
 
 
 def stage1_teacher(train, cfg, res):
@@ -152,6 +201,30 @@ class TestStageComposition:
         teacher_again, _ = stage1_teacher(bench.train, cfg, res)
         again = checkpoint_bytes(teacher_again, tmp_path, "again.ckpt")
         assert before == again
+
+    def test_trained_values_round_trip_and_the_teacher_stays_frozen(
+            self, small_classification_bench, tmp_path):
+        """After a stage, the tensors (views of the stage's flat vector) hold
+        the trained values a checkpoint round trip gives back; a stage-2
+        student trained against a stage-1 teacher leaves the teacher's
+        tensors as stage 1 left them."""
+        bench, res = small_classification_bench
+        cfg = small_config()
+        teacher, _trace = stage1_teacher(bench.train, cfg, res)
+        frozen = {k: t.data.copy() for k, t in teacher.tensors.items()}
+        student = tr.init_params(cfg, res)
+        start = {k: t.data.copy() for k, t in student.tensors.items()}
+        tr.run_stage(list(bench.train), student, cfg, res, "main", pair_strategy="CS",
+                     pair_weight=1.0, teacher=teacher, teacher_weight=1.0)
+        for params in (teacher, student):
+            mdl.save_params(params, tmp_path / "params.ckpt")
+            loaded = mdl.load_params(tmp_path / "params.ckpt")
+            assert list(loaded.tensors) == list(params.tensors)
+            for name, t in params.tensors.items():
+                assert np.array_equal(loaded.tensors[name].data, t.data), name
+        for name, t in teacher.tensors.items():
+            assert np.array_equal(t.data, frozen[name]), name
+        assert not any(np.array_equal(t.data, start[k]) for k, t in student.tensors.items())
 
     def test_loss_decomposition_identity(self, small_classification_bench):
         bench, res = small_classification_bench
@@ -342,6 +415,7 @@ class TestConfigValidation:
         ("stage1_pair_weight", -1.0),
         ("dim", 0),
         ("max_len", 0),
+        ("seed", -1),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -357,6 +431,41 @@ class TestConfigValidation:
     def test_unknown_pooling_rejected_by_model(self):
         with pytest.raises(ValueError, match="pooling 'avg'"):
             mdl.ModelParams("labeling", 10, 8, 48, n_label=3, pooling="avg")
+
+
+class TestMaxLen:
+    def test_a_drawn_view_over_max_len_names_its_item(self, small_classification_bench,
+                                                      monkeypatch):
+        """Every item fits; at the epoch start, the first view in the epoch's
+        order that does not is named by its item, before any step."""
+        bench, res = small_classification_bench
+        longest = max(tok.viterbi_segment_words(res.vocab, ex.words).n_pieces
+                      for ex in bench.train)
+        cfg = small_config(max_len=longest, ss_alpha=0.0)
+        seen = []
+        epoch_views, resample = tr._epoch_views, tr.subword_resample
+
+        def recording_views(stage, order, *args):
+            seen.append(order)
+            return epoch_views(stage, order, *args)
+
+        def recording_resample(*args):
+            seen.append(drawn := resample(*args))
+            return drawn
+
+        monkeypatch.setattr(tr, "_epoch_views", recording_views)
+        monkeypatch.setattr(tr, "subword_resample", recording_resample)
+        monkeypatch.setattr(tr, "predict", lambda *args, **kw: pytest.fail("a forward ran"))
+        with pytest.raises(ValueError) as raised:
+            tr.run_stage(list(bench.train), tr.init_params(cfg, res), cfg, res, "main",
+                         pair_strategy="SS", pair_weight=1.0)
+        order, (records, _modified) = seen
+        records, lengths = iter(records), []
+        for i in order.tolist():
+            lengths.append(sum(len(next(records)[1]) for _ in bench.train[i].words))
+        p = next(p for p, n in enumerate(lengths) if n > longest)
+        assert str(raised.value) == (f"example {bench.train[order[p]].id!r}: SS view of "
+                                     f"{lengths[p]} subwords exceeds max_len {longest}")
 
 
 class TestMtPairing:
@@ -390,22 +499,29 @@ class TestViewStatistics:
 
     @staticmethod
     def record_stages(monkeypatch):
-        """Per stage, the views each batched draw returned and the restricted
-        span alignments R1 found empty."""
+        """Per stage, the modified flags of each view the batched draws
+        returned, one list per view, and the restricted span alignments R1
+        found empty."""
         stages = []
-        run_stage = tr.run_stage
+        run_stage, epoch_views = tr.run_stage, tr._epoch_views
         aligned = cons.aligned_first_subword_positions
 
         def recording_stage(*args, **kwargs):
-            stages.append({"views": [], "empty": 0})
+            stages.append({"views": [], "draws": 0, "empty": 0})
             return run_stage(*args, **kwargs)
 
         def recording_draw(draw):
             def recorded(*args):
-                views = draw(*args)
-                stages[-1]["views"] += views
-                return views
+                stages[-1]["draws"] += 1
+                return draw(*args)
             return recorded
+
+        def recording_views(*args):
+            views = epoch_views(*args)
+            first = np.cumsum(views.n_words) - views.n_words
+            stages[-1]["views"] += [views.modified[a:a + n].tolist()
+                                    for a, n in zip(first, views.n_words)]
+            return views
 
         def recording_aligned(*args):
             positions = aligned(*args)
@@ -413,6 +529,7 @@ class TestViewStatistics:
             return positions
 
         monkeypatch.setattr(tr, "run_stage", recording_stage)
+        monkeypatch.setattr(tr, "_epoch_views", recording_views)
         monkeypatch.setattr(tr, "code_switch", recording_draw(tr.code_switch))
         monkeypatch.setattr(tr, "subword_resample", recording_draw(tr.subword_resample))
         monkeypatch.setattr(cons, "aligned_first_subword_positions", recording_aligned)
@@ -429,12 +546,12 @@ class TestViewStatistics:
         views = result.manifest["views"]
         assert list(views) == list(result.traces) == ["stage1", "stage2"]
         for (name, trace), seen in zip(result.traces.items(), stages):
-            flags = [flag for view in seen["views"] for flag in view.modified]
+            flags = [flag for view in seen["views"] for flag in view]
             drawn = sum(row["pairs"] for row in trace)
-            assert drawn == len(seen["views"])
+            assert drawn == len(seen["views"]) and seen["draws"] == cfg.epochs
             # every item of both stages is Viterbi-segmented and SS flags are
             # relative to Viterbi, so a view is unchanged when it flags no word
-            unchanged = sum(not any(view.modified) for view in seen["views"])
+            unchanged = sum(not any(view) for view in seen["views"])
             assert views[name] == {"steps": len(trace), "views_drawn": drawn,
                                    "views_missing": 0, "missing_ids": [],
                                    "unchanged_views": unchanged,
@@ -477,10 +594,11 @@ class TestUnchangedViews:
 
     @staticmethod
     def draw(items, kind, cfg, res):
-        table = tr._stage_table(items, res.vocab, cfg)
-        views = tr._epoch_views(table, np.arange(len(table)), kind, cfg, res,
-                                np.random.default_rng(0))
-        return table, views, [tr._unchanged(row, view) for row, view in zip(table, views)]
+        stage = tr._StageTable(items, res.vocab, cfg)
+        order = np.arange(len(items))
+        views = tr._epoch_views(stage, order, kind, cfg, res, np.random.default_rng(0))
+        unchanged, _same, _aligned = tr._unchanged(stage, order, views)
+        return stage_rows(stage), view_tuples(stage, views), unchanged.tolist()
 
     def test_a_noised_item_is_changed(self, small_classification_bench, monkeypatch):
         bench, res = small_classification_bench
