@@ -250,7 +250,8 @@ def load_config(path, overrides=()):
 
 def load_resources(data_dir, cfg):
     """Training examples, shared resources and input digests of a synth
-    output directory; fills the config's data-derived defaults."""
+    output directory; fills the config's data-derived defaults.  An
+    ``n_label`` below the training data's raises a ValueError."""
     languages = _read_languages(data_dir)
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
     dictionaries = []
@@ -262,8 +263,11 @@ def load_resources(data_dir, cfg):
     store_path = data_dir / "translations.jsonl"
     store = aug.TranslationStore.load(store_path) if store_path.exists() else None
     train = data.load_jsonl(data_dir / "train.jsonl", cfg.task)
-    if cfg.n_label is None:
-        cfg.n_label = max((ex.n_label or 0 for ex in train), default=0) or None
+    n_label = max((ex.n_label or 0 for ex in train), default=0) or None
+    cfg.n_label = cfg.n_label or n_label
+    if n_label and cfg.n_label < n_label:
+        raise ValueError(f"{data_dir / 'train.jsonl'}: n_label {cfg.n_label} is below the "
+                         f"training data's {n_label}")
     if not cfg.mt_languages:
         cfg.mt_languages = tuple(languages[1:])
     digests = {p.name: _sha256(p) for p in sorted(data_dir.iterdir()) if p.is_file()}

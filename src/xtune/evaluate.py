@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tokenizer as tok
-from .model import Packing, predict
+from .model import RecordTable, predict
 
 # examples per packed eval forward: bounds the size of the forward's buffers
 EVAL_CHUNK = 64
@@ -120,36 +119,30 @@ def decode(prediction):
 def score_corpus(params, examples, vocab):
     """Viterbi-segment, predict, decode and score one labeled corpus.
 
-    Words are interned to type ids, first seen first, and each type is
-    segmented once, as a word of one type-table ``Packing``.  Before the
-    first forward, an empty corpus, an uncovered word or an example over
-    ``max_len`` raises a ValueError, the last two naming the example.  Each
-    ``EVAL_CHUNK`` examples are then one forward over a packing gathered
-    from the type table (``Packing.gather``), so no array spans the corpus's
-    subword rows.
+    Every word is interned as its Viterbi record into one ``RecordTable``,
+    each distinct word segmented once.  Before the first forward, an empty
+    corpus, an uncovered word or an example over ``max_len`` raises a
+    ValueError, the last two naming the example.  Each ``EVAL_CHUNK``
+    examples are then one forward over a packing gathered from the table by
+    record id, so no array spans the corpus's subword rows.
     Returns a dict with the task's metrics ('accuracy' for classification;
     'f1'/'em'/'score' for spans; 'accuracy'/'f1' for labeling).
     """
     if not examples:
         raise ValueError("no examples to score")
-    types = {}
-    word_types = np.fromiter((types.setdefault(w, len(types))
-                              for ex in examples for w in ex.words), np.intp)
-    try:   # one sequence, a word per type
-        table = Packing.of([tok.viterbi_segment_words(vocab, list(types))])
-    except tok.CoverageError as err:
-        ex = next(ex for ex in examples if not vocab.alphabet.issuperset("".join(ex.words)))
-        raise ValueError(f"example {ex.id!r}: {err}") from None
+    table = RecordTable(vocab)
     n_words = np.array([len(ex.words) for ex in examples], dtype=np.intp)
+    rids = table.viterbi([w for ex in examples for w in ex.words], n_words,
+                         lambda k: f"example {examples[k].id!r}")
     bounds = np.concatenate(([0], np.cumsum(n_words)))   # each example's words
-    lengths = np.add.reduceat(table.word_lengths[word_types], bounds[:-1])
+    lengths = table.lengths(n_words, rids)
     if (over := np.flatnonzero(lengths > params.max_len)).size:
         raise ValueError(f"example {examples[over[0]].id!r}: input of {lengths[over[0]]} "
                          f"subwords exceeds max_len {params.max_len}")
     decoded = []
     for start in range(0, len(examples), EVAL_CHUNK):
         end = min(start + EVAL_CHUNK, len(examples))
-        chunk = table.gather(n_words[start:end], word_types[bounds[start]:bounds[end]])
+        chunk = table.pack(n_words[start:end], rids[bounds[start]:bounds[end]])
         decoded.extend(decode(predict(params, chunk)))
     gold = [ex.gold() for ex in examples]
     if params.task == "classification":

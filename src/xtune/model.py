@@ -9,7 +9,8 @@ rows of its sequences in one matrix, with the sequence and word of each.
 The encoder mixes no positions, so a packed forward equals the per-sequence
 forwards row for row; per-sequence work (pooling, span softmax) is a
 segment reduction, and a whole batch is one graph whose node count does
-not grow with the batch.
+not grow with the batch.  Training and eval intern every word record into a
+``RecordTable`` and gather their packings from it by record id.
 
 ``predict`` decides which rows each task's distributions lie on and returns
 them as ``Prediction.rows``, which the task loss, both regularizers and the
@@ -22,12 +23,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
+from . import tokenizer as tok
 from .data import TASKS
 
 POOLINGS = ("first_subword", "average")
@@ -163,6 +165,55 @@ class Packing:
         return self.n_words.size
 
 
+class RecordTable:
+    """Word records numbered first seen first: record r is ``records[r]``,
+    a ``tokenizer.Segmentation`` word record, and word r of one sequence's
+    ``Packing``.  Sequence k of ``n_words`` and record ids ``rids`` holds
+    the next ``n_words[k]`` ids.
+    """
+
+    def __init__(self, vocab):
+        self.vocab, self.records, self._ids, self._viterbi, self._words = vocab, [], {}, {}, None
+
+    def intern(self, records):
+        """Each record's id, numbering the records not seen before."""
+        ids = self._ids
+        rids = np.fromiter((ids.setdefault(r, len(ids)) for r in records), np.intp, len(records))
+        self.records += islice(ids, len(self.records), None)
+        return rids
+
+    def viterbi(self, words, n_words, name):
+        """The id of each word's Viterbi record: one ``viterbi_segment_words``
+        call segments the words not seen before.  An uncovered character
+        raises a ValueError led by ``name(k)``, k the first sequence of
+        ``n_words`` to hold one."""
+        known = self._viterbi
+        new = [w for w in dict.fromkeys(words) if w not in known]
+        try:
+            known.update(zip(new, self.intern(tok.viterbi_segment_words(self.vocab, new).words)))
+        except tok.CoverageError as err:
+            bad = next(t for t, w in enumerate(words) if not self.vocab.alphabet.issuperset(w))
+            raise ValueError(f"{name(np.searchsorted(np.cumsum(n_words), bad, 'right'))}: "
+                             f"{err}") from None
+        return np.fromiter(map(known.__getitem__, words), np.intp, len(words))
+
+    def _table(self):
+        """The records as one sequence's ``Packing``, rebuilt after additions."""
+        if self._words is None or self._words.word_lengths.size < len(self.records):
+            self._words = Packing.of([tok.Segmentation(self.records)])
+        return self._words
+
+    def pack(self, n_words, rids):
+        """The packing of the sequences."""
+        return self._table().gather(n_words, rids)
+
+    def lengths(self, n_words, rids):
+        """The subword count of each sequence."""
+        pieces = np.concatenate(([0], np.cumsum(self._table().word_lengths[rids])))
+        first = np.cumsum(n_words) - n_words
+        return pieces[first + n_words] - pieces[first]
+
+
 class RowTable(NamedTuple):
     """Log-probability rows of a list of sequences: tensors in a
     ``Prediction``, arrays in a ``Prediction.row_table``.
@@ -272,11 +323,14 @@ def task_loss(prediction, gold):
     """Mean negative log-likelihood over the sequences that carry a gold payload.
 
     ``gold`` has one entry per packed sequence: a label id (classification),
-    (start, end) subword indices within the sequence (span), a per-word tag
-    id sequence (labeling), or None for a sequence without a label.  Each
-    gold log-probability gets a constant weight, so the loss is one sum.  A
-    label id counts as a one-tag list: a labeled sequence's share is split
-    evenly over its label rows in ``prediction.rows``.
+    (start, end) word indices within the sequence (span, as
+    ``Example.gold`` gives and ``evaluate.decode`` returns them), a per-word
+    tag id sequence (labeling), or None for a sequence without a label.  A
+    span word's log-probabilities are those of its first-subword row in
+    ``prediction.packing``.  Each gold log-probability gets a constant
+    weight, so the loss is one sum.  A label id counts as a one-tag list: a
+    labeled sequence's share is split evenly over its label rows in
+    ``prediction.rows``.
     """
     first, counts, outputs = prediction.rows
     if len(gold) != counts.size:
@@ -287,17 +341,14 @@ def task_loss(prediction, gold):
     share = -1.0 / len(labeled)
 
     if prediction.task == "span":
-        start_log, end_log = outputs
-        w_start, w_end = np.zeros(start_log.shape), np.zeros(end_log.shape)
-        for k in labeled:
-            start, end = int(gold[k][0]), int(gold[k][1])
-            n = int(counts[k])
-            if not (0 <= start < n and 0 <= end < n):
-                raise ValueError(f"span ({start}, {end}) out of range for {n} positions")
-            w_start[first[k] + start] = share
-            w_end[first[k] + end] = share
-        return ad.add(ad.sum(ad.mul(start_log, ad.constant(w_start))),
-                      ad.sum(ad.mul(end_log, ad.constant(w_end))))
+        packing, spans = prediction.packing, np.array([gold[k] for k in labeled], dtype=np.intp)
+        n = packing.n_words[labeled]
+        if (bad := ((spans < 0) | (spans >= n[:, None])).any(axis=1)).any():
+            k = np.flatnonzero(bad)[0]
+            raise ValueError(f"span {tuple(spans[k].tolist())} out of range for {n[k]} words")
+        weights = np.zeros((2,) + outputs[0].shape)   # start and end weights
+        weights[[0, 1], packing.first_rows[packing.word_starts[labeled][:, None] + spans]] = share
+        return ad.add(*(ad.sum(ad.mul(out, ad.constant(w))) for out, w in zip(outputs, weights)))
 
     (log,) = outputs
     tags = [[gold[k]] if prediction.task == "classification" else gold[k] for k in labeled]

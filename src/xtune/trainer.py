@@ -14,23 +14,23 @@ Stage 1 runs only when R2 needs a teacher.  Stage 2 trains a fresh student
 on the augmented corpus when R2 is on or the setting is translate-train-all.
 One master seed feeds named substreams so the modes share data order.
 
-A stage segments each item and puts its gold in loss coordinates once, at
-its start, and interns every word record into one stage record table: an
-item, and later a view, is a run of record ids.  Every random draw of a
-stage happens at an epoch start: the shuffle, then the encode noise of every
-GN item and every pair view, each in one batched call in shuffled order, the
-views as flat arrays over the epoch's words.  A view is unchanged when it
-has its item's record ids and neither side draws noise (``_unchanged``):
-under the deterministic forward its R1 term is KL(p || p) = 0 with a zero
-gradient, so it counts in R1's mean but is never packed.  A stochastic op
-added to the forward must join that condition.  With R2 on, the teacher's
-rows of every item are one table (cached distillation targets) of
-``evaluate.EVAL_CHUNK``-sized forwards, built once per stage, or per epoch
-on the epoch's noise when the stage holds GN items.  A step then gathers
-the packing of its items and changed views from the record table by their
-record ids, so no step walks a word record, and Adam updates the model's
-tensors as views of one flat vector.  The run manifest records, per stage,
-the views drawn, missing and unchanged and what they changed.
+A stage interns the word records of its items, and later of their views,
+into one ``model.RecordTable``: an item or a view is a run of record ids,
+and a step packs its items and changed views from the table by record id,
+so no step walks a word record.  Gold stays as ``Example.gold`` gives it,
+span gold in word indices.  Every random draw of a stage happens at an
+epoch start: the shuffle, then the encode noise of every GN item and every
+pair view, each in one batched call in shuffled order.  A view is unchanged
+when it has its item's record ids and neither side draws noise
+(``_unchanged``): under the deterministic forward its R1 term is
+KL(p || p) = 0 with a zero gradient, so it counts in R1's mean but is never
+packed.  A stochastic op added to the forward must join that condition.
+With R2 on, the teacher's rows of every item are one table (cached
+distillation targets) of ``evaluate.EVAL_CHUNK``-sized forwards, built once
+per stage, or per epoch on the epoch's noise when the stage holds GN items.
+Adam updates the model's tensors as views of one flat vector.  The run
+manifest records, per stage, the views drawn, missing and unchanged and
+what they changed.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from . import tokenizer as tok
 from .augment import (
     STRATEGY_KINDS,
     AugmentationStrategy,
-    AugmentedExample,
     StrategyError,
     SwitchCandidates,
     base_id,
@@ -61,7 +60,7 @@ from .augment import (
 from .consistency import example_consistency, model_consistency
 from .data import TASKS
 from .evaluate import EVAL_CHUNK
-from .model import POOLINGS, ModelParams, Packing, RowTable, layout_rows, predict, task_loss
+from .model import POOLINGS, ModelParams, RecordTable, RowTable, layout_rows, predict, task_loss
 
 SETTINGS = ("cross-lingual-transfer", "translate-train-all")
 # (R1 example consistency, R2 model consistency) per training mode
@@ -154,10 +153,12 @@ class TrainConfig:
             except StrategyError as err:
                 raise StrategyError(f"{name}: {err}") from None
         for name, low in (("epochs", 1), ("batch_size", 1), ("dim", 1), ("max_len", 1),
-                          ("seed", 0), ("example_weight", 0), ("model_weight", 0),
+                          ("seed", 0), ("example_weight", 0), ("model_weight", 0), ("n_label", 1),
                           ("stage1_pair_weight", 0), ("noise_sigma", 0), ("ss_alpha", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+            if (value := getattr(self, name)) is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        if self.task != "labeling" and self.pooling != "first_subword":
+            raise ValueError(f"pooling {self.pooling!r} applies to labeling only, not {self.task}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.warmup_frac < 1.0:
@@ -245,63 +246,30 @@ def lr_at(step, total, base, warmup_frac):
 # Batch items
 
 
-def _labeled(item):
-    return (item.example if isinstance(item, AugmentedExample) else item).labeled
-
-
 class _StageTable:
     """What stays fixed per item through a stage, and the stage's records.
 
-    Item k is ``examples[k]`` with segmentation ``segs[k]`` (the pinned draw
-    of a subword-resampled item, else Viterbi), gold in loss coordinates
-    ``golds[k]`` (None when unlabeled) and ``noised[k]`` set when it draws
-    fresh encode noise every epoch (a GN item).  Each distinct word record of
-    the items and their views gets an id, first seen first: record r is
-    ``records[r]`` and word r of ``table``, a one-sequence ``Packing``, so
-    sequences given as record ids pack by ``table.gather``.  ``packing``
-    packs the items in order, so item k's words are the records
-    ``rids[packing.word_starts[k]:][:packing.n_words[k]]``.
+    Item k is ``examples[k]`` with gold ``golds[k]`` (None when unlabeled)
+    and ``noised[k]`` set when it draws fresh encode noise every epoch (a GN
+    item).  ``packing`` packs the items in order from their ``records`` ids
+    ``rids``: Viterbi's, or the pinned draw of a subword-resampled item.
     """
 
     def __init__(self, items, vocab, cfg):
-        self.vocab, self.examples, self.segs, self.golds, noised = vocab, [], [], [], []
-        for item in items:
-            ex, seg, flag = item, None, False
-            if isinstance(item, AugmentedExample):
-                ex, seg = item.example, item.segmentation
-                flag = item.strategy == "GN" and cfg.noise_sigma > 0
-            seg = seg or tok.viterbi_segment_words(vocab, ex.words)
-            self.examples.append(ex)
-            self.segs.append(seg)
-            self.golds.append(_gold_for(ex, seg) if _labeled(item) else None)
-            noised.append(flag)
-        self.noised = np.array(noised, dtype=bool)
-        self.records, self._ids, self._viterbi, self._table = [], {}, {}, None
-        self.rids = self.intern([r for seg in self.segs for r in seg.words])
-        self.words = np.array([w for ex in self.examples for w in ex.words], dtype=object)
-        self.packing = self.table.gather(np.array([len(seg.words) for seg in self.segs],
-                                                  dtype=np.intp), self.rids)
-
-    def intern(self, records):
-        """Each record's id, numbering the records not seen before."""
-        ids = self._ids
-        rids = np.fromiter((ids.setdefault(r, len(ids)) for r in records), np.intp, len(records))
-        self.records += islice(ids, len(self.records), None)
-        return rids
-
-    def viterbi(self, words):
-        """The id of each word's Viterbi record: one ``viterbi_segment_words``
-        call segments the words not seen before."""
-        known = self._viterbi
-        if new := list(dict.fromkeys(w for w in words if w not in known)):
-            known.update(zip(new, self.intern(tok.viterbi_segment_words(self.vocab, new).words)))
-        return np.fromiter(map(known.__getitem__, words), np.intp, len(words))
-
-    @property
-    def table(self):
-        if self._table is None or self._table.word_lengths.size < len(self.records):
-            self._table = Packing.of([tok.Segmentation(self.records)])
-        return self._table
+        self.examples = [getattr(item, "example", item) for item in items]
+        self.golds = [ex.gold() if ex.labeled else None for ex in self.examples]
+        self.noised = np.array([getattr(item, "strategy", None) == "GN" and cfg.noise_sigma > 0
+                                for item in items], dtype=bool)
+        words = [w for ex in self.examples for w in ex.words]
+        n_words = np.array([len(ex.words) for ex in self.examples], dtype=np.intp)
+        self.records = RecordTable(vocab)
+        self.rids = self.records.viterbi(words, n_words,
+                                         lambda k: f"example {self.examples[k].id!r}")
+        for k, start in enumerate((np.cumsum(n_words) - n_words).tolist()):
+            if pinned := getattr(items[k], "segmentation", None):   # a subword-resampled item
+                self.rids[start:start + n_words[k]] = self.records.intern(pinned.words)
+        self.words = np.array(words, dtype=object)
+        self.packing = self.records.pack(n_words, self.rids)
 
 
 def _teacher_rows(teacher, packing, noises):
@@ -335,7 +303,8 @@ def _epoch_views(stage, order, kind, cfg, res, rng):
     """The pair view of every item of an epoch, in ``order``, drawn in one
     batched call over the epoch's words, as ``_Views``.  An MT item with no
     other language has no view, and a translation flags every word as
-    modified, as ``translate`` does."""
+    modified, as ``translate`` does.  A CS or MT view with an uncovered
+    character raises a ValueError naming its item and the view kind."""
     n_words = stage.packing.n_words[order]
     rows = layout_rows(stage.packing.word_starts[order], n_words)   # the items' words
     if kind == "GN":
@@ -344,10 +313,11 @@ def _epoch_views(stage, order, kind, cfg, res, rng):
     words = stage.words[rows].tolist()
     if kind == "SS":
         drawn, modified = subword_resample(words, res.vocab, cfg.ss_alpha, rng)
-        return _Views(n_words, stage.intern(drawn), modified, None)
+        return _Views(n_words, stage.records.intern(drawn), modified, None)
+    name = lambda p: f"example {stage.examples[order[p]].id!r}: {kind} view"
     if kind == "CS":
         view, modified = code_switch(words, res.switch_candidates, cfg.cs_word_ratio, rng)
-        return _Views(n_words, stage.viterbi(view), modified, None)
+        return _Views(n_words, stage.records.viterbi(view, n_words, name), modified, None)
     # MT: render the same underlying example in another language
     n_words, words = np.zeros(len(order), dtype=np.intp), []
     for p, u in enumerate(rng.random(len(order)).tolist()):
@@ -356,7 +326,8 @@ def _epoch_views(stage, order, kind, cfg, res, rng):
             view, _label = res.store.get(base_id(ex.id), langs[int(u * len(langs))])
             n_words[p] = len(view)
             words += view
-    return _Views(n_words, stage.viterbi(words), np.ones(len(words), dtype=bool), None)
+    return _Views(n_words, stage.records.viterbi(words, n_words, name),
+                  np.ones(len(words), dtype=bool), None)
 
 
 def _unchanged(stage, order, views):
@@ -380,20 +351,13 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
 
     Every per-batch loss is mean task NLL over labeled items, plus
     ``pair_weight`` times the mean pair-consistency over views, plus
-    ``teacher_weight`` times the mean teacher KL over all items.  Each
-    item's segmentation, gold and record ids are computed once at the stage
-    start (``_StageTable``).  Every random draw happens at an epoch start:
-    the shuffle, the GN items' encode noise (``_encode_noise``) and the pair
-    views (``_epoch_views``).  An item or drawn view over ``max_len`` raises
-    there, naming its item.  With a teacher, every item's rows
-    (``_teacher_rows``) are computed once per stage, or at each epoch start
-    when the stage holds GN items.  A batch's items and then their changed
-    views go through the student as one packed forward, gathered from the
-    record table.  An unchanged view (``_unchanged``) gives a
-    deterministic forward its item's input, so its R1 term is exactly zero
-    with zero gradient: it counts in the pair mean and the trace's ``pairs``
-    but is never packed.  Returns a per-step trace of the separate components
-    and the stage's view statistics (the manifest's ``views`` record).
+    ``teacher_weight`` times the mean teacher KL over all items.  The
+    items are interned once, at the stage start (``_StageTable``).  The
+    shuffle, the GN items' encode noise (``_encode_noise``) and the pair
+    views (``_epoch_views``) are drawn at each epoch start, where an item or
+    drawn view over ``max_len`` raises, naming its item.  Returns a per-step
+    trace of the separate components and the stage's view statistics (the
+    manifest's ``views`` record).
     """
     if teacher is not None and not params.same_architecture(teacher):
         raise ValueError("teacher and student architectures differ")
@@ -439,8 +403,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
         seq_words = np.concatenate((stage.packing.n_words, views.n_words))
         seq_rids = np.concatenate((stage.rids, views.rids))
         seq_first = np.cumsum(seq_words) - seq_words
-        pieces = np.concatenate(([0], np.cumsum(stage.table.word_lengths[seq_rids])))
-        lengths = pieces[seq_first + seq_words] - pieces[seq_first]
+        lengths = stage.records.lengths(seq_words, seq_rids)
         if (over := np.flatnonzero(lengths > params.max_len)).size:
             k = over[0]
             ex = stage.examples[k if k < n else order[k - n]]
@@ -458,13 +421,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                                            views.modified)):
                 counts[key] += int(value.sum())
         view_noises = views.noises or [None] * n
-        view_segs = view_flags = [None] * n
-        if cfg.task == "span":   # only span R1 reads a pair's segmentations and flags
-            ends = np.cumsum(views.n_words).tolist()
-            bounds = list(zip([0] + ends, ends))
-            view_segs = [tok.Segmentation([stage.records[r] for r in views.rids[a:b].tolist()])
-                         for a, b in bounds]
-            view_flags = [views.modified[a:b].tolist() for a, b in bounds]
+        seq_modified = np.concatenate((np.zeros(stage.rids.size, dtype=bool), views.modified))
         for b in range(steps_per_epoch):
             chunk = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             batch = order[chunk]
@@ -475,12 +432,18 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
             ks = np.flatnonzero(changed[chunk])
             index = np.concatenate((batch, n + chunk.start + ks))
             n_words = seq_words[index]
-            packing = stage.table.gather(n_words, seq_rids[layout_rows(seq_first[index], n_words)])
+            rows = layout_rows(seq_first[index], n_words)
+            packing = stage.records.pack(n_words, seq_rids[rows])
             batch_items, paired = batch.tolist(), (chunk.start + ks).tolist()
-            pairs = [(k, len(batch_items) + j, view_flags[p])
-                     for j, (k, p) in enumerate(zip(ks.tolist(), paired))]
+            segs = flags = [None] * len(index)
+            if cfg.task == "span":   # only span R1 reads a pair's segmentations and flags
+                records = map(stage.records.records.__getitem__, seq_rids[rows].tolist())
+                modified = iter(seq_modified[rows].tolist())
+                segs = [tok.Segmentation(list(islice(records, m))) for m in n_words.tolist()]
+                flags = [list(islice(modified, m)) for m in n_words.tolist()]
+            pairs = [(k, len(batch_items) + j, flags[len(batch_items) + j])
+                     for j, k in enumerate(ks.tolist())]
             noises = [item_noises[i] for i in batch_items] + [view_noises[p] for p in paired]
-            segs = [stage.segs[i] for i in batch_items] + [view_segs[p] for p in paired]
             gold = [stage.golds[i] for i in batch_items]
             n_drawn = int(np.count_nonzero(drawn[chunk]))
 
@@ -525,18 +488,6 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                    "modified_word_share": modified / words if words else None}
 
 
-def _gold_for(ex, seg):
-    """Task gold in the coordinates the loss expects.
-
-    Span answers are word indices; the loss wants first-subword positions of
-    those words under the current segmentation.
-    """
-    if ex.task == "span":
-        first = seg.first_subword_positions()
-        return (first[ex.answer_start], first[ex.answer_end])
-    return ex.gold()
-
-
 # ---------------------------------------------------------------------------
 # Modes
 
@@ -558,7 +509,7 @@ def _train_stage(items, cfg, res, stage_label, pair_strategy, pair_weight, teach
     """A fresh model trained on ``items``; without a consistency term a stage
     sees the labeled items only."""
     if pair_strategy is None and teacher is None:
-        items = [it for it in items if _labeled(it)]
+        items = [it for it in items if getattr(it, "example", it).labeled]
     params = init_params(cfg, res)
     trace, views = run_stage(items, params, cfg, res, stage_label, pair_strategy=pair_strategy,
                              pair_weight=pair_weight, teacher=teacher,

@@ -120,6 +120,12 @@ def test_mode_defaults_to_xtune():
     ({"learning_rate": "0.1"}, [], "learning_rate: expected float, got '0.1'"),
     ({"preset": "xnli"}, ["learning_rate=nan"], "learning_rate must be finite, got nan"),
     ({"preset": "xnli", "seed": -1}, [], "seed must be >= 0, got -1"),
+    ({"preset": "xnli"}, ["n_label=-1"], "n_label must be >= 1, got -1"),
+    ({"preset": "xnli"}, ["n_label=0"], "n_label must be >= 1, got 0"),
+    ({"preset": "xnli"}, ["pooling=average"],
+     "pooling 'average' applies to labeling only, not classification"),
+    ({"preset": "xquad"}, ["pooling=average"],
+     "pooling 'average' applies to labeling only, not span"),
 ])
 def test_bad_config_fails_cleanly(extra, overrides, message, tmp_path, capsys):
     config = write_config(tmp_path / "config.json", tmp_path / "missing-data", **extra)
@@ -435,6 +441,68 @@ def test_train_names_the_first_example_over_max_len(tmp_path, capsys):
                      "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: example {first.id!r}: input of {pieces} subwords exceeds max_len 3\n"
+
+
+def train_without_a_forward(tmp_path, data_dir, monkeypatch, *overrides, mode="xtune"):
+    """``xtune train`` on ``data_dir``'s xnli preset, failing the test if any
+    forward runs; returns its exit code and stderr."""
+    monkeypatch.setattr(tr, "predict", lambda *args, **kwargs: pytest.fail("a forward ran"))
+    config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
+    argv = ["train", "--config", str(config), "--mode", mode, "--out", str(tmp_path / "run")]
+    for item in overrides:
+        argv += ["--set", item]
+    return cli.main(argv)
+
+
+def test_train_names_the_item_with_an_uncovered_character(tmp_path, capsys, monkeypatch):
+    # found at the stage start; a later item repeats the fault, the first is named
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    assert "Q" not in tok.load_vocab(data_dir / "vocab.tsv").alphabet
+    path = data_dir / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for k in (2, 5):
+        records[k]["words"][1] += "Q"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert train_without_a_forward(tmp_path, data_dir, monkeypatch) == 1
+    assert capsys.readouterr().err == (f"error: example {records[2]['id']!r}: character 'Q' "
+                                       "is not covered by the vocabulary\n")
+
+
+def test_train_names_the_item_of_a_code_switched_view_with_an_uncovered_character(
+        tmp_path, capsys, monkeypatch):
+    # every dictionary translation is uncovered and every word switches, so
+    # the first item of the first epoch's order is named, before any step
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    for path in data_dir.glob("dict.*.txt"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(line + "Q\n" for line in lines), encoding="utf-8")
+    train = data.load_jsonl(data_dir / "train.jsonl", "classification")
+    first = train[tr.substream(5, "main/batching").permutation(len(train))[0]]
+    capsys.readouterr()
+    assert train_without_a_forward(tmp_path, data_dir, monkeypatch, "cs_word_ratio=1",
+                                   mode="r1-only") == 1
+    assert capsys.readouterr().err == (f"error: example {first.id!r}: CS view: character 'Q' "
+                                       "is not covered by the vocabulary\n")
+
+
+def test_train_rejects_an_n_label_below_the_training_data(tmp_path, capsys, monkeypatch):
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    capsys.readouterr()
+    assert train_without_a_forward(tmp_path, data_dir, monkeypatch, "n_label=1") == 1
+    assert capsys.readouterr().err == (f"error: {data_dir / 'train.jsonl'}: n_label 1 is below "
+                                       "the training data's 2\n")
+    # at the data's count or above, training runs
+    monkeypatch.undo()
+    for n_label in (2, 3):
+        config = write_config(tmp_path / "config.json", data_dir, preset="xnli", n_label=n_label)
+        assert cli.main(["train", "--config", str(config), "--mode", "baseline",
+                         "--out", str(tmp_path / f"run{n_label}")]) == 0
+        manifest = json.loads((tmp_path / f"run{n_label}" / "manifest.json").read_text())
+        assert manifest["config"]["n_label"] == n_label
 
 
 def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):

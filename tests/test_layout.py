@@ -45,6 +45,7 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 SHARED = {
     "BilingualDictionary.n_words": "augment.load_dictionary",
     "Packing.take": "trainer._teacher_rows",
+    "RecordTable.lengths": "evaluate.score_corpus",
     "RowTable.take": "trainer.run_stage",
     "Segmentation.pieces": "cli.cmd_tokenize",
     "TrainConfig.strategy": "trainer._build_corpus",

@@ -61,14 +61,25 @@ def gradients(params, node):
             for t in params.parameters()]
 
 
+def reference_gold(task, segs, gold):
+    """``gold`` as ``reference.step_components`` takes it: a span's words
+    as their first-subword positions in the sequence's segmentation."""
+    if task != "span":
+        return gold
+    return [None if g is None else tuple(seg.first_subword_positions()[w] for w in g)
+            for seg, g in zip(segs, gold)]
+
+
 def assert_matches_reference(params, teacher, segs, noises, gold, pairs):
     """Each component's value and parameter gradients agree with the
-    per-example reference; every component is rebuilt before its backward
-    pass, so no two passes share intermediate nodes."""
+    per-example reference, which takes span gold in first-subword positions;
+    every component is rebuilt before its backward pass, so no two passes
+    share intermediate nodes."""
     args = (segs, noises, gold, pairs, teacher)
+    ref_args = (segs, noises, reference_gold(params.task, segs, gold), pairs, teacher)
     for c in range(3):
         got = packed_components(params, *args)[c]
-        want = ref.step_components(params, *args)[c]
+        want = ref.step_components(params, *ref_args)[c]
         assert (got is None) == (want is None)
         if got is None:
             continue
@@ -86,10 +97,10 @@ def mixed_batch(bench, res, cfg, kinds, rng, n_items=9):
     stage = tr._StageTable(bench.train[:n_items], res.vocab, cfg)
     table = stage_rows(stage)
     segs, noises, gold, views = [], [], [], []
-    for k, (ex, seg, _gold, _noised) in enumerate(table):
+    for k, (_ex, seg, item_gold, _noised) in enumerate(table):
         segs.append(seg)
         noises.append(rng.normal(0.0, 0.3, (seg.n_pieces, cfg.dim)) if k % 3 == 0 else None)
-        gold.append(None if k % 4 == 1 else tr._gold_for(ex, seg))
+        gold.append(None if k % 4 == 1 else item_gold)
     for kind in kinds:
         order = np.flatnonzero([kinds[k % len(kinds)] == kind for k in range(len(table))])
         drawn = tr._epoch_views(stage, order, kind, cfg, res, rng)
@@ -171,6 +182,43 @@ class TestAgainstReference:
         assert value.item() == 0.0
 
 
+def test_span_gold_in_word_indices_takes_each_words_first_subword_row():
+    """On multi-piece words, the stage's span gold (word indices) weighs the
+    rows the reference weighs at first-subword positions, for Viterbi items
+    and for pinned SS items whose draw moves the answer."""
+    bench, res = build_benchmark(task="span", vocab_size=50)
+    cfg = tr.TrainConfig(task="span", dim=8, max_len=64, ss_alpha=0.2)
+    targets = [exs for lang, exs in bench.eval_sets.items() if lang != "en"]
+    viterbi = [ex for exs in targets for ex in exs[:10]]
+    pinned = tr._build_corpus([ex for exs in targets for ex in exs[10:25]],
+                              dataclasses.replace(cfg, corpus_strategy="SS"), res).augmented
+    items = viterbi + pinned
+    segs = [tok.viterbi_segment_words(res.vocab, ex.words) for ex in viterbi]
+    segs += [it.segmentation for it in pinned]
+    examples = viterbi + [it.example for it in pinned]
+    gold = [ex.gold() for ex in examples]
+    positions = reference_gold("span", segs, gold)
+    assert any(p != g for p, g in zip(positions[:len(viterbi)], gold))
+    assert any(p != tuple(tok.viterbi_segment_words(res.vocab, ex.words)
+                          .first_subword_positions()[w] for w in g)
+               for p, ex, g in zip(positions[len(viterbi):], examples[len(viterbi):],
+                                   gold[len(viterbi):]))
+    stage = tr._StageTable(items, res.vocab, cfg)
+    assert stage.golds == gold
+    assert_same_packing(stage.packing, mdl.Packing.of(segs))
+    student = models(cfg, res, 22)[0]
+    got = mdl.task_loss(mdl.predict(student, stage.packing), stage.golds)
+    want = ref.step_components(student, segs, [None] * len(segs), positions, [])[0]
+    np.testing.assert_allclose(got.item(), want.item(), rtol=RTOL, atol=ATOL)
+    for g, w in zip(gradients(student, got), gradients(student, want)):
+        np.testing.assert_allclose(g, w, rtol=RTOL, atol=ATOL)
+    # a word past the last is rejected, though the sequence has that many rows
+    seg = next(seg for seg in segs if seg.n_pieces > len(seg.words))
+    n = len(seg.words)
+    with pytest.raises(ValueError, match=rf"span \(0, {n}\) out of range for {n} words"):
+        mdl.task_loss(mdl.predict(student, mdl.Packing.of([seg])), [(0, n)])
+
+
 # Span decode against ``reference.decode_span``.  Drawn from this alphabet,
 # equal values tie exactly, and -1 - 2**-52 ties -1.0 once an end is added:
 # -2 - 2**-52 rounds to -2.0.
@@ -250,6 +298,61 @@ def eval_corpus(bench):
     examples = [ex for exs in bench.eval_sets.values() for ex in exs]
     assert len(examples) > 2 * ev.EVAL_CHUNK and len(examples) % ev.EVAL_CHUNK
     return examples
+
+
+def test_record_table_numbers_records_first_seen_first(tight_labeling_bench, monkeypatch):
+    """Viterbi ids name the interned ``viterbi_segment_words`` records, first
+    seen first, each new word segmented in one call; interning drawn records
+    grows the table, which then packs and counts subwords for old and new
+    ids alike."""
+    bench, res = tight_labeling_bench
+    examples = [ex for exs in bench.eval_sets.values() for ex in exs[:8]]
+    words = [w for ex in examples for w in ex.words]
+    n_words = np.array([len(ex.words) for ex in examples], dtype=np.intp)
+    calls, viterbi = [], tok.viterbi_segment_words
+    monkeypatch.setattr(tok, "viterbi_segment_words",
+                        lambda vocab, ws: calls.append(list(ws)) or viterbi(vocab, ws))
+    table = mdl.RecordTable(res.vocab)
+    rids = table.viterbi(words, n_words, str)
+    records = viterbi(res.vocab, words).words
+    assert calls == [list(dict.fromkeys(words))]
+    assert table.records == list(dict.fromkeys(records))
+    assert [table.records[r] for r in rids.tolist()] == records
+    assert list(dict.fromkeys(rids.tolist())) == list(range(len(table.records)))
+    segs = [viterbi(res.vocab, ex.words) for ex in examples]
+    assert any(s.n_pieces > len(s.words) for s in segs)
+    assert table.lengths(n_words, rids).tolist() == [s.n_pieces for s in segs]
+    assert_same_packing(table.pack(n_words, rids), mdl.Packing.of(segs))
+
+    known = len(table.records)
+    drawn = tok.sample_segment_words(res.vocab, words, 0.5, np.random.default_rng(18)).words
+    drawn_ids = table.intern(drawn)
+    assert [table.records[r] for r in drawn_ids.tolist()] == drawn
+    new = [r for r in dict.fromkeys(drawn) if r not in records]
+    assert new and table.records[known:] == new   # numbered after the known ones
+    old = dict(zip(records, rids.tolist()))
+    assert all(old.get(r, i) == i for r, i in zip(drawn, drawn_ids.tolist()))
+    drawn_segs = [tok.Segmentation(part) for part in split_by(drawn, n_words)]
+    both = np.concatenate((n_words, n_words)), np.concatenate((rids, drawn_ids))
+    assert table.lengths(*both).tolist() == [s.n_pieces for s in segs + drawn_segs]
+    assert_same_packing(table.pack(*both), mdl.Packing.of(segs + drawn_segs))
+    # seen words are looked up, not segmented again
+    again = table.viterbi(words[::-1], n_words[::-1], str)
+    assert again.tolist() == rids.tolist()[::-1] and not any(calls[1:])
+
+
+def test_record_table_names_the_first_sequence_with_an_uncovered_character(
+        tight_labeling_bench):
+    bench, res = tight_labeling_bench
+    table = mdl.RecordTable(res.vocab)
+    word = bench.train[0].words[0]
+    assert "Q" not in res.vocab.alphabet
+    words = [word, word, word + "Q", "Q"]
+    # the first bad word ends a sequence, or starts one after an empty one
+    for n_words, k in (([1, 0, 2, 1], 2), ([1, 0, 1, 2], 3), ([1, 1, 0, 2], 3)):
+        with pytest.raises(ValueError, match=f"^sequence {k}: character 'Q' is not covered"):
+            table.viterbi(words, np.array(n_words), lambda k: f"sequence {k}")
+    assert table.records == []   # nothing was interned
 
 
 def test_packing_take_equals_packing_of_the_taken_segmentations(tight_labeling_bench):
@@ -443,7 +546,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     assert trace[0]["labeled"] + trace[0]["unlabeled"] == n_items
     assert trace[0]["pairs"] == len(pairs) > 0
     task_node, pair_node, teacher_node = ref.step_components(
-        start, segs, noises, gold, pairs, teacher)
+        start, segs, noises, reference_gold(task, segs, gold), pairs, teacher)
     for key, node in (("task", task_node), ("example_consistency", pair_node),
                       ("model_consistency", teacher_node)):
         np.testing.assert_allclose(trace[0][key], node.item(), rtol=RTOL, atol=ATOL)
@@ -497,10 +600,10 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
     assert all(row["model_consistency"] > 0 for row in trace)
 
     stage = tr._StageTable(items, res.vocab, cfg)
-    pinned = [(it.segmentation, seg) for it, seg in zip(items, stage.segs)
+    segs = [seg for _ex, seg, _gold, _noised in stage_rows(stage)]
+    pinned = [(it.segmentation, seg) for it, seg in zip(items, segs)
               if getattr(it, "segmentation", None) is not None]
-    assert all(a is b for a, b in pinned) and bool(pinned) == (task == "labeling")
-    segs = stage.segs
+    assert all(a.words == b.words for a, b in pinned) and bool(pinned) == (task == "labeling")
     assert_same_packing(stage.packing, mdl.Packing.of(segs))
     rows = tr._teacher_rows(teacher, stage.packing, [None] * len(segs))
     assert rows.counts.size == len(segs)

@@ -130,9 +130,18 @@ def small_config(task="classification", **kw):
     return tr.TrainConfig(**defaults)
 
 
+def record_segs(table, n_words, rids):
+    """The segmentation of each sequence given as ``n_words[k]`` record ids
+    of a ``model.RecordTable``."""
+    first = np.cumsum(n_words) - n_words
+    return [tok.Segmentation([table.records[r] for r in rids[a:a + n].tolist()])
+            for a, n in zip(first.tolist(), n_words.tolist())]
+
+
 def stage_rows(stage):
     """A ``_StageTable``'s items as (example, segmentation, gold, noised) rows."""
-    return list(zip(stage.examples, stage.segs, stage.golds, stage.noised.tolist()))
+    segs = record_segs(stage.records, stage.packing.n_words, stage.rids)
+    return list(zip(stage.examples, segs, stage.golds, stage.noised.tolist()))
 
 
 def view_tuples(stage, views):
@@ -140,9 +149,9 @@ def view_tuples(stage, views):
     per view, or None where no view exists."""
     out = []
     first = np.cumsum(views.n_words) - views.n_words
+    segs = record_segs(stage.records, views.n_words, views.rids)
     for p, (a, n) in enumerate(zip(first.tolist(), views.n_words.tolist())):
-        out.append((tok.Segmentation([stage.records[r] for r in views.rids[a:a + n]]),
-                    None if views.noises is None else views.noises[p],
+        out.append((segs[p], None if views.noises is None else views.noises[p],
                     views.modified[a:a + n].tolist()) if n else None)
     return out
 
@@ -416,6 +425,8 @@ class TestConfigValidation:
         ("dim", 0),
         ("max_len", 0),
         ("seed", -1),
+        ("n_label", 0),
+        ("n_label", -1),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -427,6 +438,19 @@ class TestConfigValidation:
         from xtune.augment import StrategyError
         with pytest.raises(StrategyError, match=field):
             tr.TrainConfig(task=task, **{field: "MT"})
+
+    @pytest.mark.parametrize("task", ["classification", "span"])
+    def test_pooling_applies_to_labeling_only(self, task):
+        with pytest.raises(ValueError, match=f"pooling 'average' applies to labeling only, "
+                                             f"not {task}"):
+            tr.TrainConfig(task=task, pooling="average")
+        assert tr.TrainConfig(task=task).pooling == "first_subword"
+        assert tr.TrainConfig(task="labeling", pooling="average").pooling == "average"
+        for dataset, (preset_task, _pooling) in tr.PRESET_TASKS.items():
+            if preset_task == task:
+                with pytest.raises(ValueError, match="pooling"):
+                    tr.TrainConfig.from_preset(dataset, "cross-lingual-transfer",
+                                               pooling="average")
 
     def test_unknown_pooling_rejected_by_model(self):
         with pytest.raises(ValueError, match="pooling 'avg'"):
