@@ -391,7 +391,11 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
     elif strategy.kind == "SS":
         if vocab is None:
             raise StrategyError("SS corpus augmentation needs a vocabulary")
-        drawn, modified = subword_resample(words, vocab, strategy.alpha, rng)
+        try:
+            drawn, modified = subword_resample(words, vocab, strategy.alpha, rng)
+        except tok.CoverageError as err:
+            bad = next(ex for ex in corpus if not vocab.alphabet.issuperset("".join(ex.words)))
+            raise ValueError(f"example {bad.id!r}: {err}") from None
         augmented = [AugmentedExample(ex.with_words(list(ex.words)), "SS", flags,
                                       tok.Segmentation(records)) for ex, records, flags
                      in zip(corpus, _split(corpus, drawn), _split(corpus, modified.tolist()))]

@@ -1,18 +1,19 @@
 """Minimal reverse-mode autodiff over dense float64 numpy buffers.
 
-Small by design: the op set is exactly what the encoder and the task losses
-need, a fused ``kl_div`` for the KL regularizers, plus a stop-gradient
-barrier.  No broadcasting beyond scalar*tensor and ``kl_div``'s per-row
-weights; any other shape mismatch is an error so that the finite-difference
-oracle has a small, fully checkable surface: the tests list every op and
-check each one's gradients on random graphs.
+Small by design: the op set is exactly what the task losses need, fused
+``embed_mix`` and ``kl_div`` for the encoder and the KL regularizers, plus
+a stop-gradient barrier.  No broadcasting beyond scalar*tensor and
+``kl_div``'s per-row weights; any other shape mismatch is an error so that
+the finite-difference oracle has a small, fully checkable surface: the
+tests list every op and check each one's gradients on random graphs.
 
 Callers pack many sequences into one matrix, one row per subword, and keep
 a row -> segment id array beside it.  ``segment_mean`` and
 ``segment_log_softmax`` reduce within segments by scattering on those ids,
 so one graph of a fixed number of nodes covers a whole batch.  Step time is
-per-node Python overhead, so a KL term is one node, not the eight-op chain
-whose numpy expressions it evaluates in the same order, to the same bits.
+per-node Python overhead, so the encoder is one node, not six, and a KL term
+one node, not eight: each evaluates its chain's numpy expressions in the
+same order, to the same bits.
 """
 
 from __future__ import annotations
@@ -200,13 +201,6 @@ def segment_log_softmax(v, segment_ids, n_segments):
     return _node(out_data, "segment_log_softmax", (v,), backward)
 
 
-def tanh(a):
-    out_data = np.tanh(a.data)
-    def backward(g):
-        return (g * (1.0 - out_data * out_data),)
-    return _node(out_data, "tanh", (a,), backward)
-
-
 def sum(a):  # noqa: A001 - deliberate, mirrors numpy.sum naming
     """Sum of all entries, as a scalar node."""
     def backward(g):
@@ -222,6 +216,34 @@ def reshape(a, shape):
     def backward(g):
         return (g.reshape(old),)
     return _node(a.data.reshape(shape), "reshape", (a,), backward)
+
+
+def embed_mix(emb, pos, weight, bias, ids, positions, noise=None):
+    """Rows ``tanh((emb[ids] + pos[positions] + noise) weight + bias)``.  With
+    no noise each distinct (id, position) pair, numbered through a
+    ``len(emb) x (max(positions) + 1)`` slot table, is computed once.  The
+    backward replays the six-op chain's expressions on the rows."""
+    ids = _indices("embed_mix", ids, emb.data.shape[0], "id")
+    positions = _indices("embed_mix", positions, pos.data.shape[0], "position")
+    if noise is None:
+        longest = int(positions.max(initial=-1)) + 1
+        seen = np.zeros(emb.data.shape[0] * longest, bool)
+        seen[keys := ids * longest + positions] = True
+        pairs, slots = np.flatnonzero(seen), np.empty(seen.size, np.intp)
+        slots[pairs] = np.arange(pairs.size)   # only the seen slots are read back
+        piece, position = np.divmod(pairs, longest)
+        x, inverse = emb.data[piece] + pos.data[position], slots[keys]
+    elif noise.shape == (ids.size, weight.data.shape[0]):
+        x, inverse = emb.data[ids] + pos.data[positions] + noise, slice(None)
+    else:
+        raise ShapeError(f"embed_mix: noise of shape {noise.shape} for {ids.size} rows")
+    out_data = np.tanh(x @ weight.data + bias.data)[inverse]
+    def backward(g):
+        g = g * (1.0 - out_data * out_data)
+        gx = g @ weight.data.T
+        return (_scatter_add(ids, gx, emb.data.shape[0]),
+                _scatter_add(positions, gx, pos.data.shape[0]), x[inverse].T @ g, g.sum(axis=0))
+    return _node(out_data, "embed_mix", (emb, pos, weight, bias), backward)
 
 
 def kl_div(p_log, q_log, weights, floor):

@@ -9,8 +9,10 @@ rows of its sequences in one matrix, with the sequence and word of each.
 The encoder mixes no positions, so a packed forward equals the per-sequence
 forwards row for row; per-sequence work (pooling, span softmax) is a
 segment reduction, and a whole batch is one graph whose node count does
-not grow with the batch.  Training and eval intern every word record into a
-``RecordTable`` and gather their packings from it by record id.
+not grow with the batch.  A row without encode noise depends only on its
+(piece id, position) pair, so ``encode`` computes each distinct pair once.
+Training and eval intern every word record into a ``RecordTable`` and
+gather their packings from it by record id.
 
 ``predict`` decides which rows each task's distributions lie on and returns
 them as ``Prediction.rows``, which the task loss, both regularizers and the
@@ -266,7 +268,11 @@ def layout_rows(first, counts):
 
 def encode(params, packing, noises=None):
     """Hidden states tanh((E[ids] + P[positions] + eps) W + b), one row per
-    packed subword.
+    packed subword.  Without noise each distinct (piece id, position) pair
+    is computed once, numbered through a slot table of vocab_size x longest
+    entries (< 100 KB here), and its rows gathered.  That is exact: a pair's
+    row is the same expression on the same operands wherever it occurs, and
+    the backward replays the row-wise chain.
 
     ``noises`` holds, per sequence, None or an (n_pieces, dim) encode-noise
     draw, so that two forward passes can share one realization
@@ -275,16 +281,12 @@ def encode(params, packing, noises=None):
     longest = int(packing.lengths.max())
     if longest > params.max_len:
         raise ValueError(f"input of {longest} subwords exceeds max_len {params.max_len}")
-    x = ad.add(
-        ad.gather(params["embeddings"], packing.ids),
-        ad.gather(params["positions"], packing.positions),
-    )
-    if noises is not None and any(n is not None for n in noises):
-        # a misfit noise block changes the row count, which ``add`` rejects
-        x = ad.add(x, ad.constant(np.concatenate([
-            np.zeros((n, params.dim)) if noise is None else noise
-            for n, noise in zip(packing.lengths, noises)])))
-    return ad.tanh(ad.add_rowvec(ad.matmul(x, params["mix_weight"]), params["mix_bias"]))
+    # a misfit noise block changes the row count, which ``embed_mix`` rejects
+    noise = None if noises is None or all(n is None for n in noises) else np.concatenate([
+        np.zeros((n, params.dim)) if draw is None else draw
+        for n, draw in zip(packing.lengths, noises)])
+    return ad.embed_mix(params["embeddings"], params["positions"], params["mix_weight"],
+                        params["mix_bias"], packing.ids, packing.positions, noise)
 
 
 def predict(params, packing, noises=None):

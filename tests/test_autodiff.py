@@ -202,7 +202,7 @@ class TestGradCheck:
 
 OPS = {
     "add", "mul", "scale", "matmul", "add_rowvec", "gather",
-    "tanh", "sum", "reshape", "kl_div", "log_softmax", "segment_mean",
+    "embed_mix", "sum", "reshape", "kl_div", "log_softmax", "segment_mean",
     "segment_log_softmax",
 }
 
@@ -221,10 +221,11 @@ def _random_graph_case(rng):
         x = ad.matmul(x, w)
         choice = int(rng_choice)
         divergence = None
-        if choice == 0:
-            x = ad.tanh(x)
-        elif choice == 1:
-            x = ad.tanh(ad.scale(x, 0.25))
+        if choice in (0, 1):
+            # x and b as the embedding and position tables, scaled so that
+            # tanh does not saturate; pairs repeat, and choice 1 adds noise
+            x = ad.embed_mix(ad.scale(x, 0.25), ad.scale(b, 0.25), w, v, rng_ids, rng_positions,
+                             rng_noise if choice == 1 else None)
         elif choice == 2:
             # both operands carry gradient, and the floor clips some entries
             # of each, so both sides' masks are checked
@@ -241,10 +242,12 @@ def _random_graph_case(rng):
         rows = ad.gather(x, list(rng_rows))
         pooled = ad.segment_mean(ad.segment_mean(rows, rng_row_segments, 2), [0, 0], 1)
         picked = ad.gather(ad.reshape(pooled, (d2,)), list(rng_gather))
-        loss = ad.scale(ad.sum(ad.mul(picked, ad.tanh(picked))), 0.5)
+        loss = ad.scale(ad.sum(ad.mul(picked, picked)), 0.5)
         return loss if divergence is None else ad.add(loss, divergence)
 
     rng_choice = rng.integers(0, 6)
+    rng_ids, rng_positions = rng.integers(0, d1, (2, d1))
+    rng_noise = rng.normal(0.0, 0.25, (d1, d2))
     rng_rows = rng.integers(0, d1, size=3)
     rng_row_segments = rng.permutation([0, 1, int(rng.integers(0, 2))])
     cut = int(rng.integers(2, d1 * d2 - 1))   # both runs hold >= 2 entries
@@ -370,3 +373,47 @@ def test_gather_backward_and_segment_mean_scatter_like_np_add_at():
     np.add.at(sums, ids, m.data)
     sums /= np.bincount(ids)[:, None].astype(np.float64)
     assert ad.segment_mean(m, ids, 6).data.tobytes() == sums.tobytes()
+
+
+@pytest.mark.parametrize("case", ["repeated pairs", "distinct pairs", "noise"])
+def test_embed_mix_is_bitwise_the_composed_chain(case):
+    # the six-node chain embed_mix replaces: gather both tables, add, (add
+    # the noise), matmul, add_rowvec and tanh; values and every leaf's
+    # gradient must match bit for bit
+    rng = np.random.default_rng(13)
+    vocab, longest, dim = 40, 24, 16
+    if case == "distinct pairs":
+        keys = rng.choice(vocab * longest, 150, replace=False)
+        ids, positions = keys // longest, keys % longest
+    else:
+        ids, positions = rng.integers(0, 12, 700), rng.integers(0, longest, 700)
+    noise = rng.normal(0.0, 0.1, (ids.size, dim)) if case == "noise" else None
+    tables = [rng.normal(0.0, 0.5, shape)
+              for shape in ((vocab, dim), (longest, dim), (dim, dim), (dim,))]
+    g = ad.constant(rng.normal(size=(ids.size, dim)))
+    if case == "repeated pairs":
+        assert np.unique(ids * longest + positions).size < ids.size / 2
+
+    chain = [ad.Tensor(t) for t in tables]
+    e, p, w, b = chain
+    x = ad.add(ad.gather(e, ids), ad.gather(p, positions))
+    if noise is not None:
+        x = ad.add(x, ad.constant(noise))
+    want = ad.tanh(ad.add_rowvec(ad.matmul(x, w), b))
+    fused = [ad.Tensor(t) for t in tables]
+    got = ad.embed_mix(*fused, ids, positions, noise)
+    assert got.data.tobytes() == want.data.tobytes()
+    ad.backward(ad.sum(ad.mul(want, g)))
+    ad.backward(ad.sum(ad.mul(got, g)))
+    for c, f in zip(chain, fused):
+        assert f.grad.tobytes() == c.grad.tobytes()
+
+
+def test_embed_mix_rejects_bad_indices_and_noise():
+    e, p, w, b = (ad.Tensor(np.ones(shape)) for shape in ((5, 2), (3, 2), (2, 2), (2,)))
+    with pytest.raises(IndexError, match="embed_mix: id 5 out of range for 5 entries"):
+        ad.embed_mix(e, p, w, b, [0, 5], [0, 1])
+    with pytest.raises(IndexError, match="embed_mix: position -1 out of range"):
+        ad.embed_mix(e, p, w, b, [0, 1], [0, -1])
+    with pytest.raises(ad.ShapeError, match=r"noise of shape \(3, 2\) for 2 rows"):
+        ad.embed_mix(e, p, w, b, [0, 1], [0, 1], np.zeros((3, 2)))

@@ -470,6 +470,25 @@ def test_train_names_the_item_with_an_uncovered_character(tmp_path, capsys, monk
                                        "is not covered by the vocabulary\n")
 
 
+def test_train_names_the_example_with_an_uncovered_character_in_the_ss_corpus(
+        tmp_path, capsys, monkeypatch):
+    # the subword-sampled corpus is drawn before any stage; it names the
+    # first example holding the character too
+    data_dir = tmp_path / "data"
+    synth_tiny_classification(data_dir)
+    path = data_dir / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for k in (3, 6):
+        records[k]["words"][0] += "Q"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert train_without_a_forward(tmp_path, data_dir, monkeypatch,
+                                   "setting=translate-train-all", "corpus_strategy=SS",
+                                   mode="baseline") == 1
+    assert capsys.readouterr().err == (f"error: example {records[3]['id']!r}: character 'Q' "
+                                       "is not covered by the vocabulary\n")
+
+
 def test_train_names_the_item_of_a_code_switched_view_with_an_uncovered_character(
         tmp_path, capsys, monkeypatch):
     # every dictionary translation is uncovered and every word switches, so

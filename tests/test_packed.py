@@ -485,6 +485,24 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     views whose input differs from their item's."""
     bench, res = {"classification": small_classification_bench,
                   "labeling": small_labeling_bench, "span": small_span_bench}[task]
+    assert_first_step_matches_reference(bench, res, task, corpus_strategy, pair_strategy,
+                                        monkeypatch)
+
+
+def test_run_stage_first_step_matches_reference_on_multi_piece_span_words(monkeypatch):
+    """At whole-word pieces an unchanged word sits at the same position in
+    item and view, so restricted span R1 is zero whichever words the
+    modified flags align.  With words of several pieces a switched word
+    shifts the rows after it, and R1 depends on the step's flags."""
+    bench, res = build_benchmark(task="span", vocab_size=40)
+    trace = assert_first_step_matches_reference(bench, res, "span", "MT", "CS", monkeypatch)
+    assert trace[0]["example_consistency"] > 1e-6
+
+
+def assert_first_step_matches_reference(bench, res, task, corpus_strategy, pair_strategy,
+                                        monkeypatch):
+    """``test_run_stage_first_step_matches_reference`` on one bench; returns
+    the stage trace."""
     cfg = small_config(task=task, n_label=None if task == "span" else 3,
                        setting="translate-train-all", corpus_strategy=corpus_strategy,
                        pair_strategy=pair_strategy, noise_sigma=0.3, epochs=1,
@@ -554,6 +572,7 @@ def test_run_stage_first_step_matches_reference(task, corpus_strategy, pair_stra
     np.testing.assert_allclose(trace[0]["total"], total.item(), rtol=RTOL, atol=ATOL)
     for got, want in zip(seen["grads"], gradients(start, total), strict=True):
         np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+    return trace
 
 
 def count_teacher_forwards(monkeypatch, teacher):
