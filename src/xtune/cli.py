@@ -123,7 +123,7 @@ def cmd_synth(args):
 
 def cmd_tokenize(args):
     vocab = tok.load_vocab(args.vocab)
-    corpus = data.load_jsonl(args.input, args.task)
+    corpus = data.load_jsonl(args.input, args.task).examples()
     if args.mode == "viterbi":
         segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in corpus]
     else:
@@ -147,7 +147,7 @@ def cmd_tokenize(args):
 
 
 def cmd_augment(args):
-    corpus = data.load_jsonl(args.input, args.task)
+    corpus = data.load_jsonl(args.input, args.task).examples()
     strategy = aug.AugmentationStrategy(
         kind=args.strategy,
         alpha=args.alpha,
@@ -263,7 +263,7 @@ def load_resources(data_dir, cfg):
     store_path = data_dir / "translations.jsonl"
     store = aug.TranslationStore.load(store_path) if store_path.exists() else None
     train = data.load_jsonl(data_dir / "train.jsonl", cfg.task)
-    n_label = max((ex.n_label or 0 for ex in train), default=0) or None
+    n_label = int(train.n_label.max(initial=0)) or None
     cfg.n_label = cfg.n_label or n_label
     if n_label and cfg.n_label < n_label:
         raise ValueError(f"{data_dir / 'train.jsonl'}: n_label {cfg.n_label} is below the "
@@ -271,7 +271,8 @@ def load_resources(data_dir, cfg):
     if not cfg.mt_languages:
         cfg.mt_languages = tuple(languages[1:])
     digests = {p.name: _sha256(p) for p in sorted(data_dir.iterdir()) if p.is_file()}
-    return train, trainer.Resources(vocab=vocab, dictionaries=dictionaries, store=store), digests
+    res = trainer.Resources(vocab=vocab, dictionaries=dictionaries, store=store)
+    return train.examples(), res, digests
 
 
 def cmd_train(args):

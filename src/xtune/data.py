@@ -1,5 +1,15 @@
 """Dataset schema and the synthetic multilingual cipher benchmark.
 
+A dataset file holds one JSON record per line.  ``load_jsonl`` decodes a
+file and ``corpus_of`` checks its records into a ``Corpus``: the examples as
+columns (ids, languages, one flat word list with each example's word count,
+class counts and gold arrays).  Each schema rule is one check over the whole
+file, made on the records that pass the rules before it, so a file with
+several faults names its first faulty line, as a line-by-line reader would.
+Scoring reads the columns; training, tokenizing and augmenting take one
+``Example`` per record from ``Corpus.examples``.  ``save_jsonl`` checks the
+records it writes by the same rules, so every file it writes loads.
+
 The cipher generator renders the same underlying lemma sequences into
 disjoint per-language surface forms (``w3`` -> ``w3§de``), so gold labels are
 language-invariant by construction and cross-lingual transfer is measurable
@@ -11,6 +21,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, is_not, itemgetter
+
+import numpy as np
 
 TASKS = ("classification", "span", "labeling")
 CIPHER_SEP = "§"  # "§"
@@ -18,6 +32,9 @@ CIPHER_SEP = "§"  # "§"
 CIPHER_ID_SEP = "@"
 
 CLASSIFICATION_RULES = ("lemma_majority", "even_lemma_parity")
+
+# gold and class counts are int64 arrays: a labeled example's beyond them is out of range
+INT_LIMIT = 2 ** 63
 
 
 class SchemaError(ValueError):
@@ -68,89 +85,200 @@ class Example:
             return (self.answer_start, self.answer_end)
         return self.tags
 
-    def validate(self):
-        if self.task not in TASKS:
-            raise SchemaError(f"example {self.id}: unknown task {self.task!r}")
-        if CIPHER_ID_SEP in self.id:
-            raise SchemaError(f"example {self.id}: {CIPHER_ID_SEP!r} in an id is reserved "
-                              "for translated views")
-        words = self.words
-        if type(words) is not list or not words or any(type(w) is not str or not w
-                                                        for w in words):
-            raise SchemaError(f"example {self.id}: empty word list, empty word or "
-                              "words of the wrong JSON type")
-        if self.task == "classification" and self.labeled:
-            if (type(self.label) is not int or type(self.n_label) is not int
-                    or not 0 <= self.label < self.n_label):
-                raise SchemaError(
-                    f"example {self.id}: label {self.label!r} out of range for "
-                    f"n_label {self.n_label!r}, or of the wrong JSON type"
-                )
-        if self.task == "span" and self.labeled:
-            lo, hi = self.question_len, len(self.words) - 1
-            if not (lo <= self.answer_start <= self.answer_end <= hi):
-                raise SchemaError(
-                    f"example {self.id}: span ({self.answer_start}, {self.answer_end}) "
-                    f"outside context [{lo}, {hi}]"
-                )
-        if self.task == "labeling" and self.labeled:
-            if len(self.tags) != len(self.words):
-                raise SchemaError(
-                    f"example {self.id}: {len(self.tags)} tags for {len(self.words)} words"
-                )
-            if type(self.n_label) is not int or any(type(t) is not int or not 0 <= t < self.n_label
-                                                    for t in self.tags):
-                raise SchemaError(f"example {self.id}: tag out of range for n_label "
-                                  f"{self.n_label!r}, or of the wrong JSON type")
-        return self
+
+@dataclass(eq=False)
+class Corpus:
+    """One task's examples as columns, in file order.
+
+    Example k has id ``ids[k]``, language ``languages[k]`` and the
+    ``n_words[k]`` words of ``words`` that follow the earlier examples'; a
+    span input is its ``question_len[k]`` question words, then its context.
+    ``n_label[k]`` is its class count, -1 where the record gives no JSON
+    integer in int64 range.  Where ``has_gold[k]`` is set, ``golds`` holds
+    its class (classification), a tag per word (labeling) or a (start, end)
+    row of input word indices (span); -1 elsewhere.
+    """
+
+    task: str
+    ids: list
+    languages: list
+    words: list
+    n_words: np.ndarray
+    question_len: np.ndarray
+    n_label: np.ndarray
+    has_gold: np.ndarray
+    golds: np.ndarray
+
+    def __len__(self):
+        return len(self.ids)
+
+    def examples(self):
+        """One ``Example`` per example, for the code that takes them."""
+        ends = np.cumsum(self.n_words).tolist()
+        gold, n_label = self.golds.tolist(), self.n_label.tolist()
+        out = []
+        for k, (a, b) in enumerate(zip([0] + ends, ends)):
+            ex = Example(self.ids[k], self.languages[k], self.task, self.words[a:b],
+                         n_label=None if n_label[k] == -1 else n_label[k],
+                         question_len=int(self.question_len[k]))
+            if not self.has_gold[k]:
+                pass
+            elif self.task == "classification":
+                ex.label = gold[k]
+            elif self.task == "labeling":
+                ex.tags = gold[a:b]
+            else:
+                ex.answer_start, ex.answer_end = gold[k]
+            out.append(ex)
+        return out
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines I/O
+# JSON-lines I/O and the schema rules
 
 
-def _example_from_record(record, task, lineno, path):
+def _ints(values):
+    """The mask of the JSON integers among ``values`` that fit an int64, and
+    ``values`` as an int64 array with -1 in place of the others."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.ones(len(values), bool), np.fromiter(values, np.int64, len(values))
+        except OverflowError:
+            pass
+    ok = [type(v) is int and -INT_LIMIT <= v < INT_LIMIT for v in values]
+    return np.array(ok, bool), np.array([v if fits else -1 for v, fits in zip(values, ok)],
+                                        np.int64)
+
+
+def _given(values):
+    """Whether each value is not None."""
+    return np.fromiter(map(is_not, values, repeat(None)), bool, len(values))
+
+
+def _per_example(flags, n_words):
+    """Whether each example of ``n_words`` words holds a flagged word."""
+    seen = np.concatenate(([0], np.cumsum(flags, dtype=np.intp)))
+    ends = np.cumsum(n_words)
+    return seen[ends] > seen[ends - n_words]
+
+
+def _type_error(op, *fields):
+    """The message of a record whose ``fields`` ``op`` rejects with a TypeError."""
     try:
-        if not isinstance(record, dict):
-            raise SchemaError("a record must be a JSON object")
-        if task == "classification":
-            return Example(
-                id=str(record["id"]),
-                language=record["lang"],
-                task=task,
-                words=record["words"],
-                label=record.get("label"),
-                n_label=record.get("n_label"),
-            ).validate()
-        if task == "span":
-            question, context = record["question"], record["context"]
-            start, end = record.get("answer_start"), record.get("answer_end")
-            if type(start) not in (int, type(None)) or type(end) not in (int, type(None)):
-                raise TypeError(f"answer indices {start!r}, {end!r} must be integers")
-            offset = len(question)
-            return Example(
-                id=str(record["id"]),
-                language=record["lang"],
-                task=task,
-                words=question + context,
-                question_len=offset,
-                answer_start=None if start is None else offset + start,
-                answer_end=None if end is None else offset + end,
-            ).validate()
-        return Example(
-            id=str(record["id"]),
-            language=record["lang"],
-            task=task,
-            words=record["words"],
-            tags=record.get("tags"),
-            n_label=record.get("n_label"),
-        ).validate()
-    except KeyError as missing:
-        raise SchemaError(f"{path}:{lineno}: missing field {missing}") from None
-    except SchemaError as err:
-        raise SchemaError(f"{path}:{lineno}: {err}") from None
-    except (TypeError, ValueError) as err:
-        raise SchemaError(f"{path}:{lineno}: a field has the wrong JSON type ({err})") from None
+        op(*fields)
+    except TypeError as err:
+        return f"a field has the wrong JSON type ({err})"
+
+
+SIZED = {list, str, dict}   # the JSON types ``len`` takes
+
+
+def corpus_of(records, task, source="<records>", lines=None):
+    """The ``Corpus`` of ``records``, one task's JSON values from the lines
+    ``lines`` (default 1, 2, ...) of ``source``.  Each rule looks at the
+    ``n`` leading records that pass the rules before it, most through the
+    set of their field's types first, so the fault kept is the first in
+    record order, then in rule order; it raises a SchemaError naming its
+    line."""
+    n, fault, lines = len(records), None, lines or range(1, len(records) + 1)
+
+    def flag(bad, message):
+        nonlocal n, fault
+        if True in bad[:n]:
+            n = int(np.argmax(bad[:n]))
+            fault = message(n)
+
+    def typed(values, kinds, message):   # each value's type is one of ``kinds``
+        if not set(map(type, values[:n])) <= kinds:
+            flag([type(v) not in kinds for v in values], message)
+
+    def field(key):
+        try:
+            return list(map(itemgetter(key), records[:n]))
+        except KeyError:
+            flag([key not in r for r in records[:n]], lambda k: f"missing field {key!r}")
+            return list(map(itemgetter(key), records[:n]))
+
+    def optional(key):
+        return [r.get(key) for r in records[:n]]
+
+    typed(records, {dict}, lambda k: "a record must be a JSON object")
+    if task == "span":
+        questions, contexts = field("question"), field("context")
+        starts, ends = optional("answer_start"), optional("answer_end")
+        if not set(map(type, starts + ends)) <= {int, type(None)}:
+            flag([not {type(s), type(e)} <= {int, type(None)} for s, e in zip(starts, ends)],
+                 lambda k: (f"a field has the wrong JSON type (answer indices {starts[k]!r}, "
+                            f"{ends[k]!r} must be integers)"))
+        typed(questions, SIZED, lambda k: _type_error(len, questions[k]))
+    ids, languages = list(map(str, field("id"))), field("lang")
+    if task == "span":
+        if set(map(type, questions[:n] + contexts[:n])) - {list}:
+            flag([type(q) is not type(c) or type(q) is dict for q, c in zip(questions, contexts)],
+                 lambda k: _type_error(add, questions[k], contexts[k]))
+        words = list(map(add, questions[:n], contexts))
+    else:
+        words = field("words")
+    if CIPHER_ID_SEP in "".join(ids[:n]):
+        flag([CIPHER_ID_SEP in i for i in ids],
+             lambda k: (f"example {ids[k]}: {CIPHER_ID_SEP!r} in an id is reserved for "
+                        "translated views"))
+
+    def wrong_words(k):
+        return f"example {ids[k]}: empty word list, empty word or words of the wrong JSON type"
+
+    typed(words, {list}, wrong_words)
+    n_words = np.fromiter(map(len, words[:n]), np.intp, n)
+    flat = list(chain.from_iterable(words[:n]))
+    bad_word = ([] if set(map(type, flat)) <= {str} and all(flat)
+                else [type(w) is not str or not w for w in flat])
+    flag((n_words == 0) | _per_example(bad_word or np.zeros(len(flat), bool), n_words),
+         wrong_words)
+    n_words = n_words[:n]
+    if task == "span":
+        question_len = np.fromiter(map(len, questions[:n]), np.intp, n)
+        has_gold = _given(starts[:n]) & _given(ends[:n])
+        (start_ok, start), (end_ok, end) = _ints(starts[:n]), _ints(ends[:n])
+        flag(has_gold & ~(start_ok & end_ok & (start >= 0) & (start <= end)
+                          & (end < n_words - question_len)),
+             lambda k: (f"example {ids[k]}: span ({int(question_len[k]) + starts[k]}, "
+                        f"{int(question_len[k]) + ends[k]}) outside context "
+                        f"[{question_len[k]}, {n_words[k] - 1}]"))
+        golds = np.where(has_gold[:, None], np.stack([start, end], 1) + question_len[:, None], -1)
+        n_label = np.full(n, -1, np.int64)
+    else:   # a class per example, or a tag per word
+        question_len, counts = np.zeros(n, np.intp), optional("n_label")
+        count_ok, n_label = _ints(counts)
+        gold = optional("label" if task == "classification" else "tags")
+        has_gold, sizes = _given(gold), np.ones(n, np.intp)
+        if task == "labeling":
+            typed(gold, SIZED | {type(None)}, lambda k: _type_error(len, gold[k]))
+            flag([t is not None and len(t) != m for t, m in zip(gold[:n], n_words.tolist())],
+                 lambda k: f"example {ids[k]}: {len(gold[k])} tags for {n_words[k]} words")
+            sizes = n_words[:n]
+            gold = list(chain.from_iterable(repeat(-1, m) if t is None else t
+                                            for t, m in zip(gold[:n], sizes.tolist())))
+        gold_ok, golds = _ints(gold[:sizes[:n].sum()])
+        bad = ~gold_ok | (golds < 0) | (golds >= np.repeat(n_label[:n], sizes[:n]))
+        flag(has_gold[:n] & (~count_ok[:n] | _per_example(bad, sizes[:n])),
+             lambda k: (f"example {ids[k]}: "
+                        f"{'tag' if task == 'labeling' else f'label {gold[k]!r}'} out of range "
+                        f"for n_label {counts[k]!r}, or of the wrong JSON type"))
+    typed(languages, {str}, lambda k: f"lang {languages[k]!r} is not a non-empty string")
+    refused = {"": "lang '' is not a non-empty string"}
+    for name in dict.fromkeys(languages[:n]):   # a file holds few distinct names
+        try:
+            check_language(name)
+        except ValueError as err:
+            refused[name] = str(err)
+    flag([name in refused for name in languages[:n]], lambda k: refused[languages[k]])
+    if len(set(ids[:n])) < n:
+        first = {}
+        flag([first.setdefault(i, k) != k for k, i in enumerate(ids[:n])],
+             lambda k: f"repeats example id {ids[k]!r} from line {lines[first[ids[k]]]}")
+    if fault is not None:
+        raise SchemaError(f"{source}:{lines[n]}: {fault}")
+    return Corpus(task, ids, languages, flat, n_words, question_len, n_label, has_gold, golds)
 
 
 def _loads_error(line):
@@ -162,16 +290,18 @@ def _loads_error(line):
 
 
 def load_jsonl(path, task):
-    """Read and validate one example per line; line numbers on every error.
+    """The checked ``Corpus`` of a file of one JSON record per line; a fault
+    raises a SchemaError naming the file and its first faulty line.
 
     A stripped line has no surrounding whitespace for ``json.loads`` to skip,
     so ``raw_decode`` ending at the line's end accepts exactly the lines
-    ``json.loads`` accepts; a rejected line gets ``json.loads``'s message.
+    ``json.loads`` accepts; a rejected line gets ``json.loads``'s message,
+    once no record before it has a fault.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
     decode = json.JSONDecoder().raw_decode
-    corpus, first_line = [], {}
+    records, lines, broken = [], [], None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -182,12 +312,13 @@ def load_jsonl(path, task):
             except json.JSONDecodeError:
                 end = None
             if end != len(line):   # not JSON, or trailing data
-                raise SchemaError(f"{path}:{lineno}: invalid JSON ({_loads_error(line)})")
-            ex = _example_from_record(record, task, lineno, path)
-            if first_line.setdefault(ex.id, lineno) != lineno:
-                raise SchemaError(f"{path}:{lineno}: repeats example id {ex.id!r} "
-                                  f"from line {first_line[ex.id]}")
-            corpus.append(ex)
+                broken = f"{path}:{lineno}: invalid JSON ({_loads_error(line)})"
+                break
+            records.append(record)
+            lines.append(lineno)
+    corpus = corpus_of(records, task, path, lines)
+    if broken:
+        raise SchemaError(broken)
     return corpus
 
 
@@ -208,9 +339,14 @@ def example_to_record(ex):
 
 
 def save_jsonl(examples, path):
+    """Write one record per example, checked first by the rules ``load_jsonl``
+    applies, so that the file loads."""
+    records = [example_to_record(ex) for ex in examples]
+    if records:
+        corpus_of(records, examples[0].task, path)
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode(example_to_record(ex)) + "\n" for ex in examples)
+        fh.writelines(encode(record) + "\n" for record in records)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +470,7 @@ def _render(spec, lemmas, language, example_id, surfaces):
             lemmas, spec.classification_rule, spec.lemma_count))
     else:
         fields = dict(words=words, tags=labeling_tags(lemmas, spec.n_tag), n_label=spec.n_tag)
-    return Example(id=example_id, language=language, task=spec.task, **fields).validate()
+    return Example(id=example_id, language=language, task=spec.task, **fields)
 
 
 def generate_cipher_corpus(spec, rng):

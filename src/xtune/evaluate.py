@@ -1,4 +1,9 @@
-"""Metrics, per-language reports, and the cross-lingual transfer gap."""
+"""Metrics, per-language reports, and the cross-lingual transfer gap.
+
+An eval language is one ``data.Corpus``: ``score_corpus`` segments its flat
+word column, checks its gold columns against the checkpoint and scores the
+decoded outputs against them, with no per-example object.
+"""
 
 from __future__ import annotations
 
@@ -51,16 +56,16 @@ def tag_scores(predicted_seqs, gold_seqs):
     total = int(sizes[1].sum())
     if total == 0:
         raise ValueError("no tags to score")
-    pred, gold = (np.fromiter(chain.from_iterable(seqs), np.intp, total)
+    pred, gold = (np.concatenate([np.asarray(seq, dtype=np.intp) for seq in seqs])
                   for seqs in (predicted_seqs, gold_seqs))
     acc = int(np.count_nonzero(pred == gold)) / total
     return acc, acc   # F1 = 2tp / (2tp + fp + fn) = 2tp / 2total, the same double
 
 
 def _check_lengths(predictions, gold):
-    if not gold:
+    if not len(gold):
         raise ValueError("nothing to score: empty gold list")
-    if not predictions:
+    if not len(predictions):
         raise ValueError("nothing to score: empty prediction list")
     if len(predictions) != len(gold):
         raise ValueError(f"{len(predictions)} predictions for {len(gold)} gold items")
@@ -112,41 +117,52 @@ def decode(prediction):
     return [tags[a:a + n] for a, n in zip(first.tolist(), counts.tolist())]
 
 
-def score_corpus(params, examples, vocab):
-    """Viterbi-segment, predict, decode and score one labeled corpus.
+def score_corpus(params, corpus, vocab):
+    """Viterbi-segment, predict, decode and score one labeled ``data.Corpus``.
 
     Every word is interned as its Viterbi record into one ``RecordTable``,
     each distinct word segmented once.  Before the first forward, an empty
-    corpus, an uncovered word or an example over ``max_len`` raises a
-    ValueError, the last two naming the example.  Each ``EVAL_CHUNK``
+    corpus, an uncovered word, an example over ``max_len``, one without gold
+    or a gold class or tag the checkpoint cannot predict raises a
+    ValueError, all but the first naming the example.  Each ``EVAL_CHUNK``
     examples are then one forward over a packing gathered from the table by
-    record id, so no array spans the corpus's subword rows.
+    record id, so no array spans the corpus's subword rows.  The decoded
+    outputs are scored against the corpus's gold columns.
     Returns a dict with the task's metrics ('accuracy' for classification;
     'f1'/'em'/'score' for spans; 'accuracy'/'f1' for labeling).
     """
-    if not examples:
+    if not len(corpus):
         raise ValueError("no examples to score")
+    name = lambda k: f"example {corpus.ids[k]!r}"
     table = RecordTable(vocab)
-    n_words = np.array([len(ex.words) for ex in examples], dtype=np.intp)
-    rids = table.viterbi([w for ex in examples for w in ex.words], n_words,
-                         lambda k: f"example {examples[k].id!r}")
+    n_words = corpus.n_words
+    rids = table.viterbi(corpus.words, n_words, name)
     bounds = np.concatenate(([0], np.cumsum(n_words)))   # each example's words
     lengths = table.lengths(n_words, rids)
     if (over := np.flatnonzero(lengths > params.max_len)).size:
-        raise ValueError(f"example {examples[over[0]].id!r}: input of {lengths[over[0]]} "
+        raise ValueError(f"{name(over[0])}: input of {lengths[over[0]]} "
                          f"subwords exceeds max_len {params.max_len}")
+    if not corpus.has_gold.all():
+        raise ValueError(f"{name(np.argmin(corpus.has_gold))}: no gold to score")
+    outside = np.flatnonzero(corpus.golds >= params.n_label) if params.n_label else []
+    if len(outside):
+        tags = params.task == "labeling"   # one per word
+        k = np.searchsorted(bounds, outside[0], "right") - 1 if tags else outside[0]
+        raise ValueError(f"{name(k)}: gold {'tag' if tags else 'label'} "
+                         f"{corpus.golds[outside[0]]} is not below the checkpoint's n_label "
+                         f"{params.n_label}")
     decoded = []
-    for start in range(0, len(examples), EVAL_CHUNK):
-        end = min(start + EVAL_CHUNK, len(examples))
+    for start in range(0, len(corpus), EVAL_CHUNK):
+        end = min(start + EVAL_CHUNK, len(corpus))
         chunk = table.pack(n_words[start:end], rids[bounds[start]:bounds[end]])
         decoded.extend(decode(predict(params, chunk)))
-    gold = [ex.gold() for ex in examples]
     if params.task == "classification":
-        return {"accuracy": accuracy(decoded, gold)}
+        return {"accuracy": accuracy(decoded, corpus.golds)}
     if params.task == "span":
-        f1, em = span_f1_em(decoded, gold)
+        f1, em = span_f1_em(decoded, corpus.golds)
         return {"f1": f1, "em": em, "score": (f1 + em) / 2}
-    acc, f1 = tag_scores(decoded, gold)
+    # micro averages flatten the sequences: score the corpus's tags as one
+    acc, f1 = tag_scores([list(chain.from_iterable(decoded))], [corpus.golds])
     return {"accuracy": acc, "f1": f1}
 
 
@@ -161,12 +177,13 @@ def primary_score(task, scores):
 
 
 def evaluate_languages(params, eval_sets, vocab, sources=None):
-    """Scores per language, as ``score_corpus`` returns them; a corpus's
-    ValueError names its ``sources`` entry (default: its language)."""
+    """Scores per language of ``eval_sets``' corpora, as ``score_corpus``
+    returns them; a corpus's ValueError names its ``sources`` entry (default:
+    its language)."""
     scores = {}
-    for lang, examples in eval_sets.items():
+    for lang, corpus in eval_sets.items():
         try:
-            scores[lang] = score_corpus(params, examples, vocab)
+            scores[lang] = score_corpus(params, corpus, vocab)
         except ValueError as err:
             raise ValueError(f"{(sources or {}).get(lang, lang)}: {err}") from None
     return scores

@@ -1,22 +1,10 @@
 """Shared fixtures: a small cipher benchmark with vocabulary and resources."""
 
-import numpy as np
 import pytest
 
-from xtune import autodiff as ad
 from xtune import data
 from xtune import tokenizer as tok
 from xtune.trainer import Resources, substream
-
-
-def tanh(a):
-    """A tanh node.  The package fuses tanh into ``autodiff.embed_mix``; the
-    per-example reference encoder and the engine tests compose it alone."""
-    out = np.tanh(a.data)
-    return ad._node(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
-
-
-ad.tanh = tanh
 
 
 def build_benchmark(task="classification", languages=("en", "xx", "yy"),

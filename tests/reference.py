@@ -15,15 +15,21 @@ package's lockstep and array code.  ``decode_span`` decodes each sequence of
 a packed span prediction on its own, over the full matrix of pair sums.  The
 package must match each of them bit for bit and draw for draw.
 
+``load_jsonl_per_record`` loads a JSON-lines file one record at a time, as
+the package did before it checked columns: the columnar loader must name
+the same line with the same message and return the same examples.
+
 The rest is the per-example reference for the packed forward, task loss and
 regularizers: the one-graph-per-example path the package used before
-batches were packed.  Every sequence gets its own encoder graph, and a
+batches were packed.  Every sequence gets its own encoder graph, built
+with ``tanh``, the node the package fuses into ``autodiff.embed_mix``, and a
 batch's loss components are means of per-example scalar nodes.  Tests
 compare the packed path against it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -31,10 +37,18 @@ import numpy as np
 
 from xtune import autodiff as ad
 from xtune import consistency as cons
+from xtune import data
 from xtune import tokenizer as tok
 from xtune.augment import AugmentedExample
 
 _ENUM_MAX_CHARS = 12
+
+
+def tanh(a):
+    """A tanh node.  The package fuses tanh into ``autodiff.embed_mix``; the
+    per-example reference encoder and the engine tests compose it alone."""
+    out = np.tanh(a.data)
+    return ad._node(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def enumerate_segmentations(vocab, text):
@@ -249,7 +263,7 @@ def encode(params, segmentation, noise=None):
     )
     if noise is not None:
         x = ad.add(x, ad.constant(noise))
-    return ad.tanh(ad.add_rowvec(ad.matmul(x, params["mix_weight"]), params["mix_bias"]))
+    return tanh(ad.add_rowvec(ad.matmul(x, params["mix_weight"]), params["mix_bias"]))
 
 
 def predict(params, segmentation, noise=None):
@@ -376,3 +390,86 @@ def decode_span(prediction):
         words = packing.word_of_row[rows] - word_start
         decoded.append((int(words[s]), int(words[e])))
     return decoded
+
+
+# ---------------------------------------------------------------------------
+# Per-record loading
+
+
+def _validated(ex):
+    """``ex``, if it keeps the task schema, as the package checked each
+    example before it checked columns; else a ``data.SchemaError``."""
+    words = ex.words
+    if data.CIPHER_ID_SEP in ex.id:
+        raise data.SchemaError(f"example {ex.id}: {data.CIPHER_ID_SEP!r} in an id is reserved "
+                               "for translated views")
+    if type(words) is not list or not words or any(type(w) is not str or not w for w in words):
+        raise data.SchemaError(f"example {ex.id}: empty word list, empty word or words of the "
+                               "wrong JSON type")
+    if ex.task == "classification" and ex.labeled:
+        if (type(ex.label) is not int or type(ex.n_label) is not int
+                or not 0 <= ex.label < ex.n_label):
+            raise data.SchemaError(f"example {ex.id}: label {ex.label!r} out of range for "
+                                   f"n_label {ex.n_label!r}, or of the wrong JSON type")
+    if ex.task == "span" and ex.labeled:
+        lo, hi = ex.question_len, len(words) - 1
+        if not lo <= ex.answer_start <= ex.answer_end <= hi:
+            raise data.SchemaError(f"example {ex.id}: span ({ex.answer_start}, "
+                                   f"{ex.answer_end}) outside context [{lo}, {hi}]")
+    if ex.task == "labeling" and ex.labeled:
+        if len(ex.tags) != len(words):
+            raise data.SchemaError(f"example {ex.id}: {len(ex.tags)} tags for {len(words)} words")
+        if type(ex.n_label) is not int or any(type(t) is not int or not 0 <= t < ex.n_label
+                                              for t in ex.tags):
+            raise data.SchemaError(f"example {ex.id}: tag out of range for n_label "
+                                   f"{ex.n_label!r}, or of the wrong JSON type")
+    return ex
+
+
+def _example(record, task):
+    if not isinstance(record, dict):
+        raise data.SchemaError("a record must be a JSON object")
+    if task != "span":
+        return data.Example(str(record["id"]), record["lang"], task, record["words"],
+                            label=record.get("label") if task == "classification" else None,
+                            n_label=record.get("n_label"),
+                            tags=record.get("tags") if task == "labeling" else None)
+    question, context = record["question"], record["context"]
+    start, end = record.get("answer_start"), record.get("answer_end")
+    if type(start) not in (int, type(None)) or type(end) not in (int, type(None)):
+        raise TypeError(f"answer indices {start!r}, {end!r} must be integers")
+    offset = len(question)
+    return data.Example(str(record["id"]), record["lang"], task, question + context,
+                        question_len=offset,
+                        answer_start=None if start is None else offset + start,
+                        answer_end=None if end is None else offset + end)
+
+
+def load_jsonl_per_record(path, task):
+    """A JSON-lines file's examples as the package loaded them before it
+    checked columns: one record at a time, so a fault raises the moment its
+    line is read.  It has no language rule, which came later."""
+    examples, first_line = [], {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise data.SchemaError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
+            try:
+                ex = _validated(_example(record, task))
+            except KeyError as missing:
+                raise data.SchemaError(f"{path}:{lineno}: missing field {missing}") from None
+            except data.SchemaError as err:
+                raise data.SchemaError(f"{path}:{lineno}: {err}") from None
+            except (TypeError, ValueError) as err:
+                raise data.SchemaError(f"{path}:{lineno}: a field has the wrong JSON type "
+                                       f"({err})") from None
+            if first_line.setdefault(ex.id, lineno) != lineno:
+                raise data.SchemaError(f"{path}:{lineno}: repeats example id {ex.id!r} "
+                                       f"from line {first_line[ex.id]}")
+            examples.append(ex)
+    return examples

@@ -355,8 +355,8 @@ def test_synth_raises_no_float_warning(tmp_path):
                          "--eval-examples", "2", "--vocab-size", "60"]) == 0
 
 
-def synth_tiny_classification(data_dir):
-    assert cli.main(["synth", "--out", str(data_dir), "--task", "classification",
+def synth_tiny(data_dir, task="classification"):
+    assert cli.main(["synth", "--out", str(data_dir), "--task", task,
                      "--languages", ",".join(LANGUAGES), "--lemmas", "10",
                      "--train-examples", "8", "--eval-examples", "2", "--sentence-len", "3,5",
                      "--vocab-size", "80", "--em-iters", "1", "--seed", "2"]) == 0
@@ -366,7 +366,7 @@ def test_train_rejects_an_id_with_the_translated_view_marker(tmp_path, capsys):
     # "@" joins an id and a language in translated-view ids; a training id
     # holding it would miss its translations and drop every MT pair view
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     train = data_dir / "train.jsonl"
     train.write_text(train.read_text(encoding="utf-8").replace('"train-', '"train@'),
                      encoding="utf-8")
@@ -382,7 +382,7 @@ def test_train_rejects_an_id_with_the_translated_view_marker(tmp_path, capsys):
 
 def test_train_rejects_a_store_record_that_is_not_an_object(tmp_path, capsys):
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     store = data_dir / "translations.jsonl"
     store.write_text("[1, 2]\n" + store.read_text(encoding="utf-8"), encoding="utf-8")
     config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
@@ -396,7 +396,7 @@ def test_train_rejects_a_store_record_that_is_not_an_object(tmp_path, capsys):
 
 def test_train_rejects_a_repeated_training_id(tmp_path, capsys):
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     train = data_dir / "train.jsonl"
     lines = train.read_text(encoding="utf-8").splitlines(keepends=True)
     train.write_text("".join(lines + lines[:1]), encoding="utf-8")
@@ -415,7 +415,7 @@ def test_eval_rejects_a_checkpoint_of_another_vocabulary_size(vocab_size, tmp_pa
     # a larger vocabulary would end in an out-of-range gather, a smaller one
     # would score garbage; one of equal size cannot be told apart
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     vocab = data_dir / "vocab.tsv"
     assert len(tok.load_vocab(vocab)) not in (60, 200)
     checkpoint = tmp_path / "student.ckpt"
@@ -430,9 +430,9 @@ def test_eval_rejects_a_checkpoint_of_another_vocabulary_size(vocab_size, tmp_pa
 def test_train_names_the_first_example_over_max_len(tmp_path, capsys):
     # found at the stage start, before the first forward
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
-    first = data.load_jsonl(data_dir / "train.jsonl", "classification")[0]
+    first = data.load_jsonl(data_dir / "train.jsonl", "classification").examples()[0]
     pieces = tok.viterbi_segment_words(vocab, first.words).n_pieces
     assert pieces > 3
     config = write_config(tmp_path / "config.json", data_dir, preset="xnli", max_len=3)
@@ -457,7 +457,7 @@ def train_without_a_forward(tmp_path, data_dir, monkeypatch, *overrides, mode="x
 def test_train_names_the_item_with_an_uncovered_character(tmp_path, capsys, monkeypatch):
     # found at the stage start; a later item repeats the fault, the first is named
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     assert "Q" not in tok.load_vocab(data_dir / "vocab.tsv").alphabet
     path = data_dir / "train.jsonl"
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
@@ -475,7 +475,7 @@ def test_train_names_the_example_with_an_uncovered_character_in_the_ss_corpus(
     # the subword-sampled corpus is drawn before any stage; it names the
     # first example holding the character too
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     path = data_dir / "train.jsonl"
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     for k in (3, 6):
@@ -494,11 +494,11 @@ def test_train_names_the_item_of_a_code_switched_view_with_an_uncovered_characte
     # every dictionary translation is uncovered and every word switches, so
     # the first item of the first epoch's order is named, before any step
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     for path in data_dir.glob("dict.*.txt"):
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("".join(line + "Q\n" for line in lines), encoding="utf-8")
-    train = data.load_jsonl(data_dir / "train.jsonl", "classification")
+    train = data.load_jsonl(data_dir / "train.jsonl", "classification").examples()
     first = train[tr.substream(5, "main/batching").permutation(len(train))[0]]
     capsys.readouterr()
     assert train_without_a_forward(tmp_path, data_dir, monkeypatch, "cs_word_ratio=1",
@@ -509,7 +509,7 @@ def test_train_names_the_item_of_a_code_switched_view_with_an_uncovered_characte
 
 def test_train_rejects_an_n_label_below_the_training_data(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     capsys.readouterr()
     assert train_without_a_forward(tmp_path, data_dir, monkeypatch, "n_label=1") == 1
     assert capsys.readouterr().err == (f"error: {data_dir / 'train.jsonl'}: n_label 1 is below "
@@ -526,7 +526,7 @@ def test_train_rejects_an_n_label_below_the_training_data(tmp_path, capsys, monk
 
 def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir)
     monkeypatch.setattr(tr, "task_loss", lambda prediction, gold: ad.constant(float("nan")))
     config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
     capsys.readouterr()
@@ -537,13 +537,21 @@ def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("fault", ["empty", "uncovered", "overlong"])
+# a fault, or a fault and the task it is checked on (default: classification)
+EVAL_FAULTS = ["empty", "uncovered", "overlong", *(f"unlabeled:{task}" for task in sorted(TASKS)),
+               "outside:classification", "outside:labeling"]
+
+
+@pytest.mark.parametrize("fault", EVAL_FAULTS)
 def test_eval_input_faults_name_the_file_and_example(fault, tmp_path, capsys):
     # the second example of one language's eval file carries the fault;
     # each is found before the first forward
+    fault, _, task = fault.partition(":")
+    task = task or "classification"
     data_dir = tmp_path / "data"
-    synth_tiny_classification(data_dir)
+    synth_tiny(data_dir, task)
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
+    n_label = {"classification": 2, "labeling": 3, "span": None}[task]
     path = data_dir / "eval.xx.jsonl"
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     bad = records[1]
@@ -554,13 +562,25 @@ def test_eval_input_faults_name_the_file_and_example(fault, tmp_path, capsys):
         bad["words"][1] += "Q"
         records.append({**bad, "id": bad["id"] + "-again"})
         message = f"example {bad['id']!r}: character 'Q' is not covered by the vocabulary"
-    else:
+    elif fault == "overlong":
         bad["words"] *= 20
         pieces = tok.viterbi_segment_words(vocab, bad["words"]).n_pieces
         message = f"example {bad['id']!r}: input of {pieces} subwords exceeds max_len 48"
+    elif fault == "unlabeled":   # valid data, but nothing to score it against
+        for key in ("label", "tags", "answer_start", "answer_end"):
+            bad.pop(key, None)
+        message = f"example {bad['id']!r}: no gold to score"
+    else:   # gold the record's n_label allows, beyond the checkpoint's classes
+        bad["n_label"] = 9
+        if task == "labeling":
+            bad["tags"] = [8] * len(bad["words"])
+        else:
+            bad["label"] = 8
+        message = (f"example {bad['id']!r}: gold {'tag' if task == 'labeling' else 'label'} 8 "
+                   f"is not below the checkpoint's n_label {n_label}")
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     checkpoint = tmp_path / "student.ckpt"
-    save_params(ModelParams("classification", len(vocab), 4, 48, n_label=2), checkpoint)
+    save_params(ModelParams(task, len(vocab), 4, 48, n_label=n_label), checkpoint)
     capsys.readouterr()
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]) == 1
     err = capsys.readouterr().err

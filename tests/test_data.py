@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 import re
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from xtune import data
 from xtune.augment import BilingualDictionary
 
+import reference as ref
+
 
 class TestJsonl:
     def test_classification_round_trip(self, tmp_path):
@@ -17,7 +20,7 @@ class TestJsonl:
                           words=["w1", "w2"], label=1, n_label=2)
         path = tmp_path / "c.jsonl"
         data.save_jsonl([ex], path)
-        back = data.load_jsonl(path, "classification")
+        back = data.load_jsonl(path, "classification").examples()
         assert len(back) == 1 and back[0] == ex
 
     def test_span_round_trip_offsets(self, tmp_path):
@@ -26,7 +29,7 @@ class TestJsonl:
                           answer_start=2, answer_end=3)
         path = tmp_path / "s.jsonl"
         data.save_jsonl([ex], path)
-        back = data.load_jsonl(path, "span")[0]
+        back = data.load_jsonl(path, "span").examples()[0]
         assert back == ex
 
     def test_tag_count_mismatch_names_line(self, tmp_path):
@@ -93,7 +96,7 @@ class TestJsonl:
         line, line2 = (json.dumps(data.example_to_record(e)) for e in (ex, ex2))
         path = tmp_path / "c.jsonl"
         path.write_text(f"\n  \t\n {line} \r\n\n\t{line2}\n\n", encoding="utf-8")
-        assert data.load_jsonl(path, "classification") == [ex, ex2]
+        assert data.load_jsonl(path, "classification").examples() == [ex, ex2]
 
     def test_repeated_id_names_both_lines(self, tmp_path):
         ex = data.Example(id="a", language="en", task="classification",
@@ -108,7 +111,42 @@ class TestJsonl:
     def test_empty_file_empty_corpus(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text("", encoding="utf-8")
-        assert data.load_jsonl(path, "classification") == []
+        assert data.load_jsonl(path, "classification").examples() == []
+
+    @pytest.mark.parametrize("lang,message", [
+        (5, "lang 5 is not a non-empty string"),
+        ("", "lang '' is not a non-empty string"),
+        (None, "lang None is not a non-empty string"),
+        (["en"], "lang ['en'] is not a non-empty string"),
+        ("e n", "language 'e n' holds ' ', which written file names, ids and lines cannot carry"),
+        ("e@n", "language 'e@n' holds '@'"),
+    ])
+    def test_bad_lang_names_line(self, lang, message, tmp_path):
+        good = {"id": "a", "lang": "en", "words": ["w1"], "label": 0, "n_label": 2}
+        path = tmp_path / "t.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{json.dumps({**good, 'id': 'b', 'lang': lang})}\n",
+                        encoding="utf-8")
+        with pytest.raises(data.SchemaError, match=f"^{re.escape(f'{path}:2: {message}')}"):
+            data.load_jsonl(path, "classification")
+
+    def test_the_first_faulty_line_is_named(self, tmp_path):
+        # a schema fault on line 2, a repeated id on line 3, invalid JSON on
+        # line 4: each is named once the faults before it are mended
+        good = {"id": "a", "lang": "en", "words": ["w1"], "label": 0, "n_label": 2}
+        lines = [good, {**good, "id": "b", "label": 2}, good, "not json"]
+        mends = [{**good, "id": "b"}, {**good, "id": "c"}, {**good, "id": "d"}]
+        messages = ["example b: label 2 out of range for n_label 2, or of the wrong JSON type",
+                    "repeats example id 'a' from line 1", "invalid JSON (Expecting value)"]
+        path = tmp_path / "t.jsonl"
+        for line, (mend, message) in enumerate(zip(mends, messages), start=2):
+            path.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n"
+                                    for r in lines), encoding="utf-8")
+            with pytest.raises(data.SchemaError) as err:
+                data.load_jsonl(path, "classification")
+            assert str(err.value) == f"{path}:{line}: {message}"
+            lines[line - 1] = mend
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        assert len(data.load_jsonl(path, "classification")) == 4
 
     def test_span_outside_context_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -117,6 +155,71 @@ class TestJsonl:
             '"answer_start":0,"answer_end":5}\n', encoding="utf-8")
         with pytest.raises(data.SchemaError, match="outside context"):
             data.load_jsonl(path, "span")
+
+
+def random_jsonl(rng, task, fault_rate):
+    """The text of a JSON-lines file of ``task`` records, each field of the
+    wrong type, missing or out of range at about ``fault_rate``."""
+    odd = [5, 1.5, True, None, "s", "", [], {}, {"a": 1}, ["x"], [1], [""], -1, 0, 2]
+
+    def maybe(value):
+        return rng.choice(odd) if rng.random() < fault_rate else value
+
+    lines = []
+    for k in range(rng.randint(0, 12)):
+        words = [f"w{rng.randint(0, 5)}" for _ in range(rng.randint(1, 4))]
+        n_label = rng.randint(1, 4)
+        record = {"id": rng.choice([f"e{k}", k, f"e{k}@x", "e0"] if rng.random() < fault_rate
+                                   else [f"e{k}"]), "lang": "xx"}
+        if task == "span":
+            start = rng.randint(0, len(words) - 1)
+            record.update(question=maybe(words[:rng.randint(0, 2)]), context=maybe(words),
+                          answer_start=maybe(start),
+                          answer_end=maybe(rng.randint(start, len(words) - 1)))
+        else:
+            record.update(words=maybe(words), n_label=maybe(n_label))
+            gold = [maybe(rng.randint(0, n_label - 1)) for _ in words]
+            if task == "classification":
+                record["label"] = gold[0]
+            else:
+                record["tags"] = maybe(gold[:-1] if rng.random() < fault_rate else gold)
+        for key in list(record):
+            if rng.random() < fault_rate / 3:
+                del record[key]
+        line = json.dumps(maybe(record))
+        lines.append(rng.choice(["", "not json", line + " x"]) if rng.random() < fault_rate / 3
+                     else line)
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("task", data.TASKS)
+def test_columns_match_the_per_record_reference(task, tmp_path):
+    """On random files, faulty and not, the columnar loader names the line
+    and gives the message the per-record reference does, or the same
+    examples.  An unlabeled record's class count reads None unless it is a
+    JSON integer (-1 reads None), and its lone answer index is dropped."""
+    rng = random.Random(23)
+    path = tmp_path / "t.jsonl"
+    outcomes = set()
+    for _ in range(300):
+        path.write_text(random_jsonl(rng, task, rng.choice([0.01, 0.05, 0.2])), encoding="utf-8")
+        try:
+            want = [vars(ex) for ex in ref.load_jsonl_per_record(path, task)]
+        except data.SchemaError as err:
+            with pytest.raises(data.SchemaError) as got:
+                data.load_jsonl(path, task)
+            assert str(got.value) == str(err)
+            outcomes.add(re.sub(r"^example [^:]*: |[^a-z ].*", "", str(err).split(": ", 1)[1]))
+            continue
+        for ex in want:
+            if not (ex["label"] is not None or ex["tags"] is not None
+                    or None not in (ex["answer_start"], ex["answer_end"])):
+                ex["answer_start"] = ex["answer_end"] = None
+                if type(ex["n_label"]) is not int or ex["n_label"] == -1:
+                    ex["n_label"] = None
+        assert [vars(ex) for ex in data.load_jsonl(path, task).examples()] == want
+        outcomes.add("loaded")
+    assert len(outcomes) >= 8, outcomes   # loaded, and most rules broken first
 
 
 class TestRules:

@@ -44,6 +44,7 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # name another class also defines or assigns
 SHARED = {
     "BilingualDictionary.n_words": "augment.load_dictionary",
+    "Corpus.examples": "cli.load_resources",
     "Packing.take": "trainer._teacher_rows",
     "RecordTable.lengths": "evaluate.score_corpus",
     "RowTable.take": "trainer.run_stage",
@@ -55,6 +56,7 @@ SHARED = {
 # dunder method but the constructors
 DUNDERS = {
     "AugmentedCorpus.__len__": "cli.cmd_augment",
+    "Corpus.__len__": "evaluate.score_corpus",
     "ModelParams.__getitem__": "model.encode",
     "Packing.__len__": "model.predict",
     "UnigramVocab.__len__": "trainer.init_params",

@@ -14,6 +14,7 @@ import pytest
 from xtune import augment as aug
 from xtune import autodiff as ad
 from xtune import consistency as cons
+from xtune import data
 from xtune import evaluate as ev
 from xtune import model as mdl
 from xtune import tokenizer as tok
@@ -292,6 +293,11 @@ def test_span_decode_buffers_stay_linear_in_the_chunk():
     assert peak < 400_000
 
 
+def corpus_of(examples, task):
+    """The checked ``data.Corpus`` of ``examples``, as their file would load."""
+    return data.corpus_of(list(map(data.example_to_record, examples)), task)
+
+
 def eval_corpus(bench):
     """Every language's eval examples as one corpus: more than two chunks,
     the last one short, with word types shared across languages."""
@@ -405,7 +411,7 @@ def test_a_corpus_of_interned_word_types_packs_as_its_viterbi_segmentations(
 
     monkeypatch.setattr(ev, "EVAL_CHUNK", len(examples))
     monkeypatch.setattr(ev, "predict", recording_predict)
-    ev.score_corpus(params, examples, res.vocab)
+    ev.score_corpus(params, corpus_of(examples, task), res.vocab)
     (packing,) = seen
     assert_same_packing(packing, mdl.Packing.of(
         [tok.viterbi_segment_words(res.vocab, ex.words) for ex in examples]))
@@ -453,7 +459,8 @@ def test_score_corpus_equals_the_per_chunk_path(task, pooling, eval_benches, mon
 
     monkeypatch.setattr(ev, "predict", recording_predict)
     monkeypatch.setattr(ev, "decode", recording_decode)
-    assert ev.score_corpus(params, examples, res.vocab) == want_scores
+    assert ev.score_corpus(params, corpus_of(examples, task),
+                           res.vocab) == want_scores
     assert decoded == want_decoded
     starts = range(0, len(examples), ev.EVAL_CHUNK)
     assert len(packings) == len(starts)
@@ -464,7 +471,8 @@ def test_score_corpus_equals_the_per_chunk_path(task, pooling, eval_benches, mon
 
     packings.clear()
     eval_sets = {"all": examples, **bench.eval_sets, "one": examples[:1]}
-    ev.evaluate_languages(params, eval_sets, res.vocab)
+    ev.evaluate_languages(params, {lang: corpus_of(exs, task)
+                                   for lang, exs in eval_sets.items()}, res.vocab)
     assert [len(p) for p in packings] == [
         min(ev.EVAL_CHUNK, len(exs) - start) for exs in eval_sets.values()
         for start in range(0, len(exs), ev.EVAL_CHUNK)]
@@ -744,7 +752,7 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
     tr.run_stage(list(bench.train[:20]), tr.init_params(cfg, res), cfg, res, "main",
                  pair_strategy="SS", pair_weight=1.0)
     assert calls["trainer.subword_resample"] >= 1
-    ev.evaluate_languages(student, {lang: examples[:5]
+    ev.evaluate_languages(student, {lang: corpus_of(examples[:5], cfg.task)
                                     for lang, examples in bench.eval_sets.items()}, res.vocab)
     assert calls["evaluate.predict"] >= 1 and calls["evaluate.decode"] >= 1
 
