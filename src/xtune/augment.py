@@ -371,6 +371,13 @@ class AugmentedCorpus:
         return len(self.originals) + len(self.augmented)
 
 
+def name_uncovered(corpus, vocab, err):
+    """``err``, a CoverageError, led by the first example of ``corpus`` that
+    holds a character ``vocab`` does not cover."""
+    bad = next(ex for ex in corpus if not vocab.alphabet.issuperset("".join(ex.words)))
+    return tok.CoverageError(f"example {bad.id!r}: {err}")
+
+
 def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None, store=None):
     """D_A = D plus exactly one augmentation per example (ratio 1.0).
 
@@ -394,8 +401,7 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
         try:
             drawn, modified = subword_resample(words, vocab, strategy.alpha, rng)
         except tok.CoverageError as err:
-            bad = next(ex for ex in corpus if not vocab.alphabet.issuperset("".join(ex.words)))
-            raise ValueError(f"example {bad.id!r}: {err}") from None
+            raise name_uncovered(corpus, vocab, err) from None
         augmented = [AugmentedExample(ex.with_words(list(ex.words)), "SS", flags,
                                       tok.Segmentation(records)) for ex, records, flags
                      in zip(corpus, _split(corpus, drawn), _split(corpus, modified.tolist()))]

@@ -124,14 +124,17 @@ def cmd_synth(args):
 def cmd_tokenize(args):
     vocab = tok.load_vocab(args.vocab)
     corpus = data.load_jsonl(args.input, args.task).examples()
-    if args.mode == "viterbi":
-        segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in corpus]
-    else:
-        rng = trainer.substream(args.seed, "tokenize")
-        drawn, _modified = aug.subword_resample([w for ex in corpus for w in ex.words], vocab,
-                                                args.alpha, rng)
-        drawn = iter(drawn)
-        segs = [tok.Segmentation(list(islice(drawn, len(ex.words)))) for ex in corpus]
+    try:
+        if args.mode == "viterbi":
+            segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in corpus]
+        else:
+            rng = trainer.substream(args.seed, "tokenize")
+            drawn, _modified = aug.subword_resample([w for ex in corpus for w in ex.words], vocab,
+                                                    args.alpha, rng)
+            drawn = iter(drawn)
+            segs = [tok.Segmentation(list(islice(drawn, len(ex.words)))) for ex in corpus]
+    except tok.CoverageError as err:
+        raise ValueError(f"{args.input}: {aug.name_uncovered(corpus, vocab, err)}") from None
     with open(args.output, "w", encoding="utf-8") as fh:
         for ex, seg in zip(corpus, segs):
             fh.write(json.dumps({"id": ex.id, "pieces": seg.pieces,
@@ -158,8 +161,11 @@ def cmd_augment(args):
     dictionaries = [aug.load_dictionary(p, "?", "?") for p in args.dict or []]
     store = aug.TranslationStore.load(args.store) if args.store else None
     rng = trainer.substream(args.seed, "augment")
-    corpus_aug = aug.build_augmented_corpus(
-        corpus, strategy, rng, vocab=vocab, dictionaries=dictionaries, store=store)
+    try:
+        corpus_aug = aug.build_augmented_corpus(
+            corpus, strategy, rng, vocab=vocab, dictionaries=dictionaries, store=store)
+    except tok.CoverageError as err:
+        raise ValueError(f"{args.input}: {err}") from None
 
     with open(args.output, "w", encoding="utf-8") as fh:
         for ex in corpus_aug.originals:

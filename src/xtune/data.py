@@ -10,10 +10,10 @@ Scoring reads the columns; training, tokenizing and augmenting take one
 ``Example`` per record from ``Corpus.examples``.  ``save_jsonl`` checks the
 records it writes by the same rules, so every file it writes loads.
 
-The cipher generator renders the same underlying lemma sequences into
-disjoint per-language surface forms (``w3`` -> ``w3§de``), so gold labels are
-language-invariant by construction and cross-lingual transfer is measurable
-without any real multilingual data.
+The cipher generator renders one flat lemma array per split into disjoint
+per-language surface forms (``w3`` -> ``w3§de``) and into gold labels, by
+array rules over lemma ids only, so gold labels are language-invariant and
+cross-lingual transfer is measurable without any real multilingual data.
 """
 
 from __future__ import annotations
@@ -132,6 +132,35 @@ class Corpus:
             out.append(ex)
         return out
 
+    def json_records(self):
+        """Each example's JSON record, which ``corpus_of`` checks back into
+        these columns."""
+        words, gold = _cut(self.words, self.n_words), self.golds.tolist()
+        if self.task == "span":
+            records = [{"id": i, "lang": lang, "question": w[:q], "context": w[q:],
+                        "answer_start": start - q, "answer_end": end - q}
+                       for i, lang, w, q, (start, end) in zip(
+                           self.ids, self.languages, words, self.question_len.tolist(), gold)]
+        else:
+            key = "label" if self.task == "classification" else "tags"
+            gold = _cut(gold, self.n_words) if self.task == "labeling" else gold
+            records = [{"id": i, "lang": lang, "words": w, key: g, "n_label": n}
+                       for i, lang, w, g, n in zip(
+                           self.ids, self.languages, words, gold, self.n_label.tolist())]
+        for record in map(records.__getitem__, np.flatnonzero(~self.has_gold).tolist()):
+            if self.task == "span":
+                del record["answer_start"], record["answer_end"]
+            else:   # only an unlabeled example's class count can be -1
+                record[key] = None
+                record["n_label"] = None if record["n_label"] == -1 else record["n_label"]
+        return records
+
+
+def _cut(flat, n_words):
+    """``flat`` cut into consecutive lists of ``n_words`` items."""
+    ends = np.cumsum(n_words).tolist()
+    return list(map(flat.__getitem__, map(slice, [0] + ends, ends)))
+
 
 # ---------------------------------------------------------------------------
 # JSON-lines I/O and the schema rules
@@ -156,10 +185,10 @@ def _given(values):
 
 
 def _per_example(flags, n_words):
-    """Whether each example of ``n_words`` words holds a flagged word."""
+    """How many flagged words each example of ``n_words`` words holds."""
     seen = np.concatenate(([0], np.cumsum(flags, dtype=np.intp)))
     ends = np.cumsum(n_words)
-    return seen[ends] > seen[ends - n_words]
+    return seen[ends] - seen[ends - n_words]
 
 
 def _type_error(op, *fields):
@@ -232,7 +261,7 @@ def corpus_of(records, task, source="<records>", lines=None):
     flat = list(chain.from_iterable(words[:n]))
     bad_word = ([] if set(map(type, flat)) <= {str} and all(flat)
                 else [type(w) is not str or not w for w in flat])
-    flag((n_words == 0) | _per_example(bad_word or np.zeros(len(flat), bool), n_words),
+    flag((n_words == 0) | (_per_example(bad_word or np.zeros(len(flat), bool), n_words) > 0),
          wrong_words)
     n_words = n_words[:n]
     if task == "span":
@@ -260,7 +289,7 @@ def corpus_of(records, task, source="<records>", lines=None):
                                             for t, m in zip(gold[:n], sizes.tolist())))
         gold_ok, golds = _ints(gold[:sizes[:n].sum()])
         bad = ~gold_ok | (golds < 0) | (golds >= np.repeat(n_label[:n], sizes[:n]))
-        flag(has_gold[:n] & (~count_ok[:n] | _per_example(bad, sizes[:n])),
+        flag(has_gold[:n] & (~count_ok[:n] | (_per_example(bad, sizes[:n]) > 0)),
              lambda k: (f"example {ids[k]}: "
                         f"{'tag' if task == 'labeling' else f'label {gold[k]!r}'} out of range "
                         f"for n_label {counts[k]!r}, or of the wrong JSON type"))
@@ -319,6 +348,8 @@ def load_jsonl(path, task):
     corpus = corpus_of(records, task, path, lines)
     if broken:
         raise SchemaError(broken)
+    memo = {}   # one str per distinct word, not one per occurrence
+    corpus.words = list(map(memo.setdefault, corpus.words, corpus.words))
     return corpus
 
 
@@ -338,15 +369,14 @@ def example_to_record(ex):
             "tags": ex.tags, "n_label": ex.n_label}
 
 
-def save_jsonl(examples, path):
-    """Write one record per example, checked first by the rules ``load_jsonl``
-    applies, so that the file loads."""
-    records = [example_to_record(ex) for ex in examples]
-    if records:
-        corpus_of(records, examples[0].task, path)
+def save_jsonl(corpus, path):
+    """Write one record per example of ``corpus``, checked first by the rules
+    ``load_jsonl`` applies, so that the file loads."""
+    records = corpus.json_records()
+    corpus_of(records, corpus.task, path)
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode(record) + "\n" for record in records)
+        fh.write("".join([encode(record) + "\n" for record in records]))
 
 
 # ---------------------------------------------------------------------------
@@ -418,59 +448,48 @@ def surface(lemma_id, language, source_language):
     return base if language == source_language else f"{base}{CIPHER_SEP}{language}"
 
 
-def classification_label(lemmas, rule="lemma_majority", lemma_count=None):
-    """Binary label computed from lemma ids.
-
-    lemma_majority: 1 when lemmas from the upper half of the inventory
-    outnumber those from the lower half.  even_lemma_parity: parity of the
-    count of even-numbered lemmas.
-    """
-    if rule == "even_lemma_parity":
-        return sum(1 for k in lemmas if k % 2 == 0) % 2
-    upper = sum(1 for k in lemmas if k >= lemma_count // 2)
-    return 1 if upper * 2 > len(lemmas) else 0
-
-
-def labeling_tags(lemmas, n_tag):
-    return [k % n_tag for k in lemmas]
-
-
 @dataclass
 class CipherBenchmark:
+    """A generated benchmark; its splits are ``Corpus`` columns."""
+
     spec: SyntheticSpec
-    train: list                    # source-language training corpus
-    eval_sets: dict                # language -> parallel eval corpus
+    train: Corpus                  # source-language training corpus
+    eval_sets: dict                # language -> parallel eval Corpus
     dictionaries: dict             # (src, tgt) -> BilingualDictionary
     store: "TranslationStore"      # translations of every training example
     words: list                    # surface inventory for vocab estimation
 
 
 def _sample_lemma_sentence(spec, rng):
+    """One input's lemmas; a span input is the trigger 0, then a context holding it once."""
     lo, hi = spec.sentence_len_range
     length = int(rng.integers(lo, hi + 1))
-    lemma_pool = spec.lemma_count
-    if spec.task == "span":
-        lemma_pool -= 1  # lemma 0 is reserved as the question trigger
-        lemmas = [int(k) + 1 for k in rng.integers(0, lemma_pool, length)]
-        pos = int(rng.integers(0, length))
-        lemmas.insert(pos, 0)  # trigger; the following word is the answer
-        return lemmas
-    return [int(k) for k in rng.integers(0, lemma_pool, length)]
+    if spec.task != "span":
+        return rng.integers(0, spec.lemma_count, length).tolist()
+    lemmas = (rng.integers(0, spec.lemma_count - 1, length) + 1).tolist()
+    lemmas.insert(int(rng.integers(0, length)), 0)
+    return [0] + lemmas
 
 
-def _render(spec, lemmas, language, example_id, surfaces):
-    """One sentence in ``language``, whose lemma -> surface list is ``surfaces``."""
-    words = [surfaces[k] for k in lemmas]
-    if spec.task == "span":   # the question is the trigger; the answer follows it
-        answer = 1 + lemmas.index(0) + 1
-        fields = dict(words=[surfaces[0]] + words, question_len=1, answer_start=answer,
-                      answer_end=answer)
-    elif spec.task == "classification":
-        fields = dict(words=words, n_label=2, label=classification_label(
-            lemmas, spec.classification_rule, spec.lemma_count))
-    else:
-        fields = dict(words=words, tags=labeling_tags(lemmas, spec.n_tag), n_label=spec.n_tag)
-    return Example(id=example_id, language=language, task=spec.task, **fields)
+def _render_split(spec, sentences, surfaces, ids):
+    """``sentences`` as one ``Corpus`` per language of ``surfaces``, whose
+    examples in language ``lang`` are named ``ids(lang)``."""
+    flat, n = list(chain.from_iterable(sentences)), len(sentences)
+    lemmas, n_words = np.array(flat), np.fromiter(map(len, sentences), np.intp, n)
+    question_len, n_label = np.zeros(n, np.intp), np.full(n, 2)
+    if spec.task == "span":   # the answer follows the context's trigger
+        answer = np.flatnonzero(lemmas == 0)[1::2] - (np.cumsum(n_words) - n_words) + 1
+        question_len, n_label = np.ones(n, np.intp), np.full(n, -1)
+        golds = np.stack([answer, answer], 1)
+    elif spec.task == "labeling":
+        n_label, golds = np.full(n, spec.n_tag), lemmas % spec.n_tag
+    elif spec.classification_rule == "even_lemma_parity":
+        golds = _per_example(lemmas % 2 == 0, n_words) % 2
+    else:   # 1 when lemmas of the inventory's upper half are the majority
+        golds = (_per_example(lemmas >= spec.lemma_count // 2, n_words) * 2 > n_words) * 1
+    return {lang: Corpus(spec.task, ids(lang), [lang] * n, list(map(forms.__getitem__, flat)),
+                         n_words, question_len, n_label, np.ones(n, bool), golds)
+            for lang, forms in surfaces.items()}
 
 
 def generate_cipher_corpus(spec, rng):
@@ -483,32 +502,22 @@ def generate_cipher_corpus(spec, rng):
     """
     from .augment import BilingualDictionary, TranslationStore
 
-    src = spec.languages[0]
-    targets = list(spec.languages[1:])
+    src, targets = spec.languages[0], spec.languages[1:]
     all_lemmas = range(spec.lemma_count)
     surfaces = {lang: [surface(k, lang, src) for k in all_lemmas] for lang in spec.languages}
+    n_train, n_eval = spec.train_examples, spec.eval_examples_per_language
+    sentences = [_sample_lemma_sentence(spec, rng) for _ in range(n_train + n_eval)]
+    train_ids = [f"train-{i:05d}" for i in range(n_train)]
+    train = _render_split(spec, sentences[:n_train], surfaces, lambda lang: train_ids)
+    eval_sets = _render_split(spec, sentences[n_train:], surfaces,
+                              lambda lang: [f"eval-{i:05d}-{lang}" for i in range(n_eval)])
 
-    train = []
     store = TranslationStore()
-    for i in range(spec.train_examples):
-        lemmas = _sample_lemma_sentence(spec, rng)
-        ex = _render(spec, lemmas, src, f"train-{i:05d}", surfaces[src])
-        train.append(ex)
-        for lang in targets:
-            translated = _render(spec, lemmas, lang, ex.id, surfaces[lang])
-            store.add(
-                ex.id,
-                lang,
-                translated.words,
-                label=translated.label if spec.task == "classification" else None,
-            )
-
-    eval_sets = {lang: [] for lang in spec.languages}
-    for i in range(spec.eval_examples_per_language):
-        lemmas = _sample_lemma_sentence(spec, rng)
-        for lang in spec.languages:
-            example_id = f"eval-{i:05d}-{lang}"
-            eval_sets[lang].append(_render(spec, lemmas, lang, example_id, surfaces[lang]))
+    for lang in targets:   # the target-language renderings of the training split
+        corpus = train[lang]
+        labels = corpus.golds.tolist() if spec.task == "classification" else repeat(None)
+        for example_id, words, label in zip(train_ids, _cut(corpus.words, corpus.n_words), labels):
+            store.add(example_id, lang, words, label=label)
 
     dictionaries = {}
     for lang in targets:
@@ -518,5 +527,5 @@ def generate_cipher_corpus(spec, rng):
         dictionaries[(lang, src)] = BilingualDictionary(lang, src, rev)
 
     words = [surfaces[lang][k] for k in all_lemmas for lang in spec.languages]
-    return CipherBenchmark(spec=spec, train=train, eval_sets=eval_sets,
+    return CipherBenchmark(spec=spec, train=train[src], eval_sets=eval_sets,
                            dictionaries=dictionaries, store=store, words=words)

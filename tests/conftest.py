@@ -1,5 +1,7 @@
 """Shared fixtures: a small cipher benchmark with vocabulary and resources."""
 
+import dataclasses
+
 import pytest
 
 from xtune import data
@@ -10,6 +12,8 @@ from xtune.trainer import Resources, substream
 def build_benchmark(task="classification", languages=("en", "xx", "yy"),
                     train_examples=80, eval_examples=60, lemma_count=12,
                     seed=1, vocab_size=None, max_piece_len=12, n_tag=3):
+    """A generated benchmark with its training and eval corpora as ``Example``
+    lists, and the resources its vocabulary, dictionaries and store give."""
     spec = data.SyntheticSpec(
         task=task,
         languages=languages,
@@ -31,6 +35,9 @@ def build_benchmark(task="classification", languages=("en", "xx", "yy"),
         dictionaries=[bench.dictionaries[(languages[0], lang)] for lang in languages[1:]],
         store=bench.store,
     )
+    # the tests read the training and eval corpora as Example lists
+    bench = dataclasses.replace(bench, train=bench.train.examples(), eval_sets={
+        lang: corpus.examples() for lang, corpus in bench.eval_sets.items()})
     return bench, res
 
 

@@ -18,6 +18,10 @@ package must match each of them bit for bit and draw for draw.
 ``load_jsonl_per_record`` loads a JSON-lines file one record at a time, as
 the package did before it checked columns: the columnar loader must name
 the same line with the same message and return the same examples.
+``generate_cipher_examples`` renders the cipher benchmark one sentence and
+language at a time, with ``classification_label`` and ``labeling_tags``
+per sentence, as the package did before it rendered columns from a flat
+lemma array: the columnar generator must give the same examples and store.
 
 The rest is the per-example reference for the packed forward, task loss and
 regularizers: the one-graph-per-example path the package used before
@@ -473,3 +477,77 @@ def load_jsonl_per_record(path, task):
                                        f"from line {first_line[ex.id]}")
             examples.append(ex)
     return examples
+
+
+# ---------------------------------------------------------------------------
+# Per-sentence cipher generator
+
+
+def classification_label(lemmas, rule="lemma_majority", lemma_count=None):
+    """Binary label computed from lemma ids.
+
+    lemma_majority: 1 when lemmas from the upper half of the inventory
+    outnumber those from the lower half.  even_lemma_parity: parity of the
+    count of even-numbered lemmas.
+    """
+    if rule == "even_lemma_parity":
+        return sum(1 for k in lemmas if k % 2 == 0) % 2
+    upper = sum(1 for k in lemmas if k >= lemma_count // 2)
+    return 1 if upper * 2 > len(lemmas) else 0
+
+
+def labeling_tags(lemmas, n_tag):
+    return [k % n_tag for k in lemmas]
+
+
+def _sample_lemma_sentence(spec, rng):
+    lo, hi = spec.sentence_len_range
+    length = int(rng.integers(lo, hi + 1))
+    lemma_pool = spec.lemma_count
+    if spec.task == "span":
+        lemma_pool -= 1  # lemma 0 is reserved as the question trigger
+        lemmas = [int(k) + 1 for k in rng.integers(0, lemma_pool, length)]
+        pos = int(rng.integers(0, length))
+        lemmas.insert(pos, 0)  # trigger; the following word is the answer
+        return lemmas
+    return [int(k) for k in rng.integers(0, lemma_pool, length)]
+
+
+def render(spec, lemmas, language, example_id, surfaces):
+    """One sentence in ``language``, whose lemma -> surface list is ``surfaces``."""
+    words = [surfaces[k] for k in lemmas]
+    if spec.task == "span":   # the question is the trigger; the answer follows it
+        answer = 1 + lemmas.index(0) + 1
+        fields = dict(words=[surfaces[0]] + words, question_len=1, answer_start=answer,
+                      answer_end=answer)
+    elif spec.task == "classification":
+        fields = dict(words=words, n_label=2, label=classification_label(
+            lemmas, spec.classification_rule, spec.lemma_count))
+    else:
+        fields = dict(words=words, tags=labeling_tags(lemmas, spec.n_tag), n_label=spec.n_tag)
+    return data.Example(id=example_id, language=language, task=spec.task, **fields)
+
+
+def generate_cipher_examples(spec, rng):
+    """The training examples, eval examples per language and translation
+    store entries ((example id, language) -> (words, label)) of the cipher
+    benchmark, rendered one sentence and language at a time."""
+    src, targets = spec.languages[0], spec.languages[1:]
+    surfaces = {lang: [data.surface(k, lang, src) for k in range(spec.lemma_count)]
+                for lang in spec.languages}
+    train, store = [], {}
+    for i in range(spec.train_examples):
+        lemmas = _sample_lemma_sentence(spec, rng)
+        ex = render(spec, lemmas, src, f"train-{i:05d}", surfaces[src])
+        train.append(ex)
+        for lang in targets:
+            translated = render(spec, lemmas, lang, ex.id, surfaces[lang])
+            store[ex.id, lang] = (translated.words,
+                                  translated.label if spec.task == "classification" else None)
+    eval_sets = {lang: [] for lang in spec.languages}
+    for i in range(spec.eval_examples_per_language):
+        lemmas = _sample_lemma_sentence(spec, rng)
+        for lang in spec.languages:
+            eval_sets[lang].append(render(spec, lemmas, lang, f"eval-{i:05d}-{lang}",
+                                          surfaces[lang]))
+    return train, eval_sets, store

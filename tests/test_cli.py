@@ -470,6 +470,37 @@ def test_train_names_the_item_with_an_uncovered_character(tmp_path, capsys, monk
                                        "is not covered by the vocabulary\n")
 
 
+@pytest.mark.parametrize("command", [["tokenize"], ["tokenize", "--mode", "sample"],
+                                     ["augment", "--strategy", "SS"]],
+                         ids=["tokenize-viterbi", "tokenize-sample", "augment-SS"])
+def test_an_uncovered_character_names_the_input_file_and_example(command, tmp_path, capsys):
+    # a later example repeats the fault; the first is named
+    data_dir = tmp_path / "data"
+    synth_tiny(data_dir)
+    vocab = data_dir / "vocab.tsv"
+    assert "Q" not in tok.load_vocab(vocab).alphabet
+    path = data_dir / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for k in (2, 5):
+        records[k]["words"][1] += "Q"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(command + ["--vocab", str(vocab), "--input", str(path),
+                               "--output", str(tmp_path / "out.jsonl")]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: example {records[2]['id']!r}: "
+                                       "character 'Q' is not covered by the vocabulary\n")
+
+
+def test_synth_builds_no_example(tmp_path, monkeypatch):
+    # every split is rendered and written from columns
+    def refuse(*args, **kwargs):
+        raise AssertionError("xtune synth built a data.Example")
+
+    monkeypatch.setattr(data.Example, "__init__", refuse)
+    for task in sorted(TASKS):
+        synth_tiny(tmp_path / task, task)
+
+
 def test_train_names_the_example_with_an_uncovered_character_in_the_ss_corpus(
         tmp_path, capsys, monkeypatch):
     # the subword-sampled corpus is drawn before any stage; it names the

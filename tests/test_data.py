@@ -14,12 +14,25 @@ from xtune.augment import BilingualDictionary
 import reference as ref
 
 
+def corpus_of_examples(examples):
+    """The checked ``data.Corpus`` of ``examples``, as their file would load."""
+    return data.corpus_of(list(map(data.example_to_record, examples)), examples[0].task)
+
+
+def assert_same_columns(got, want):
+    """``got`` and ``want`` are corpora of the same task with equal columns."""
+    assert (got.task, got.ids, got.languages, got.words) == (
+        want.task, want.ids, want.languages, want.words)
+    for name in ("n_words", "question_len", "n_label", "has_gold", "golds"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestJsonl:
     def test_classification_round_trip(self, tmp_path):
         ex = data.Example(id="a", language="en", task="classification",
                           words=["w1", "w2"], label=1, n_label=2)
         path = tmp_path / "c.jsonl"
-        data.save_jsonl([ex], path)
+        data.save_jsonl(corpus_of_examples([ex]), path)
         back = data.load_jsonl(path, "classification").examples()
         assert len(back) == 1 and back[0] == ex
 
@@ -28,7 +41,7 @@ class TestJsonl:
                           words=["q", "a", "b", "c"], question_len=1,
                           answer_start=2, answer_end=3)
         path = tmp_path / "s.jsonl"
-        data.save_jsonl([ex], path)
+        data.save_jsonl(corpus_of_examples([ex]), path)
         back = data.load_jsonl(path, "span").examples()[0]
         assert back == ex
 
@@ -107,6 +120,15 @@ class TestJsonl:
         with pytest.raises(data.SchemaError) as err:
             data.load_jsonl(path, "classification")
         assert str(err.value) == f"{path}:2: repeats example id 'a' from line 1"
+
+    def test_a_loaded_word_is_one_str_per_distinct_word(self, tmp_path):
+        # a file repeats few words many times; the corpus keeps one object each
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps({"id": f"e{k}", "lang": "en", "words": ["w1", "w2"] * 3,
+                                            "label": 0, "n_label": 2}) + "\n" for k in range(4)),
+                        encoding="utf-8")
+        words = data.load_jsonl(path, "classification").words
+        assert len(words) == 24 and len(set(map(id, words))) == 2
 
     def test_empty_file_empty_corpus(self, tmp_path):
         path = tmp_path / "e.jsonl"
@@ -222,11 +244,41 @@ def test_columns_match_the_per_record_reference(task, tmp_path):
     assert len(outcomes) >= 8, outcomes   # loaded, and most rules broken first
 
 
+@pytest.mark.parametrize("task", data.TASKS)
+def test_json_records_check_back_into_the_same_columns(task, tmp_path):
+    """On random files that load, labeled examples and not, a corpus's
+    records give its columns back, written and read or checked directly."""
+    rng = random.Random(29)
+    path, out = tmp_path / "t.jsonl", tmp_path / "out.jsonl"
+    unlabeled = 0
+    for _ in range(400):
+        path.write_text(random_jsonl(rng, task, rng.choice([0.05, 0.1, 0.2])), encoding="utf-8")
+        try:
+            corpus = data.load_jsonl(path, task)
+        except data.SchemaError:
+            continue
+        unlabeled += int((~corpus.has_gold).sum())
+        assert_same_columns(data.corpus_of(corpus.json_records(), task), corpus)
+        data.save_jsonl(corpus, out)
+        assert_same_columns(data.load_jsonl(out, task), corpus)
+    assert unlabeled > 0
+
+
+@pytest.mark.parametrize("task", ["classification", "labeling"])
+def test_json_records_keep_an_unlabeled_class_count(task):
+    # -1 is also the column's mark for a count that is not a JSON integer
+    records = [{"id": f"e{k}", "lang": "en", "words": ["w"], "n_label": n}
+               for k, n in enumerate([0, -1, 3, None, "x"])]
+    corpus = data.corpus_of(records, task)
+    assert [r["n_label"] for r in corpus.json_records()] == [0, None, 3, None, None]
+    assert_same_columns(data.corpus_of(corpus.json_records(), task), corpus)
+
+
 class TestRules:
     def test_even_lemma_parity_example(self):
         # one even lemma (w2) among [w2, w3] -> label 1
-        assert data.classification_label([2, 3], rule="even_lemma_parity") == 1
-        assert data.classification_label([3, 5], rule="even_lemma_parity") == 0
+        assert ref.classification_label([2, 3], rule="even_lemma_parity") == 1
+        assert ref.classification_label([3, 5], rule="even_lemma_parity") == 0
 
     def test_surface_cipher(self):
         assert data.surface(3, "xx", "en") == "w3§xx"
@@ -243,23 +295,24 @@ class TestCipherBenchmark:
 
     def test_cipher_surfaces(self):
         bench = data.generate_cipher_corpus(self._spec(), np.random.default_rng(1))
-        for ex in bench.eval_sets["xx"]:
+        for ex in bench.eval_sets["xx"].examples():
             assert all(w.endswith("§xx") for w in ex.words)
-        for ex in bench.train:
+        for ex in bench.train.examples():
             assert all("§" not in w for w in ex.words)
 
     def test_labels_invariant_across_languages(self):
         for task in ("classification", "labeling", "span"):
             bench = data.generate_cipher_corpus(self._spec(task=task),
                                                 np.random.default_rng(2))
-            langs = list(bench.eval_sets)
-            for i in range(len(bench.eval_sets[langs[0]])):
-                golds = [bench.eval_sets[lang][i].gold() for lang in langs]
+            eval_sets = {lang: corpus.examples() for lang, corpus in bench.eval_sets.items()}
+            langs = list(eval_sets)
+            for i in range(len(eval_sets[langs[0]])):
+                golds = [eval_sets[lang][i].gold() for lang in langs]
                 assert all(g == golds[0] for g in golds)
 
     def test_translations_match_store(self):
         bench = data.generate_cipher_corpus(self._spec(), np.random.default_rng(3))
-        for ex in bench.train[:10]:
+        for ex in bench.train.examples()[:10]:
             for lang in ("xx", "yy"):
                 words, label = bench.store.get(ex.id, lang)
                 assert label == ex.label
@@ -278,13 +331,14 @@ class TestCipherBenchmark:
     def test_generation_deterministic(self):
         a = data.generate_cipher_corpus(self._spec(), np.random.default_rng(9))
         b = data.generate_cipher_corpus(self._spec(), np.random.default_rng(9))
-        assert [e.words for e in a.train] == [e.words for e in b.train]
-        assert [e.gold() for e in a.train] == [e.gold() for e in b.train]
+        a, b = a.train.examples(), b.train.examples()
+        assert [e.words for e in a] == [e.words for e in b]
+        assert [e.gold() for e in a] == [e.gold() for e in b]
 
     def test_span_answer_follows_trigger(self):
         bench = data.generate_cipher_corpus(self._spec(task="span"),
                                             np.random.default_rng(5))
-        for ex in bench.train[:10]:
+        for ex in bench.train.examples()[:10]:
             trigger = ex.words[0]  # question word == trigger surface
             ctx = ex.words[ex.question_len:]
             pos = ctx.index(trigger)
@@ -295,6 +349,30 @@ class TestCipherBenchmark:
         bench = data.generate_cipher_corpus(self._spec(), np.random.default_rng(6))
         spec = bench.spec
         assert len(bench.words) == spec.lemma_count * len(spec.languages)
+
+    @pytest.mark.parametrize("rule", data.CLASSIFICATION_RULES)
+    @pytest.mark.parametrize("task", data.TASKS)
+    def test_columns_match_the_per_sentence_reference(self, task, rule):
+        # every example, label, tag and answer, and every store entry
+        spec = self._spec(task=task, classification_rule=rule, n_tag=5,
+                          languages=("en", 'x"y', "zé"))
+        bench = data.generate_cipher_corpus(spec, np.random.default_rng(7))
+        train, eval_sets, store = ref.generate_cipher_examples(spec, np.random.default_rng(7))
+        assert bench.train.examples() == train
+        assert {lang: corpus.examples() for lang, corpus in bench.eval_sets.items()} == eval_sets
+        assert {(ex.id, lang): bench.store.get(ex.id, lang)
+                for ex in train for lang in spec.languages[1:]} == store
+        assert [bench.store.languages_for(ex.id) for ex in train] == [
+            sorted(spec.languages[1:])] * len(train)
+
+    @pytest.mark.parametrize("rule", data.CLASSIFICATION_RULES)
+    @pytest.mark.parametrize("task", data.TASKS)
+    def test_written_splits_load_as_the_generated_columns(self, task, rule, tmp_path):
+        spec = self._spec(task=task, classification_rule=rule, n_tag=5)
+        bench = data.generate_cipher_corpus(spec, np.random.default_rng(8))
+        for name, corpus in [("train", bench.train), *bench.eval_sets.items()]:
+            data.save_jsonl(corpus, tmp_path / f"{name}.jsonl")
+            assert_same_columns(data.load_jsonl(tmp_path / f"{name}.jsonl", task), corpus)
 
 
 class TestSpecValidation:

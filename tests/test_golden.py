@@ -11,6 +11,10 @@ The digests pin float bits (numpy 2.4, x86-64).  After a change that moves
 them on purpose (another reduction order, another random draw), re-record
 them with `PYTHONPATH=src python tests/test_golden.py`, which prints the
 dict to paste over ``GOLDEN``, and say in the change why the bits moved.
+
+``SYNTH_GOLDEN`` pins `xtune synth` alone with the branches the default
+flags leave out: the ``even_lemma_parity`` rule, five tags and language
+names that JSON must escape or that are not ASCII.
 """
 
 import contextlib
@@ -106,6 +110,60 @@ GOLDEN = {
     }
 }
 
+# recorded at 15dac4f, before the synth write path became columnar
+SYNTH_GOLDEN = {
+    "classification": {
+        "dict.en-x\"y.txt": "5ba2014fa86392dc19ec432b9015e429ce0f29d5d6f3aff70ac3a7d4f5d384bb",
+        "dict.en-zé.txt": "883c558f3802cbd6ed75518946343895171bd7b6bffeb36f8ebec2a6591e9532",
+        "dict.x\"y-en.txt": "a52dfaf917f62abe4f1281dc1b5356dc9f5d6dd53a9ad2a6b61a021304f0dfa9",
+        "dict.zé-en.txt": "5a9cd6eb76578d92e4eb2512e8caa661cd055c6b6c734f46f840afe7e59bac4b",
+        "eval.en.jsonl": "2560bc221c5a9c4839f14404de2237b141a8740779bfbdbf2caae9576a8c855f",
+        "eval.x\"y.jsonl": "eaf9d253c64a1209edf8df07b5d27a91e199d7eb3c12629ed664ad5ffa1fb78c",
+        "eval.zé.jsonl": "1e7d6b6856b4ab0d3c2e153d0e1a9440c0f2ff3ebfdd288394ab60f8df907cfb",
+        "meta.json": "03b346684845bd3567ed42ae444da4cb5f7f0a8eb9697824eccd1253d408b28e",
+        "train.jsonl": "99845ddcad5a4a5dd3895863e68b493c07ede47fc8bf7ba3a6c743a2c553042d",
+        "translations.jsonl": "eab97bbeebda630f58311580806f3baa72f053d0ed9e342c82794009f747af97",
+        "vocab.tsv": "592f605fbde9517a95a302561b7d1dd4a4a96988937c9607079ef07b4b123fcf"
+    },
+    "labeling": {
+        "dict.en-x\"y.txt": "5ba2014fa86392dc19ec432b9015e429ce0f29d5d6f3aff70ac3a7d4f5d384bb",
+        "dict.en-zé.txt": "883c558f3802cbd6ed75518946343895171bd7b6bffeb36f8ebec2a6591e9532",
+        "dict.x\"y-en.txt": "a52dfaf917f62abe4f1281dc1b5356dc9f5d6dd53a9ad2a6b61a021304f0dfa9",
+        "dict.zé-en.txt": "5a9cd6eb76578d92e4eb2512e8caa661cd055c6b6c734f46f840afe7e59bac4b",
+        "eval.en.jsonl": "bc9d2fb961f2c9e29039aaad6da4274c22c45504c3117b33dc363202f293e9a0",
+        "eval.x\"y.jsonl": "78171c05b4bb2aa2b94c0678700c2343f44b0179f95d44242deb4a0723bb88a4",
+        "eval.zé.jsonl": "8e89b20b410439ddf4bbc243087a30783d2d2b0d517d51b9f06228da2e1f8f36",
+        "meta.json": "3ce59f3415179f5b3ecbe0f8fd981f0024494e3bb9f7ffdac036f96c951c707b",
+        "train.jsonl": "1bb884a4cd6527520e089aa5b5499e52880f796259f7c1dea712ee073a26843b",
+        "translations.jsonl": "670c6625c94dc37cc66022ef75b5c6aa8f88a974902add76cc82de2cea349e31",
+        "vocab.tsv": "592f605fbde9517a95a302561b7d1dd4a4a96988937c9607079ef07b4b123fcf"
+    },
+    "span": {
+        "dict.en-x\"y.txt": "5ba2014fa86392dc19ec432b9015e429ce0f29d5d6f3aff70ac3a7d4f5d384bb",
+        "dict.en-zé.txt": "883c558f3802cbd6ed75518946343895171bd7b6bffeb36f8ebec2a6591e9532",
+        "dict.x\"y-en.txt": "a52dfaf917f62abe4f1281dc1b5356dc9f5d6dd53a9ad2a6b61a021304f0dfa9",
+        "dict.zé-en.txt": "5a9cd6eb76578d92e4eb2512e8caa661cd055c6b6c734f46f840afe7e59bac4b",
+        "eval.en.jsonl": "664afa40a0b76e1c12018c2d9ba5a9579cd129e7f3ce160a1914b55e212c6175",
+        "eval.x\"y.jsonl": "79c30d5e714c461ad6095fca1e20626dc9a6995223413372638b67b284e38af9",
+        "eval.zé.jsonl": "2495cac9bc82dc758dcb9ab09a9a8cbcfd06b67ccec987ce89235153eb9c3292",
+        "meta.json": "c38f2b7f89a37d74c1e682c4259c39244c9a0300982f998084067da134a7f4ff",
+        "train.jsonl": "01be92b77a2d0fda233f9774d9456aed63f2320ad080f07a855b800e8e5a42d5",
+        "translations.jsonl": "29ab9d5adc546aeb886dc8e63163ac28d656023ddd3ae061a419cbe6705d354e",
+        "vocab.tsv": "592f605fbde9517a95a302561b7d1dd4a4a96988937c9607079ef07b4b123fcf"
+    }
+}
+
+SYNTH_VARIANT = ["--languages", 'en,x"y,zé', "--rule", "even_lemma_parity", "--n-tag", "5",
+                 "--lemmas", "10", "--train-examples", "16", "--eval-examples", "6",
+                 "--sentence-len", "3,5", "--vocab-size", "60", "--max-piece-len", "2",
+                 "--em-iters", "1", "--seed", "4"]
+
+
+def run_synth_variant(task, out):
+    """Write the synth outputs of ``SYNTH_VARIANT`` for ``task`` under ``out``."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--out", str(out), "--task", task] + SYNTH_VARIANT) == 0
+
 
 def run_pipeline(task, out):
     """Write every output of the pipeline for ``task`` under ``out``."""
@@ -161,12 +219,19 @@ def test_outputs_match_golden_digests(task, tmp_path):
     assert digests(tmp_path) == GOLDEN[task]
 
 
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_synth_variant_matches_golden_digests(task, tmp_path):
+    run_synth_variant(task, tmp_path)
+    assert digests(tmp_path) == SYNTH_GOLDEN[task]
+
+
 if __name__ == "__main__":
     import tempfile
 
-    recorded = {}
-    for task in sorted(TASKS):
-        with tempfile.TemporaryDirectory() as tmp:
-            run_pipeline(task, Path(tmp))
-            recorded[task] = digests(Path(tmp))
-    print("GOLDEN = " + json.dumps(recorded, indent=4, sort_keys=True))
+    for name, run in (("GOLDEN", run_pipeline), ("SYNTH_GOLDEN", run_synth_variant)):
+        recorded = {}
+        for task in sorted(TASKS):
+            with tempfile.TemporaryDirectory() as tmp:
+                run(task, Path(tmp))
+                recorded[task] = digests(Path(tmp))
+        print(f"{name} = " + json.dumps(recorded, indent=4, sort_keys=True, ensure_ascii=False))
