@@ -7,12 +7,13 @@ Every view is word-for-word except a translation: word w of the view stands
 for word w of its original.  A view records which words it modified, so the
 pair-consistency loss can restrict itself to unchanged positions.
 
-``subword_resample`` and ``code_switch`` take a flat word list and draw
-the views of all its words in one batched call: one lockstep FFBS draw, or
-one uniform block for the switch, dictionary and option picks.  They return
-flat arrays (drawn records or words, and modified flags); the trainer's
-per-epoch pair views use them as they are, and only the corpus builder cuts
-them into one ``AugmentedExample`` per example.
+``subword_resample`` and ``code_switch`` take the word types of a flat
+token list and draw the views of all its tokens in one batched call: one
+lockstep FFBS draw, or one uniform block for the switch, dictionary and
+option picks.  They return a draw id or a dictionary option (-1: kept) per
+token, which ``RecordTable.drawn`` and ``SwitchCandidates.view`` map to
+records and words: the trainer's pair views keep record ids, and the corpus
+builder cuts them into one ``AugmentedExample`` per example.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from operator import ne
+from itertools import islice
 
 import numpy as np
 
 from . import tokenizer as tok
 from .data import CIPHER_ID_SEP, Example
+from .model import RecordTable
 
 log = logging.getLogger(__name__)
 
@@ -228,67 +230,54 @@ class SwitchCandidates:
             types[w] = self.index.get(w.casefold(), len(self.index))
         return np.fromiter(map(types.__getitem__, words), dtype=np.intp, count=len(words))
 
-
-def _split(examples, flat):
-    """``flat`` (one entry per word of ``examples``, in order) cut into one
-    list per example."""
-    out, start = [], 0
-    for ex in examples:
-        out.append(flat[start:start + len(ex.words)])
-        start += len(ex.words)
-    return out
+    def view(self, words, option):
+        """``words`` with each word whose ``option`` is not -1 replaced by that option."""
+        return [w if o < 0 else self.options[o] for w, o in zip(words, option.tolist())]
 
 
-def code_switch(words, candidates, word_ratio, rng):
-    """A code-switched view of a flat word list: each word is replaced by a
-    dictionary translation independently with probability ``word_ratio``;
-    words absent from all dictionaries are kept.  Returns the view's words
-    (a new list) and its modified flags (a bool array).
+def code_switch(types, candidates, word_ratio, rng):
+    """A code-switched view of a flat token list of ``candidates`` types (a
+    ``SwitchCandidates``' ``types``): each word is replaced by a dictionary
+    translation independently with probability ``word_ratio``; words absent
+    from all dictionaries are kept.  Returns each token's option, its
+    replacement's index in ``candidates.options``, or -1 for a kept word.
 
-    ``candidates`` is the dictionaries' ``SwitchCandidates``.  The draws
-    for all words are one ``rng.random((words, 3))`` block: word t switches
-    when ``u[t, 0] < word_ratio`` and some dictionary lists it, and then
-    takes dictionary ``floor(u[t, 1] * n)`` of the n that list it and option
-    ``floor(u[t, 2] * m)`` of that dictionary's m (uniform up to 2**-53).
-    The replacement language is drawn per word, so a view can mix several
-    target languages.  Labels carry over unchanged (word-for-word
+    The draws for all tokens are one ``rng.random((tokens, 3))`` block: token
+    t switches when ``u[t, 0] < word_ratio`` and some dictionary lists it,
+    and then takes dictionary ``floor(u[t, 1] * n)`` of the n that list it and
+    option ``floor(u[t, 2] * m)`` of that dictionary's m (uniform up to
+    2**-53).  The replacement language is drawn per word, so a view can mix
+    several target languages.  Labels carry over unchanged (word-for-word
     substitution keeps per-word tags and span indices valid).
     """
-    types = candidates.types(words)
-    u = rng.random((len(words), 3))
+    u = rng.random((types.size, 3))
     switched = np.flatnonzero((u[:, 0] < word_ratio) & (candidates.n_dicts[types] > 0))
     covered = types[switched]
     row = candidates.first_dict[covered] + (
         u[switched, 1] * candidates.n_dicts[covered]).astype(np.intp)
-    option = candidates.first_option[row] + (
+    option = np.full(types.size, -1)
+    option[switched] = candidates.first_option[row] + (
         u[switched, 2] * candidates.n_options[row]).astype(np.intp)
-    view = list(words)
-    for t, o in zip(switched.tolist(), option.tolist()):
-        view[t] = candidates.options[o]
-    modified = np.zeros(len(words), dtype=bool)
-    modified[switched] = True
-    return view, modified
+    return option
 
 
-def subword_resample(words, vocab, alpha, rng):
-    """A fresh segmentation of a flat word list: one ``sample_segment_words``
-    call over all its words, in order.  Returns the drawn word records and
-    the modified flags (a bool array) of the words whose sampled pieces
-    differ from Viterbi.
-    """
-    drawn = tok.sample_segment_words(vocab, words, alpha, rng).words
-    reference = tok.viterbi_segment_words(vocab, words).words
-    return drawn, np.fromiter(map(ne, drawn, reference), bool, len(drawn))
+def subword_resample(types, vocab, alpha, rng):
+    """A fresh segmentation of a flat token list of ``vocab.sampler(alpha)``
+    types: one ``sample_segment_words`` call, a draw id per token."""
+    return tok.sample_segment_words(vocab, types, alpha, rng)
 
 
-def gaussian_view(example):
-    """Marker-only augmentation: text identical, noise of scale
-    ``TrainConfig.noise_sigma`` applied at encode time."""
-    return AugmentedExample(
-        example=example.with_words(list(example.words)),
-        strategy="GN",
-        modified=[False] * len(example.words),
-    )
+def resample_words(words, vocab, alpha, rng):
+    """The SS views of a flat word list, drawn as the trainer draws them:
+    ``subword_resample`` over the words' sampler types, each draw's record
+    from a ``RecordTable``.  Returns the drawn records and the modified
+    flags (a bool array) of the words whose record is not Viterbi's."""
+    sampler = vocab.sampler(alpha)
+    draws = subword_resample(sampler.type_ids(words), vocab, alpha, rng)
+    table = RecordTable(vocab)
+    rids = table.drawn(sampler, draws)
+    modified = rids != table.intern(tok.viterbi_segment_words(vocab, words).words)
+    return list(map(table.records.__getitem__, rids.tolist())), modified
 
 
 def translate(example, store, target_languages, task, missing=None):
@@ -388,25 +377,32 @@ def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None,
     task = corpus[0].task
     missing = []
     words = [w for ex in corpus for w in ex.words]
+
+    def cut(flat):   # one list per example
+        flat = iter(flat)
+        return [list(islice(flat, len(ex.words))) for ex in corpus]
+
     if strategy.kind == "CS":
         if not dictionaries:
             raise StrategyError("CS corpus augmentation needs dictionaries")
-        view, modified = code_switch(words, SwitchCandidates(dictionaries), strategy.word_ratio,
-                                     rng)
+        candidates = SwitchCandidates(dictionaries)
+        option = code_switch(candidates.types(words), candidates, strategy.word_ratio, rng)
         augmented = [AugmentedExample(ex.with_words(part), "CS", flags) for ex, part, flags
-                     in zip(corpus, _split(corpus, view), _split(corpus, modified.tolist()))]
+                     in zip(corpus, cut(candidates.view(words, option)),
+                            cut((option >= 0).tolist()))]
     elif strategy.kind == "SS":
         if vocab is None:
             raise StrategyError("SS corpus augmentation needs a vocabulary")
         try:
-            drawn, modified = subword_resample(words, vocab, strategy.alpha, rng)
+            drawn, modified = resample_words(words, vocab, strategy.alpha, rng)
         except tok.CoverageError as err:
             raise name_uncovered(corpus, vocab, err) from None
         augmented = [AugmentedExample(ex.with_words(list(ex.words)), "SS", flags,
                                       tok.Segmentation(records)) for ex, records, flags
-                     in zip(corpus, _split(corpus, drawn), _split(corpus, modified.tolist()))]
-    elif strategy.kind == "GN":
-        augmented = [gaussian_view(example) for example in corpus]
+                     in zip(corpus, cut(drawn), cut(modified.tolist()))]
+    elif strategy.kind == "GN":   # text identical; noise of ``noise_sigma`` at encode time
+        augmented = [AugmentedExample(ex.with_words(list(ex.words)), "GN",
+                                      [False] * len(ex.words)) for ex in corpus]
     else:
         if store is None or not strategy.languages:
             raise StrategyError("MT corpus augmentation needs a store and target languages")

@@ -40,9 +40,11 @@ def _read_json(path):
         raise ValueError(f"{path}: invalid JSON ({err})") from None
 
 
-def _read_languages(data_dir):
+def _read_meta(data_dir, task, whose):
     """The languages of a synth output directory, source first, from its
-    ``meta.json``: at least two distinct names ``data.check_language`` accepts."""
+    ``meta.json``: at least two distinct names ``data.check_language``
+    accepts.  Its ``spec.task`` must then be ``task``, the task of ``whose``
+    (the config or the checkpoint)."""
     path = data_dir / "meta.json"
     meta = _read_json(path)
     languages = meta.get("languages") if isinstance(meta, dict) else None
@@ -52,9 +54,17 @@ def _read_languages(data_dir):
         raise ValueError(f"{path}: 'languages' must be a list of at least two distinct "
                          f"non-empty strings, got {languages!r}")
     try:
-        return [data.check_language(language) for language in languages]
+        languages = [data.check_language(language) for language in languages]
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+    spec = meta.get("spec")
+    data_task = spec.get("task") if isinstance(spec, dict) else None
+    if data_task not in data.TASKS:
+        raise ValueError(f"{path}: 'spec.task' must be one of {data.TASKS}, got {data_task!r}")
+    if data_task != task:
+        raise ValueError(f"{path}: the data's task {data_task!r} is not the {whose}'s task "
+                         f"{task!r}")
+    return languages
 
 
 def _write_json(payload, path):
@@ -129,8 +139,8 @@ def cmd_tokenize(args):
             segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in corpus]
         else:
             rng = trainer.substream(args.seed, "tokenize")
-            drawn, _modified = aug.subword_resample([w for ex in corpus for w in ex.words], vocab,
-                                                    args.alpha, rng)
+            drawn, _modified = aug.resample_words([w for ex in corpus for w in ex.words], vocab,
+                                                  args.alpha, rng)
             drawn = iter(drawn)
             segs = [tok.Segmentation(list(islice(drawn, len(ex.words)))) for ex in corpus]
     except tok.CoverageError as err:
@@ -258,7 +268,7 @@ def load_resources(data_dir, cfg):
     """Training examples, shared resources and input digests of a synth
     output directory; fills the config's data-derived defaults.  An
     ``n_label`` below the training data's raises a ValueError."""
-    languages = _read_languages(data_dir)
+    languages = _read_meta(data_dir, cfg.task, "config")
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
     dictionaries = []
     src = languages[0]
@@ -311,7 +321,7 @@ def cmd_eval(args):
                              f"not to this {params.task} checkpoint")
         params.pooling = args.pooling
     data_dir = Path(args.data_dir)
-    languages = _read_languages(data_dir)
+    languages = _read_meta(data_dir, params.task, "checkpoint")
     vocab_path = data_dir / "vocab.tsv"
     vocab = tok.load_vocab(vocab_path)
     if len(vocab) != params.vocab_size:   # a same-sized vocabulary cannot be told apart

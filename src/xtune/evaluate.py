@@ -7,8 +7,6 @@ decoded outputs against them, with no per-example object.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .model import RecordTable, predict
@@ -40,25 +38,13 @@ def span_f1_em(predicted_spans, gold_spans):
     return float(np.cumsum(f1)[-1]) / n, int(np.count_nonzero((ps == gs) & (pe == ge))) / n
 
 
-def tag_scores(predicted_seqs, gold_seqs):
-    """(accuracy, micro-F1) over flattened tag sequences.
-
-    With exactly one predicted and one gold tag per position the micro
-    average has equal precision and recall, so F1 coincides with accuracy;
-    both are reported for interface parity with other benchmarks.
+def tag_scores(predicted, gold):
+    """(accuracy, micro-F1) of a flat predicted tag array against the gold
+    tags.  With exactly one predicted and one gold tag per position the
+    micro average has equal precision and recall, so F1 coincides with
+    accuracy; both are reported for interface parity with other benchmarks.
     """
-    _check_lengths(predicted_seqs, gold_seqs)
-    sizes = [np.fromiter(map(len, seqs), np.intp, len(seqs))
-             for seqs in (predicted_seqs, gold_seqs)]
-    if (differ := np.flatnonzero(sizes[0] != sizes[1])).size:
-        k = differ[0]
-        raise ValueError(f"tag sequence lengths differ: {sizes[0][k]} vs {sizes[1][k]}")
-    total = int(sizes[1].sum())
-    if total == 0:
-        raise ValueError("no tags to score")
-    pred, gold = (np.concatenate([np.asarray(seq, dtype=np.intp) for seq in seqs])
-                  for seqs in (predicted_seqs, gold_seqs))
-    acc = int(np.count_nonzero(pred == gold)) / total
+    acc = accuracy(predicted, gold)
     return acc, acc   # F1 = 2tp / (2tp + fp + fn) = 2tp / 2total, the same double
 
 
@@ -89,32 +75,29 @@ def transfer_gap(per_language_scores, source_language):
 
 
 def decode(prediction):
-    """Greedy decode of a packed Prediction, one output per sequence.
+    """Greedy decode of a packed Prediction, as arrays: a class per
+    sequence, every sequence's tags as one flat array in sequence order, or a
+    ``(sequences, 2)`` array of span (start, end) word indices.
 
-    Classes and tags are the argmaxes of the label rows: a class per
-    sequence, a tag list per sequence.  A span is the first best pair
-    ``start_log[s] + end_log[e]``, s <= e, in row-major order, as word
-    indices.  On ``(k, width)`` tables padded with -inf, s is the first argmax
+    Classes and tags are the argmaxes of the label rows.  A span is the
+    first best pair ``start_log[s] + end_log[e]``, s <= e, in row-major
+    order.  On ``(k, width)`` tables padded with -inf, s is the first argmax
     of ``start + best_end`` (the largest end at or after s) and e that of
     ``start[s] + end[e]``, e >= s.  Exact, ties included: rounding is
     monotone, so ``start[s] + best_end[s]`` rounds to row s's best pair sum.
     """
     packing = prediction.packing
     first, counts, outputs = prediction.rows
-    if prediction.task == "span":
-        start, end = np.full((2, len(packing), int(counts.max())), -np.inf)
-        start[packing.seq, packing.positions] = outputs[0].data
-        end[packing.seq, packing.positions] = outputs[1].data
-        best_end = np.maximum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
-        s = np.argmax(start + best_end, axis=1)
-        pair_log = start[np.arange(len(packing)), s][:, None] + end
-        e = np.argmax(np.where(np.arange(end.shape[1]) >= s[:, None], pair_log, -np.inf), axis=1)
-        words = packing.word_of_row[first + np.stack([s, e])] - packing.word_starts
-        return list(zip(*words.tolist()))
-    tags = np.argmax(outputs[0].data, axis=1).tolist()
-    if prediction.task == "classification":   # one row per sequence
-        return tags
-    return [tags[a:a + n] for a, n in zip(first.tolist(), counts.tolist())]
+    if prediction.task != "span":   # the label rows lie in sequence order
+        return np.argmax(outputs[0].data, axis=1)
+    start, end = np.full((2, len(packing), int(counts.max())), -np.inf)
+    start[packing.seq, packing.positions] = outputs[0].data
+    end[packing.seq, packing.positions] = outputs[1].data
+    best_end = np.maximum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
+    s = np.argmax(start + best_end, axis=1)
+    pair_log = start[np.arange(len(packing)), s][:, None] + end
+    e = np.argmax(np.where(np.arange(end.shape[1]) >= s[:, None], pair_log, -np.inf), axis=1)
+    return (packing.word_of_row[first + np.stack([s, e])] - packing.word_starts).T
 
 
 def score_corpus(params, corpus, vocab):
@@ -126,8 +109,8 @@ def score_corpus(params, corpus, vocab):
     or a gold class or tag the checkpoint cannot predict raises a
     ValueError, all but the first naming the example.  Each ``EVAL_CHUNK``
     examples are then one forward over a packing gathered from the table by
-    record id, so no array spans the corpus's subword rows.  The decoded
-    outputs are scored against the corpus's gold columns.
+    record id, so no array spans the corpus's subword rows.  The chunks'
+    decoded arrays are joined and scored against the corpus's gold columns.
     Returns a dict with the task's metrics ('accuracy' for classification;
     'f1'/'em'/'score' for spans; 'accuracy'/'f1' for labeling).
     """
@@ -155,14 +138,14 @@ def score_corpus(params, corpus, vocab):
     for start in range(0, len(corpus), EVAL_CHUNK):
         end = min(start + EVAL_CHUNK, len(corpus))
         chunk = table.pack(n_words[start:end], rids[bounds[start]:bounds[end]])
-        decoded.extend(decode(predict(params, chunk)))
+        decoded.append(decode(predict(params, chunk)))
+    decoded = np.concatenate(decoded)
     if params.task == "classification":
         return {"accuracy": accuracy(decoded, corpus.golds)}
     if params.task == "span":
         f1, em = span_f1_em(decoded, corpus.golds)
         return {"f1": f1, "em": em, "score": (f1 + em) / 2}
-    # micro averages flatten the sequences: score the corpus's tags as one
-    acc, f1 = tag_scores([list(chain.from_iterable(decoded))], [corpus.golds])
+    acc, f1 = tag_scores(decoded, corpus.golds)   # micro averages: the corpus's tags as one
     return {"accuracy": acc, "f1": f1}
 
 

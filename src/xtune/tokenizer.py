@@ -12,7 +12,7 @@ position), and sums its lattice by one forward recurrence (``_forward``):
                               (FFBS) of all tokens of a call in lockstep:
                               one ``rng.random((tokens, longest form))``
                               draw, token t's k-th cut an inverse-CDF draw
-                              with column k.
+                              with column k, and one draw id per token.
 
 ``build_vocab`` is unigram EM: phases of sweeps (``em_fit``) over a fixed
 inventory, each followed by pruning.  A phase stacks every string's spans as
@@ -25,16 +25,17 @@ inputs.  Words are segmented independently; a boundary marker is prepended to
 each word when the vocabulary covers it, which keeps the word -> subword map
 exact under resegmentation.  A ``Segmentation`` is one ``(pieces, ids)``
 record per word, the tuples the per-word Viterbi cache holds and the FFBS
-sampler interns per word and cut set; callers read the word -> subword map
-(changed words, aligned first subwords, packed word rows) from them.  The
-tests check both paths against brute-force enumeration.
+sampler builds once per draw id (a word type and cut set); callers read the
+word -> subword map (changed words, aligned first subwords, packed word
+rows) from them.  The tests check both paths against brute-force
+enumeration.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,15 @@ class UnigramVocab:
     def word_form(self, word):
         """The string actually segmented for a word (marker-prefixed if covered)."""
         return self.marker + word if self.marker in self.alphabet else word
+
+    def sampler(self, alpha):
+        """The FFBS sampler (``_LockstepTable``) of ``alpha``, made on first use."""
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"sample_segment_words: alpha must be a finite number >= 0, "
+                             f"got {alpha!r}")
+        if (table := self._samplers.get(alpha)) is None:
+            table = self._samplers[alpha] = _LockstepTable(self, alpha)
+        return table
 
 
 @dataclass
@@ -234,7 +244,8 @@ def viterbi_segment_words(vocab, words):
 
 class _LockstepTable:
     """The FFBS lattices of every word seen at one alpha, stacked so that
-    all tokens of a call take their backward cuts together.
+    all tokens of a call take their backward cuts together, and the trie of
+    the paths drawn through them.
 
     Row r of ``cdf`` is one end position of one word type's lattice: the
     normalised CDF over the pieces ending there after a reachable position,
@@ -245,10 +256,13 @@ class _LockstepTable:
     row of the position it starts at.  Word type k (numbered in order of
     first sight) has a form of ``length[k]`` characters, whose position
     j > 0 is row ``offset[k] + j``.  Position 0 of every word is row 0,
-    which is all padding, so a finished path stays there.  ``records``
-    interns each drawn ``(pieces, ids)`` record by word type and path; a
-    draw equal to the word's Viterbi segmentation is the Viterbi cache's
-    record.
+    which is all padding.
+
+    Trie node ``root[k]`` is word type k's empty path, and ``child[node,
+    pick]`` the node one cut further, by piece ``pick`` of the row's CDF (-1
+    until drawn).  Node n's last cut reached row ``row[n]``, below node
+    ``parent[n]`` (-1 - k at a root).  A node at row 0 is one complete (type,
+    path) draw, numbered once: its number is the draw id ``record`` reads.
     """
 
     def __init__(self, vocab, alpha):
@@ -256,11 +270,11 @@ class _LockstepTable:
         self.weights = {p: alpha * lp for p, lp in vocab.pieces.items()}
         self.type_of = {}                   # word -> type
         self.words = []                     # type -> word
-        self.offset = np.zeros(0, dtype=np.intp)
-        self.length = np.zeros(0, dtype=np.intp)
+        self.offset, self.length, self.root, self.parent, self.row = np.zeros((5, 0), np.intp)
         self.cdf = np.full((1, 1), np.inf)
         self.after = np.zeros((1, 1), dtype=np.uint32)
-        self.records = {}
+        self.child = np.zeros((0, 1), np.intp)
+        self.records = {}                   # draw id -> its record, on first sight
 
     def type_ids(self, words):
         """Each word's type, adding the lattices of words not seen before."""
@@ -274,7 +288,7 @@ class _LockstepTable:
         forms = [vocab.word_form(w) for w in words]
         lengths = list(map(len, forms))
         offset = len(self.cdf) - 1 + np.cumsum(lengths) - lengths
-        rows = []
+        rows = []   # per end position: (log weight, start row) of each piece
         for word, text, base in zip(words, forms, offset.tolist()):
             vocab._check_coverage(text)
             ends, _ = _span_table(vocab._keys, text, vocab.max_piece_len)
@@ -282,84 +296,92 @@ class _LockstepTable:
             if logf[-1] == _NEG_INF:   # covered, so only the alpha * log p sums can fail
                 raise ValueError(f"sample_segment_words: alpha {self.alpha!r} overflows "
                                  f"the path scores of word {word!r}")
-            for span in ends[1:]:
-                reach = [(i, logf[i] + weights[piece]) for i, _, piece in span
-                         if logf[i] != _NEG_INF]
-                cdf = []
-                if reach:
-                    logw = np.array([w for _, w in reach])
-                    p = np.exp(logw - logw.max())
-                    cdf = (p / p.sum()).cumsum()
-                    cdf = cdf / cdf[-1]
-                rows.append((cdf, [base + i if i else 0 for i, _ in reach]))
-        width = max(self.cdf.shape[1], *(len(after) for _, after in rows))
+            rows += [[(logf[i] + weights[piece], base + i if i else 0) for i, _, piece in span
+                      if logf[i] != _NEG_INF] for span in ends[1:]]
+        width = max(self.cdf.shape[1], *map(len, rows))
         cdf = np.full((len(rows), width), np.inf)
         after = np.zeros((len(rows), width), dtype=np.uint32)
-        for r, (row_cdf, row_after) in enumerate(rows):
-            cdf[r, :len(row_after)] = row_cdf
-            after[r, :len(row_after)] = row_after
+        # the rows of n pieces together, unpadded: a row's sums add its own
+        # pieces alone, in numpy's order for n numbers, as one row alone would
+        for n in sorted(set(map(len, rows)) - {0}):
+            index = [r for r, row in enumerate(rows) if len(row) == n]
+            logw = np.array([[w for w, _ in rows[r]] for r in index])
+            after[index, :n] = [[a for _, a in rows[r]] for r in index]
+            p = np.exp(logw - logw.max(axis=1, keepdims=True))
+            cumulative = (p / p.sum(axis=1, keepdims=True)).cumsum(axis=1)
+            cdf[index, :n] = cumulative / cumulative[:, -1:]
         pad = ((0, 0), (0, width - self.cdf.shape[1]))
         self.cdf = np.concatenate((np.pad(self.cdf, pad, constant_values=np.inf), cdf))
         self.after = np.concatenate((np.pad(self.after, pad), after))
+        self.child = np.pad(self.child, pad, constant_values=-1)
         self.offset = np.concatenate((self.offset, offset))
         self.length = np.concatenate((self.length, lengths))
-        self.type_of.update((w, len(self.words) + k) for k, w in enumerate(words))
+        types = np.arange(len(self.words), len(self.words) + len(words))
+        self.root = np.concatenate((self.root, self._nodes(-1 - types, offset + lengths)))
+        self.type_of.update(zip(words, types.tolist()))
         self.words += words
 
-    def paths(self, types, rng):
-        """Backward sampling of one path per token, all tokens in lockstep.
+    def _nodes(self, parent, row):
+        """The ids of new trie nodes, one per ``parent`` and ``row``; a node
+        at row 0, whose path is complete, is its own child at every step."""
+        ids = np.arange(self.row.size, self.row.size + row.size)
+        self.parent = np.concatenate((self.parent, parent))
+        self.row = np.concatenate((self.row, row))
+        child = np.full((row.size, self.child.shape[1]), -1)
+        child[row == 0, 0] = ids[row == 0]   # row 0 is all padding: pick 0
+        self.child = np.concatenate((self.child, child))
+        return ids
+
+    def draws(self, types, rng):
+        """Backward sampling of one path per token, all tokens in lockstep:
+        each token's draw id.
 
         Draws ``rng.random((tokens, longest form))``; token t's k-th cut
         reads column k and bisects its current CDF row (the rows are sorted,
         so the first entry above the uniform is the first False of the
-        comparison).  Returns a ``(tokens, 1 + longest form)`` matrix: each
-        token's type, then the rows its cuts reach, right to left, then
-        zeros.
+        comparison), and steps down the trie.  A step no token took before
+        adds its node.
         """
         length = self.length[types]
         u = rng.random((types.size, int(length.max(initial=0))))
-        path = np.zeros((types.size, 1 + u.shape[1]), dtype=np.uint32)
-        path[:, 0] = types
-        rows = self.offset[types] + length
+        node, rows, width = self.root[types], self.offset[types] + length, self.child.shape[1]
         for k in range(u.shape[1]):
             pick = (self.cdf.take(rows, axis=0) <= u[:, k, None]).argmin(axis=1)
-            rows = path[:, 1 + k] = self.after[rows, pick]
+            rows = self.after[rows, pick]
+            key = node * width + pick
+            if (node := self.child.ravel()[key]).min() < 0:
+                new = np.array(list(dict.fromkeys(key[node < 0].tolist())))
+                parent = new // width
+                ids = self._nodes(parent, self.after[self.row[parent], new % width])
+                self.child.ravel()[new] = ids
+                node = self.child.ravel()[key]
             if not np.count_nonzero(rows):
                 break
-        return path
+        return node
 
-    def record(self, path):
-        """The ``(pieces, ids)`` record of a ``paths`` row."""
-        k, rows = path[0], path[1:]
-        word = self.words[k]
-        text = self.vocab.word_form(word)
-        bounds = [0, *(rows[rows > 0][::-1] - self.offset[k]).tolist(), len(text)]
-        drawn = _word_record(self.vocab, [text[a:b] for a, b in zip(bounds, bounds[1:])])
-        viterbi = _viterbi_word(self.vocab, word)
-        return viterbi if drawn == viterbi else drawn
+    def record(self, draw):
+        """The ``(pieces, ids)`` record of a draw id, built on first sight: a
+        draw equal to the word's Viterbi segmentation is the Viterbi cache's
+        record."""
+        if (found := self.records.get(draw)) is None:
+            node, bounds = draw, []
+            while node >= 0:   # up to the root: rows 0, the cuts, the form's end
+                bounds.append(int(self.row[node]))
+                node = int(self.parent[node])
+            word, base = self.words[-1 - node], int(self.offset[-1 - node])
+            text, bounds = self.vocab.word_form(word), [b - base if b else 0 for b in bounds]
+            drawn = _word_record(self.vocab, [text[a:b] for a, b in zip(bounds, bounds[1:])])
+            viterbi = _viterbi_word(self.vocab, word)
+            found = self.records[draw] = viterbi if drawn == viterbi else drawn
+        return found
 
 
-def sample_segment_words(vocab, words, alpha, rng):
-    """FFBS sampling of every word of a flat token list, each word
-    independently, all of them in lockstep (``_LockstepTable.paths``)."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"sample_segment_words: alpha must be a finite number >= 0, "
-                         f"got {alpha!r}")
-    table = vocab._samplers.get(alpha)
-    if table is None:
-        table = vocab._samplers[alpha] = _LockstepTable(vocab, alpha)
-    path = table.paths(table.type_ids(words), rng)
-    # one number per token from its path row's bytes, little-endian: a row
-    # ends in zeros, so the number does not depend on the call
-    keys = path.view(np.dtype((np.void, path.shape[1] * 4))).ravel().tolist()
-    records = table.records
-    drawn = []
-    for t, key in enumerate(map(int.from_bytes, keys, repeat("little"))):
-        record = records.get(key)
-        if record is None:
-            record = records[key] = table.record(path[t])
-        drawn.append(record)
-    return Segmentation(drawn)
+def sample_segment_words(vocab, types, alpha, rng):
+    """FFBS sampling of every token of a flat list of word types (of
+    ``vocab.sampler(alpha).type_ids``), each independently, all of them in
+    lockstep: one draw id per token (``_LockstepTable.draws``), whose
+    record the sampler's ``record`` gives."""
+    return vocab.sampler(alpha).draws(types, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, asdict
 from functools import cached_property
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -252,7 +251,9 @@ class _StageTable:
     Item k is ``examples[k]`` with gold ``golds[k]`` (None when unlabeled)
     and ``noised[k]`` set when it draws fresh encode noise every epoch (a GN
     item).  ``packing`` packs the items in order from their ``records`` ids
-    ``rids``: Viterbi's, or the pinned draw of a subword-resampled item.
+    ``rids``: Viterbi's (``viterbi_rids``), or the pinned draw of a
+    subword-resampled item.  Word types (``position_types``) and switch
+    options' record ids (``option_rids``) are kept from their first use.
     """
 
     def __init__(self, items, vocab, cfg):
@@ -263,13 +264,27 @@ class _StageTable:
         words = [w for ex in self.examples for w in ex.words]
         n_words = np.array([len(ex.words) for ex in self.examples], dtype=np.intp)
         self.records = RecordTable(vocab)
-        self.rids = self.records.viterbi(words, n_words,
-                                         lambda k: f"example {self.examples[k].id!r}")
-        for k, start in enumerate((np.cumsum(n_words) - n_words).tolist()):
-            if pinned := getattr(items[k], "segmentation", None):   # a subword-resampled item
-                self.rids[start:start + n_words[k]] = self.records.intern(pinned.words)
+        self.viterbi_rids = self.records.viterbi(
+            words, n_words, lambda k: f"example {self.examples[k].id!r}")
+        self.rids = self.viterbi_rids.copy()
+        pinned = [k for k, item in enumerate(items) if getattr(item, "segmentation", None)]
+        self.rids[layout_rows((np.cumsum(n_words) - n_words)[pinned], n_words[pinned])] = (
+            self.records.intern([r for k in pinned for r in items[k].segmentation.words]))
         self.words = np.array(words, dtype=object)
         self.packing = self.records.pack(n_words, self.rids)
+        self._types, self.option_rids = {}, None
+
+    def position_types(self, kind, rows, lookup):
+        """The ``kind`` type of each word position of ``rows``: the first
+        call looks every position up with ``lookup``, its rows first and in
+        their order, so that an error names the first word drawn."""
+        if kind not in self._types:
+            rest = np.ones(self.words.size, dtype=bool)
+            rest[rows] = False
+            first = np.concatenate((rows, np.flatnonzero(rest)))
+            self._types[kind] = np.empty(self.words.size, np.intp)
+            self._types[kind][first] = lookup(self.words[first].tolist())
+        return self._types[kind][rows]
 
 
 def _teacher_rows(teacher, packing, noises):
@@ -288,10 +303,10 @@ def _encode_noise(sizes, cfg, rng):
 
 
 class _Views(NamedTuple):
-    """An epoch's pair views in the epoch's order: view p has ``n_words[p]``
-    words (none when no view exists), whose record ids and modified flags
-    follow the earlier views' in ``rids`` and ``modified``, and encode noise
-    ``noises[p]`` (``noises`` is None when no view draws any)."""
+    """An epoch's pair views in its order, record ids from the draw on: view
+    p has ``n_words[p]`` words (none when no view exists), whose record ids
+    and modified flags follow the earlier views' in ``rids`` and
+    ``modified``, and noise ``noises[p]`` (None when no view draws any)."""
 
     n_words: np.ndarray
     rids: np.ndarray
@@ -301,23 +316,38 @@ class _Views(NamedTuple):
 
 def _epoch_views(stage, order, kind, cfg, res, rng):
     """The pair view of every item of an epoch, in ``order``, drawn in one
-    batched call over the epoch's words, as ``_Views``.  An MT item with no
-    other language has no view, and a translation flags every word as
-    modified, as ``translate`` does.  A CS or MT view with an uncovered
-    character raises a ValueError naming its item and the view kind."""
+    batched call over the epoch's words, as ``_Views`` of record ids: an SS
+    word is modified where its record is not Viterbi's (on a pinned-SS item
+    too), and a CS view is its items' Viterbi ids but at switched words.  An
+    MT item with no other language has no view, and a translation flags
+    every word as modified, as ``translate`` does.  The first draw of a CS
+    option, or an MT view, with an uncovered character raises a ValueError
+    naming its item and the view kind."""
     n_words = stage.packing.n_words[order]
     rows = layout_rows(stage.packing.word_starts[order], n_words)   # the items' words
     if kind == "GN":
         return _Views(n_words, stage.rids[rows], np.zeros(rows.size, dtype=bool),
                       _encode_noise(stage.packing.lengths[order], cfg, rng))
-    words = stage.words[rows].tolist()
     if kind == "SS":
-        drawn, modified = subword_resample(words, res.vocab, cfg.ss_alpha, rng)
-        return _Views(n_words, stage.records.intern(drawn), modified, None)
+        sampler = res.vocab.sampler(cfg.ss_alpha)
+        draws = subword_resample(stage.position_types("SS", rows, sampler.type_ids), res.vocab,
+                                 cfg.ss_alpha, rng)
+        rids = stage.records.drawn(sampler, draws)
+        return _Views(n_words, rids, rids != stage.viterbi_rids[rows], None)
     name = lambda p: f"example {stage.examples[order[p]].id!r}: {kind} view"
     if kind == "CS":
-        view, modified = code_switch(words, res.switch_candidates, cfg.cs_word_ratio, rng)
-        return _Views(n_words, stage.records.viterbi(view, n_words, name), modified, None)
+        cands = res.switch_candidates
+        option = code_switch(stage.position_types("CS", rows, cands.types), cands,
+                             cfg.cs_word_ratio, rng)
+        if stage.option_rids is None:
+            stage.option_rids = np.full(len(cands.options), -1)
+        rids, modified = stage.viterbi_rids[rows], option >= 0
+        picked = option[modified]
+        if (stage.option_rids[picked] < 0).any():   # an option's first draw
+            view = cands.view(stage.words[rows].tolist(), option)
+            stage.option_rids[picked] = stage.records.viterbi(view, n_words, name)[modified]
+        rids[modified] = stage.option_rids[picked]
+        return _Views(n_words, rids, modified, None)
     # MT: render the same underlying example in another language
     n_words, words = np.zeros(len(order), dtype=np.intp), []
     for p, u in enumerate(rng.random(len(order)).tolist()):
@@ -435,12 +465,12 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
             rows = layout_rows(seq_first[index], n_words)
             packing = stage.records.pack(n_words, seq_rids[rows])
             batch_items, paired = batch.tolist(), (chunk.start + ks).tolist()
-            segs = flags = [None] * len(index)
-            if cfg.task == "span":   # only span R1 reads a pair's segmentations and flags
-                records = map(stage.records.records.__getitem__, seq_rids[rows].tolist())
-                modified = iter(seq_modified[rows].tolist())
-                segs = [tok.Segmentation(list(islice(records, m))) for m in n_words.tolist()]
-                flags = [list(islice(modified, m)) for m in n_words.tolist()]
+            segs, flags = [None] * len(index), [None] * len(index)
+            if cfg.task == "span":   # only span R1 reads its pairs' segmentations and flags
+                for k in np.concatenate((ks, len(batch) + np.arange(ks.size))).tolist():
+                    seq = slice(seq_first[index[k]], seq_first[index[k]] + n_words[k])
+                    segs[k] = tok.Segmentation([stage.records.records[r] for r in seq_rids[seq]])
+                    flags[k] = seq_modified[seq].tolist()
             pairs = [(k, len(batch_items) + j, flags[len(batch_items) + j])
                      for j, k in enumerate(ks.tolist())]
             noises = [item_noises[i] for i in batch_items] + [view_noises[p] for p in paired]

@@ -1,4 +1,5 @@
-"""Shared fixtures: a small cipher benchmark with vocabulary and resources."""
+"""Shared fixtures: a small cipher benchmark with vocabulary and resources,
+and FFBS draws of a word list as a segmentation."""
 
 import dataclasses
 
@@ -7,6 +8,14 @@ import pytest
 from xtune import data
 from xtune import tokenizer as tok
 from xtune.trainer import Resources, substream
+
+
+def sample_words(vocab, words, alpha, rng):
+    """``tokenizer.sample_segment_words`` over the sampler types of
+    ``words``, each draw as its record: one ``Segmentation``."""
+    sampler = vocab.sampler(alpha)
+    draws = tok.sample_segment_words(vocab, sampler.type_ids(words), alpha, rng)
+    return tok.Segmentation(list(map(sampler.record, draws.tolist())))
 
 
 def build_benchmark(task="classification", languages=("en", "xx", "yy"),

@@ -15,6 +15,11 @@ package's lockstep and array code.  ``decode_span`` decodes each sequence of
 a packed span prediction on its own, over the full matrix of pair sums.  The
 package must match each of them bit for bit and draw for draw.
 
+``epoch_views`` draws an epoch's SS or CS pair views word by word, as
+the trainer did before its views were record ids from the draw on: the
+items' words in epoch order, ``sample_segment_words`` records compared with
+Viterbi's, or ``code_switch`` words segmented by Viterbi.
+
 ``load_jsonl_per_record`` loads a JSON-lines file one record at a time, as
 the package did before it checked columns: the columnar loader must name
 the same line with the same message and return the same examples.
@@ -247,6 +252,24 @@ def code_switch(examples, dictionaries, word_ratio, rng):
         views.append(AugmentedExample(example=replace(ex, words=words), strategy="CS",
                                       modified=modified))
     return views
+
+
+def epoch_views(stage, order, kind, cfg, res, rng):
+    """The SS or CS pair views of a ``trainer._StageTable``'s items in
+    ``order``, drawn over their words as one list: each word's view record
+    and modified flag.  An SS word is modified when its drawn record is not
+    its Viterbi record, also on an item with a pinned segmentation."""
+    examples = [stage.examples[i] for i in order]
+    words = [w for ex in examples for w in ex.words]
+    if kind == "SS":
+        drawn = [tok._word_record(res.vocab, pieces)
+                 for pieces in sample_segment_words(res.vocab, words, cfg.ss_alpha, rng)]
+        viterbi = tok.viterbi_segment_words(res.vocab, words).words
+        return drawn, [record != v for record, v in zip(drawn, viterbi)]
+    views = code_switch(examples, res.dictionaries, cfg.cs_word_ratio, rng)
+    view_words = [w for view in views for w in view.example.words]
+    return (tok.viterbi_segment_words(res.vocab, view_words).words,
+            [flag for view in views for flag in view.modified])
 
 
 @dataclass

@@ -115,7 +115,8 @@ class TestCodeSwitch:
                 words = [w for ex in examples for w in ex.words]
                 before = list(words)
                 ratio = float(rng.choice([0.0, 0.3, 1.0]))
-                got, modified = aug.code_switch(words, candidates, ratio, got_rng)
+                option = aug.code_switch(candidates.types(words), candidates, ratio, got_rng)
+                got, modified = candidates.view(words, option), option >= 0
                 want = ref.code_switch(examples, dictionaries, ratio, want_rng)
                 assert got == [w for view in want for w in view.example.words]
                 assert modified.tolist() == [flag for view in want for flag in view.modified]

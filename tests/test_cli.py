@@ -321,6 +321,52 @@ def test_bad_meta_languages_fail_naming_the_file(command, meta, tmp_path, capsys
     assert "Traceback" not in err
 
 
+# (command, the data's task, the config's or checkpoint's task, meta.json's spec.task)
+TASK_FAULTS = [
+    ("train", "classification", "labeling", None),    # preset pos on classification data
+    ("train", "labeling", "classification", None),    # preset xnli on labeling data
+    ("eval", "classification", "labeling", None),
+    ("eval", "span", "labeling", None),
+    ("train", "classification", "classification", "missing"),
+    ("eval", "classification", "classification", "missing"),
+    ("train", "labeling", "labeling", "tagging"),
+    ("eval", "span", "span", ["span"]),
+]
+
+
+@pytest.mark.parametrize("command,data_task,task,meta_task", TASK_FAULTS)
+def test_data_of_another_task_fails_naming_meta(command, data_task, task, meta_task, tmp_path,
+                                               capsys):
+    data_dir = tmp_path / "data"
+    synth_tiny(data_dir, data_task)
+    path = data_dir / "meta.json"
+    if meta_task is not None:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["spec"]["task"] = meta_task
+        if meta_task == "missing":
+            del meta["spec"]["task"]
+        path.write_text(json.dumps(meta), encoding="utf-8")
+    if command == "train":
+        preset = {"classification": "xnli", "labeling": "pos", "span": "xquad"}[task]
+        config = write_config(tmp_path / "config.json", data_dir, preset=preset)
+        argv, whose = ["train", "--config", str(config), "--out", str(tmp_path / "run")], "config"
+    else:
+        checkpoint = tmp_path / "student.ckpt"
+        vocab = tok.load_vocab(data_dir / "vocab.tsv")
+        n_label = {"classification": 2, "labeling": 3, "span": None}[task]
+        save_params(ModelParams(task, len(vocab), 4, 48, n_label=n_label), checkpoint)
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]
+        whose = "checkpoint"
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    if meta_task is None:
+        message = f"the data's task {data_task!r} is not the {whose}'s task {task!r}"
+    else:
+        got = None if meta_task == "missing" else meta_task
+        message = f"'spec.task' must be one of {data.TASKS}, got {got!r}"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("name", ["x/y", "x@y", "x\ty", "x y"])
 def test_meta_language_the_files_cannot_carry_fails_naming_the_file(name, tmp_path, capsys):
     (tmp_path / "meta.json").write_text(json.dumps({"languages": ["en", name]}),

@@ -1,9 +1,9 @@
 """Golden outputs: every file the command line writes, byte for byte.
 
 For each task a tiny synth goes through `xtune tokenize` (viterbi and
-sample), `xtune augment` with each strategy (SS, CS, GN and MT),
-`xtune train --mode xtune` and `xtune eval`, and the sha256 of each file written must equal the digest in
-``GOLDEN``.  A checkpoint is hashed from its first tensor record on: the
+sample), `xtune augment` with each strategy (SS, CS, GN and MT), then
+`xtune train` and `xtune eval` in mode xtune and in mode r1-only, and the
+sha256 of each file written must equal the digest in ``GOLDEN``.  A checkpoint is hashed from its first tensor record on: the
 digest covers every trained number, while the header and metadata lines are
 checked by the checkpoint tests in test_model.py.
 
@@ -37,7 +37,8 @@ TASKS = {
 # recorded at 4d399be; the GN and MT augment digests at f76af2e; sample.jsonl, the
 # SS and CS augment files and run/* after the views moved to batched draws; the
 # manifests, teacher checkpoints and the classification student after R1 stopped
-# forwarding pair views identical to their item (unchanged_views, rounding only)
+# forwarding pair views identical to their item (unchanged_views, rounding only); the
+# r1-only run and report at b05aca9
 GOLDEN = {
     "classification": {
         "augment.CS.jsonl": "3180952a734dba208685ac57ec1dbba32c9bcd04dcccfdd10a5affaf16e68d1b",
@@ -56,6 +57,9 @@ GOLDEN = {
         "data/translations.jsonl": "be49f4a094caba4399772b8878654459d1e1ccd2dd1fdb99905e9ffea657a557",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "1df9512cb1b3fe7e82c5e652ac9fe34b19804ea895d078f182973876419a72ae",
+        "report.r1-only.json": "a9bc1032581f01dde96c24b7af73cd8c22fb9a3d51a3462894724cf11a89f5b9",
+        "run-r1/manifest.json": "eddba5d01f5bc4f3ad9a3e1247dca9247118d6c31d1ac4824fc11b88860b4e67",
+        "run-r1/student.ckpt": "66fb01050a5f26d9a63e700f37ea918a46c93205abc933a6057e30fd17acd5c6",
         "run/manifest.json": "edf0cb1e5ce143eddc4e5374f62cf98712ef2cbe941e2ec1b08a682b56dd0960",
         "run/student.ckpt": "cf700481bdd5c671ed3c0d19a014f97ddf51afc84d33d27e02de337843dddcc0",
         "run/teacher.ckpt": "cc73a8d56f1f9c0bb14de28cfec2ed2139c4e5334a6e9c675c0adde6f62fe31d",
@@ -79,6 +83,9 @@ GOLDEN = {
         "data/translations.jsonl": "444ccad82385b15d2dce604f8cc143191a24ea29ca0077f8da5d8c95fb745dd3",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "2df65876952365755d8b89b413adb5e1e906b516f8eb8f761e50607fa8fdf15d",
+        "report.r1-only.json": "2df65876952365755d8b89b413adb5e1e906b516f8eb8f761e50607fa8fdf15d",
+        "run-r1/manifest.json": "fa33b76fe7fea67f6ccb09719bb5e4730a43222986c1cc6a7d4bf2071d6456f6",
+        "run-r1/student.ckpt": "3fe96410740cda096b40c169fe2f58d0140e1c9cead428043191727afbf76807",
         "run/manifest.json": "f8e971575bab510c14c5f02832847c385c695637b933902b5ab40b217134bb83",
         "run/student.ckpt": "58f770c5dcc487e099200ee16a7cc8b290c8b015b163796789f5ff5b4ce1c9cd",
         "run/teacher.ckpt": "8efc02345290243fa27a133be0eb72ee2a387ca7219b1b0ea9b4480bf1b7a71b",
@@ -102,6 +109,9 @@ GOLDEN = {
         "data/translations.jsonl": "5be7a1e02b50f08093ba582ce6c430f9383637f35da834853df94b50f98284bc",
         "data/vocab.tsv": "266eb974859d8e8dcc953b213bffecf7539fc6cc5832be50d94602b5fac315d7",
         "report.json": "1620b97b0efe41a749f5a6fef3d73e07280df17aa01b5c396169fef32b034191",
+        "report.r1-only.json": "7f506e0a986156f030754c2341c83f6477aac7e593f2e86df8be71ad8624ca93",
+        "run-r1/manifest.json": "1a635588db6f135603ac698f86aedca3f0d93ca513eb1ddc9f62d68d9aac71e3",
+        "run-r1/student.ckpt": "f918a662e03168b30fdbc12c1ec2126e610fd9163a474ebec0ca84de477e3cc3",
         "run/manifest.json": "e2891a52e9b58f5e1971c8cc79b308ef7de891b5c211fcd1e0474b0f381a87d8",
         "run/student.ckpt": "28210343c1fd1c09c0967af9c4051c9e4fce4da30104094ea85975c808ee8e29",
         "run/teacher.ckpt": "4e72a32709c64e3440a19f90b418ccb7b065cde38be3cc05be3604c51ca5fb00",
@@ -196,6 +206,9 @@ def run_pipeline(task, out):
         ["train", "--config", str(config), "--mode", "xtune", "--out", str(run)],
         ["eval", "--checkpoint", str(run / "student.ckpt"), "--data-dir", str(data),
          "--out", str(out / "report.json")] + eval_flags,
+        ["train", "--config", str(config), "--mode", "r1-only", "--out", str(out / "run-r1")],
+        ["eval", "--checkpoint", str(out / "run-r1" / "student.ckpt"), "--data-dir", str(data),
+         "--out", str(out / "report.r1-only.json")] + eval_flags,
     ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):

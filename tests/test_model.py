@@ -11,6 +11,7 @@ from xtune import autodiff as ad
 from xtune import model as mdl
 from xtune import tokenizer as tok
 
+from conftest import sample_words
 from test_autodiff import analytic_grads, finite_difference, max_rel_err
 
 
@@ -161,7 +162,7 @@ class TestPredict:
         words = ["abc", "ab", "cde"]
         rng = np.random.default_rng(0)
         for _ in range(10):
-            seg = tok.sample_segment_words(vocab, words, 0.5, rng)
+            seg = sample_words(vocab, words, 0.5, rng)
             pred = mdl.predict(params, mdl.Packing.of([seg]))
             assert pred.rows.outputs[0].shape[0] == len(words)
 
@@ -173,7 +174,7 @@ class TestPredict:
         words = ["abc", "d", "ab", "cde", "e"]
         for task, n_label in (("classification", 4), ("span", None), ("labeling", 3)):
             params, vocab = make_params(task, n_label=n_label)
-            segs = [tok.sample_segment_words(
+            segs = [sample_words(
                 vocab, [str(w) for w in rng.choice(words, int(rng.integers(1, 5)))], 0.5, rng)
                 for _ in range(7)]
             table = mdl.RowTable.join([

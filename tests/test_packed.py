@@ -21,7 +21,7 @@ from xtune import tokenizer as tok
 from xtune import trainer as tr
 
 import reference as ref
-from conftest import build_benchmark
+from conftest import build_benchmark, sample_words
 from test_model import assert_same_packing, copy_params, prediction, rescale_params
 from test_trainer import small_config, stage_rows, view_tuples
 
@@ -252,7 +252,7 @@ def test_span_decode_matches_reference_on_every_eval_chunk(small_span_bench):
                 segs = [tok.viterbi_segment_words(res.vocab, ex.words)
                         for ex in examples[start:start + ev.EVAL_CHUNK]]
                 pred = mdl.predict(params, mdl.Packing.of(segs))
-                assert ev.decode(pred) == ref.decode_span(reference_span(pred))
+                assert per_sequence(pred, ev.decode(pred)) == ref.decode_span(reference_span(pred))
                 chunks += 1
     assert chunks >= 9
 
@@ -266,7 +266,7 @@ def test_span_decode_matches_reference_under_ties():
     ties = rounding_ties = 0
     for word_pieces in chunks:
         pred = span_prediction(word_pieces, partial(rng.choice, TIE_ALPHABET))
-        assert ev.decode(pred) == ref.decode_span(reference_span(pred))
+        assert per_sequence(pred, ev.decode(pred)) == ref.decode_span(reference_span(pred))
         p = pred.packing
         start_log, end_log = pred.rows.outputs
         for first, n in zip(p.starts, p.lengths):
@@ -331,7 +331,7 @@ def test_record_table_numbers_records_first_seen_first(tight_labeling_bench, mon
     assert_same_packing(table.pack(n_words, rids), mdl.Packing.of(segs))
 
     known = len(table.records)
-    drawn = tok.sample_segment_words(res.vocab, words, 0.5, np.random.default_rng(18)).words
+    drawn = sample_words(res.vocab, words, 0.5, np.random.default_rng(18)).words
     drawn_ids = table.intern(drawn)
     assert [table.records[r] for r in drawn_ids.tolist()] == drawn
     new = [r for r in dict.fromkeys(drawn) if r not in records]
@@ -367,7 +367,7 @@ def test_packing_take_equals_packing_of_the_taken_segmentations(tight_labeling_b
     and scattered index lists and for slices, one running past the end."""
     bench, res = tight_labeling_bench
     rng = np.random.default_rng(16)
-    segs = [tok.sample_segment_words(res.vocab, ex.words, 0.5, rng) if k % 2 else
+    segs = [sample_words(res.vocab, ex.words, 0.5, rng) if k % 2 else
             tok.viterbi_segment_words(res.vocab, ex.words)
             for k, ex in enumerate(eval_corpus(bench))]
     assert any(s.n_pieces > len(s.words) for s in segs)
@@ -417,6 +417,14 @@ def test_a_corpus_of_interned_word_types_packs_as_its_viterbi_segmentations(
         [tok.viterbi_segment_words(res.vocab, ex.words) for ex in examples]))
 
 
+def per_sequence(pred, decoded):
+    """``evaluate.decode``'s arrays as one output per sequence of ``pred``:
+    a class, a tag list (split by the prediction's counts) or a span pair."""
+    if pred.task == "labeling":
+        return [tags.tolist() for tags in np.split(decoded, np.cumsum(pred.rows.counts)[:-1])]
+    return list(map(tuple, decoded.tolist())) if pred.task == "span" else decoded.tolist()
+
+
 def per_chunk_eval(params, examples, vocab):
     """The decoded outputs and scores of the per-chunk eval path: Viterbi
     per example, then a packing, ``predict`` and ``decode`` per chunk."""
@@ -424,14 +432,15 @@ def per_chunk_eval(params, examples, vocab):
     for start in range(0, len(examples), ev.EVAL_CHUNK):
         segs = [tok.viterbi_segment_words(vocab, ex.words)
                 for ex in examples[start:start + ev.EVAL_CHUNK]]
-        decoded.extend(ev.decode(mdl.predict(params, mdl.Packing.of(segs))))
+        pred = mdl.predict(params, mdl.Packing.of(segs))
+        decoded.extend(per_sequence(pred, ev.decode(pred)))
     gold = [ex.gold() for ex in examples]
     if params.task == "classification":
         return decoded, {"accuracy": ev.accuracy(decoded, gold)}
     if params.task == "span":
         f1, em = ev.span_f1_em(decoded, gold)
         return decoded, {"f1": f1, "em": em, "score": (f1 + em) / 2}
-    acc, f1 = ev.tag_scores(decoded, gold)
+    acc, f1 = ev.tag_scores([t for tags in decoded for t in tags], [t for g in gold for t in g])
     return decoded, {"accuracy": acc, "f1": f1}
 
 
@@ -454,7 +463,7 @@ def test_score_corpus_equals_the_per_chunk_path(task, pooling, eval_benches, mon
         return predict(params, packing)
 
     def recording_decode(prediction):
-        decoded.extend(out := decode(prediction))
+        decoded.extend(per_sequence(prediction, out := decode(prediction)))
         return out
 
     monkeypatch.setattr(ev, "predict", recording_predict)
@@ -853,10 +862,13 @@ def test_every_step_packing_is_the_packing_of_its_segmentations(task, kind, eval
     noised = [getattr(it, "strategy", None) == "GN" for it in items]
     counts = [len(segs[i].words) for i in order]
     if kind == "CS":
-        ((words, _modified),) = draws
+        (option,) = draws
+        words = res.switch_candidates.view(
+            [w for i in order for w in getattr(items[i], "example", items[i]).words], option)
         view_segs = [tok.viterbi_segment_words(res.vocab, w) for w in split_by(words, counts)]
     elif kind == "SS":
-        ((drawn, _modified),) = draws
+        (drawn,) = draws
+        drawn = list(map(res.vocab.sampler(cfg.ss_alpha).record, drawn.tolist()))
         view_segs = [tok.Segmentation(r) for r in split_by(drawn, counts)]
     elif kind == "GN":
         view_segs = [segs[i] for i in order]
@@ -880,3 +892,87 @@ def test_every_step_packing_is_the_packing_of_its_segmentations(task, kind, eval
         assert [noise is not None for noise in noises] == (
             [noised[i] for i in batch] + [kind == "GN"] * len(changed))
         assert trace[b]["pairs"] == len(chunk)
+
+
+@pytest.mark.parametrize("task,kind", [(task, kind) for task in ("classification", "labeling",
+                                                                 "span") for kind in ("SS", "CS")])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_epoch_views_match_the_word_level_reference(task, kind, seed, eval_benches):
+    """Each epoch's views, drawn as record ids, hold the records and
+    modified flags of the word-level path, over plain and pinned-SS items,
+    and leave the generator where it leaves it; later epochs meet draws and
+    switch options seen before."""
+    bench, res = eval_benches[task]
+    cfg = small_config(task=task, n_label=None if task == "span" else 3, ss_alpha=0.05,
+                       cs_word_ratio=0.4, seed=seed,
+                       pooling="average" if task == "labeling" else "first_subword")
+    pinned = tr._build_corpus(bench.train[:10], dataclasses.replace(cfg, corpus_strategy="SS"),
+                              res).augmented
+    stage = tr._StageTable(list(bench.train[10:30]) + pinned, res.vocab, cfg)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    order_rng = np.random.default_rng(seed + 10)
+    for _epoch in range(4):
+        order = order_rng.permutation(len(stage.examples))
+        views = tr._epoch_views(stage, order, kind, cfg, res, got_rng)
+        records, modified = ref.epoch_views(stage, order, kind, cfg, res, want_rng)
+        assert [stage.records.records[r] for r in views.rids.tolist()] == records
+        assert views.modified.tolist() == modified
+        assert views.n_words.tolist() == [len(stage.examples[i].words) for i in order]
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert any(modified) and not all(modified)
+
+
+@pytest.mark.parametrize("kind", ["SS", "CS"])
+def test_an_epoch_of_seen_draws_interns_and_segments_nothing(kind, small_classification_bench,
+                                                              monkeypatch):
+    """An epoch whose draws (SS) or switch options (CS) were all drawn
+    before maps them to record ids by array lookup alone: no
+    ``RecordTable.intern`` or ``RecordTable.viterbi`` call."""
+    bench, res = small_classification_bench
+    cfg = small_config(ss_alpha=0.05, cs_word_ratio=0.5)
+    stage = tr._StageTable(list(bench.train[:40]), res.vocab, cfg)
+    order = np.random.default_rng(4).permutation(40)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(mdl.RecordTable, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("intern", "viterbi"):
+        monkeypatch.setattr(mdl.RecordTable, name, counted(name))
+    first = tr._epoch_views(stage, order, kind, cfg, res, np.random.default_rng(5))
+    assert calls[{"SS": "intern", "CS": "viterbi"}[kind]] == 1   # the first draws are new
+    calls.clear()
+    again = tr._epoch_views(stage, order, kind, cfg, res, np.random.default_rng(5))
+    assert calls == Counter()
+    assert again.rids.tolist() == first.rids.tolist() and first.modified.any()
+
+
+def test_a_span_step_segments_only_its_changed_pairs(small_span_bench, monkeypatch):
+    """Span R1 reads the segmentations and flags of its pairs alone, so a
+    step builds a ``Segmentation`` for each changed pair's two sequences and
+    for no other sequence."""
+    bench, res = small_span_bench
+    cfg = small_config(task="span", n_label=None, ss_alpha=0.05, epochs=2)
+    built, consistency = [], tr.example_consistency
+
+    def counting(records):
+        built.append(records)
+        return tok.Segmentation(records)
+
+    def checked(pred, segs, pairs, drawn=None):
+        members = {k for i, j, _flags in pairs for k in (i, j)}
+        assert [k for k, seg in enumerate(segs) if seg is not None] == sorted(members)
+        return consistency(pred, segs, pairs, drawn)
+
+    monkeypatch.setattr(tr, "tok", SimpleNamespace(Segmentation=counting))
+    monkeypatch.setattr(tr, "example_consistency", checked)
+    _trace, views = tr.run_stage(list(bench.train[:60]), tr.init_params(cfg, res), cfg, res,
+                                 "main", pair_strategy="SS", pair_weight=1.0)
+    changed = views["views_drawn"] - views["unchanged_views"]
+    assert 0 < changed < views["views_drawn"]
+    assert len(built) == 2 * changed

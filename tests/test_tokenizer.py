@@ -16,6 +16,7 @@ from xtune import tokenizer as tok
 from xtune.data import Example
 
 import reference as ref
+from conftest import sample_words
 from reference import enumerate_segmentations
 
 
@@ -201,7 +202,7 @@ class TestSampling:
         rng = np.random.default_rng(42)
         n = 100_000
         hits = sum(pieces == ("ab",)
-                   for pieces, _ in tok.sample_segment_words(vocab, ["ab"] * n, 1.0, rng).words)
+                   for pieces, _ in sample_words(vocab, ["ab"] * n, 1.0, rng).words)
         assert abs(hits / n - 0.2 / 0.36) < 0.01
 
     def test_alpha_zero_is_uniform(self):
@@ -209,7 +210,7 @@ class TestSampling:
         rng = np.random.default_rng(43)
         n = 100_000
         hits = sum(pieces == ("ab",)
-                   for pieces, _ in tok.sample_segment_words(vocab, ["ab"] * n, 0.0, rng).words)
+                   for pieces, _ in sample_words(vocab, ["ab"] * n, 0.0, rng).words)
         assert abs(hits / n - 0.5) < 0.01
 
     def test_large_alpha_recovers_viterbi(self):
@@ -217,7 +218,7 @@ class TestSampling:
         rng = np.random.default_rng(44)
         viterbi = viterbi_pieces(vocab, "ab")
         for _ in range(100):
-            assert tok.sample_segment_words(vocab, ["ab"], 50.0, rng).pieces == viterbi
+            assert sample_words(vocab, ["ab"], 50.0, rng).pieces == viterbi
 
     def test_sampling_law_total_variation(self):
         # empirical law vs enumeration-normalized tempered probabilities, with
@@ -237,7 +238,7 @@ class TestSampling:
                 tempered /= tempered.sum()
                 keys = [tuple(s.pieces) for s, _ in segs]
                 counts = Counter(tuple(pieces) for pieces, _ in
-                                 tok.sample_segment_words(vocab, [word] * n, alpha, rng).words)
+                                 sample_words(vocab, [word] * n, alpha, rng).words)
                 tv = 0.5 * sum(abs(counts.get(k, 0) / n - q) for k, q in zip(keys, tempered))
                 assert tv < 0.02
 
@@ -255,7 +256,7 @@ class TestSampling:
             for _ in range(4):
                 words = ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
                          for _ in range(int(rng.integers(0, 12)))]
-                got = tok.sample_segment_words(vocab, words, alpha, got_rng)
+                got = sample_words(vocab, words, alpha, got_rng)
                 assert ([list(pieces) for pieces, _ in got.words]
                         == ref.sample_segment_words(vocab, words, alpha, ref_rng)), trial
                 assert all(ids == tuple(vocab.piece_to_id[p] for p in pieces)
@@ -295,10 +296,39 @@ class TestSampling:
             for _ in range(5):
                 words = ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 16))))
                          for _ in range(int(rng.integers(1, 6)))]
-                got = tok.sample_segment_words(vocab, words, alpha, got_rng)
+                got = sample_words(vocab, words, alpha, got_rng)
                 assert ([list(pieces) for pieces, _ in got.words]
                         == reference(vocab, words, alpha, ref_rng)), trial
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state, trial
+
+    def test_cdf_rows_are_built_one_row_at_a_time(self):
+        # the table builds the rows of equal piece counts together; each row
+        # must hold the bits of its own categorical, built alone as
+        # ``Generator.choice`` builds it, over pieces up to 12 long
+        rng = np.random.default_rng(49)
+        for trial in range(30):
+            vocab, letters = random_vocab(rng, n_pieces=int(rng.integers(3, 40))), "abc"
+            if trial % 3 == 0:   # up to 12 pieces end at a position
+                vocab, letters = tok.UnigramVocab({"a" * k: -float(k) for k in range(1, 13)}), "a"
+            alpha = float(rng.choice([0.0, 0.2, 1.0, 4.0]))
+            words = ["".join(rng.choice(list(letters), size=int(rng.integers(1, 30))))
+                     for _ in range(8)]
+            table = tok._LockstepTable(vocab, alpha)
+            types = table.type_ids(words).tolist()
+            for word, k in zip(words, types):
+                text = vocab.word_form(word)
+                logf = ref.lattice_logf(vocab, text, alpha)
+                for j in range(1, len(text) + 1):
+                    starts = [i for i in range(max(0, j - vocab.max_piece_len), j)
+                              if text[i:j] in vocab.pieces and logf[i] != -np.inf]
+                    row = table.cdf[table.offset[k] + j]
+                    assert np.isinf(row[len(starts):]).all()
+                    if starts:
+                        logw = np.array([logf[i] + alpha * vocab.pieces[text[i:j]]
+                                         for i in starts])
+                        p = np.exp(logw - logw.max())
+                        cdf = (p / p.sum()).cumsum()
+                        assert (cdf / cdf[-1]).tobytes() == row[:len(starts)].tobytes(), trial
 
     def test_draw_records_carry_the_vocabulary_ids(self):
         # a draw's ids are the vocabulary's ids of its pieces
@@ -312,7 +342,7 @@ class TestSampling:
             alpha = float(rng.choice([0.0, 0.5, 1.0]))
             rec_rng = np.random.default_rng(trial)
             for _ in range(10):
-                for pieces, ids in tok.sample_segment_words(vocab, words, alpha, rec_rng).words:
+                for pieces, ids in sample_words(vocab, words, alpha, rec_rng).words:
                     assert ids == tuple(vocab.piece_to_id[p] for p in pieces)
 
     def test_equal_draws_share_one_record(self):
@@ -324,7 +354,7 @@ class TestSampling:
         viterbi = dict(zip(words, tok.viterbi_segment_words(vocab, words).words))
         first = {}
         for _ in range(3):
-            for word, record in zip(words, tok.sample_segment_words(vocab, words, 0.3,
+            for word, record in zip(words, sample_words(vocab, words, 0.3,
                                                                     rng).words):
                 assert first.setdefault((word, record), record) is record
                 assert record != viterbi[word] or record is viterbi[word]
@@ -333,22 +363,22 @@ class TestSampling:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.5])
     def test_bad_alpha_rejected_by_name(self, alpha):
         with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
-            tok.sample_segment_words(toy_vocab(), ["ab"], alpha, np.random.default_rng(0))
+            sample_words(toy_vocab(), ["ab"], alpha, np.random.default_rng(0))
 
     def test_overflowing_alpha_named_not_a_coverage_error(self):
         # alpha * log p path sums of 'aab' overflow to -inf at 1e308, not at 1e306
         words = ["ab", "aab"]
-        drawn = tok.sample_segment_words(toy_vocab(), words, 1e306, np.random.default_rng(0))
+        drawn = sample_words(toy_vocab(), words, 1e306, np.random.default_rng(0))
         assert [list(pieces) for pieces, _ids in drawn.words] == [["ab"], ["a", "ab"]]
         with pytest.raises(ValueError, match=r"alpha 1e\+308 overflows .* word 'aab'") as err:
-            tok.sample_segment_words(toy_vocab(), words, 1e308, np.random.default_rng(0))
+            sample_words(toy_vocab(), words, 1e308, np.random.default_rng(0))
         assert not isinstance(err.value, tok.CoverageError)
 
     def test_deterministic_given_seed(self):
         vocab = toy_vocab()
-        a = [tok.sample_segment_words(vocab, ["aba"], 0.5, np.random.default_rng(9)).pieces
+        a = [sample_words(vocab, ["aba"], 0.5, np.random.default_rng(9)).pieces
              for _ in range(5)]
-        b = [tok.sample_segment_words(vocab, ["aba"], 0.5, np.random.default_rng(9)).pieces
+        b = [sample_words(vocab, ["aba"], 0.5, np.random.default_rng(9)).pieces
              for _ in range(5)]
         assert a == b
 
@@ -360,7 +390,7 @@ class TestWordLevel:
         words = ["abc", "a", "cabba", "bb"]
         for seg in (
             tok.viterbi_segment_words(vocab, words),
-            tok.sample_segment_words(vocab, words, 0.5, rng),
+            sample_words(vocab, words, 0.5, rng),
         ):
             assert source_words(seg, vocab.marker) == words
             assert len(seg.words) == len(words)
@@ -379,7 +409,7 @@ class TestWordLevel:
         vocab = random_vocab(rng)
         words = ["abcab", "cc", "bab"]
         for _ in range(50):
-            seg = tok.sample_segment_words(vocab, words, 0.3, rng)
+            seg = sample_words(vocab, words, 0.3, rng)
             assert len(seg.words) == 3
             assert len(seg.first_subword_positions()) == 3
 
@@ -400,7 +430,7 @@ class TestWordPieces:
         for _ in range(100):
             words = random_words(rng, int(rng.integers(1, 9)))
             for seg in (tok.viterbi_segment_words(vocab, words),
-                        tok.sample_segment_words(vocab, words, 0.3, rng)):
+                        sample_words(vocab, words, 0.3, rng)):
                 assert [list(pieces) for pieces, _ in seg.words] == [
                     scan_pieces_of_word(seg, w) for w in range(len(words))]
 
@@ -419,7 +449,7 @@ class TestWordPieces:
         for trial in range(100):
             words = random_words(rng, int(rng.integers(1, 9)))
             example = Example(id=f"e{trial}", language="en", task="span", words=words)
-            drawn, flags = aug.subword_resample(words, vocab, 0.5, rng)
+            drawn, flags = aug.resample_words(words, vocab, 0.5, rng)
             view = aug.AugmentedExample(example, "SS", flags.tolist(), tok.Segmentation(drawn))
             seg = tok.viterbi_segment_words(vocab, words)
             assert view.modified == [scan_pieces_of_word(view.segmentation, w)

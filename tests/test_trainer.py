@@ -483,8 +483,8 @@ class TestMaxLen:
         with pytest.raises(ValueError) as raised:
             tr.run_stage(list(bench.train), tr.init_params(cfg, res), cfg, res, "main",
                          pair_strategy="SS", pair_weight=1.0)
-        order, (records, _modified) = seen
-        records, lengths = iter(records), []
+        order, draws = seen
+        records, lengths = map(res.vocab.sampler(0.0).record, draws.tolist()), []
         for i in order.tolist():
             lengths.append(sum(len(next(records)[1]) for _ in bench.train[i].words))
         p = next(p for p, n in enumerate(lengths) if n > longest)
