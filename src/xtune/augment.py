@@ -13,7 +13,7 @@ lockstep FFBS draw, or one uniform block for the switch, dictionary and
 option picks.  They return a draw id or a dictionary option (-1: kept) per
 token, which ``RecordTable.drawn`` and ``SwitchCandidates.view`` map to
 records and words: the trainer's pair views keep record ids, and the corpus
-builder cuts them into one ``AugmentedExample`` per example.
+builder keeps the drawn words as columns of a ``data.Corpus``.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
 from . import tokenizer as tok
-from .data import CIPHER_ID_SEP, Example
-from .model import RecordTable
+from .data import CIPHER_ID_SEP, Corpus
+from .model import RecordTable, name_uncovered
 
 log = logging.getLogger(__name__)
 
@@ -59,21 +59,6 @@ class AugmentationStrategy:
             raise StrategyError(f"word_ratio {self.word_ratio} outside [0, 1]")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise StrategyError(f"alpha {self.alpha} must be a finite number >= 0")
-
-
-@dataclass
-class AugmentedExample:
-    """An augmented view plus the metadata the regularizers need.
-
-    ``modified`` flags the words whose surface or segmentation changed (every
-    word of a translation).  ``segmentation`` pins the sampled tokenization
-    for SS views.
-    """
-
-    example: Example
-    strategy: str
-    modified: list
-    segmentation: tok.Segmentation | None = None
 
 
 @dataclass
@@ -140,6 +125,7 @@ class TranslationStore:
     def __init__(self):
         self._entries = {}
         self._languages = {}
+        self.path, self._lines = None, {}   # a loaded store's file and each record's line
 
     def add(self, example_id, language, words, label=None):
         self._entries[(example_id, language)] = (list(words), label)
@@ -154,6 +140,11 @@ class TranslationStore:
     def languages_for(self, example_id):
         return list(self._languages.get(example_id, ()))
 
+    def origin(self, example_id, language):
+        """``"path:line: "`` of a loaded record, else nothing."""
+        line = self._lines.get((example_id, language))
+        return f"{self.path}:{line}: " if line else ""
+
     def save(self, path):
         encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False).encode
         with open(path, "w", encoding="utf-8") as fh:
@@ -166,7 +157,8 @@ class TranslationStore:
     @classmethod
     def load(cls, path):
         """Read a store; a bad or repeated (example id, lang) record names ``path:line``."""
-        store, first_line = cls(), {}
+        store = cls()
+        store.path = path
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -185,10 +177,10 @@ class TranslationStore:
                                         "non-empty list of them and label an integer or null")
                 except (json.JSONDecodeError, KeyError, TypeError) as err:
                     raise DictionaryFormatError(f"{path}:{lineno}: bad store record ({err})") from None
-                if first_line.setdefault((eid, lang), lineno) != lineno:
+                if store._lines.setdefault((eid, lang), lineno) != lineno:
                     raise DictionaryFormatError(
                         f"{path}:{lineno}: repeats the record of example {eid!r} in {lang!r} "
-                        f"from line {first_line[eid, lang]}")
+                        f"from line {store._lines[eid, lang]}")
                 store.add(eid, lang, words, label)
         return store
 
@@ -267,47 +259,61 @@ def subword_resample(types, vocab, alpha, rng):
     return tok.sample_segment_words(vocab, types, alpha, rng)
 
 
-def resample_words(words, vocab, alpha, rng):
-    """The SS views of a flat word list, drawn as the trainer draws them:
-    ``subword_resample`` over the words' sampler types, each draw's record
-    from a ``RecordTable``.  Returns the drawn records and the modified
-    flags (a bool array) of the words whose record is not Viterbi's."""
-    sampler = vocab.sampler(alpha)
-    draws = subword_resample(sampler.type_ids(words), vocab, alpha, rng)
+def resample_words(corpus, vocab, alpha, rng):
+    """The SS views of a corpus's flat words, drawn as the trainer draws
+    them: ``subword_resample`` over the words' sampler types, each draw's
+    record from a ``RecordTable``.  Returns the drawn records and the
+    modified flags (a bool array) of the words whose record is not
+    Viterbi's; an uncovered character raises ``name_uncovered``'s error,
+    naming its example."""
+    words, sampler = corpus.words, vocab.sampler(alpha)
+    try:
+        types = sampler.type_ids(words)
+    except tok.CoverageError as err:
+        raise name_uncovered(vocab, words, corpus.n_words,
+                             lambda k: f"example {corpus.ids[k]!r}", err) from None
     table = RecordTable(vocab)
-    rids = table.drawn(sampler, draws)
+    rids = table.drawn(sampler, subword_resample(types, vocab, alpha, rng))
     modified = rids != table.intern(tok.viterbi_segment_words(vocab, words).words)
     return list(map(table.records.__getitem__, rids.tolist())), modified
 
 
-def translate(example, store, target_languages, task, missing=None):
-    """One translated view per requested language.
-
-    Labels survive only for classification; token-level labels cannot be
-    projected across languages, so those views come back unlabeled.  Missing
-    store entries are skipped with a warning and recorded in ``missing``.
-    """
-    views = []
-    for lang in target_languages:
-        entry = store.get(example.id, lang)
-        if entry is None:
-            log.warning("no translation of %s into %s; skipping", example.id, lang)
-            if missing is not None:
-                missing.append((example.id, lang))
-            continue
-        words, label = entry
-        translated = Example(
-            id=f"{example.id}{CIPHER_ID_SEP}{lang}",
-            language=lang,
-            task=task,
-            words=list(words),
-            label=label if task == "classification" else None,
-            n_label=example.n_label,
-            question_len=example.question_len,
-        )
-        views.append(AugmentedExample(example=translated, strategy="MT",
-                                      modified=[True] * len(words)))
-    return views
+def translation_views(corpus, store, languages):
+    """The views of ``corpus`` in each of ``languages`` that ``store``
+    holds, as a ``Corpus`` in (example, language) order, and the (example
+    id, language) pairs it lacks.  A view's id is its example's, then
+    ``CIPHER_ID_SEP`` and its language; it keeps its example's question
+    length and class count.  Only a classification view keeps the store's
+    label, which must be one of those classes."""
+    source, langs, words, n_words, labels, missing = [], [], [], [], [], []
+    for k, example_id in enumerate(corpus.ids):
+        for lang in languages:
+            entry = store.get(example_id, lang)
+            if entry is None:
+                log.warning("no translation of %s into %s; skipping", example_id, lang)
+                missing.append((example_id, lang))
+                continue
+            source.append(k)
+            langs.append(lang)
+            words += entry[0]
+            n_words.append(len(entry[0]))
+            labels.append(entry[1] if corpus.task == "classification" else None)
+    source = np.array(source, np.intp)
+    n_label = corpus.n_label[source]
+    for k, (label, count) in enumerate(zip(labels, n_label.tolist())):
+        if label is not None and not 0 <= label < count:
+            example_id = corpus.ids[source[k]]
+            raise ValueError(f"{store.origin(example_id, langs[k])}translation of example "
+                             f"{example_id!r} into {langs[k]!r}: label {label} out of range for "
+                             f"n_label {count if count >= 0 else None}")
+    has_gold = np.array([label is not None for label in labels], bool)
+    if corpus.task == "classification":
+        golds = np.array([-1 if label is None else label for label in labels], np.int64)
+    else:   # token-level labels cannot be projected across languages
+        golds = np.full((len(labels), 2) if corpus.task == "span" else len(words), -1)
+    ids = [f"{corpus.ids[k]}{CIPHER_ID_SEP}{lang}" for k, lang in zip(source.tolist(), langs)]
+    return Corpus(corpus.task, ids, langs, words, np.array(n_words, np.intp),
+                  corpus.question_len[source], n_label, has_gold, golds), missing
 
 
 def base_id(example_id):
@@ -340,72 +346,53 @@ def validate_strategy(task, kind):
 
 
 @dataclass
-class AugmentedCorpus:
-    """Originals plus one augmentation per original (per language for MT).
-
-    ``items`` is the flat training corpus (originals first, then
-    augmentations).  A view's original is the one whose id is
-    ``base_id(view id)``.
+class StageCorpus:
+    """A training stage's items: ``corpus`` holds the originals, then one
+    view of each of ``strategy`` (one per original and language for MT;
+    None: no views).  A view's original is the one whose id is
+    ``base_id(view id)``.  The views' words, the corpus's last ones, have
+    the flat ``modified`` flags and, for SS, the ``pinned`` drawn records;
+    ``missing`` lists the (example id, language) pairs the store lacks.
     """
 
-    originals: list
-    augmented: list
+    corpus: Corpus
+    strategy: str | None = None
+    modified: np.ndarray = field(default_factory=lambda: np.zeros(0, bool))
+    pinned: list = field(default_factory=list)
     missing: list = field(default_factory=list)
 
-    @property
-    def items(self):
-        return self.originals + self.augmented
-
-    def __len__(self):
-        return len(self.originals) + len(self.augmented)
-
-
-def name_uncovered(corpus, vocab, err):
-    """``err``, a CoverageError, led by the first example of ``corpus`` that
-    holds a character ``vocab`` does not cover."""
-    bad = next(ex for ex in corpus if not vocab.alphabet.issuperset("".join(ex.words)))
-    return tok.CoverageError(f"example {bad.id!r}: {err}")
+    def labeled(self):
+        """The stage of the items with gold, whose views keep their columns."""
+        keep = self.corpus.has_gold
+        words = np.repeat(keep, self.corpus.n_words)[len(self.corpus.words) - self.modified.size:]
+        return replace(self, corpus=self.corpus.select(keep), modified=self.modified[words],
+                       pinned=list(compress(self.pinned, words.tolist())))
 
 
 def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None, store=None):
-    """D_A = D plus exactly one augmentation per example (ratio 1.0).
-
-    MT produces one augmentation per (example, target language).
-    """
-    if not corpus:
+    """D_A = D plus exactly one augmentation per example (ratio 1.0), as a
+    ``StageCorpus``: CS, SS and GN views are their originals' columns with
+    new words, MT views the store's translations (one per example and target
+    language)."""
+    if not len(corpus):
         raise ValueError("build_augmented_corpus: empty corpus")
-    task = corpus[0].task
-    missing = []
-    words = [w for ex in corpus for w in ex.words]
-
-    def cut(flat):   # one list per example
-        flat = iter(flat)
-        return [list(islice(flat, len(ex.words))) for ex in corpus]
-
+    missing, pinned = [], []
     if strategy.kind == "CS":
         if not dictionaries:
             raise StrategyError("CS corpus augmentation needs dictionaries")
         candidates = SwitchCandidates(dictionaries)
-        option = code_switch(candidates.types(words), candidates, strategy.word_ratio, rng)
-        augmented = [AugmentedExample(ex.with_words(part), "CS", flags) for ex, part, flags
-                     in zip(corpus, cut(candidates.view(words, option)),
-                            cut((option >= 0).tolist()))]
+        option = code_switch(candidates.types(corpus.words), candidates, strategy.word_ratio, rng)
+        views, modified = replace(corpus, words=candidates.view(corpus.words, option)), option >= 0
     elif strategy.kind == "SS":
         if vocab is None:
             raise StrategyError("SS corpus augmentation needs a vocabulary")
-        try:
-            drawn, modified = resample_words(words, vocab, strategy.alpha, rng)
-        except tok.CoverageError as err:
-            raise name_uncovered(corpus, vocab, err) from None
-        augmented = [AugmentedExample(ex.with_words(list(ex.words)), "SS", flags,
-                                      tok.Segmentation(records)) for ex, records, flags
-                     in zip(corpus, cut(drawn), cut(modified.tolist()))]
+        pinned, modified = resample_words(corpus, vocab, strategy.alpha, rng)
+        views = corpus
     elif strategy.kind == "GN":   # text identical; noise of ``noise_sigma`` at encode time
-        augmented = [AugmentedExample(ex.with_words(list(ex.words)), "GN",
-                                      [False] * len(ex.words)) for ex in corpus]
+        views, modified = corpus, np.zeros(len(corpus.words), bool)
     else:
         if store is None or not strategy.languages:
             raise StrategyError("MT corpus augmentation needs a store and target languages")
-        augmented = [view for example in corpus for view in
-                     translate(example, store, strategy.languages, task, missing=missing)]
-    return AugmentedCorpus(originals=list(corpus), augmented=augmented, missing=missing)
+        views, missing = translation_views(corpus, store, strategy.languages)
+        modified = np.ones(len(views.words), bool)
+    return StageCorpus(corpus.join(views), strategy.kind, modified, pinned, missing)

@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from itertools import islice
 from pathlib import Path
 
 from . import augment as aug
@@ -21,7 +20,7 @@ from . import data
 from . import evaluate as ev
 from . import tokenizer as tok
 from . import trainer
-from .model import load_params, save_params
+from .model import RecordTable, load_params, save_params
 
 
 def _sha256(path):
@@ -133,21 +132,22 @@ def cmd_synth(args):
 
 def cmd_tokenize(args):
     vocab = tok.load_vocab(args.vocab)
-    corpus = data.load_jsonl(args.input, args.task).examples()
+    corpus = data.load_jsonl(args.input, args.task)
     try:
         if args.mode == "viterbi":
-            segs = [tok.viterbi_segment_words(vocab, ex.words) for ex in corpus]
+            table = RecordTable(vocab)
+            rids = table.viterbi(corpus.words, corpus.n_words,
+                                 lambda k: f"example {corpus.ids[k]!r}")
+            records = list(map(table.records.__getitem__, rids.tolist()))
         else:
-            rng = trainer.substream(args.seed, "tokenize")
-            drawn, _modified = aug.resample_words([w for ex in corpus for w in ex.words], vocab,
-                                                  args.alpha, rng)
-            drawn = iter(drawn)
-            segs = [tok.Segmentation(list(islice(drawn, len(ex.words)))) for ex in corpus]
+            records, _modified = aug.resample_words(corpus, vocab, args.alpha,
+                                                    trainer.substream(args.seed, "tokenize"))
     except tok.CoverageError as err:
-        raise ValueError(f"{args.input}: {aug.name_uncovered(corpus, vocab, err)}") from None
+        raise ValueError(f"{args.input}: {err}") from None
+    segs = list(map(tok.Segmentation, data.cut(records, corpus.n_words)))
     with open(args.output, "w", encoding="utf-8") as fh:
-        for ex, seg in zip(corpus, segs):
-            fh.write(json.dumps({"id": ex.id, "pieces": seg.pieces,
+        for example_id, seg in zip(corpus.ids, segs):
+            fh.write(json.dumps({"id": example_id, "pieces": seg.pieces,
                                  "word_index": seg.word_index},
                                 ensure_ascii=False, sort_keys=True) + "\n")
     print(f"segmented {len(corpus)} examples into {sum(seg.n_pieces for seg in segs)} pieces "
@@ -160,7 +160,7 @@ def cmd_tokenize(args):
 
 
 def cmd_augment(args):
-    corpus = data.load_jsonl(args.input, args.task).examples()
+    corpus = data.load_jsonl(args.input, args.task)
     strategy = aug.AugmentationStrategy(
         kind=args.strategy,
         alpha=args.alpha,
@@ -172,29 +172,26 @@ def cmd_augment(args):
     store = aug.TranslationStore.load(args.store) if args.store else None
     rng = trainer.substream(args.seed, "augment")
     try:
-        corpus_aug = aug.build_augmented_corpus(
+        built = aug.build_augmented_corpus(
             corpus, strategy, rng, vocab=vocab, dictionaries=dictionaries, store=store)
     except tok.CoverageError as err:
         raise ValueError(f"{args.input}: {err}") from None
 
+    n, records = len(corpus), built.corpus.json_records()
+    view_words = built.corpus.n_words[n:]
+    lines = [{"kind": "original", "record": record} for record in records[:n]]
+    for record, labeled, modified in zip(records[n:], built.corpus.has_gold[n:].tolist(),
+                                         data.cut(built.modified.tolist(), view_words)):
+        lines.append({"kind": "augmented", "strategy": built.strategy,
+                      "pair_of": aug.base_id(record["id"]), "label_available": labeled,
+                      "modified": modified, "record": record})
+    for line, part in zip(lines[n:], data.cut(built.pinned, view_words) if built.pinned else ()):
+        line["pieces"] = tok.Segmentation(part).pieces
     with open(args.output, "w", encoding="utf-8") as fh:
-        for ex in corpus_aug.originals:
-            rec = {"kind": "original", "record": data.example_to_record(ex)}
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
-        for view in corpus_aug.augmented:
-            rec = {
-                "kind": "augmented",
-                "strategy": view.strategy,
-                "pair_of": aug.base_id(view.example.id),
-                "label_available": view.example.labeled,
-                "modified": view.modified,
-                "record": data.example_to_record(view.example),
-            }
-            if view.segmentation is not None:
-                rec["pieces"] = view.segmentation.pieces
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
-    print(f"wrote {len(corpus_aug)} items ({len(corpus_aug.augmented)} augmented, "
-          f"{len(corpus_aug.missing)} skipped) to {args.output}")
+        for line in lines:
+            fh.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
+    print(f"wrote {len(records)} items ({len(records) - n} augmented, "
+          f"{len(built.missing)} skipped) to {args.output}")
     return 0
 
 
@@ -288,7 +285,7 @@ def load_resources(data_dir, cfg):
         cfg.mt_languages = tuple(languages[1:])
     digests = {p.name: _sha256(p) for p in sorted(data_dir.iterdir()) if p.is_file()}
     res = trainer.Resources(vocab=vocab, dictionaries=dictionaries, store=store)
-    return train.examples(), res, digests
+    return train, res, digests
 
 
 def cmd_train(args):

@@ -6,9 +6,9 @@ columns (ids, languages, one flat word list with each example's word count,
 class counts and gold arrays).  Each schema rule is one check over the whole
 file, made on the records that pass the rules before it, so a file with
 several faults names its first faulty line, as a line-by-line reader would.
-Scoring reads the columns; training, tokenizing and augmenting take one
-``Example`` per record from ``Corpus.examples``.  ``save_jsonl`` checks the
-records it writes by the same rules, so every file it writes loads.
+Training, tokenizing, augmenting and scoring read the columns, with no
+object per example.  ``save_jsonl`` checks the records it writes by the
+same rules, so every file it writes loads.
 
 The cipher generator renders one flat lemma array per split into disjoint
 per-language surface forms (``w3`` -> ``w3§de``) and into gold labels, by
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add, is_not, itemgetter
 
 import numpy as np
@@ -39,51 +39,6 @@ INT_LIMIT = 2 ** 63
 
 class SchemaError(ValueError):
     """A dataset record violates the task schema."""
-
-
-@dataclass
-class Example:
-    """One task instance; ``words`` is the full model input.
-
-    For span extraction the input is question words followed by context
-    words and the answer indices address the full input.  ``label`` /
-    ``tags`` / answer indices may be None for unlabeled examples
-    (e.g. translations of token-level tasks).
-    """
-
-    id: str
-    language: str
-    task: str
-    words: list
-    label: int | None = None
-    n_label: int | None = None
-    question_len: int = 0
-    answer_start: int | None = None
-    answer_end: int | None = None
-    tags: list | None = None
-
-    @property
-    def labeled(self):
-        if self.task == "classification":
-            return self.label is not None
-        if self.task == "span":
-            return self.answer_start is not None and self.answer_end is not None
-        return self.tags is not None
-
-    def with_words(self, words):
-        """This example with ``words`` in place of its words: a shallow copy
-        made without ``__init__``, for views that keep the word count."""
-        view = object.__new__(type(self))
-        view.__dict__.update(self.__dict__)
-        view.words = words
-        return view
-
-    def gold(self):
-        if self.task == "classification":
-            return self.label
-        if self.task == "span":
-            return (self.answer_start, self.answer_end)
-        return self.tags
 
 
 @dataclass(eq=False)
@@ -112,30 +67,26 @@ class Corpus:
     def __len__(self):
         return len(self.ids)
 
-    def examples(self):
-        """One ``Example`` per example, for the code that takes them."""
-        ends = np.cumsum(self.n_words).tolist()
-        gold, n_label = self.golds.tolist(), self.n_label.tolist()
-        out = []
-        for k, (a, b) in enumerate(zip([0] + ends, ends)):
-            ex = Example(self.ids[k], self.languages[k], self.task, self.words[a:b],
-                         n_label=None if n_label[k] == -1 else n_label[k],
-                         question_len=int(self.question_len[k]))
-            if not self.has_gold[k]:
-                pass
-            elif self.task == "classification":
-                ex.label = gold[k]
-            elif self.task == "labeling":
-                ex.tags = gold[a:b]
-            else:
-                ex.answer_start, ex.answer_end = gold[k]
-            out.append(ex)
-        return out
+    def select(self, keep):
+        """The examples where the bool array ``keep`` is set, in order."""
+        words, flags = np.repeat(keep, self.n_words), keep.tolist()
+        return Corpus(self.task, list(compress(self.ids, flags)),
+                      list(compress(self.languages, flags)),
+                      list(compress(self.words, words.tolist())), self.n_words[keep],
+                      self.question_len[keep], self.n_label[keep], self.has_gold[keep],
+                      self.golds[words if self.task == "labeling" else keep])
+
+    def join(self, other):
+        """This corpus's examples, then those of ``other``."""
+        return Corpus(self.task, self.ids + other.ids, self.languages + other.languages,
+                      self.words + other.words,
+                      *(np.concatenate((getattr(self, name), getattr(other, name)))
+                        for name in ("n_words", "question_len", "n_label", "has_gold", "golds")))
 
     def json_records(self):
         """Each example's JSON record, which ``corpus_of`` checks back into
         these columns."""
-        words, gold = _cut(self.words, self.n_words), self.golds.tolist()
+        words, gold = cut(self.words, self.n_words), self.golds.tolist()
         if self.task == "span":
             records = [{"id": i, "lang": lang, "question": w[:q], "context": w[q:],
                         "answer_start": start - q, "answer_end": end - q}
@@ -143,7 +94,7 @@ class Corpus:
                            self.ids, self.languages, words, self.question_len.tolist(), gold)]
         else:
             key = "label" if self.task == "classification" else "tags"
-            gold = _cut(gold, self.n_words) if self.task == "labeling" else gold
+            gold = cut(gold, self.n_words) if self.task == "labeling" else gold
             records = [{"id": i, "lang": lang, "words": w, key: g, "n_label": n}
                        for i, lang, w, g, n in zip(
                            self.ids, self.languages, words, gold, self.n_label.tolist())]
@@ -156,7 +107,7 @@ class Corpus:
         return records
 
 
-def _cut(flat, n_words):
+def cut(flat, n_words):
     """``flat`` cut into consecutive lists of ``n_words`` items."""
     ends = np.cumsum(n_words).tolist()
     return list(map(flat.__getitem__, map(slice, [0] + ends, ends)))
@@ -353,22 +304,6 @@ def load_jsonl(path, task):
     return corpus
 
 
-def example_to_record(ex):
-    if ex.task == "classification":
-        return {"id": ex.id, "lang": ex.language, "words": ex.words,
-                "label": ex.label, "n_label": ex.n_label}
-    if ex.task == "span":
-        q = ex.words[: ex.question_len]
-        c = ex.words[ex.question_len:]
-        rec = {"id": ex.id, "lang": ex.language, "question": q, "context": c}
-        if ex.labeled:
-            rec["answer_start"] = ex.answer_start - ex.question_len
-            rec["answer_end"] = ex.answer_end - ex.question_len
-        return rec
-    return {"id": ex.id, "lang": ex.language, "words": ex.words,
-            "tags": ex.tags, "n_label": ex.n_label}
-
-
 def save_jsonl(corpus, path):
     """Write one record per example of ``corpus``, checked first by the rules
     ``load_jsonl`` applies, so that the file loads."""
@@ -516,7 +451,7 @@ def generate_cipher_corpus(spec, rng):
     for lang in targets:   # the target-language renderings of the training split
         corpus = train[lang]
         labels = corpus.golds.tolist() if spec.task == "classification" else repeat(None)
-        for example_id, words, label in zip(train_ids, _cut(corpus.words, corpus.n_words), labels):
+        for example_id, words, label in zip(train_ids, cut(corpus.words, corpus.n_words), labels):
             store.add(example_id, lang, words, label=label)
 
     dictionaries = {}

@@ -189,16 +189,13 @@ class RecordTable:
     def viterbi(self, words, n_words, name):
         """The id of each word's Viterbi record: one ``viterbi_segment_words``
         call segments the words not seen before.  An uncovered character
-        raises a ValueError led by ``name(k)``, k the first sequence of
-        ``n_words`` to hold one."""
+        raises ``name_uncovered``'s error."""
         known = self._viterbi
         new = [w for w in dict.fromkeys(words) if w not in known]
         try:
             known.update(zip(new, self.intern(tok.viterbi_segment_words(self.vocab, new).words)))
         except tok.CoverageError as err:
-            bad = next(t for t, w in enumerate(words) if not self.vocab.alphabet.issuperset(w))
-            raise ValueError(f"{name(np.searchsorted(np.cumsum(n_words), bad, 'right'))}: "
-                             f"{err}") from None
+            raise name_uncovered(self.vocab, words, n_words, name, err) from None
         return np.fromiter(map(known.__getitem__, words), np.intp, len(words))
 
     def drawn(self, sampler, draws):
@@ -227,6 +224,14 @@ class RecordTable:
         pieces = np.concatenate(([0], np.cumsum(self._table().word_lengths[rids])))
         first = np.cumsum(n_words) - n_words
         return pieces[first + n_words] - pieces[first]
+
+
+def name_uncovered(vocab, words, n_words, name, err):
+    """``err``, a CoverageError, led by ``name(k)``: k is the first sequence
+    of ``n_words`` (each the next ``n_words[k]`` of the flat ``words``) to
+    hold a character ``vocab`` does not cover."""
+    bad = next(t for t, w in enumerate(words) if not vocab.alphabet.issuperset(w))
+    return tok.CoverageError(f"{name(np.searchsorted(np.cumsum(n_words), bad, 'right'))}: {err}")
 
 
 class RowTable(NamedTuple):
@@ -338,13 +343,13 @@ def task_loss(prediction, gold):
     """Mean negative log-likelihood over the sequences that carry a gold payload.
 
     ``gold`` has one entry per packed sequence: a label id (classification),
-    (start, end) word indices within the sequence (span, as
-    ``Example.gold`` gives and ``evaluate.decode`` returns them), a per-word
-    tag id sequence (labeling), or None for a sequence without a label.  A
-    span word's log-probabilities are those of its first-subword row in
-    ``prediction.packing``.  Each gold log-probability gets a constant
-    weight, so the loss is one sum.  A label id counts as a one-tag list: a
-    labeled sequence's share is split evenly over its label rows in
+    (start, end) word indices within the sequence (span, as a
+    ``data.Corpus`` gold row holds and ``evaluate.decode`` returns them), a
+    per-word tag id sequence (labeling), or None for a sequence without a
+    label.  A span word's log-probabilities are those of its first-subword
+    row in ``prediction.packing``.  Each gold log-probability gets a
+    constant weight, so the loss is one sum.  A label id counts as a one-tag
+    list: a labeled sequence's share is split evenly over its label rows in
     ``prediction.rows``.
     """
     first, counts, outputs = prediction.rows

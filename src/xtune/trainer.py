@@ -17,10 +17,11 @@ One master seed feeds named substreams so the modes share data order.
 A stage interns the word records of its items, and later of their views,
 into one ``model.RecordTable``: an item or a view is a run of record ids,
 and a step packs its items and changed views from the table by record id,
-so no step walks a word record.  Gold stays as ``Example.gold`` gives it,
-span gold in word indices.  Every random draw of a stage happens at an
-epoch start: the shuffle, then the encode noise of every GN item and every
-pair view, each in one batched call in shuffled order.  A view is unchanged
+so no step walks a word record.  The items are the columns of one
+``data.Corpus`` (an ``augment.StageCorpus``); span gold is in word
+indices.  Every random draw of a stage happens at an epoch start: the
+shuffle, then the encode noise of every GN item and every pair view, each
+in one batched call in shuffled order.  A view is unchanged
 when it has its item's record ids and neither side draws noise
 (``_unchanged``): under the deterministic forward its R1 term is
 KL(p || p) = 0 with a zero gradient, so it counts in R1's mean but is never
@@ -48,6 +49,7 @@ from . import tokenizer as tok
 from .augment import (
     STRATEGY_KINDS,
     AugmentationStrategy,
+    StageCorpus,
     StrategyError,
     SwitchCandidates,
     base_id,
@@ -57,7 +59,7 @@ from .augment import (
     validate_strategy,
 )
 from .consistency import example_consistency, model_consistency
-from .data import TASKS
+from .data import TASKS, cut
 from .evaluate import EVAL_CHUNK
 from .model import POOLINGS, ModelParams, RecordTable, RowTable, layout_rows, predict, task_loss
 
@@ -248,29 +250,31 @@ def lr_at(step, total, base, warmup_frac):
 class _StageTable:
     """What stays fixed per item through a stage, and the stage's records.
 
-    Item k is ``examples[k]`` with gold ``golds[k]`` (None when unlabeled)
-    and ``noised[k]`` set when it draws fresh encode noise every epoch (a GN
-    item).  ``packing`` packs the items in order from their ``records`` ids
-    ``rids``: Viterbi's (``viterbi_rids``), or the pinned draw of a
-    subword-resampled item.  Word types (``position_types``) and switch
-    options' record ids (``option_rids``) are kept from their first use.
+    Item k is example k of a ``StageCorpus``'s columns, with id ``ids[k]``,
+    language ``languages[k]``, gold ``golds[k]`` (None when it has none) and
+    ``noised[k]`` set when it draws fresh encode noise every epoch (a GN
+    view).  ``packing`` packs the items in order from their ``records`` ids
+    ``rids``: Viterbi's (``viterbi_rids``), or the pinned draw of an SS
+    view.  Word types (``position_types``) and switch options' record ids
+    (``option_rids``) are kept from their first use.
     """
 
     def __init__(self, items, vocab, cfg):
-        self.examples = [getattr(item, "example", item) for item in items]
-        self.golds = [ex.gold() if ex.labeled else None for ex in self.examples]
-        self.noised = np.array([getattr(item, "strategy", None) == "GN" and cfg.noise_sigma > 0
-                                for item in items], dtype=bool)
-        words = [w for ex in self.examples for w in ex.words]
-        n_words = np.array([len(ex.words) for ex in self.examples], dtype=np.intp)
+        corpus, n_words = items.corpus, items.corpus.n_words
+        self.ids, self.languages = corpus.ids, corpus.languages
+        golds = corpus.golds.tolist()
+        golds = cut(golds, n_words) if corpus.task == "labeling" else golds
+        self.golds = [g if labeled else None for g, labeled in zip(golds, corpus.has_gold.tolist())]
+        first = np.cumsum(n_words) - n_words   # a view's words are the corpus's last
+        self.noised = ((first >= len(corpus.words) - items.modified.size)
+                       & (items.strategy == "GN") & (cfg.noise_sigma > 0))
         self.records = RecordTable(vocab)
-        self.viterbi_rids = self.records.viterbi(
-            words, n_words, lambda k: f"example {self.examples[k].id!r}")
+        self.viterbi_rids = self.records.viterbi(corpus.words, n_words,
+                                                 lambda k: f"example {self.ids[k]!r}")
         self.rids = self.viterbi_rids.copy()
-        pinned = [k for k, item in enumerate(items) if getattr(item, "segmentation", None)]
-        self.rids[layout_rows((np.cumsum(n_words) - n_words)[pinned], n_words[pinned])] = (
-            self.records.intern([r for k in pinned for r in items[k].segmentation.words]))
-        self.words = np.array(words, dtype=object)
+        if items.pinned:
+            self.rids[self.rids.size - len(items.pinned):] = self.records.intern(items.pinned)
+        self.words = np.array(corpus.words, dtype=object)
         self.packing = self.records.pack(n_words, self.rids)
         self._types, self.option_rids = {}, None
 
@@ -334,7 +338,7 @@ def _epoch_views(stage, order, kind, cfg, res, rng):
                                  cfg.ss_alpha, rng)
         rids = stage.records.drawn(sampler, draws)
         return _Views(n_words, rids, rids != stage.viterbi_rids[rows], None)
-    name = lambda p: f"example {stage.examples[order[p]].id!r}: {kind} view"
+    name = lambda p: f"example {stage.ids[order[p]]!r}: {kind} view"
     if kind == "CS":
         cands = res.switch_candidates
         option = code_switch(stage.position_types("CS", rows, cands.types), cands,
@@ -350,10 +354,10 @@ def _epoch_views(stage, order, kind, cfg, res, rng):
         return _Views(n_words, rids, modified, None)
     # MT: render the same underlying example in another language
     n_words, words = np.zeros(len(order), dtype=np.intp), []
-    for p, u in enumerate(rng.random(len(order)).tolist()):
-        ex = stage.examples[order[p]]
-        if langs := [l for l in res.store.languages_for(base_id(ex.id)) if l != ex.language]:
-            view, _label = res.store.get(base_id(ex.id), langs[int(u * len(langs))])
+    for p, (i, u) in enumerate(zip(order.tolist(), rng.random(len(order)).tolist())):
+        original = base_id(stage.ids[i])
+        if langs := [l for l in res.store.languages_for(original) if l != stage.languages[i]]:
+            view, _label = res.store.get(original, langs[int(u * len(langs))])
             n_words[p] = len(view)
             words += view
     return _Views(n_words, stage.records.viterbi(words, n_words, name),
@@ -377,7 +381,7 @@ def _unchanged(stage, order, views):
 
 def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_weight=0.0,
               teacher=None, teacher_weight=0.0):
-    """Run one optimization stage over a fixed item list.
+    """Run one optimization stage over the items of a ``StageCorpus``.
 
     Every per-batch loss is mean task NLL over labeled items, plus
     ``pair_weight`` times the mean pair-consistency over views, plus
@@ -404,7 +408,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
         raise StrategyError(f"{stage_label}: MT pair views need a translation store "
                             "(translations.jsonl in the data directory)")
 
-    n = len(items)
+    n = len(items.corpus)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     # very short runs: keep at least one warmup step
@@ -436,8 +440,8 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
         lengths = stage.records.lengths(seq_words, seq_rids)
         if (over := np.flatnonzero(lengths > params.max_len)).size:
             k = over[0]
-            ex = stage.examples[k if k < n else order[k - n]]
-            raise ValueError(f"example {ex.id!r}: {'input' if k < n else f'{pair_strategy} view'} "
+            raise ValueError(f"example {stage.ids[k if k < n else order[k - n]]!r}: "
+                             f"{'input' if k < n else f'{pair_strategy} view'} "
                              f"of {lengths[k]} subwords exceeds max_len {params.max_len}")
         if use_teacher and (noised.size or teacher_table is None):
             teacher_table = _teacher_rows(teacher, stage.packing, item_noises)
@@ -445,7 +449,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
         drawn = views.n_words > 0
         changed = drawn & ~unchanged
         if use_pairs:
-            missing_ids.update(stage.examples[i].id for i in order[~drawn].tolist())
+            missing_ids.update(map(stage.ids.__getitem__, order[~drawn].tolist()))
             empty = (cfg.task == "span") & drawn & ~same & (aligned == 0)
             for key, value in zip(counts, (drawn, ~drawn, unchanged, empty, views.n_words,
                                            views.modified)):
@@ -536,10 +540,16 @@ def _build_corpus(train, cfg, res):
 
 
 def _train_stage(items, cfg, res, stage_label, pair_strategy, pair_weight, teacher=None):
-    """A fresh model trained on ``items``; without a consistency term a stage
-    sees the labeled items only."""
-    if pair_strategy is None and teacher is None:
-        items = [it for it in items if getattr(it, "example", it).labeled]
+    """A fresh model trained on the ``StageCorpus`` ``items``; without a
+    consistency term a stage sees the labeled items only, and a ValueError
+    names the training file when none is left."""
+    labeled_only = pair_strategy is None and teacher is None
+    if labeled_only:
+        items = items.labeled()
+    if not len(items.corpus):
+        raise ValueError(f"{stage_label}: nothing to train: train.jsonl holds no "
+                         + ("labeled example (a stage without a consistency term trains on "
+                            "labeled items only)" if labeled_only else "example"))
     params = init_params(cfg, res)
     trace, views = run_stage(items, params, cfg, res, stage_label, pair_strategy=pair_strategy,
                              pair_weight=pair_weight, teacher=teacher,
@@ -561,15 +571,13 @@ def train_with_mode(mode, train, cfg, res, input_digests=None):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(MODES)}")
     r1, r2 = MODES[mode]
-    traces, views, teacher, corpus = {}, {}, None, None
+    traces, views, teacher, items = {}, {}, None, StageCorpus(train)
     if r2:
         teacher, traces["stage1"], views["stage1"] = _train_stage(
-            list(train), cfg, res, "stage1", cfg.stage1_strategy if r1 else None,
+            items, cfg, res, "stage1", cfg.stage1_strategy if r1 else None,
             cfg.stage1_pair_weight)
-    items = list(train)
     if r2 or cfg.setting == "translate-train-all":
-        corpus = _build_corpus(train, cfg, res)
-        items = corpus.items
+        items = _build_corpus(train, cfg, res)
     student, traces["stage2"], views["stage2"] = _train_stage(
         items, cfg, res, "main", cfg.pair_strategy if r1 else None, cfg.example_weight, teacher)
     manifest = {
@@ -580,8 +588,8 @@ def train_with_mode(mode, train, cfg, res, input_digests=None):
                    for k, v in asdict(cfg).items()},
         "corpus_sizes": {
             "train": len(train),
-            "augmented": len(corpus.augmented) if corpus else 0,
-            "missing_translations": len(corpus.missing) if corpus else 0,
+            "augmented": len(items.corpus) - len(train),
+            "missing_translations": len(items.missing),
         },
         "input_digests": input_digests or {},
         "traces": traces,

@@ -1,8 +1,8 @@
 """Shared fixtures: a small cipher benchmark with vocabulary and resources,
-and FFBS draws of a word list as a segmentation."""
+FFBS draws of a word list as a segmentation, and a corpus's examples in a
+slice."""
 
-import dataclasses
-
+import numpy as np
 import pytest
 
 from xtune import data
@@ -18,11 +18,19 @@ def sample_words(vocab, words, alpha, rng):
     return tok.Segmentation(list(map(sampler.record, draws.tolist())))
 
 
+def part(corpus, rows):
+    """The examples of ``corpus`` that ``rows`` (a slice or a sorted index
+    list) selects, in order, through ``Corpus.select``."""
+    keep = np.zeros(len(corpus), bool)
+    keep[rows] = True
+    return corpus.select(keep)
+
+
 def build_benchmark(task="classification", languages=("en", "xx", "yy"),
                     train_examples=80, eval_examples=60, lemma_count=12,
                     seed=1, vocab_size=None, max_piece_len=12, n_tag=3):
-    """A generated benchmark with its training and eval corpora as ``Example``
-    lists, and the resources its vocabulary, dictionaries and store give."""
+    """A generated benchmark, its corpora as ``data.Corpus`` columns, and
+    the resources its vocabulary, dictionaries and store give."""
     spec = data.SyntheticSpec(
         task=task,
         languages=languages,
@@ -44,9 +52,6 @@ def build_benchmark(task="classification", languages=("en", "xx", "yy"),
         dictionaries=[bench.dictionaries[(languages[0], lang)] for lang in languages[1:]],
         store=bench.store,
     )
-    # the tests read the training and eval corpora as Example lists
-    bench = dataclasses.replace(bench, train=bench.train.examples(), eval_sets={
-        lang: corpus.examples() for lang, corpus in bench.eval_sets.items()})
     return bench, res
 
 

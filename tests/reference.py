@@ -17,9 +17,13 @@ package must match each of them bit for bit and draw for draw.
 
 ``epoch_views`` draws an epoch's SS or CS pair views word by word, as
 the trainer did before its views were record ids from the draw on: the
-items' words in epoch order, ``sample_segment_words`` records compared with
-Viterbi's, or ``code_switch`` words segmented by Viterbi.
+items' words in epoch order, read from the stage's columns,
+``sample_segment_words`` records compared with Viterbi's, or
+``code_switch`` words segmented by Viterbi.
 
+``Example`` is one task instance as the package held it before it kept
+columns; ``examples`` reads a ``data.Corpus`` into them and ``corpus``
+checks them back into one, through each one's JSON ``record``.
 ``load_jsonl_per_record`` loads a JSON-lines file one record at a time, as
 the package did before it checked columns: the columnar loader must name
 the same line with the same message and return the same examples.
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +52,6 @@ from xtune import autodiff as ad
 from xtune import consistency as cons
 from xtune import data
 from xtune import tokenizer as tok
-from xtune.augment import AugmentedExample
 
 _ENUM_MAX_CHARS = 12
 
@@ -229,29 +232,25 @@ def sample_segment_words(vocab, words, alpha, rng):
     return drawn
 
 
-def code_switch(examples, dictionaries, word_ratio, rng):
-    """Code-switched views word by word, from the same ``(words, 3)``
-    uniform block the package draws: word t switches when
+def code_switch(words, dictionaries, word_ratio, rng):
+    """A code-switched view of a flat word list, word by word, from the same
+    ``(words, 3)`` uniform block the package draws: word t switches when
     ``u[t, 0] < word_ratio`` and a dictionary lists it, then takes
     dictionary ``int(u[t, 1] * n)`` of the n listing it and option
-    ``int(u[t, 2] * m)`` of that one's m."""
-    u = rng.random((sum(len(ex.words) for ex in examples), 3))
-    views, t = [], 0
-    for ex in examples:
-        words, modified = [], []
-        for word in ex.words:
-            applicable = [d.entries[word.casefold()] for d in dictionaries
-                          if word.casefold() in d.entries]
-            switched = bool(applicable and u[t, 0] < word_ratio)
-            if switched:
-                options = applicable[int(u[t, 1] * len(applicable))]
-                word = options[int(u[t, 2] * len(options))]
-            words.append(word)
-            modified.append(switched)
-            t += 1
-        views.append(AugmentedExample(example=replace(ex, words=words), strategy="CS",
-                                      modified=modified))
-    return views
+    ``int(u[t, 2] * m)`` of that one's m.  Returns the view's words and
+    each word's modified flag."""
+    u = rng.random((len(words), 3))
+    view, modified = [], []
+    for t, word in enumerate(words):
+        applicable = [d.entries[word.casefold()] for d in dictionaries
+                      if word.casefold() in d.entries]
+        switched = bool(applicable and u[t, 0] < word_ratio)
+        if switched:
+            options = applicable[int(u[t, 1] * len(applicable))]
+            word = options[int(u[t, 2] * len(options))]
+        view.append(word)
+        modified.append(switched)
+    return view, modified
 
 
 def epoch_views(stage, order, kind, cfg, res, rng):
@@ -259,17 +258,15 @@ def epoch_views(stage, order, kind, cfg, res, rng):
     ``order``, drawn over their words as one list: each word's view record
     and modified flag.  An SS word is modified when its drawn record is not
     its Viterbi record, also on an item with a pinned segmentation."""
-    examples = [stage.examples[i] for i in order]
-    words = [w for ex in examples for w in ex.words]
+    starts, n_words = stage.packing.word_starts.tolist(), stage.packing.n_words.tolist()
+    words = [w for i in order for w in stage.words[starts[i]:starts[i] + n_words[i]]]
     if kind == "SS":
         drawn = [tok._word_record(res.vocab, pieces)
                  for pieces in sample_segment_words(res.vocab, words, cfg.ss_alpha, rng)]
         viterbi = tok.viterbi_segment_words(res.vocab, words).words
         return drawn, [record != v for record, v in zip(drawn, viterbi)]
-    views = code_switch(examples, res.dictionaries, cfg.cs_word_ratio, rng)
-    view_words = [w for view in views for w in view.example.words]
-    return (tok.viterbi_segment_words(res.vocab, view_words).words,
-            [flag for view in views for flag in view.modified])
+    view, modified = code_switch(words, res.dictionaries, cfg.cs_word_ratio, rng)
+    return tok.viterbi_segment_words(res.vocab, view).words, modified
 
 
 @dataclass
@@ -420,6 +417,86 @@ def decode_span(prediction):
 
 
 # ---------------------------------------------------------------------------
+# Per-example records
+
+
+@dataclass
+class Example:
+    """One task instance; ``words`` is the full model input.
+
+    For span extraction the input is question words followed by context
+    words and the answer indices address the full input.  ``label`` /
+    ``tags`` / answer indices may be None for unlabeled examples.
+    """
+
+    id: str
+    language: str
+    task: str
+    words: list
+    label: int | None = None
+    n_label: int | None = None
+    question_len: int = 0
+    answer_start: int | None = None
+    answer_end: int | None = None
+    tags: list | None = None
+
+    @property
+    def labeled(self):
+        if self.task == "classification":
+            return self.label is not None
+        if self.task == "span":
+            return self.answer_start is not None and self.answer_end is not None
+        return self.tags is not None
+
+    def gold(self):
+        if self.task == "classification":
+            return self.label
+        if self.task == "span":
+            return (self.answer_start, self.answer_end)
+        return self.tags
+
+
+def examples(corpus):
+    """One ``Example`` per example of a ``data.Corpus``, read from its columns."""
+    ends = np.cumsum(corpus.n_words).tolist()
+    gold, n_label = corpus.golds.tolist(), corpus.n_label.tolist()
+    out = []
+    for k, (a, b) in enumerate(zip([0] + ends, ends)):
+        ex = Example(corpus.ids[k], corpus.languages[k], corpus.task, corpus.words[a:b],
+                     n_label=None if n_label[k] == -1 else n_label[k],
+                     question_len=int(corpus.question_len[k]))
+        if not corpus.has_gold[k]:
+            pass
+        elif corpus.task == "classification":
+            ex.label = gold[k]
+        elif corpus.task == "labeling":
+            ex.tags = gold[a:b]
+        else:
+            ex.answer_start, ex.answer_end = gold[k]
+        out.append(ex)
+    return out
+
+
+def record(ex):
+    """The JSON record of an ``Example``."""
+    if ex.task == "span":
+        rec = {"id": ex.id, "lang": ex.language, "question": ex.words[:ex.question_len],
+               "context": ex.words[ex.question_len:]}
+        if ex.labeled:
+            rec["answer_start"] = ex.answer_start - ex.question_len
+            rec["answer_end"] = ex.answer_end - ex.question_len
+        return rec
+    key, gold = ("label", ex.label) if ex.task == "classification" else ("tags", ex.tags)
+    return {"id": ex.id, "lang": ex.language, "words": ex.words, key: gold,
+            "n_label": ex.n_label}
+
+
+def corpus(examples, task=None):
+    """The checked ``data.Corpus`` of ``examples``, as their file would load."""
+    return data.corpus_of(list(map(record, examples)), task or examples[0].task)
+
+
+# ---------------------------------------------------------------------------
 # Per-record loading
 
 
@@ -457,7 +534,7 @@ def _example(record, task):
     if not isinstance(record, dict):
         raise data.SchemaError("a record must be a JSON object")
     if task != "span":
-        return data.Example(str(record["id"]), record["lang"], task, record["words"],
+        return Example(str(record["id"]), record["lang"], task, record["words"],
                             label=record.get("label") if task == "classification" else None,
                             n_label=record.get("n_label"),
                             tags=record.get("tags") if task == "labeling" else None)
@@ -466,7 +543,7 @@ def _example(record, task):
     if type(start) not in (int, type(None)) or type(end) not in (int, type(None)):
         raise TypeError(f"answer indices {start!r}, {end!r} must be integers")
     offset = len(question)
-    return data.Example(str(record["id"]), record["lang"], task, question + context,
+    return Example(str(record["id"]), record["lang"], task, question + context,
                         question_len=offset,
                         answer_start=None if start is None else offset + start,
                         answer_end=None if end is None else offset + end)
@@ -548,7 +625,7 @@ def render(spec, lemmas, language, example_id, surfaces):
             lemmas, spec.classification_rule, spec.lemma_count))
     else:
         fields = dict(words=words, tags=labeling_tags(lemmas, spec.n_tag), n_label=spec.n_tag)
-    return data.Example(id=example_id, language=language, task=spec.task, **fields)
+    return Example(id=example_id, language=language, task=spec.task, **fields)
 
 
 def generate_cipher_examples(spec, rng):

@@ -3,6 +3,7 @@ construction counts and pairing, and the strategy validation rules."""
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,9 +16,26 @@ import reference as ref
 
 
 def example(words=("the", "cat"), task="classification", **kw):
-    defaults = dict(label=1, n_label=2)
+    defaults = dict(id="x0", language="en", label=1, n_label=2)
     defaults.update(kw)
-    return data.Example(id="x0", language="en", task=task, words=list(words), **defaults)
+    return ref.Example(task=task, words=list(words), **defaults)
+
+
+class View(NamedTuple):
+    """One view of a built stage corpus, read from its columns."""
+
+    example: ref.Example
+    modified: list
+    segmentation: tok.Segmentation | None
+
+
+def views(out, n_originals):
+    """The views of the ``StageCorpus`` ``out`` built over ``n_originals``
+    examples, in order."""
+    n_words = out.corpus.n_words[n_originals:]
+    pinned = data.cut(out.pinned, n_words) if out.pinned else [None] * n_words.size
+    return [View(ex, flags, records and tok.Segmentation(records)) for ex, flags, records in zip(
+        ref.examples(out.corpus)[n_originals:], data.cut(out.modified.tolist(), n_words), pinned)]
 
 
 def dictionary(entries, src="en", tgt="fr"):
@@ -27,15 +45,15 @@ def dictionary(entries, src="en", tgt="fr"):
 def code_switch(example, dictionaries, word_ratio, rng):
     """The corpus builder's code-switched view of one example."""
     strategy = aug.AugmentationStrategy("CS", word_ratio=word_ratio)
-    view, = aug.build_augmented_corpus([example], strategy, rng,
-                                       dictionaries=dictionaries).augmented
+    view, = views(aug.build_augmented_corpus(ref.corpus([example]), strategy, rng,
+                                             dictionaries=dictionaries), 1)
     return view
 
 
 def subword_resample(example, vocab, alpha, rng):
     """The corpus builder's subword-resampled view of one example."""
     strategy = aug.AugmentationStrategy("SS", alpha=alpha)
-    view, = aug.build_augmented_corpus([example], strategy, rng, vocab=vocab).augmented
+    view, = views(aug.build_augmented_corpus(ref.corpus([example]), strategy, rng, vocab=vocab), 1)
     return view
 
 
@@ -55,13 +73,11 @@ class TestCodeSwitch:
 
     def test_replacement_frequency(self):
         d = dictionary({"cat": ["chat"]})
-        rng = np.random.default_rng(1)
         n = 10_000
-        hits = 0
-        for _ in range(n):
-            out = code_switch(example(words=["cat"]), [d], 0.5, rng)
-            hits += out.modified[0]
-        assert abs(hits / n - 0.5) < 0.02
+        corpus = ref.corpus([example(words=["cat"], id=f"x{k}") for k in range(n)])
+        out = aug.build_augmented_corpus(corpus, aug.AugmentationStrategy("CS", word_ratio=0.5),
+                                         np.random.default_rng(1), dictionaries=[d])
+        assert abs(out.modified.sum() / n - 0.5) < 0.02
 
     def test_unmodified_words_byte_identical(self):
         d = dictionary({"cat": ["chat"], "the": ["le", "la"]})
@@ -111,25 +127,30 @@ class TestCodeSwitch:
                     words = [str(w).upper() if rng.random() < 0.2 else str(w)
                              for w in rng.choice(vocab + ["oov"], int(rng.integers(1, 9)))]
                     examples.append(example(words=words, task="labeling", label=None,
-                                            n_label=3, tags=[0] * len(words)))
+                                            n_label=3, tags=[0] * len(words), id=f"x{k}"))
                 words = [w for ex in examples for w in ex.words]
                 before = list(words)
                 ratio = float(rng.choice([0.0, 0.3, 1.0]))
                 option = aug.code_switch(candidates.types(words), candidates, ratio, got_rng)
                 got, modified = candidates.view(words, option), option >= 0
-                want = ref.code_switch(examples, dictionaries, ratio, want_rng)
-                assert got == [w for view in want for w in view.example.words]
-                assert modified.tolist() == [flag for view in want for flag in view.modified]
+                want = ref.code_switch(words, dictionaries, ratio, want_rng)
+                assert (got, modified.tolist()) == want
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
                 assert words == before and got is not words
-                if examples:   # the corpus builder cuts the same draws into copied examples
+                if examples:   # the corpus builder keeps the same draws as view columns
                     strategy = aug.AugmentationStrategy("CS", word_ratio=ratio)
-                    views = aug.build_augmented_corpus(examples, strategy,
-                                                       np.random.default_rng(trial),
-                                                       dictionaries=dictionaries).augmented
-                    assert views == ref.code_switch(examples, dictionaries, ratio,
-                                                    np.random.default_rng(trial))
-                    assert all(view.example is not ex for view, ex in zip(views, examples))
+                    corpus = ref.corpus(examples)
+                    out = aug.build_augmented_corpus(corpus, strategy,
+                                                     np.random.default_rng(trial),
+                                                     dictionaries=dictionaries)
+                    want_words, want_modified = ref.code_switch(
+                        words, dictionaries, ratio, np.random.default_rng(trial))
+                    assert out.corpus.words == words + want_words
+                    assert out.modified.tolist() == want_modified
+                    assert [view.example for view in views(out, len(examples))] == [
+                        ref.Example(**{**vars(ex), "words": view_words}) for ex, view_words in
+                        zip(examples, data.cut(want_words, corpus.n_words))]
+                    assert corpus.words == before
 
 
 class TestSubwordResample:
@@ -168,6 +189,14 @@ class TestSubwordResample:
         assert flagged > 20 and unflagged > 20
 
 
+def translate(example, store, languages):
+    """The MT views of one example and the translations the store lacks."""
+    out = aug.build_augmented_corpus(ref.corpus([example]),
+                                     aug.AugmentationStrategy("MT", languages=tuple(languages)),
+                                     np.random.default_rng(0), store=store)
+    return views(out, 1), out.missing
+
+
 class TestTranslate:
     def _store(self):
         store = aug.TranslationStore()
@@ -176,27 +205,61 @@ class TestTranslate:
         return store
 
     def test_classification_keeps_labels(self):
-        views = aug.translate(example(), self._store(), ["fr", "es"], "classification")
+        views, _missing = translate(example(), self._store(), ["fr", "es"])
         assert len(views) == 2
         assert all(v.example.labeled and v.example.label == 1 for v in views)
+        assert [(v.example.id, v.example.language) for v in views] == [("x0@fr", "fr"),
+                                                                        ("x0@es", "es")]
         assert views[0].modified == [True, True]
 
     def test_token_tasks_lose_labels(self):
         ex = example(task="labeling", label=None, n_label=3, tags=[0, 1])
-        views = aug.translate(ex, self._store(), ["fr"], "labeling")
+        views, _missing = translate(ex, self._store(), ["fr"])
         assert len(views) == 1
         assert not views[0].example.labeled
-        assert views[0].example.tags is None
+        assert views[0].example.tags is None and views[0].example.n_label == 3
+
+    def test_span_views_keep_the_question_length(self):
+        ex = example(words=["q", "a", "b"], task="span", label=None, n_label=None,
+                     question_len=1, answer_start=1, answer_end=2)
+        store = aug.TranslationStore()
+        store.add("x0", "fr", ["q2", "a2", "b2", "c2"], label=1)
+        (view,), _missing = translate(ex, store, ["fr"])
+        assert view.example == ref.Example("x0@fr", "fr", "span", ["q2", "a2", "b2", "c2"],
+                                           question_len=1)
 
     def test_empty_target_set(self):
-        assert aug.translate(example(), self._store(), [], "classification") == []
+        views, missing = aug.translation_views(ref.corpus([example()]), self._store(), [])
+        assert len(views) == 0 and missing == []
 
     def test_missing_translation_skipped_and_reported(self):
-        missing = []
-        views = aug.translate(example(), self._store(), ["fr", "de"], "classification",
-                              missing=missing)
+        views, missing = translate(example(), self._store(), ["fr", "de"])
         assert len(views) == 1
         assert missing == [("x0", "de")]
+
+    def test_no_translation_at_all(self):
+        views, missing = translate(example(), self._store(), ["de"])
+        assert views == [] and missing == [("x0", "de")]
+
+    @pytest.mark.parametrize("label", [7, 2, -1])
+    def test_a_label_outside_the_classes_names_the_example_and_language(self, label):
+        # -1 is the gold sentinel of the columns, not a way to unlabel a view
+        store = self._store()
+        store.add("x0", "de", ["der", "Kater"], label=label)
+        with pytest.raises(ValueError) as err:
+            translate(example(), store, ["fr", "de"])
+        assert str(err.value) == (f"translation of example 'x0' into 'de': label {label} out "
+                                  "of range for n_label 2")
+
+    def test_a_loaded_label_outside_the_classes_names_its_line(self, tmp_path):
+        path = tmp_path / "translations.jsonl"
+        path.write_text("".join(json.dumps({"example_id": "x0", "lang": lang, "words": ["w"],
+                                            "label": label}) + "\n"
+                                for lang, label in (("fr", 1), ("es", 7))), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            translate(example(), aug.TranslationStore.load(path), ["fr", "es"])
+        assert str(err.value) == (f"{path}:2: translation of example 'x0' into 'es': label 7 "
+                                  "out of range for n_label 2")
 
 
 class TestLoadTranslationStore:
@@ -254,11 +317,9 @@ class TestValidateStrategy:
         ex = example(task="labeling", label=None, n_label=3, tags=[0, 2])
         store = aug.TranslationStore()
         store.add("x0", "fr", ["le", "chat"])
-        out = aug.build_augmented_corpus(
-            [ex], aug.AugmentationStrategy("MT", languages=("fr",)),
-            np.random.default_rng(0), store=store)
-        assert [v.example.words for v in out.augmented] == [["le", "chat"]]
-        assert not out.augmented[0].example.labeled
+        (view,), _missing = translate(ex, store, ["fr"])
+        assert view.example.words == ["le", "chat"]
+        assert not view.example.labeled
 
     def test_all_four_ok_for_classification_everywhere(self):
         for kind in aug.STRATEGY_KINDS:
@@ -314,9 +375,9 @@ class TestLoadDictionary:
 
 class TestBuildAugmentedCorpus:
     def _corpus(self, n=100):
-        return [data.Example(id=f"x{i}", language="en", task="classification",
-                             words=["cat", "sat"], label=i % 2, n_label=2)
-                for i in range(n)]
+        return ref.corpus([ref.Example(id=f"x{i}", language="en", task="classification",
+                                       words=["cat", "sat"], label=i % 2, n_label=2)
+                           for i in range(n)])
 
     def test_ss_doubles_corpus_with_retained_pairs(self):
         vocab = tok.UnigramVocab({"c": -2.0, "a": -2.0, "t": -2.0, "s": -2.0,
@@ -325,43 +386,44 @@ class TestBuildAugmentedCorpus:
         out = aug.build_augmented_corpus(
             corpus, aug.AugmentationStrategy("SS", alpha=0.5),
             np.random.default_rng(0), vocab=vocab)
-        assert len(out) == 200
-        assert [aug.base_id(v.example.id) for v in out.augmented] == [ex.id for ex in corpus]
+        assert len(out.corpus) == 200 and out.strategy == "SS"
+        assert [aug.base_id(i) for i in out.corpus.ids[100:]] == corpus.ids
+        assert len(out.pinned) == out.modified.size == len(corpus.words)
 
     def test_mt_three_languages_quadruples(self):
         corpus = self._corpus(100)
         store = aug.TranslationStore()
-        for ex in corpus:
+        for ex in ref.examples(corpus):
             for lang in ("fr", "es", "de"):
                 store.add(ex.id, lang, [w + "@" + lang for w in ex.words], label=ex.label)
         out = aug.build_augmented_corpus(
             corpus, aug.AugmentationStrategy("MT", languages=("fr", "es", "de")),
             np.random.default_rng(0), store=store)
-        assert len(out) == 100 + 300
-        assert [aug.base_id(v.example.id) for v in out.augmented] == [
-            ex.id for ex in corpus for _ in range(3)]
+        assert len(out.corpus) == 100 + 300
+        assert [aug.base_id(i) for i in out.corpus.ids[100:]] == [
+            i for i in corpus.ids for _ in range(3)]
+        assert out.corpus.golds[100:].tolist() == np.repeat(corpus.golds, 3).tolist()
 
     def test_gn_marks_without_changing_text(self):
         corpus = self._corpus(10)
         out = aug.build_augmented_corpus(
             corpus, aug.AugmentationStrategy("GN"),
             np.random.default_rng(0))
-        assert len(out) == 20
-        for view, ex in zip(out.augmented, corpus):
-            assert view.strategy == "GN"
-            assert view.example.words == ex.words
+        assert len(out.corpus) == 20 and out.strategy == "GN"
+        for view, ex in zip(views(out, 10), ref.examples(corpus)):
+            assert view.example == ex and not any(view.modified)
 
     def test_invalid_strategy_for_task_rejected(self):
-        corpus = [data.Example(id="s", language="en", task="span",
-                               words=["q", "a", "b"], question_len=1,
-                               answer_start=1, answer_end=2)]
+        corpus = ref.corpus([ref.Example(id="s", language="en", task="span",
+                                         words=["q", "a", "b"], question_len=1,
+                                         answer_start=1, answer_end=2)])
         # corpus use of MT on span is fine; the error appears for pair use
         store = aug.TranslationStore()
         store.add("s", "fr", ["q", "a", "b"])
         out = aug.build_augmented_corpus(
             corpus, aug.AugmentationStrategy("MT", languages=("fr",)),
             np.random.default_rng(0), store=store)
-        assert len(out.augmented) == 1
+        assert len(out.corpus) == 2
         with pytest.raises(aug.StrategyError):
             aug.validate_strategy("span", "MT")
 
@@ -373,5 +435,37 @@ class TestBuildAugmentedCorpus:
             out = aug.build_augmented_corpus(
                 corpus, aug.AugmentationStrategy("CS", word_ratio=0.5),
                 np.random.default_rng(7), dictionaries=[d])
-            runs.append([tuple(v.example.words) for v in out.augmented])
+            runs.append(out.corpus.words)
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind", ["SS", "CS", "MT"])
+def test_labeled_keeps_each_kept_view_with_its_own_columns(kind):
+    """``StageCorpus.labeled`` drops the items without gold; a kept view
+    keeps its words, modified flags and pinned draw, and an unlabeled
+    original's views go with it."""
+    vocab = tok.UnigramVocab({ch: -2.0 for ch in "catsdog"} | {"cat": -1.5, "dog": -1.5})
+    examples = [ref.Example(id=f"x{i}", language="en", task="labeling",
+                            words=["cat", "dog", "sat"][:2 + i % 2],
+                            tags=None if i in (1, 4) else [0, 1, 0][:2 + i % 2], n_label=2)
+                for i in range(6)]
+    corpus = ref.corpus(examples)
+    store = aug.TranslationStore()
+    for ex in examples:
+        store.add(ex.id, "fr", [w + "-fr" for w in ex.words])
+    out = aug.build_augmented_corpus(
+        corpus, aug.AugmentationStrategy(kind, alpha=0.1, word_ratio=0.5, languages=("fr",)),
+        np.random.default_rng(3), vocab=vocab, dictionaries=[dictionary({"dog": ["chien"]})],
+        store=store)
+    kept = out.labeled()
+    rows = [k for k, ex in enumerate(ref.examples(out.corpus)) if ex.labeled]
+    n_originals = sum(k < len(examples) for k in rows)
+    assert [ex for ex in ref.examples(kept.corpus)] == [ref.examples(out.corpus)[k] for k in rows]
+    assert views(kept, n_originals) == [views(out, len(examples))[k - len(examples)]
+                                        for k in rows[n_originals:]]
+    assert (kept.strategy, kept.missing) == (out.strategy, out.missing)
+    if kind == "MT":   # token-level translations carry no label
+        assert len(kept.corpus) == n_originals == 4 and kept.modified.size == 0
+    else:
+        assert len(kept.corpus) == 2 * n_originals == 8
+        assert len(kept.pinned) == (kept.modified.size if kind == "SS" else 0)

@@ -478,15 +478,15 @@ def test_train_names_the_first_example_over_max_len(tmp_path, capsys):
     data_dir = tmp_path / "data"
     synth_tiny(data_dir)
     vocab = tok.load_vocab(data_dir / "vocab.tsv")
-    first = data.load_jsonl(data_dir / "train.jsonl", "classification").examples()[0]
-    pieces = tok.viterbi_segment_words(vocab, first.words).n_pieces
+    train = data.load_jsonl(data_dir / "train.jsonl", "classification")
+    pieces = tok.viterbi_segment_words(vocab, train.words[:train.n_words[0]]).n_pieces
     assert pieces > 3
     config = write_config(tmp_path / "config.json", data_dir, preset="xnli", max_len=3)
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config), "--mode", "xtune",
                      "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: example {first.id!r}: input of {pieces} subwords exceeds max_len 3\n"
+    assert err == f"error: example {train.ids[0]!r}: input of {pieces} subwords exceeds max_len 3\n"
 
 
 def train_without_a_forward(tmp_path, data_dir, monkeypatch, *overrides, mode="xtune"):
@@ -537,16 +537,6 @@ def test_an_uncovered_character_names_the_input_file_and_example(command, tmp_pa
                                        "character 'Q' is not covered by the vocabulary\n")
 
 
-def test_synth_builds_no_example(tmp_path, monkeypatch):
-    # every split is rendered and written from columns
-    def refuse(*args, **kwargs):
-        raise AssertionError("xtune synth built a data.Example")
-
-    monkeypatch.setattr(data.Example, "__init__", refuse)
-    for task in sorted(TASKS):
-        synth_tiny(tmp_path / task, task)
-
-
 def test_train_names_the_example_with_an_uncovered_character_in_the_ss_corpus(
         tmp_path, capsys, monkeypatch):
     # the subword-sampled corpus is drawn before any stage; it names the
@@ -575,13 +565,74 @@ def test_train_names_the_item_of_a_code_switched_view_with_an_uncovered_characte
     for path in data_dir.glob("dict.*.txt"):
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("".join(line + "Q\n" for line in lines), encoding="utf-8")
-    train = data.load_jsonl(data_dir / "train.jsonl", "classification").examples()
-    first = train[tr.substream(5, "main/batching").permutation(len(train))[0]]
+    ids = data.load_jsonl(data_dir / "train.jsonl", "classification").ids
+    first = ids[tr.substream(5, "main/batching").permutation(len(ids))[0]]
     capsys.readouterr()
     assert train_without_a_forward(tmp_path, data_dir, monkeypatch, "cs_word_ratio=1",
                                    mode="r1-only") == 1
-    assert capsys.readouterr().err == (f"error: example {first.id!r}: CS view: character 'Q' "
+    assert capsys.readouterr().err == (f"error: example {first!r}: CS view: character 'Q' "
                                        "is not covered by the vocabulary\n")
+
+
+@pytest.mark.parametrize("mode,stage", [("baseline", "main"), ("r2-only", "stage1")])
+def test_train_names_train_jsonl_when_no_example_has_a_label(mode, stage, tmp_path, capsys,
+                                                            monkeypatch):
+    # a stage without a consistency term trains on the labeled items alone;
+    # with none it fails before any forward
+    data_dir = tmp_path / "data"
+    synth_tiny(data_dir)
+    path = data_dir / "train.jsonl"
+    records = [{**json.loads(line), "label": None}
+               for line in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    assert train_without_a_forward(tmp_path, data_dir, monkeypatch, mode=mode) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {stage}: nothing to train: train.jsonl holds no labeled example (a "
+                   "stage without a consistency term trains on labeled items only)\n")
+    assert "Traceback" not in err
+
+
+def bad_translation_label(data_dir, label, k=3):
+    """Give line ``k + 1`` of the store ``label``; returns the store's path
+    and that record."""
+    path = data_dir / "translations.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = {**json.loads(lines[k]), "label": label}
+    lines[k] = json.dumps(record)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path, record
+
+
+@pytest.mark.parametrize("label", [7, -1])
+def test_train_names_the_translation_with_a_label_outside_the_classes(label, tmp_path, capsys,
+                                                                     monkeypatch):
+    # -1 is the gold columns' sentinel: it may not pass as "unlabeled"
+    data_dir = tmp_path / "data"
+    synth_tiny(data_dir)
+    path, record = bad_translation_label(data_dir, label)
+    capsys.readouterr()
+    assert train_without_a_forward(tmp_path, data_dir, monkeypatch,
+                                   "setting=translate-train-all", mode="baseline") == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:4: translation of example {record['example_id']!r} into "
+        f"{record['lang']!r}: label {label} out of range for n_label 2\n")
+
+
+@pytest.mark.parametrize("label", [7, -1])
+def test_augment_names_the_translation_with_a_label_outside_the_classes(label, tmp_path,
+                                                                       capsys):
+    data_dir = tmp_path / "data"
+    synth_tiny(data_dir)
+    path, record = bad_translation_label(data_dir, label)
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert cli.main(["augment", "--strategy", "MT", "--input", str(data_dir / "train.jsonl"),
+                     "--output", str(out), "--store", str(path), "--languages", "xx,yy"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:4: translation of example {record['example_id']!r} into "
+        f"{record['lang']!r}: label {label} out of range for n_label 2\n")
+    assert not out.exists()
 
 
 def test_train_rejects_an_n_label_below_the_training_data(tmp_path, capsys, monkeypatch):

@@ -14,11 +14,6 @@ from xtune.augment import BilingualDictionary
 import reference as ref
 
 
-def corpus_of_examples(examples):
-    """The checked ``data.Corpus`` of ``examples``, as their file would load."""
-    return data.corpus_of(list(map(data.example_to_record, examples)), examples[0].task)
-
-
 def assert_same_columns(got, want):
     """``got`` and ``want`` are corpora of the same task with equal columns."""
     assert (got.task, got.ids, got.languages, got.words) == (
@@ -29,20 +24,20 @@ def assert_same_columns(got, want):
 
 class TestJsonl:
     def test_classification_round_trip(self, tmp_path):
-        ex = data.Example(id="a", language="en", task="classification",
+        ex = ref.Example(id="a", language="en", task="classification",
                           words=["w1", "w2"], label=1, n_label=2)
         path = tmp_path / "c.jsonl"
-        data.save_jsonl(corpus_of_examples([ex]), path)
-        back = data.load_jsonl(path, "classification").examples()
+        data.save_jsonl(ref.corpus([ex]), path)
+        back = ref.examples(data.load_jsonl(path, "classification"))
         assert len(back) == 1 and back[0] == ex
 
     def test_span_round_trip_offsets(self, tmp_path):
-        ex = data.Example(id="s", language="en", task="span",
+        ex = ref.Example(id="s", language="en", task="span",
                           words=["q", "a", "b", "c"], question_len=1,
                           answer_start=2, answer_end=3)
         path = tmp_path / "s.jsonl"
-        data.save_jsonl(corpus_of_examples([ex]), path)
-        back = data.load_jsonl(path, "span").examples()[0]
+        data.save_jsonl(ref.corpus([ex]), path)
+        back = ref.examples(data.load_jsonl(path, "span"))[0]
         assert back == ex
 
     def test_tag_count_mismatch_names_line(self, tmp_path):
@@ -81,7 +76,7 @@ class TestJsonl:
          "wrong JSON type"),
     ])
     def test_wrong_json_type_names_line(self, task, line, message, tmp_path):
-        good = data.example_to_record(data.Example(
+        good = ref.record(ref.Example(
             id="a", language="en", task=task, words=["q", "w"], label=0, n_label=2,
             tags=[0, 1], question_len=1, answer_start=1, answer_end=1))
         path = tmp_path / "t.jsonl"
@@ -103,18 +98,18 @@ class TestJsonl:
         assert str(got.value) == f"{path}:1: invalid JSON ({want.value.msg})"
 
     def test_blank_lines_and_surrounding_whitespace_are_skipped(self, tmp_path):
-        ex = data.Example(id="a", language="en", task="classification",
+        ex = ref.Example(id="a", language="en", task="classification",
                           words=["w1", "w2"], label=1, n_label=2)
         ex2 = dataclasses.replace(ex, id="b")
-        line, line2 = (json.dumps(data.example_to_record(e)) for e in (ex, ex2))
+        line, line2 = (json.dumps(ref.record(e)) for e in (ex, ex2))
         path = tmp_path / "c.jsonl"
         path.write_text(f"\n  \t\n {line} \r\n\n\t{line2}\n\n", encoding="utf-8")
-        assert data.load_jsonl(path, "classification").examples() == [ex, ex2]
+        assert ref.examples(data.load_jsonl(path, "classification")) == [ex, ex2]
 
     def test_repeated_id_names_both_lines(self, tmp_path):
-        ex = data.Example(id="a", language="en", task="classification",
+        ex = ref.Example(id="a", language="en", task="classification",
                           words=["w1", "w2"], label=1, n_label=2)
-        line = json.dumps(data.example_to_record(ex))
+        line = json.dumps(ref.record(ex))
         path = tmp_path / "c.jsonl"
         path.write_text(f"{line}\n{line}\n", encoding="utf-8")
         with pytest.raises(data.SchemaError) as err:
@@ -133,7 +128,7 @@ class TestJsonl:
     def test_empty_file_empty_corpus(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text("", encoding="utf-8")
-        assert data.load_jsonl(path, "classification").examples() == []
+        assert ref.examples(data.load_jsonl(path, "classification")) == []
 
     @pytest.mark.parametrize("lang,message", [
         (5, "lang 5 is not a non-empty string"),
@@ -239,7 +234,7 @@ def test_columns_match_the_per_record_reference(task, tmp_path):
                 ex["answer_start"] = ex["answer_end"] = None
                 if type(ex["n_label"]) is not int or ex["n_label"] == -1:
                     ex["n_label"] = None
-        assert [vars(ex) for ex in data.load_jsonl(path, task).examples()] == want
+        assert [vars(ex) for ex in ref.examples(data.load_jsonl(path, task))] == want
         outcomes.add("loaded")
     assert len(outcomes) >= 8, outcomes   # loaded, and most rules broken first
 
@@ -262,6 +257,33 @@ def test_json_records_check_back_into_the_same_columns(task, tmp_path):
         data.save_jsonl(corpus, out)
         assert_same_columns(data.load_jsonl(out, task), corpus)
     assert unlabeled > 0
+
+
+@pytest.mark.parametrize("task", data.TASKS)
+def test_select_and_join_keep_each_example_whole(task, tmp_path):
+    """On random files that load, ``select`` keeps the flagged examples and
+    ``join`` appends one corpus's examples to another's, each example with
+    its words, gold and counts: the columns equal the checked records'."""
+    rng = random.Random(31)
+    path = tmp_path / "t.jsonl"
+    selected = 0
+    for _ in range(100):
+        path.write_text(random_jsonl(rng, task, rng.choice([0.0, 0.02, 0.05])), encoding="utf-8")
+        try:
+            corpus = data.load_jsonl(path, task)
+        except data.SchemaError:
+            continue
+        keep = np.array([rng.random() < 0.5 for _ in range(len(corpus))], bool)
+        records = corpus.json_records()
+        kept, dropped = corpus.select(keep), corpus.select(~keep)
+        assert_same_columns(kept, data.corpus_of(
+            [r for r, flag in zip(records, keep.tolist()) if flag], task))
+        assert_same_columns(kept.join(dropped), data.corpus_of(
+            [r for flag in (True, False) for r, k in zip(records, keep.tolist()) if k == flag],
+            task))
+        assert_same_columns(kept.join(dropped).select(np.arange(len(corpus)) < len(kept)), kept)
+        selected += 0 < len(kept) < len(corpus)
+    assert selected > 20
 
 
 @pytest.mark.parametrize("task", ["classification", "labeling"])
@@ -295,16 +317,16 @@ class TestCipherBenchmark:
 
     def test_cipher_surfaces(self):
         bench = data.generate_cipher_corpus(self._spec(), np.random.default_rng(1))
-        for ex in bench.eval_sets["xx"].examples():
+        for ex in ref.examples(bench.eval_sets["xx"]):
             assert all(w.endswith("§xx") for w in ex.words)
-        for ex in bench.train.examples():
+        for ex in ref.examples(bench.train):
             assert all("§" not in w for w in ex.words)
 
     def test_labels_invariant_across_languages(self):
         for task in ("classification", "labeling", "span"):
             bench = data.generate_cipher_corpus(self._spec(task=task),
                                                 np.random.default_rng(2))
-            eval_sets = {lang: corpus.examples() for lang, corpus in bench.eval_sets.items()}
+            eval_sets = {lang: ref.examples(corpus) for lang, corpus in bench.eval_sets.items()}
             langs = list(eval_sets)
             for i in range(len(eval_sets[langs[0]])):
                 golds = [eval_sets[lang][i].gold() for lang in langs]
@@ -312,7 +334,7 @@ class TestCipherBenchmark:
 
     def test_translations_match_store(self):
         bench = data.generate_cipher_corpus(self._spec(), np.random.default_rng(3))
-        for ex in bench.train.examples()[:10]:
+        for ex in ref.examples(bench.train)[:10]:
             for lang in ("xx", "yy"):
                 words, label = bench.store.get(ex.id, lang)
                 assert label == ex.label
@@ -331,14 +353,14 @@ class TestCipherBenchmark:
     def test_generation_deterministic(self):
         a = data.generate_cipher_corpus(self._spec(), np.random.default_rng(9))
         b = data.generate_cipher_corpus(self._spec(), np.random.default_rng(9))
-        a, b = a.train.examples(), b.train.examples()
+        a, b = ref.examples(a.train), ref.examples(b.train)
         assert [e.words for e in a] == [e.words for e in b]
         assert [e.gold() for e in a] == [e.gold() for e in b]
 
     def test_span_answer_follows_trigger(self):
         bench = data.generate_cipher_corpus(self._spec(task="span"),
                                             np.random.default_rng(5))
-        for ex in bench.train.examples()[:10]:
+        for ex in ref.examples(bench.train)[:10]:
             trigger = ex.words[0]  # question word == trigger surface
             ctx = ex.words[ex.question_len:]
             pos = ctx.index(trigger)
@@ -358,8 +380,8 @@ class TestCipherBenchmark:
                           languages=("en", 'x"y', "zé"))
         bench = data.generate_cipher_corpus(spec, np.random.default_rng(7))
         train, eval_sets, store = ref.generate_cipher_examples(spec, np.random.default_rng(7))
-        assert bench.train.examples() == train
-        assert {lang: corpus.examples() for lang, corpus in bench.eval_sets.items()} == eval_sets
+        assert ref.examples(bench.train) == train
+        assert {lang: ref.examples(corpus) for lang, corpus in bench.eval_sets.items()} == eval_sets
         assert {(ex.id, lang): bench.store.get(ex.id, lang)
                 for ex in train for lang in spec.languages[1:]} == store
         assert [bench.store.languages_for(ex.id) for ex in train] == [

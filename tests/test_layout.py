@@ -44,9 +44,10 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # name another class also defines or assigns
 SHARED = {
     "BilingualDictionary.n_words": "augment.load_dictionary",
-    "Corpus.examples": "cli.load_resources",
+    "Corpus.join": "augment.build_augmented_corpus",
     "Packing.take": "trainer._teacher_rows",
     "RecordTable.lengths": "evaluate.score_corpus",
+    "RowTable.join": "trainer._teacher_rows",
     "RowTable.take": "trainer.run_stage",
     "Segmentation.pieces": "cli.cmd_tokenize",
     "TrainConfig.strategy": "trainer._build_corpus",
@@ -55,7 +56,6 @@ SHARED = {
 # "<class>.<dunder>" -> "<module>.<function>" that relies on it, for every
 # dunder method but the constructors
 DUNDERS = {
-    "AugmentedCorpus.__len__": "cli.cmd_augment",
     "Corpus.__len__": "evaluate.score_corpus",
     "ModelParams.__getitem__": "model.encode",
     "Packing.__len__": "model.predict",

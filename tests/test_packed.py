@@ -21,7 +21,7 @@ from xtune import tokenizer as tok
 from xtune import trainer as tr
 
 import reference as ref
-from conftest import build_benchmark, sample_words
+from conftest import build_benchmark, part, sample_words
 from test_model import assert_same_packing, copy_params, prediction, rescale_params
 from test_trainer import small_config, stage_rows, view_tuples
 
@@ -95,7 +95,7 @@ def mixed_batch(bench, res, cfg, kinds, rng, n_items=9):
     """Items of several lengths, every fourth unlabeled and every third with
     encode noise, each followed in the packing by a view of a kind that
     cycles through ``kinds``."""
-    stage = tr._StageTable(bench.train[:n_items], res.vocab, cfg)
+    stage = tr._StageTable(aug.StageCorpus(part(bench.train, slice(n_items))), res.vocab, cfg)
     table = stage_rows(stage)
     segs, noises, gold, views = [], [], [], []
     for k, (_ex, seg, item_gold, _noised) in enumerate(table):
@@ -177,7 +177,8 @@ class TestAgainstReference:
         bench, res = small_span_bench
         cfg = tr.TrainConfig(task="span", dim=8, max_len=48)
         student, _ = models(cfg, res, 7)
-        a, b = (tok.viterbi_segment_words(res.vocab, ex.words) for ex in bench.train[:2])
+        a, b = (tok.viterbi_segment_words(res.vocab, ex.words)
+                for ex in ref.examples(bench.train)[:2])
         pred = mdl.predict(student, mdl.Packing.of([a, b]))
         value = cons.example_consistency(pred, [a, b], [(0, 1, [True] * len(a.words))])
         assert value.item() == 0.0
@@ -189,14 +190,17 @@ def test_span_gold_in_word_indices_takes_each_words_first_subword_row():
     and for pinned SS items whose draw moves the answer."""
     bench, res = build_benchmark(task="span", vocab_size=50)
     cfg = tr.TrainConfig(task="span", dim=8, max_len=64, ss_alpha=0.2)
-    targets = [exs for lang, exs in bench.eval_sets.items() if lang != "en"]
+    targets = [ref.examples(corpus) for lang, corpus in bench.eval_sets.items() if lang != "en"]
     viterbi = [ex for exs in targets for ex in exs[:10]]
-    pinned = tr._build_corpus([ex for exs in targets for ex in exs[10:25]],
-                              dataclasses.replace(cfg, corpus_strategy="SS"), res).augmented
-    items = viterbi + pinned
+    originals = [ex for exs in targets for ex in exs[10:25]]
+    built = tr._build_corpus(ref.corpus(originals), dataclasses.replace(cfg, corpus_strategy="SS"),
+                             res)
+    # the Viterbi items, then the SS views alone, which keep their pinned draws
+    views = part(built.corpus, slice(len(originals), None))
+    items = dataclasses.replace(built, corpus=ref.corpus(viterbi).join(views))
     segs = [tok.viterbi_segment_words(res.vocab, ex.words) for ex in viterbi]
-    segs += [it.segmentation for it in pinned]
-    examples = viterbi + [it.example for it in pinned]
+    segs += list(map(tok.Segmentation, data.cut(built.pinned, views.n_words)))
+    examples = viterbi + ref.examples(views)
     gold = [ex.gold() for ex in examples]
     positions = reference_gold("span", segs, gold)
     assert any(p != g for p, g in zip(positions[:len(viterbi)], gold))
@@ -205,7 +209,7 @@ def test_span_gold_in_word_indices_takes_each_words_first_subword_row():
                for p, ex, g in zip(positions[len(viterbi):], examples[len(viterbi):],
                                    gold[len(viterbi):]))
     stage = tr._StageTable(items, res.vocab, cfg)
-    assert stage.golds == gold
+    assert list(map(tuple, stage.golds)) == gold
     assert_same_packing(stage.packing, mdl.Packing.of(segs))
     student = models(cfg, res, 22)[0]
     got = mdl.task_loss(mdl.predict(student, stage.packing), stage.golds)
@@ -247,7 +251,7 @@ def test_span_decode_matches_reference_on_every_eval_chunk(small_span_bench):
     cfg = tr.TrainConfig(task="span", dim=8, max_len=48)
     chunks = 0
     for params in (tr.init_params(cfg, res), *models(cfg, res, 12)):
-        for examples in bench.eval_sets.values():
+        for examples in map(ref.examples, bench.eval_sets.values()):
             for start in range(0, len(examples), ev.EVAL_CHUNK):
                 segs = [tok.viterbi_segment_words(res.vocab, ex.words)
                         for ex in examples[start:start + ev.EVAL_CHUNK]]
@@ -293,15 +297,10 @@ def test_span_decode_buffers_stay_linear_in_the_chunk():
     assert peak < 400_000
 
 
-def corpus_of(examples, task):
-    """The checked ``data.Corpus`` of ``examples``, as their file would load."""
-    return data.corpus_of(list(map(data.example_to_record, examples)), task)
-
-
 def eval_corpus(bench):
-    """Every language's eval examples as one corpus: more than two chunks,
+    """Every language's eval examples as one list: more than two chunks,
     the last one short, with word types shared across languages."""
-    examples = [ex for exs in bench.eval_sets.values() for ex in exs]
+    examples = [ex for corpus in bench.eval_sets.values() for ex in ref.examples(corpus)]
     assert len(examples) > 2 * ev.EVAL_CHUNK and len(examples) % ev.EVAL_CHUNK
     return examples
 
@@ -312,7 +311,7 @@ def test_record_table_numbers_records_first_seen_first(tight_labeling_bench, mon
     grows the table, which then packs and counts subwords for old and new
     ids alike."""
     bench, res = tight_labeling_bench
-    examples = [ex for exs in bench.eval_sets.values() for ex in exs[:8]]
+    examples = [ex for corpus in bench.eval_sets.values() for ex in ref.examples(corpus)[:8]]
     words = [w for ex in examples for w in ex.words]
     n_words = np.array([len(ex.words) for ex in examples], dtype=np.intp)
     calls, viterbi = [], tok.viterbi_segment_words
@@ -351,7 +350,7 @@ def test_record_table_names_the_first_sequence_with_an_uncovered_character(
         tight_labeling_bench):
     bench, res = tight_labeling_bench
     table = mdl.RecordTable(res.vocab)
-    word = bench.train[0].words[0]
+    word = bench.train.words[0]
     assert "Q" not in res.vocab.alphabet
     words = [word, word, word + "Q", "Q"]
     # the first bad word ends a sequence, or starts one after an empty one
@@ -411,7 +410,7 @@ def test_a_corpus_of_interned_word_types_packs_as_its_viterbi_segmentations(
 
     monkeypatch.setattr(ev, "EVAL_CHUNK", len(examples))
     monkeypatch.setattr(ev, "predict", recording_predict)
-    ev.score_corpus(params, corpus_of(examples, task), res.vocab)
+    ev.score_corpus(params, ref.corpus(examples, task), res.vocab)
     (packing,) = seen
     assert_same_packing(packing, mdl.Packing.of(
         [tok.viterbi_segment_words(res.vocab, ex.words) for ex in examples]))
@@ -468,7 +467,7 @@ def test_score_corpus_equals_the_per_chunk_path(task, pooling, eval_benches, mon
 
     monkeypatch.setattr(ev, "predict", recording_predict)
     monkeypatch.setattr(ev, "decode", recording_decode)
-    assert ev.score_corpus(params, corpus_of(examples, task),
+    assert ev.score_corpus(params, ref.corpus(examples, task),
                            res.vocab) == want_scores
     assert decoded == want_decoded
     starts = range(0, len(examples), ev.EVAL_CHUNK)
@@ -479,8 +478,10 @@ def test_score_corpus_equals_the_per_chunk_path(task, pooling, eval_benches, mon
              for ex in examples[start:start + ev.EVAL_CHUNK]]))
 
     packings.clear()
-    eval_sets = {"all": examples, **bench.eval_sets, "one": examples[:1]}
-    ev.evaluate_languages(params, {lang: corpus_of(exs, task)
+    eval_sets = {"all": examples, **{lang: ref.examples(corpus)
+                                     for lang, corpus in bench.eval_sets.items()},
+                 "one": examples[:1]}
+    ev.evaluate_languages(params, {lang: ref.corpus(exs, task)
                                    for lang, exs in eval_sets.items()}, res.vocab)
     assert [len(p) for p in packings] == [
         min(ev.EVAL_CHUNK, len(exs) - start) for exs in eval_sets.values()
@@ -550,7 +551,7 @@ def assert_first_step_matches_reference(bench, res, task, corpus_strategy, pair_
     monkeypatch.setattr(tr, "_epoch_views", recording_views)
     monkeypatch.setattr(tr, "predict", recording_predict)
     monkeypatch.setattr(tr, "adam_step", recording_adam)
-    trace, _views = tr.run_stage(corpus.items, student, cfg, res, "main",
+    trace, _views = tr.run_stage(corpus, student, cfg, res, "main",
                                  pair_strategy=pair_strategy, pair_weight=2.0, teacher=teacher,
                                  teacher_weight=0.5)
 
@@ -625,21 +626,22 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
     cfg = small_config(task=task, n_label=None if task == "span" else 3,
                        setting="translate-train-all", corpus_strategy=corpus_strategy,
                        pair_strategy=pair_strategy, ss_alpha=0.5, pooling=pooling)
-    items = tr._build_corpus(bench.train, cfg, res).items
-    assert len(items) > 2 * ev.EVAL_CHUNK
+    items = tr._build_corpus(bench.train, cfg, res)
+    n = len(items.corpus)
+    assert n > 2 * ev.EVAL_CHUNK
     student, teacher = models(cfg, res, 10)
     sizes = count_teacher_forwards(monkeypatch, teacher)
     trace, _views = tr.run_stage(items, student, cfg, res, "main", pair_strategy=pair_strategy,
                                  pair_weight=1.0, teacher=teacher, teacher_weight=1.0)
-    assert len(trace) > len(sizes) == -(-len(items) // ev.EVAL_CHUNK)
-    assert sum(sizes) == len(items) and max(sizes) == ev.EVAL_CHUNK
+    assert len(trace) > len(sizes) == -(-n // ev.EVAL_CHUNK)
+    assert sum(sizes) == n and max(sizes) == ev.EVAL_CHUNK
     assert all(row["model_consistency"] > 0 for row in trace)
 
     stage = tr._StageTable(items, res.vocab, cfg)
-    segs = [seg for _ex, seg, _gold, _noised in stage_rows(stage)]
-    pinned = [(it.segmentation, seg) for it, seg in zip(items, segs)
-              if getattr(it, "segmentation", None) is not None]
-    assert all(a.words == b.words for a, b in pinned) and bool(pinned) == (task == "labeling")
+    segs = [seg for _words, seg, _gold, _noised in stage_rows(stage)]
+    records = [r for seg in segs for r in seg.words]
+    assert records[len(records) - len(items.pinned):] == items.pinned
+    assert bool(items.pinned) == (task == "labeling")
     assert_same_packing(stage.packing, mdl.Packing.of(segs))
     rows = tr._teacher_rows(teacher, stage.packing, [None] * len(segs))
     assert rows.counts.size == len(segs)
@@ -665,13 +667,13 @@ def test_gn_stage_runs_the_teacher_once_per_epoch(small_classification_bench, mo
     for sigma, tables in ((0.3, 3), (0.0, 1)):
         cfg = small_config(setting="translate-train-all", corpus_strategy="GN",
                            noise_sigma=sigma, epochs=3)
-        items = tr._build_corpus(bench.train, cfg, res).items
+        items = tr._build_corpus(bench.train, cfg, res)
         student, teacher = models(cfg, res, 11)
         sizes = count_teacher_forwards(monkeypatch, teacher)
         trace, _views = tr.run_stage(items, student, cfg, res, "main", teacher=teacher,
                                      teacher_weight=1.0)
-        chunks = [min(ev.EVAL_CHUNK, len(items) - start)
-                  for start in range(0, len(items), ev.EVAL_CHUNK)]
+        n = len(items.corpus)
+        chunks = [min(ev.EVAL_CHUNK, n - start) for start in range(0, n, ev.EVAL_CHUNK)]
         assert len(chunks) > 1 and len(trace) > 3 * len(chunks)
         assert sizes == chunks * tables
 
@@ -681,7 +683,7 @@ def test_gn_teacher_rows_follow_the_epoch_noise(small_classification_bench, monk
     teacher's forward on the very noise the student saw in that step."""
     bench, res = small_classification_bench
     cfg = small_config(setting="translate-train-all", corpus_strategy="GN", noise_sigma=0.3)
-    items = tr._build_corpus(bench.train, cfg, res).items
+    items = tr._build_corpus(bench.train, cfg, res)
     student, teacher = models(cfg, res, 12)
     inputs, targets = [], []
     predict, r2 = tr.predict, tr.model_consistency
@@ -750,7 +752,7 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
 
     cfg = small_config(epochs=1)
     student = tr.init_params(cfg, res)
-    trace, _views = tr.run_stage(list(bench.train), student, cfg, res, "main",
+    trace, _views = tr.run_stage(aug.StageCorpus(bench.train), student, cfg, res, "main",
                                  pair_strategy="CS", pair_weight=1.0,
                                  teacher=copy_params(student), teacher_weight=1.0)
     assert calls["zero_grads"] == len(trace)
@@ -758,16 +760,17 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
                  "adam_step", "code_switch"):
         assert calls[f"trainer.{name}"] >= 1, name
     # SS pair views are resampled through the module as well
-    tr.run_stage(list(bench.train[:20]), tr.init_params(cfg, res), cfg, res, "main",
-                 pair_strategy="SS", pair_weight=1.0)
+    tr.run_stage(aug.StageCorpus(part(bench.train, slice(20))), tr.init_params(cfg, res), cfg,
+                 res, "main", pair_strategy="SS", pair_weight=1.0)
     assert calls["trainer.subword_resample"] >= 1
-    ev.evaluate_languages(student, {lang: corpus_of(examples[:5], cfg.task)
-                                    for lang, examples in bench.eval_sets.items()}, res.vocab)
+    ev.evaluate_languages(student, {lang: part(corpus, slice(5))
+                                    for lang, corpus in bench.eval_sets.items()}, res.vocab)
     assert calls["evaluate.predict"] >= 1 and calls["evaluate.decode"] >= 1
 
     # restricted span consistency asks the module for its aligned positions
     span = mdl.ModelParams("span", len(res.vocab), 8, 48)
-    a, b = (tok.viterbi_segment_words(res.vocab, ex.words) for ex in bench.train[:2])
+    a, b = (tok.viterbi_segment_words(res.vocab, ex.words)
+            for ex in ref.examples(bench.train)[:2])
     assert a.pieces != b.pieces
     cons.example_consistency(mdl.predict(span, mdl.Packing.of([a, b])), [a, b],
                              [(0, 1, [True] * len(a.words))])
@@ -780,7 +783,7 @@ def test_benchmark_hooks_resolve_through_module_attributes(small_classification_
     for mode, (stages, corpora) in {"baseline": (1, 0), "r1-only": (1, 0),
                                     "r2-only": (2, 1), "xtune": (2, 1)}.items():
         calls.clear()
-        tr.train_with_mode(mode, bench.train[:20], cfg, res)
+        tr.train_with_mode(mode, part(bench.train, slice(20)), cfg, res)
         assert calls["trainer.run_stage"] == stages, mode
         assert calls["trainer.build_augmented_corpus"] == corpora, mode
         assert calls["zero_grads"] >= stages, mode
@@ -811,11 +814,19 @@ PAIR_KINDS = [(task, kind) for task in ("classification", "labeling", "span")
               for kind in ("SS", "GN", "CS", "MT") if kind != "MT" or task == "classification"]
 
 
+def item_segmentations(vocab, items):
+    """The input segmentation of each item of a ``StageCorpus``: the
+    pinned draw of an SS view, else Viterbi's."""
+    records = tok.viterbi_segment_words(vocab, items.corpus.words).words
+    records[len(records) - len(items.pinned):] = items.pinned
+    return list(map(tok.Segmentation, split_by(records, items.corpus.n_words)))
+
+
 @pytest.mark.parametrize("task,kind", PAIR_KINDS)
 def test_every_step_packing_is_the_packing_of_its_segmentations(task, kind, eval_benches,
                                                                  monkeypatch):
-    """Over one epoch of items (originals, noised GN items and pinned SS
-    items), every step's packing, gathered from the stage record table, is
+    """Over one epoch of items (originals, then noised GN views or pinned SS
+    views), every step's packing, gathered from the stage record table, is
     ``Packing.of`` of the step's items and changed views, rebuilt from the
     draws themselves; and the unchanged mask, from record ids, is the
     record-list comparison: the view's word records are its item's and
@@ -824,12 +835,9 @@ def test_every_step_packing_is_the_packing_of_its_segmentations(task, kind, eval
     cfg = small_config(task=task, n_label=None if task == "span" else 3, epochs=1,
                        pooling="average" if task == "labeling" else "first_subword",
                        noise_sigma=0.3, ss_alpha=0.5, cs_word_ratio=0.15)
-    corpora = {strategy: tr._build_corpus(bench.train[:12], dataclasses.replace(
-        cfg, corpus_strategy=strategy), res).augmented for strategy in ("GN", "SS")}
-    items = list(bench.train[12:36]) + corpora["GN"] + corpora["SS"]
     store = RecordingStore(res.store)
     res = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=store)
-    draws, seen, student = [], {}, tr.init_params(cfg, res)
+    draws, seen = [], {}
     epoch_views, predict = tr._epoch_views, tr.predict
 
     def recording(draw):
@@ -844,7 +852,7 @@ def test_every_step_packing_is_the_packing_of_its_segmentations(task, kind, eval
         return views
 
     def recording_predict(params, packing, noises=None):
-        if params is student:
+        if params is seen["student"]:
             seen.setdefault("steps", []).append((packing, list(noises)))
         return predict(params, packing, noises=noises)
 
@@ -852,46 +860,52 @@ def test_every_step_packing_is_the_packing_of_its_segmentations(task, kind, eval
     monkeypatch.setattr(tr, "subword_resample", recording(tr.subword_resample))
     monkeypatch.setattr(tr, "_epoch_views", recording_views)
     monkeypatch.setattr(tr, "predict", recording_predict)
-    trace, _views = tr.run_stage(items, student, cfg, res, "main", pair_strategy=kind,
-                                 pair_weight=1.0)
+    mask = []   # the unchanged mask of both stages
+    for strategy in ("GN", "SS"):
+        items = tr._build_corpus(part(bench.train, slice(24)),
+                                 dataclasses.replace(cfg, corpus_strategy=strategy), res)
+        draws.clear(), seen.clear(), store.handed.clear()
+        seen["student"] = tr.init_params(cfg, res)
+        trace, _views = tr.run_stage(items, seen["student"], cfg, res, "main",
+                                     pair_strategy=kind, pair_weight=1.0)
 
-    order, views = seen["order"].tolist(), seen["views"]
-    segs = [it.segmentation or tok.viterbi_segment_words(res.vocab, it.example.words)
-            if isinstance(it, aug.AugmentedExample) else
-            tok.viterbi_segment_words(res.vocab, it.words) for it in items]
-    noised = [getattr(it, "strategy", None) == "GN" for it in items]
-    counts = [len(segs[i].words) for i in order]
-    if kind == "CS":
-        (option,) = draws
-        words = res.switch_candidates.view(
-            [w for i in order for w in getattr(items[i], "example", items[i]).words], option)
-        view_segs = [tok.viterbi_segment_words(res.vocab, w) for w in split_by(words, counts)]
-    elif kind == "SS":
-        (drawn,) = draws
-        drawn = list(map(res.vocab.sampler(cfg.ss_alpha).record, drawn.tolist()))
-        view_segs = [tok.Segmentation(r) for r in split_by(drawn, counts)]
-    elif kind == "GN":
-        view_segs = [segs[i] for i in order]
-    else:
-        handed = iter(store.handed)
-        view_segs = [tok.viterbi_segment_words(res.vocab, next(handed)) for _ in order]
-    unchanged = [kind != "GN" and not noised[i] and view.words == segs[i].words
-                 for i, view in zip(order, view_segs)]
-    assert tr._unchanged(seen["stage"], seen["order"], views)[0].tolist() == unchanged
+        order, views = seen["order"].tolist(), seen["views"]
+        segs = item_segmentations(res.vocab, items)
+        noised = [k >= 24 and strategy == "GN" for k in range(len(segs))]
+        counts = [len(segs[i].words) for i in order]
+        if kind == "CS":
+            (option,) = draws
+            words = res.switch_candidates.view(
+                [w for i in order for w in split_by(items.corpus.words, items.corpus.n_words)[i]],
+                option)
+            view_segs = [tok.viterbi_segment_words(res.vocab, w) for w in split_by(words, counts)]
+        elif kind == "SS":
+            (drawn,) = draws
+            drawn = list(map(res.vocab.sampler(cfg.ss_alpha).record, drawn.tolist()))
+            view_segs = [tok.Segmentation(r) for r in split_by(drawn, counts)]
+        elif kind == "GN":
+            view_segs = [segs[i] for i in order]
+        else:
+            handed = iter(store.handed)
+            view_segs = [tok.viterbi_segment_words(res.vocab, next(handed)) for _ in order]
+        unchanged = [kind != "GN" and not noised[i] and view.words == segs[i].words
+                     for i, view in zip(order, view_segs)]
+        assert tr._unchanged(seen["stage"], seen["order"], views)[0].tolist() == unchanged
+        mask += unchanged
+
+        steps = seen["steps"]
+        assert len(steps) == len(trace) == -(-len(segs) // cfg.batch_size)
+        for b, (packing, noises) in enumerate(steps):
+            chunk = range(b * cfg.batch_size, min((b + 1) * cfg.batch_size, len(segs)))
+            batch = [order[p] for p in chunk]
+            changed = [p for p in chunk if not unchanged[p]]
+            assert_same_packing(packing, mdl.Packing.of([segs[i] for i in batch]
+                                                        + [view_segs[p] for p in changed]))
+            assert [noise is not None for noise in noises] == (
+                [noised[i] for i in batch] + [kind == "GN"] * len(changed))
+            assert trace[b]["pairs"] == len(chunk)
     if kind in ("CS", "SS"):
-        assert 0 < sum(unchanged) < len(unchanged)
-
-    steps = seen["steps"]
-    assert len(steps) == len(trace) == -(-len(items) // cfg.batch_size)
-    for b, (packing, noises) in enumerate(steps):
-        chunk = range(b * cfg.batch_size, min((b + 1) * cfg.batch_size, len(items)))
-        batch = [order[p] for p in chunk]
-        changed = [p for p in chunk if not unchanged[p]]
-        assert_same_packing(packing, mdl.Packing.of([segs[i] for i in batch]
-                                                    + [view_segs[p] for p in changed]))
-        assert [noise is not None for noise in noises] == (
-            [noised[i] for i in batch] + [kind == "GN"] * len(changed))
-        assert trace[b]["pairs"] == len(chunk)
+        assert 0 < sum(mask) < len(mask)
 
 
 @pytest.mark.parametrize("task,kind", [(task, kind) for task in ("classification", "labeling",
@@ -906,18 +920,18 @@ def test_epoch_views_match_the_word_level_reference(task, kind, seed, eval_bench
     cfg = small_config(task=task, n_label=None if task == "span" else 3, ss_alpha=0.05,
                        cs_word_ratio=0.4, seed=seed,
                        pooling="average" if task == "labeling" else "first_subword")
-    pinned = tr._build_corpus(bench.train[:10], dataclasses.replace(cfg, corpus_strategy="SS"),
-                              res).augmented
-    stage = tr._StageTable(list(bench.train[10:30]) + pinned, res.vocab, cfg)
+    pinned = tr._build_corpus(part(bench.train, slice(20)),
+                              dataclasses.replace(cfg, corpus_strategy="SS"), res)
+    stage = tr._StageTable(pinned, res.vocab, cfg)
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     order_rng = np.random.default_rng(seed + 10)
     for _epoch in range(4):
-        order = order_rng.permutation(len(stage.examples))
+        order = order_rng.permutation(len(stage.ids))
         views = tr._epoch_views(stage, order, kind, cfg, res, got_rng)
         records, modified = ref.epoch_views(stage, order, kind, cfg, res, want_rng)
         assert [stage.records.records[r] for r in views.rids.tolist()] == records
         assert views.modified.tolist() == modified
-        assert views.n_words.tolist() == [len(stage.examples[i].words) for i in order]
+        assert views.n_words.tolist() == stage.packing.n_words[order].tolist()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert any(modified) and not all(modified)
 
@@ -930,7 +944,7 @@ def test_an_epoch_of_seen_draws_interns_and_segments_nothing(kind, small_classif
     ``RecordTable.intern`` or ``RecordTable.viterbi`` call."""
     bench, res = small_classification_bench
     cfg = small_config(ss_alpha=0.05, cs_word_ratio=0.5)
-    stage = tr._StageTable(list(bench.train[:40]), res.vocab, cfg)
+    stage = tr._StageTable(aug.StageCorpus(part(bench.train, slice(40))), res.vocab, cfg)
     order = np.random.default_rng(4).permutation(40)
     calls = Counter()
 
@@ -971,8 +985,9 @@ def test_a_span_step_segments_only_its_changed_pairs(small_span_bench, monkeypat
 
     monkeypatch.setattr(tr, "tok", SimpleNamespace(Segmentation=counting))
     monkeypatch.setattr(tr, "example_consistency", checked)
-    _trace, views = tr.run_stage(list(bench.train[:60]), tr.init_params(cfg, res), cfg, res,
-                                 "main", pair_strategy="SS", pair_weight=1.0)
+    _trace, views = tr.run_stage(aug.StageCorpus(part(bench.train, slice(60))),
+                                 tr.init_params(cfg, res), cfg, res, "main", pair_strategy="SS",
+                                 pair_weight=1.0)
     changed = views["views_drawn"] - views["unchanged_views"]
     assert 0 < changed < views["views_drawn"]
     assert len(built) == 2 * changed

@@ -13,7 +13,6 @@ from xtune import augment as aug
 from xtune import consistency as cons
 from xtune import data
 from xtune import tokenizer as tok
-from xtune.data import Example
 
 import reference as ref
 from conftest import sample_words
@@ -448,19 +447,20 @@ class TestWordPieces:
         vocab = random_vocab(rng)
         for trial in range(100):
             words = random_words(rng, int(rng.integers(1, 9)))
-            example = Example(id=f"e{trial}", language="en", task="span", words=words)
-            drawn, flags = aug.resample_words(words, vocab, 0.5, rng)
-            view = aug.AugmentedExample(example, "SS", flags.tolist(), tok.Segmentation(drawn))
+            corpus = data.corpus_of([{"id": f"e{trial}", "lang": "en", "words": words}],
+                                    "classification")
+            drawn, flags = aug.resample_words(corpus, vocab, 0.5, rng)
+            view, flags = tok.Segmentation(drawn), flags.tolist()
             seg = tok.viterbi_segment_words(vocab, words)
-            assert view.modified == [scan_pieces_of_word(view.segmentation, w)
-                                     != scan_pieces_of_word(seg, w) for w in range(len(words))]
-            modified = list(view.modified)
+            assert flags == [scan_pieces_of_word(view, w) != scan_pieces_of_word(seg, w)
+                             for w in range(len(words))]
+            modified = list(flags)
             modified[int(rng.integers(len(words)))] = True
             dropped = [rng.random() < 0.2 for _ in range(len(words))]
-            for args in ((seg, view.segmentation, [m or d for m, d in zip(modified, dropped)]),
-                         (seg, view.segmentation, dropped),
-                         (seg, view.segmentation, view.modified),
-                         (seg, view.segmentation, [True] * len(words))):
+            for args in ((seg, view, [m or d for m, d in zip(modified, dropped)]),
+                         (seg, view, dropped),
+                         (seg, view, flags),
+                         (seg, view, [True] * len(words))):
                 assert cons.aligned_first_subword_positions(*args) == reference_positions(*args)
 
 

@@ -12,11 +12,13 @@ import pytest
 from xtune import augment as aug
 from xtune import autodiff as ad
 from xtune import consistency as cons
+from xtune import data
 from xtune import trainer as tr
 from xtune import model as mdl
 from xtune import tokenizer as tok
 
-from conftest import build_benchmark
+import reference as ref
+from conftest import build_benchmark, part
 
 
 def checkpoint_bytes(params, tmp_path, name):
@@ -139,9 +141,11 @@ def record_segs(table, n_words, rids):
 
 
 def stage_rows(stage):
-    """A ``_StageTable``'s items as (example, segmentation, gold, noised) rows."""
+    """A ``_StageTable``'s items as (words, segmentation, gold, noised) rows."""
     segs = record_segs(stage.records, stage.packing.n_words, stage.rids)
-    return list(zip(stage.examples, segs, stage.golds, stage.noised.tolist()))
+    words = [stage.words[a:a + n].tolist() for a, n in zip(stage.packing.word_starts.tolist(),
+                                                            stage.packing.n_words.tolist())]
+    return list(zip(words, segs, stage.golds, stage.noised.tolist()))
 
 
 def view_tuples(stage, views):
@@ -159,7 +163,7 @@ def view_tuples(stage, views):
 def stage1_teacher(train, cfg, res):
     """xtune's stage 1 on its own: R1 against the stage-1 strategy."""
     params = tr.init_params(cfg, res)
-    trace, _views = tr.run_stage(list(train), params, cfg, res, "stage1",
+    trace, _views = tr.run_stage(aug.StageCorpus(train), params, cfg, res, "stage1",
                                  pair_strategy=cfg.stage1_strategy,
                                  pair_weight=cfg.stage1_pair_weight)
     return params, trace
@@ -223,7 +227,7 @@ class TestStageComposition:
         frozen = {k: t.data.copy() for k, t in teacher.tensors.items()}
         student = tr.init_params(cfg, res)
         start = {k: t.data.copy() for k, t in student.tensors.items()}
-        tr.run_stage(list(bench.train), student, cfg, res, "main", pair_strategy="CS",
+        tr.run_stage(aug.StageCorpus(bench.train), student, cfg, res, "main", pair_strategy="CS",
                      pair_weight=1.0, teacher=teacher, teacher_weight=1.0)
         for params in (teacher, student):
             mdl.save_params(params, tmp_path / "params.ckpt")
@@ -307,31 +311,61 @@ class TestLabelMasking:
             assert sum(row["labeled"] for row in trace) == labeled, mode
             assert sum(row["unlabeled"] for row in trace) == unlabeled, mode
 
+    def test_baseline_keeps_the_pinned_draws_of_the_labeled_items(self, monkeypatch):
+        """On a translate-train-all SS corpus, baseline's ``has_gold`` filter
+        drops an unlabeled original with its view; every kept view keeps
+        its own pinned draw."""
+        bench, res = build_benchmark(task="labeling", vocab_size=40)
+        cfg = small_config(task="labeling", setting="translate-train-all", corpus_strategy="SS",
+                           ss_alpha=0.0, pooling="average", epochs=1)
+        corpus = part(bench.train, slice(24))
+        unlabeled = np.arange(24) % 3 == 0
+        train = dataclasses.replace(corpus, has_gold=~unlabeled, golds=np.where(
+            np.repeat(unlabeled, corpus.n_words), -1, corpus.golds))
+        built = tr._build_corpus(train, cfg, res)
+        stages, stage_table = [], tr._StageTable
+        monkeypatch.setattr(tr, "_StageTable", lambda *args: stages.append(stage_table(*args))
+                            or stages[-1])
+        trace = tr.train_with_mode("baseline", train, cfg, res).traces["stage2"]
+        (stage,) = stages
+        keep = np.concatenate((~unlabeled, ~unlabeled))
+        assert stage.ids == [i for i, k in zip(built.corpus.ids, keep.tolist()) if k]
+        assert None not in stage.golds and len(stage.golds) == 2 * 16
+        viterbi = [tok.viterbi_segment_words(res.vocab, words)
+                   for words in data.cut(train.words, train.n_words)]
+        drawn = list(map(tok.Segmentation, data.cut(built.pinned, train.n_words)))
+        want = [seg for seg, k in zip(viterbi + drawn, keep.tolist()) if k]
+        assert record_segs(stage.records, stage.packing.n_words, stage.rids) == want
+        assert any(a != b for a, b in zip(want[:16], want[16:]))   # draws that moved
+        assert sum(row["labeled"] for row in trace) == 2 * 16
+        assert sum(row["unlabeled"] for row in trace) == 0
+
     def test_unlabeled_items_contribute_no_task_loss(self, small_labeling_bench):
         bench, res = small_labeling_bench
         cfg = small_config(task="labeling", setting="translate-train-all",
                            corpus_strategy="MT", pair_strategy="SS",
                            pooling="average", epochs=1)
         corpus = tr._build_corpus(bench.train, cfg, res)
-        assert any(not v.example.labeled for v in corpus.augmented)
+        n_views = len(corpus.corpus) - len(bench.train)
+        assert not corpus.corpus.has_gold[len(bench.train):].any() and n_views
         student = tr.init_params(cfg, res)
-        trace, _views = tr.run_stage(corpus.items, student, cfg, res, "main",
+        trace, _views = tr.run_stage(corpus, student, cfg, res, "main",
                                      teacher=tr.init_params(cfg, res), teacher_weight=0.5)
         for row in trace:
             assert row["labeled"] + row["unlabeled"] == \
-                min(cfg.batch_size, len(corpus.items)) or row["step"] == len(trace)
-        assert sum(row["unlabeled"] for row in trace) == len(corpus.augmented)
+                min(cfg.batch_size, len(corpus.corpus)) or row["step"] == len(trace)
+        assert sum(row["unlabeled"] for row in trace) == n_views
 
     def test_unlabeled_only_batch_without_regularizers_does_not_update(
             self, small_labeling_bench):
         bench, res = small_labeling_bench
         cfg = small_config(task="labeling", pooling="average", epochs=1, batch_size=4)
         corpus = tr._build_corpus(
-            bench.train[:4],
+            part(bench.train, slice(4)),
             small_config(task="labeling", corpus_strategy="MT",
                          setting="translate-train-all", pooling="average"),
-            res)
-        unlabeled = [v for v in corpus.augmented if not v.example.labeled][:4]
+            res).corpus
+        unlabeled = aug.StageCorpus(part(corpus, np.flatnonzero(~corpus.has_gold)[:4]))
         params = tr.init_params(cfg, res)
         start = {k: t.data.copy() for k, t in params.tensors.items()}
         trace, _views = tr.run_stage(unlabeled, params, cfg, res, "main")
@@ -397,7 +431,7 @@ class TestAbort:
         monkeypatch.setattr(tr, "task_loss", poisoned)
         params = tr.init_params(cfg, res)
         with pytest.raises(tr.TrainingError, match="step 1"):
-            tr.run_stage(list(bench.train), params, cfg, res, "main")
+            tr.run_stage(aug.StageCorpus(bench.train), params, cfg, res, "main")
 
 
 class TestConfigValidation:
@@ -463,8 +497,8 @@ class TestMaxLen:
         """Every item fits; at the epoch start, the first view in the epoch's
         order that does not is named by its item, before any step."""
         bench, res = small_classification_bench
-        longest = max(tok.viterbi_segment_words(res.vocab, ex.words).n_pieces
-                      for ex in bench.train)
+        train = ref.examples(bench.train)
+        longest = max(tok.viterbi_segment_words(res.vocab, ex.words).n_pieces for ex in train)
         cfg = small_config(max_len=longest, ss_alpha=0.0)
         seen = []
         epoch_views, resample = tr._epoch_views, tr.subword_resample
@@ -481,14 +515,14 @@ class TestMaxLen:
         monkeypatch.setattr(tr, "subword_resample", recording_resample)
         monkeypatch.setattr(tr, "predict", lambda *args, **kw: pytest.fail("a forward ran"))
         with pytest.raises(ValueError) as raised:
-            tr.run_stage(list(bench.train), tr.init_params(cfg, res), cfg, res, "main",
+            tr.run_stage(aug.StageCorpus(bench.train), tr.init_params(cfg, res), cfg, res, "main",
                          pair_strategy="SS", pair_weight=1.0)
         order, draws = seen
         records, lengths = map(res.vocab.sampler(0.0).record, draws.tolist()), []
         for i in order.tolist():
-            lengths.append(sum(len(next(records)[1]) for _ in bench.train[i].words))
+            lengths.append(sum(len(next(records)[1]) for _ in train[i].words))
         p = next(p for p, n in enumerate(lengths) if n > longest)
-        assert str(raised.value) == (f"example {bench.train[order[p]].id!r}: SS view of "
+        assert str(raised.value) == (f"example {train[order[p]].id!r}: SS view of "
                                      f"{lengths[p]} subwords exceeds max_len {longest}")
 
 
@@ -499,7 +533,7 @@ class TestMtPairing:
         no_store = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=None)
         from xtune.augment import StrategyError
         with pytest.raises(StrategyError, match="translations.jsonl"):
-            tr.run_stage(list(bench.train), tr.init_params(cfg, no_store), cfg, no_store,
+            tr.run_stage(aug.StageCorpus(bench.train), tr.init_params(cfg, no_store), cfg, no_store,
                          "main", pair_strategy="MT", pair_weight=1.0)
 
     def test_mt_views_for_classification_pairs(self, small_classification_bench):
@@ -590,11 +624,11 @@ class TestViewStatistics:
 
     def test_mt_items_without_another_language(self, small_classification_bench):
         bench, res = small_classification_bench
-        dropped = sorted(ex.id for ex in bench.train[::5])
+        dropped = sorted(bench.train.ids[::5])
         store = aug.TranslationStore()
-        for ex in bench.train:
-            for lang in ("xx", "yy") if ex.id not in dropped else ():
-                store.add(ex.id, lang, *bench.store.get(ex.id, lang))
+        for example_id in bench.train.ids:
+            for lang in ("xx", "yy") if example_id not in dropped else ():
+                store.add(example_id, lang, *bench.store.get(example_id, lang))
         res = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=store)
         cfg = small_config(pair_strategy="MT", epochs=2)
         result = tr.train_with_mode("r1-only", bench.train, cfg, res)
@@ -619,7 +653,7 @@ class TestUnchangedViews:
     @staticmethod
     def draw(items, kind, cfg, res):
         stage = tr._StageTable(items, res.vocab, cfg)
-        order = np.arange(len(items))
+        order = np.arange(len(items.corpus))
         views = tr._epoch_views(stage, order, kind, cfg, res, np.random.default_rng(0))
         unchanged, _same, _aligned = tr._unchanged(stage, order, views)
         return stage_rows(stage), view_tuples(stage, views), unchanged.tolist()
@@ -627,7 +661,7 @@ class TestUnchangedViews:
     def test_a_noised_item_is_changed(self, small_classification_bench, monkeypatch):
         bench, res = small_classification_bench
         cfg = small_config(corpus_strategy="GN", cs_word_ratio=0.0, noise_sigma=0.1)
-        items = tr._build_corpus(bench.train[:24], cfg, res).items
+        items = tr._build_corpus(part(bench.train, slice(24)), cfg, res)
         table, views, unchanged = self.draw(items, "CS", cfg, res)
         noised = [row[3] for row in table]
         assert noised == [i >= 24 for i in range(48)]
@@ -653,8 +687,8 @@ class TestUnchangedViews:
 
     def test_a_noised_view_is_changed(self, small_classification_bench):
         bench, res = small_classification_bench
-        table, views, unchanged = self.draw(bench.train[:16], "GN", small_config(noise_sigma=0.1),
-                                            res)
+        table, views, unchanged = self.draw(aug.StageCorpus(part(bench.train, slice(16))), "GN",
+                                            small_config(noise_sigma=0.1), res)
         assert all(view[0].words == row[1].words and view[1] is not None and not row[3]
                    for row, view in zip(table, views))
         assert not any(unchanged)
@@ -663,11 +697,13 @@ class TestUnchangedViews:
         bench, res = build_benchmark(task="labeling", vocab_size=40)
         cfg = small_config(task="labeling", corpus_strategy="SS", ss_alpha=0.0,
                            cs_word_ratio=0.0, pooling="average")
-        items = tr._build_corpus(bench.train[:24], cfg, res).augmented
+        built = tr._build_corpus(part(bench.train, slice(24)), cfg, res)
+        # the SS views alone: their pinned draws cover the corpus's words
+        items = dataclasses.replace(built, corpus=part(built.corpus, slice(24, None)))
         table, views, unchanged = self.draw(items, "CS", cfg, res)
         pinned = []
         for row, view in zip(table, views):
-            viterbi = tok.viterbi_segment_words(res.vocab, row[0].words)
+            viterbi = tok.viterbi_segment_words(res.vocab, row[0])
             # the view is the Viterbi segmentation and flags no word
             assert view[0].words == viterbi.words and not any(view[2])
             pinned.append(row[1].words != viterbi.words)
@@ -680,8 +716,10 @@ class TestUnchangedViews:
         graph term; Adam still takes that step, on zero gradients, so the
         optimizer's step count does not depend on the skip."""
         bench, res = small_classification_bench
-        items = [ex if k % 2 else dataclasses.replace(ex, label=None)
-                 for k, ex in enumerate(bench.train[:16])]
+        corpus = part(bench.train, slice(16))
+        unlabeled = np.arange(16) % 2 == 0
+        items = aug.StageCorpus(dataclasses.replace(
+            corpus, has_gold=~unlabeled, golds=np.where(unlabeled, -1, corpus.golds)))
         cfg = small_config(cs_word_ratio=0.0, batch_size=1)
         steps = []
         adam = tr.adam_step
