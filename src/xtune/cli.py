@@ -161,6 +161,8 @@ def cmd_tokenize(args):
 
 def cmd_augment(args):
     corpus = data.load_jsonl(args.input, args.task)
+    if not len(corpus):
+        raise ValueError(f"{args.input}: no example to augment")
     strategy = aug.AugmentationStrategy(
         kind=args.strategy,
         alpha=args.alpha,
@@ -348,13 +350,22 @@ def _report_value(path, obj, key, where="report"):
 def cmd_gap(args):
     path = args.report
     rep = _read_json(path)
-    metric = ev.primary_metric(_report_value(path, rep, "task"))
+    if (task := _report_value(path, rep, "task")) not in data.TASKS:
+        raise ValueError(f"{path}: 'task' must be one of {data.TASKS}, got {task!r}")
+    metric = ev.primary_metric(task)
     source = args.source or _report_value(path, rep, "source_language")
     per_language = _report_value(path, rep, "per_language")
     _report_value(path, per_language, source, "per_language")
     scalar = {lang: _report_value(path, scores, metric, f"per_language[{lang!r}]")
               for lang, scores in per_language.items()}
-    gap = ev.transfer_gap(scalar, source)
+    for lang, score in scalar.items():   # an int or a float within the float range, not a bool
+        if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+            raise ValueError(f"{path}: per_language[{lang!r}][{metric!r}] must be a finite "
+                             f"number, got {score!r}")
+    try:
+        gap = ev.transfer_gap(scalar, source)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     payload = {"source_language": source, "per_language": scalar, "transfer_gap": gap}
     print(f"transfer gap: {gap:+.4f}")
     if args.out:

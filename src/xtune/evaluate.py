@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import RecordTable, predict
+from .model import RecordTable, predict, sequence_of
 
 # examples per packed eval forward: bounds the size of the forward's buffers
 EVAL_CHUNK = 64
@@ -130,7 +130,7 @@ def score_corpus(params, corpus, vocab):
     outside = np.flatnonzero(corpus.golds >= params.n_label) if params.n_label else []
     if len(outside):
         tags = params.task == "labeling"   # one per word
-        k = np.searchsorted(bounds, outside[0], "right") - 1 if tags else outside[0]
+        k = sequence_of(n_words, outside[0]) if tags else outside[0]
         raise ValueError(f"{name(k)}: gold {'tag' if tags else 'label'} "
                          f"{corpus.golds[outside[0]]} is not below the checkpoint's n_label "
                          f"{params.n_label}")

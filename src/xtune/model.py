@@ -226,12 +226,18 @@ class RecordTable:
         return pieces[first + n_words] - pieces[first]
 
 
+def sequence_of(n_words, t):
+    """The sequence of ``n_words`` that holds flat word ``t``: sequence k
+    holds the next ``n_words[k]`` words of a flat word list."""
+    return int(np.searchsorted(np.cumsum(n_words), t, "right"))
+
+
 def name_uncovered(vocab, words, n_words, name, err):
     """``err``, a CoverageError, led by ``name(k)``: k is the first sequence
     of ``n_words`` (each the next ``n_words[k]`` of the flat ``words``) to
     hold a character ``vocab`` does not cover."""
     bad = next(t for t, w in enumerate(words) if not vocab.alphabet.issuperset(w))
-    return tok.CoverageError(f"{name(np.searchsorted(np.cumsum(n_words), bad, 'right'))}: {err}")
+    return tok.CoverageError(f"{name(sequence_of(n_words, bad))}: {err}")
 
 
 class RowTable(NamedTuple):
@@ -339,50 +345,43 @@ def predict(params, packing, noises=None):
                       RowTable(first, counts, (ad.log_softmax(logits, axis=1),)))
 
 
-def task_loss(prediction, gold):
-    """Mean negative log-likelihood over the sequences that carry a gold payload.
+def task_loss(prediction, labeled, gold):
+    """Mean negative log-likelihood over the packed sequences ``labeled``.
 
-    ``gold`` has one entry per packed sequence: a label id (classification),
-    (start, end) word indices within the sequence (span, as a
-    ``data.Corpus`` gold row holds and ``evaluate.decode`` returns them), a
-    per-word tag id sequence (labeling), or None for a sequence without a
-    label.  A span word's log-probabilities are those of its first-subword
-    row in ``prediction.packing``.  Each gold log-probability gets a
-    constant weight, so the loss is one sum.  A label id counts as a one-tag
-    list: a labeled sequence's share is split evenly over its label rows in
+    ``labeled`` indexes ``prediction``'s sequences; ``gold`` is their gold
+    in ``data.Corpus.golds``' layout: a label id per sequence
+    (classification), a (start, end) row of word indices within its
+    sequence (span, as ``evaluate.decode`` returns them), or the tag ids of
+    their words, in order (labeling).  A span word's log-probabilities are
+    those of its first-subword row in ``prediction.packing``.  Each gold
+    log-probability gets a constant weight, so the loss is one sum: a
+    labeled sequence's share is split evenly over its label rows in
     ``prediction.rows``.
     """
     first, counts, outputs = prediction.rows
-    if len(gold) != counts.size:
-        raise ValueError(f"{len(gold)} gold entries for {counts.size} sequences")
-    labeled = [k for k, g in enumerate(gold) if g is not None]
-    if not labeled:
+    if not len(labeled):
         raise ValueError("no sequence carries a gold payload")
-    share = -1.0 / len(labeled)
+    share, gold = -1.0 / len(labeled), np.asarray(gold, dtype=np.intp)
 
     if prediction.task == "span":
-        packing, spans = prediction.packing, np.array([gold[k] for k in labeled], dtype=np.intp)
-        n = packing.n_words[labeled]
-        if (bad := ((spans < 0) | (spans >= n[:, None])).any(axis=1)).any():
+        packing, n = prediction.packing, prediction.packing.n_words[labeled]
+        if (bad := ((gold < 0) | (gold >= n[:, None])).any(axis=1)).any():
             k = np.flatnonzero(bad)[0]
-            raise ValueError(f"span {tuple(spans[k].tolist())} out of range for {n[k]} words")
+            raise ValueError(f"span {tuple(gold[k].tolist())} out of range for {n[k]} words")
         weights = np.zeros((2,) + outputs[0].shape)   # start and end weights
-        weights[[0, 1], packing.first_rows[packing.word_starts[labeled][:, None] + spans]] = share
+        weights[[0, 1], packing.first_rows[packing.word_starts[labeled][:, None] + gold]] = share
         return ad.add(*(ad.sum(ad.mul(out, ad.constant(w))) for out, w in zip(outputs, weights)))
 
     (log,) = outputs
-    tags = [[gold[k]] if prediction.task == "classification" else gold[k] for k in labeled]
     n = counts[labeled]
-    sizes = np.fromiter(map(len, tags), np.intp, len(tags))
-    if (sizes != n).any():
-        k = np.flatnonzero(sizes != n)[0]
-        raise ValueError(f"sequence {labeled[k]}: {sizes[k]} tags for {n[k]} words")
-    tags = np.fromiter(chain.from_iterable(tags), np.intp)
-    if tags.min() < 0 or tags.max() >= log.shape[1]:
-        bad = tags[(tags < 0) | (tags >= log.shape[1])][0]
+    if gold.size != n.sum():
+        raise ValueError(f"{gold.size} tags for {n.sum()} words" if prediction.task == "labeling"
+                         else f"{gold.size} labels for {n.size} labeled sequences")
+    if gold.min() < 0 or gold.max() >= log.shape[1]:
+        bad = gold[(gold < 0) | (gold >= log.shape[1])][0]
         raise ValueError(f"label {bad} out of range for {log.shape[1]} classes")
     weights = np.zeros(log.shape)
-    weights[layout_rows(first[labeled], n), tags] = np.repeat(share / n, n)
+    weights[layout_rows(first[labeled], n), gold] = np.repeat(share / n, n)
     return ad.sum(ad.mul(log, ad.constant(weights)))
 
 

@@ -409,7 +409,10 @@ def load_vocab(path, marker=DEFAULT_MARKER):
             if piece in pieces:
                 raise VocabFormatError(f"{path}:{lineno}: duplicate piece {piece!r}")
             pieces[piece] = lp
-    return UnigramVocab(pieces, marker=marker)
+    try:
+        return UnigramVocab(pieces, marker=marker)
+    except VocabFormatError as err:   # a whole-vocabulary fault
+        raise VocabFormatError(f"{path}: {err}") from None
 
 
 def save_vocab(vocab, path):

@@ -18,12 +18,12 @@ A stage interns the word records of its items, and later of their views,
 into one ``model.RecordTable``: an item or a view is a run of record ids,
 and a step packs its items and changed views from the table by record id,
 so no step walks a word record.  The items are the columns of one
-``data.Corpus`` (an ``augment.StageCorpus``); span gold is in word
-indices.  Every random draw of a stage happens at an epoch start: the
-shuffle, then the encode noise of every GN item and every pair view, each
-in one batched call in shuffled order.  A view is unchanged
-when it has its item's record ids and neither side draws noise
-(``_unchanged``): under the deterministic forward its R1 term is
+``data.Corpus`` (an ``augment.StageCorpus``), whose ``golds`` column a
+step's task loss reads by array indexing.  Every random draw of a stage
+happens at an epoch start: the shuffle, then the encode noise of every GN
+item and every pair view, each in one batched call in shuffled order.  A
+view is unchanged when it has its item's record ids and neither side draws
+noise (``_unchanged``): under the deterministic forward its R1 term is
 KL(p || p) = 0 with a zero gradient, so it counts in R1's mean but is never
 packed.  A stochastic op added to the forward must join that condition.
 With R2 on, the teacher's rows of every item are one table (cached
@@ -59,7 +59,7 @@ from .augment import (
     validate_strategy,
 )
 from .consistency import example_consistency, model_consistency
-from .data import TASKS, cut
+from .data import TASKS
 from .evaluate import EVAL_CHUNK
 from .model import POOLINGS, ModelParams, RecordTable, RowTable, layout_rows, predict, task_loss
 
@@ -251,9 +251,9 @@ class _StageTable:
     """What stays fixed per item through a stage, and the stage's records.
 
     Item k is example k of a ``StageCorpus``'s columns, with id ``ids[k]``,
-    language ``languages[k]``, gold ``golds[k]`` (None when it has none) and
-    ``noised[k]`` set when it draws fresh encode noise every epoch (a GN
-    view).  ``packing`` packs the items in order from their ``records`` ids
+    language ``languages[k]`` and ``noised[k]`` set when it draws fresh
+    encode noise every epoch (a GN view); its gold stays in the corpus's
+    columns.  ``packing`` packs the items in order from their ``records`` ids
     ``rids``: Viterbi's (``viterbi_rids``), or the pinned draw of an SS
     view.  Word types (``position_types``) and switch options' record ids
     (``option_rids``) are kept from their first use.
@@ -262,9 +262,6 @@ class _StageTable:
     def __init__(self, items, vocab, cfg):
         corpus, n_words = items.corpus, items.corpus.n_words
         self.ids, self.languages = corpus.ids, corpus.languages
-        golds = corpus.golds.tolist()
-        golds = cut(golds, n_words) if corpus.task == "labeling" else golds
-        self.golds = [g if labeled else None for g, labeled in zip(golds, corpus.has_gold.tolist())]
         first = np.cumsum(n_words) - n_words   # a view's words are the corpus's last
         self.noised = ((first >= len(corpus.words) - items.modified.size)
                        & (items.strategy == "GN") & (cfg.noise_sigma > 0))
@@ -478,16 +475,19 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
             pairs = [(k, len(batch_items) + j, flags[len(batch_items) + j])
                      for j, k in enumerate(ks.tolist())]
             noises = [item_noises[i] for i in batch_items] + [view_noises[p] for p in paired]
-            gold = [stage.golds[i] for i in batch_items]
+            labeled = np.flatnonzero(items.corpus.has_gold[batch])
             n_drawn = int(np.count_nonzero(drawn[chunk]))
 
-            n_labeled = sum(g is not None for g in gold)
             pred = predict(params, packing, noises=noises)
 
             parts = {"task": 0.0, "example_consistency": 0.0, "model_consistency": 0.0}
             total = None
-            if n_labeled:
-                node = task_loss(pred, gold + [None] * len(pairs))
+            if labeled.size:
+                gold = batch[labeled]
+                if cfg.task == "labeling":   # their words' tags, laid out as in the corpus
+                    gold = layout_rows(stage.packing.word_starts[gold],
+                                       stage.packing.n_words[gold])
+                node = task_loss(pred, labeled, items.corpus.golds[gold])
                 parts["task"] = node.item()
                 total = node
             if pairs:
@@ -515,7 +515,7 @@ def run_stage(items, params, cfg, res, stage_label, pair_strategy=None, pair_wei
                 adam_step(values, params.parameters(), state, lr)
 
             trace.append({"step": step, "lr": lr, "total": total_value, **parts,
-                          "labeled": n_labeled, "unlabeled": len(batch) - n_labeled,
+                          "labeled": labeled.size, "unlabeled": len(batch) - labeled.size,
                           "pairs": n_drawn})
     words, modified = counts.pop("words"), counts.pop("modified")
     return trace, {"steps": len(trace), **counts, "missing_ids": sorted(missing_ids),

@@ -187,6 +187,15 @@ def test_non_finite_alpha_fails_at_entry(command, alpha, tmp_path, capsys):
 SPAN_SCORES = {"en": {"f1": 0.5, "exact_match": 0.4}, "xx": {"f1": 0.3, "exact_match": 0.2}}
 
 
+def accuracy_report(*scores, task="classification"):
+    """A report of source en, then xx, with these accuracies."""
+    return {"task": task, "source_language": "en",
+            "per_language": {lang: {"accuracy": s} for lang, s in zip(("en", "xx"), scores)}}
+
+
+NOT_A_SCORE = "per_language['xx']['accuracy'] must be a finite number, got"
+
+
 @pytest.mark.parametrize("content,message", [
     ({}, "report is not a JSON object with a 'task' key"),
     ([1], "report is not a JSON object with a 'task' key"),
@@ -202,6 +211,16 @@ SPAN_SCORES = {"en": {"f1": 0.5, "exact_match": 0.4}, "xx": {"f1": 0.3, "exact_m
     ({"task": "span", "source_language": "en", "per_language": SPAN_SCORES},
      "per_language['en'] is not a JSON object with a 'score' key"),
     ("not json", "invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+    (accuracy_report(0.9, None), f"{NOT_A_SCORE} None"),
+    (accuracy_report(0.9, [1]), f"{NOT_A_SCORE} [1]"),
+    (accuracy_report(0.9, True), f"{NOT_A_SCORE} True"),
+    (accuracy_report(0.9, "0.5"), f"{NOT_A_SCORE} '0.5'"),
+    (accuracy_report(0.9, float("nan")), f"{NOT_A_SCORE} nan"),
+    (accuracy_report(0.9, 10 ** 400), f"{NOT_A_SCORE} 1000"),
+    (accuracy_report("0.9", 0.5), "per_language['en']['accuracy'] must be a finite number"),
+    (accuracy_report(0.9), "need at least one non-source language"),
+    (accuracy_report(0.9, 0.5, task="tagging"),
+     "'task' must be one of ('classification', 'span', 'labeling'), got 'tagging'"),
 ])
 def test_gap_on_a_malformed_report_names_file_and_key(content, message, tmp_path, capsys):
     """A string is written as the file's text, any other value as JSON."""
@@ -635,6 +654,32 @@ def test_augment_names_the_translation_with_a_label_outside_the_classes(label, t
     assert not out.exists()
 
 
+def test_augment_on_an_empty_input_names_the_file(tmp_path, capsys):
+    path, out = tmp_path / "empty.jsonl", tmp_path / "out.jsonl"
+    path.write_text("", encoding="utf-8")
+    assert cli.main(["augment", "--strategy", "GN", "--input", str(path),
+                     "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: no example to augment\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("", "vocabulary has no pieces (empty coverage)"),
+    ("a\t0.5\n", "piece 'a' has invalid log-prob 0.5"),
+    ("a\t-1.0\nab\t-2.0\n",
+     "character(s) ['b'] appear in pieces but have no single-character entry"),
+], ids=["empty", "positive-log-prob", "no-single-character-entry"])
+def test_a_whole_vocabulary_fault_names_the_vocabulary_file(lines, message, tmp_path, capsys):
+    vocab, path, out = tmp_path / "vocab.tsv", tmp_path / "train.jsonl", tmp_path / "out.jsonl"
+    vocab.write_text(lines, encoding="utf-8")
+    path.write_text(json.dumps({"id": "a", "lang": "en", "words": ["a"], "label": 0,
+                                "n_label": 2}) + "\n", encoding="utf-8")
+    assert cli.main(["tokenize", "--vocab", str(vocab), "--input", str(path),
+                     "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {vocab}: {message}\n"
+    assert not out.exists()
+
+
 def test_train_rejects_an_n_label_below_the_training_data(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "data"
     synth_tiny(data_dir)
@@ -655,7 +700,8 @@ def test_train_rejects_an_n_label_below_the_training_data(tmp_path, capsys, monk
 def test_non_finite_loss_fails_cleanly(tmp_path, capsys, monkeypatch):
     data_dir = tmp_path / "data"
     synth_tiny(data_dir)
-    monkeypatch.setattr(tr, "task_loss", lambda prediction, gold: ad.constant(float("nan")))
+    monkeypatch.setattr(tr, "task_loss",
+                        lambda prediction, labeled, gold: ad.constant(float("nan")))
     config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
     capsys.readouterr()
     assert cli.main(["train", "--config", str(config), "--mode", "baseline",

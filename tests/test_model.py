@@ -194,53 +194,55 @@ class TestPredict:
 class TestTaskLoss:
     def test_perfect_prediction_zero_loss(self):
         pred = prediction("classification", packing_of(1), ad.Tensor([[0.0, -50.0]]))
-        assert abs(mdl.task_loss(pred, [0]).item()) < 1e-12
+        assert abs(mdl.task_loss(pred, [0], [0]).item()) < 1e-12
 
     def test_uniform_two_label(self):
         pred = prediction("classification", packing_of(1), ad.Tensor([[-math.log(2)] * 2]))
-        assert abs(mdl.task_loss(pred, [1]).item() - math.log(2)) < 1e-12
+        assert abs(mdl.task_loss(pred, [0], [1]).item() - math.log(2)) < 1e-12
 
     def test_uniform_span_four_positions(self):
         uniform = ad.Tensor([-math.log(4)] * 4)
         pred = prediction("span", packing_of(4), uniform, uniform)
-        assert abs(mdl.task_loss(pred, [(2, 3)]).item() - 2 * math.log(4)) < 1e-12
+        assert abs(mdl.task_loss(pred, [0], [(2, 3)]).item() - 2 * math.log(4)) < 1e-12
 
     def test_labeling_mean_per_word(self):
         word_log = ad.Tensor(np.log(np.full((3, 2), 0.5)))
         pred = prediction("labeling", packing_of(3), word_log)
-        assert abs(mdl.task_loss(pred, [[0, 1, 0]]).item() - math.log(2)) < 1e-12
+        assert abs(mdl.task_loss(pred, [0], [0, 1, 0]).item() - math.log(2)) < 1e-12
 
     def test_gold_out_of_range(self):
         pred = prediction("classification", packing_of(1), ad.Tensor([[0.0, -1.0]]))
         with pytest.raises(ValueError, match="out of range"):
-            mdl.task_loss(pred, [5])
+            mdl.task_loss(pred, [0], [5])
 
-    @pytest.mark.parametrize("tags", [[0, 1], [0, 1, 0, 1]], ids=["short", "long"])
-    def test_labeling_tag_count_must_match_word_count(self, tags):
-        # the second sequence has 3 words; the first carries no gold
+    @pytest.mark.parametrize("labeled,tags,words", [
+        ([1], [0, 1], 3), ([1], [0, 1, 0, 1], 3), ([0, 1], [0, 1, 0, 1, 0, 1], 5),
+    ], ids=["short", "long", "both-long"])
+    def test_labeling_tag_count_must_match_word_count(self, labeled, tags, words):
+        # the flat tags of the labeled sequences, of 2 and 3 words
         packing = mdl.Packing.of([tok.Segmentation([(("a",), (0,))] * n) for n in (2, 3)])
         pred = prediction("labeling", packing, ad.Tensor(np.log(np.full((5, 2), 0.5))))
-        with pytest.raises(ValueError, match=f"sequence 1: {len(tags)} tags for 3 words"):
-            mdl.task_loss(pred, [None, tags])
+        with pytest.raises(ValueError, match=f"^{len(tags)} tags for {words} words$"):
+            mdl.task_loss(pred, labeled, tags)
 
     @pytest.mark.parametrize("tag", [2, -1])
     def test_labeling_tag_out_of_range(self, tag):
         pred = prediction("labeling", packing_of(3), ad.Tensor(np.log(np.full((3, 2), 0.5))))
         with pytest.raises(ValueError, match=f"label {tag} out of range for 2 classes"):
-            mdl.task_loss(pred, [[0, tag, 1]])
+            mdl.task_loss(pred, [0], [0, tag, 1])
 
 
 class TestGradients:
     @pytest.mark.parametrize("task,n_label,gold", [
-        ("classification", 3, 1),
-        ("span", None, (0, 2)),
+        ("classification", 3, [1]),
+        ("span", None, [(0, 2)]),
         ("labeling", 3, [0, 2, 1]),
-    ])
+    ], ids=["classification-3-1", "span-None-gold1", "labeling-3-gold2"])
     def test_task_loss_gradients_match_fd(self, task, n_label, gold):
         params, vocab = make_params(task, n_label=n_label, seed=3, pooling="average")
         rescale_params(params, np.random.default_rng(17))
         seg = tok.viterbi_segment_words(vocab, ["abc", "d", "ab"])
-        loss_fn = lambda: mdl.task_loss(mdl.predict(params, mdl.Packing.of([seg])), [gold])
+        loss_fn = lambda: mdl.task_loss(mdl.predict(params, mdl.Packing.of([seg])), [0], gold)
         tensors = params.parameters()
         err = max_rel_err(analytic_grads(loss_fn, tensors),
                           finite_difference(loss_fn, tensors))

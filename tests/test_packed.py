@@ -42,9 +42,14 @@ def tight_labeling_bench():
 
 def packed_components(params, segs, noises, gold, pairs, teacher=None):
     """Task, pair and teacher loss nodes of one batch, packed, laid out as
-    ``reference.step_components`` takes them."""
+    ``reference.step_components`` takes them: ``gold`` per sequence, None
+    where a sequence has none, goes to the task loss as the labeled
+    sequences and their gold in ``data.Corpus.golds``' layout."""
     pred = mdl.predict(params, mdl.Packing.of(segs), noises=noises)
-    task = mdl.task_loss(pred, gold) if any(g is not None for g in gold) else None
+    labeled = [k for k, g in enumerate(gold) if g is not None]
+    kept = [gold[k] for k in labeled]
+    flat = [tag for tags in kept for tag in tags] if params.task == "labeling" else kept
+    task = mdl.task_loss(pred, labeled, flat) if labeled else None
     pair = cons.example_consistency(pred, segs, pairs) if pairs else None
     teach = None
     if teacher is not None:
@@ -95,8 +100,9 @@ def mixed_batch(bench, res, cfg, kinds, rng, n_items=9):
     """Items of several lengths, every fourth unlabeled and every third with
     encode noise, each followed in the packing by a view of a kind that
     cycles through ``kinds``."""
-    stage = tr._StageTable(aug.StageCorpus(part(bench.train, slice(n_items))), res.vocab, cfg)
-    table = stage_rows(stage)
+    corpus = part(bench.train, slice(n_items))
+    stage = tr._StageTable(aug.StageCorpus(corpus), res.vocab, cfg)
+    table = stage_rows(stage, corpus)
     segs, noises, gold, views = [], [], [], []
     for k, (_ex, seg, item_gold, _noised) in enumerate(table):
         segs.append(seg)
@@ -209,10 +215,11 @@ def test_span_gold_in_word_indices_takes_each_words_first_subword_row():
                for p, ex, g in zip(positions[len(viterbi):], examples[len(viterbi):],
                                    gold[len(viterbi):]))
     stage = tr._StageTable(items, res.vocab, cfg)
-    assert list(map(tuple, stage.golds)) == gold
+    assert items.corpus.has_gold.all() and list(map(tuple, items.corpus.golds.tolist())) == gold
     assert_same_packing(stage.packing, mdl.Packing.of(segs))
     student = models(cfg, res, 22)[0]
-    got = mdl.task_loss(mdl.predict(student, stage.packing), stage.golds)
+    got = mdl.task_loss(mdl.predict(student, stage.packing), np.arange(len(segs)),
+                        items.corpus.golds)
     want = ref.step_components(student, segs, [None] * len(segs), positions, [])[0]
     np.testing.assert_allclose(got.item(), want.item(), rtol=RTOL, atol=ATOL)
     for g, w in zip(gradients(student, got), gradients(student, want)):
@@ -221,7 +228,7 @@ def test_span_gold_in_word_indices_takes_each_words_first_subword_row():
     seg = next(seg for seg in segs if seg.n_pieces > len(seg.words))
     n = len(seg.words)
     with pytest.raises(ValueError, match=rf"span \(0, {n}\) out of range for {n} words"):
-        mdl.task_loss(mdl.predict(student, mdl.Packing.of([seg])), [(0, n)])
+        mdl.task_loss(mdl.predict(student, mdl.Packing.of([seg])), [0], [(0, n)])
 
 
 # Span decode against ``reference.decode_span``.  Drawn from this alphabet,
@@ -534,7 +541,8 @@ def assert_first_step_matches_reference(bench, res, task, corpus_strategy, pair_
 
     def recording_views(stage, order, *args):
         views = epoch_views(stage, order, *args)
-        seen.setdefault("views", (stage_rows(stage), order[:cfg.batch_size].tolist(),
+        seen.setdefault("views", (stage_rows(stage, corpus.corpus),
+                                  order[:cfg.batch_size].tolist(),
                                   view_tuples(stage, views)[:cfg.batch_size]))
         return views
 
@@ -638,7 +646,7 @@ def test_teacher_table_is_one_chunked_pass_per_stage(task, corpus_strategy, pair
     assert all(row["model_consistency"] > 0 for row in trace)
 
     stage = tr._StageTable(items, res.vocab, cfg)
-    segs = [seg for _words, seg, _gold, _noised in stage_rows(stage)]
+    segs = [seg for _words, seg, _gold, _noised in stage_rows(stage, items.corpus)]
     records = [r for seg in segs for r in seg.words]
     assert records[len(records) - len(items.pinned):] == items.pinned
     assert bool(items.pinned) == (task == "labeling")

@@ -140,12 +140,14 @@ def record_segs(table, n_words, rids):
             for a, n in zip(first.tolist(), n_words.tolist())]
 
 
-def stage_rows(stage):
-    """A ``_StageTable``'s items as (words, segmentation, gold, noised) rows."""
+def stage_rows(stage, corpus):
+    """A ``_StageTable``'s items as (words, segmentation, gold, noised) rows;
+    gold is read from the stage's ``corpus``, None where an item has none."""
     segs = record_segs(stage.records, stage.packing.n_words, stage.rids)
     words = [stage.words[a:a + n].tolist() for a, n in zip(stage.packing.word_starts.tolist(),
                                                             stage.packing.n_words.tolist())]
-    return list(zip(words, segs, stage.golds, stage.noised.tolist()))
+    gold = [ex.gold() if ex.labeled else None for ex in ref.examples(corpus)]
+    return list(zip(words, segs, gold, stage.noised.tolist()))
 
 
 def view_tuples(stage, views):
@@ -324,13 +326,13 @@ class TestLabelMasking:
             np.repeat(unlabeled, corpus.n_words), -1, corpus.golds))
         built = tr._build_corpus(train, cfg, res)
         stages, stage_table = [], tr._StageTable
-        monkeypatch.setattr(tr, "_StageTable", lambda *args: stages.append(stage_table(*args))
-                            or stages[-1])
+        monkeypatch.setattr(tr, "_StageTable", lambda items, *args: stages.append(
+            (items, stage_table(items, *args))) or stages[-1][1])
         trace = tr.train_with_mode("baseline", train, cfg, res).traces["stage2"]
-        (stage,) = stages
+        ((items, stage),) = stages
         keep = np.concatenate((~unlabeled, ~unlabeled))
         assert stage.ids == [i for i, k in zip(built.corpus.ids, keep.tolist()) if k]
-        assert None not in stage.golds and len(stage.golds) == 2 * 16
+        assert items.corpus.has_gold.all() and len(items.corpus) == 2 * 16
         viterbi = [tok.viterbi_segment_words(res.vocab, words)
                    for words in data.cut(train.words, train.n_words)]
         drawn = list(map(tok.Segmentation, data.cut(built.pinned, train.n_words)))
@@ -424,7 +426,7 @@ class TestAbort:
         bench, res = small_classification_bench
         cfg = small_config(epochs=1)
 
-        def poisoned(prediction, gold):
+        def poisoned(prediction, labeled, gold):
             from xtune import autodiff as ad
             return ad.constant(float("nan"))
 
@@ -656,7 +658,7 @@ class TestUnchangedViews:
         order = np.arange(len(items.corpus))
         views = tr._epoch_views(stage, order, kind, cfg, res, np.random.default_rng(0))
         unchanged, _same, _aligned = tr._unchanged(stage, order, views)
-        return stage_rows(stage), view_tuples(stage, views), unchanged.tolist()
+        return stage_rows(stage, items.corpus), view_tuples(stage, views), unchanged.tolist()
 
     def test_a_noised_item_is_changed(self, small_classification_bench, monkeypatch):
         bench, res = small_classification_bench
