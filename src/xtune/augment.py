@@ -7,6 +7,12 @@ Every view is word-for-word except a translation: word w of the view stands
 for word w of its original.  A view records which words it modified, so the
 pair-consistency loss can restrict itself to unchanged positions.
 
+A strategy is drawn from ``(kind, cfg, res, rng)``: its knobs are the
+training config's ``ss_alpha``, ``cs_word_ratio`` and ``mt_languages``, and
+its inputs the run's ``Resources`` (vocabulary, code-switch candidates and
+translation store).  ``build_augmented_corpus`` draws a stage's corpus and
+the trainer's ``_epoch_views`` its pair views from the same four.
+
 ``subword_resample`` and ``code_switch`` take the word types of a flat
 token list and draw the views of all its tokens in one batched call: one
 lockstep FFBS draw, or one uniform block for the switch, dictionary and
@@ -20,14 +26,14 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
 
 from . import tokenizer as tok
-from .data import CIPHER_ID_SEP, Corpus
+from .data import CIPHER_ID_SEP, Corpus, check_language
 from .model import RecordTable, name_uncovered
 
 log = logging.getLogger(__name__)
@@ -44,29 +50,9 @@ class DictionaryFormatError(ValueError):
 
 
 @dataclass
-class AugmentationStrategy:
-    """One augmentation with its knobs; unused knobs are ignored."""
-
-    kind: str
-    alpha: float = 0.2        # SS: sampling temperature
-    word_ratio: float = 0.3   # CS: per-word replacement probability
-    languages: tuple = ()     # MT: target languages
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise StrategyError(f"unknown strategy kind {self.kind!r}")
-        if not 0.0 <= self.word_ratio <= 1.0:
-            raise StrategyError(f"word_ratio {self.word_ratio} outside [0, 1]")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise StrategyError(f"alpha {self.alpha} must be a finite number >= 0")
-
-
-@dataclass
 class BilingualDictionary:
     """Word translations with case-normalized (casefold) lookups."""
 
-    source_language: str
-    target_language: str
     entries: dict
 
     def __post_init__(self):
@@ -93,7 +79,7 @@ class BilingualDictionary:
         return sum(len(v) for v in self.entries.values())
 
 
-def load_dictionary(path, src_lang, tgt_lang):
+def load_dictionary(path):
     """Parse ``source target`` pairs, one per line, tab or space separated."""
     entries = {}
     n_lines = 0
@@ -111,9 +97,9 @@ def load_dictionary(path, src_lang, tgt_lang):
             entries.setdefault(src, []).append(tgt)
             n_lines += 1
     if not entries:
-        log.warning("dictionary %s (%s->%s) is empty", path, src_lang, tgt_lang)
-        return BilingualDictionary(src_lang, tgt_lang, {})
-    d = BilingualDictionary(src_lang, tgt_lang, entries)
+        log.warning("dictionary %s is empty", path)
+        return BilingualDictionary({})
+    d = BilingualDictionary(entries)
     log.info("loaded %s: %d words, %d pairs from %d lines", path, d.n_words, d.n_pairs, n_lines)
     return d
 
@@ -156,7 +142,8 @@ class TranslationStore:
 
     @classmethod
     def load(cls, path):
-        """Read a store; a bad or repeated (example id, lang) record names ``path:line``."""
+        """Read a store; a bad or repeated (example id, lang) record, or a lang
+        ``data.check_language`` refuses, names ``path:line``."""
         store = cls()
         store.path = path
         with open(path, encoding="utf-8") as fh:
@@ -175,7 +162,8 @@ class TranslationStore:
                             type(t) is str and t for t in texts):
                         raise TypeError("example_id and lang must be non-empty strings, words a "
                                         "non-empty list of them and label an integer or null")
-                except (json.JSONDecodeError, KeyError, TypeError) as err:
+                    check_language(lang)
+                except (ValueError, KeyError, TypeError) as err:   # JSONDecodeError is a ValueError
                     raise DictionaryFormatError(f"{path}:{lineno}: bad store record ({err})") from None
                 if store._lines.setdefault((eid, lang), lineno) != lineno:
                     raise DictionaryFormatError(
@@ -346,6 +334,20 @@ def validate_strategy(task, kind):
 
 
 @dataclass
+class Resources:
+    """A run's shared immutable augmentation inputs."""
+
+    vocab: tok.UnigramVocab
+    dictionaries: list = field(default_factory=list)
+    store: TranslationStore | None = None
+
+    @cached_property
+    def switch_candidates(self):
+        """The dictionaries' code-switch candidates, built on first use."""
+        return SwitchCandidates(self.dictionaries)
+
+
+@dataclass
 class StageCorpus:
     """A training stage's items: ``corpus`` holds the originals, then one
     view of each of ``strategy`` (one per original and language for MT;
@@ -369,30 +371,31 @@ class StageCorpus:
                        pinned=list(compress(self.pinned, words.tolist())))
 
 
-def build_augmented_corpus(corpus, strategy, rng, vocab=None, dictionaries=None, store=None):
-    """D_A = D plus exactly one augmentation per example (ratio 1.0), as a
-    ``StageCorpus``: CS, SS and GN views are their originals' columns with
-    new words, MT views the store's translations (one per example and target
-    language)."""
+def build_augmented_corpus(corpus, kind, cfg, res, rng):
+    """D_A = D plus exactly one ``kind`` augmentation per example (ratio
+    1.0), drawn from ``cfg``'s knobs and ``res``'s inputs as the trainer's
+    pair views are, as a ``StageCorpus``: CS, SS and GN views are their
+    originals' columns with new words, MT views the store's translations
+    (one per example and language of ``cfg.mt_languages``)."""
     if not len(corpus):
         raise ValueError("build_augmented_corpus: empty corpus")
     missing, pinned = [], []
-    if strategy.kind == "CS":
-        if not dictionaries:
-            raise StrategyError("CS corpus augmentation needs dictionaries")
-        candidates = SwitchCandidates(dictionaries)
-        option = code_switch(candidates.types(corpus.words), candidates, strategy.word_ratio, rng)
+    if kind == "CS":
+        candidates = res.switch_candidates
+        option = code_switch(candidates.types(corpus.words), candidates, cfg.cs_word_ratio, rng)
         views, modified = replace(corpus, words=candidates.view(corpus.words, option)), option >= 0
-    elif strategy.kind == "SS":
-        if vocab is None:
+    elif kind == "SS":
+        if res.vocab is None:
             raise StrategyError("SS corpus augmentation needs a vocabulary")
-        pinned, modified = resample_words(corpus, vocab, strategy.alpha, rng)
+        pinned, modified = resample_words(corpus, res.vocab, cfg.ss_alpha, rng)
         views = corpus
-    elif strategy.kind == "GN":   # text identical; noise of ``noise_sigma`` at encode time
+    elif kind == "GN":   # text identical; noise of ``noise_sigma`` at encode time
         views, modified = corpus, np.zeros(len(corpus.words), bool)
-    else:
-        if store is None or not strategy.languages:
+    elif kind == "MT":
+        if res.store is None or not cfg.mt_languages:
             raise StrategyError("MT corpus augmentation needs a store and target languages")
-        views, missing = translation_views(corpus, store, strategy.languages)
+        views, missing = translation_views(corpus, res.store, cfg.mt_languages)
         modified = np.ones(len(views.words), bool)
-    return StageCorpus(corpus.join(views), strategy.kind, modified, pinned, missing)
+    else:
+        raise StrategyError(f"unknown strategy kind {kind!r}")
+    return StageCorpus(corpus.join(views), kind, modified, pinned, missing)

@@ -160,22 +160,23 @@ def cmd_tokenize(args):
 
 
 def cmd_augment(args):
+    knobs = {"--ratio": ("cs_word_ratio", args.ratio), "--alpha": ("ss_alpha", args.alpha),
+             "--languages": ("mt_languages", args.languages.split(",") if args.languages else ())}
+    for flag, (name, value) in knobs.items():   # one field at a time: an error names its flag
+        try:
+            trainer.TrainConfig(**{name: value})
+        except ValueError as err:
+            raise ValueError(f"{flag}: {err}") from None
+    cfg = trainer.TrainConfig(task=args.task, **dict(knobs.values()))
     corpus = data.load_jsonl(args.input, args.task)
     if not len(corpus):
         raise ValueError(f"{args.input}: no example to augment")
-    strategy = aug.AugmentationStrategy(
-        kind=args.strategy,
-        alpha=args.alpha,
-        word_ratio=args.ratio,
-        languages=tuple(args.languages.split(",")) if args.languages else (),
-    )
-    vocab = tok.load_vocab(args.vocab) if args.vocab else None
-    dictionaries = [aug.load_dictionary(p, "?", "?") for p in args.dict or []]
-    store = aug.TranslationStore.load(args.store) if args.store else None
+    res = aug.Resources(vocab=tok.load_vocab(args.vocab) if args.vocab else None,
+                        dictionaries=[aug.load_dictionary(p) for p in args.dict or []],
+                        store=aug.TranslationStore.load(args.store) if args.store else None)
     rng = trainer.substream(args.seed, "augment")
     try:
-        built = aug.build_augmented_corpus(
-            corpus, strategy, rng, vocab=vocab, dictionaries=dictionaries, store=store)
+        built = aug.build_augmented_corpus(corpus, args.strategy, cfg, res, rng)
     except tok.CoverageError as err:
         raise ValueError(f"{args.input}: {err}") from None
 
@@ -258,7 +259,7 @@ def load_config(path, overrides=()):
         raise ValueError(f"{path}: config needs a data_dir pointing at a synth output directory")
     raw = {k: v for k, v in raw.items() if v is not None}
     if preset:
-        setting = raw.pop("setting", "cross-lingual-transfer")
+        setting = raw.pop("setting", CONFIG_KEYS["setting"].default)
         return trainer.TrainConfig.from_preset(preset, setting, **raw), Path(data_dir)
     return trainer.TrainConfig(**raw), Path(data_dir)
 
@@ -274,7 +275,7 @@ def load_resources(data_dir, cfg):
     for tgt in languages[1:]:
         path = data_dir / f"dict.{src}-{tgt}.txt"
         if path.exists():
-            dictionaries.append(aug.load_dictionary(path, src, tgt))
+            dictionaries.append(aug.load_dictionary(path))
     store_path = data_dir / "translations.jsonl"
     store = aug.TranslationStore.load(store_path) if store_path.exists() else None
     train = data.load_jsonl(data_dir / "train.jsonl", cfg.task)
@@ -286,7 +287,7 @@ def load_resources(data_dir, cfg):
     if not cfg.mt_languages:
         cfg.mt_languages = tuple(languages[1:])
     digests = {p.name: _sha256(p) for p in sorted(data_dir.iterdir()) if p.is_file()}
-    res = trainer.Resources(vocab=vocab, dictionaries=dictionaries, store=store)
+    res = aug.Resources(vocab=vocab, dictionaries=dictionaries, store=store)
     return train, res, digests
 
 
@@ -395,7 +396,8 @@ def format_presets(dataset=None, setting=None):
 
 
 def cmd_presets(args):
-    if args.dataset and (args.dataset, args.setting or "cross-lingual-transfer") not in trainer.PRESETS:
+    setting = args.setting or CONFIG_KEYS["setting"].default
+    if args.dataset and (args.dataset, setting) not in trainer.PRESETS:
         valid = ", ".join(trainer.PRESET_DATASETS)
         print(f"unknown preset dataset {args.dataset!r}; expected one of: {valid}",
               file=sys.stderr)
@@ -438,7 +440,7 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--task", default="classification", choices=data.TASKS)
     p.add_argument("--mode", default="viterbi", choices=("viterbi", "sample"))
-    p.add_argument("--alpha", type=float, default=0.2)
+    p.add_argument("--alpha", type=float, default=CONFIG_KEYS["ss_alpha"].default)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_tokenize)
 
@@ -450,9 +452,12 @@ def build_parser():
     p.add_argument("--vocab")
     p.add_argument("--dict", action="append", help="dictionary file (repeatable)")
     p.add_argument("--store")
-    p.add_argument("--languages", help="MT target languages, comma-separated")
-    p.add_argument("--ratio", type=float, default=0.3)
-    p.add_argument("--alpha", type=float, default=0.2)
+    p.add_argument("--languages", help="MT target languages, comma-separated: sets "
+                                        "TrainConfig.mt_languages")
+    p.add_argument("--ratio", type=float, default=CONFIG_KEYS["cs_word_ratio"].default,
+                   help="CS per-word switch probability: sets TrainConfig.cs_word_ratio")
+    p.add_argument("--alpha", type=float, default=CONFIG_KEYS["ss_alpha"].default,
+                   help="SS sampling temperature: sets TrainConfig.ss_alpha")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_augment)
 

@@ -135,9 +135,10 @@ def _given(values):
     return np.fromiter(map(is_not, values, repeat(None)), bool, len(values))
 
 
-def _per_example(flags, n_words):
-    """How many flagged words each example of ``n_words`` words holds."""
-    seen = np.concatenate(([0], np.cumsum(flags, dtype=np.intp)))
+def per_sequence(values, n_words):
+    """The sum of a flat word array's ``values`` (counts or flags) over each
+    sequence of ``n_words`` words: sequence k holds the next ``n_words[k]``."""
+    seen = np.concatenate(([0], np.cumsum(values, dtype=np.intp)))
     ends = np.cumsum(n_words)
     return seen[ends] - seen[ends - n_words]
 
@@ -212,7 +213,7 @@ def corpus_of(records, task, source="<records>", lines=None):
     flat = list(chain.from_iterable(words[:n]))
     bad_word = ([] if set(map(type, flat)) <= {str} and all(flat)
                 else [type(w) is not str or not w for w in flat])
-    flag((n_words == 0) | (_per_example(bad_word or np.zeros(len(flat), bool), n_words) > 0),
+    flag((n_words == 0) | (per_sequence(bad_word or np.zeros(len(flat), bool), n_words) > 0),
          wrong_words)
     n_words = n_words[:n]
     if task == "span":
@@ -240,7 +241,7 @@ def corpus_of(records, task, source="<records>", lines=None):
                                             for t, m in zip(gold[:n], sizes.tolist())))
         gold_ok, golds = _ints(gold[:sizes[:n].sum()])
         bad = ~gold_ok | (golds < 0) | (golds >= np.repeat(n_label[:n], sizes[:n]))
-        flag(has_gold[:n] & (~count_ok[:n] | (_per_example(bad, sizes[:n]) > 0)),
+        flag(has_gold[:n] & (~count_ok[:n] | (per_sequence(bad, sizes[:n]) > 0)),
              lambda k: (f"example {ids[k]}: "
                         f"{'tag' if task == 'labeling' else f'label {gold[k]!r}'} out of range "
                         f"for n_label {counts[k]!r}, or of the wrong JSON type"))
@@ -341,11 +342,7 @@ class SyntheticSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if len(self.languages) < 2:
             raise ValueError("need a source language plus at least one target")
-        if len(set(self.languages)) != len(self.languages) or not all(self.languages):
-            raise ValueError(f"languages must be distinct and non-empty, "
-                             f"got {list(self.languages)}")
-        for language in self.languages:
-            check_language(language)
+        check_languages(self.languages, "languages")
         if self.classification_rule not in CLASSIFICATION_RULES:
             raise ValueError(f"unknown classification rule {self.classification_rule!r}")
         # span sentences reserve lemma 0 as the question trigger
@@ -375,6 +372,17 @@ def check_language(name):
         raise ValueError(f"language {name!r} holds {bad[0]!r}, which written file names, "
                          "ids and lines cannot carry")
     return name
+
+
+def check_languages(names, what):
+    """``names`` as a tuple, if they are distinct and non-empty and
+    ``check_language`` accepts each; else a ValueError naming ``what``."""
+    if len(set(names)) != len(names) or not all(names):
+        raise ValueError(f"{what} must be distinct and non-empty, got {list(names)}")
+    try:
+        return tuple(map(check_language, names))
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
 
 
 def surface(lemma_id, language, source_language):
@@ -419,9 +427,9 @@ def _render_split(spec, sentences, surfaces, ids):
     elif spec.task == "labeling":
         n_label, golds = np.full(n, spec.n_tag), lemmas % spec.n_tag
     elif spec.classification_rule == "even_lemma_parity":
-        golds = _per_example(lemmas % 2 == 0, n_words) % 2
+        golds = per_sequence(lemmas % 2 == 0, n_words) % 2
     else:   # 1 when lemmas of the inventory's upper half are the majority
-        golds = (_per_example(lemmas >= spec.lemma_count // 2, n_words) * 2 > n_words) * 1
+        golds = (per_sequence(lemmas >= spec.lemma_count // 2, n_words) * 2 > n_words) * 1
     return {lang: Corpus(spec.task, ids(lang), [lang] * n, list(map(forms.__getitem__, flat)),
                          n_words, question_len, n_label, np.ones(n, bool), golds)
             for lang, forms in surfaces.items()}
@@ -458,8 +466,8 @@ def generate_cipher_corpus(spec, rng):
     for lang in targets:
         fwd = {surfaces[src][k]: [surfaces[lang][k]] for k in all_lemmas}
         rev = {surfaces[lang][k]: [surfaces[src][k]] for k in all_lemmas}
-        dictionaries[(src, lang)] = BilingualDictionary(src, lang, fwd)
-        dictionaries[(lang, src)] = BilingualDictionary(lang, src, rev)
+        dictionaries[(src, lang)] = BilingualDictionary(fwd)
+        dictionaries[(lang, src)] = BilingualDictionary(rev)
 
     words = [surfaces[lang][k] for k in all_lemmas for lang in spec.languages]
     return CipherBenchmark(spec=spec, train=train[src], eval_sets=eval_sets,

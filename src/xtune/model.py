@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import tokenizer as tok
-from .data import TASKS
+from .data import TASKS, per_sequence
 
 POOLINGS = ("first_subword", "average")
 
@@ -221,9 +221,7 @@ class RecordTable:
 
     def lengths(self, n_words, rids):
         """The subword count of each sequence."""
-        pieces = np.concatenate(([0], np.cumsum(self._table().word_lengths[rids])))
-        first = np.cumsum(n_words) - n_words
-        return pieces[first + n_words] - pieces[first]
+        return per_sequence(self._table().word_lengths[rids], n_words)
 
 
 def sequence_of(n_words, t):

@@ -12,7 +12,11 @@ against augmented views and R2 is KL to a frozen stage-1 teacher:
 
 Stage 1 runs only when R2 needs a teacher.  Stage 2 trains a fresh student
 on the augmented corpus when R2 is on or the setting is translate-train-all.
-One master seed feeds named substreams so the modes share data order.
+One master seed feeds named substreams so the modes share data order.  The
+augmented corpus (``augment.build_augmented_corpus``) and each epoch's pair
+views (``_epoch_views``) are drawn from the same ``(kind, cfg, res, rng)``:
+a strategy kind, the config's ``ss_alpha``, ``cs_word_ratio`` and
+``mt_languages``, and the run's ``augment.Resources``.
 
 A stage interns the word records of its items, and later of their views,
 into one ``model.RecordTable``: an item or a view is a run of record ids,
@@ -38,8 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, asdict
-from functools import cached_property
+from dataclasses import dataclass, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -48,10 +51,8 @@ from . import autodiff as ad
 from . import tokenizer as tok
 from .augment import (
     STRATEGY_KINDS,
-    AugmentationStrategy,
     StageCorpus,
     StrategyError,
-    SwitchCandidates,
     base_id,
     build_augmented_corpus,
     code_switch,
@@ -59,7 +60,7 @@ from .augment import (
     validate_strategy,
 )
 from .consistency import example_consistency, model_consistency
-from .data import TASKS
+from .data import TASKS, check_languages, per_sequence
 from .evaluate import EVAL_CHUNK
 from .model import POOLINGS, ModelParams, RecordTable, RowTable, layout_rows, predict, task_loss
 
@@ -166,15 +167,7 @@ class TrainConfig:
             raise ValueError("warmup_frac must lie in [0, 1)")
         if not 0.0 <= self.cs_word_ratio <= 1.0:
             raise ValueError(f"cs_word_ratio must lie in [0, 1], got {self.cs_word_ratio!r}")
-        self.mt_languages = tuple(self.mt_languages)
-
-    def strategy(self, kind):
-        return AugmentationStrategy(
-            kind=kind,
-            alpha=self.ss_alpha,
-            word_ratio=self.cs_word_ratio,
-            languages=self.mt_languages,
-        )
+        self.mt_languages = check_languages(self.mt_languages, "mt_languages")
 
     @classmethod
     def from_preset(cls, dataset, setting, **overrides):
@@ -195,20 +188,6 @@ class TrainConfig:
         )
         base.update(overrides)
         return cls(**base)
-
-
-@dataclass
-class Resources:
-    """Shared immutable inputs for a training run."""
-
-    vocab: tok.UnigramVocab
-    dictionaries: list = field(default_factory=list)
-    store: object = None
-
-    @cached_property
-    def switch_candidates(self):
-        """The dictionaries' code-switch candidates, built on first use."""
-        return SwitchCandidates(self.dictionaries)
 
 
 @dataclass
@@ -368,11 +347,10 @@ def _unchanged(stage, order, views):
     whether it has its item's records, and how many of its words are aligned
     (unmodified, with the item's record; none for another word count)."""
     n = views.n_words * (views.n_words == stage.packing.n_words[order])
-    owner = np.repeat(np.arange(n.size), n)
     view_rows = layout_rows(np.cumsum(views.n_words) - views.n_words, n)
     equal = stage.rids[layout_rows(stage.packing.word_starts[order], n)] == views.rids[view_rows]
-    same = (n > 0) & (np.bincount(owner, ~equal, n.size) == 0)
-    aligned = np.bincount(owner, equal & ~views.modified[view_rows], n.size)
+    same = (n > 0) & (per_sequence(~equal, n) == 0)
+    aligned = per_sequence(equal & ~views.modified[view_rows], n)
     return same & ~stage.noised[order] & (views.noises is None), same, aligned
 
 
@@ -533,10 +511,8 @@ def init_params(cfg, res):
 
 
 def _build_corpus(train, cfg, res):
-    return build_augmented_corpus(
-        train, cfg.strategy(cfg.corpus_strategy), substream(cfg.seed, "corpus"),
-        vocab=res.vocab, dictionaries=res.dictionaries, store=res.store,
-    )
+    return build_augmented_corpus(train, cfg.corpus_strategy, cfg, res,
+                                  substream(cfg.seed, "corpus"))
 
 
 def _train_stage(items, cfg, res, stage_label, pair_strategy, pair_weight, teacher=None):

@@ -7,7 +7,8 @@ import pytest
 
 from xtune import data
 from xtune import tokenizer as tok
-from xtune.trainer import Resources, substream
+from xtune.augment import Resources
+from xtune.trainer import substream
 
 
 def sample_words(vocab, words, alpha, rng):

@@ -1,5 +1,7 @@
 """Augmentation strategies: modified-word flags, label projection, corpus
-construction counts and pairing, and the strategy validation rules."""
+construction counts and pairing, and the strategy validation rules.  The
+corpus builder takes its knobs from a ``TrainConfig`` and its inputs from
+``augment.Resources``, as the trainer's pair views do."""
 
 import json
 import math
@@ -11,6 +13,7 @@ import pytest
 from xtune import augment as aug
 from xtune import data
 from xtune import tokenizer as tok
+from xtune.trainer import TrainConfig
 
 import reference as ref
 
@@ -38,22 +41,23 @@ def views(out, n_originals):
         ref.examples(out.corpus)[n_originals:], data.cut(out.modified.tolist(), n_words), pinned)]
 
 
-def dictionary(entries, src="en", tgt="fr"):
-    return aug.BilingualDictionary(src, tgt, {k: list(v) for k, v in entries.items()})
+def dictionary(entries):
+    return aug.BilingualDictionary({k: list(v) for k, v in entries.items()})
 
 
 def code_switch(example, dictionaries, word_ratio, rng):
     """The corpus builder's code-switched view of one example."""
-    strategy = aug.AugmentationStrategy("CS", word_ratio=word_ratio)
-    view, = views(aug.build_augmented_corpus(ref.corpus([example]), strategy, rng,
-                                             dictionaries=dictionaries), 1)
+    view, = views(aug.build_augmented_corpus(ref.corpus([example]), "CS",
+                                             TrainConfig(cs_word_ratio=word_ratio),
+                                             aug.Resources(None, dictionaries), rng), 1)
     return view
 
 
 def subword_resample(example, vocab, alpha, rng):
     """The corpus builder's subword-resampled view of one example."""
-    strategy = aug.AugmentationStrategy("SS", alpha=alpha)
-    view, = views(aug.build_augmented_corpus(ref.corpus([example]), strategy, rng, vocab=vocab), 1)
+    view, = views(aug.build_augmented_corpus(ref.corpus([example]), "SS",
+                                             TrainConfig(ss_alpha=alpha), aug.Resources(vocab),
+                                             rng), 1)
     return view
 
 
@@ -75,8 +79,8 @@ class TestCodeSwitch:
         d = dictionary({"cat": ["chat"]})
         n = 10_000
         corpus = ref.corpus([example(words=["cat"], id=f"x{k}") for k in range(n)])
-        out = aug.build_augmented_corpus(corpus, aug.AugmentationStrategy("CS", word_ratio=0.5),
-                                         np.random.default_rng(1), dictionaries=[d])
+        out = aug.build_augmented_corpus(corpus, "CS", TrainConfig(cs_word_ratio=0.5),
+                                         aug.Resources(None, [d]), np.random.default_rng(1))
         assert abs(out.modified.sum() / n - 0.5) < 0.02
 
     def test_unmodified_words_byte_identical(self):
@@ -98,8 +102,8 @@ class TestCodeSwitch:
         assert out.example.tags == [0, 2]
 
     def test_mixed_languages_per_word(self):
-        d1 = dictionary({"cat": ["chat"]}, tgt="fr")
-        d2 = dictionary({"cat": ["gato"]}, tgt="es")
+        d1 = dictionary({"cat": ["chat"]})
+        d2 = dictionary({"cat": ["gato"]})
         rng = np.random.default_rng(3)
         seen = set()
         for _ in range(50):
@@ -117,7 +121,7 @@ class TestCodeSwitch:
         for trial in range(40):
             dictionaries = [
                 dictionary({w: [f"{w}-{lang}{k}" for k in range(int(rng.integers(1, 4)))]
-                            for w in vocab if rng.random() < 0.7}, tgt=lang)
+                            for w in vocab if rng.random() < 0.7})
                 for lang in ("xx", "yy", "zz")[:int(rng.integers(1, 4))]]
             candidates = aug.SwitchCandidates(dictionaries)
             got_rng, want_rng = np.random.default_rng(trial), np.random.default_rng(trial)
@@ -138,11 +142,10 @@ class TestCodeSwitch:
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state
                 assert words == before and got is not words
                 if examples:   # the corpus builder keeps the same draws as view columns
-                    strategy = aug.AugmentationStrategy("CS", word_ratio=ratio)
                     corpus = ref.corpus(examples)
-                    out = aug.build_augmented_corpus(corpus, strategy,
-                                                     np.random.default_rng(trial),
-                                                     dictionaries=dictionaries)
+                    out = aug.build_augmented_corpus(corpus, "CS", TrainConfig(cs_word_ratio=ratio),
+                                                     aug.Resources(None, dictionaries),
+                                                     np.random.default_rng(trial))
                     want_words, want_modified = ref.code_switch(
                         words, dictionaries, ratio, np.random.default_rng(trial))
                     assert out.corpus.words == words + want_words
@@ -191,9 +194,9 @@ class TestSubwordResample:
 
 def translate(example, store, languages):
     """The MT views of one example and the translations the store lacks."""
-    out = aug.build_augmented_corpus(ref.corpus([example]),
-                                     aug.AugmentationStrategy("MT", languages=tuple(languages)),
-                                     np.random.default_rng(0), store=store)
+    out = aug.build_augmented_corpus(ref.corpus([example]), "MT",
+                                     TrainConfig(mt_languages=languages),
+                                     aug.Resources(None, store=store), np.random.default_rng(0))
     return views(out, 1), out.missing
 
 
@@ -277,7 +280,8 @@ class TestLoadTranslationStore:
     @pytest.mark.parametrize("record", [
         [1, 2], "x0", None,
         {**GOOD, "example_id": 7}, {**GOOD, "example_id": ""},
-        {**GOOD, "lang": ["fr"]}, {**GOOD, "lang": ""},
+        {**GOOD, "lang": ["fr"]}, {**GOOD, "lang": ""}, {**GOOD, "lang": "x y"},
+        {**GOOD, "lang": "f/r"},
         {**GOOD, "words": "abc"}, {**GOOD, "words": []}, {**GOOD, "words": ["le", ""]},
         {**GOOD, "words": ["le", 3]},
         {**GOOD, "label": 1.5}, {**GOOD, "label": "1"}, {**GOOD, "label": True},
@@ -332,31 +336,26 @@ class TestValidateStrategy:
     def test_labeling_pair_recommends_subword_sampling(self):
         aug.validate_strategy("labeling", "SS")
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
-    def test_bad_alpha_rejected_by_name(self, alpha):
-        with pytest.raises(aug.StrategyError, match=f"alpha {alpha} must be a finite number"):
-            aug.AugmentationStrategy("SS", alpha=alpha)
-
 
 class TestLoadDictionary:
     def test_merges_multi_translations(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("cat chat\ncat minou\n", encoding="utf-8")
-        d = aug.load_dictionary(path, "en", "fr")
+        d = aug.load_dictionary(path)
         assert d.translations("cat") == ["chat", "minou"]
         assert d.n_words == 1 and d.n_pairs == 2
 
     def test_tabs_and_spaces_both_accepted(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("cat\tchat\ndog  chien\n", encoding="utf-8")
-        d = aug.load_dictionary(path, "en", "fr")
+        d = aug.load_dictionary(path)
         assert d.translations("cat") == ["chat"] and d.translations("dog") == ["chien"]
 
     def test_empty_file_warns(self, tmp_path, caplog):
         path = tmp_path / "d.txt"
         path.write_text("", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            d = aug.load_dictionary(path, "en", "fr")
+            d = aug.load_dictionary(path)
         assert d.n_words == 0
         assert "empty" in caplog.text
 
@@ -364,12 +363,12 @@ class TestLoadDictionary:
         path = tmp_path / "d.txt"
         path.write_text("cat chat\none two three\n", encoding="utf-8")
         with pytest.raises(aug.DictionaryFormatError, match=":2:"):
-            aug.load_dictionary(path, "en", "fr")
+            aug.load_dictionary(path)
 
     def test_case_normalized_lookup(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("Cat chat\n", encoding="utf-8")
-        d = aug.load_dictionary(path, "en", "fr")
+        d = aug.load_dictionary(path)
         assert d.translations("cat") == d.translations("CAT") == ["chat"]
 
 
@@ -383,9 +382,8 @@ class TestBuildAugmentedCorpus:
         vocab = tok.UnigramVocab({"c": -2.0, "a": -2.0, "t": -2.0, "s": -2.0,
                                   "cat": -1.0, "sat": -1.0})
         corpus = self._corpus(100)
-        out = aug.build_augmented_corpus(
-            corpus, aug.AugmentationStrategy("SS", alpha=0.5),
-            np.random.default_rng(0), vocab=vocab)
+        out = aug.build_augmented_corpus(corpus, "SS", TrainConfig(ss_alpha=0.5),
+                                         aug.Resources(vocab), np.random.default_rng(0))
         assert len(out.corpus) == 200 and out.strategy == "SS"
         assert [aug.base_id(i) for i in out.corpus.ids[100:]] == corpus.ids
         assert len(out.pinned) == out.modified.size == len(corpus.words)
@@ -396,9 +394,9 @@ class TestBuildAugmentedCorpus:
         for ex in ref.examples(corpus):
             for lang in ("fr", "es", "de"):
                 store.add(ex.id, lang, [w + "@" + lang for w in ex.words], label=ex.label)
-        out = aug.build_augmented_corpus(
-            corpus, aug.AugmentationStrategy("MT", languages=("fr", "es", "de")),
-            np.random.default_rng(0), store=store)
+        out = aug.build_augmented_corpus(corpus, "MT", TrainConfig(mt_languages=("fr", "es", "de")),
+                                         aug.Resources(None, store=store),
+                                         np.random.default_rng(0))
         assert len(out.corpus) == 100 + 300
         assert [aug.base_id(i) for i in out.corpus.ids[100:]] == [
             i for i in corpus.ids for _ in range(3)]
@@ -406,9 +404,8 @@ class TestBuildAugmentedCorpus:
 
     def test_gn_marks_without_changing_text(self):
         corpus = self._corpus(10)
-        out = aug.build_augmented_corpus(
-            corpus, aug.AugmentationStrategy("GN"),
-            np.random.default_rng(0))
+        out = aug.build_augmented_corpus(corpus, "GN", TrainConfig(), aug.Resources(None),
+                                         np.random.default_rng(0))
         assert len(out.corpus) == 20 and out.strategy == "GN"
         for view, ex in zip(views(out, 10), ref.examples(corpus)):
             assert view.example == ex and not any(view.modified)
@@ -420,21 +417,28 @@ class TestBuildAugmentedCorpus:
         # corpus use of MT on span is fine; the error appears for pair use
         store = aug.TranslationStore()
         store.add("s", "fr", ["q", "a", "b"])
-        out = aug.build_augmented_corpus(
-            corpus, aug.AugmentationStrategy("MT", languages=("fr",)),
-            np.random.default_rng(0), store=store)
+        out = aug.build_augmented_corpus(corpus, "MT", TrainConfig(mt_languages=("fr",)),
+                                         aug.Resources(None, store=store),
+                                         np.random.default_rng(0))
         assert len(out.corpus) == 2
         with pytest.raises(aug.StrategyError):
             aug.validate_strategy("span", "MT")
+
+    def test_an_unknown_kind_is_rejected(self):
+        # with a store and target languages on hand, it must not pass for MT
+        store = aug.TranslationStore()
+        store.add("x0", "fr", ["chat"], label=0)
+        with pytest.raises(aug.StrategyError, match="^unknown strategy kind 'ZZ'$"):
+            aug.build_augmented_corpus(self._corpus(2), "ZZ", TrainConfig(mt_languages=("fr",)),
+                                       aug.Resources(None, store=store), np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         d = dictionary({"cat": ["chat", "minou"], "sat": ["assis"]})
         corpus = self._corpus(50)
         runs = []
         for _ in range(2):
-            out = aug.build_augmented_corpus(
-                corpus, aug.AugmentationStrategy("CS", word_ratio=0.5),
-                np.random.default_rng(7), dictionaries=[d])
+            out = aug.build_augmented_corpus(corpus, "CS", TrainConfig(cs_word_ratio=0.5),
+                                             aug.Resources(None, [d]), np.random.default_rng(7))
             runs.append(out.corpus.words)
         assert runs[0] == runs[1]
 
@@ -454,9 +458,8 @@ def test_labeled_keeps_each_kept_view_with_its_own_columns(kind):
     for ex in examples:
         store.add(ex.id, "fr", [w + "-fr" for w in ex.words])
     out = aug.build_augmented_corpus(
-        corpus, aug.AugmentationStrategy(kind, alpha=0.1, word_ratio=0.5, languages=("fr",)),
-        np.random.default_rng(3), vocab=vocab, dictionaries=[dictionary({"dog": ["chien"]})],
-        store=store)
+        corpus, kind, TrainConfig(ss_alpha=0.1, cs_word_ratio=0.5, mt_languages=("fr",)),
+        aug.Resources(vocab, [dictionary({"dog": ["chien"]})], store), np.random.default_rng(3))
     kept = out.labeled()
     rows = [k for k, ex in enumerate(ref.examples(out.corpus)) if ex.labeled]
     n_originals = sum(k < len(examples) for k in rows)

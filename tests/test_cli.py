@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from xtune import augment as aug
 from xtune import autodiff as ad
 from xtune import cli
 from xtune import data
@@ -126,6 +127,12 @@ def test_mode_defaults_to_xtune():
      "pooling 'average' applies to labeling only, not classification"),
     ({"preset": "xquad"}, ["pooling=average"],
      "pooling 'average' applies to labeling only, not span"),
+    ({"preset": "xnli", "setting": "translate-train-all", "mt_languages": ["x y", ""]}, [],
+     "mt_languages must be distinct and non-empty, got ['x y', '']"),
+    ({"preset": "xnli", "setting": "translate-train-all", "mt_languages": ["xx", "xx"]}, [],
+     "mt_languages must be distinct and non-empty, got ['xx', 'xx']"),
+    ({"preset": "xnli", "setting": "translate-train-all"}, ["mt_languages=xx,x/y"],
+     "mt_languages: language 'x/y' holds '/'"),
 ])
 def test_bad_config_fails_cleanly(extra, overrides, message, tmp_path, capsys):
     config = write_config(tmp_path / "config.json", tmp_path / "missing-data", **extra)
@@ -652,6 +659,68 @@ def test_augment_names_the_translation_with_a_label_outside_the_classes(label, t
         f"error: {path}:4: translation of example {record['example_id']!r} into "
         f"{record['lang']!r}: label {label} out of range for n_label 2\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    pytest.param("--ratio", "1.5", "cs_word_ratio must lie in [0, 1], got 1.5", id="ratio-1.5"),
+    pytest.param("--ratio", "nan", "cs_word_ratio must be finite, got nan", id="ratio-nan"),
+    pytest.param("--alpha", "nan", "ss_alpha must be finite, got nan", id="alpha-nan"),
+    pytest.param("--alpha", "inf", "ss_alpha must be finite, got inf", id="alpha-inf"),
+    pytest.param("--alpha", "-0.5", "ss_alpha must be >= 0, got -0.5", id="alpha-negative"),
+    pytest.param("--languages", "xx,xx",
+                 "mt_languages must be distinct and non-empty, got ['xx', 'xx']",
+                 id="languages-repeated"),
+    pytest.param("--languages", "xx,,yy",
+                 "mt_languages must be distinct and non-empty, got ['xx', '', 'yy']",
+                 id="languages-empty"),
+    pytest.param("--languages", "x y", "mt_languages: language 'x y' holds ' ', which written "
+                 "file names, ids and lines cannot carry", id="languages-refused"),
+])
+def test_augment_names_a_bad_knob_by_its_flag(flag, value, message, tmp_path, capsys):
+    # each knob flag sets one TrainConfig field and gets that field's check
+    path, out = tmp_path / "train.jsonl", tmp_path / "out.jsonl"
+    path.write_text(json.dumps({"id": "a", "lang": "en", "words": ["w"], "label": 0,
+                                "n_label": 2}) + "\n", encoding="utf-8")
+    strategy = {"--ratio": "CS", "--alpha": "SS", "--languages": "MT"}[flag]
+    assert cli.main(["augment", "--strategy", strategy, "--input", str(path),
+                     "--output", str(out), f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+    assert not out.exists()
+
+
+def test_augment_rejects_a_store_language_that_ids_cannot_carry(tmp_path, capsys):
+    # a view's id is its example's id, "@" and its language
+    data_dir = tmp_path / "data"
+    synth_tiny(data_dir)
+    path = data_dir / "translations.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "lang": "x y"})
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert cli.main(["augment", "--strategy", "MT", "--input", str(data_dir / "train.jsonl"),
+                     "--output", str(out), "--store", str(path), "--languages", "xx,yy"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: bad store record (language 'x y' holds ' ', which written file "
+        "names, ids and lines cannot carry)\n")
+    assert not out.exists()
+
+
+def test_an_xtune_run_builds_one_set_of_switch_candidates(tmp_path, monkeypatch):
+    # the xnli preset draws CS views for stage 1, the stage-2 corpus and
+    # stage 2, all from the run's one ``Resources.switch_candidates``
+    data_dir = tmp_path / "data"
+    synth_tiny(data_dir)
+    built, init = [], aug.SwitchCandidates.__init__
+    monkeypatch.setattr(aug.SwitchCandidates, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    config = write_config(tmp_path / "config.json", data_dir, preset="xnli")
+    assert cli.main(["train", "--config", str(config), "--mode", "xtune",
+                     "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+    assert {manifest["config"][key] for key in ("stage1_strategy", "corpus_strategy",
+                                                 "pair_strategy")} == {"CS"}
+    assert len(built) == 1
 
 
 def test_augment_on_an_empty_input_names_the_file(tmp_path, capsys):

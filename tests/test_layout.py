@@ -50,7 +50,6 @@ SHARED = {
     "RowTable.join": "trainer._teacher_rows",
     "RowTable.take": "trainer.run_stage",
     "Segmentation.pieces": "cli.cmd_tokenize",
-    "TrainConfig.strategy": "trainer._build_corpus",
 }
 
 # "<class>.<dunder>" -> "<module>.<function>" that relies on it, for every

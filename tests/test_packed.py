@@ -844,7 +844,7 @@ def test_every_step_packing_is_the_packing_of_its_segmentations(task, kind, eval
                        pooling="average" if task == "labeling" else "first_subword",
                        noise_sigma=0.3, ss_alpha=0.5, cs_word_ratio=0.15)
     store = RecordingStore(res.store)
-    res = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=store)
+    res = aug.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=store)
     draws, seen = [], {}
     epoch_views, predict = tr._epoch_views, tr.predict
 

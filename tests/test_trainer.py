@@ -463,6 +463,10 @@ class TestConfigValidation:
         ("seed", -1),
         ("n_label", 0),
         ("n_label", -1),
+        ("mt_languages", ("xx", "")),
+        ("mt_languages", ("xx", "xx")),
+        ("mt_languages", ("x y",)),
+        ("mt_languages", ("x@y",)),
     ])
     def test_bad_field_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -532,7 +536,7 @@ class TestMtPairing:
     def test_mt_views_without_store_rejected_at_stage_start(self, small_classification_bench):
         bench, res = small_classification_bench
         cfg = small_config(setting="translate-train-all", pair_strategy="MT")
-        no_store = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=None)
+        no_store = aug.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=None)
         from xtune.augment import StrategyError
         with pytest.raises(StrategyError, match="translations.jsonl"):
             tr.run_stage(aug.StageCorpus(bench.train), tr.init_params(cfg, no_store), cfg, no_store,
@@ -631,7 +635,7 @@ class TestViewStatistics:
         for example_id in bench.train.ids:
             for lang in ("xx", "yy") if example_id not in dropped else ():
                 store.add(example_id, lang, *bench.store.get(example_id, lang))
-        res = tr.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=store)
+        res = aug.Resources(vocab=res.vocab, dictionaries=res.dictionaries, store=store)
         cfg = small_config(pair_strategy="MT", epochs=2)
         result = tr.train_with_mode("r1-only", bench.train, cfg, res)
         trace, views = result.traces["stage2"], result.manifest["views"]["stage2"]
