@@ -41,21 +41,17 @@ def _read_json(path):
 
 def _read_meta(data_dir, task, whose):
     """The languages of a synth output directory, source first, from its
-    ``meta.json``: at least two distinct names ``data.check_language``
-    accepts.  Its ``spec.task`` must then be ``task``, the task of ``whose``
-    (the config or the checkpoint)."""
+    ``meta.json``: at least two names ``data.check_languages`` accepts.  Its
+    ``spec.task`` must then be ``task``, the task of ``whose`` (the config
+    or the checkpoint)."""
     path = data_dir / "meta.json"
     meta = _read_json(path)
     languages = meta.get("languages") if isinstance(meta, dict) else None
     if not (isinstance(languages, list) and len(languages) >= 2
-            and all(isinstance(lang, str) and lang for lang in languages)
-            and len(set(languages)) == len(languages)):
-        raise ValueError(f"{path}: 'languages' must be a list of at least two distinct "
-                         f"non-empty strings, got {languages!r}")
-    try:
-        languages = [data.check_language(language) for language in languages]
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+            and all(isinstance(lang, str) for lang in languages)):
+        raise ValueError(f"{path}: 'languages' must be a list of at least two strings, "
+                         f"got {languages!r}")
+    languages = data.check_languages(languages, f"{path}: 'languages'")
     spec = meta.get("spec")
     data_task = spec.get("task") if isinstance(spec, dict) else None
     if data_task not in data.TASKS:
@@ -167,6 +163,9 @@ def cmd_augment(args):
             trainer.TrainConfig(**{name: value})
         except ValueError as err:
             raise ValueError(f"{flag}: {err}") from None
+    needs = {"CS": ("--dict",), "SS": ("--vocab",), "MT": ("--store", "--languages")}
+    if lacking := [flag for flag in needs.get(args.strategy, ()) if not getattr(args, flag[2:])]:
+        raise ValueError(f"--strategy {args.strategy} needs {' and '.join(lacking)}")
     cfg = trainer.TrainConfig(task=args.task, **dict(knobs.values()))
     corpus = data.load_jsonl(args.input, args.task)
     if not len(corpus):
@@ -217,8 +216,8 @@ def _parse_override(key, raw):
             return float(raw)
     except ValueError:
         raise ValueError(f"--set {key}: expected {kind}, got {raw!r}") from None
-    if kind == "tuple":
-        return tuple(x for x in raw.split(",") if x)
+    if kind == "tuple":   # empty entries kept, for TrainConfig to reject
+        return tuple(raw.split(","))
     return raw
 
 

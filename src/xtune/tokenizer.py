@@ -1,34 +1,39 @@
 """Unigram-LM subword vocabulary with exact lattice segmentation.
 
-Segmentation meets the piece inventory in one place, a string's span table
-(``_span_table``: the pieces that occur in it, by end and by start
-position), and sums its lattice by one forward recurrence (``_forward``):
+Segmentation meets the piece inventory in one place, the span grid of the
+strings of a call (``_lattice``): one column per span ``(i, j)``, over every
+``j - i`` up to the longest piece, by end, then start, and one piece id per
+(span, string), a non-piece id where the substring is no piece or lies past
+the string's end.  Every walk over the lattices runs on that grid, over all
+the strings of a call at once:
 
-* ``viterbi_segment_words`` - each word's best-scoring segmentation, a DP
-                              over the table's starts (cached per word),
+* ``viterbi_segment_words`` - each word's best-scoring segmentation, one
+                              right-to-left DP over the grid's starts for
+                              the words not seen before (cached per word),
 * ``sample_segment_words``  - exact sampling of each word's segmentation
-                              proportional to P(s)^alpha: ``_forward`` with
-                              weights alpha * log p, then backward sampling
-                              (FFBS) of all tokens of a call in lockstep:
-                              one ``rng.random((tokens, longest form))``
-                              draw, token t's k-th cut an inverse-CDF draw
-                              with column k, and one draw id per token.
+                              proportional to P(s)^alpha: the grid forward
+                              (``_grid_forward``) with weights alpha * log p,
+                              then backward sampling (FFBS) of all tokens of
+                              a call in lockstep: one ``rng.random((tokens,
+                              longest form))`` draw, token t's k-th cut an
+                              inverse-CDF draw with column k, and one draw
+                              id per token.
 
 ``build_vocab`` is unigram EM: phases of sweeps (``em_fit``) over a fixed
-inventory, each followed by pruning.  A phase stacks every string's spans as
-one grid (``_em_grid``), and each sweep runs the forward and the backward
-over all strings at once, one ``np.logaddexp`` per span.
+inventory, each followed by pruning.  Each sweep runs the grid forward and
+the backward over all of a phase's strings.
 
-Log-masses are summed with ``np.logaddexp`` (``_logaddexp`` on scalars) in
-each lattice's fixed span order, so draws and vocabularies depend only on their
-inputs.  Words are segmented independently; a boundary marker is prepended to
-each word when the vocabulary covers it, which keeps the word -> subword map
-exact under resegmentation.  A ``Segmentation`` is one ``(pieces, ids)``
-record per word, the tuples the per-word Viterbi cache holds and the FFBS
-sampler builds once per draw id (a word type and cut set); callers read the
-word -> subword map (changed words, aligned first subwords, packed word
-rows) from them.  The tests check both paths against brute-force
-enumeration.
+Log-masses are summed by ``_grid_sums``, one ``np.logaddexp`` per span in
+the grid's order.  A non-piece adds a -inf term, which leaves a log-mass
+bit for bit as it was, so each string's sums are those of its own lattice
+and draws and vocabularies depend only on their inputs.  Words are
+segmented independently; a boundary marker is prepended to each word when
+the vocabulary covers it, which keeps the word -> subword map exact under
+resegmentation.  A ``Segmentation`` is one ``(pieces, ids)`` record per
+word, the tuples the per-word Viterbi cache holds and the FFBS sampler
+builds once per draw id (a word type and cut set); callers read the word ->
+subword map (changed words, aligned first subwords, packed word rows) from
+them.  The tests check both paths against brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -43,20 +48,6 @@ import numpy as np
 DEFAULT_MARKER = "▁"  # "▁"
 
 _NEG_INF = -math.inf
-_LOG2 = math.log(2.0)
-
-
-def _logaddexp(x, y):
-    """log(exp(x) + exp(y)) of two floats, bit for bit as ``np.logaddexp``
-    computes it, NaN passed through, without numpy's per-call overhead."""
-    if x == y:
-        return x + _LOG2
-    d = x - y
-    if d > 0:
-        return x + math.log1p(math.exp(-d))
-    if d <= 0:
-        return y + math.log1p(math.exp(d))
-    return d
 
 
 class VocabFormatError(ValueError):
@@ -90,7 +81,7 @@ class UnigramVocab:
         self.marker = marker
         self.max_piece_len = max(len(p) for p in pieces)
         self.piece_to_id = {p: i for i, p in enumerate(self.pieces)}
-        self._keys = {p: p for p in self.pieces}   # the ``_span_table`` inventory
+        self._logp = np.fromiter(self.pieces.values(), float, len(pieces))   # by piece id
         self.alphabet = alphabet
         self._word_viterbi = {}
         self._samplers = {}             # alpha -> _LockstepTable
@@ -155,87 +146,110 @@ def _word_record(vocab, pieces):
 
 
 # ---------------------------------------------------------------------------
-# The span table and the forward recurrence
+# The span grid and the forward recurrence
 
 
-def _span_table(pieces, text, max_len):
-    """The inventory pieces that occur in ``text``, one ``(start, end,
-    piece)`` record each, indexed both ways: ``ends[j]`` holds the records
-    ending at j, starts ascending, and ``starts[i]`` those starting at i,
-    ends ascending.  ``pieces`` maps each piece to itself, so records share
-    the inventory's strings."""
-    n = len(text)
-    ends = [[] for _ in range(n + 1)]
-    starts = [[] for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        for i in range(max(0, j - max_len), j):
-            piece = pieces.get(text[i:j])
-            if piece is not None:
-                ends[j].append(span := (i, j, piece))
-                starts[i].append(span)
-    return [tuple(x) for x in ends], [tuple(x) for x in starts]
+@lru_cache(maxsize=1)
+def _em_grid(texts, max_len):
+    """Every span of a call's strings as one grid, substrings interned
+    (cached: the EM phases of a ``build_vocab`` share their strings).
+    Column c is the span ``cols[c] = (i, j)``, over every ``j - i <=
+    max_len``, by end, then start; ``sub[c, s]`` numbers string s's
+    substring there in ``subs``, or is -1 past the string's end."""
+    width = max(map(len, texts), default=0)
+    cols = [(i, j) for j in range(1, width + 1) for i in range(max(0, j - max_len), j)]
+    subs = {}
+    sub = [[subs.setdefault(text[i:j], len(subs)) if j <= len(text) else -1 for text in texts]
+           for i, j in cols]
+    return cols, list(subs), np.array(sub, dtype=np.intp).reshape(len(cols), len(texts))
 
 
-def _forward(weights, ends):
-    """``logf[j]``, the log total mass of the segmentations of text[:j],
-    given its table's ``ends`` and each piece's log weight.  Spans add in
-    the table's order; an unreachable position holds -inf."""
-    logf = [_NEG_INF] * len(ends)
+def _lattice(index, texts, max_len):
+    """The lattices of ``texts`` over the pieces of ``index`` (piece -> id),
+    as one span grid (``_em_grid``): each column's start and end, and
+    ``pid[c, s]``, the id of string s's substring at column c, or
+    ``len(index)`` where it is no piece or lies past the string's end."""
+    cols, subs, sub = _em_grid(tuple(texts), max_len)
+    n = len(index)
+    starts, ends = np.array(cols, dtype=np.intp).reshape(-1, 2).T
+    return starts, ends, np.array([index.get(p, n) for p in subs] + [n], dtype=np.intp)[sub]
+
+
+def _grid_sums(mass, spans, weights):
+    """For each span ``(to, frm)`` in order, log-add ``mass[frm]`` times the
+    span's weight into ``mass[to]``: one ``np.logaddexp`` per span over the
+    ``(positions, strings)`` masses of all strings at once."""
+    for (to, frm), w in zip(spans, weights):
+        np.logaddexp(mass[to], mass[frm] + w, out=mass[to])
+    return mass
+
+
+def _grid_forward(starts, ends, weights):
+    """``logf[j, s]``, the log total mass of the segmentations of string s's
+    first j characters, given the log weight of each (column, string) of a
+    span grid (-inf at a non-piece).  A sum that overflows to -inf does so
+    silently: the caller names it."""
+    logf = np.full((1 + ends.max(initial=0), weights.shape[1]), _NEG_INF)
     logf[0] = 0.0
-    for j in range(1, len(ends)):
-        acc = _NEG_INF
-        for i, _, piece in ends[j]:
-            if logf[i] != _NEG_INF:
-                acc = _logaddexp(acc, logf[i] + weights[piece])
-        logf[j] = acc
-    return logf
+    with np.errstate(over="ignore"):
+        return _grid_sums(logf, zip(ends.tolist(), starts.tolist()), weights)
 
 
 # ---------------------------------------------------------------------------
 # Viterbi
 
 
-def _viterbi_pieces(vocab, text):
-    """Highest log-prob segmentation of one covered string.
+def _viterbi_records(vocab, words):
+    """Each word's highest log-prob ``(pieces, ids)`` record, cached per word:
+    the words not seen before share one right-to-left DP over their grid.
 
     Ties break toward fewer pieces, then toward the longest leftmost piece:
-    the right-to-left DP meets each start's pieces shortest first, and a
-    later piece equal in score and count wins.
+    of the pieces from a start, the best score wins, then the fewest pieces
+    to the end, then the longest piece.
     """
-    _, starts = _span_table(vocab._keys, text, vocab.max_piece_len)
-    logp = vocab.pieces
-    # per position: (score, piece count, first span); filled right to left
-    best = [None] * len(starts)
-    best[-1] = (0.0, 0, None)
-    for i in range(len(starts) - 2, -1, -1):
-        choice = None
-        for span in starts[i]:
-            tail = best[span[1]]
-            score, count = logp[span[2]] + tail[0], tail[1] + 1
-            if choice is None or score > choice[0] or (score == choice[0] and count <= choice[1]):
-                choice = (score, count, span)
-        best[i] = choice
-    pieces = []
-    span = best[0][2]
-    while span is not None:
-        pieces.append(span[2])
-        span = best[span[1]][2]
-    return pieces
-
-
-def _viterbi_word(vocab, word):
-    cached = vocab._word_viterbi.get(word)
-    if cached is None:
-        form = vocab.word_form(word)
-        vocab._check_coverage(form)
-        cached = _word_record(vocab, _viterbi_pieces(vocab, form))
-        vocab._word_viterbi[word] = cached
-    return cached
+    cache = vocab._word_viterbi
+    if new := [w for w in dict.fromkeys(words) if w not in cache]:
+        forms = [vocab.word_form(w) for w in new]
+        vocab._check_coverage("".join(forms))
+        n, k, every = len(vocab), vocab.max_piece_len, np.arange(len(forms))
+        starts, ends, pid = _lattice(vocab.piece_to_id, forms, k)
+        lengths = np.fromiter(map(len, forms), np.intp, len(forms))
+        width = int(lengths.max())
+        # piece[i, l, s]: the id of form s's piece of l + 1 characters from
+        # i, with the forms right-aligned, so that every form ends at width
+        col, form = np.nonzero(pid < n)
+        piece = np.full((width, k, len(forms)), n)
+        piece[starts[col] + width - lengths[form], ends[col] - starts[col] - 1, form] = pid[col, form]
+        logp = np.append(vocab._logp, _NEG_INF)[piece]
+        # per position: the best score and piece count to the form's end, and
+        # the first piece; a count of len(score) is more than any path has
+        score = np.full((width + k + 1, len(forms)), _NEG_INF)
+        count = np.full(score.shape, len(score))
+        first = np.zeros(score.shape, np.intp)
+        score[width] = count[width] = 0
+        step = np.where(piece < n, 1, len(score))
+        # among the pieces of the best score, the rank (length - 1) - count * k
+        # is largest for the fewest pieces, then the longest piece
+        tie, loses = np.arange(k)[:, None], np.iinfo(np.intp).min
+        with np.errstate(over="ignore"):   # a score of -inf: the counts decide
+            for i in range(width - 1, -1, -1):
+                s = logp[i] + score[i + 1:i + 1 + k]
+                c = count[i + 1:i + 1 + k] + step[i]
+                pick = np.where(s == s.max(axis=0), tie - c * k, loses).argmax(axis=0), every
+                score[i], count[i], first[i] = s[pick], c[pick], piece[i][pick]
+        names = list(vocab.pieces)
+        for word, length, ids in zip(new, lengths.tolist(), first.T.tolist()):
+            path, i = [], width - length
+            while i < width:
+                path.append(ids[i])
+                i += len(names[ids[i]])
+            cache[word] = tuple(names[p] for p in path), tuple(path)
+    return [cache[w] for w in words]
 
 
 def viterbi_segment_words(vocab, words):
     """Segment a word sequence; each word independently, marker-prefixed."""
-    return Segmentation([_viterbi_word(vocab, w) for w in words])
+    return Segmentation(_viterbi_records(vocab, words))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +281,8 @@ class _LockstepTable:
 
     def __init__(self, vocab, alpha):
         self.vocab, self.alpha = vocab, alpha
-        self.weights = {p: alpha * lp for p, lp in vocab.pieces.items()}
+        with np.errstate(over="ignore"):   # a weight of -inf: ``_add`` names its words
+            self.weights = np.append(alpha * vocab._logp, _NEG_INF)   # by piece id
         self.type_of = {}                   # word -> type
         self.words = []                     # type -> word
         self.offset, self.length, self.root, self.parent, self.row = np.zeros((5, 0), np.intp)
@@ -284,30 +299,35 @@ class _LockstepTable:
         return np.fromiter(map(self.type_of.__getitem__, words), dtype=np.intp, count=len(words))
 
     def _add(self, words):
-        vocab, weights = self.vocab, self.weights
+        vocab = self.vocab
         forms = [vocab.word_form(w) for w in words]
-        lengths = list(map(len, forms))
+        vocab._check_coverage("".join(forms))
+        starts, ends, pid = _lattice(vocab.piece_to_id, forms, vocab.max_piece_len)
+        logf = _grid_forward(starts, ends, self.weights[pid])
+        lengths = np.fromiter(map(len, forms), np.intp, len(forms))
+        # covered, so only the alpha * log p sums can fail
+        if (bad := np.flatnonzero(logf[lengths, np.arange(len(forms))] == _NEG_INF)).size:
+            raise ValueError(f"sample_segment_words: alpha {self.alpha!r} overflows "
+                             f"the path scores of word {words[bad[0]]!r}")
         offset = len(self.cdf) - 1 + np.cumsum(lengths) - lengths
-        rows = []   # per end position: (log weight, start row) of each piece
-        for word, text, base in zip(words, forms, offset.tolist()):
-            vocab._check_coverage(text)
-            ends, _ = _span_table(vocab._keys, text, vocab.max_piece_len)
-            logf = _forward(weights, ends)
-            if logf[-1] == _NEG_INF:   # covered, so only the alpha * log p sums can fail
-                raise ValueError(f"sample_segment_words: alpha {self.alpha!r} overflows "
-                                 f"the path scores of word {word!r}")
-            rows += [[(logf[i] + weights[piece], base + i if i else 0) for i, _, piece in span
-                      if logf[i] != _NEG_INF] for span in ends[1:]]
-        width = max(self.cdf.shape[1], *map(len, rows))
-        cdf = np.full((len(rows), width), np.inf)
-        after = np.zeros((len(rows), width), dtype=np.uint32)
+        # each piece after a reachable start, as (form, column): by CDF row
+        # (the form, then the piece's end), then by start
+        form, col = np.nonzero(((pid < len(vocab)) & (logf[starts] > _NEG_INF)).T)
+        start, row = starts[col], offset[form] + ends[col] - len(self.cdf)
+        with np.errstate(over="ignore"):
+            logw = logf[start, form] + self.weights[pid[col, form]]
+        size = np.bincount(row, minlength=lengths.sum())
+        first = np.cumsum(size) - size
+        width = max(self.cdf.shape[1], size.max(initial=0))
+        cdf = np.full((size.size, width), np.inf)
+        after = np.zeros((size.size, width), dtype=np.uint32)
+        after[row, np.arange(row.size) - first[row]] = np.where(start > 0, offset[form] + start, 0)
         # the rows of n pieces together, unpadded: a row's sums add its own
         # pieces alone, in numpy's order for n numbers, as one row alone would
-        for n in sorted(set(map(len, rows)) - {0}):
-            index = [r for r, row in enumerate(rows) if len(row) == n]
-            logw = np.array([[w for w, _ in rows[r]] for r in index])
-            after[index, :n] = [[a for _, a in rows[r]] for r in index]
-            p = np.exp(logw - logw.max(axis=1, keepdims=True))
+        for n in sorted(set(size.tolist()) - {0}):
+            index = np.flatnonzero(size == n)
+            logw_n = logw[first[index, None] + np.arange(n)]
+            p = np.exp(logw_n - logw_n.max(axis=1, keepdims=True))
             cumulative = (p / p.sum(axis=1, keepdims=True)).cumsum(axis=1)
             cdf[index, :n] = cumulative / cumulative[:, -1:]
         pad = ((0, 0), (0, width - self.cdf.shape[1]))
@@ -320,6 +340,7 @@ class _LockstepTable:
         self.root = np.concatenate((self.root, self._nodes(-1 - types, offset + lengths)))
         self.type_of.update(zip(words, types.tolist()))
         self.words += words
+        _viterbi_records(vocab, words)   # what ``record`` compares draws with, in one DP
 
     def _nodes(self, parent, row):
         """The ids of new trie nodes, one per ``parent`` and ``row``; a node
@@ -371,7 +392,7 @@ class _LockstepTable:
             word, base = self.words[-1 - node], int(self.offset[-1 - node])
             text, bounds = self.vocab.word_form(word), [b - base if b else 0 for b in bounds]
             drawn = _word_record(self.vocab, [text[a:b] for a, b in zip(bounds, bounds[1:])])
-            viterbi = _viterbi_word(self.vocab, word)
+            viterbi = self.vocab._word_viterbi[word]   # filled by ``_add``
             found = self.records[draw] = viterbi if drawn == viterbi else drawn
         return found
 
@@ -425,30 +446,6 @@ def save_vocab(vocab, path):
 # Vocabulary estimation (simplified unigram EM)
 
 
-@lru_cache(maxsize=1)
-def _em_grid(texts, max_len):
-    """Every span of an EM phase's strings as one grid, substrings interned
-    (cached: the phases of a ``build_vocab`` share their strings).  Column c
-    is the span ``cols[c] = (i, j)``, over every ``j - i <= max_len``, by
-    end, then start; ``sub[c, s]`` numbers string s's substring there in
-    ``subs``, or is -1 past the string's end."""
-    width = max(map(len, texts), default=0)
-    cols = [(i, j) for j in range(1, width + 1) for i in range(max(0, j - max_len), j)]
-    subs = {}
-    sub = [[subs.setdefault(text[i:j], len(subs)) if j <= len(text) else -1 for text in texts]
-           for i, j in cols]
-    return cols, list(subs), np.array(sub, dtype=np.intp).reshape(len(cols), len(texts))
-
-
-def _grid_sums(mass, spans, weights):
-    """For each span ``(to, frm)`` in order, log-add ``mass[frm]`` times the
-    span's weight into ``mass[to]``: one ``np.logaddexp`` per span over the
-    ``(positions, strings)`` masses of all strings at once."""
-    for (to, frm), w in zip(spans, weights):
-        np.logaddexp(mass[to], mass[frm] + w, out=mass[to])
-    return mass
-
-
 def em_fit(pieces, corpus_counts, iters):
     """Run EM sweeps on a fixed piece inventory.
 
@@ -461,18 +458,17 @@ def em_fit(pieces, corpus_counts, iters):
     """
     names, texts, freqs = list(pieces), list(corpus_counts), list(corpus_counts.values())
     n = len(names)
-    cols, subs, sub = _em_grid(tuple(texts), max(map(len, names), default=0))
-    index = {p: k for k, p in enumerate(names)}
     # each span's inventory index; n, a -inf weight, where it is no piece or past the end
-    pid = np.array([index.get(piece, n) for piece in subs] + [n], dtype=np.intp)[sub]
-    back = sorted(range(len(cols)), key=lambda c: (-cols[c][0], cols[c][1]))
-    forward, backward = [(j, i) for i, j in cols], [cols[c] for c in back]
-    ends = (np.array(list(map(len, texts)), dtype=np.intp), np.arange(len(texts)))
+    starts, ends, pid = _lattice({p: k for k, p in enumerate(names)}, texts,
+                                 max(map(len, names), default=0))
+    back = sorted(range(len(starts)), key=lambda c: (-starts[c], ends[c]))   # by start, descending
+    backward = list(zip(starts[back].tolist(), ends[back].tolist()))
+    at_end = np.fromiter(map(len, texts), np.intp, len(texts)), np.arange(len(texts))
     # each (string, column) holding a piece, string by string, and its
     # (string, piece) slot, numbered as first seen, so in string order (a
     # dict: np.unique's sort would page in ~0.6 MB more of numpy's code)
     s_of, c_of = np.nonzero(pid.T < n)
-    p_of, (i_of, j_of) = pid[c_of, s_of], np.array(cols, dtype=np.intp).reshape(-1, 2)[c_of].T
+    p_of, i_of, j_of = pid[c_of, s_of], starts[c_of], ends[c_of]
     seen = {}
     slot_of = np.array([seen.setdefault(k, len(seen)) for k in (s_of * n + p_of).tolist()],
                        dtype=np.intp)
@@ -482,11 +478,11 @@ def em_fit(pieces, corpus_counts, iters):
     for _ in range(iters):
         w = np.append(lps, _NEG_INF)
         weights = w[pid]
-        loga, logb = np.full((2, 1 + ends[0].max(initial=0), len(texts)), _NEG_INF)
-        loga[0] = 0.0
-        logb[ends] = 0.0
-        loga, logb = _grid_sums(loga, forward, weights), _grid_sums(logb, backward, weights[back])
-        logz = loga[ends]
+        loga = _grid_forward(starts, ends, weights)
+        logb = np.full(loga.shape, _NEG_INF)
+        logb[at_end] = 0.0
+        logb = _grid_sums(logb, backward, weights[back])
+        logz = loga[at_end]
         a, b, z = loga[i_of, s_of], logb[j_of, s_of], logz[s_of]
         live = np.flatnonzero((a > _NEG_INF) & (b > _NEG_INF) & (z > _NEG_INF))
         # math.exp, not np.exp, whose vector loop need not match libm

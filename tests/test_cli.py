@@ -133,6 +133,10 @@ def test_mode_defaults_to_xtune():
      "mt_languages must be distinct and non-empty, got ['xx', 'xx']"),
     ({"preset": "xnli", "setting": "translate-train-all"}, ["mt_languages=xx,x/y"],
      "mt_languages: language 'x/y' holds '/'"),
+    ({"preset": "xnli", "setting": "translate-train-all"}, ["mt_languages=xx,,yy"],
+     "mt_languages must be distinct and non-empty, got ['xx', '', 'yy']"),
+    ({"preset": "xnli", "setting": "translate-train-all"}, ["mt_languages=,"],
+     "mt_languages must be distinct and non-empty, got ['', '']"),
 ])
 def test_bad_config_fails_cleanly(extra, overrides, message, tmp_path, capsys):
     config = write_config(tmp_path / "config.json", tmp_path / "missing-data", **extra)
@@ -326,11 +330,15 @@ def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
-@pytest.mark.parametrize("meta", [
-    {}, [], {"languages": "en"}, {"languages": ["en"]}, {"languages": ["en", "en"]},
-    {"languages": ["en", ""]}, {"languages": ["en", 1]},
-])
-def test_bad_meta_languages_fail_naming_the_file(command, meta, tmp_path, capsys):
+@pytest.mark.parametrize("meta,rule", [pytest.param(meta, rule, id=f"meta{k}") for k, (meta, rule)
+                                       in enumerate([
+    ({}, "must be a list"), ([], "must be a list"), ({"languages": "en"}, "must be a list"),
+    ({"languages": ["en"]}, "must be a list"),
+    ({"languages": ["en", "en"]}, "must be distinct and non-empty, got ['en', 'en']"),
+    ({"languages": ["en", ""]}, "must be distinct and non-empty, got ['en', '']"),
+    ({"languages": ["en", 1]}, "must be a list"),
+])])
+def test_bad_meta_languages_fail_naming_the_file(command, meta, rule, tmp_path, capsys):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     (data_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
@@ -343,7 +351,7 @@ def test_bad_meta_languages_fail_naming_the_file(command, meta, tmp_path, capsys
         argv = ["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {data_dir / 'meta.json'}: 'languages' must be a list")
+    assert err.startswith(f"error: {data_dir / 'meta.json'}: 'languages' {rule}")
     assert "Traceback" not in err
 
 
@@ -401,7 +409,7 @@ def test_meta_language_the_files_cannot_carry_fails_naming_the_file(name, tmp_pa
     save_params(ModelParams("span", 4, 2, 4), checkpoint)
     assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / 'meta.json'}: language {name!r} holds")
+    assert err.startswith(f"error: {tmp_path / 'meta.json'}: 'languages': language {name!r} holds")
     assert "Traceback" not in err
 
 
@@ -721,6 +729,18 @@ def test_an_xtune_run_builds_one_set_of_switch_candidates(tmp_path, monkeypatch)
     assert {manifest["config"][key] for key in ("stage1_strategy", "corpus_strategy",
                                                  "pair_strategy")} == {"CS"}
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("strategy,lacking", [
+    ("CS", "--dict"), ("SS", "--vocab"), ("MT", "--store and --languages")])
+def test_augment_names_the_flag_of_a_missing_resource(strategy, lacking, tmp_path, capsys):
+    path, out = tmp_path / "train.jsonl", tmp_path / "out.jsonl"
+    path.write_text(json.dumps({"id": "a", "lang": "en", "words": ["w"], "label": 0,
+                                "n_label": 2}) + "\n", encoding="utf-8")
+    assert cli.main(["augment", "--strategy", strategy, "--input", str(path),
+                     "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --strategy {strategy} needs {lacking}\n"
+    assert not out.exists()
 
 
 def test_augment_on_an_empty_input_names_the_file(tmp_path, capsys):

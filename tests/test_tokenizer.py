@@ -54,10 +54,10 @@ def viterbi_pieces(vocab, word):
 
 
 def forward_logf(vocab, text, alpha):
-    """The FFBS forward filter of one string: ``_forward`` over its span
-    table with the sampler's tempered weights."""
-    ends, _ = tok._span_table(vocab._keys, text, vocab.max_piece_len)
-    return tok._forward(tok._LockstepTable(vocab, alpha).weights, ends)
+    """The FFBS forward filter of one string: the grid forward over its
+    lattice with the sampler's tempered weights."""
+    starts, ends, pid = tok._lattice(vocab.piece_to_id, [text], vocab.max_piece_len)
+    return tok._grid_forward(starts, ends, tok._LockstepTable(vocab, alpha).weights[pid])[:, 0]
 
 
 class TestLoadVocab:
@@ -146,7 +146,6 @@ class TestViterbi:
             word = "".join(rng.choice(list("abc"), size=int(rng.integers(1, 12))))
             form = vocab.word_form(word)
             want = ref.viterbi_pieces(vocab, form)
-            assert tok._viterbi_pieces(vocab, form) == want, trial
             assert viterbi_pieces(vocab, word) == want, trial
             scored = [(sum(vocab.pieces[p] for p in s.pieces), -len(s.pieces))
                       for s, _ in enumerate_segmentations(vocab, form)]
@@ -154,6 +153,26 @@ class TestViterbi:
             ties["score"] += len({n for score, n in scored if score == top[0]}) > 1
             ties["count"] += scored.count(top) > 1
         assert ties["score"] >= 50 and ties["count"] >= 20, ties
+
+    def test_one_call_over_mixed_lengths_is_one_call_per_word(self):
+        # a call's new words share one grid, whose columns past a shorter
+        # form's end must add nothing; tied log-probs make a wrong pick show,
+        # and every third vocabulary's path scores overflow to -inf, so that
+        # only the piece counts and lengths decide
+        rng = np.random.default_rng(14)
+        for trial in range(60):
+            vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
+            vocab = with_marker(vocab) if trial % 2 else vocab
+            scale = 1e308 if trial % 3 == 2 else 1.0
+            pieces = {p: scale * float(rng.choice([-1.0, -1.5, -1.7])) for p in vocab.pieces}
+            words = list(dict.fromkeys("".join(rng.choice(list("abc"), size=int(n)))
+                                       for n in rng.integers(1, 16, size=12)))
+            one_call = tok.viterbi_segment_words(tok.UnigramVocab(pieces), words).words
+            per_word = tok.UnigramVocab(pieces)
+            assert one_call == [tok.viterbi_segment_words(per_word, [w]).words[0]
+                                for w in words], trial
+            assert [list(p) for p, _ in one_call] == [
+                ref.viterbi_pieces(per_word, per_word.word_form(w)) for w in words], trial
 
     def test_matches_enumeration_argmax_up_to_len8(self):
         # with the boundary marker in the vocabulary, a word is segmented
@@ -328,6 +347,30 @@ class TestSampling:
                         p = np.exp(logw - logw.max())
                         cdf = (p / p.sum()).cumsum()
                         assert (cdf / cdf[-1]).tobytes() == row[:len(starts)].tobytes(), trial
+
+    def test_one_add_of_many_types_is_one_add_per_type(self):
+        # the types of one ``_add`` share one grid, over forms of mixed
+        # lengths: the same rows, bit for bit, and the same draws and
+        # records from the same generator as types added one at a time
+        rng = np.random.default_rng(51)
+        for trial in range(40):
+            vocab = random_vocab(rng, n_pieces=int(rng.integers(3, 30)))
+            vocab = with_marker(vocab) if trial % 2 else vocab
+            alpha = float(rng.choice([0.0, 0.2, 1.0, 4.0]))
+            words = list(dict.fromkeys("".join(rng.choice(list("abc"), size=int(n)))
+                                       for n in rng.integers(1, 16, size=10)))
+            batched, single = tok._LockstepTable(vocab, alpha), tok._LockstepTable(vocab, alpha)
+            batched.type_ids(words)
+            for word in words:
+                single.type_ids([word])
+            for name in ("cdf", "after", "offset", "length", "root"):
+                assert getattr(batched, name).tobytes() == getattr(single, name).tobytes(), trial
+            tokens = [words[k] for k in rng.integers(len(words), size=40)]
+            drawn = []
+            for table in (batched, single):
+                draws = table.draws(table.type_ids(tokens), np.random.default_rng(trial))
+                drawn.append(list(map(table.record, draws.tolist())))
+            assert drawn[0] == drawn[1], trial
 
     def test_draw_records_carry_the_vocabulary_ids(self):
         # a draw's ids are the vocabulary's ids of its pieces
@@ -600,18 +643,6 @@ class TestEmOracle:
             tok.em_fit(pieces, corpus, iters)
             assert built == [tuple(corpus)], iters
             assert sums == [len(corpus)] * (2 * iters), iters
-
-
-def test_logaddexp_is_bitwise_np_logaddexp():
-    gaps = [0.0, 5e-324, 1e-300, 1e-16, 1e-8, 0.5, 1.0, 36.0, 37.0, 745.0, 1e10, 1e300]
-    anchors = [0.0, -0.0, 1.0, -1.0, -37.5, 700.0, -1e300, 1e300, 1e308, -1e308]
-    grid = [math.inf, -math.inf, math.nan] + [a + sign * g for a in anchors
-                                              for g in gaps for sign in (1.0, -1.0)]
-    for x in grid:
-        for y in grid:
-            with np.errstate(all="ignore"):
-                want = np.logaddexp(np.float64(x), np.float64(y))
-            assert bits(tok._logaddexp(x, y)) == want.tobytes(), (x, y)
 
 
 def test_lattice_forward_filter_is_bitwise_the_reference():
